@@ -35,11 +35,19 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--scale paper|quick` from the CLI (default paper).
+    /// Parses `--scale paper|quick` from the CLI (default paper); any
+    /// other value exits with code 2 and a usage line.
     pub fn from_args() -> Scale {
-        match flag_value("--scale").as_deref() {
-            Some("quick") => Scale::Quick,
-            _ => Scale::Paper,
+        or_usage_exit(Scale::parse_args(&cli_args()))
+    }
+
+    /// Parses `--scale paper|quick` from `args` (default paper when the
+    /// flag is absent).
+    pub fn parse_args(args: &[String]) -> Result<Scale, String> {
+        match flag_in(args, "--scale")? {
+            None | Some("paper") => Ok(Scale::Paper),
+            Some("quick") => Ok(Scale::Quick),
+            Some(other) => Err(format!("`--scale {other}` must be `paper` or `quick`")),
         }
     }
 
@@ -504,18 +512,61 @@ pub fn paper_experiment_config(seed: u64) -> ExperimentConfig {
 
 /// Returns the value following a `--flag` CLI argument.
 pub fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
+    let args = cli_args();
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
 }
 
-/// Parses `--runs N` (defaulting to the paper's 10).
+fn cli_args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// The value of `name` in `args`: `None` when the flag is absent, an
+/// error when it is the last argument and has no value.
+fn flag_in<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .map(|v| Some(v.as_str()))
+            .ok_or_else(|| format!("`{name}` needs a value")),
+    }
+}
+
+/// Unwraps a CLI parse, or prints the error and a usage line and exits
+/// with code 2.
+fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|err| {
+        let bin = std::env::args().next().unwrap_or_default();
+        let bin = std::path::Path::new(&bin)
+            .file_name()
+            .map_or_else(|| bin.clone(), |name| name.to_string_lossy().into_owned());
+        eprintln!("error: {err}");
+        eprintln!("usage: {bin} [--scale paper|quick] [--runs <n ≥ 1>]");
+        std::process::exit(2)
+    })
+}
+
+/// Parses `--runs N` (defaulting to `default`, the paper's 10 for most
+/// binaries); a value that is not a positive integer exits with code 2
+/// and a usage line.
 pub fn runs_from_args(default: usize) -> usize {
-    flag_value("--runs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    or_usage_exit(parse_runs(&cli_args(), default))
+}
+
+/// Parses `--runs N` from `args`: `default` when the flag is absent, an
+/// error unless `N` is a positive integer.
+pub fn parse_runs(args: &[String], default: usize) -> Result<usize, String> {
+    match flag_in(args, "--runs")? {
+        None => Ok(default),
+        Some(v) => v
+            .parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 1)
+            .ok_or_else(|| format!("`--runs {v}` is not a positive integer")),
+    }
 }
 
 /// The `q`-quantile of a set of timing samples, in milliseconds
@@ -560,6 +611,44 @@ mod tests {
         let prep = tree_topology(Scale::Quick, 2);
         assert_eq!(prep.topo.beacons.len(), 1);
         assert_eq!(prep.removed_fluttering, 0, "trees never flutter");
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn scale_flag_is_parsed_strictly() {
+        assert_eq!(Scale::parse_args(&args(&[])), Ok(Scale::Paper));
+        assert_eq!(
+            Scale::parse_args(&args(&["--scale", "paper"])),
+            Ok(Scale::Paper)
+        );
+        assert_eq!(
+            Scale::parse_args(&args(&["--runs", "1", "--scale", "quick"])),
+            Ok(Scale::Quick)
+        );
+        for bad in [
+            &["--scale", "quik"][..],
+            &["--scale", "Quick"],
+            &["--scale"],
+        ] {
+            assert!(Scale::parse_args(&args(bad)).is_err(), "{bad:?} accepted");
+        }
+    }
+
+    #[test]
+    fn runs_flag_is_parsed_strictly() {
+        assert_eq!(parse_runs(&args(&["--scale", "quick"]), 10), Ok(10));
+        assert_eq!(parse_runs(&args(&["--runs", "3"]), 10), Ok(3));
+        for bad in [
+            &["--runs", "x"][..],
+            &["--runs", "0"],
+            &["--runs", "-1"],
+            &["--runs"],
+        ] {
+            assert!(parse_runs(&args(bad), 10).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

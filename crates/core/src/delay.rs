@@ -23,9 +23,9 @@
 
 use crate::augmented::AugmentedSystem;
 use crate::covariance::CenteredMeasurements;
-use crate::lia::{EliminationStrategy, LiaConfig};
+use crate::lia::{variance_order, LiaConfig};
 use crate::variance::{estimate_variances, VarianceConfig, VarianceEstimate};
-use losstomo_linalg::{LinalgError, PivotedQr};
+use losstomo_linalg::LinalgError;
 use losstomo_netsim::delay::DelaySnapshot;
 use losstomo_topology::ReducedTopology;
 use serde::{Deserialize, Serialize};
@@ -108,20 +108,20 @@ pub fn infer_link_delays(
         .map(|(&d, &b)| (d - b).max(0.0))
         .collect();
 
-    let kept = crate::lia::select_full_rank_columns(
-        red,
-        variances,
-        match cfg.elimination {
-            s @ EliminationStrategy::PaperOrder => s,
-            s @ EliminationStrategy::GreedyMatroid => s,
-        },
+    assert_eq!(
+        variances.len(),
+        red.num_links(),
+        "got {} variances for {} links",
+        variances.len(),
+        red.num_links()
     );
-    let dense = red.matrix.to_dense();
-    let rstar = dense.select_columns(&kept);
-    let x = PivotedQr::new(&rstar)?.solve_least_squares(&y)?;
+    // The same column-append scan as LIA's dense Phase 2: it selects
+    // the columns and factors `R*` in one pass.
+    let factor = crate::lia::dense_factor(red, &variance_order(variances), cfg.elimination);
+    let x = factor.solve(&y)?;
     let mut queue_delay = vec![0.0; red.num_links()];
     let mut kept_mask = vec![false; red.num_links()];
-    for (pos, &k) in kept.iter().enumerate() {
+    for (pos, &k) in factor.cols().iter().enumerate() {
         queue_delay[k] = x[pos].max(0.0);
         kept_mask[k] = true;
     }

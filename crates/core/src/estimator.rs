@@ -41,7 +41,7 @@ use crate::augmented::AugmentedSystem;
 use crate::budget::{apply_budget, PairBudget};
 use crate::covariance::CenteredMeasurements;
 use crate::lia::{
-    infer_link_rates, rates_from_solution, solve_reduced, LiaConfig, LinkRateEstimate, RankView,
+    infer_link_rates, paper_order_rates, rates_from_solution, LiaConfig, LinkRateEstimate, RankView,
 };
 use crate::variance::{estimate_variances_from_sigmas, VarianceConfig};
 use losstomo_linalg::{LinalgError, PivotedQr};
@@ -442,14 +442,14 @@ const DENG_SWEEPS: usize = 8;
 ///   Gauss–Seidel sweeps of
 ///   `v_k ← mean over rows ∋ k of (σ_r − Σ_{l ∈ row, l ≠ k} v_l)`
 ///   clamped at zero — `O(links · m)` instead of `O(pairs · m)`.
-/// * *Phase 2* — instead of the paper-order bisection (a dozen rank
-///   checks on near-full-width systems), it **screens** columns by
-///   learned variance: links below [`DENG_SCREEN_FACTOR`] × the median
-///   (the noise floor, since congestion is sparse) are declared
-///   loss-free outright, and only the small candidate set enters the
-///   rank search and the reduced solve. If congestion is *not* sparse
-///   (candidates exceed half the links) it falls back to the full
-///   [`infer_link_rates`] rather than mis-screen.
+/// * *Phase 2* — instead of running the paper-order selection over
+///   every link, it **screens** columns by learned variance: links
+///   below [`DENG_SCREEN_FACTOR`] × the median (the noise floor, since
+///   congestion is sparse) are declared loss-free outright, and only
+///   the small candidate set enters the paper-order selection and the
+///   reduced solve. If congestion is *not* sparse (candidates exceed
+///   half the links) it falls back to the full [`infer_link_rates`]
+///   rather than mis-screen.
 ///
 /// The variances are approximate, but detection only consumes their
 /// *order* and the screened solve still least-squares the surviving
@@ -458,7 +458,7 @@ const DENG_SWEEPS: usize = 8;
 /// bench gates ≥2× on the paper-scale Waxman mesh).
 #[derive(Debug, Clone)]
 pub struct DengFastEstimator {
-    /// Phase-2 configuration (dispatch/backend shared with LIA; the
+    /// Phase-2 configuration (dispatch shared with LIA; the
     /// elimination strategy only applies on the dense-congestion
     /// fallback path).
     pub lia: LiaConfig,
@@ -467,10 +467,10 @@ pub struct DengFastEstimator {
 /// Variance screening factor for the fast backend's Phase 2: links
 /// whose learned variance is at or below this multiple of the median
 /// variance (the noise floor under sparse congestion) are treated as
-/// loss-free without entering the rank search.
+/// loss-free without entering the paper-order selection.
 pub const DENG_SCREEN_FACTOR: f64 = 10.0;
 
-/// The fast backend's screened Phase 2: rank-search and solve only the
+/// The fast backend's screened Phase 2: select and solve only the
 /// columns whose learned variance clears the noise floor.
 fn deng_screened_phase2(
     red: &ReducedTopology,
@@ -503,29 +503,10 @@ fn deng_screened_phase2(
     }
     // Paper-order semantics within the candidate set: drop the minimal
     // prefix of smallest-variance candidates until the rest is
-    // independent. Every rank check touches only candidate columns.
+    // independent. The scan (or the sparse bisection) touches only
+    // candidate columns.
     candidates.sort_by(|&a, &b| variances[a].total_cmp(&variances[b]));
-    let view = RankView::new(red, cfg.dispatch);
-    let np = red.num_paths();
-    let feasible = |cut: usize| view.subset_full_rank(&candidates[cut..], np);
-    let cut = if feasible(0) {
-        0
-    } else {
-        let (mut lo, mut hi) = (0usize, candidates.len());
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if feasible(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
-    };
-    let mut kept = candidates[cut..].to_vec();
-    kept.sort_unstable();
-    let xstar = solve_reduced(&view, &kept, y, cfg.backend)?;
-    Ok(rates_from_solution(nc, &kept, &xstar))
+    paper_order_rates(&RankView::new(red, cfg.dispatch), nc, &candidates, y)
 }
 
 /// Sorted intersection of two ascending link lists.

@@ -12,20 +12,33 @@
 //! 4. approximates the removed links' transmission rates by 1 (loss 0).
 //!
 //! The paper's loop removes the globally smallest-variance column while
-//! `R*` is rank deficient. Because "subset of an independent set is
-//! independent", the set of survivors is monotone in the cut position,
-//! so we find the minimal cut by bisection over the variance order —
-//! identical output, `O(log n_c)` rank checks instead of `O(n_c)`.
+//! `R*` is rank deficient, so `R*` is the longest *suffix* of the
+//! variance order whose columns are independent. The dense path finds
+//! it in one pass: it appends columns to a column-append Householder QR
+//! ([`AppendQr`]) in decreasing variance order and stops at the first
+//! column that lies in the span of the ones already kept. That column's
+//! position in the order, plus one, is the cut, and the factor built on
+//! the way is the factor of `R*` the reduced solve uses — one
+//! factorisation per Phase 2, identical output to the paper's loop.
+//!
+//! Above [`dense_phase2_max_cols`] links the sparse path bisects over
+//! the cut instead: "a subset of an independent set is independent"
+//! makes feasibility monotone in the cut, so `O(log n_c)` sparse Givens
+//! rank checks find it (the row-streaming Givens QR cannot append
+//! columns), and a warm-start hint can re-certify a remembered cut with
+//! two checks.
+//!
 //! A greedy-matroid variant that keeps every column independent of the
 //! already-kept higher-variance set is provided for the ablation study
-//! (it never discards an identifiable congested link).
+//! (it never discards an identifiable congested link). It runs the same
+//! column-append kernel but skips dependent columns instead of stopping.
 //!
 //! Phase 2 consumes whatever variances Phase 1 produced; it is
 //! agnostic to the augmented-pair row budget ([`crate::budget`]) —
 //! budgeting changes how many covariance rows *feed* Phase 1, not the
 //! first-moment system `Y = R X` solved here.
 
-use losstomo_linalg::{lstsq, CsrMatrix, LinalgError, LstsqBackend, Matrix, PivotedQr, SparseQr};
+use losstomo_linalg::{AppendQr, CsrMatrix, LinalgError, Matrix, SparseQr};
 use losstomo_topology::ReducedTopology;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -43,17 +56,17 @@ pub enum EliminationStrategy {
     GreedyMatroid,
 }
 
-/// Which factorisation family Phase 2 uses for its rank checks and the
-/// reduced least-squares solve.
+/// Which factorisation family Phase 2 uses for its column selection and
+/// the reduced least-squares solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Phase2Dispatch {
-    /// Dense pivoted QR up to [`dense_phase2_max_cols`] columns, the
-    /// sparse Givens QR above (the routing matrix is 1–2 % dense at
-    /// mesh scale, where densifying dominates the pipeline). Default.
+    /// Dense up to [`dense_phase2_max_cols`] columns, the sparse Givens
+    /// QR above (the routing matrix is 1–2 % dense at mesh scale, where
+    /// densifying dominates the pipeline). Default.
     #[default]
     Auto,
-    /// Force the dense pivoted-QR path at any size — the pre-sparse
-    /// behaviour, kept as the dispatchable oracle for golden tests.
+    /// Force the dense path at any size: one column-append QR scan
+    /// finds the cut and factors `R*`.
     Dense,
     /// Force the sparse path at any size (tests, benchmarks).
     Sparse,
@@ -84,14 +97,15 @@ impl Phase2Dispatch {
     }
 }
 
-/// The routing-matrix view Phase 2 runs its rank checks and reduced
-/// solves against — materialised **once** per estimator/bisection and
-/// reused for every check, so neither path re-materialises `R`.
+/// The routing-matrix view Phase 2 selects columns from and solves
+/// against — materialised **once** per estimator or batch call, so
+/// neither path re-materialises `R`.
 #[derive(Debug, Clone)]
 pub enum RankView {
-    /// Dense copy of `R`; subset checks use the pivoted QR (oracle).
+    /// Dense column-major copy of `R`: stored row `k` is link column
+    /// `k`, contiguous for the column-append QR scan.
     Dense(Matrix),
-    /// CSR view of `R`; subset checks use the sparse Givens QR.
+    /// CSR view of `R`; subset rank checks use the sparse Givens QR.
     Sparse(CsrMatrix),
 }
 
@@ -99,61 +113,49 @@ impl RankView {
     /// Builds the view the dispatch policy selects for `red`.
     pub fn new(red: &ReducedTopology, dispatch: Phase2Dispatch) -> RankView {
         if dispatch.is_dense(red.num_links()) {
-            RankView::Dense(red.matrix.to_dense())
+            RankView::Dense(dense_columns(red))
         } else {
             RankView::Sparse(red.matrix.to_sparse())
         }
     }
+}
 
-    /// Does the column subset `kept` (any order for the dense view;
-    /// sorted internally for the sparse one) have full column rank?
-    /// `np` is the row count; a subset wider than `np` is trivially
-    /// dependent and short-circuits.
-    pub(crate) fn subset_full_rank(&self, kept: &[usize], np: usize) -> bool {
-        if kept.is_empty() {
-            return true;
+/// `Rᵀ` as a dense matrix: row `k` holds link `k`'s 0/1 column of `R`.
+fn dense_columns(red: &ReducedTopology) -> Matrix {
+    let mut rt = Matrix::zeros(red.num_links(), red.num_paths());
+    for (i, links) in red.matrix.iter().enumerate() {
+        for &k in links {
+            rt[(k, i)] = 1.0;
         }
-        if kept.len() > np {
-            return false;
-        }
-        match self {
-            RankView::Dense(dense) => {
-                let sub = dense.select_columns(kept);
-                losstomo_linalg::rank(&sub) == kept.len()
-            }
-            RankView::Sparse(csr) => {
-                let mut sorted = kept.to_vec();
-                sorted.sort_unstable();
-                let sub = csr.select_columns(&sorted);
-                match SparseQr::new(sub) {
-                    Ok(qr) => qr.has_full_column_rank(),
-                    Err(_) => false,
-                }
-            }
-        }
+    }
+    rt
+}
+
+/// Does the column subset `kept` (any order) of the CSR view have full
+/// column rank? A subset wider than the row count is trivially
+/// dependent and short-circuits.
+fn sparse_full_rank(csr: &CsrMatrix, kept: &[usize]) -> bool {
+    if kept.is_empty() {
+        return true;
+    }
+    if kept.len() > csr.rows() {
+        return false;
+    }
+    let mut sorted = kept.to_vec();
+    sorted.sort_unstable();
+    match SparseQr::new(csr.select_columns(&sorted)) {
+        Ok(qr) => qr.has_full_column_rank(),
+        Err(_) => false,
     }
 }
 
 /// LIA configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LiaConfig {
     /// Column-elimination strategy for Phase 2.
     pub elimination: EliminationStrategy,
-    /// Backend for the reduced first-moment solve (dense path; the
-    /// sparse path always solves through the sparse QR).
-    pub backend: LstsqBackend,
     /// Dense-vs-sparse factorisation dispatch.
     pub dispatch: Phase2Dispatch,
-}
-
-impl Default for LiaConfig {
-    fn default() -> Self {
-        LiaConfig {
-            elimination: EliminationStrategy::PaperOrder,
-            backend: LstsqBackend::HouseholderQr,
-            dispatch: Phase2Dispatch::Auto,
-        }
-    }
 }
 
 /// The output of Phase 2 for one snapshot.
@@ -189,13 +191,13 @@ impl LinkRateEstimate {
 /// Selects the columns of `R*` given the learnt variances.
 ///
 /// Returns the kept column indices (ascending). The paper's strategy
-/// bisects over the number of dropped smallest-variance columns; the
+/// keeps the longest independent suffix of the variance order; the
 /// greedy strategy scans in decreasing variance order and keeps columns
 /// that enlarge the span.
 ///
 /// This convenience entry point always uses the
-/// [`Phase2Dispatch::Auto`] policy for its rank checks; to force the
-/// dense oracle or the sparse path, go through
+/// [`Phase2Dispatch::Auto`] policy; to force the dense scan or the
+/// sparse bisection, go through
 /// [`infer_link_rates`]/[`LiaConfig::dispatch`] or call
 /// [`select_paper_order_hinted`] with an explicit [`RankView`].
 pub fn select_full_rank_columns(
@@ -220,12 +222,21 @@ pub fn select_full_rank_columns(
 ///
 /// The kept column set is a pure function of this permutation (not of
 /// the variance *values*), which is what lets the streaming estimator
-/// skip the rank bisection entirely whenever a refresh leaves the order
-/// unchanged.
+/// skip the Phase-2 structure entirely whenever a refresh leaves the
+/// order unchanged.
 pub fn variance_order(variances: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..variances.len()).collect();
-    order.sort_by(|&a, &b| variances[a].total_cmp(&variances[b]).then(a.cmp(&b)));
+    let mut order = Vec::new();
+    variance_order_into(variances, &mut order);
     order
+}
+
+/// [`variance_order`] into a reused buffer (allocates nothing once
+/// `order` has the capacity). The tie-break makes every key distinct,
+/// so the in-place unstable sort yields the same permutation.
+pub(crate) fn variance_order_into(variances: &[f64], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..variances.len());
+    order.sort_unstable_by(|&a, &b| variances[a].total_cmp(&variances[b]).then(a.cmp(&b)));
 }
 
 /// [`select_full_rank_columns`] with a precomputed [`variance_order`]
@@ -250,55 +261,95 @@ pub fn select_full_rank_columns_ordered(
             let view = RankView::new(red, Phase2Dispatch::Auto);
             select_paper_order_hinted(red, &view, order, None).0
         }
-        EliminationStrategy::GreedyMatroid => {
-            greedy_matroid_columns(&red.matrix.to_dense(), red.num_paths(), order)
-        }
+        // Greedy is dense at every size: it reads one column at a time.
+        EliminationStrategy::GreedyMatroid => sorted(dense_factor(red, order, strategy).cols()),
     }
 }
 
-/// The greedy-matroid selection body: incremental Gram–Schmidt over
-/// columns in descending variance order. This ablation strategy is
-/// dense at every size — it materialises one column at a time —
-/// so callers that already hold a dense view pass it in.
-fn greedy_matroid_columns(dense: &Matrix, np: usize, order: &[usize]) -> Vec<usize> {
-    let mut basis: Vec<Vec<f64>> = Vec::new();
-    let mut kept: Vec<usize> = Vec::new();
-    for &j in order.iter().rev() {
-        if basis.len() == np {
-            break; // span is full
+/// Runs `strategy`'s column-append scan over `red`'s dense columns in
+/// `order` (a full [`variance_order`]), whatever the dispatch policy.
+pub(crate) fn dense_factor(
+    red: &ReducedTopology,
+    order: &[usize],
+    strategy: EliminationStrategy,
+) -> DenseFactor {
+    let mut factor = DenseFactor::default();
+    factor.scan(&dense_columns(red), order, strategy);
+    factor
+}
+
+fn sorted(cols: &[usize]) -> Vec<usize> {
+    let mut out = cols.to_vec();
+    out.sort_unstable();
+    out
+}
+
+/// The dense Phase-2 model: the column-append factor of `R*` and its
+/// columns in append (decreasing-variance) order. Built by one scan
+/// over the variance order; reused across scans without allocating.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DenseFactor {
+    qr: AppendQr,
+    cols: Vec<usize>,
+}
+
+impl DenseFactor {
+    /// Appends the columns of `rt` (a [`RankView::Dense`] payload) in
+    /// decreasing variance order — the reverse of `order`, which may
+    /// cover any subset of the links. The paper's rule stops at the
+    /// first column in the span of those kept and returns the cut, the
+    /// number of leading entries of `order` eliminated; the
+    /// greedy-matroid rule skips such columns instead (once the span is
+    /// full every push is rejected without arithmetic) and returns 0.
+    pub(crate) fn scan(
+        &mut self,
+        rt: &Matrix,
+        order: &[usize],
+        strategy: EliminationStrategy,
+    ) -> usize {
+        self.qr.reset(rt.cols());
+        self.cols.clear();
+        for (pos, &k) in order.iter().enumerate().rev() {
+            if self.qr.push(rt.row(k)) {
+                self.cols.push(k);
+            } else if strategy == EliminationStrategy::PaperOrder {
+                return pos + 1;
+            }
         }
-        let mut col = dense.col(j);
-        let norm0 = losstomo_linalg::vector::norm2(&col);
-        if norm0 == 0.0 {
-            continue;
-        }
-        for b in &basis {
-            let proj = losstomo_linalg::vector::dot(b, &col);
-            losstomo_linalg::vector::axpy(-proj, b, &mut col);
-        }
-        let residual = losstomo_linalg::vector::norm2(&col);
-        if residual > 1e-10 * norm0 {
-            losstomo_linalg::vector::scale(1.0 / residual, &mut col);
-            basis.push(col);
-            kept.push(j);
-        }
+        0
     }
-    kept.sort_unstable();
-    kept
+
+    /// The kept columns, in append order.
+    pub(crate) fn cols(&self) -> &[usize] {
+        &self.cols
+    }
+
+    /// Solves `Y = R* X*` for one snapshot: `X*` in append order.
+    pub(crate) fn solve(&self, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        self.qr.solve_least_squares(y)
+    }
+
+    /// [`DenseFactor::solve`], expanded to per-link rates over all `nc`
+    /// links.
+    pub(crate) fn rates(&self, nc: usize, y: &[f64]) -> Result<LinkRateEstimate, LinalgError> {
+        Ok(rates_from_solution(nc, &self.cols, &self.solve(y)?))
+    }
 }
 
 /// The paper-order column selection with an optional warm-start cut,
 /// returning `(kept columns ascending, cut position)`.
 ///
 /// The cut `h*` is the minimal number of smallest-variance columns to
-/// drop so that the remaining set is independent. Feasibility is
-/// monotone in the cut ("subset of an independent set is independent"),
-/// so `h*` is the unique `h` with `feasible(h)` and (`h = 0` or
-/// `¬feasible(h − 1)`) — a caller that remembers the previous refresh's
-/// cut can re-certify it with **two** rank checks instead of the
-/// `O(log n_c)` bisection, with identical output (the streaming
-/// estimator does exactly this; a stale hint falls back to the full
-/// bisection). `view` must be a [`RankView`] of `red.matrix`, passed in
+/// drop so that the remaining set is independent. On a
+/// [`RankView::Dense`] view one column-append scan finds it and the
+/// hint is ignored. On a [`RankView::Sparse`] view it is a bisection:
+/// feasibility is monotone in the cut ("subset of an independent set is
+/// independent"), so `h*` is the unique `h` with `feasible(h)` and
+/// (`h = 0` or `¬feasible(h − 1)`) — a caller that remembers the
+/// previous refresh's cut can re-certify it with **two** rank checks
+/// instead of the `O(log n_c)` bisection, with identical output (the
+/// streaming estimator does exactly this; a stale hint gallops to the
+/// new cut). `view` must be a [`RankView`] of `red.matrix`, passed in
 /// so repeated callers materialise it once.
 pub fn select_paper_order_hinted(
     red: &ReducedTopology,
@@ -314,19 +365,30 @@ pub fn select_paper_order_hinted(
         order.len(),
         nc
     );
-    if let RankView::Dense(dense) = view {
-        assert_eq!(
-            (dense.rows(), dense.cols()),
-            (red.num_paths(), nc),
-            "dense matrix is {}x{}, expected the {}x{} routing matrix",
-            dense.rows(),
-            dense.cols(),
-            red.num_paths(),
-            nc
-        );
-    }
-    let full_rank_after_drop =
-        |k: usize| -> bool { view.subset_full_rank(&order[k..], red.num_paths()) };
+    let cut = match view {
+        RankView::Dense(rt) => {
+            assert_eq!(
+                (rt.rows(), rt.cols()),
+                (nc, red.num_paths()),
+                "dense view is {}x{}, expected the {}x{} transposed routing matrix",
+                rt.rows(),
+                rt.cols(),
+                nc,
+                red.num_paths()
+            );
+            DenseFactor::default().scan(rt, order, EliminationStrategy::PaperOrder)
+        }
+        RankView::Sparse(csr) => bisect_cut(csr, order, hint),
+    };
+    (sorted(&order[cut..]), cut)
+}
+
+/// The minimal paper-order cut over `order` (ascending variance, any
+/// subset of the links) by bisection on the sparse view, warm-started
+/// from `hint` when given.
+fn bisect_cut(csr: &CsrMatrix, order: &[usize], hint: Option<usize>) -> usize {
+    let nc = order.len();
+    let full_rank_after_drop = |k: usize| -> bool { sparse_full_rank(csr, &order[k..]) };
     // Feasibility is monotone in the cut: if dropping k smallest
     // leaves an independent set, dropping k+1 does too. Invariant:
     // lo infeasible, hi feasible; converges on the minimal feasible
@@ -342,74 +404,105 @@ pub fn select_paper_order_hinted(
         }
         hi
     };
-    let cut = 'cut: {
-        // Warm start: certify the hinted cut as still minimal. Between
-        // refreshes the cut drifts by a position or two (one link's
-        // variance crossing another's), so when certification fails we
-        // gallop outward from the stale hint to bracket the new cut
-        // and bisect the bracket — a handful of rank checks on narrow
-        // column subsets instead of the full `(0, nc)` bisection,
-        // whose early probes rank-check near-full-width systems.
-        if let Some(h) = hint {
-            if h <= nc && full_rank_after_drop(h) {
-                if h == 0 || !full_rank_after_drop(h - 1) {
-                    break 'cut h;
-                }
-                // Cut moved down: `h − 1` is feasible.
-                let mut hi = h - 1;
-                let mut step = 1usize;
-                let lo = loop {
-                    if hi == 0 {
-                        break 'cut 0;
-                    }
-                    let probe = hi.saturating_sub(step);
-                    if full_rank_after_drop(probe) {
-                        hi = probe;
-                        step *= 2;
-                    } else {
-                        break probe;
-                    }
-                };
-                break 'cut bisect(lo, hi);
-            } else if h < nc {
-                // Cut moved up: `h` is infeasible (dropping all `nc`
-                // is trivially feasible, so a bracket always exists).
-                let mut lo = h;
-                let mut step = 1usize;
-                let hi = loop {
-                    let probe = lo + step;
-                    if probe >= nc {
-                        break nc;
-                    }
-                    if full_rank_after_drop(probe) {
-                        break probe;
-                    }
-                    lo = probe;
-                    step *= 2;
-                };
-                break 'cut bisect(lo, hi);
+    // Warm start: certify the hinted cut as still minimal. Between
+    // refreshes the cut drifts by a position or two (one link's
+    // variance crossing another's), so when certification fails we
+    // gallop outward from the stale hint to bracket the new cut and
+    // bisect the bracket — a handful of rank checks on narrow column
+    // subsets instead of the full `(0, nc)` bisection, whose early
+    // probes rank-check near-full-width systems.
+    if let Some(h) = hint {
+        if h <= nc && full_rank_after_drop(h) {
+            if h == 0 || !full_rank_after_drop(h - 1) {
+                return h;
             }
-            // `h > nc`: a stale hint from another topology — fall
-            // through to the cold-start search.
+            // Cut moved down: `h − 1` is feasible.
+            let mut hi = h - 1;
+            let mut step = 1usize;
+            let lo = loop {
+                if hi == 0 {
+                    return 0;
+                }
+                let probe = hi.saturating_sub(step);
+                if full_rank_after_drop(probe) {
+                    hi = probe;
+                    step *= 2;
+                } else {
+                    break probe;
+                }
+            };
+            return bisect(lo, hi);
+        } else if h < nc {
+            // Cut moved up: `h` is infeasible (dropping all `nc` is
+            // trivially feasible, so a bracket always exists).
+            let mut lo = h;
+            let mut step = 1usize;
+            let hi = loop {
+                let probe = lo + step;
+                if probe >= nc {
+                    break nc;
+                }
+                if full_rank_after_drop(probe) {
+                    break probe;
+                }
+                lo = probe;
+                step *= 2;
+            };
+            return bisect(lo, hi);
         }
-        if full_rank_after_drop(0) {
-            break 'cut 0;
+        // `h > nc`: a stale hint from another topology — fall through
+        // to the cold-start search.
+    }
+    if full_rank_after_drop(0) {
+        return 0;
+    }
+    bisect(0, nc)
+}
+
+/// Paper-order Phase 2 over `order` (ascending variance, any subset of
+/// the `nc` links), solved for one snapshot `y`: the dense view scans
+/// and solves with the one factor, the sparse view bisects the cut and
+/// factors the kept columns once.
+pub(crate) fn paper_order_rates(
+    view: &RankView,
+    nc: usize,
+    order: &[usize],
+    y: &[f64],
+) -> Result<LinkRateEstimate, LinalgError> {
+    match view {
+        RankView::Dense(rt) => {
+            let mut factor = DenseFactor::default();
+            factor.scan(rt, order, EliminationStrategy::PaperOrder);
+            factor.rates(nc, y)
         }
-        bisect(0, nc)
-    };
-    let mut kept: Vec<usize> = order[cut..].to_vec();
-    kept.sort_unstable();
-    (kept, cut)
+        RankView::Sparse(csr) => {
+            let cut = bisect_cut(csr, order, None);
+            sparse_rates(csr, nc, &sorted(&order[cut..]), y)
+        }
+    }
+}
+
+/// Solves `Y = R* X*` on the sparse view for the kept columns
+/// (ascending) and expands the solution to all `nc` links.
+fn sparse_rates(
+    csr: &CsrMatrix,
+    nc: usize,
+    kept: &[usize],
+    y: &[f64],
+) -> Result<LinkRateEstimate, LinalgError> {
+    let xstar = SparseQr::new(csr.select_columns(kept))?.solve_least_squares(y)?;
+    Ok(rates_from_solution(nc, kept, &xstar))
 }
 
 /// Runs Phase 2: solves the reduced first-moment system for one
 /// snapshot's log measurements `y` and returns per-link rates.
 ///
 /// The factorisation family follows `cfg.dispatch`: below the dense
-/// threshold the historical pivoted-QR path runs unchanged
-/// (bit-identical to the pre-sparse pipeline); above it the rank checks
-/// and the reduced solve both go through the sparse Givens QR without
-/// ever densifying `R`.
+/// threshold one column-append QR scan selects the columns and factors
+/// `R*` (the streaming estimator runs the same scan and solve, so the
+/// two stay bit-identical); above it the rank checks and the reduced
+/// solve both go through the sparse Givens QR without ever densifying
+/// `R`.
 pub fn infer_link_rates(
     red: &ReducedTopology,
     variances: &[f64],
@@ -432,51 +525,27 @@ pub fn infer_link_rates(
         nc
     );
     let view = RankView::new(red, cfg.dispatch);
-    let kept = match (cfg.elimination, &view) {
-        (EliminationStrategy::PaperOrder, _) => {
-            select_paper_order_hinted(red, &view, &variance_order(variances), None).0
-        }
+    let order = variance_order(variances);
+    match (cfg.elimination, &view) {
+        (EliminationStrategy::PaperOrder, _) => paper_order_rates(&view, nc, &order, y),
         // Greedy is dense-only; reuse the already-materialised view
         // instead of densifying a second time.
-        (EliminationStrategy::GreedyMatroid, RankView::Dense(dense)) => {
-            greedy_matroid_columns(dense, red.num_paths(), &variance_order(variances))
+        (EliminationStrategy::GreedyMatroid, RankView::Dense(rt)) => {
+            let mut factor = DenseFactor::default();
+            factor.scan(rt, &order, cfg.elimination);
+            factor.rates(nc, y)
         }
-        (EliminationStrategy::GreedyMatroid, RankView::Sparse(_)) => {
-            select_full_rank_columns(red, variances, cfg.elimination)
+        (EliminationStrategy::GreedyMatroid, RankView::Sparse(csr)) => {
+            let kept = select_full_rank_columns_ordered(red, &order, cfg.elimination);
+            sparse_rates(csr, nc, &kept, y)
         }
-    };
-    let xstar = solve_reduced(&view, &kept, y, cfg.backend)?;
-    Ok(rates_from_solution(nc, &kept, &xstar))
-}
-
-/// Solves the reduced first-moment system `Y = R* X*` for the kept
-/// columns (ascending) against whichever view Phase 2 dispatched to.
-/// The streaming estimator does not call this — it memoizes the
-/// factorisation of `R*` across snapshots (`Phase2Factor` in
-/// `streaming.rs`) and must be kept in step with any change to the
-/// factor choice or solve path here.
-pub(crate) fn solve_reduced(
-    view: &RankView,
-    kept: &[usize],
-    y: &[f64],
-    backend: LstsqBackend,
-) -> Result<Vec<f64>, LinalgError> {
-    match view {
-        RankView::Dense(dense) => {
-            let rstar = dense.select_columns(kept);
-            match backend {
-                LstsqBackend::HouseholderQr => PivotedQr::new(&rstar)?.solve_least_squares(y),
-                LstsqBackend::NormalEquations => lstsq::solve_normal_equations(&rstar, y),
-            }
-        }
-        RankView::Sparse(csr) => SparseQr::new(csr.select_columns(kept))?.solve_least_squares(y),
     }
 }
 
 /// Expands a reduced-system solution `X*` (log rates of the kept
-/// columns) into per-link transmission rates — the Phase-2
-/// post-processing shared by [`infer_link_rates`] and the streaming
-/// estimator.
+/// columns, in the order of `kept`) into per-link transmission rates —
+/// the Phase-2 post-processing shared by [`infer_link_rates`] and the
+/// streaming estimator.
 pub(crate) fn rates_from_solution(nc: usize, kept: &[usize], xstar: &[f64]) -> LinkRateEstimate {
     let mut transmission = vec![1.0; nc];
     let mut kept_mask = vec![false; nc];
@@ -518,9 +587,10 @@ mod tests {
 
     #[test]
     fn stale_hints_reproduce_the_cold_bisection_exactly() {
-        // The warm-start path gallops outward from a stale hint; every
-        // possible hint (certified, drifted either way, or nonsense
-        // beyond `nc`) must land on the identical minimal cut.
+        // The sparse view's warm-start path gallops outward from a stale
+        // hint; every possible hint (certified, drifted either way, or
+        // nonsense beyond `nc`) must land on the identical minimal cut,
+        // which is also the dense scan's.
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
         let topo = losstomo_topology::gen::tree::generate(
             losstomo_topology::gen::tree::TreeParams {
@@ -533,7 +603,8 @@ mod tests {
             losstomo_topology::compute_paths(&topo.graph, &topo.beacons, &topo.destinations);
         let red = losstomo_topology::reduce(&topo.graph, &paths);
         let nc = red.num_links();
-        let view = RankView::new(&red, Phase2Dispatch::Auto);
+        let view = RankView::new(&red, Phase2Dispatch::Sparse);
+        let dense = RankView::new(&red, Phase2Dispatch::Dense);
         for seed in 0..3u64 {
             // A deterministic shuffled variance order per seed.
             let mut order: Vec<usize> = (0..nc).collect();
@@ -542,6 +613,10 @@ mod tests {
                 order.swap(i, j);
             }
             let (cold_kept, cold_cut) = select_paper_order_hinted(&red, &view, &order, None);
+            assert_eq!(
+                select_paper_order_hinted(&red, &dense, &order, None),
+                (cold_kept.clone(), cold_cut)
+            );
             for hint in 0..=(nc + 2) {
                 let (kept, cut) = select_paper_order_hinted(&red, &view, &order, Some(hint));
                 assert_eq!(cut, cold_cut, "hint {hint} drifted the cut");
@@ -592,38 +667,6 @@ mod tests {
         assert_eq!(est.congested_links(0.002), vec![0]);
         let loss = est.loss_rates();
         assert!((loss[0] - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn both_backends_agree() {
-        let red = fig1();
-        let phi_true = [0.9_f64, 1.0, 0.8, 1.0, 1.0];
-        let x: Vec<f64> = phi_true.iter().map(|p| p.ln()).collect();
-        let y = red.matrix.to_dense().matvec(&x).unwrap();
-        let variances = vec![0.5, 0.0, 0.3, 0.0, 0.0];
-        let qr = infer_link_rates(
-            &red,
-            &variances,
-            &y,
-            &LiaConfig {
-                backend: LstsqBackend::HouseholderQr,
-                ..LiaConfig::default()
-            },
-        )
-        .unwrap();
-        let ne = infer_link_rates(
-            &red,
-            &variances,
-            &y,
-            &LiaConfig {
-                backend: LstsqBackend::NormalEquations,
-                ..LiaConfig::default()
-            },
-        )
-        .unwrap();
-        for (a, b) in qr.transmission.iter().zip(ne.transmission.iter()) {
-            assert!((a - b).abs() < 1e-8);
-        }
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   can be amended with the Givens rank-1 updates of
 //!   [`losstomo_linalg::givens`] instead of refactored
 //!   ([`FactorRefresh::GivensUpdate`]), and the Phase-2 column selection
-//!   and pivoted-QR factorisation are memoized on the variance *order*,
-//!   which rarely changes between consecutive snapshots. Refresh cadence
+//!   and factorisation of `R*` are memoized on the variance *order*:
+//!   an unchanged order skips Phase 2's structure, and a changed one
+//!   rebuilds both with one column-append QR scan. Refresh cadence
 //!   is configurable, and every ingest reports congested-set changes
 //!   ([`OnlineUpdate::appeared`] / [`OnlineUpdate::cleared`]).
 //!
@@ -37,7 +38,8 @@
 //! followed by [`infer_link_rates`][crate::infer_link_rates]) on the same
 //! `m` snapshots: the replayed covariances are the same bits, the cached
 //! Gram counts are the same integers, and the memoized Phase-2 factor is
-//! built from the same reduced matrix. A sliding window is equally exact
+//! built by the same column-append scan over the same variance order
+//! and solved by the same kernel. A sliding window is equally exact
 //! over its window. [`FactorRefresh::GivensUpdate`] and
 //! [`WindowMode::Exponential`] trade the last bits for lower refresh
 //! cost and are tolerance-tested instead.
@@ -56,7 +58,7 @@
 use crate::augmented::AugmentedSystem;
 use crate::budget::{apply_budget, PairBudget, PairSelection};
 use crate::covariance::CenteredMeasurements;
-use crate::lia::{self, EliminationStrategy, LiaConfig, LinkRateEstimate, RankView};
+use crate::lia::{self, DenseFactor, EliminationStrategy, LiaConfig, LinkRateEstimate, RankView};
 use crate::variance::{
     estimate_variances_from_sigmas, estimate_variances_scratch, GramCache, Phase1Scratch,
     VarianceConfig, VarianceEstimate,
@@ -64,8 +66,7 @@ use crate::variance::{
 use bytes::Bytes;
 use losstomo_linalg::simd::cast_bytes_to_f64;
 use losstomo_linalg::{
-    givens, lstsq, triangular, Cholesky, CsrMatrix, LinalgError, LstsqBackend, Matrix, PivotedQr,
-    SparseQr,
+    givens, triangular, Cholesky, CsrMatrix, LinalgError, LstsqBackend, Matrix, SparseQr,
 };
 use losstomo_netsim::Snapshot;
 use losstomo_topology::{ChurnError, DeltaEffect, PathId, ReducedTopology, TopologyDelta};
@@ -720,10 +721,21 @@ pub enum FactorRefresh {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScratchMode {
     /// Keep the refresh workspace — replay buffer, covariance vector,
-    /// Gram expansion, SPD permutation + Cholesky factor, Phase-2
-    /// factor buffers — alive between refreshes, so a steady-state
-    /// refresh allocates nothing and an unchanged kept-row mask reuses
-    /// the Phase-1 factor outright. Default.
+    /// Gram expansion, SPD permutation + Cholesky factor, variance
+    /// order — alive between refreshes, and an unchanged kept-row mask
+    /// reuses the Phase-1 factor outright. Default.
+    ///
+    /// On the dense Phase-2 path (the default below
+    /// [`crate::lia::dense_phase2_max_cols`] links) Phase 2 of a
+    /// steady-state refresh then allocates nothing: the column-append
+    /// scan rebuilds the memoized factor in its own buffers. What still
+    /// allocates per refresh is Phase 1: the [`VarianceEstimate`]
+    /// vector, the Gram cache's lists of rows that changed status, and
+    /// a kept-row Cholesky factor that is allocated afresh whenever the
+    /// kept-row system is singular (on trees, essentially every
+    /// refresh) before the all-rows fallback reuses its cached factor.
+    /// The sparse Phase-2 path, when dispatched, allocates in its rank
+    /// checks.
     #[default]
     Reuse,
     /// Drop and reallocate the workspace every refresh — the historical
@@ -802,8 +814,9 @@ struct RefreshScratch {
     /// Phase-1 assembly + SPD solver workspace (including the cached
     /// Cholesky factor reused while the kept-row mask is unchanged).
     phase1: Phase1Scratch,
-    /// Dense `R*` column-selection buffer.
-    rstar_dense: Matrix,
+    /// The variance order of the current refresh (swapped with the
+    /// memoized one when it changed).
+    order: Vec<usize>,
     /// Sparse `R*` column-selection buffer (recycled through
     /// [`SparseQr::refactor`]).
     rstar_csr: CsrMatrix,
@@ -815,7 +828,7 @@ impl Default for RefreshScratch {
             sigmas: Vec::new(),
             centered: CenteredMeasurements::empty(),
             phase1: Phase1Scratch::default(),
-            rstar_dense: Matrix::zeros(0, 0),
+            order: Vec::new(),
             rstar_csr: CsrMatrix::empty(0),
         }
     }
@@ -850,8 +863,8 @@ pub struct RefreshTiming {
     pub covariance: Duration,
     /// Phase 1: the moment-system solve for the link variances.
     pub phase1: Duration,
-    /// Phase 2: variance ordering, column selection, and `R*`
-    /// (re)factorisation.
+    /// Phase 2: variance ordering, and on a changed order the column
+    /// selection and factorisation of `R*`.
     pub phase2: Duration,
 }
 
@@ -886,8 +899,8 @@ pub struct OnlineEstimator {
     factor: Option<GivensFactor>,
     variances: Option<VarianceEstimate>,
     /// Memoized Phase-2 structure: the variance order of the last
-    /// refresh, its elimination cut, its kept column set, and the
-    /// factorisation of `R*`.
+    /// refresh, its elimination cut (the sparse bisection's hint), its
+    /// kept column set (ascending), and the factorisation of `R*`.
     order: Vec<usize>,
     cut: Option<usize>,
     kept: Vec<usize>,
@@ -907,15 +920,13 @@ pub struct OnlineEstimator {
 }
 
 /// The memoized factorisation of the reduced system `R*`, reused while
-/// the kept column set is unchanged.
+/// the variance order is unchanged.
 #[derive(Debug)]
 enum Phase2Factor {
-    /// Dense pivoted QR (the default dense-path backend).
-    DenseQr(PivotedQr),
-    /// Dense `R*` solved by normal equations per estimate
-    /// ([`LstsqBackend::NormalEquations`]).
-    DenseNormal(Matrix),
-    /// Sparse Givens QR (the sparse dispatch path).
+    /// The dense path's column-append factor, built by the same scan
+    /// that selected its columns.
+    Dense(DenseFactor),
+    /// Sparse Givens QR of the kept columns (the sparse dispatch path).
     Sparse(SparseQr),
 }
 
@@ -1301,33 +1312,20 @@ impl OnlineEstimator {
         };
         let phase1 = phase1_start.elapsed();
         let phase2_start = Instant::now();
-        // Phase-2 structure: the kept set is a pure function of the
-        // variance order, so an unchanged order skips the column
-        // selection entirely; a changed order re-certifies the previous
-        // elimination cut with two rank checks (falling back to the
-        // full bisection only when the cut actually moved); and an
-        // unchanged kept set reuses the factorisation.
-        let order = lia::variance_order(&est.v);
-        if order != self.order || self.p2.is_none() {
-            let kept = match self.cfg.lia.elimination {
-                EliminationStrategy::PaperOrder => {
-                    let (kept, cut) =
-                        lia::select_paper_order_hinted(&self.red, &self.view, &order, self.cut);
-                    self.cut = Some(cut);
-                    kept
-                }
-                EliminationStrategy::GreedyMatroid => lia::select_full_rank_columns_ordered(
-                    &self.red,
-                    &order,
-                    self.cfg.lia.elimination,
-                ),
-            };
-            if kept != self.kept || self.p2.is_none() {
-                self.rebuild_phase2(&kept)?;
-                self.kept = kept;
-            }
-            self.order = order;
-        }
+        // Phase-2 structure: the kept set and its factor are a pure
+        // function of the variance order, so an unchanged order skips
+        // them entirely. A changed order rebuilds both; the order
+        // buffer that loses the swap is the next refresh's.
+        let mut order = std::mem::take(&mut self.scratch.order);
+        lia::variance_order_into(&est.v, &mut order);
+        let rebuilt = if order != self.order || self.p2.is_none() {
+            self.rebuild_phase2(&order)
+                .map(|()| std::mem::swap(&mut self.order, &mut order))
+        } else {
+            Ok(())
+        };
+        self.scratch.order = order;
+        rebuilt?;
         self.variances = Some(est);
         self.last_timing = Some(RefreshTiming {
             covariance,
@@ -1340,36 +1338,45 @@ impl OnlineEstimator {
         Ok(())
     }
 
-    /// (Re)factors `R*` for a new kept column set, reusing the previous
-    /// factor's buffers through the in-place `factor_into`/`refactor`
-    /// APIs when a factor of the right family already exists. On error
-    /// the memoized factor is dropped (it would be invalid).
-    fn rebuild_phase2(&mut self, kept: &[usize]) -> Result<(), LinalgError> {
+    /// Rebuilds the Phase-2 structure for a new variance order. The
+    /// dense view runs one column-append scan into the memoized
+    /// factor's buffers, which selects the kept columns and factors
+    /// `R*` in the same pass. The sparse view re-certifies the previous
+    /// cut with two rank checks (bisecting only when the cut moved) and
+    /// refactors `R*` only when the kept set changed, recycling the
+    /// selection buffer through [`SparseQr::refactor`]. On error the
+    /// memoized factor is dropped (it would be invalid).
+    fn rebuild_phase2(&mut self, order: &[usize]) -> Result<(), LinalgError> {
         match &self.view {
-            RankView::Dense(dense) => {
-                dense.select_columns_into(kept, &mut self.scratch.rstar_dense);
-                match (self.cfg.lia.backend, &mut self.p2) {
-                    (LstsqBackend::HouseholderQr, Some(Phase2Factor::DenseQr(qr))) => {
-                        if let Err(e) = qr.factor_into(&self.scratch.rstar_dense) {
-                            self.p2 = None;
-                            return Err(e);
-                        }
-                    }
-                    (LstsqBackend::HouseholderQr, _) => {
-                        self.p2 = Some(Phase2Factor::DenseQr(PivotedQr::new(
-                            &self.scratch.rstar_dense,
-                        )?));
-                    }
-                    (LstsqBackend::NormalEquations, Some(Phase2Factor::DenseNormal(rstar))) => {
-                        rstar.copy_from(&self.scratch.rstar_dense);
-                    }
-                    (LstsqBackend::NormalEquations, _) => {
-                        self.p2 = Some(Phase2Factor::DenseNormal(self.scratch.rstar_dense.clone()));
-                    }
-                }
+            RankView::Dense(rt) => {
+                let mut factor = match self.p2.take() {
+                    Some(Phase2Factor::Dense(factor)) => factor,
+                    _ => DenseFactor::default(),
+                };
+                factor.scan(rt, order, self.cfg.lia.elimination);
+                self.kept.clear();
+                self.kept.extend_from_slice(factor.cols());
+                self.kept.sort_unstable();
+                self.p2 = Some(Phase2Factor::Dense(factor));
             }
             RankView::Sparse(csr) => {
-                csr.select_columns_into(kept, &mut self.scratch.rstar_csr);
+                let kept = match self.cfg.lia.elimination {
+                    EliminationStrategy::PaperOrder => {
+                        let (kept, cut) =
+                            lia::select_paper_order_hinted(&self.red, &self.view, order, self.cut);
+                        self.cut = Some(cut);
+                        kept
+                    }
+                    EliminationStrategy::GreedyMatroid => lia::select_full_rank_columns_ordered(
+                        &self.red,
+                        order,
+                        self.cfg.lia.elimination,
+                    ),
+                };
+                if kept == self.kept && self.p2.is_some() {
+                    return Ok(());
+                }
+                csr.select_columns_into(&kept, &mut self.scratch.rstar_csr);
                 let rstar = std::mem::replace(&mut self.scratch.rstar_csr, CsrMatrix::empty(0));
                 match &mut self.p2 {
                     Some(Phase2Factor::Sparse(qr)) => match qr.refactor(rstar) {
@@ -1383,6 +1390,7 @@ impl OnlineEstimator {
                     },
                     _ => self.p2 = Some(Phase2Factor::Sparse(SparseQr::new(rstar)?)),
                 }
+                self.kept = kept;
             }
         }
         Ok(())
@@ -1491,7 +1499,7 @@ impl OnlineEstimator {
     /// Phase 2 for one snapshot's log measurements against the current
     /// model: reuses the memoized kept set and factorisation, so a
     /// per-snapshot estimate between refreshes costs one least-squares
-    /// application instead of a rank bisection plus factorisation.
+    /// application instead of a column selection plus factorisation.
     pub fn estimate(&self, y: &[f64]) -> Result<LinkRateEstimate, LinalgError> {
         if self.variances.is_none() {
             return Err(LinalgError::DimensionMismatch(
@@ -1505,16 +1513,15 @@ impl OnlineEstimator {
                 self.red.num_paths()
             )));
         }
-        let xstar = match self.p2.as_ref().expect("kept set built with variances") {
-            Phase2Factor::DenseQr(qr) => qr.solve_least_squares(y)?,
-            Phase2Factor::DenseNormal(rstar) => lstsq::solve_normal_equations(rstar, y)?,
-            Phase2Factor::Sparse(qr) => qr.solve_least_squares(y)?,
-        };
-        Ok(lia::rates_from_solution(
-            self.red.num_links(),
-            &self.kept,
-            &xstar,
-        ))
+        let nc = self.red.num_links();
+        match self.p2.as_ref().expect("kept set built with variances") {
+            Phase2Factor::Dense(factor) => factor.rates(nc, y),
+            Phase2Factor::Sparse(qr) => Ok(lia::rates_from_solution(
+                nc,
+                &self.kept,
+                &qr.solve_least_squares(y)?,
+            )),
+        }
     }
 
     /// Applies a routing delta to the **live** estimator — no drain, no
@@ -1553,7 +1560,8 @@ impl OnlineEstimator {
         let effect = self.red.apply_delta(delta)?;
         // Committed from here: `self.red` describes the new routing.
         // Phase-2 memoization is keyed on the routing matrix — drop it
-        // (`cut` survives as an output-neutral bisection hint).
+        // (`cut` survives as an output-neutral hint for the sparse
+        // bisection).
         self.view = RankView::new(&self.red, self.cfg.lia.dispatch);
         self.p2 = None;
         self.order.clear();

@@ -11,10 +11,12 @@
 //!    backend ([`lstsq::solve_normal_equations`]) that is much faster when
 //!    `A` has many more rows than columns, which is the common case here
 //!    (`n_p(n_p+1)/2` rows vs `n_c` columns).
-//! 2. **Phase 2** needs a *rank-revealing* factorisation to decide when the
-//!    reduced routing matrix `R*` reaches full column rank
-//!    ([`pivoted_qr::PivotedQr`], [`rank::rank`]) and a least-squares solve
-//!    of the reduced first-moment system.
+//! 2. **Phase 2** appends the routing matrix's columns in descending
+//!    variance order to a left-looking Householder QR
+//!    ([`append_qr::AppendQr`]) until one lies in the span of the kept
+//!    ones; the factor built on the way solves the reduced first-moment
+//!    system `Y = R* X*`. The rank-revealing [`pivoted_qr::PivotedQr`]
+//!    ([`rank::rank`]) serves the identifiability checks.
 //!
 //! Everything is implemented from scratch on top of a row-major dense
 //! [`Matrix`] and a CSR [`sparse::CsrMatrix`]; no external linear-algebra
@@ -29,6 +31,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod append_qr;
 pub mod blocked;
 pub mod cholesky;
 pub mod error;
@@ -47,6 +50,7 @@ pub mod sparse_qr;
 pub mod triangular;
 pub mod vector;
 
+pub use append_qr::AppendQr;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use lstsq::{solve_least_squares, solve_normal_equations, LstsqBackend, SpdScratch};

@@ -1,8 +1,11 @@
 //! Property-based integration tests over the whole pipeline.
 
-use losstomo::core::AugmentedSystem;
+use losstomo::core::lia::{select_paper_order_hinted, variance_order};
+use losstomo::core::{AugmentedSystem, Phase2Dispatch, RankView};
+use losstomo::linalg::vector::{axpy, dot, norm2, scale};
 use losstomo::prelude::*;
 use losstomo::topology::gen::tree::{self, TreeParams};
+use losstomo::topology::gen::waxman::{self, WaxmanParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,8 +23,78 @@ fn random_tree(seed: u64, nodes: usize, branching: usize) -> ReducedTopology {
     reduce(&topo.graph, &paths)
 }
 
+fn small_waxman(seed: u64) -> ReducedTopology {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let topo = waxman::generate(
+        WaxmanParams {
+            nodes: 60,
+            hosts: 8,
+            ..WaxmanParams::default()
+        },
+        &mut rng,
+    );
+    let paths = compute_paths(&topo.graph, &topo.beacons, &topo.destinations);
+    reduce(&topo.graph, &paths)
+}
+
+/// The greedy-matroid selection as incremental Gram–Schmidt over the
+/// columns in descending variance order — the implementation the
+/// column-append scan replaced, kept here as its oracle.
+fn gram_schmidt_greedy(red: &ReducedTopology, variances: &[f64]) -> Vec<usize> {
+    let dense = red.matrix.to_dense();
+    let np = red.num_paths();
+    let mut basis: Vec<Vec<f64>> = Vec::new();
+    let mut kept: Vec<usize> = Vec::new();
+    for &j in variance_order(variances).iter().rev() {
+        if basis.len() == np {
+            break; // span is full
+        }
+        let mut col = dense.col(j);
+        let norm0 = norm2(&col);
+        if norm0 == 0.0 {
+            continue;
+        }
+        for b in &basis {
+            let proj = dot(b, &col);
+            axpy(-proj, b, &mut col);
+        }
+        let residual = norm2(&col);
+        if residual > 1e-10 * norm0 {
+            scale(1.0 / residual, &mut col);
+            basis.push(col);
+            kept.push(j);
+        }
+    }
+    kept.sort_unstable();
+    kept
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The dense column-append scan finds the same paper-order cut and
+    /// kept set as the sparse path's rank bisection, and the greedy
+    /// scan keeps what Gram–Schmidt keeps, on random trees and a small
+    /// Waxman mesh for any variance vector (ties included).
+    #[test]
+    fn dense_scan_matches_sparse_bisection(seed in 0u64..5000, nodes in 20usize..80,
+                                           vs in proptest::collection::vec(0.0f64..1.0, 40)) {
+        for red in [random_tree(seed, nodes, 4), small_waxman(seed)] {
+            let variances: Vec<f64> = (0..red.num_links()).map(|k| vs[k % vs.len()]).collect();
+            let order = variance_order(&variances);
+            let dense = RankView::new(&red, Phase2Dispatch::Dense);
+            let sparse = RankView::new(&red, Phase2Dispatch::Sparse);
+            prop_assert_eq!(
+                select_paper_order_hinted(&red, &dense, &order, None),
+                select_paper_order_hinted(&red, &sparse, &order, None)
+            );
+            prop_assert_eq!(
+                losstomo::core::select_full_rank_columns(
+                    &red, &variances, EliminationStrategy::GreedyMatroid),
+                gram_schmidt_greedy(&red, &variances)
+            );
+        }
+    }
 
     /// Theorem 1, property-tested: every random tree yields a
     /// full-column-rank augmented matrix.
