@@ -9,7 +9,7 @@
 //!
 //! Flags: `--scale quick|paper`, `--snapshots N` (default 250).
 
-use losstomo_bench::{flag_value, planetlab_topology, Scale};
+use losstomo_bench::{count_from_args, planetlab_topology, Scale};
 use losstomo_core::analysis::{mean_variance_per_path, mean_variance_spearman};
 use losstomo_netsim::{
     simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig,
@@ -19,12 +19,13 @@ use rand::SeedableRng;
 
 fn main() {
     let scale = Scale::from_args();
-    let snapshots: usize = flag_value("--snapshots")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(match scale {
+    let snapshots = count_from_args(
+        "--snapshots",
+        match scale {
             Scale::Paper => 250,
             Scale::Quick => 60,
-        });
+        },
+    );
     let prep = planetlab_topology(scale, 42);
     println!(
         "Figure 3 — mean vs variance of path loss rates ({} paths, {} snapshots of S=1000)",

@@ -35,7 +35,7 @@
 //! `--batches N`.
 
 use losstomo_bench::{
-    bench_meta, flag_value, percentile_ms, planetlab_topology, tree_topology, write_bench_report,
+    bench_meta, count_from_args, percentile_ms, planetlab_topology, tree_topology, write_bench_report,
     BenchMeta, Scale,
 };
 use losstomo_core::{OnlineConfig, OnlineEstimator, PairBudget};
@@ -481,12 +481,8 @@ fn main() {
         Scale::Paper => (4usize, 12usize, 40usize, 25usize, 40usize, 30usize),
         Scale::Quick => (2, 8, 4, 8, 8, 10),
     };
-    let tenants = flag_value("--tenants")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(tenants);
-    let batches = flag_value("--batches")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(batches);
+    let tenants = count_from_args("--tenants", tenants);
+    let batches = count_from_args("--batches", batches);
     // Throughput runs on the PlanetLab mesh: every site pair is a
     // path, so rows are the widest the suite produces and the copy
     // cost the codecs differ by is front and centre. Latency and

@@ -26,7 +26,7 @@
 //! `--snapshots M`.
 
 use losstomo_bench::{
-    bench_meta, flag_value, percentile_ms, tree_topology, write_bench_report, BenchMeta, Scale,
+    bench_meta, count_from_args, percentile_ms, tree_topology, write_bench_report, BenchMeta, Scale,
 };
 use losstomo_core::{OnlineConfig, OnlineEstimator, ScratchMode};
 use losstomo_fleet::{Fleet, FleetConfig, TenantId};
@@ -346,12 +346,8 @@ fn scaling_sweep(scale: Scale) -> ScalingReport {
         Scale::Paper => (64, 120, 24),
         Scale::Quick => (8, 50, 8),
     };
-    let n_tenants = flag_value("--tenants")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(n_tenants);
-    let snapshots = flag_value("--snapshots")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(snapshots);
+    let n_tenants = count_from_args("--tenants", n_tenants);
+    let snapshots = count_from_args("--snapshots", snapshots);
     println!(
         "fleet scaling: {n_tenants} tenants × {snapshots} snapshots ({nodes}-node trees)"
     );

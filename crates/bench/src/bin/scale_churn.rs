@@ -36,7 +36,7 @@
 //! Flags: `--scale quick|paper`, `--out PATH`, `--reps N`.
 
 use losstomo_bench::{
-    bench_meta, flag_value, waxman_scale_topology, waxman_topology, write_bench_report, BenchMeta,
+    bench_meta, count_from_args, waxman_scale_topology, waxman_topology, write_bench_report, BenchMeta,
     PreparedTopology, Scale,
 };
 use losstomo_core::{
@@ -172,7 +172,7 @@ fn churn_delta(red: &ReducedTopology, k: usize, seed: u64) -> TopologyDelta {
 
 fn main() {
     let scale = Scale::from_args();
-    let reps: usize = flag_value("--reps").and_then(|v| v.parse().ok()).unwrap_or(3);
+    let reps = count_from_args("--reps", 3);
     println!(
         "scale_churn — delta-apply vs rebuild-from-scratch ({} scale, {reps} reps)",
         scale.name()

@@ -24,7 +24,7 @@
 //! the scale-mesh node count).
 
 use losstomo_bench::{
-    bench_meta, flag_value, waxman_scale_topology, waxman_topology, write_bench_report, BenchMeta,
+    bench_meta, count_from_args, waxman_scale_topology, waxman_topology, write_bench_report, BenchMeta,
     PreparedTopology, Scale,
 };
 use losstomo_core::augmented::AugmentedSystem;
@@ -162,9 +162,7 @@ fn main() {
         Scale::Paper => (1000, 50, 5000, 50, 20),
         Scale::Quick => (150, 16, 300, 20, 6),
     };
-    let scale_nodes = flag_value("--nodes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(scale_nodes);
+    let scale_nodes = count_from_args("--nodes", scale_nodes);
     println!("scale_phase2 — sparse Phase-2 dispatch vs dense baseline ({} scale)", scale.name());
     println!();
 

@@ -9,7 +9,7 @@
 //!
 //! Flags: `--scale quick|paper`, `--snapshots N` (default 100).
 
-use losstomo_bench::{flag_value, planetlab_topology, Scale};
+use losstomo_bench::{count_from_args, planetlab_topology, Scale};
 use losstomo_core::analysis::{congestion_durations, fraction_single_snapshot};
 use losstomo_core::augmented::AugmentedSystem;
 use losstomo_core::covariance::CenteredMeasurements;
@@ -22,12 +22,13 @@ use rand::SeedableRng;
 
 fn main() {
     let scale = Scale::from_args();
-    let eval_snapshots: usize = flag_value("--snapshots")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(match scale {
+    let eval_snapshots = count_from_args(
+        "--snapshots",
+        match scale {
             Scale::Paper => 100,
             Scale::Quick => 30,
-        });
+        },
+    );
     let m = 50usize;
     let tl = 0.01;
     let prep = planetlab_topology(scale, 42);

@@ -38,7 +38,7 @@ impl Scale {
     /// Parses `--scale paper|quick` from the CLI (default paper); any
     /// other value exits with code 2 and a usage line.
     pub fn from_args() -> Scale {
-        or_usage_exit(Scale::parse_args(&cli_args()))
+        or_usage_exit(Scale::parse_args(&cli_args()), SCALE_RUNS_USAGE)
     }
 
     /// Parses `--scale paper|quick` from `args` (default paper when the
@@ -535,16 +535,19 @@ fn flag_in<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String
     }
 }
 
-/// Unwraps a CLI parse, or prints the error and a usage line and exits
-/// with code 2.
-fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
+/// The flags every figure binary takes, as its usage line shows them.
+const SCALE_RUNS_USAGE: &str = "[--scale paper|quick] [--runs <n ≥ 1>]";
+
+/// Unwraps a CLI parse, or prints the error and the usage line
+/// `usage: <binary> <flags>` and exits with code 2.
+fn or_usage_exit<T>(parsed: Result<T, String>, flags: &str) -> T {
     parsed.unwrap_or_else(|err| {
         let bin = std::env::args().next().unwrap_or_default();
         let bin = std::path::Path::new(&bin)
             .file_name()
             .map_or_else(|| bin.clone(), |name| name.to_string_lossy().into_owned());
         eprintln!("error: {err}");
-        eprintln!("usage: {bin} [--scale paper|quick] [--runs <n ≥ 1>]");
+        eprintln!("usage: {bin} {flags}");
         std::process::exit(2)
     })
 }
@@ -553,19 +556,36 @@ fn or_usage_exit<T>(parsed: Result<T, String>) -> T {
 /// binaries); a value that is not a positive integer exits with code 2
 /// and a usage line.
 pub fn runs_from_args(default: usize) -> usize {
-    or_usage_exit(parse_runs(&cli_args(), default))
+    or_usage_exit(parse_runs(&cli_args(), default), SCALE_RUNS_USAGE)
 }
 
 /// Parses `--runs N` from `args`: `default` when the flag is absent, an
 /// error unless `N` is a positive integer.
 pub fn parse_runs(args: &[String], default: usize) -> Result<usize, String> {
-    match flag_in(args, "--runs")? {
+    parse_count(args, "--runs", default)
+}
+
+/// Parses a positive-integer flag such as `--nodes N` or
+/// `--snapshots N` (defaulting to `default`); a value that is not a
+/// positive integer exits with code 2 and a usage line.
+pub fn count_from_args(name: &str, default: usize) -> usize {
+    or_usage_exit(
+        parse_count(&cli_args(), name, default),
+        &format!("[{name} <n ≥ 1>] [other flags]"),
+    )
+}
+
+/// Parses the flag `name` from `args` as a positive integer: `default`
+/// when the flag is absent, an error when its value is missing or not
+/// a positive integer.
+pub fn parse_count(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    match flag_in(args, name)? {
         None => Ok(default),
         Some(v) => v
             .parse::<usize>()
             .ok()
             .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("`--runs {v}` is not a positive integer")),
+            .ok_or_else(|| format!("`{name} {v}` is not a positive integer")),
     }
 }
 
@@ -648,6 +668,25 @@ mod tests {
             &["--runs"],
         ] {
             assert!(parse_runs(&args(bad), 10).is_err(), "{bad:?} accepted");
+        }
+    }
+
+    #[test]
+    fn count_flags_are_parsed_strictly() {
+        let argv = args(&["--scale", "quick", "--nodes", "80", "--snapshots", "12"]);
+        assert_eq!(parse_count(&argv, "--nodes", 200), Ok(80));
+        assert_eq!(parse_count(&argv, "--snapshots", 50), Ok(12));
+        assert_eq!(parse_count(&argv, "--tenants", 6), Ok(6));
+        for bad in [
+            &["--nodes", "eighty"][..],
+            &["--nodes", "0"],
+            &["--nodes", "-3"],
+            &["--nodes", "1.5"],
+            &["--nodes", ""],
+            &["--nodes"],
+        ] {
+            let err = parse_count(&args(bad), "--nodes", 200).unwrap_err();
+            assert!(err.contains("--nodes"), "{bad:?}: {err}");
         }
     }
 

@@ -327,6 +327,28 @@ mod tests {
         assert!(drs.len() == 3);
     }
 
+    /// `S = 1` is the smallest probe count the simulator accepts
+    /// (`S = 0` panics there); every output must still be finite.
+    #[test]
+    fn single_probe_experiment_is_finite() {
+        let red = small_tree(33);
+        let cfg = ExperimentConfig {
+            snapshots: 10,
+            probe: losstomo_netsim::ProbeConfig {
+                probes_per_snapshot: 1,
+                ..Default::default()
+            },
+            seed: 5,
+            ..ExperimentConfig::default()
+        };
+        let res = run_experiment(&red, &cfg).unwrap();
+        assert!(res.variances.iter().all(|v| v.is_finite()));
+        assert!(res.est_loss.iter().all(|l| l.is_finite()));
+        assert!(res.true_loss.iter().all(|l| l.is_finite()));
+        assert!(res.errors.error_factors.iter().all(|e| e.is_finite()));
+        assert!(res.errors.absolute_errors.iter().all(|e| e.is_finite()));
+    }
+
     #[test]
     fn average_location_handles_empty() {
         let avg = average_location(&[]);

@@ -14,8 +14,20 @@
 //! (Section 7.1). All paths therefore sample a shared link's loss process
 //! in the same period, which is what makes Assumption S.1 (identical
 //! sampled rates) a good approximation.
+//!
+//! Under the default [`ChainAdvance::PerRound`] the engine is
+//! bit-sliced: each link's chain runs once per round, in round-major,
+//! link-minor order, into a bitmask of `S` bits (bit `s` set iff round
+//! `s` survives the link); each path is then walked once, ANDing its
+//! links' masks into the set of rounds still in flight 64 rounds per
+//! word, and popcounts give each link's arrivals and drops and the
+//! path's deliveries. The counts and the RNG stream are exactly those
+//! of walking every path link by link in every round.
 
-use crate::loss::{AnyLossProcess, LossProcess, LossProcessKind};
+use crate::flowlet::FlowletProcess;
+use crate::loss::{
+    AnyLossProcess, BernoulliProcess, GilbertProcess, LossProcess, LossProcessKind,
+};
 use crate::models::LossModel;
 use crate::scenario::CongestionScenario;
 use crate::snapshot::{LinkTruth, MeasurementSet, Snapshot};
@@ -74,99 +86,92 @@ impl Default for ProbeConfig {
 /// The scenario supplies each link's congestion status; this function
 /// draws the per-snapshot loss rates, runs the probes, and returns both
 /// the end-to-end measurements and the per-link ground truth.
+///
+/// # Panics
+/// Panics if `scenario` does not track exactly `red.num_links()` links,
+/// or if `cfg.probes_per_snapshot` is 0 (a snapshot without probes has
+/// no transmission rate to measure).
 pub fn simulate_snapshot<R: Rng>(
     red: &ReducedTopology,
     scenario: &CongestionScenario,
     cfg: &ProbeConfig,
     rng: &mut R,
 ) -> Snapshot {
-    let n_links = red.num_links();
-    assert_eq!(
-        scenario.len(),
-        n_links,
-        "scenario tracks {} links but topology has {}",
-        scenario.len(),
-        n_links
-    );
-    // Per-snapshot loss rates and processes.
-    let mut processes: Vec<AnyLossProcess> = Vec::with_capacity(n_links);
-    let mut truth: Vec<LinkTruth> = Vec::with_capacity(n_links);
-    for k in 0..n_links {
-        let congested = scenario.is_congested(k);
-        let rate = if congested {
-            cfg.loss_model.draw_congested(rng)
-        } else {
-            cfg.loss_model.draw_good(rng)
-        };
-        processes.push(AnyLossProcess::new(cfg.process, rate));
-        truth.push(LinkTruth {
-            assigned_loss_rate: rate,
-            congested,
-            arrivals: 0,
-            drops: 0,
-        });
-    }
+    check_inputs(red, scenario, cfg);
+    // Per-snapshot loss rates, one draw per link in link order.
+    let mut truth: Vec<LinkTruth> = (0..red.num_links())
+        .map(|k| {
+            let congested = scenario.is_congested(k);
+            let assigned_loss_rate = if congested {
+                cfg.loss_model.draw_congested(rng)
+            } else {
+                cfg.loss_model.draw_good(rng)
+            };
+            LinkTruth {
+                assigned_loss_rate,
+                congested,
+                arrivals: 0,
+                drops: 0,
+            }
+        })
+        .collect();
 
-    let n_paths = red.num_paths();
-    let mut path_received = vec![0u32; n_paths];
-    // The shared `RoutingMatrix` *is* the flat CSR path→links table the
-    // per-round walk wants: each row is a contiguous slice of one
-    // shared buffer, so streaming `routing.iter()` touches the same
-    // sequential memory the engine used to copy into its own table.
+    let probes = cfg.probes_per_snapshot;
+    let mut path_received = vec![0u32; red.num_paths()];
+    // Each row of the shared `RoutingMatrix` lists the links one path
+    // crosses, in the order the walks below visit them.
     let routing = &red.matrix;
     match cfg.advance {
         ChainAdvance::PerRound => {
             // One transition per link per round; every packet of the
             // round observes the same state, so all paths through a link
             // sample identical loss fractions (Assumption S.1, exact).
-            //
-            // Lossless fast path: when every link survives the round
-            // (the common case at the paper's ~0.1 % good-link loss
-            // rates), the per-path walk is skipped entirely — every
-            // path delivers its probe and link `k` sees exactly one
-            // arrival per traversing path.
-            let mut arrivals_per_round = vec![0u64; n_links];
-            for &k in routing.links_flat() {
-                arrivals_per_round[k] += 1;
-            }
-            let mut good = vec![true; n_links];
-            for _round in 0..cfg.probes_per_snapshot {
-                let mut all_good = true;
-                for (g, proc_) in good.iter_mut().zip(processes.iter_mut()) {
-                    *g = proc_.packet_survives(rng);
-                    all_good &= *g;
+            let survival = match cfg.process {
+                LossProcessKind::Gilbert => {
+                    survival_masks(&truth, GilbertProcess::from_loss_rate, probes, rng)
                 }
-                if all_good {
-                    for received in path_received.iter_mut() {
-                        *received += 1;
-                    }
-                    for (t, &a) in truth.iter_mut().zip(arrivals_per_round.iter()) {
-                        t.arrivals += a;
-                    }
-                    continue;
+                LossProcessKind::Bernoulli => {
+                    survival_masks(&truth, BernoulliProcess::from_loss_rate, probes, rng)
                 }
-                for (links, received) in routing.iter().zip(path_received.iter_mut()) {
-                    let mut survived = true;
-                    for &k in links {
-                        truth[k].arrivals += 1;
-                        if !good[k] {
-                            truth[k].drops += 1;
-                            survived = false;
-                            break; // dropped packets never reach downstream
-                        }
-                    }
-                    if survived {
-                        *received += 1;
-                    }
+                LossProcessKind::Flowlet => {
+                    survival_masks(&truth, FlowletProcess::from_loss_rate, probes, rng)
                 }
+            };
+            let words = probes.div_ceil(64) as usize;
+            let mut alive = vec![0u64; words];
+            for (links, received) in routing.iter().zip(path_received.iter_mut()) {
+                // `alive` holds the rounds whose probe is still in
+                // flight; `count` is how many. A link sees every one of
+                // them arrive and drops those in its bad rounds, which
+                // never reach (nor are counted by) downstream links.
+                // Bits past the last round start set but are clear in
+                // every mask, so the first link clears them.
+                alive.fill(u64::MAX);
+                let mut count = u64::from(probes);
+                for &k in links {
+                    let good = &survival[k * words..(k + 1) * words];
+                    let mut survivors = 0u64;
+                    for (a, &g) in alive.iter_mut().zip(good) {
+                        *a &= g;
+                        survivors += u64::from(a.count_ones());
+                    }
+                    truth[k].arrivals += count;
+                    truth[k].drops += count - survivors;
+                    count = survivors;
+                }
+                *received = count as u32;
             }
         }
         ChainAdvance::PerArrival => {
             // Round-robin probe rounds: round s sends the s-th probe of
             // every path back-to-back; the chain transitions on every
-            // arrival (no lossless fast path: every arrival must
-            // advance its link's chain).
-            for _round in 0..cfg.probes_per_snapshot {
+            // arrival, so which draws happen depends on which packets
+            // get through, and the walk goes packet by packet.
+            let mut processes: Vec<AnyLossProcess> = truth
+                .iter()
+                .map(|t| AnyLossProcess::new(cfg.process, t.assigned_loss_rate))
+                .collect();
+            for _round in 0..probes {
                 for (links, received) in routing.iter().zip(path_received.iter_mut()) {
                     let mut survived = true;
                     for &k in links {
@@ -186,10 +191,62 @@ pub fn simulate_snapshot<R: Rng>(
     }
 
     Snapshot {
-        probes: cfg.probes_per_snapshot,
+        probes,
         path_received,
         link_truth: truth,
     }
+}
+
+/// Runs every link's loss process for `probes` rounds and returns the
+/// survival bitmask: link `k`'s rounds are the `⌈probes/64⌉` words
+/// starting at `k · ⌈probes/64⌉`, and bit `s` is set iff round `s`
+/// survives the link.
+///
+/// Draws are round-major and link-minor, one `packet_survives` per link
+/// per round: the order the round-by-round engine made them in.
+fn survival_masks<P: LossProcess, R: Rng>(
+    truth: &[LinkTruth],
+    process: impl Fn(f64) -> P,
+    probes: u32,
+    rng: &mut R,
+) -> Vec<u64> {
+    let mut processes: Vec<P> = truth
+        .iter()
+        .map(|t| process(t.assigned_loss_rate))
+        .collect();
+    let words = probes.div_ceil(64) as usize;
+    let mut masks = vec![0u64; processes.len() * words];
+    // Each link's word in progress, stored every 64 rounds.
+    let mut current = vec![0u64; processes.len()];
+    for round in 0..probes as usize {
+        let bit = round % 64;
+        for (word, p) in current.iter_mut().zip(processes.iter_mut()) {
+            *word |= u64::from(p.packet_survives(rng)) << bit;
+        }
+        if bit == 63 || round + 1 == probes as usize {
+            let w = round / 64;
+            for (k, word) in current.iter_mut().enumerate() {
+                masks[k * words + w] = std::mem::take(word);
+            }
+        }
+    }
+    masks
+}
+
+/// The entry checks shared by [`simulate_snapshot`] and
+/// [`simulate_stream`].
+fn check_inputs(red: &ReducedTopology, scenario: &CongestionScenario, cfg: &ProbeConfig) {
+    assert_eq!(
+        scenario.len(),
+        red.num_links(),
+        "scenario tracks {} links but topology has {}",
+        scenario.len(),
+        red.num_links()
+    );
+    assert!(
+        cfg.probes_per_snapshot >= 1,
+        "probes_per_snapshot is 0 but a snapshot needs at least 1 probe per path"
+    );
 }
 
 /// Simulates a run of `n_snapshots` consecutive snapshots, advancing the
@@ -268,19 +325,17 @@ impl<'a, R: Rng> Iterator for SnapshotStream<'a, R> {
 /// it from a monitoring loop. `simulate_stream(...).take(m).collect()`
 /// into a [`MeasurementSet`] is bit-identical to
 /// [`simulate_run`] with `m` snapshots from the same starting state.
+///
+/// # Panics
+/// Panics under the same conditions as [`simulate_snapshot`]: a
+/// scenario of the wrong size, or `cfg.probes_per_snapshot == 0`.
 pub fn simulate_stream<'a, R: Rng>(
     red: &'a ReducedTopology,
     scenario: CongestionScenario,
     cfg: &ProbeConfig,
     rng: R,
 ) -> SnapshotStream<'a, R> {
-    assert_eq!(
-        scenario.len(),
-        red.num_links(),
-        "scenario tracks {} links but topology has {}",
-        scenario.len(),
-        red.num_links()
-    );
+    check_inputs(red, &scenario, cfg);
     SnapshotStream {
         red,
         scenario,
@@ -567,10 +622,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_preserves_conservation_laws() {
-        // Mostly-lossless run (good links at ≤0.2 % loss): the bulk
-        // update for all-good rounds must keep the exact accounting
-        // identities that the per-path walk maintains.
+    fn mostly_lossless_run_preserves_conservation_laws() {
+        // Mostly-lossless run (good links at ≤0.2 % loss), over a
+        // probe count that ends mid-word: the word-wise walk must keep
+        // the exact accounting identities of a packet-by-packet walk.
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(30);
         let scenario = CongestionScenario::draw(
@@ -580,7 +635,7 @@ mod tests {
             &mut rng,
         );
         let cfg = ProbeConfig {
-            probes_per_snapshot: 2000,
+            probes_per_snapshot: 2001,
             ..ProbeConfig::default()
         };
         let snap = simulate_snapshot(&red, &scenario, &cfg, &mut rng);
@@ -667,6 +722,34 @@ mod tests {
         let scenario =
             CongestionScenario::draw(2, 0.0, CongestionDynamics::Fixed, &mut rng);
         let _ = simulate_stream(&red, scenario, &ProbeConfig::default(), rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "probes_per_snapshot is 0")]
+    fn zero_probes_panics() {
+        let red = fig1_reduced();
+        let mut rng = StdRng::seed_from_u64(7);
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 0.5, CongestionDynamics::Fixed, &mut rng);
+        let cfg = ProbeConfig {
+            probes_per_snapshot: 0,
+            ..ProbeConfig::default()
+        };
+        simulate_snapshot(&red, &scenario, &cfg, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "probes_per_snapshot is 0")]
+    fn stream_rejects_zero_probes() {
+        let red = fig1_reduced();
+        let mut rng = StdRng::seed_from_u64(8);
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 0.5, CongestionDynamics::Fixed, &mut rng);
+        let cfg = ProbeConfig {
+            probes_per_snapshot: 0,
+            ..ProbeConfig::default()
+        };
+        let _ = simulate_stream(&red, scenario, &cfg, rng);
     }
 
     #[test]

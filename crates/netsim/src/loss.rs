@@ -22,6 +22,24 @@ pub trait LossProcess {
     fn target_loss_rate(&self) -> f64;
 }
 
+/// `2^53`: the sampler's uniform `f64` has 53 random bits.
+const TWO_POW_53: f64 = (1u64 << 53) as f64;
+
+/// One uniform draw as the vendored sampler makes it: `gen::<f64>()` is
+/// defined as `(next_u64() >> 11) · 2^-53`, and this is its integer
+/// numerator `u ∈ [0, 2^53)`.
+fn draw53<R: Rng>(rng: &mut R) -> u64 {
+    rng.next_u64() >> 11
+}
+
+/// The integer threshold `t = ⌈p · 2^53⌉` with `u < t` ⇔
+/// `u · 2^-53 < p`, so comparing a [`draw53`] against it is exactly
+/// `gen::<f64>() < p`. For `p ∈ [0, 1]`, `p · 2^53` is exact (scaling by
+/// a power of two) and at most `2^53`.
+fn threshold(p: f64) -> u64 {
+    (p * TWO_POW_53).ceil() as u64
+}
+
 /// Which loss process family to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum LossProcessKind {
@@ -49,10 +67,10 @@ pub const GILBERT_STAY_BAD: f64 = 0.35;
 /// `π_bad = p_gb / (p_gb + p_bg)  ⇒  p_gb = π_bad · p_bg / (1 − π_bad)`.
 #[derive(Debug, Clone)]
 pub struct GilbertProcess {
-    /// P(good → bad) per packet.
-    p_gb: f64,
-    /// P(bad → good) per packet (= 1 − [`GILBERT_STAY_BAD`] by default).
-    p_bg: f64,
+    /// [`threshold`]s of the draw that leaves the current state, indexed
+    /// by it: `[P(good → bad), P(bad → good)]` per packet (the latter
+    /// `1 − `[`GILBERT_STAY_BAD`] by default).
+    leave: [u64; 2],
     /// Current state: `true` = bad (dropping).
     bad: bool,
     target: f64,
@@ -91,8 +109,7 @@ impl GilbertProcess {
             }
         };
         GilbertProcess {
-            p_gb,
-            p_bg,
+            leave: [threshold(p_gb), threshold(p_bg)],
             bad: false,
             target: rate,
         }
@@ -106,14 +123,9 @@ impl GilbertProcess {
 
 impl LossProcess for GilbertProcess {
     fn packet_survives<R: Rng>(&mut self, rng: &mut R) -> bool {
-        // Transition on arrival, then drop iff bad.
-        if self.bad {
-            if rng.gen::<f64>() < self.p_bg {
-                self.bad = false;
-            }
-        } else if rng.gen::<f64>() < self.p_gb {
-            self.bad = true;
-        }
+        // Transition on arrival (one draw, branch-free), then drop iff
+        // bad.
+        self.bad ^= draw53(rng) < self.leave[usize::from(self.bad)];
         !self.bad
     }
 
@@ -126,21 +138,25 @@ impl LossProcess for GilbertProcess {
 #[derive(Debug, Clone)]
 pub struct BernoulliProcess {
     rate: f64,
+    /// [`threshold`] of `rate`: a draw below it drops the packet.
+    drop_below: u64,
 }
 
 impl BernoulliProcess {
     /// Creates a process dropping each packet independently with
     /// probability `loss_rate`.
     pub fn from_loss_rate(loss_rate: f64) -> Self {
+        let rate = loss_rate.clamp(0.0, 1.0);
         BernoulliProcess {
-            rate: loss_rate.clamp(0.0, 1.0),
+            rate,
+            drop_below: threshold(rate),
         }
     }
 }
 
 impl LossProcess for BernoulliProcess {
     fn packet_survives<R: Rng>(&mut self, rng: &mut R) -> bool {
-        rng.gen::<f64>() >= self.rate
+        draw53(rng) >= self.drop_below
     }
 
     fn target_loss_rate(&self) -> f64 {
@@ -200,7 +216,7 @@ impl LossProcess for AnyLossProcess {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn empirical_rate<P: LossProcess>(p: &mut P, n: usize, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -295,6 +311,42 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let _ = g.packet_survives(&mut rng);
         let _ = b.packet_survives(&mut rng);
+    }
+
+    /// The thresholds stand in for `gen::<f64>() < p`; a change to the
+    /// vendored sampler must fail here rather than in the goldens.
+    #[test]
+    fn thresholds_match_the_sampler_contract() {
+        let two_pow_minus_53 = 1.0 / TWO_POW_53;
+        for p in [
+            0.0,
+            two_pow_minus_53,
+            1e-300,
+            0.002,
+            0.35,
+            0.65,
+            1.0 - two_pow_minus_53,
+            1.0,
+        ] {
+            let t = threshold(p);
+            let top = (1u64 << 53) - 1;
+            for u in [0, t.saturating_sub(1), t, t + 1, top] {
+                if u > top {
+                    continue;
+                }
+                assert_eq!(
+                    u < t,
+                    (u as f64) * two_pow_minus_53 < p,
+                    "p = {p:e}, u = {u}, t = {t}"
+                );
+            }
+        }
+        let mut a = StdRng::seed_from_u64(7);
+        let mut b = a.clone();
+        for _ in 0..1000 {
+            let expected = (b.next_u64() >> 11) as f64 * two_pow_minus_53;
+            assert_eq!(a.gen::<f64>().to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

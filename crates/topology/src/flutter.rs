@@ -10,9 +10,9 @@
 //! completely ignore the others"), [`remove_fluttering_paths`] greedily
 //! drops paths until no fluttering pair remains.
 
-use crate::graph::LinkId;
+use crate::graph::{LinkId, NodeId};
 use crate::path::{PathId, PathSet};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A detected violation of Assumption T.2.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,21 +56,33 @@ pub fn pair_flutters(a: &[LinkId], b: &[LinkId]) -> Option<(LinkId, LinkId)> {
 /// Finds all fluttering pairs in the path set.
 ///
 /// Cost is `O(Σ |shared pairs|)` using an inverted link→paths index, so
-/// disjoint paths are never compared.
+/// disjoint paths are never compared. Neither are two paths of one
+/// source when, across that source's paths, every link has a single
+/// predecessor (or none): such paths only share prefixes and cannot
+/// flutter, which on a single-beacon tree leaves nothing to compare.
 pub fn find_fluttering_pairs(paths: &PathSet) -> Vec<FlutterPair> {
-    // Inverted index: link -> paths through it.
-    let mut by_link: HashMap<LinkId, Vec<PathId>> = HashMap::new();
+    let prefix_sharing = prefix_sharing_sources(paths);
+    // Inverted index: link -> paths through it, as (source, path).
+    let mut by_link: HashMap<LinkId, Vec<(NodeId, PathId)>> = HashMap::new();
     for (pid, p) in paths.iter() {
         for &l in &p.links {
-            by_link.entry(l).or_default().push(pid);
+            by_link.entry(l).or_default().push((p.src, pid));
         }
     }
-    // Candidate pairs: share at least one link.
-    let mut candidates: std::collections::HashSet<(PathId, PathId)> =
-        std::collections::HashSet::new();
-    for list in by_link.values() {
-        for (i, &a) in list.iter().enumerate() {
-            for &b in &list[i + 1..] {
+    // Candidate pairs: share at least one link, and are not two paths
+    // of one prefix-sharing source.
+    let mut candidates: HashSet<(PathId, PathId)> = HashSet::new();
+    for list in by_link.values_mut() {
+        // Group by source so each source's paths are one run.
+        list.sort_unstable();
+        for (i, &(src, a)) in list.iter().enumerate() {
+            let rest = &list[i + 1..];
+            let skip = if prefix_sharing.contains(&src) {
+                rest.partition_point(|&(s, _)| s == src)
+            } else {
+                0
+            };
+            for &(_, b) in &rest[skip..] {
                 candidates.insert(if a < b { (a, b) } else { (b, a) });
             }
         }
@@ -84,6 +96,33 @@ pub fn find_fluttering_pairs(paths: &PathSet) -> Vec<FlutterPair> {
         .collect();
     result.sort_by_key(|fp| (fp.a, fp.b));
     result
+}
+
+/// The sources whose paths can only share prefixes: every link has one
+/// predecessor (or none, when it comes first) across all of the
+/// source's paths that cross it.
+///
+/// Two such paths that share a link then share the whole chain of
+/// predecessors before it, at the same positions, so their shared links
+/// are one common prefix and the pair cannot flutter. The condition
+/// also rules out a path repeating a link: if both occurrences of the
+/// first link to reappear had the same predecessor, that predecessor
+/// would have reappeared first (and a path's first link has none).
+fn prefix_sharing_sources(paths: &PathSet) -> HashSet<NodeId> {
+    let mut predecessor: HashMap<(NodeId, LinkId), Option<LinkId>> = HashMap::new();
+    let mut sharing: HashMap<NodeId, bool> = HashMap::new();
+    for (_, p) in paths.iter() {
+        let ok = sharing.entry(p.src).or_insert(true);
+        let mut prev = None;
+        for &l in &p.links {
+            if !*ok {
+                break;
+            }
+            *ok = *predecessor.entry((p.src, l)).or_insert(prev) == prev;
+            prev = Some(l);
+        }
+    }
+    sharing.into_iter().filter(|&(_, ok)| ok).map(|(src, _)| src).collect()
 }
 
 /// Removes a minimal-ish set of paths so that no fluttering pair remains:
@@ -197,6 +236,103 @@ mod tests {
         // Greedy removes the most-conflicted path first; 1 removal can
         // suffice only if the remaining pair is clean.
         assert!(ps.len() + removed.len() == 3);
+    }
+
+    /// The scan before same-source pairs were screened: every pair
+    /// that shares a link is compared.
+    fn all_pairs_scan(paths: &PathSet) -> Vec<FlutterPair> {
+        let mut by_link: HashMap<LinkId, Vec<PathId>> = HashMap::new();
+        for (pid, p) in paths.iter() {
+            for &l in &p.links {
+                by_link.entry(l).or_default().push(pid);
+            }
+        }
+        let mut candidates: HashSet<(PathId, PathId)> = HashSet::new();
+        for list in by_link.values() {
+            for (i, &a) in list.iter().enumerate() {
+                for &b in &list[i + 1..] {
+                    candidates.insert(if a < b { (a, b) } else { (b, a) });
+                }
+            }
+        }
+        let mut result: Vec<FlutterPair> = candidates
+            .into_iter()
+            .filter_map(|(a, b)| {
+                pair_flutters(&paths.path(a).links, &paths.path(b).links)
+                    .map(|witness| FlutterPair { a, b, witness })
+            })
+            .collect();
+        result.sort_by_key(|fp| (fp.a, fp.b));
+        result
+    }
+
+    #[test]
+    fn prefix_sharing_needs_one_predecessor_per_link() {
+        let mut ps = PathSet::new();
+        ps.push(path(0, 1, &[0, 1, 2]));
+        ps.push(path(0, 2, &[0, 1, 3]));
+        ps.push(path(0, 3, &[4]));
+        // Link 1 after 5 here but after 0 above: source 7 is open.
+        ps.push(path(7, 1, &[0, 1]));
+        ps.push(path(7, 2, &[5, 1]));
+        // A repeated link has two predecessors.
+        ps.push(path(8, 1, &[6, 9, 6]));
+        let sources = prefix_sharing_sources(&ps);
+        assert!(sources.contains(&NodeId(0)));
+        assert!(!sources.contains(&NodeId(7)));
+        assert!(!sources.contains(&NodeId(8)));
+    }
+
+    /// Random multi-source path sets over a small link universe: some
+    /// sources route along a random tree (prefix-sharing unless two
+    /// tree edges draw the same link), others take arbitrary link
+    /// sequences that may repeat links. The screened scan must report
+    /// exactly the pairs, witnesses and order of the all-pairs scan.
+    #[test]
+    fn screened_scan_matches_all_pairs_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2007);
+        let (mut fluttering, mut screened_sources) = (0usize, 0usize);
+        for _ in 0..3000 {
+            let universe = rng.gen_range(4u32..40);
+            let mut ps = PathSet::new();
+            for src in 0..rng.gen_range(1u32..4) {
+                if rng.gen_bool(0.6) {
+                    // Tree routing: node 0 is the source, and node v's
+                    // parent edge is a random link of the universe.
+                    let nodes = rng.gen_range(2usize..12);
+                    let parent: Vec<usize> = (0..nodes)
+                        .map(|v| if v == 0 { 0 } else { rng.gen_range(0..v) })
+                        .collect();
+                    let edge: Vec<u32> =
+                        (0..nodes).map(|_| rng.gen_range(0..universe)).collect();
+                    for dst in 1..nodes {
+                        let mut links = Vec::new();
+                        let mut v = dst;
+                        while v != 0 {
+                            links.push(edge[v]);
+                            v = parent[v];
+                        }
+                        links.reverse();
+                        ps.push(path(src, dst as u32, &links));
+                    }
+                } else {
+                    for dst in 0..rng.gen_range(1u32..8) {
+                        let len = rng.gen_range(1usize..7);
+                        let links: Vec<u32> =
+                            (0..len).map(|_| rng.gen_range(0..universe)).collect();
+                        ps.push(path(src, dst, &links));
+                    }
+                }
+            }
+            screened_sources += prefix_sharing_sources(&ps).len();
+            let expected = all_pairs_scan(&ps);
+            fluttering += expected.len();
+            assert_eq!(find_fluttering_pairs(&ps), expected);
+        }
+        assert!(fluttering > 1000, "only {fluttering} fluttering pairs drawn");
+        assert!(screened_sources > 1000, "only {screened_sources} sources screened");
     }
 
     #[test]

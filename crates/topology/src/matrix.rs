@@ -3,7 +3,7 @@
 //! Every layer of the pipeline walks the same binary incidence
 //! structure — "which (virtual) links does row `i` cover": the reduced
 //! routing matrix `R` built by alias reduction, the probe engine's
-//! per-round path walk, the augmented system's pair-intersection rows,
+//! per-path walk, the augmented system's pair-intersection rows,
 //! and Phase 2's rank checks. Before this type existed, each of those
 //! layers flattened the structure into its own ad-hoc CSR copy
 //! (`netsim::engine` built a throwaway `offsets`/`flat_links` table per
@@ -85,12 +85,6 @@ impl RoutingMatrix {
     /// Iterates over the rows in order.
     pub fn iter(&self) -> impl Iterator<Item = &[usize]> {
         self.offsets.windows(2).map(|w| &self.links[w[0]..w[1]])
-    }
-
-    /// All rows' link indices as one flat slice (row-major). The probe
-    /// engine streams this during per-round walks.
-    pub fn links_flat(&self) -> &[usize] {
-        &self.links
     }
 
     /// The numeric CSR view: the same pattern with unit values, for the
@@ -246,12 +240,6 @@ mod tests {
             m.to_sparse().matvec(&x).unwrap()
         );
         assert!(m.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn links_flat_streams_rows_in_order() {
-        let m = sample();
-        assert_eq!(m.links_flat(), &[0, 2, 4, 1, 3]);
     }
 
     #[test]

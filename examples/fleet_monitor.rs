@@ -14,26 +14,19 @@
 //! Run with: `cargo run --release --example fleet_monitor`
 //!
 //! Optional flags: `--tenants N` (default 12), `--nodes N` (default
-//! 80), `--snapshots M` (default 30).
+//! 80), `--snapshots M` (default 30); a value that is not a positive
+//! integer exits with code 2 and a usage line.
 
 use losstomo::prelude::*;
 use losstomo::topology::gen::tree::{self, TreeParams};
+use losstomo_bench::count_from_args;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Returns the numeric value following `--flag` on the command line.
-fn flag_value(name: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
-    let n_tenants = flag_value("--tenants").unwrap_or(12);
-    let nodes = flag_value("--nodes").unwrap_or(80);
-    let snapshots = flag_value("--snapshots").unwrap_or(30);
+    let n_tenants = count_from_args("--tenants", 12);
+    let nodes = count_from_args("--nodes", 80);
+    let snapshots = count_from_args("--snapshots", 30);
 
     // 1. One independent network per tenant: its own random tree and
     //    its own drifting congestion scenario.

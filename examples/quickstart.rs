@@ -8,26 +8,19 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! Optional flags: `--nodes N` (default 200) and `--snapshots M`
-//! (default 50) shrink the run for smoke tests and CI.
+//! (default 50) shrink the run for smoke tests and CI; a value that is
+//! not a positive integer exits with code 2 and a usage line.
 
 use losstomo::prelude::*;
 use losstomo::topology::gen::tree::{self, TreeParams};
+use losstomo_bench::count_from_args;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Returns the numeric value following `--flag` on the command line.
-fn flag_value(name: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 fn main() {
     // 1. A network: random tree (200 nodes by default), beacon at the
     //    root, probing destinations at the leaves.
-    let nodes = flag_value("--nodes").unwrap_or(200);
+    let nodes = count_from_args("--nodes", 200);
     let mut rng = StdRng::seed_from_u64(1);
     let topo = tree::generate(
         TreeParams {
@@ -48,7 +41,7 @@ fn main() {
 
     // 3. Simulate m+1 snapshots: 10% of links congested, LLRD1 rates,
     //    Gilbert losses, S = 1000 probes per path per snapshot.
-    let m = flag_value("--snapshots").unwrap_or(50);
+    let m = count_from_args("--snapshots", 50);
     let mut scenario =
         CongestionScenario::draw(red.num_links(), 0.1, CongestionDynamics::Fixed, &mut rng);
     let ms = simulate_run(&red, &mut scenario, &ProbeConfig::default(), m + 1, &mut rng);

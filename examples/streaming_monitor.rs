@@ -14,26 +14,19 @@
 //! Run with: `cargo run --release --example streaming_monitor`
 //!
 //! Optional flags: `--nodes N` (default 200) and `--snapshots M`
-//! (default 60) shrink the run for smoke tests and CI.
+//! (default 60) shrink the run for smoke tests and CI; a value that is
+//! not a positive integer exits with code 2 and a usage line.
 
 use losstomo::prelude::*;
 use losstomo::topology::gen::tree::{self, TreeParams};
+use losstomo_bench::count_from_args;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Returns the numeric value following `--flag` on the command line.
-fn flag_value(name: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 fn main() {
     // 1. A network and its measurement system, as in the quickstart.
-    let nodes = flag_value("--nodes").unwrap_or(200);
-    let snapshots = flag_value("--snapshots").unwrap_or(60);
+    let nodes = count_from_args("--nodes", 200);
+    let snapshots = count_from_args("--snapshots", 60);
     let mut rng = StdRng::seed_from_u64(17);
     let topo = tree::generate(
         TreeParams {
