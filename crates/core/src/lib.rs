@@ -94,6 +94,6 @@ pub use streaming::{
 pub use validate::{cross_validate, CrossValidationConfig, CrossValidationResult};
 pub use variance::{
     estimate_variances, estimate_variances_cached, estimate_variances_from_sigmas,
-    estimate_variances_scratch, GramCache, Phase1Dispatch, Phase1Scratch, VarianceConfig,
-    VarianceEstimate,
+    estimate_variances_scratch, FallbackReason, GramCache, Phase1Dispatch, Phase1Fallback,
+    Phase1Scratch, VarianceConfig, VarianceEstimate,
 };

@@ -730,11 +730,12 @@ pub enum ScratchMode {
     /// steady-state refresh then allocates nothing: the column-append
     /// scan rebuilds the memoized factor in its own buffers. What still
     /// allocates per refresh is Phase 1: the [`VarianceEstimate`]
-    /// vector, the Gram cache's lists of rows that changed status, and
-    /// a kept-row Cholesky factor that is allocated afresh whenever the
-    /// kept-row system is singular (on trees, essentially every
-    /// refresh) before the all-rows fallback reuses its cached factor.
-    /// The sparse Phase-2 path, when dispatched, allocates in its rank
+    /// vector and the Gram cache's lists of rows that changed status.
+    /// A kept-row system that Phase 1 proves singular (on trees,
+    /// essentially every refresh) is never factored, and one whose
+    /// factorisation fails keeps its factor buffer for the next try;
+    /// either way the all-rows fallback reuses its cached factor. The
+    /// sparse Phase-2 path, when dispatched, allocates in its rank
     /// checks.
     #[default]
     Reuse,
@@ -1488,6 +1489,7 @@ impl OnlineEstimator {
                 v,
                 dropped_rows: dropped_count,
                 used_rows: used,
+                fallback: None,
             }),
             Err(_) => {
                 self.factor = None;

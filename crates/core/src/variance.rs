@@ -11,11 +11,26 @@
 //! Sampling noise makes some `Σ̂_{ii'}` negative; following the paper
 //! ("we ignore equations with Σ̂_{ii'} < 0" — they are redundant), those
 //! rows are dropped before solving.
+//!
+//! The drop is not always harmless. When it leaves the kept rows
+//! rank-deficient, Phase 1 folds the dropped rows back in and solves
+//! every row, and [`VarianceEstimate::fallback`] says why. On trees
+//! this is the steady state, not an edge case. Every tree path ends in
+//! a private leaf link (a link on no other path), so once every kept
+//! cross-pair row through an interior link `e` is gone, `e`'s column
+//! equals the sum of its paths' leaf columns on every kept row. The
+//! dense path proves this in `O(rows)` before it factors anything (the
+//! *singularity certificate*, [`FallbackReason::Certified`]): link `e`
+//! certifies the kept system singular when it lies on at least two
+//! paths, each of those paths has a private link, and no kept
+//! off-diagonal row contains `e`. A certified refresh skips the kept
+//! Gram, its sync and its factorisation, and goes straight to the
+//! all-rows solve the failed factorisation would have reached.
 
 use crate::augmented::AugmentedSystem;
 use crate::covariance::CenteredMeasurements;
 use losstomo_linalg::{lstsq, LinalgError, LstsqBackend, Matrix, SparseQr, SpdScratch};
-use losstomo_topology::ReducedTopology;
+use losstomo_topology::{PathId, ReducedTopology, RoutingMatrix};
 
 /// Which factorisation family solves the Phase-1 least squares,
 /// mirroring [`crate::lia::Phase2Dispatch`] for Phase 2.
@@ -75,10 +90,40 @@ impl Phase1Dispatch {
 pub struct VarianceEstimate {
     /// Estimated variance `v_k` of `X_k = log φ̂_{e_k}` per virtual link.
     pub v: Vec<f64>,
-    /// Rows dropped because their sample covariance was negative.
+    /// Rows dropped because their sample covariance was negative
+    /// (0 after a fallback, which folds them back in).
     pub dropped_rows: usize,
     /// Rows used in the solve.
     pub used_rows: usize,
+    /// Why the kept rows were not solved, when Phase 1 fell back to
+    /// all rows; `None` when the kept rows solved.
+    pub fallback: Option<Phase1Fallback>,
+}
+
+/// Phase 1 solved every augmented row because the kept rows (those
+/// left after the negative-covariance drop) could not be solved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Phase1Fallback {
+    /// What made the kept rows unsolvable.
+    pub reason: FallbackReason,
+    /// Negative-covariance rows folded back in.
+    pub folded_rows: usize,
+}
+
+/// What made Phase 1's kept rows unsolvable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FallbackReason {
+    /// Fewer kept rows than links.
+    TooFewRows,
+    /// No kept row covers this link.
+    UncoveredLink(usize),
+    /// The singularity certificate: this link lies on at least two
+    /// paths, each of them has a private link, and no kept cross-pair
+    /// row contains it, so its column is the sum of those private
+    /// links' columns on every kept row.
+    Certified(usize),
+    /// The kept-row factorisation failed.
+    FactorFailed,
 }
 
 /// Estimates the link variances from `m ≥ 2` snapshots.
@@ -86,10 +131,20 @@ pub struct VarianceEstimate {
 /// `aug` must be built for (or incrementally updated to) `red`;
 /// `centered` must hold the same paths as `red`.
 ///
-/// On small topologies, dropping the negative-covariance rows can leave
-/// an under-determined system (they are only "redundant" at scale, as
-/// the paper notes for its PlanetLab-sized systems); in that case the
-/// estimator falls back to keeping all rows.
+/// Dropping the negative-covariance rows can leave a rank-deficient
+/// system; the estimator then falls back to keeping all rows and says
+/// why in [`VarianceEstimate::fallback`]. On trees this happens
+/// whenever every cross-pair row through some interior link came out
+/// negative, because every tree path has a private leaf link (see the
+/// module docs); the dense path proves that case singular from the
+/// row counts and does not try to factor the kept rows.
+///
+/// With no variance signal at all (every path's measurements constant,
+/// so every covariance is zero or a rounding residue), the estimate is
+/// zero up to rounding. The variance order Phase 2 eliminates links by
+/// is then set by rounding residues and its link-index tie-break, so
+/// which links end up carrying the loss follows that tie order, not
+/// the network.
 pub fn estimate_variances(
     red: &ReducedTopology,
     aug: &AugmentedSystem,
@@ -125,13 +180,11 @@ pub fn estimate_variances_from_sigmas(
     sigmas: &[f64],
     cfg: &VarianceConfig,
 ) -> Result<VarianceEstimate, LinalgError> {
-    if !cfg.dispatch.use_dense(red.num_links()) {
-        return estimate_variances_sparse(red, aug, sigmas, cfg);
-    }
-    if cfg.backend == LstsqBackend::NormalEquations {
-        // The normal-equations path folds the retry into one assembly:
-        // dropped-row contributions are recorded by index and added to
-        // the already-built system if the kept rows prove singular.
+    if cfg.backend == LstsqBackend::NormalEquations || !cfg.dispatch.use_dense(red.num_links()) {
+        // The cached entry point runs the sparse family and the
+        // normal-equations path, which folds the retry into one
+        // assembly: dropped-row contributions are added to the
+        // already-built system if the kept rows prove singular.
         let mut cache = GramCache::new();
         return estimate_variances_cached(red, aug, sigmas, cfg, &mut cache);
     }
@@ -142,7 +195,18 @@ pub fn estimate_variances_from_sigmas(
                 drop_negative_covariances: false,
                 ..*cfg
             };
-            estimate_variances_inner(red, aug, sigmas, &retry)
+            let mut est = estimate_variances_inner(red, aug, sigmas, &retry)?;
+            let folded_rows = sigmas.iter().filter(|&&s| s < 0.0).count();
+            let reason = if est.used_rows - folded_rows < red.num_links() {
+                FallbackReason::TooFewRows
+            } else {
+                FallbackReason::FactorFailed
+            };
+            est.fallback = Some(Phase1Fallback {
+                reason,
+                folded_rows,
+            });
+            Ok(est)
         }
         Err(e) => Err(e),
     }
@@ -311,9 +375,11 @@ pub fn estimate_variances_cached(
 }
 
 /// Reusable buffers for repeated Phase-1 normal-equations solves: the
-/// kept mask, `AᵀΣ*`, the dense Gram expansion, and the SPD solver
-/// workspace (permutation, permuted Gram, Cholesky factor) all survive
-/// between refreshes, so a steady-state refresh allocates nothing.
+/// kept mask, `AᵀΣ*`, the per-link row counts of the kept rows, the
+/// topology constants the singularity certificate reads, the dense
+/// Gram expansion, and the SPD solver workspaces (permutation, permuted
+/// Gram, Cholesky factor) all survive between refreshes, so a
+/// steady-state refresh allocates nothing.
 ///
 /// The workspace must be dedicated to one `(red, aug, cache)` pipeline:
 /// when a refresh leaves the kept/dropped row mask unchanged, the Gram
@@ -325,14 +391,27 @@ pub fn estimate_variances_cached(
 /// The all-rows fallback gets its own cached factor: its Gram is the
 /// co-occurrence count over *every* augmented row — a constant of the
 /// topology — so once the fallback has run, every later fallback is two
-/// triangular solves instead of an `O(n_c³)` factorisation. On
-/// topologies where the negative-row drop leaves a singular system at
-/// every refresh (the paper tree is one), this removes the second of
-/// the two factorisations every steady-state refresh used to pay.
+/// triangular solves instead of an `O(n_c³)` factorisation. On the
+/// paper tree the singularity certificate sends every steady-state
+/// refresh straight to that fallback, so the kept-rows workspace is
+/// never sized at all.
+///
+/// The certificate's topology constants (paths per link, and whether
+/// every path through a link has a private link) are recomputed from
+/// the routing matrix whenever the certificate is asked, in
+/// `O(Σ path length)`, so nothing here goes stale on churn.
 #[derive(Debug, Default)]
 pub struct Phase1Scratch {
     new_kept: Vec<bool>,
     atb: Vec<f64>,
+    /// Kept rows per link (the kept Gram diagonal).
+    cover: Vec<u32>,
+    /// Kept off-diagonal (cross-pair) rows per link.
+    cross: Vec<u32>,
+    /// Paths per link.
+    on_paths: Vec<u32>,
+    /// Whether every path through the link has a private link.
+    all_private: Vec<bool>,
     gram: Matrix,
     /// Solver workspace of the kept-rows system. Its cached factor is
     /// only valid for the mask the [`GramCache`] currently holds — any
@@ -372,6 +451,70 @@ impl Phase1Scratch {
         self.spd.invalidate();
         self.spd_all.invalidate();
     }
+
+    /// Zeroes the per-link kept-row counts for a sweep over `nc` links.
+    fn reset_counts(&mut self, nc: usize) {
+        self.cover.clear();
+        self.cover.resize(nc, 0);
+        self.cross.clear();
+        self.cross.resize(nc, 0);
+    }
+
+    /// Counts one kept row of `aug` into the per-link kept-row counts.
+    fn count_kept_row(&mut self, pair: (PathId, PathId), links: &[usize]) {
+        let is_cross = u32::from(pair.0 != pair.1);
+        for &k in links {
+            self.cover[k] += 1;
+            self.cross[k] += is_cross;
+        }
+    }
+
+    /// Proves the kept rows unsolvable from the counts of the last
+    /// sweep, without factoring anything: fewer kept rows than links,
+    /// a link no kept row covers, or the singularity certificate.
+    /// `None` means "not proven", not "solvable".
+    ///
+    /// The certificate is exact. Take a kept row for the path pair
+    /// `(a, b)`. Link `e`'s column is 1 on it iff `e ∈ a ∩ b`. Pick a
+    /// private link `ℓ_i` on each path `i ∋ e`; `Σ_i col(ℓ_i)` is 1 on
+    /// it iff `a = b ∋ e`. When no kept cross row contains `e` the two
+    /// columns agree on every kept row, so `col(e) − Σ_i col(ℓ_i) = 0`
+    /// is a dependency — a nontrivial one, because `e` lies on at least
+    /// two paths and so is no path's private link. This holds for any
+    /// kept subset, budgeted pair sets with self rows missing included.
+    fn unsolvable(&mut self, red: &ReducedTopology, used: usize) -> Option<FallbackReason> {
+        let nc = red.num_links();
+        if used < nc {
+            return Some(FallbackReason::TooFewRows);
+        }
+        if let Some(k) = self.cover.iter().position(|&c| c == 0) {
+            return Some(FallbackReason::UncoveredLink(k));
+        }
+        self.certified_link(red).map(FallbackReason::Certified)
+    }
+
+    /// The lowest-index link that certifies the kept rows singular, from
+    /// the cross-row counts of the last sweep (see [`Self::unsolvable`]).
+    fn certified_link(&mut self, red: &ReducedTopology) -> Option<usize> {
+        let nc = red.num_links();
+        self.on_paths.clear();
+        self.on_paths.resize(nc, 0);
+        for path in red.matrix.iter() {
+            for &k in path {
+                self.on_paths[k] += 1;
+            }
+        }
+        self.all_private.clear();
+        self.all_private.resize(nc, true);
+        for path in red.matrix.iter() {
+            if !path.iter().any(|&k| self.on_paths[k] == 1) {
+                for &k in path {
+                    self.all_private[k] = false;
+                }
+            }
+        }
+        (0..nc).find(|&k| self.on_paths[k] >= 2 && self.cross[k] == 0 && self.all_private[k])
+    }
 }
 
 /// [`estimate_variances_cached`] with a reusable [`Phase1Scratch`]
@@ -391,7 +534,7 @@ pub fn estimate_variances_scratch(
         // The sparse family has no Gram to cache — refactoring the
         // kept rows is the whole solve, and it is what keeps wide
         // meshes off the `O(links³)` dense path.
-        return estimate_variances_sparse(red, aug, sigmas, cfg);
+        return estimate_variances_sparse(red, aug, sigmas, cfg, ws);
     }
     assert_eq!(
         sigmas.len(),
@@ -404,70 +547,77 @@ pub fn estimate_variances_scratch(
     ws.new_kept.clear();
     ws.new_kept
         .extend(sigmas.iter().map(|&s| !(cfg.drop_negative_covariances && s < 0.0)));
-    let cache_was_ready = cache.is_ready();
-    let (added, dropped) = cache.sync(aug.matrix(), nc, &ws.new_kept);
-    let mask_unchanged = cache_was_ready && added.is_empty() && dropped.is_empty();
-    let used = ws.new_kept.iter().filter(|&&k| k).count();
-    let dropped_count = aug.num_rows() - used;
     // `AᵀΣ*` changes with every covariance value, so it is rebuilt per
-    // call: one sweep over the kept rows in ascending order.
+    // call: one sweep over the kept rows in ascending order, which also
+    // counts the kept rows and kept cross rows through each link (the
+    // counts of `Phase1Scratch::count_kept_row`, fused into this loop).
     ws.atb.clear();
     ws.atb.resize(nc, 0.0);
-    for (((_, links), &sigma), &keep) in aug.iter().zip(sigmas.iter()).zip(ws.new_kept.iter()) {
-        if !keep {
+    ws.reset_counts(nc);
+    let mut used = 0;
+    for (r, ((pair, links), &sigma)) in aug.iter().zip(sigmas.iter()).enumerate() {
+        if !ws.new_kept[r] {
             continue;
         }
+        used += 1;
+        let is_cross = u32::from(pair.0 != pair.1);
         for &ka in links {
             ws.atb[ka] += sigma;
+            ws.cover[ka] += 1;
+            ws.cross[ka] += is_cross;
         }
     }
-    // Unchanged mask ⇒ unchanged integer counts ⇒ the previous Gram
-    // expansion and its factor are exactly this refresh's too.
-    let factor_reusable = mask_unchanged && ws.spd.factor_is_cached(nc);
-    // Structural-singularity precheck: a link no kept row covers is a
-    // zero Gram diagonal, so the kept Cholesky cannot succeed — skip
-    // the doomed `O(n_c³)` attempt and go straight to the fold-back.
-    // Only worth scanning when a fold-back exists (`dropped_count > 0`;
-    // otherwise the genuine error must surface) and the factor isn't
-    // already cached (a cached factor proves the mask solved before).
-    let structurally_singular = if used >= nc && dropped_count > 0 && !factor_reusable {
-        (0..nc).find(|&k| cache.counts()[k * nc + k] == 0)
+    let dropped_count = aug.num_rows() - used;
+    // Every "provably unsolvable" verdict is reached before the cache
+    // moves, so a proven refresh goes straight to the fold-back without
+    // syncing the cache to the kept mask or forming the kept Gram. Only
+    // asked when a fold-back exists: otherwise the genuine error must
+    // surface from the solve.
+    let proven = if dropped_count > 0 {
+        ws.unsolvable(red, used)
     } else {
         None
     };
-    let first_error = if let Some(index) = structurally_singular {
-        // The kept solve is skipped: its cached factor (if any, from an
-        // older mask) must not survive.
-        ws.spd.invalidate();
-        LinalgError::Singular { index }
-    } else if used >= nc {
-        if !factor_reusable {
-            ws.gram.reshape_uninit(nc, nc);
-            counts_to_symmetric(cache.counts(), ws.gram.as_mut_slice(), nc);
-        }
-        match lstsq::solve_spd_with(&ws.gram, &ws.atb, &mut ws.spd, factor_reusable) {
-            Ok(v) => {
-                return Ok(VarianceEstimate {
-                    v,
-                    dropped_rows: dropped_count,
-                    used_rows: used,
-                });
+    let reason = match proven {
+        Some(reason) => reason,
+        None => {
+            let cache_was_ready = cache.is_ready();
+            let (added, dropped) = cache.sync(aug.matrix(), nc, &ws.new_kept);
+            let mask_unchanged = cache_was_ready && added.is_empty() && dropped.is_empty();
+            if used < nc {
+                // Nothing was dropped (or the verdict above would have
+                // caught it): the shortfall is genuine. The kept solve
+                // is skipped, so `ws.spd`'s cached factor (from some
+                // older mask) must not survive into a later refresh
+                // whose mask happens to match the cache again.
+                ws.spd.invalidate();
+                return Err(LinalgError::DimensionMismatch(format!(
+                    "only {used} usable covariance rows for {nc} links"
+                )));
             }
-            Err(e) => e,
+            // Unchanged mask ⇒ unchanged integer counts ⇒ the previous
+            // Gram expansion and its factor are exactly this refresh's
+            // too.
+            let factor_reusable = mask_unchanged && ws.spd.factor_is_cached(nc);
+            if !factor_reusable {
+                ws.gram.reshape_uninit(nc, nc);
+                counts_to_symmetric(cache.counts(), ws.gram.as_mut_slice(), nc);
+            }
+            match lstsq::solve_spd_with(&ws.gram, &ws.atb, &mut ws.spd, factor_reusable) {
+                Ok(v) => {
+                    return Ok(VarianceEstimate {
+                        v,
+                        dropped_rows: dropped_count,
+                        used_rows: used,
+                        fallback: None,
+                    });
+                }
+                // Nothing was dropped: the failure is genuine.
+                Err(e) if dropped_count == 0 => return Err(e),
+                Err(_) => FallbackReason::FactorFailed,
+            }
         }
-    } else {
-        // The kept solve is skipped entirely, so `ws.spd`'s cached
-        // factor (from some older mask) must not survive into a later
-        // refresh whose mask happens to match the cache again.
-        ws.spd.invalidate();
-        LinalgError::DimensionMismatch(format!(
-            "only {used} usable covariance rows for {nc} links"
-        ))
     };
-    if dropped_count == 0 {
-        // Nothing was dropped: the failure is genuine.
-        return Err(first_error);
-    }
     // Fold the dropped rows back in and solve the all-rows system (the
     // paper's rows are only "redundant" when enough of them survive).
     // Its Gram is a constant of the topology, so the factor cached in
@@ -497,6 +647,10 @@ pub fn estimate_variances_scratch(
         v,
         dropped_rows: 0,
         used_rows: aug.num_rows(),
+        fallback: Some(Phase1Fallback {
+            reason,
+            folded_rows: dropped_count,
+        }),
     })
 }
 
@@ -516,49 +670,84 @@ pub(crate) fn counts_to_symmetric(counts: &[u32], gram: &mut [f64], n: usize) {
 /// row-streaming Givens QR — the dense family factors an
 /// `O(links³)` Gram no matter how few rows survive the budget/drop,
 /// while this path's cost tracks the row count (which is exactly what
-/// the pair budget caps). Same drop-negative/fold-back semantics as
-/// the dense paths.
+/// the pair budget caps). Same drop-negative/fold-back semantics, and
+/// the same proofs of an unsolvable kept set, as the dense paths.
 fn estimate_variances_sparse(
     red: &ReducedTopology,
     aug: &AugmentedSystem,
     sigmas: &[f64],
     cfg: &VarianceConfig,
+    ws: &mut Phase1Scratch,
 ) -> Result<VarianceEstimate, LinalgError> {
     let nc = red.num_links();
-    let solve = |drop_neg: bool| -> Result<VarianceEstimate, LinalgError> {
-        let mut builder = losstomo_topology::matrix::RoutingMatrix::builder(nc);
-        let mut rhs: Vec<f64> = Vec::new();
-        let mut dropped = 0usize;
-        for ((_, links), &sigma) in aug.iter().zip(sigmas.iter()) {
-            if drop_neg && sigma < 0.0 {
-                dropped += 1;
-                continue;
-            }
-            builder.push_sorted_row(links);
-            rhs.push(sigma);
-        }
-        let used = rhs.len();
-        if used < nc {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "only {used} usable covariance rows for {nc} links"
-            )));
-        }
-        let qr = SparseQr::new(builder.build().to_sparse())?;
-        if !qr.has_full_column_rank() {
-            return Err(LinalgError::Singular { index: 0 });
-        }
-        let v = qr.solve_least_squares(&rhs)?;
+    let all_rows = || -> Result<VarianceEstimate, LinalgError> {
         Ok(VarianceEstimate {
-            v,
-            dropped_rows: if drop_neg { dropped } else { 0 },
-            used_rows: used,
+            v: solve_sparse(aug.matrix(), sigmas)?,
+            dropped_rows: 0,
+            used_rows: aug.num_rows(),
+            fallback: None,
         })
     };
-    match solve(cfg.drop_negative_covariances) {
-        Ok(est) => Ok(est),
-        Err(_) if cfg.drop_negative_covariances => solve(false),
-        Err(e) => Err(e),
+    if !cfg.drop_negative_covariances {
+        return all_rows();
     }
+    let mut builder = RoutingMatrix::builder(nc);
+    let mut rhs: Vec<f64> = Vec::new();
+    ws.reset_counts(nc);
+    for ((pair, links), &sigma) in aug.iter().zip(sigmas.iter()) {
+        if sigma < 0.0 {
+            continue;
+        }
+        builder.push_sorted_row(links);
+        rhs.push(sigma);
+        ws.count_kept_row(pair, links);
+    }
+    let used = rhs.len();
+    let dropped = aug.num_rows() - used;
+    let proven = if dropped > 0 {
+        ws.unsolvable(red, used)
+    } else {
+        None
+    };
+    let reason = match proven {
+        Some(reason) => reason,
+        None => match solve_sparse(&builder.build(), &rhs) {
+            Ok(v) => {
+                return Ok(VarianceEstimate {
+                    v,
+                    dropped_rows: dropped,
+                    used_rows: used,
+                    fallback: None,
+                });
+            }
+            // Nothing was dropped: the failure is genuine.
+            Err(e) if dropped == 0 => return Err(e),
+            Err(_) => FallbackReason::FactorFailed,
+        },
+    };
+    let mut est = all_rows()?;
+    est.fallback = Some(Phase1Fallback {
+        reason,
+        folded_rows: dropped,
+    });
+    Ok(est)
+}
+
+/// Least squares on binary CSR rows via the sparse QR; an error when
+/// the rows are too few or rank-deficient.
+fn solve_sparse(rows: &RoutingMatrix, rhs: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    let nc = rows.cols();
+    if rows.rows() < nc {
+        return Err(LinalgError::DimensionMismatch(format!(
+            "only {} usable covariance rows for {nc} links",
+            rows.rows()
+        )));
+    }
+    let qr = SparseQr::new(rows.to_sparse())?;
+    if !qr.has_full_column_rank() {
+        return Err(LinalgError::Singular { index: 0 });
+    }
+    qr.solve_least_squares(rhs)
 }
 
 /// Phase 1 via the paper's textbook method: materialise the kept rows
@@ -603,6 +792,7 @@ fn estimate_variances_inner(
         v,
         dropped_rows: dropped,
         used_rows: used,
+        fallback: None,
     })
 }
 
@@ -744,29 +934,208 @@ mod tests {
         // solve, and its all-rows fallback re-syncs the Gram cache to
         // the all-true mask; refresh 3 arrives with an all-true mask —
         // "unchanged" relative to the cache — and must NOT solve with
-        // the cached M1 factor.
+        // the cached M1 factor. The same must hold when the fallback
+        // between them is a certified one, which never syncs the cache
+        // to its kept mask at all.
         let red = fixtures::reduced(&fixtures::figure1());
         let aug = AugmentedSystem::build(&red);
         let cfg = VarianceConfig::default();
-        let mut cache = GramCache::new();
-        let mut ws = Phase1Scratch::new();
-        // Figure-1 aug rows: [0,1],[0,2,3],[0,2,4],[0],[0,2],[0,2].
-        // Dropping the duplicate [0,2] row keeps the system full rank.
+        let fresh = |sigmas: &[f64]| {
+            estimate_variances_cached(&red, &aug, sigmas, &cfg, &mut GramCache::new()).unwrap()
+        };
+        // Figure-1 aug rows: the self rows [0,1],[0,2,3],[0,2,4], then
+        // the cross rows [0] (D1,D2), [0] (D1,D3) and [0,2] (D2,D3).
+        // Dropping a duplicate [0] row keeps the system full rank.
         let m1 = vec![1.0, 1.0, 1.0, 1.0, -1.0, 1.0];
-        let r1 = estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut cache, &mut ws).unwrap();
-        assert_eq!(r1.dropped_rows, 1, "kept solve should succeed on M1");
         // Only one usable row: used < nc forces the all-rows fallback.
         let m2 = vec![1.0, -1.0, -1.0, -1.0, -1.0, -1.0];
-        let r2 = estimate_variances_scratch(&red, &aug, &m2, &cfg, &mut cache, &mut ws).unwrap();
-        assert_eq!(r2.dropped_rows, 0, "fallback folds every row back in");
+        // Dropping the (D2,D3) row certifies e3 (link 2) singular.
+        let certified = vec![1.0, 1.0, 1.0, 1.0, 1.0, -1.0];
         // All-positive sigmas: the mask equals the cache's all-true
         // state, so a stale M1 factor would be silently reused.
         let m3 = vec![0.9, 1.1, 0.8, 1.2, 1.0, 0.7];
-        let got = estimate_variances_scratch(&red, &aug, &m3, &cfg, &mut cache, &mut ws).unwrap();
-        let fresh =
-            estimate_variances_cached(&red, &aug, &m3, &cfg, &mut GramCache::new()).unwrap();
-        assert_eq!(got.v, fresh.v, "stale factor leaked across the fallback");
-        assert_eq!(got.used_rows, fresh.used_rows);
+        for between in [&m2, &certified] {
+            let mut cache = GramCache::new();
+            let mut ws = Phase1Scratch::new();
+            let r1 =
+                estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut cache, &mut ws).unwrap();
+            assert_eq!(r1.dropped_rows, 1, "kept solve should succeed on M1");
+            assert_eq!(r1.fallback, None);
+            let r2 = estimate_variances_scratch(&red, &aug, between, &cfg, &mut cache, &mut ws)
+                .unwrap();
+            assert_eq!(r2.dropped_rows, 0, "fallback folds every row back in");
+            assert!(r2.fallback.is_some());
+            assert_eq!(r2.v, fresh(between).v);
+            let got =
+                estimate_variances_scratch(&red, &aug, &m3, &cfg, &mut cache, &mut ws).unwrap();
+            assert_eq!(got.v, fresh(&m3).v, "stale factor leaked across the fallback");
+            assert_eq!(got.used_rows, fresh(&m3).used_rows);
+            // Back to M1 after the fallback: refactored, not reused.
+            let again =
+                estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut cache, &mut ws).unwrap();
+            assert_eq!(again.v, r1.v);
+        }
+    }
+
+    /// Every fallback reason, provoked on a fixture, on the dense and
+    /// the sparse family; the Householder ablation backend reports the
+    /// two reasons it can tell apart without the precheck.
+    #[test]
+    fn each_fallback_reason_is_reported() {
+        let fig1 = fixtures::reduced(&fixtures::figure1());
+        let aug1 = AugmentedSystem::build(&fig1);
+        // Figure 2's paths have no private links, so the certificate
+        // cannot fire there: keeping only the self rows leaves the
+        // rank-4 routing matrix, which only the factorisation notices.
+        let fig2 = fixtures::reduced(&fixtures::figure2());
+        let aug2 = AugmentedSystem::build(&fig2);
+        let self_rows_only: Vec<f64> = (0..aug2.num_rows())
+            .map(|r| {
+                let (a, b) = aug2.pair(r);
+                if a == b {
+                    1.0
+                } else {
+                    -1.0
+                }
+            })
+            .collect();
+        use FallbackReason::{Certified, FactorFailed, TooFewRows, UncoveredLink};
+        let cases = [
+            (&fig1, &aug1, vec![1.0; 6], None),
+            // Dropping the (D2,D3) row certifies e3 (link 2).
+            (&fig1, &aug1, vec![1.0, 1.0, 1.0, 1.0, 1.0, -1.0], Some(Certified(2))),
+            // Dropping D1's self row leaves e2 (link 1) uncovered.
+            (&fig1, &aug1, vec![-1.0, 1.0, 1.0, 1.0, 1.0, 1.0], Some(UncoveredLink(1))),
+            (&fig1, &aug1, vec![1.0, 1.0, -1.0, -1.0, 1.0, 1.0], Some(TooFewRows)),
+            (&fig2, &aug2, self_rows_only.clone(), Some(FactorFailed)),
+        ];
+        for dispatch in [Phase1Dispatch::Dense, Phase1Dispatch::Sparse] {
+            let cfg = VarianceConfig {
+                dispatch,
+                ..VarianceConfig::default()
+            };
+            for (red, aug, sigmas, reason) in &cases {
+                let est = estimate_variances_from_sigmas(red, aug, sigmas, &cfg).unwrap();
+                let negative = sigmas.iter().filter(|&&s| s < 0.0).count();
+                let want = reason.map(|reason| Phase1Fallback {
+                    reason,
+                    folded_rows: negative,
+                });
+                assert_eq!(est.fallback, want, "{dispatch:?} {sigmas:?}");
+                let dropped = if want.is_some() { 0 } else { negative };
+                assert_eq!(est.dropped_rows, dropped);
+            }
+        }
+        let householder = VarianceConfig {
+            backend: LstsqBackend::HouseholderQr,
+            ..VarianceConfig::default()
+        };
+        for (red, aug, sigmas, reason) in [
+            (&fig1, &aug1, &cases[3].2, TooFewRows),
+            (&fig2, &aug2, &self_rows_only, FactorFailed),
+        ] {
+            let est = estimate_variances_from_sigmas(red, aug, sigmas, &householder).unwrap();
+            assert_eq!(est.fallback.map(|f| f.reason), Some(reason));
+        }
+    }
+
+    /// The singularity certificate is a proof, checked against the
+    /// outcome it stands in for. On every kept mask it fires on, the
+    /// kept 0/1 matrix is rank-deficient, the kept Gram's Cholesky
+    /// fails (so the normal-equations path would have fallen back to
+    /// the same all-rows solve), and so does the sparse QR. Masks keep
+    /// every self row and each cross row with probability `q`, on
+    /// random trees, small Waxman meshes, budgeted pair sets (which may
+    /// drop self rows) and churned trees.
+    #[test]
+    fn certificate_fires_only_on_singular_kept_sets() {
+        use losstomo_linalg::rank;
+        use losstomo_topology::gen::tree::{self, TreeParams};
+        use losstomo_topology::gen::waxman::{self, WaxmanParams};
+        use losstomo_topology::{compute_paths, reduce, GeneratedTopology, PathId, TopologyDelta};
+        use rand::Rng;
+
+        let reduce_gen = |t: GeneratedTopology| {
+            reduce(&t.graph, &compute_paths(&t.graph, &t.beacons, &t.destinations))
+        };
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut systems: Vec<(ReducedTopology, AugmentedSystem)> = Vec::new();
+        for seed in 0..24u64 {
+            let params = TreeParams {
+                nodes: 12 + (seed as usize % 4) * 8,
+                max_branching: 2 + seed as usize % 3,
+            };
+            let red = reduce_gen(tree::generate(params, &mut StdRng::seed_from_u64(seed)));
+            let aug = AugmentedSystem::build(&red);
+            // A budgeted pair set of the same tree.
+            let sel = crate::budget::select_pairs(&aug, red.num_links() + aug.num_rows() / 4);
+            systems.push((red.clone(), aug.subset(&sel.rows)));
+            // The same tree after a churn event: one path rerouted onto
+            // another's route minus its leaf, one removed, one added.
+            let mut churned = red.clone();
+            let mut route = red.path_links(PathId(1)).to_vec();
+            route.pop();
+            let delta = TopologyDelta::new()
+                .reroute_path(PathId(0), route)
+                .remove_path(PathId(2))
+                .add_path(red.path_links(PathId(3)).to_vec());
+            if let Ok(effect) = churned.apply_delta(&delta) {
+                let (patched, _) = aug.apply_delta(&churned, &effect);
+                systems.push((churned, patched));
+            }
+            systems.push((red, aug));
+        }
+        for seed in 0..8u64 {
+            let params = WaxmanParams {
+                nodes: 16 + seed as usize * 2,
+                hosts: 5,
+                ..WaxmanParams::default()
+            };
+            let red = reduce_gen(waxman::generate(params, &mut StdRng::seed_from_u64(seed)));
+            let aug = AugmentedSystem::build(&red);
+            systems.push((red, aug));
+        }
+
+        let (mut fired, mut missed, mut masks) = (0usize, 0usize, 0usize);
+        for (red, aug) in &systems {
+            let nc = red.num_links();
+            for q in [0.0, 0.1, 0.3, 0.5, 0.8, 0.95] {
+                for _ in 0..4 {
+                    let kept: Vec<bool> = (0..aug.num_rows())
+                        .map(|r| {
+                            let (a, b) = aug.pair(r);
+                            a == b || rng.gen::<f64>() < q
+                        })
+                        .collect();
+                    let mut ws = Phase1Scratch::new();
+                    ws.reset_counts(nc);
+                    let mut rows = RoutingMatrix::builder(nc);
+                    for (r, _) in kept.iter().enumerate().filter(|(_, &k)| k) {
+                        ws.count_kept_row(aug.pair(r), aug.row(r));
+                        rows.push_sorted_row(aug.row(r));
+                    }
+                    let rows = rows.build();
+                    let deficient = rank(&rows.to_dense()) < nc;
+                    masks += 1;
+                    if deficient && ws.unsolvable(red, rows.rows()).is_none() {
+                        missed += 1;
+                    }
+                    let Some(link) = ws.certified_link(red) else {
+                        continue;
+                    };
+                    fired += 1;
+                    assert!(deficient, "certified link {link} on a full-rank kept set");
+                    let mut cache = GramCache::new();
+                    cache.sync(aug.matrix(), nc, &kept);
+                    let mut gram = Matrix::zeros(nc, nc);
+                    counts_to_symmetric(cache.counts(), gram.as_mut_slice(), nc);
+                    assert!(lstsq::solve_spd(&gram, &vec![1.0; nc]).is_err());
+                    assert!(solve_sparse(&rows, &vec![1.0; rows.rows()]).is_err());
+                }
+            }
+        }
+        eprintln!("certificate: {masks} masks, fired on {fired}, {missed} deficient ones unproven");
+        assert!(fired > masks / 4, "the certificate should fire on trees: {fired}/{masks}");
     }
 
     #[test]

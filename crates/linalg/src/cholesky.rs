@@ -41,12 +41,18 @@ impl Cholesky {
     /// differ from [`Cholesky::new_unblocked`] in the last bits
     /// (small systems take the unblocked path and match it exactly).
     pub fn new(a: &Matrix) -> Result<Self> {
-        let mut chol = Cholesky {
-            l: Matrix::zeros(0, 0),
-            blocked_scratch: Vec::new(),
-        };
+        let mut chol = Cholesky::empty();
         chol.factor_into(a)?;
         Ok(chol)
+    }
+
+    /// An unfactored instance with empty buffers, for
+    /// [`Cholesky::factor_into`] to fill.
+    pub(crate) fn empty() -> Self {
+        Cholesky {
+            l: Matrix::zeros(0, 0),
+            blocked_scratch: Vec::new(),
+        }
     }
 
     /// Re-factors `a` into this instance's preallocated factor buffer —

@@ -219,12 +219,12 @@ pub fn solve_spd_with(
 }
 
 /// (Re)factors into the workspace's Cholesky slot, reusing its buffer.
+/// The slot keeps its buffer when the factorisation fails, so a caller
+/// whose solves keep failing allocates the factor once.
 fn factor_cached<'a>(slot: &'a mut Option<Cholesky>, a: &Matrix) -> Result<&'a Cholesky> {
-    match slot {
-        Some(chol) => chol.factor_into(a)?,
-        None => *slot = Some(Cholesky::new(a)?),
-    }
-    Ok(slot.as_ref().expect("just filled"))
+    let chol = slot.get_or_insert_with(Cholesky::empty);
+    chol.factor_into(a)?;
+    Ok(chol)
 }
 
 /// Gathers `c` through `order`, solves against the permuted factor, and

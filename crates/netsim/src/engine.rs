@@ -204,6 +204,14 @@ pub fn simulate_snapshot<R: Rng>(
 ///
 /// Draws are round-major and link-minor, one `packet_survives` per link
 /// per round: the order the round-by-round engine made them in.
+///
+/// Never inlined: this loop is most of an experiment's time, and it is
+/// compiled in whichever crate names the RNG type. Inlined into its
+/// caller, its machine code depended on how that crate splits into
+/// codegen units, and edits elsewhere in `losstomo-core` swung
+/// `run_experiment`'s cost per simulated snapshot between 1.5 and
+/// 1.95 ms (2-vCPU x86-64 host).
+#[inline(never)]
 fn survival_masks<P: LossProcess, R: Rng>(
     truth: &[LinkTruth],
     process: impl Fn(f64) -> P,

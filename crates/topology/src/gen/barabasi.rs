@@ -5,7 +5,9 @@
 //! current degree, yielding the power-law degree distribution of
 //! Internet-like topologies.
 
-use super::{graph_from_undirected, least_degree_nodes, GeneratedTopology};
+use super::{
+    graph_from_undirected, least_degree_nodes, preferential_attachment, GeneratedTopology,
+};
 use crate::graph::NodeId;
 use rand::Rng;
 
@@ -40,27 +42,7 @@ pub fn generate<R: Rng>(params: BarabasiParams, rng: &mut R) -> GeneratedTopolog
         "need more nodes than the seed clique size"
     );
     assert!(params.hosts >= 2 && params.hosts <= params.nodes);
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    // Seed: a clique on m+1 nodes.
-    for u in 0..=m {
-        for v in (u + 1)..=m {
-            edges.push((u, v));
-        }
-    }
-    // Repeated-endpoint list: node degree equals its multiplicity.
-    let mut endpoint_pool: Vec<usize> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
-    for new in (m + 1)..params.nodes {
-        let mut targets = std::collections::HashSet::new();
-        while targets.len() < m {
-            let t = endpoint_pool[rng.gen_range(0..endpoint_pool.len())];
-            targets.insert(t);
-        }
-        for &t in &targets {
-            edges.push((new, t));
-            endpoint_pool.push(new);
-            endpoint_pool.push(t);
-        }
-    }
+    let edges = preferential_attachment(params.nodes, m, rng);
     let hosts = least_degree_nodes(params.nodes, &edges, params.hosts);
     let g = graph_from_undirected(params.nodes, &edges, &hosts);
     let host_ids: Vec<NodeId> = hosts.iter().map(|&h| NodeId(h as u32)).collect();
@@ -135,6 +117,20 @@ mod tests {
         // Undirected edges: seed clique + m per additional node, as duplex pairs.
         let expected_undirected = m * (m + 1) / 2 + (n - m - 1) * m;
         assert_eq!(t.graph.link_count(), 2 * expected_undirected);
+    }
+
+    #[test]
+    fn same_seed_same_edges() {
+        let params = BarabasiParams {
+            nodes: 300,
+            edges_per_node: 3,
+            hosts: 20,
+        };
+        let ends = |seed| -> Vec<_> {
+            let t = generate(params, &mut StdRng::seed_from_u64(seed));
+            t.graph.links().iter().map(|l| (l.src, l.dst)).collect()
+        };
+        assert_eq!(ends(7), ends(7));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! Both variants annotate every node with its AS id, which the Table-3
 //! analysis uses to classify congested links as inter- or intra-AS.
 
-use super::{connect_components, graph_from_undirected, least_degree_nodes, GeneratedTopology};
+use super::{
+    connect_components, graph_from_undirected, least_degree_nodes, preferential_attachment,
+    GeneratedTopology,
+};
 use crate::graph::NodeId;
 use rand::Rng;
 
@@ -125,26 +128,7 @@ fn top_down_edges<R: Rng>(params: HierParams, rng: &mut R) -> (Vec<(usize, usize
 /// Flat BA graph + BFS clustering into ASes.
 fn bottom_up_edges<R: Rng>(params: HierParams, rng: &mut R) -> (Vec<(usize, usize)>, Vec<u32>) {
     let n = params.as_count * params.routers_per_as;
-    // Reuse the BA process inline (m = 2).
-    let m = 2usize;
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for u in 0..=m {
-        for v in (u + 1)..=m {
-            edges.push((u, v));
-        }
-    }
-    let mut pool: Vec<usize> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
-    for new in (m + 1)..n {
-        let mut targets = std::collections::HashSet::new();
-        while targets.len() < m {
-            targets.insert(pool[rng.gen_range(0..pool.len())]);
-        }
-        for &t in &targets {
-            edges.push((new, t));
-            pool.push(new);
-            pool.push(t);
-        }
-    }
+    let edges = preferential_attachment(n, 2, rng);
     // BFS clustering: grow each AS from a random unassigned seed until it
     // holds ~routers_per_as nodes.
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -237,6 +221,18 @@ mod tests {
             .count();
         assert!(inter > 0, "no inter-AS links");
         assert!(intra > inter, "intra-AS links should dominate");
+    }
+
+    #[test]
+    fn same_seed_same_edges() {
+        for mode in [HierMode::TopDown, HierMode::BottomUp] {
+            let (a, b) = (small(mode), small(mode));
+            assert_eq!(link_ends(&a), link_ends(&b), "{mode:?}");
+        }
+    }
+
+    fn link_ends(t: &GeneratedTopology) -> Vec<(NodeId, NodeId)> {
+        t.graph.links().iter().map(|l| (l.src, l.dst)).collect()
     }
 
     #[test]

@@ -65,6 +65,41 @@ pub(crate) fn graph_from_undirected(
     g
 }
 
+/// Grows a Barabási–Albert graph on `n` nodes: a clique on the first
+/// `m + 1`, then every later node attaches to `m` distinct earlier
+/// nodes drawn with probability proportional to their degree. Edges are
+/// pushed in draw order, so the graph depends on the RNG alone.
+pub(crate) fn preferential_attachment<R: Rng>(
+    n: usize,
+    m: usize,
+    rng: &mut R,
+) -> Vec<(usize, usize)> {
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    for u in 0..=m {
+        for v in (u + 1)..=m {
+            edges.push((u, v));
+        }
+    }
+    // Repeated-endpoint list: node degree equals its multiplicity.
+    let mut pool: Vec<usize> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
+    let mut targets: Vec<usize> = Vec::with_capacity(m);
+    for new in (m + 1)..n {
+        targets.clear();
+        while targets.len() < m {
+            let t = pool[rng.gen_range(0..pool.len())];
+            if !targets.contains(&t) {
+                targets.push(t);
+            }
+        }
+        for &t in &targets {
+            edges.push((new, t));
+            pool.push(new);
+            pool.push(t);
+        }
+    }
+    edges
+}
+
 /// Connects the components of an undirected edge set over `n` nodes by
 /// linking a random node of each non-primary component to a random node
 /// of the primary one. Returns the added edges.
