@@ -1,8 +1,8 @@
 //! Criterion micro-benches for the Phase-1 hot path: the one-pass
 //! covariance sweep and the full variance estimation, at quick scale.
-//! The wall-clock stage report (with the embedded pre-optimisation
-//! baseline) lives in the `perf_phase1` *binary*; these benches track
-//! the same kernels under Criterion's repeated-sampling harness.
+//! The wall-clock stage report lives in the `perf_phase1` *binary*;
+//! these benches track the same kernels under Criterion's
+//! repeated-sampling harness.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use losstomo_bench::{tree_topology, Scale};

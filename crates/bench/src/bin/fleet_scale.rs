@@ -1,19 +1,16 @@
-//! fleet_scale — the multi-tenant fleet layer: allocation-reuse refresh
-//! latency and tenant-throughput scaling.
+//! fleet_scale — the multi-tenant fleet layer: refresh latency and
+//! tenant-throughput scaling.
 //!
 //! Two measurements, one report (`BENCH_fleet.json`):
 //!
-//! 1. **Refresh hot path** on the paper-scale tree: one
-//!    `OnlineEstimator` running the reusable refresh workspace
-//!    (`ScratchMode::Reuse` — recycled covariance replay, Gram
-//!    expansion, SPD permutation + Cholesky factor, Phase-2 factor
-//!    buffers) vs an identical estimator reallocating everything per
-//!    refresh (`ScratchMode::AllocPerRefresh`, the historical
-//!    behaviour). Both ingest the same snapshots and are asserted
-//!    **bit-identical**; p50/p99 per-refresh latency, the p50 speedup
-//!    (≥ 1.3× gated at paper scale, p99 < 3× p50), and the p50
-//!    per-phase breakdown (covariance / Phase 1 / Phase 2) of each
-//!    refresh are recorded.
+//! 1. **Refresh hot path** on the paper-scale tree: one long-lived
+//!    `OnlineEstimator` with an unbounded window refreshes once per
+//!    measured snapshot. Every timed refresh is asserted
+//!    **bit-identical** to an untimed batch recompute over the same
+//!    rows (`estimate_variances` + `infer_link_rates`); p50/p99
+//!    per-refresh latency (p99 < 3× p50 gated at paper scale) and the
+//!    p50 per-phase breakdown (covariance / Phase 1 / Phase 2) are
+//!    recorded.
 //! 2. **Fleet scaling**: a fleet of independent tree tenants driven
 //!    round-robin, drained with 1, 2, 4 and 8 worker threads (set per
 //!    run via `FleetConfig::workers`, capped by the tenant count).
@@ -28,11 +25,14 @@
 use losstomo_bench::{
     bench_meta, count_from_args, percentile_ms, tree_topology, write_bench_report, BenchMeta, Scale,
 };
-use losstomo_core::{OnlineConfig, OnlineEstimator, ScratchMode};
+use losstomo_core::{
+    estimate_variances, infer_link_rates, CenteredMeasurements, LiaConfig, OnlineConfig,
+    OnlineEstimator, VarianceConfig,
+};
 use losstomo_fleet::{Fleet, FleetConfig, TenantId};
 use losstomo_netsim::{
-    simulate_run, simulate_run_batch, CongestionDynamics, CongestionScenario, ProbeConfig,
-    Snapshot,
+    simulate_run, simulate_run_batch, CongestionDynamics, CongestionScenario, MeasurementSet,
+    ProbeConfig, Snapshot,
 };
 use losstomo_topology::gen::tree::{self, TreeParams};
 use losstomo_topology::ReducedTopology;
@@ -41,7 +41,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// Reuse-vs-alloc refresh comparison on the paper tree.
+/// Refresh latency of a long-lived estimator on the paper tree.
 #[derive(Debug, Serialize, Deserialize)]
 struct RefreshReport {
     topology: String,
@@ -50,19 +50,14 @@ struct RefreshReport {
     aug_rows: usize,
     warmup_snapshots: usize,
     measured_refreshes: usize,
-    /// Per-refresh latency of the reused workspace, milliseconds.
+    /// Per-refresh latency of the live workspace, milliseconds.
     reuse_p50_ms: f64,
     /// p99 (max of the measured refreshes at these sample counts).
     reuse_p99_ms: f64,
-    /// Per-refresh latency of the reallocating baseline, ms.
-    alloc_p50_ms: f64,
-    /// p99 of the reallocating baseline, ms.
-    alloc_p99_ms: f64,
-    /// `alloc_p50_ms / reuse_p50_ms`.
-    speedup_p50: f64,
-    /// Reuse and alloc estimates agree bit-for-bit on every refresh.
+    /// Every refresh agrees bit-for-bit with a batch recompute over
+    /// the same rows.
     bitwise_identical: bool,
-    /// p50 of the covariance-assembly span of each reuse refresh, ms.
+    /// p50 of the covariance-assembly span of each refresh, ms.
     cov_p50_ms: f64,
     /// p50 of the Phase-1 (variance estimation) span, ms.
     phase1_p50_ms: f64,
@@ -109,10 +104,11 @@ fn ms(t: Duration) -> f64 {
     t.as_secs_f64() * 1e3
 }
 
-/// Refresh-latency comparison: both estimators ingest the same stream
-/// on a huge cadence (so ingest never auto-refreshes), then each
-/// measured snapshot triggers one explicitly timed `refresh()`.
-fn refresh_comparison(scale: Scale) -> RefreshReport {
+/// Refresh latency: the estimator ingests the stream on a manual
+/// cadence (so ingest never auto-refreshes), then each measured
+/// snapshot triggers one explicitly timed `refresh()`, checked against
+/// an untimed batch recompute.
+fn refresh_latency(scale: Scale) -> RefreshReport {
     let prep = tree_topology(scale, 11);
     let red = &prep.red;
     let (warmup, measured) = match scale {
@@ -127,7 +123,14 @@ fn refresh_comparison(scale: Scale) -> RefreshReport {
         .into_iter()
         .next()
         .expect("one run requested");
-    let aug_rows = losstomo_core::AugmentedSystem::build(red).num_rows();
+    let mut online = OnlineEstimator::new(
+        red,
+        OnlineConfig {
+            refresh_every: usize::MAX,
+            ..OnlineConfig::default()
+        },
+    );
+    let aug_rows = online.augmented().num_rows();
     println!(
         "refresh hot path: {} — {} paths, {} links, {} augmented rows",
         prep.name,
@@ -135,96 +138,72 @@ fn refresh_comparison(scale: Scale) -> RefreshReport {
         red.num_links(),
         aug_rows
     );
-
-    // Manual-cadence configs: identical numerics, different workspaces.
-    let manual = OnlineConfig {
-        refresh_every: usize::MAX,
-        ..OnlineConfig::default()
-    };
-    let mut reuse = OnlineEstimator::new(
-        red,
-        OnlineConfig {
-            scratch: ScratchMode::Reuse,
-            ..manual
-        },
-    );
-    let mut alloc = OnlineEstimator::new(
-        red,
-        OnlineConfig {
-            scratch: ScratchMode::AllocPerRefresh,
-            ..manual
-        },
-    );
     for snap in &all.snapshots[..warmup] {
-        reuse.ingest(snap).expect("warmup");
-        alloc.ingest(snap).expect("warmup");
+        online.ingest(snap).expect("warmup");
     }
-    // Put both on a warmed steady state before timing.
-    reuse.refresh().expect("warm refresh");
-    alloc.refresh().expect("warm refresh");
+    // Put the estimator on a warmed steady state before timing.
+    online.refresh().expect("warm refresh");
 
-    let header = format!("{:<10} {:>12} {:>12} {:>9}", "snapshot", "reuse", "alloc", "speedup");
+    let header = format!("{:<10} {:>12}", "snapshot", "refresh");
     println!("{header}");
     losstomo_bench::rule(&header);
-    let mut reuse_samples = Vec::new();
-    let mut alloc_samples = Vec::new();
+    let mut refresh_samples = Vec::new();
     let mut cov_samples = Vec::new();
     let mut p1_samples = Vec::new();
     let mut p2_samples = Vec::new();
     let mut bitwise_identical = true;
     for (t, snap) in all.snapshots[warmup..].iter().enumerate() {
-        reuse.ingest(snap).expect("ingest");
-        alloc.ingest(snap).expect("ingest");
+        online.ingest(snap).expect("ingest");
         let t0 = Instant::now();
-        reuse.refresh().expect("reuse refresh");
-        let dt_reuse = t0.elapsed();
-        let spans = reuse
+        online.refresh().expect("refresh");
+        let dt = t0.elapsed();
+        let spans = online
             .last_refresh_timing()
             .expect("successful refresh records its phase spans");
         cov_samples.push(spans.covariance);
         p1_samples.push(spans.phase1);
         p2_samples.push(spans.phase2);
-        let t0 = Instant::now();
-        alloc.refresh().expect("alloc refresh");
-        let dt_alloc = t0.elapsed();
-        bitwise_identical &= reuse.variances().expect("warm").v == alloc.variances().expect("warm").v
-            && reuse.kept_columns() == alloc.kept_columns();
-        println!(
-            "{:<10} {:>10.2}ms {:>10.2}ms {:>8.2}x",
-            warmup + t,
-            ms(dt_reuse),
-            ms(dt_alloc),
-            ms(dt_alloc) / ms(dt_reuse).max(1e-9)
-        );
-        reuse_samples.push(dt_reuse);
-        alloc_samples.push(dt_alloc);
+        // Untimed batch recompute over every row in the window.
+        let window = MeasurementSet {
+            snapshots: all.snapshots[..=warmup + t].to_vec(),
+        };
+        let batch_v = estimate_variances(
+            red,
+            online.augmented(),
+            &CenteredMeasurements::new(&window),
+            &VarianceConfig::default(),
+        )
+        .expect("batch phase 1");
+        let y = snap.log_rates();
+        let batch_p2 =
+            infer_link_rates(red, &batch_v.v, &y, &LiaConfig::default()).expect("batch phase 2");
+        let online_v = online.variances().expect("warm");
+        let online_p2 = online.estimate(&y).expect("online phase 2");
+        bitwise_identical &= online_v.v == batch_v.v
+            && online_v.dropped_rows == batch_v.dropped_rows
+            && online_v.used_rows == batch_v.used_rows
+            && online_v.fallback == batch_v.fallback
+            && online_p2.transmission == batch_p2.transmission
+            && online_p2.kept == batch_p2.kept;
+        println!("{:<10} {:>10.2}ms", warmup + t, ms(dt));
+        refresh_samples.push(dt);
     }
-    let reuse_p50 = percentile_ms(&mut reuse_samples, 0.5);
-    let reuse_p99 = percentile_ms(&mut reuse_samples, 0.99);
-    let alloc_p50 = percentile_ms(&mut alloc_samples, 0.5);
-    let alloc_p99 = percentile_ms(&mut alloc_samples, 0.99);
+    let reuse_p50 = percentile_ms(&mut refresh_samples, 0.5);
+    let reuse_p99 = percentile_ms(&mut refresh_samples, 0.99);
     let cov_p50 = percentile_ms(&mut cov_samples, 0.5);
     let phase1_p50 = percentile_ms(&mut p1_samples, 0.5);
     let phase2_p50 = percentile_ms(&mut p2_samples, 0.5);
-    let speedup = alloc_p50 / reuse_p50.max(1e-9);
     println!();
-    println!(
-        "per-refresh p50: reuse {reuse_p50:.2}ms vs alloc {alloc_p50:.2}ms ({speedup:.2}x), \
-         p99 {reuse_p99:.2}ms vs {alloc_p99:.2}ms"
-    );
+    println!("per-refresh p50 {reuse_p50:.2}ms, p99 {reuse_p99:.2}ms");
     println!(
         "refresh breakdown p50: covariance {cov_p50:.2}ms, phase 1 {phase1_p50:.2}ms, \
          phase 2 {phase2_p50:.2}ms"
     );
     assert!(
         bitwise_identical,
-        "scratch reuse changed the estimates — the exactness contract is broken"
+        "a refresh drifted from the batch recompute — the exactness contract is broken"
     );
     if scale == Scale::Paper {
-        assert!(
-            speedup >= 1.3,
-            "reused scratch must be ≥1.3x the allocating refresh, got {speedup:.2}x"
-        );
         // Tail gate: a refresh that moves the Phase-2 elimination cut
         // used to re-run the full (0, nc) rank bisection, and a
         // singular Phase-1 retry refactorised the fallback Gram from
@@ -246,9 +225,6 @@ fn refresh_comparison(scale: Scale) -> RefreshReport {
         measured_refreshes: measured,
         reuse_p50_ms: reuse_p50,
         reuse_p99_ms: reuse_p99,
-        alloc_p50_ms: alloc_p50,
-        alloc_p99_ms: alloc_p99,
-        speedup_p50: speedup,
         bitwise_identical,
         cov_p50_ms: cov_p50,
         phase1_p50_ms: phase1_p50,
@@ -431,11 +407,11 @@ fn scaling_sweep(scale: Scale) -> ScalingReport {
 fn main() {
     let scale = Scale::from_args();
     println!(
-        "fleet_scale — allocation-reuse refresh + fleet throughput ({} scale)",
+        "fleet_scale — refresh latency + fleet throughput ({} scale)",
         scale.name()
     );
     println!();
-    let refresh = refresh_comparison(scale);
+    let refresh = refresh_latency(scale);
     println!();
     let scaling = scaling_sweep(scale);
     let report = FleetBenchReport {

@@ -1,14 +1,9 @@
-//! perf_phase1 — wall-clock timings of the numeric hot path, with an
-//! embedded pre-optimisation baseline.
+//! perf_phase1 — wall-clock timings of the numeric hot path.
 //!
 //! Times every stage of the two-phase pipeline (snapshot simulation,
 //! building `A`, one-pass covariance, the Phase-1 solve, Phase 2) on the
-//! paper's tree topology (headline) and the PlanetLab-like mesh, and
-//! re-runs the covariance + Phase-1 stage through a faithful
-//! re-implementation of the pre-optimisation code path (snapshot-major
-//! `Vec<Vec<f64>>` deviations, one strided covariance walk per augmented
-//! row, unblocked Cholesky) so the speedup is measured inside a single
-//! binary with identical compiler flags.
+//! paper's tree topology and the PlanetLab-like mesh, and asserts that
+//! the serial and multi-threaded covariance sweeps agree bit for bit.
 //!
 //! Writes a machine-readable report to `BENCH_phase1.json` at the repo
 //! root (override with `--out PATH`). CI runs this at `--scale quick`
@@ -26,7 +21,6 @@ use losstomo_core::covariance::CenteredMeasurements;
 use losstomo_core::{
     estimate_variances, infer_link_rates, LiaConfig, VarianceConfig,
 };
-use losstomo_linalg::{Cholesky, Matrix};
 use losstomo_netsim::{
     simulate_run_batch, CongestionDynamics, CongestionScenario, MeasurementSet, ProbeConfig,
 };
@@ -42,8 +36,7 @@ struct StagesMs {
     build_a: f64,
     covariance: f64,
     phase1_solve: f64,
-    covariance_phase1_new: f64,
-    covariance_phase1_baseline: f64,
+    covariance_phase1: f64,
     phase2: f64,
 }
 
@@ -55,26 +48,14 @@ struct TopologyReport {
     aug_rows: usize,
     snapshots: usize,
     stages_ms: StagesMs,
-    speedup_covariance_phase1: f64,
-    /// Max |new − baseline| over the estimated variances.
-    baseline_estimate_max_abs_diff: f64,
     /// Serial and multi-threaded covariance sweeps agree bit-for-bit.
     serial_parallel_identical: bool,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Headline {
-    topology: String,
-    baseline_covariance_phase1_ms: f64,
-    new_covariance_phase1_ms: f64,
-    speedup: f64,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
 struct BenchReport {
     meta: BenchMeta,
     topologies: Vec<TopologyReport>,
-    headline: Headline,
 }
 
 fn ms(t: std::time::Duration) -> f64 {
@@ -85,91 +66,6 @@ fn ms(t: std::time::Duration) -> f64 {
 fn median(samples: &mut [std::time::Duration]) -> std::time::Duration {
     samples.sort_unstable();
     samples[samples.len() / 2]
-}
-
-/// The augmented rows in the pre-optimisation memory layout: one heap
-/// `Vec` per row (the flat CSR layout the system uses today is part of
-/// what this PR measures, so the baseline must not benefit from it).
-type LegacyRows = Vec<((usize, usize), Vec<usize>)>;
-
-fn legacy_rows(aug: &AugmentedSystem) -> LegacyRows {
-    aug.iter()
-        .map(|(pair, links)| ((pair.0.index(), pair.1.index()), links.to_vec()))
-        .collect()
-}
-
-/// The pre-optimisation covariance + Phase-1 path, verbatim: snapshot-
-/// major deviations, one O(m) strided covariance per augmented row
-/// inside the assembly loop over per-row heap allocations, normal
-/// equations solved with the unblocked Cholesky, and the production
-/// retry (recompute everything keeping all rows when dropping the
-/// negative-covariance ones leaves a singular system). Returns the
-/// variance estimates for cross-checking.
-fn baseline_covariance_phase1(aug: &LegacyRows, rows: &[Vec<f64>], nc: usize) -> Vec<f64> {
-    match baseline_inner(aug, rows, nc, true) {
-        Some(v) => v,
-        None => baseline_inner(aug, rows, nc, false)
-            .expect("phase-1 normal equations are SPD with all rows kept"),
-    }
-}
-
-fn baseline_inner(
-    aug: &LegacyRows,
-    rows: &[Vec<f64>],
-    nc: usize,
-    drop_negative: bool,
-) -> Option<Vec<f64>> {
-    let m = rows.len();
-    let n_paths = rows[0].len();
-    let mut means = vec![0.0; n_paths];
-    for row in rows {
-        for (mean, y) in means.iter_mut().zip(row.iter()) {
-            *mean += y;
-        }
-    }
-    for mean in means.iter_mut() {
-        *mean /= m as f64;
-    }
-    let deviations: Vec<Vec<f64>> = rows
-        .iter()
-        .map(|row| {
-            row.iter()
-                .zip(means.iter())
-                .map(|(y, mean)| y - mean)
-                .collect()
-        })
-        .collect();
-    let cov = |i: usize, j: usize| -> f64 {
-        let sum: f64 = deviations.iter().map(|row| row[i] * row[j]).sum();
-        sum / (m - 1) as f64
-    };
-
-    let mut gram = Matrix::zeros(nc, nc);
-    let mut atb = vec![0.0; nc];
-    let mut used = 0usize;
-    for (pair, links) in aug.iter() {
-        let sigma = cov(pair.0, pair.1);
-        if drop_negative && sigma < 0.0 {
-            continue;
-        }
-        used += 1;
-        for (ai, &ka) in links.iter().enumerate() {
-            atb[ka] += sigma;
-            for &kb in &links[ai..] {
-                gram[(ka, kb)] += 1.0;
-            }
-        }
-    }
-    if used < nc {
-        return None;
-    }
-    for j in 0..nc {
-        for k in (j + 1)..nc {
-            gram[(k, j)] = gram[(j, k)];
-        }
-    }
-    let chol = Cholesky::new_unblocked(&gram).ok()?;
-    chol.solve(&atb).ok()
 }
 
 fn bench_topology(prep: &PreparedTopology, snapshots: usize) -> TopologyReport {
@@ -194,55 +90,34 @@ fn bench_topology(prep: &PreparedTopology, snapshots: usize) -> TopologyReport {
     let aug = AugmentedSystem::build(red);
     let t_build = t.elapsed();
 
-    // New path, end to end (centering + the production
-    // `estimate_variances` call — the baseline's timed region also
-    // centres its snapshots, so both contenders carry the same work),
-    // timed as the median of three runs: this box is a noisy
-    // single-core VM and both contenders deserve a stable clock.
+    // Covariance + Phase 1 end to end (centering + the production
+    // `estimate_variances` call), timed as the median of three runs
+    // for a stable clock on a noisy host.
     let var_cfg = VarianceConfig::default();
-    let mut new_samples = Vec::new();
+    let mut samples = Vec::new();
     let mut timed = None;
     for _ in 0..3 {
         let t = Instant::now();
         let centered = CenteredMeasurements::new(&train);
         let est = estimate_variances(red, &aug, &centered, &var_cfg).expect("phase 1");
-        new_samples.push(t.elapsed());
+        samples.push(t.elapsed());
         timed = Some((centered, est));
     }
     let (centered, est) = timed.expect("three timed runs completed");
-    let t_new_total = median(&mut new_samples);
+    let t_total = median(&mut samples);
 
-    // Stage breakdown of the new path: covariance sweep alone, then the
+    // Stage breakdown: covariance sweep alone, then the
     // assembly + solve with the covariances in hand.
     let pairs = aug.pair_indices();
     let t = Instant::now();
     let sigmas = centered.pair_covariances(&pairs);
     let t_cov = t.elapsed();
-    let t_solve = t_new_total.saturating_sub(t_cov);
+    let t_solve = t_total.saturating_sub(t_cov);
 
     // Serial vs parallel covariance sweeps must agree bit-for-bit.
     let serial = centered.pair_covariances_with_threads(&pairs, 1);
     let parallel = centered.pair_covariances_with_threads(&pairs, 4);
     let serial_parallel_identical = serial == parallel && serial == sigmas;
-
-    // Baseline (pre-optimisation) covariance + Phase 1, same
-    // median-of-three clock, over the pre-PR per-row heap layout.
-    let legacy = legacy_rows(&aug);
-    let rows = train.log_rate_rows();
-    let mut base_samples = Vec::new();
-    let mut v_base = Vec::new();
-    for _ in 0..3 {
-        let t = Instant::now();
-        v_base = baseline_covariance_phase1(&legacy, &rows, red.num_links());
-        base_samples.push(t.elapsed());
-    }
-    let t_base = median(&mut base_samples);
-    let baseline_estimate_max_abs_diff = est
-        .v
-        .iter()
-        .zip(v_base.iter())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0_f64, f64::max);
 
     // Phase 2 on the evaluation snapshot.
     let t = Instant::now();
@@ -261,12 +136,9 @@ fn bench_topology(prep: &PreparedTopology, snapshots: usize) -> TopologyReport {
             build_a: ms(t_build),
             covariance: ms(t_cov),
             phase1_solve: ms(t_solve),
-            covariance_phase1_new: ms(t_new_total),
-            covariance_phase1_baseline: ms(t_base),
+            covariance_phase1: ms(t_total),
             phase2: ms(t_phase2),
         },
-        speedup_covariance_phase1: ms(t_base) / ms(t_new_total).max(1e-9),
-        baseline_estimate_max_abs_diff,
         serial_parallel_identical,
     }
 }
@@ -279,8 +151,8 @@ fn main() {
 
     let preps = vec![tree_topology(scale, 11), planetlab_topology(scale, 42)];
     let header = format!(
-        "{:<26} {:>7} {:>7} {:>9} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "Topology", "paths", "links", "rows", "cov", "phase1", "new total", "baseline", "speedup"
+        "{:<26} {:>7} {:>7} {:>9} {:>12} {:>12} {:>12} {:>12}",
+        "Topology", "paths", "links", "rows", "cov", "phase1", "cov+phase1", "phase2"
     );
     println!("{header}");
     losstomo_bench::rule(&header);
@@ -289,53 +161,27 @@ fn main() {
     for prep in &preps {
         let rep = bench_topology(prep, snapshots);
         println!(
-            "{:<26} {:>7} {:>7} {:>9} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>8.2}x",
+            "{:<26} {:>7} {:>7} {:>9} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms",
             rep.name,
             rep.paths,
             rep.links,
             rep.aug_rows,
             rep.stages_ms.covariance,
             rep.stages_ms.phase1_solve,
-            rep.stages_ms.covariance_phase1_new,
-            rep.stages_ms.covariance_phase1_baseline,
-            rep.speedup_covariance_phase1,
+            rep.stages_ms.covariance_phase1,
+            rep.stages_ms.phase2,
         );
         assert!(
             rep.serial_parallel_identical,
             "{}: serial and parallel covariance sweeps drifted",
             rep.name
         );
-        assert!(
-            rep.baseline_estimate_max_abs_diff < 1e-8,
-            "{}: baseline and optimised estimates disagree by {}",
-            rep.name,
-            rep.baseline_estimate_max_abs_diff
-        );
         reports.push(rep);
     }
-
-    let headline = {
-        let tree = &reports[0];
-        Headline {
-            topology: tree.name.clone(),
-            baseline_covariance_phase1_ms: tree.stages_ms.covariance_phase1_baseline,
-            new_covariance_phase1_ms: tree.stages_ms.covariance_phase1_new,
-            speedup: tree.speedup_covariance_phase1,
-        }
-    };
-    println!();
-    println!(
-        "headline ({}): covariance+phase1 {:.2}ms -> {:.2}ms ({:.2}x)",
-        headline.topology,
-        headline.baseline_covariance_phase1_ms,
-        headline.new_covariance_phase1_ms,
-        headline.speedup
-    );
 
     let report = BenchReport {
         meta: bench_meta("perf_phase1", scale),
         topologies: reports,
-        headline,
     };
     write_bench_report("BENCH_phase1.json", &report);
 }

@@ -11,28 +11,22 @@
 //! * **cholesky** — `Cholesky::factor_into_with` on the SPD matrix
 //!   `RᵀR + εI` (the trailing-update kernel dominates);
 //! * **covariance** — `CenteredMeasurements::pair_covariances_with_engine`
-//!   over the tree's augmented pair list;
-//! * **sparse_qr** — `SparseQr::refactor_with` on the 2450-path Waxman
-//!   routing matrix. The Givens rotation is merge-bound, so dispatch
-//!   keeps the single-pass scalar rotation under every engine (see
-//!   `ROTATE_SPAN_MIN` in `losstomo-linalg`); this row pins the
-//!   no-regression contract (≈1.0×) rather than a speedup.
+//!   over the tree's augmented pair list.
 //!
 //! The non-FMA AVX2 engine is asserted **bit-identical** to scalar on
 //! every kernel; the opt-in `avx2+fma` engine's maximum relative
 //! deviation is recorded (contracted rounding, ~1e-16 per op). At paper
 //! scale on AVX2 hardware the report gates in-binary: at least two of
-//! the four kernel families must show a ≥1.5× SIMD speedup.
+//! the three kernel families must show a ≥1.5× SIMD speedup.
 //!
 //! Flags: `--scale quick|paper`, `--runs N`, `--out PATH`. Writes
 //! `BENCH_simd.json`.
 
 use losstomo_bench::{
-    bench_meta, runs_from_args, tree_topology, waxman_topology, write_bench_report, BenchMeta,
-    Scale,
+    bench_meta, runs_from_args, tree_topology, write_bench_report, BenchMeta, Scale,
 };
 use losstomo_core::{AugmentedSystem, CenteredMeasurements};
-use losstomo_linalg::{blocked, Cholesky, CsrMatrix, Engine, SparseQr};
+use losstomo_linalg::{blocked, Cholesky, Engine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -43,7 +37,7 @@ use std::time::Instant;
 /// One kernel × engine-set measurement.
 #[derive(Debug, Serialize, Deserialize)]
 struct KernelTiming {
-    /// Kernel name (`matmul`, `gram`, `cholesky`, `covariance`, `sparse_qr`).
+    /// Kernel name (`matmul`, `gram`, `cholesky`, `covariance`).
     kernel: String,
     /// Dispatch family the kernel belongs to (the gate counts families).
     family: String,
@@ -193,17 +187,10 @@ fn main() {
     println!();
 
     let tree = tree_topology(scale, 11);
-    let waxman = waxman_topology(scale, 17);
     let r = tree.red.matrix.to_dense();
     let rt = r.transpose();
     let (np, nl) = (r.rows(), r.cols());
-    println!(
-        "inputs: {} ({np} paths × {nl} links), {} ({} paths × {} links)",
-        tree.name,
-        waxman.name,
-        waxman.red.num_paths(),
-        waxman.red.num_links()
-    );
+    println!("inputs: {} ({np} paths × {nl} links)", tree.name);
 
     // SPD input for the Cholesky kernel: RᵀR plus a diagonal bump that
     // keeps the tree's rank-deficient Gram positive definite.
@@ -217,7 +204,6 @@ fn main() {
     };
     let pairs = AugmentedSystem::build(&tree.red).pair_indices();
     let meas = synthetic_measurements(np, snapshots);
-    let csr: CsrMatrix = waxman.red.matrix.to_sparse();
 
     let header = format!(
         "{:<10} {:>12} {:>12} {:>12} {:>8}   {}",
@@ -227,11 +213,10 @@ fn main() {
     println!("{header}");
     losstomo_bench::rule(&header);
 
-    // Reused factorisation workspaces so the timed region is the kernel
-    // itself, not constructor or conversion overhead (RefCell: the
-    // timing and output closures of one kernel share the workspace).
+    // A reused factorisation workspace so the timed region is the
+    // kernel itself, not constructor overhead (RefCell: the timing and
+    // output closures share the workspace).
     let chol = RefCell::new(Cholesky::new(&spd).expect("SPD by construction"));
-    let qr = RefCell::new(SparseQr::new_with(csr.clone(), Engine::Scalar).expect("routing matrix"));
     let kernels = vec![
         bench_kernel(
             "matmul",
@@ -279,26 +264,6 @@ fn main() {
             },
             |e| meas.pair_covariances_with_engine(&pairs, e),
         ),
-        bench_kernel(
-            "sparse_qr",
-            "sparse_qr",
-            format!("qr({}x{}, nnz={})", csr.rows(), csr.cols(), csr.nnz()),
-            runs,
-            |e| {
-                let rfac = qr
-                    .borrow_mut()
-                    .refactor_with(csr.clone(), e)
-                    .expect("routing matrix");
-                black_box(rfac);
-            },
-            |e| {
-                let rfac = qr
-                    .borrow_mut()
-                    .refactor_with(csr.clone(), e)
-                    .expect("routing matrix");
-                rfac.to_dense().as_slice().to_vec()
-            },
-        ),
     ];
 
     // Exactness: the default (non-FMA) AVX2 engine must reproduce the
@@ -314,7 +279,7 @@ fn main() {
     }
 
     // Speed gate: at paper scale on AVX2 hardware, at least two of the
-    // four kernel families must clear 1.5x.
+    // three kernel families must clear 1.5x.
     let mut families: Vec<&str> = Vec::new();
     for k in &kernels {
         if k.speedup_avx2.is_some_and(|s| s >= 1.5) && !families.contains(&k.family.as_str()) {
@@ -324,7 +289,7 @@ fn main() {
     let families_at_gate = families.len();
     println!();
     println!(
-        "families ≥1.5x under AVX2: {families_at_gate}/4 ({})",
+        "families ≥1.5x under AVX2: {families_at_gate}/3 ({})",
         if families.is_empty() {
             "none".to_string()
         } else {
@@ -334,7 +299,7 @@ fn main() {
     if scale == Scale::Paper && Engine::avx2_available() {
         assert!(
             families_at_gate >= 2,
-            "SIMD dispatch must speed up ≥2 of 4 kernel families by ≥1.5x at paper scale, \
+            "SIMD dispatch must speed up ≥2 of 3 kernel families by ≥1.5x at paper scale, \
              got {families_at_gate}"
         );
     }

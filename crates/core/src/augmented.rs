@@ -16,7 +16,7 @@
 //!   `O(shared pairs)` instead of `n_p(n_p+1)/2` rows).
 //! * When paths are added or removed (beacon churn, routing changes),
 //!   only the rows touching changed paths need recomputation —
-//!   [`AugmentedSystem::with_paths_replaced`] does exactly that.
+//!   [`AugmentedSystem::apply_delta`] does exactly that.
 
 use losstomo_linalg::{rank, CsrMatrix, Matrix};
 use losstomo_topology::{DeltaEffect, PathId, ReducedTopology, RoutingMatrix};
@@ -191,65 +191,6 @@ impl AugmentedSystem {
         }
     }
 
-    /// Incrementally rebuilds the system after the paths in `changed`
-    /// were re-routed (or added/removed) in `red`: rows touching a
-    /// changed path are recomputed, all other rows are reused.
-    ///
-    /// `red` must be the *new* reduced topology with the same link
-    /// numbering; path ids must be stable for unchanged paths.
-    pub fn with_paths_replaced(&self, red: &ReducedTopology, changed: &[PathId]) -> Self {
-        let changed_set: std::collections::HashSet<PathId> = changed.iter().copied().collect();
-        let np = red.num_paths();
-        let mut pairs = Vec::with_capacity(self.pairs.len());
-        let mut rows = RoutingMatrix::builder(red.num_links());
-        // Keep untouched rows that still reference valid paths.
-        for (pair, row) in self.iter() {
-            if pair.0.index() >= np || pair.1.index() >= np {
-                continue;
-            }
-            if changed_set.contains(&pair.0) || changed_set.contains(&pair.1) {
-                continue;
-            }
-            pairs.push(pair);
-            rows.push_sorted_row(row);
-        }
-        // Recompute all pairs involving a changed path.
-        let mut seen: std::collections::HashSet<(PathId, PathId)> =
-            pairs.iter().copied().collect();
-        let mut scratch: Vec<usize> = Vec::new();
-        for &c in changed {
-            if c.index() >= np {
-                continue; // removed path
-            }
-            for other in 0..np {
-                let o = PathId(other as u32);
-                let key = if c <= o { (c, o) } else { (o, c) };
-                if !seen.insert(key) {
-                    continue;
-                }
-                scratch.clear();
-                if key.0 == key.1 {
-                    scratch.extend_from_slice(red.path_links(key.0));
-                } else {
-                    intersect_sorted_into(
-                        red.path_links(key.0),
-                        red.path_links(key.1),
-                        &mut scratch,
-                    );
-                }
-                if scratch.is_empty() {
-                    continue;
-                }
-                pairs.push(key);
-                rows.push_sorted_row(&scratch);
-            }
-        }
-        AugmentedSystem {
-            pairs,
-            rows: rows.build(),
-        }
-    }
-
     /// Patches the system for a routing delta, producing a result that
     /// is **bit-identical to a fresh [`AugmentedSystem::build`]** on the
     /// churned topology — same pairs, same rows, same row *order* — at
@@ -421,23 +362,6 @@ mod tests {
         }
         let full_pairs = red.num_paths() * (red.num_paths() + 1) / 2;
         assert!(aug.num_rows() <= full_pairs);
-    }
-
-    #[test]
-    fn incremental_rebuild_matches_full_rebuild() {
-        let red = fixtures::reduced(&fixtures::figure2());
-        let aug = AugmentedSystem::build(&red);
-        // "Re-route" paths 0 and 3 (same topology, so results must be
-        // identical to a fresh build).
-        let rebuilt = aug.with_paths_replaced(&red, &[PathId(0), PathId(3)]);
-        let fresh = AugmentedSystem::build(&red);
-        let normalise = |a: &AugmentedSystem| {
-            let mut v: Vec<((PathId, PathId), Vec<usize>)> =
-                a.iter().map(|(p, r)| (p, r.to_vec())).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(normalise(&rebuilt), normalise(&fresh));
     }
 
     /// The churn patch must reproduce a fresh build *exactly* — pairs,

@@ -655,9 +655,14 @@ impl LossEstimator for DengFastEstimator {
 
 /// The naive first-moment baseline as a [`LossEstimator`].
 ///
-/// Ignores the training snapshots entirely and solves `Y = R X` for the
-/// evaluation snapshot with the pivoted-QR basic solution (see
-/// [`crate::baselines`], which delegates here).
+/// Without variance information the first-moment system `Y = R X` is
+/// rank deficient (Figure 1), so any solver must pick one of infinitely
+/// many solutions. This baseline does what a practitioner without LIA
+/// would: it ignores the training snapshots and picks the *basic*
+/// least-squares solution from a column-pivoted QR (the numerically
+/// best-conditioned column subset gets nonzero rates, every other link
+/// is assigned loss 0). Comparing it against LIA quantifies how much the
+/// second-order information buys.
 #[derive(Debug, Clone)]
 pub struct FirstMomentEstimator;
 
@@ -922,7 +927,7 @@ mod tests {
         let phi = [0.9_f64, 1.0, 0.8, 1.0, 1.0];
         let x: Vec<f64> = phi.iter().map(|p| p.ln()).collect();
         let y = red.matrix.matvec(&x).unwrap();
-        let baseline = crate::baselines::first_moment_basic(&red, &y).unwrap();
+        let (baseline, _) = first_moment_solution(&red, &y).unwrap();
         let backend = FirstMomentEstimator;
         let centered = CenteredMeasurements::from_rows(vec![y.clone(), y.clone()]);
         let out = backend.estimate(&red, &centered, &y).unwrap();
@@ -933,6 +938,54 @@ mod tests {
             out.estimate.kept_count,
             out.estimate.kept.iter().filter(|&&k| k).count()
         );
+    }
+
+    #[test]
+    fn reproduces_path_measurements() {
+        // The basic solution is consistent with Y even if it attributes
+        // losses to the wrong links.
+        let red = fixtures::reduced(&fixtures::figure1());
+        let phi = [0.9_f64, 1.0, 0.8, 1.0, 1.0];
+        let x: Vec<f64> = phi.iter().map(|p| p.ln()).collect();
+        let y = red.matrix.matvec(&x).unwrap();
+        let (est, _) = first_moment_solution(&red, &y).unwrap();
+        let x_est: Vec<f64> = est.iter().map(|p| p.ln()).collect();
+        let y_est = red.matrix.matvec(&x_est).unwrap();
+        for (a, b) in y.iter().zip(y_est.iter()) {
+            assert!((a - b).abs() < 1e-9, "not consistent: {y:?} vs {y_est:?}");
+        }
+    }
+
+    #[test]
+    fn can_misattribute_losses() {
+        // This is the point of the baseline: on Figure 1 the basic
+        // solution cannot distinguish the ambiguous assignments, so for
+        // at least one loss pattern it differs from the truth.
+        let red = fixtures::reduced(&fixtures::figure1());
+        let (ra, rb) = fixtures::figure1_ambiguous_rates();
+        // Both rate vectors yield the same Y (asserted in fixtures); the
+        // baseline returns one answer, so it must be wrong for at least
+        // one of them.
+        let to_y = |rates: &[f64; 5]| {
+            let x: Vec<f64> = rates.iter().map(|p| p.ln()).collect();
+            red.matrix.matvec(&x).unwrap()
+        };
+        let (est, _) = first_moment_solution(&red, &to_y(&ra)).unwrap();
+        let matches = |rates: &[f64; 5]| {
+            est.iter()
+                .zip(rates.iter())
+                .all(|(e, t)| (e - t).abs() < 1e-6)
+        };
+        assert!(
+            !(matches(&ra) && matches(&rb)),
+            "cannot match two different truths at once"
+        );
+    }
+
+    #[test]
+    fn rejects_wrong_length() {
+        let red = fixtures::reduced(&fixtures::figure1());
+        assert!(first_moment_solution(&red, &[0.0]).is_err());
     }
 
     #[test]

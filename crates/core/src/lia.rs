@@ -503,6 +503,10 @@ fn sparse_rates(
 /// two stay bit-identical); above it the rank checks and the reduced
 /// solve both go through the sparse Givens QR without ever densifying
 /// `R`.
+///
+/// A NaN or ±∞ entry of `y` returns [`LinalgError::NonFinite`] naming
+/// the first one: it would otherwise become a NaN rate, which no loss
+/// threshold reports as congested.
 pub fn infer_link_rates(
     red: &ReducedTopology,
     variances: &[f64],
@@ -516,6 +520,9 @@ pub fn infer_link_rates(
             y.len(),
             red.num_paths()
         )));
+    }
+    if let Some(index) = y.iter().position(|v| !v.is_finite()) {
+        return Err(LinalgError::NonFinite { index });
     }
     assert_eq!(
         variances.len(),

@@ -39,8 +39,6 @@
 //! * [`scfs`] — the SCFS single-snapshot baseline of Figure 5
 //! * [`estimator`] — the estimator zoo: LIA, Zhu's closed-form MLE,
 //!   Deng-style fast matching, first-moment, behind one trait
-//! * [`baselines`] — naive first-moment inversion (thin wrapper over
-//!   the zoo's first-moment backend)
 //! * [`metrics`] — DR/FPR, error factor `f_δ`, CDFs, summaries
 //! * [`validate`] — inference/validation split, eq. (11)
 //! * [`analysis`] — Figure-3 scatter, Table-3 AS split, §7.2.2 durations
@@ -55,7 +53,6 @@ pub mod analysis;
 pub mod augmented;
 pub mod budget;
 pub mod delay;
-pub mod baselines;
 pub mod covariance;
 pub mod estimator;
 pub mod experiment;
@@ -89,11 +86,10 @@ pub use metrics::{location_accuracy, LocationAccuracy, RateErrors, Summary};
 pub use scfs::{scfs_diagnose, ScfsConfig};
 pub use streaming::{
     ChurnReport, FactorRefresh, OnlineConfig, OnlineEstimator, OnlineUpdate, RefreshTiming,
-    ScratchMode, Staleness, StreamingCovariance, WindowMode,
+    Staleness, StreamingCovariance, WindowMode,
 };
 pub use validate::{cross_validate, CrossValidationConfig, CrossValidationResult};
 pub use variance::{
-    estimate_variances, estimate_variances_cached, estimate_variances_from_sigmas,
-    estimate_variances_scratch, FallbackReason, GramCache, Phase1Dispatch, Phase1Fallback,
-    Phase1Scratch, VarianceConfig, VarianceEstimate,
+    estimate_variances, estimate_variances_from_sigmas, estimate_variances_scratch, FallbackReason,
+    GramCache, Phase1Dispatch, Phase1Fallback, Phase1Scratch, VarianceConfig, VarianceEstimate,
 };

@@ -60,14 +60,11 @@ use crate::budget::{apply_budget, PairBudget, PairSelection};
 use crate::covariance::CenteredMeasurements;
 use crate::lia::{self, DenseFactor, EliminationStrategy, LiaConfig, LinkRateEstimate, RankView};
 use crate::variance::{
-    estimate_variances_from_sigmas, estimate_variances_scratch, GramCache, Phase1Scratch,
-    VarianceConfig, VarianceEstimate,
+    estimate_variances_scratch, GramCache, Phase1Scratch, VarianceConfig, VarianceEstimate,
 };
 use bytes::Bytes;
 use losstomo_linalg::simd::cast_bytes_to_f64;
-use losstomo_linalg::{
-    givens, triangular, Cholesky, CsrMatrix, LinalgError, LstsqBackend, Matrix, SparseQr,
-};
+use losstomo_linalg::{givens, triangular, Cholesky, CsrMatrix, LinalgError, Matrix, SparseQr};
 use losstomo_netsim::Snapshot;
 use losstomo_topology::{ChurnError, DeltaEffect, PathId, ReducedTopology, TopologyDelta};
 use std::collections::VecDeque;
@@ -711,39 +708,6 @@ pub enum FactorRefresh {
     GivensUpdate,
 }
 
-/// Whether the online estimator reuses its refresh workspace across
-/// cadences.
-///
-/// Both modes produce **bit-identical** estimates; the knob exists so
-/// the `fleet_scale` benchmark can measure exactly what the reuse is
-/// worth, and as an escape hatch for memory-constrained tenants that
-/// prefer to release the workspace between (slow-cadence) refreshes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScratchMode {
-    /// Keep the refresh workspace — replay buffer, covariance vector,
-    /// Gram expansion, SPD permutation + Cholesky factor, variance
-    /// order — alive between refreshes, and an unchanged kept-row mask
-    /// reuses the Phase-1 factor outright. Default.
-    ///
-    /// On the dense Phase-2 path (the default below
-    /// [`crate::lia::dense_phase2_max_cols`] links) Phase 2 of a
-    /// steady-state refresh then allocates nothing: the column-append
-    /// scan rebuilds the memoized factor in its own buffers. What still
-    /// allocates per refresh is Phase 1: the [`VarianceEstimate`]
-    /// vector and the Gram cache's lists of rows that changed status.
-    /// A kept-row system that Phase 1 proves singular (on trees,
-    /// essentially every refresh) is never factored, and one whose
-    /// factorisation fails keeps its factor buffer for the next try;
-    /// either way the all-rows fallback reuses its cached factor. The
-    /// sparse Phase-2 path, when dispatched, allocates in its rank
-    /// checks.
-    #[default]
-    Reuse,
-    /// Drop and reallocate the workspace every refresh — the historical
-    /// behaviour, kept as the measurable baseline.
-    AllocPerRefresh,
-}
-
 /// Configuration of the online estimator.
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineConfig {
@@ -761,15 +725,12 @@ pub struct OnlineConfig {
     /// harness) use this to keep Phase 1/2 entirely off the ingest
     /// hot path.
     pub refresh_every: usize,
-    /// Phase-1 settings (the cached Gram path requires the default
-    /// [`LstsqBackend::NormalEquations`] backend).
+    /// Phase-1 settings.
     pub variance: VarianceConfig,
     /// Phase-2 settings.
     pub lia: LiaConfig,
     /// Factorisation maintenance policy.
     pub factor: FactorRefresh,
-    /// Refresh-workspace policy (reuse vs reallocate; identical bits).
-    pub scratch: ScratchMode,
     /// Loss-rate threshold above which a link counts as congested for
     /// change detection (the paper's `t_l`).
     pub congestion_threshold: f64,
@@ -794,7 +755,6 @@ impl Default for OnlineConfig {
             variance: VarianceConfig::default(),
             lia: LiaConfig::default(),
             factor: FactorRefresh::Exact,
-            scratch: ScratchMode::default(),
             congestion_threshold: losstomo_netsim::DEFAULT_LOSS_THRESHOLD,
             pair_budget: PairBudget::default(),
             recentre_every: DEFAULT_RECENTRE_EVERY,
@@ -803,8 +763,23 @@ impl Default for OnlineConfig {
 }
 
 /// The reusable refresh workspace of one [`OnlineEstimator`]: every
-/// buffer the refresh hot path writes, owned by the estimator so
-/// steady-state refreshes allocate nothing (see [`ScratchMode`]).
+/// buffer the refresh hot path writes (replay buffer, covariance
+/// vector, Gram expansion, SPD permutation and Cholesky factors,
+/// variance order), owned by the estimator and alive between
+/// refreshes.
+///
+/// On the dense Phase-2 path (the default below
+/// [`crate::lia::dense_phase2_max_cols`] links) Phase 2 of a
+/// steady-state refresh then allocates nothing: the column-append scan
+/// rebuilds the memoized factor in its own buffers. What still
+/// allocates per refresh is Phase 1: the [`VarianceEstimate`] vector
+/// and the Gram cache's lists of rows that changed status. An
+/// unchanged kept-row mask reuses the Phase-1 factor outright. A
+/// kept-row system that Phase 1 proves singular (on trees, essentially
+/// every refresh) is never factored, and one whose factorisation fails
+/// keeps its factor buffer for the next try; either way the all-rows
+/// fallback reuses its cached factor. The sparse Phase-2 path, when
+/// dispatched, allocates in its rank checks.
 #[derive(Debug)]
 struct RefreshScratch {
     /// Pair covariances of the current refresh.
@@ -912,8 +887,7 @@ pub struct OnlineEstimator {
     /// Phase breakdown of the last successful refresh.
     last_timing: Option<RefreshTiming>,
     warmup_error: Option<LinalgError>,
-    /// Refresh workspace (dropped and rebuilt every refresh under
-    /// [`ScratchMode::AllocPerRefresh`]).
+    /// Refresh workspace, reused across refreshes.
     scratch: RefreshScratch,
     /// Reusable log-rate row for [`OnlineEstimator::ingest`], so the
     /// owned-snapshot path allocates nothing per snapshot.
@@ -1242,11 +1216,6 @@ impl OnlineEstimator {
     /// slow cadence can force a refresh (e.g. before reading
     /// [`OnlineEstimator::variances`] at a reporting boundary).
     pub fn refresh(&mut self) -> Result<(), LinalgError> {
-        if self.cfg.scratch == ScratchMode::AllocPerRefresh {
-            // The measurable baseline: pay the full allocation (and
-            // factorisation) bill every refresh.
-            self.scratch = RefreshScratch::default();
-        }
         // Covariances into the reusable buffer. The buffer is moved out
         // for the duration of the solve (the borrow checker cannot see
         // that the Phase-1/Phase-2 body never touches it) and moved
@@ -1289,27 +1258,9 @@ impl OnlineEstimator {
         covariance: Duration,
     ) -> Result<(), LinalgError> {
         let phase1_start = Instant::now();
-        let est = match (self.cfg.variance.backend, self.cfg.factor) {
-            (LstsqBackend::NormalEquations, FactorRefresh::Exact) => {
-                let mut phase1 = std::mem::take(&mut self.scratch.phase1);
-                let est = estimate_variances_scratch(
-                    &self.red,
-                    &self.aug,
-                    sigmas,
-                    &self.cfg.variance,
-                    &mut self.gram,
-                    &mut phase1,
-                );
-                self.scratch.phase1 = phase1;
-                est?
-            }
-            (LstsqBackend::NormalEquations, FactorRefresh::GivensUpdate) => {
-                self.refresh_givens(sigmas)?
-            }
-            // The QR backend has no incremental assembly to cache.
-            (LstsqBackend::HouseholderQr, _) => {
-                estimate_variances_from_sigmas(&self.red, &self.aug, sigmas, &self.cfg.variance)?
-            }
+        let est = match self.cfg.factor {
+            FactorRefresh::Exact => self.refresh_exact(sigmas)?,
+            FactorRefresh::GivensUpdate => self.refresh_givens(sigmas)?,
         };
         let phase1 = phase1_start.elapsed();
         let phase2_start = Instant::now();
@@ -1398,12 +1349,12 @@ impl OnlineEstimator {
     }
 
     /// The exact cached Phase 1, run through the estimator's
-    /// *persistent* workspace — every fallback from the Givens path
-    /// funnels through here, so the all-rows fallback factor cached in
-    /// `scratch.phase1` survives between refreshes. (A throwaway
-    /// workspace here refactorised the fallback Gram from scratch on
-    /// every singular retry — the p99 refresh-tail spike.)
-    fn refresh_exact_fallback(&mut self, sigmas: &[f64]) -> Result<VarianceEstimate, LinalgError> {
+    /// *persistent* workspace: the [`FactorRefresh::Exact`] refresh, and
+    /// every fallback from the Givens path. The all-rows fallback factor
+    /// cached in `scratch.phase1` therefore survives between refreshes;
+    /// a throwaway workspace would refactor the fallback Gram on every
+    /// singular retry.
+    fn refresh_exact(&mut self, sigmas: &[f64]) -> Result<VarianceEstimate, LinalgError> {
         let mut phase1 = std::mem::take(&mut self.scratch.phase1);
         let est = estimate_variances_scratch(
             &self.red,
@@ -1441,7 +1392,7 @@ impl OnlineEstimator {
         let dropped_count = self.aug.num_rows() - used;
         if used < nc {
             self.factor = None;
-            return self.refresh_exact_fallback(sigmas);
+            return self.refresh_exact(sigmas);
         }
         // Amend or (re)build the factor.
         let mut scratch = vec![0.0; nc];
@@ -1467,7 +1418,7 @@ impl OnlineEstimator {
                 Ok(factor) => self.factor = Some(factor),
                 Err(_) => {
                     // Mirror the exact path's all-rows fallback.
-                    return self.refresh_exact_fallback(sigmas);
+                    return self.refresh_exact(sigmas);
                 }
             }
         }
@@ -1493,7 +1444,7 @@ impl OnlineEstimator {
             }),
             Err(_) => {
                 self.factor = None;
-                self.refresh_exact_fallback(sigmas)
+                self.refresh_exact(sigmas)
             }
         }
     }
@@ -1502,19 +1453,17 @@ impl OnlineEstimator {
     /// model: reuses the memoized kept set and factorisation, so a
     /// per-snapshot estimate between refreshes costs one least-squares
     /// application instead of a column selection plus factorisation.
+    ///
+    /// `y` passes the same gate as an ingested row: a mis-sized `y`
+    /// returns [`LinalgError::DimensionMismatch`], a NaN or ±∞ entry
+    /// [`LinalgError::NonFinite`].
     pub fn estimate(&self, y: &[f64]) -> Result<LinkRateEstimate, LinalgError> {
         if self.variances.is_none() {
             return Err(LinalgError::DimensionMismatch(
                 "no successful Phase-1 refresh yet — ingest more snapshots".to_string(),
             ));
         }
-        if y.len() != self.red.num_paths() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "snapshot has {} paths, topology has {}",
-                y.len(),
-                self.red.num_paths()
-            )));
-        }
+        self.validate_row(y)?;
         let nc = self.red.num_links();
         match self.p2.as_ref().expect("kept set built with variances") {
             Phase2Factor::Dense(factor) => factor.rates(nc, y),
@@ -1778,7 +1727,7 @@ fn diff_sorted(old: &[usize], new: &[usize]) -> (Vec<usize>, Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::variance::estimate_variances;
+    use crate::variance::{estimate_variances, FallbackReason};
     use crate::{infer_link_rates, CenteredMeasurements};
     use losstomo_netsim::{
         simulate_run, CongestionDynamics, CongestionScenario, MeasurementSet, ProbeConfig,
@@ -2175,36 +2124,131 @@ mod tests {
         assert_eq!(online_p2.kept_count, batch_p2.kept_count);
     }
 
-    #[test]
-    fn scratch_reuse_is_bit_identical_to_alloc_per_refresh() {
-        // The workspace-reuse hot path (cached Gram factor included)
-        // must not change a single bit of the estimates.
-        let red = fig1();
-        let ms = simulate(&red, 30, 77);
-        let mut reuse = OnlineEstimator::new(&red, OnlineConfig::default());
-        let mut alloc = OnlineEstimator::new(
-            &red,
-            OnlineConfig {
-                scratch: ScratchMode::AllocPerRefresh,
-                ..OnlineConfig::default()
+    /// Log-rate rows of a simulated stream over `red`: congestion moves
+    /// (Markov), so the kept-row mask changes from refresh to refresh.
+    fn markov_rows(red: &ReducedTopology, m: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scenario = CongestionScenario::draw(
+            red.num_links(),
+            0.3,
+            CongestionDynamics::Markov {
+                stay_congested: 0.9,
             },
+            &mut rng,
         );
-        for snap in &ms.snapshots {
-            let ur = reuse.ingest(snap).unwrap();
-            let ua = alloc.ingest(snap).unwrap();
-            assert_eq!(ur.congested, ua.congested);
-            match (&ur.estimate, &ua.estimate) {
-                (Some(er), Some(ea)) => assert_eq!(er.transmission, ea.transmission),
-                (None, None) => {}
-                _ => panic!("one mode warmed up before the other"),
+        let cfg = ProbeConfig {
+            probes_per_snapshot: 200,
+            ..ProbeConfig::default()
+        };
+        simulate_run(red, &mut scenario, &cfg, m, &mut rng).log_rate_rows()
+    }
+
+    /// Feeds `rows` to one long-lived default estimator (with `window`)
+    /// and checks every refresh, by bits, against a batch recompute
+    /// (`estimate_variances` + `infer_link_rates`) over the rows then in
+    /// the window. Returns what each refresh's Phase 1 did: `None` for
+    /// a kept-row solve (with its dropped-row count), or the fallback
+    /// reason.
+    fn every_refresh_matches_batch(
+        red: &ReducedTopology,
+        rows: &[Vec<f64>],
+        window: WindowMode,
+    ) -> Vec<(Option<FallbackReason>, usize)> {
+        let cfg = OnlineConfig {
+            window,
+            ..OnlineConfig::default()
+        };
+        let mut online = OnlineEstimator::new(red, cfg);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut trace = Vec::new();
+        for (i, y) in rows.iter().enumerate() {
+            let up = online.ingest_log_rates(y).unwrap();
+            if !up.refreshed {
+                continue;
             }
+            let start = match window {
+                WindowMode::Sliding(w) => (i + 1).saturating_sub(w),
+                _ => 0,
+            };
+            let centered = CenteredMeasurements::from_rows(rows[start..=i].to_vec());
+            let batch = estimate_variances(red, online.augmented(), &centered, &cfg.variance)
+                .expect("the online refresh solved this window");
+            let got = online.variances().expect("refreshed");
+            assert_eq!(bits(&got.v), bits(&batch.v), "row {i}: Phase-1 variances");
+            assert_eq!(got.dropped_rows, batch.dropped_rows, "row {i}");
+            assert_eq!(got.used_rows, batch.used_rows, "row {i}");
+            assert_eq!(got.fallback, batch.fallback, "row {i}");
+            let want = infer_link_rates(red, &batch.v, y, &cfg.lia).unwrap();
+            let est = up.estimate.expect("refreshed");
+            assert_eq!(bits(&est.transmission), bits(&want.transmission), "row {i}");
+            assert_eq!(est.kept, want.kept, "row {i}");
+            trace.push((got.fallback.map(|f| f.reason), got.dropped_rows));
         }
-        assert_eq!(
-            reuse.variances().unwrap().v,
-            alloc.variances().unwrap().v,
-            "Phase-1 variances drifted between scratch modes"
-        );
-        assert_eq!(reuse.kept_columns(), alloc.kept_columns());
+        trace
+    }
+
+    /// Whether `trace` holds a kept-row solve with dropped rows, then a
+    /// certified fallback (which moves the Gram cache to all rows
+    /// without a kept solve), then a kept-row solve with nothing dropped
+    /// — whose mask equals the cache's, so only an invalidated kept
+    /// factor keeps it from reusing the first solve's factor.
+    fn has_stale_factor_trap(trace: &[(Option<FallbackReason>, usize)]) -> bool {
+        let mut state = 0;
+        for (fallback, dropped) in trace {
+            state = match (fallback, *dropped) {
+                (None, 0) if state == 2 => return true,
+                (None, 0) => 0,
+                (None, _) => 1,
+                (Some(FallbackReason::Certified(_)), _) if state >= 1 => 2,
+                (Some(_), _) => state,
+            };
+        }
+        false
+    }
+
+    /// A long-lived estimator (warm Gram cache, cached kept and
+    /// all-rows factors) matches a fresh batch recompute at *every*
+    /// refresh, not only the last: on a small tree whose refreshes mix
+    /// kept-row solves, certified fallbacks and all-rows solves, and on
+    /// a small Waxman mesh, each with an unbounded and a sliding window.
+    #[test]
+    fn long_lived_estimator_matches_batch_at_every_refresh() {
+        use losstomo_topology::gen::tree::{self, TreeParams};
+        use losstomo_topology::gen::waxman::{self, WaxmanParams};
+        use losstomo_topology::{compute_paths, reduce, GeneratedTopology};
+        let reduce_gen = |t: GeneratedTopology| {
+            reduce(
+                &t.graph,
+                &compute_paths(&t.graph, &t.beacons, &t.destinations),
+            )
+        };
+        let tree = reduce_gen(tree::generate(
+            TreeParams {
+                nodes: 14,
+                max_branching: 3,
+            },
+            &mut StdRng::seed_from_u64(13),
+        ));
+        let mesh = reduce_gen(waxman::generate(
+            WaxmanParams {
+                nodes: 20,
+                hosts: 5,
+                ..WaxmanParams::default()
+            },
+            &mut StdRng::seed_from_u64(4),
+        ));
+        for window in [WindowMode::Unbounded, WindowMode::Sliding(12)] {
+            let trace = every_refresh_matches_batch(&tree, &markov_rows(&tree, 150, 3), window);
+            assert!(
+                has_stale_factor_trap(&trace),
+                "{window:?}: the tree stream should certify between two kept-row solves"
+            );
+            let trace = every_refresh_matches_batch(&mesh, &markov_rows(&mesh, 120, 5), window);
+            assert!(
+                trace.len() > 100,
+                "{window:?}: the mesh stream should refresh"
+            );
+        }
     }
 
     #[test]

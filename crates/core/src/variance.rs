@@ -29,34 +29,33 @@
 
 use crate::augmented::AugmentedSystem;
 use crate::covariance::CenteredMeasurements;
-use losstomo_linalg::{lstsq, LinalgError, LstsqBackend, Matrix, SparseQr, SpdScratch};
+use losstomo_linalg::{lstsq, LinalgError, Matrix, SparseQr, SpdScratch};
 use losstomo_topology::{PathId, ReducedTopology, RoutingMatrix};
 
 /// Which factorisation family solves the Phase-1 least squares,
 /// mirroring [`crate::lia::Phase2Dispatch`] for Phase 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Phase1Dispatch {
-    /// Dense family (per [`VarianceConfig::backend`]) up to
+    /// Dense family (the normal equations) up to
     /// [`crate::lia::dense_phase2_max_cols`] columns, the row-streaming
     /// sparse QR above — wide meshes pay `O(links³)` for the dense
     /// Gram factorisation no matter how few rows feed it, while the
     /// sparse QR's cost tracks the (budgetable) row count.
     #[default]
     Auto,
-    /// Always the dense family ([`VarianceConfig::backend`]).
+    /// Always the dense family.
     Dense,
     /// Always the sparse QR on the kept CSR rows.
     Sparse,
 }
 
 /// Configuration for the variance estimator.
+///
+/// The dense family solves the normal equations, accumulating `AᵀA`
+/// from the sparse rows: `A` has `O(n_p²)` rows but only `n_c`
+/// columns.
 #[derive(Debug, Clone, Copy)]
 pub struct VarianceConfig {
-    /// Least-squares backend of the *dense* family.
-    /// [`LstsqBackend::NormalEquations`] accumulates `AᵀA` from sparse
-    /// rows and is the default — `A` has `O(n_p²)` rows but only `n_c`
-    /// columns.
-    pub backend: LstsqBackend,
     /// Drop rows whose sample covariance is negative (the paper's rule).
     /// Disable only for the `ablation_negative_cov` study.
     pub drop_negative_covariances: bool,
@@ -67,7 +66,6 @@ pub struct VarianceConfig {
 impl Default for VarianceConfig {
     fn default() -> Self {
         VarianceConfig {
-            backend: LstsqBackend::NormalEquations,
             drop_negative_covariances: true,
             dispatch: Phase1Dispatch::Auto,
         }
@@ -160,8 +158,7 @@ pub fn estimate_variances(
     );
     // One-pass covariance: every Σ̂_{ii'} the augmented system needs,
     // computed from the flat centred deviations in a single (parallel)
-    // sweep instead of one O(m) strided walk per row — and computed
-    // once, shared by the retry below.
+    // sweep instead of one O(m) strided walk per row.
     let sigmas = centered.pair_covariances(&aug.pair_indices());
     estimate_variances_from_sigmas(red, aug, &sigmas, cfg)
 }
@@ -180,36 +177,14 @@ pub fn estimate_variances_from_sigmas(
     sigmas: &[f64],
     cfg: &VarianceConfig,
 ) -> Result<VarianceEstimate, LinalgError> {
-    if cfg.backend == LstsqBackend::NormalEquations || !cfg.dispatch.use_dense(red.num_links()) {
-        // The cached entry point runs the sparse family and the
-        // normal-equations path, which folds the retry into one
-        // assembly: dropped-row contributions are added to the
-        // already-built system if the kept rows prove singular.
-        let mut cache = GramCache::new();
-        return estimate_variances_cached(red, aug, sigmas, cfg, &mut cache);
-    }
-    match estimate_variances_inner(red, aug, sigmas, cfg) {
-        Ok(est) => Ok(est),
-        Err(_) if cfg.drop_negative_covariances => {
-            let retry = VarianceConfig {
-                drop_negative_covariances: false,
-                ..*cfg
-            };
-            let mut est = estimate_variances_inner(red, aug, sigmas, &retry)?;
-            let folded_rows = sigmas.iter().filter(|&&s| s < 0.0).count();
-            let reason = if est.used_rows - folded_rows < red.num_links() {
-                FallbackReason::TooFewRows
-            } else {
-                FallbackReason::FactorFailed
-            };
-            est.fallback = Some(Phase1Fallback {
-                reason,
-                folded_rows,
-            });
-            Ok(est)
-        }
-        Err(e) => Err(e),
-    }
+    estimate_variances_scratch(
+        red,
+        aug,
+        sigmas,
+        cfg,
+        &mut GramCache::new(),
+        &mut Phase1Scratch::new(),
+    )
 }
 
 /// Reusable normal-equations assembly state for repeated Phase-1 solves
@@ -235,7 +210,7 @@ pub struct GramCache {
 
 impl GramCache {
     /// Creates an empty cache; the first
-    /// [`estimate_variances_cached`] call fills it.
+    /// [`estimate_variances_scratch`] call fills it.
     pub fn new() -> Self {
         GramCache::default()
     }
@@ -351,27 +326,6 @@ impl GramCache {
         self.kept = new_kept;
         dropped
     }
-}
-
-/// Phase 1 via the normal equations with a reusable [`GramCache`]:
-/// the paper's negative-row drop, its all-rows fallback, and
-/// incremental `AᵀA` maintenance sharing one assembly.
-///
-/// With a fresh cache this is the batch normal-equations estimator
-/// (and [`estimate_variances`] routes through it); with a warm cache
-/// only the rows whose kept/dropped status changed since the previous
-/// call touch the Gram counts. Counts are small integers, so the
-/// incremental result is exactly the from-scratch result; `AᵀΣ*` is
-/// rebuilt per call in ascending row order, matching the batch
-/// accumulation order bit for bit.
-pub fn estimate_variances_cached(
-    red: &ReducedTopology,
-    aug: &AugmentedSystem,
-    sigmas: &[f64],
-    cfg: &VarianceConfig,
-    cache: &mut GramCache,
-) -> Result<VarianceEstimate, LinalgError> {
-    estimate_variances_scratch(red, aug, sigmas, cfg, cache, &mut Phase1Scratch::default())
 }
 
 /// Reusable buffers for repeated Phase-1 normal-equations solves: the
@@ -517,11 +471,18 @@ impl Phase1Scratch {
     }
 }
 
-/// [`estimate_variances_cached`] with a reusable [`Phase1Scratch`]
-/// workspace — the allocation-free steady-state entry point the
-/// streaming estimator refreshes through. Bit-identical to
-/// [`estimate_variances_cached`] (which wraps this with a throwaway
-/// workspace).
+/// Phase 1 via the normal equations with a reusable [`GramCache`] and
+/// [`Phase1Scratch`]: the paper's negative-row drop, its all-rows
+/// fallback, and incremental `AᵀA` maintenance sharing one assembly.
+///
+/// With a fresh cache and workspace this is the batch estimator
+/// ([`estimate_variances_from_sigmas`]); the streaming estimator
+/// refreshes through it with warm ones, and a steady-state refresh then
+/// allocates nothing. Only the rows whose kept/dropped status changed
+/// since the previous call touch the Gram counts. Counts are small
+/// integers, so the incremental result is exactly the from-scratch
+/// result; `AᵀΣ*` is rebuilt per call in ascending row order, matching
+/// the batch accumulation order bit for bit.
 pub fn estimate_variances_scratch(
     red: &ReducedTopology,
     aug: &AugmentedSystem,
@@ -750,52 +711,6 @@ fn solve_sparse(rows: &RoutingMatrix, rhs: &[f64]) -> Result<Vec<f64>, LinalgErr
     qr.solve_least_squares(rhs)
 }
 
-/// Phase 1 via the paper's textbook method: materialise the kept rows
-/// and factor with Householder reflections. The rows are written
-/// straight into one flat row-major buffer (no per-row `Vec`, no copy
-/// into the `Matrix` afterwards). Only used with
-/// [`LstsqBackend::HouseholderQr`]; the normal-equations backend takes
-/// the fused path above.
-fn estimate_variances_inner(
-    red: &ReducedTopology,
-    aug: &AugmentedSystem,
-    sigmas: &[f64],
-    cfg: &VarianceConfig,
-) -> Result<VarianceEstimate, LinalgError> {
-    let nc = red.num_links();
-    let mut dropped = 0usize;
-    let mut used = 0usize;
-    let mut data: Vec<f64> = Vec::new();
-    let mut rhs: Vec<f64> = Vec::new();
-    for ((_, links), &sigma) in aug.iter().zip(sigmas.iter()) {
-        if cfg.drop_negative_covariances && sigma < 0.0 {
-            dropped += 1;
-            continue;
-        }
-        used += 1;
-        let start = data.len();
-        data.resize(start + nc, 0.0);
-        let row = &mut data[start..];
-        for &k in links {
-            row[k] = 1.0;
-        }
-        rhs.push(sigma);
-    }
-    if used < nc {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "only {used} usable covariance rows for {nc} links"
-        )));
-    }
-    let a = Matrix::from_vec(used, nc, data)?;
-    let v = lstsq::solve_least_squares_with(&a, &rhs, LstsqBackend::HouseholderQr)?;
-    Ok(VarianceEstimate {
-        v,
-        dropped_rows: dropped,
-        used_rows: used,
-        fallback: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -806,9 +721,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// End-to-end Phase-1 check on the Figure-1 tree: with one congested
-    /// link, its estimated variance must dominate all others.
-    fn phase1_on_figure1(backend: LstsqBackend) -> (Vec<f64>, Vec<bool>) {
+    /// Phase 1 on a simulated Figure-1 run with exactly one congested
+    /// link: the topology, its augmented system, the pair covariances,
+    /// the estimate and the link statuses.
+    fn phase1_on_figure1() -> (
+        ReducedTopology,
+        AugmentedSystem,
+        Vec<f64>,
+        VarianceEstimate,
+        Vec<bool>,
+    ) {
         let red = fixtures::reduced(&fixtures::figure1());
         let mut rng = StdRng::seed_from_u64(99);
         let mut scenario = CongestionScenario::draw(
@@ -826,22 +748,17 @@ mod tests {
         let ms = simulate_run(&red, &mut scenario.clone(), &cfg, 50, &mut rng);
         let aug = AugmentedSystem::build(&red);
         let centered = CenteredMeasurements::new(&ms);
-        let est = estimate_variances(
-            &red,
-            &aug,
-            &centered,
-            &VarianceConfig {
-                backend,
-                ..VarianceConfig::default()
-            },
-        )
-        .unwrap();
-        (est.v, scenario.statuses().to_vec())
+        let est = estimate_variances(&red, &aug, &centered, &VarianceConfig::default()).unwrap();
+        let sigmas = centered.pair_covariances(&aug.pair_indices());
+        (red, aug, sigmas, est, scenario.statuses().to_vec())
     }
 
+    /// With one congested link, its estimated variance must dominate
+    /// all others.
     #[test]
     fn congested_link_has_dominant_variance_normal_eq() {
-        let (v, statuses) = phase1_on_figure1(LstsqBackend::NormalEquations);
+        let (_, _, _, est, statuses) = phase1_on_figure1();
+        let v = est.v;
         let congested_idx = statuses.iter().position(|&c| c).unwrap();
         let max_idx = v
             .iter()
@@ -855,12 +772,31 @@ mod tests {
         );
     }
 
+    /// The normal equations solve the same least-squares problem as
+    /// the paper's Householder QR on the dense rows Phase 1 used.
     #[test]
     fn backends_agree() {
-        let (v1, _) = phase1_on_figure1(LstsqBackend::NormalEquations);
-        let (v2, _) = phase1_on_figure1(LstsqBackend::HouseholderQr);
-        for (a, b) in v1.iter().zip(v2.iter()) {
-            assert!((a - b).abs() < 1e-8, "{v1:?} vs {v2:?}");
+        use losstomo_linalg::LstsqBackend;
+        let (red, aug, sigmas, est, _) = phase1_on_figure1();
+        let nc = red.num_links();
+        let mut data = Vec::new();
+        let mut rhs = Vec::new();
+        for ((_, links), &sigma) in aug.iter().zip(sigmas.iter()) {
+            if est.fallback.is_none() && sigma < 0.0 {
+                continue;
+            }
+            let mut row = vec![0.0; nc];
+            for &k in links {
+                row[k] = 1.0;
+            }
+            data.extend(row);
+            rhs.push(sigma);
+        }
+        assert_eq!(rhs.len(), est.used_rows);
+        let a = Matrix::from_vec(rhs.len(), nc, data).unwrap();
+        let v2 = lstsq::solve_least_squares_with(&a, &rhs, LstsqBackend::HouseholderQr).unwrap();
+        for (a, b) in est.v.iter().zip(v2.iter()) {
+            assert!((a - b).abs() < 1e-8, "{:?} vs {v2:?}", est.v);
         }
     }
 
@@ -940,9 +876,8 @@ mod tests {
         let red = fixtures::reduced(&fixtures::figure1());
         let aug = AugmentedSystem::build(&red);
         let cfg = VarianceConfig::default();
-        let fresh = |sigmas: &[f64]| {
-            estimate_variances_cached(&red, &aug, sigmas, &cfg, &mut GramCache::new()).unwrap()
-        };
+        let fresh =
+            |sigmas: &[f64]| estimate_variances_from_sigmas(&red, &aug, sigmas, &cfg).unwrap();
         // Figure-1 aug rows: the self rows [0,1],[0,2,3],[0,2,4], then
         // the cross rows [0] (D1,D2), [0] (D1,D3) and [0,2] (D2,D3).
         // Dropping a duplicate [0] row keeps the system full rank.
@@ -978,8 +913,7 @@ mod tests {
     }
 
     /// Every fallback reason, provoked on a fixture, on the dense and
-    /// the sparse family; the Householder ablation backend reports the
-    /// two reasons it can tell apart without the precheck.
+    /// the sparse family.
     #[test]
     fn each_fallback_reason_is_reported() {
         let fig1 = fixtures::reduced(&fixtures::figure1());
@@ -1025,17 +959,6 @@ mod tests {
                 let dropped = if want.is_some() { 0 } else { negative };
                 assert_eq!(est.dropped_rows, dropped);
             }
-        }
-        let householder = VarianceConfig {
-            backend: LstsqBackend::HouseholderQr,
-            ..VarianceConfig::default()
-        };
-        for (red, aug, sigmas, reason) in [
-            (&fig1, &aug1, &cases[3].2, TooFewRows),
-            (&fig2, &aug2, &self_rows_only, FactorFailed),
-        ] {
-            let est = estimate_variances_from_sigmas(red, aug, sigmas, &householder).unwrap();
-            assert_eq!(est.fallback.map(|f| f.reason), Some(reason));
         }
     }
 

@@ -26,13 +26,12 @@
 //!
 //! ## Hot path
 //!
-//! The per-snapshot cost is the estimator's ingest; its refresh rides
-//! the allocation-reuse workspace of [`losstomo_core::streaming`]
-//! ([`ScratchMode::Reuse`](losstomo_core::streaming::ScratchMode)), so a
-//! steady-state fleet performs no per-snapshot allocations in Phase 1's
-//! covariance replay, Gram assembly, or factorisation. The
-//! `fleet_scale` benchmark measures both that reuse (vs the
-//! reallocating baseline) and tenant-throughput scaling vs
+//! The per-snapshot cost is the estimator's ingest; its refresh reuses
+//! the estimator's workspace across refreshes (see
+//! [`losstomo_core::streaming`]), so a steady-state fleet performs no
+//! per-snapshot allocations in Phase 1's covariance replay, Gram
+//! assembly, or factorisation. The `fleet_scale` benchmark measures
+//! the refresh latency and tenant-throughput scaling vs
 //! `LOSSTOMO_THREADS`.
 
 #![forbid(unsafe_code)]

@@ -38,8 +38,8 @@ impl Cholesky {
     /// Dispatches to a right-looking blocked factorisation above order
     /// 128 — mathematically the same decomposition, but panel
     /// contributions are subtracted per panel, so large factors can
-    /// differ from [`Cholesky::new_unblocked`] in the last bits
-    /// (small systems take the unblocked path and match it exactly).
+    /// differ from the unblocked factorisation in the last bits (small
+    /// systems take the unblocked path and match it exactly).
     pub fn new(a: &Matrix) -> Result<Self> {
         let mut chol = Cholesky::empty();
         chol.factor_into(a)?;
@@ -89,12 +89,10 @@ impl Cholesky {
         }
     }
 
-    /// The textbook left-looking factorisation, one column at a time.
-    ///
-    /// Kept public as the reference implementation the blocked variant
-    /// is tested against, and as the pre-optimisation baseline for the
-    /// `perf_phase1` benchmark.
-    pub fn new_unblocked(a: &Matrix) -> Result<Self> {
+    /// The textbook left-looking factorisation, one column at a time:
+    /// the reference the blocked variant is tested against.
+    #[cfg(test)]
+    pub(crate) fn new_unblocked(a: &Matrix) -> Result<Self> {
         let (m, n) = a.shape();
         if m != n {
             return Err(LinalgError::DimensionMismatch(format!(

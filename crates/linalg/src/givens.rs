@@ -1,18 +1,12 @@
-//! Givens rotations, incremental row-append QR updating, and rank-1
-//! Cholesky factor updates.
+//! Givens rotations and rank-1 Cholesky factor updates.
 //!
 //! Section 5.1 of the paper notes that when beacons arrive or leave, only
 //! the rows of the augmented matrix `A` corresponding to the changed paths
 //! need updating — recomputing the whole factorisation is wasteful. The
-//! [`RowUpdateQr`] type maintains the triangular factor `R` of a growing
-//! row set: appending a row costs `O(n²)` instead of refactoring in
-//! `O(m n²)`. It simultaneously carries the rotated right-hand side, so
-//! the least-squares solution is available at any point.
-//!
-//! The same machinery powers the streaming estimator's normal-equations
-//! path: when covariance rows move between the kept and dropped sets
-//! across refreshes, the Gram matrix changes by a handful of rank-1
-//! terms `± a aᵀ`. [`rank_one_update`] absorbs `+ a aᵀ` into an existing
+//! streaming estimator's normal equations see the same structure: when
+//! covariance rows move between the kept and dropped sets across
+//! refreshes, or churn swaps the rows of rerouted paths, the Gram matrix
+//! changes by a handful of rank-1 terms `± a aᵀ`. [`rank_one_update`] absorbs `+ a aᵀ` into an existing
 //! upper-triangular factor with `n` Givens rotations, and
 //! [`rank_one_downdate`] removes `− a aᵀ` with hyperbolic rotations
 //! (failing cleanly if the downdate would destroy positive
@@ -21,7 +15,6 @@
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::triangular::solve_upper_triangular;
 use crate::Result;
 
 /// A single Givens rotation `[c s; -s c]` chosen to zero the second
@@ -66,99 +59,13 @@ impl GivensRotation {
     }
 }
 
-/// Incrementally maintained QR factorisation over appended rows.
-///
-/// Holds the `n × n` upper-triangular factor `R` and the rotated
-/// right-hand side `Qᵀb` restricted to the first `n` coordinates, plus the
-/// accumulated squared residual of the discarded coordinates.
-#[derive(Debug, Clone)]
-pub struct RowUpdateQr {
-    n: usize,
-    r: Matrix,
-    qtb: Vec<f64>,
-    /// Sum of squares of rotated-away right-hand-side components; equals
-    /// the squared least-squares residual once `m ≥ n` rows are absorbed.
-    residual_sq: f64,
-    rows_absorbed: usize,
-}
-
-impl RowUpdateQr {
-    /// Creates an empty accumulator for systems with `n` unknowns.
-    pub fn new(n: usize) -> Self {
-        RowUpdateQr {
-            n,
-            r: Matrix::zeros(n, n),
-            qtb: vec![0.0; n],
-            residual_sq: 0.0,
-            rows_absorbed: 0,
-        }
-    }
-
-    /// Number of unknowns.
-    pub fn unknowns(&self) -> usize {
-        self.n
-    }
-
-    /// Number of rows absorbed so far.
-    pub fn rows_absorbed(&self) -> usize {
-        self.rows_absorbed
-    }
-
-    /// Appends the equation `row · x = rhs`, updating `R` and `Qᵀb` with
-    /// `n` Givens rotations.
-    pub fn append_row(&mut self, row: &[f64], rhs: f64) -> Result<()> {
-        if row.len() != self.n {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "row has length {}, expected {}",
-                row.len(),
-                self.n
-            )));
-        }
-        let mut work = row.to_vec();
-        let mut beta = rhs;
-        for k in 0..self.n {
-            if work[k] == 0.0 {
-                continue;
-            }
-            let g = GivensRotation::compute(self.r[(k, k)], work[k]);
-            // Rotate row k of R against the work row.
-            self.r[(k, k)] = g.r;
-            for (j, wj) in work.iter_mut().enumerate().take(self.n).skip(k + 1) {
-                let (rk, wk) = g.apply(self.r[(k, j)], *wj);
-                self.r[(k, j)] = rk;
-                *wj = wk;
-            }
-            let (qk, bk) = g.apply(self.qtb[k], beta);
-            self.qtb[k] = qk;
-            beta = bk;
-        }
-        // Whatever is left of the RHS lives in the residual space.
-        self.residual_sq += beta * beta;
-        self.rows_absorbed += 1;
-        Ok(())
-    }
-
-    /// Solves for the least-squares estimate with the rows absorbed so
-    /// far. Fails with [`LinalgError::Singular`] until the absorbed rows
-    /// span all `n` unknowns.
-    pub fn solve(&self) -> Result<Vec<f64>> {
-        solve_upper_triangular(&self.r, &self.qtb)
-    }
-
-    /// Residual 2-norm of the accumulated least-squares problem.
-    pub fn residual_norm(&self) -> f64 {
-        self.residual_sq.sqrt()
-    }
-}
-
 /// Absorbs a rank-1 term `+ x xᵀ` into an upper-triangular Cholesky-like
 /// factor: given `R` with `RᵀR = G`, rewrites `R` in place so that
 /// `RᵀR = G + x xᵀ`, using `n` Givens rotations (`O(n²)` total).
 ///
 /// `x` is consumed as workspace (its contents are destroyed). The
-/// updated factor keeps a non-negative diagonal. This is exactly the
-/// row-append step of [`RowUpdateQr`] without a right-hand side; it is
-/// the building block the streaming Phase-1 estimator uses to fold a
+/// updated factor keeps a non-negative diagonal. It is the building
+/// block the streaming Phase-1 estimator uses to fold a
 /// covariance row back into the kept set without refactoring the Gram
 /// matrix from scratch.
 pub fn rank_one_update(r: &mut Matrix, x: &mut [f64]) -> Result<()> {
@@ -233,8 +140,6 @@ pub fn rank_one_downdate(r: &mut Matrix, x: &mut [f64]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lstsq::solve_least_squares;
-    use crate::matrix::Matrix;
 
     #[test]
     fn rotation_zeroes_second_component() {
@@ -253,59 +158,6 @@ mod tests {
         let (x, y) = g.apply(0.0, -2.0);
         assert!((x - 2.0).abs() < 1e-12);
         assert!(y.abs() < 1e-12);
-    }
-
-    #[test]
-    fn incremental_matches_batch_least_squares() {
-        let a = Matrix::from_rows(&[
-            vec![1.0, 1.0],
-            vec![1.0, 2.0],
-            vec![1.0, 3.0],
-            vec![1.0, 4.0],
-        ])
-        .unwrap();
-        let b = [6.0, 5.0, 7.0, 10.0];
-        let mut inc = RowUpdateQr::new(2);
-        for (i, &bi) in b.iter().enumerate() {
-            inc.append_row(a.row(i), bi).unwrap();
-        }
-        let x_inc = inc.solve().unwrap();
-        let x_batch = solve_least_squares(&a, &b).unwrap();
-        for (p, q) in x_inc.iter().zip(x_batch.iter()) {
-            assert!((p - q).abs() < 1e-10);
-        }
-        assert_eq!(inc.rows_absorbed(), 4);
-    }
-
-    #[test]
-    fn residual_matches_batch() {
-        let a = Matrix::from_rows(&[
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-            vec![1.0, 1.0],
-        ])
-        .unwrap();
-        let b = [1.0, 1.0, 0.0];
-        let mut inc = RowUpdateQr::new(2);
-        for (i, &bi) in b.iter().enumerate() {
-            inc.append_row(a.row(i), bi).unwrap();
-        }
-        let x = inc.solve().unwrap();
-        let direct = crate::lstsq::residual_norm(&a, &x, &b).unwrap();
-        assert!((inc.residual_norm() - direct).abs() < 1e-10);
-    }
-
-    #[test]
-    fn underdetermined_solve_fails_gracefully() {
-        let mut inc = RowUpdateQr::new(3);
-        inc.append_row(&[1.0, 0.0, 0.0], 1.0).unwrap();
-        assert!(inc.solve().is_err());
-    }
-
-    #[test]
-    fn row_length_checked() {
-        let mut inc = RowUpdateQr::new(2);
-        assert!(inc.append_row(&[1.0], 0.0).is_err());
     }
 
     /// A small SPD matrix and its upper Cholesky factor `R` (RᵀR = G).
@@ -387,16 +239,5 @@ mod tests {
         let mut expected = g.clone();
         expected[(2, 2)] += 1.5 * 1.5;
         assert!(max_abs_diff(&rtr, &expected) < 1e-10);
-    }
-
-    #[test]
-    fn exactly_determined_system_is_solved_exactly() {
-        let mut inc = RowUpdateQr::new(2);
-        inc.append_row(&[2.0, 0.0], 4.0).unwrap();
-        inc.append_row(&[0.0, 3.0], 9.0).unwrap();
-        let x = inc.solve().unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
-        assert!(inc.residual_norm() < 1e-12);
     }
 }

@@ -60,7 +60,7 @@ pub use qr::Qr;
 pub use rank::{rank, rank_with_tol, DEFAULT_RANK_TOL};
 pub use simd::{Engine, SimdPolicy};
 pub use sparse::CsrMatrix;
-pub use sparse_qr::{row_basis, row_basis_with, SparseQr};
+pub use sparse_qr::{row_basis, SparseQr};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

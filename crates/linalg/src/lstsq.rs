@@ -10,9 +10,9 @@
 //!   incrementally without materialising `A` (see
 //!   [`crate::sparse::CsrMatrix::gram_dense`]). Squares the condition
 //!   number, which is acceptable here because routing matrices are
-//!   well-scaled 0/1 matrices.
-//!
-//! The ablation bench `bench_lstsq_backends` compares the two.
+//!   well-scaled 0/1 matrices. Phase 1 solves its normal equations
+//!   through [`solve_spd_with`]; the property tests pin the two
+//!   backends against each other.
 
 use crate::cholesky::Cholesky;
 use crate::error::LinalgError;

@@ -25,57 +25,25 @@ pub struct PivotedQr {
     perm: Vec<usize>,
     /// `|R[0,0]|`, used for relative rank tolerances.
     max_pivot: f64,
-    /// Scratch: running squared column norms of the trailing submatrix
-    /// (kept in the struct so [`PivotedQr::factor_into`] allocates
-    /// nothing at a stable shape).
-    col_norms: Vec<f64>,
-    /// Scratch for the Householder reflections.
-    scratch: ReflectorScratch,
 }
 
 impl PivotedQr {
     /// Computes the pivoted QR factorisation of `a` (any shape, nonempty).
     pub fn new(a: &Matrix) -> Result<Self> {
-        let mut qr = PivotedQr {
-            packed: Matrix::zeros(0, 0),
-            tau: Vec::new(),
-            perm: Vec::new(),
-            max_pivot: 0.0,
-            col_norms: Vec::new(),
-            scratch: ReflectorScratch::default(),
-        };
-        qr.factor_into(a)?;
-        Ok(qr)
-    }
-
-    /// Re-factors `a` into this instance's preallocated buffers — the
-    /// in-place counterpart of [`PivotedQr::new`] (which is a thin
-    /// wrapper over this). Bit-identical to a fresh factorisation;
-    /// allocates nothing once the buffers have reached the right shape.
-    ///
-    /// On error the stored factorisation is invalid until a subsequent
-    /// `factor_into` succeeds.
-    pub fn factor_into(&mut self, a: &Matrix) -> Result<()> {
         let (m, n) = a.shape();
         if m == 0 || n == 0 {
             return Err(LinalgError::Empty);
         }
-        self.packed.copy_from(a);
-        let packed = &mut self.packed;
-        self.tau.clear();
-        self.tau.resize(n.min(m), 0.0);
-        let tau = &mut self.tau;
-        self.perm.clear();
-        self.perm.extend(0..n);
-        let perm = &mut self.perm;
+        let mut packed = a.clone();
+        let mut tau = vec![0.0; n.min(m)];
+        let mut perm: Vec<usize> = (0..n).collect();
         // Running squared column norms of the trailing submatrix.
-        self.col_norms.clear();
-        self.col_norms
-            .extend((0..n).map(|j| (0..m).map(|i| packed[(i, j)].powi(2)).sum::<f64>()));
-        let col_norms = &mut self.col_norms;
+        let mut col_norms: Vec<f64> = (0..n)
+            .map(|j| (0..m).map(|i| packed[(i, j)].powi(2)).sum::<f64>())
+            .collect();
 
         let steps = m.min(n);
-        let scratch = &mut self.scratch;
+        let mut scratch = ReflectorScratch::default();
         for k in 0..steps {
             // Pivot: bring the trailing column with the largest remaining
             // norm into position k. Recompute norms periodically to avoid
@@ -101,7 +69,7 @@ impl PivotedQr {
                 perm.swap(k, pivot_col);
                 col_norms.swap(k, pivot_col);
             }
-            tau[k] = reflect_column(packed, k, scratch);
+            tau[k] = reflect_column(&mut packed, k, &mut scratch);
             // Downdate trailing column norms: after zeroing below-diagonal
             // entries in column k, each trailing column loses its k-th
             // row's contribution.
@@ -114,8 +82,13 @@ impl PivotedQr {
                 }
             }
         }
-        self.max_pivot = packed[(0, 0)].abs();
-        Ok(())
+        let max_pivot = packed[(0, 0)].abs();
+        Ok(PivotedQr {
+            packed,
+            tau,
+            perm,
+            max_pivot,
+        })
     }
 
     /// Number of rows of the factored matrix.
@@ -306,33 +279,6 @@ mod tests {
             PivotedQr::new(&Matrix::zeros(0, 3)),
             Err(LinalgError::Empty)
         ));
-    }
-
-    #[test]
-    fn factor_into_reuse_is_bit_identical() {
-        // One instance refactoring matrices of different shapes must
-        // match fresh factorisations bit for bit (rank, permutation,
-        // and least-squares solutions included).
-        let a1 = Matrix::from_rows(&[
-            vec![1.0, 2.0, 0.5],
-            vec![2.0, 0.1, 1.0],
-            vec![0.3, 1.0, 2.0],
-            vec![1.0, 1.0, 1.0],
-        ])
-        .unwrap();
-        let a2 = Matrix::from_rows(&[vec![4.0, 1.0], vec![2.0, 3.0]]).unwrap();
-        let mut reused = PivotedQr::new(&a1).unwrap();
-        for a in [&a2, &a1, &a2] {
-            reused.factor_into(a).unwrap();
-            let fresh = PivotedQr::new(a).unwrap();
-            assert_eq!(reused.rank(), fresh.rank());
-            assert_eq!(reused.perm(), fresh.perm());
-            let b: Vec<f64> = (0..a.rows()).map(|i| i as f64 + 0.5).collect();
-            assert_eq!(
-                reused.solve_least_squares(&b).unwrap(),
-                fresh.solve_least_squares(&b).unwrap()
-            );
-        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Explicit SIMD microkernels with portable runtime dispatch.
 //!
-//! The numeric hot path of the whole workspace funnels into four scalar
+//! The numeric hot path of the whole workspace funnels into three scalar
 //! kernels: the blocked matmul/gram micro-panels ([`crate::blocked`]),
-//! the packed 4×4 Cholesky trailing kernel ([`crate::cholesky`]), the
+//! the packed 4×4 Cholesky trailing kernel ([`crate::cholesky`]), and the
 //! four interleaved accumulator chains of the covariance pair sweep
-//! (`losstomo-core`), and the Givens rotation spans of the sparse QR
-//! ([`crate::sparse_qr`]). This module provides AVX2 implementations of
+//! (`losstomo-core`). This module provides AVX2 implementations of
 //! those kernels behind **runtime CPU-feature detection**
 //! (`is_x86_feature_detected!`), so one release artifact runs on any
 //! x86-64 — the `.cargo/config.toml` `target-cpu=native` reliance this
@@ -22,13 +21,12 @@
 //!   kernel; each of the 16 cells keeps its ascending-`k` chain,
 //! * covariance — lanes are the 4 interleaved pair chains; products are
 //!   formed snapshot-contiguous and one 4×4 transpose feeds them to the
-//!   chains in ascending snapshot order,
-//! * sparse QR — lanes are columns of the merged rotation span; each
-//!   column's `c·r + s·w` / `c·w − s·r` is one mul-mul-add(sub) just
-//!   like the scalar expression. (Measurement: the rotation is bound by
-//!   the support merge, so production dispatch keeps the single-pass
-//!   scalar path — see `ROTATE_SPAN_MIN` in `sparse_qr` — and the
-//!   vector path stays test-pinned.)
+//!   chains in ascending snapshot order.
+//!
+//! The sparse QR's Givens rotations stay scalar: they are bound by the
+//! merge of the two rows' supports, and a vectorized rotation span lost
+//! 20–50 % to the single-pass scalar rotation at every span length the
+//! 2450-path Waxman factorisation produced.
 //!
 //! Since `vmulpd`/`vaddpd` are IEEE-754 exact per lane (identical to
 //! the scalar `mulsd`/`addsd`), each scalar result's operation sequence
@@ -53,8 +51,8 @@
 //!                                               │
 //!        blocked::matmul/gram ──────────────────┤ per-call `active()`
 //!        cholesky trailing update ──────────────┤ (one branch per kernel
-//!        covariance pair sweep (core) ──────────┤  invocation, hoisted out
-//!        sparse_qr rotations ───────────────────┘  of all inner loops)
+//!        covariance pair sweep (core) ──────────┘  invocation, hoisted out
+//!                                                  of all inner loops)
 //! ```
 //!
 //! The scalar loops remain compiled unconditionally — they are the
@@ -352,46 +350,6 @@ pub fn pair_cov4(
     {
         let _ = (a0, b0, a1, b1, a2, b2, a3, b3, fma);
         None
-    }
-}
-
-/// The arithmetic span of one sparse Givens rotation: over the merged
-/// support (`rv`, `wv` aligned), computes
-/// `new_r[i] = c·rv[i] + s·wv[i]` and `new_w[i] = c·wv[i] − s·rv[i]`
-/// (lanes are span columns; each output element performs the same
-/// mul-mul-add/sub as the scalar expression). `new_r`/`new_w` must be
-/// at least `rv.len()` long; only the first `rv.len()` entries are
-/// written. Bit-identical to the scalar span for `fma == false`.
-pub fn rotate_span(
-    c: f64,
-    s: f64,
-    rv: &[f64],
-    wv: &[f64],
-    new_r: &mut [f64],
-    new_w: &mut [f64],
-    fma: bool,
-) -> bool {
-    let len = rv.len();
-    assert_eq!(wv.len(), len, "rotation span slices disagree");
-    assert!(new_r.len() >= len && new_w.len() >= len, "outputs too short");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if fma && Engine::fma_available() {
-            // SAFETY: AVX2 + FMA presence checked; lengths checked above.
-            unsafe { x86::rotate_span_fma(c, s, rv, wv, new_r, new_w) };
-            return true;
-        }
-        if !fma && Engine::avx2_available() {
-            // SAFETY: AVX2 presence checked; lengths checked above.
-            unsafe { x86::rotate_span_plain(c, s, rv, wv, new_r, new_w) };
-            return true;
-        }
-        false
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (c, s, rv, wv, new_r, new_w, fma);
-        false
     }
 }
 
@@ -902,77 +860,6 @@ mod x86 {
             s[3] = scalar_step::<false>(s[3], a3[ll], b3[ll]);
         }
         s
-    }
-
-    // ------------------------------------------ sparse Givens rotation
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rotate_span_plain(
-        c: f64,
-        s: f64,
-        rv: &[f64],
-        wv: &[f64],
-        new_r: &mut [f64],
-        new_w: &mut [f64],
-    ) {
-        rotate_span_body::<false>(c, s, rv, wv, new_r, new_w)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn rotate_span_fma(
-        c: f64,
-        s: f64,
-        rv: &[f64],
-        wv: &[f64],
-        new_r: &mut [f64],
-        new_w: &mut [f64],
-    ) {
-        rotate_span_body::<true>(c, s, rv, wv, new_r, new_w)
-    }
-
-    /// Lanes are span columns: `new_r = c·rv + s·wv`,
-    /// `new_w = c·wv − s·rv`, each lane the same multiply-multiply-
-    /// add/subtract sequence as the scalar expressions.
-    #[inline(always)]
-    unsafe fn rotate_span_body<const FMA: bool>(
-        c: f64,
-        s: f64,
-        rv: &[f64],
-        wv: &[f64],
-        new_r: &mut [f64],
-        new_w: &mut [f64],
-    ) {
-        let len = rv.len();
-        let vc = _mm256_set1_pd(c);
-        let vs = _mm256_set1_pd(s);
-        let mut i = 0;
-        while i + 4 <= len {
-            let rvi = _mm256_loadu_pd(rv.as_ptr().add(i));
-            let wvi = _mm256_loadu_pd(wv.as_ptr().add(i));
-            let (nr, nw) = if FMA {
-                (
-                    _mm256_fmadd_pd(vc, rvi, _mm256_mul_pd(vs, wvi)),
-                    _mm256_fmsub_pd(vc, wvi, _mm256_mul_pd(vs, rvi)),
-                )
-            } else {
-                (
-                    _mm256_add_pd(_mm256_mul_pd(vc, rvi), _mm256_mul_pd(vs, wvi)),
-                    _mm256_sub_pd(_mm256_mul_pd(vc, wvi), _mm256_mul_pd(vs, rvi)),
-                )
-            };
-            _mm256_storeu_pd(new_r.as_mut_ptr().add(i), nr);
-            _mm256_storeu_pd(new_w.as_mut_ptr().add(i), nw);
-            i += 4;
-        }
-        for ii in i..len {
-            if FMA {
-                new_r[ii] = c.mul_add(rv[ii], s * wv[ii]);
-                new_w[ii] = c.mul_add(wv[ii], -(s * rv[ii]));
-            } else {
-                new_r[ii] = c * rv[ii] + s * wv[ii];
-                new_w[ii] = c * wv[ii] - s * rv[ii];
-            }
-        }
     }
 }
 

@@ -30,7 +30,6 @@
 //! (`crates/linalg/tests/properties.rs`).
 
 use crate::error::LinalgError;
-use crate::simd::{self, Engine};
 use crate::sparse::CsrMatrix;
 use crate::Result;
 
@@ -67,8 +66,6 @@ pub struct SparseQr {
     /// Largest entry magnitude over the whole factor, for relative
     /// rank tolerances.
     scale: f64,
-    /// Reusable SoA scratch of the vectorized rotation path.
-    rotate_scratch: RotateScratch,
 }
 
 impl SparseQr {
@@ -76,20 +73,13 @@ impl SparseQr {
     /// call site factors an owned column-subset temporary, and the
     /// matrix is retained for the seminormal solve anyway.
     pub fn new(a: CsrMatrix) -> Result<Self> {
-        Self::new_with(a, simd::active())
-    }
-
-    /// [`SparseQr::new`] under an explicit SIMD engine (see
-    /// [`SparseQr::refactor_with`]).
-    pub fn new_with(a: CsrMatrix, engine: Engine) -> Result<Self> {
         let mut qr = SparseQr {
             a: CsrMatrix::empty(0),
             r_rows: Vec::new(),
             row_max: Vec::new(),
             scale: 0.0,
-            rotate_scratch: RotateScratch::default(),
         };
-        qr.refactor_with(a, engine)?;
+        qr.refactor(a)?;
         Ok(qr)
     }
 
@@ -102,17 +92,6 @@ impl SparseQr {
     /// On error the stored factorisation is invalid until a subsequent
     /// `refactor` succeeds.
     pub fn refactor(&mut self, a: CsrMatrix) -> Result<CsrMatrix> {
-        self.refactor_with(a, simd::active())
-    }
-
-    /// [`SparseQr::refactor`] under an explicit SIMD engine. AVX2
-    /// engines may vectorize the rotation arithmetic over the merged
-    /// support's columns (see `ROTATE_SPAN_MIN` — currently the
-    /// merge-bound scalar path wins at every realistic span, so this
-    /// is a dispatch point, not a promise); non-FMA engines keep every
-    /// stored entry bit-identical to the scalar factorisation
-    /// (including which entries are dropped as exact zeros).
-    pub fn refactor_with(&mut self, a: CsrMatrix, engine: Engine) -> Result<CsrMatrix> {
         let (m, n) = (a.rows(), a.cols());
         if m == 0 || n == 0 {
             return Err(LinalgError::Empty);
@@ -123,7 +102,6 @@ impl SparseQr {
         self.r_rows.resize_with(n, || None);
         let a = &self.a;
         let r_rows = &mut self.r_rows;
-        let rsc = &mut self.rotate_scratch;
         let mut work: SparseRow = pool.pop().unwrap_or_default();
         let mut merged: SparseRow = pool.pop().unwrap_or_default();
         let mut rotated: SparseRow = pool.pop().unwrap_or_default();
@@ -155,9 +133,7 @@ impl SparseQr {
                         *slot = Some(row);
                         break;
                     }
-                    Some(rj) => {
-                        rotate_rows_with(rj, &mut work, &mut merged, &mut rotated, rsc, engine)
-                    }
+                    Some(rj) => rotate_rows(rj, &mut work, &mut merged, &mut rotated),
                 }
             }
         }
@@ -332,134 +308,6 @@ impl SparseQr {
     }
 }
 
-/// Reusable SoA buffers of the vectorized rotation path: the merged
-/// support is staged column-major (`cols`/`rv`/`wv`), the rotated
-/// values land in `new_r`/`new_w`, and a scalar rebuild pass re-applies
-/// the sparse drop rules. Structure-of-arrays is what lets the
-/// arithmetic span run as contiguous 4-lane vectors.
-#[derive(Debug, Clone, Default)]
-struct RotateScratch {
-    cols: Vec<usize>,
-    rv: Vec<f64>,
-    wv: Vec<f64>,
-    new_r: Vec<f64>,
-    new_w: Vec<f64>,
-}
-
-/// Minimum combined support before the vectorized rotation is chosen
-/// over the single-pass scalar one. Set to "never": measurement
-/// (`scale_simd`, 2450-path Waxman) shows the rotation is bound by the
-/// support *merge*, not the arithmetic — the SoA detour (merge into
-/// lanes → vector rotate → rebuild) roughly triples the memory traffic
-/// per element and loses 20–50 % at every span length the factor
-/// produces, short *and* fill-heavy. Production dispatch therefore
-/// always takes the scalar path; the vector path stays compiled and
-/// bit-identity-pinned by tests should a profitable regime appear
-/// (e.g. much denser factors or wider vectors). Both paths are
-/// bit-identical, so the threshold is purely a speed choice.
-const ROTATE_SPAN_MIN: usize = usize::MAX;
-
-/// Engine dispatch for one Givens rotation. The scalar path is the
-/// original single-pass merge-and-rotate, untouched; the AVX2 path
-/// stages the merge into SoA scratch and vectorizes the arithmetic
-/// span. Identical stored entries either way (see
-/// [`rotate_rows_avx2`]).
-// `>= ROTATE_SPAN_MIN` is degenerate while the threshold is "never";
-// the comparison stays because the threshold is the tuning point.
-#[allow(clippy::absurd_extreme_comparisons)]
-fn rotate_rows_with(
-    rj: &mut SparseRow,
-    work: &mut SparseRow,
-    merged: &mut SparseRow,
-    rotated: &mut SparseRow,
-    scratch: &mut RotateScratch,
-    engine: Engine,
-) {
-    match engine {
-        Engine::Avx2 { fma } if rj.len() + work.len() >= ROTATE_SPAN_MIN => {
-            rotate_rows_avx2(rj, work, merged, rotated, scratch, fma)
-        }
-        _ => rotate_rows(rj, work, merged, rotated),
-    }
-}
-
-/// The vectorized rotation: (A) scalar-merge the two supports into SoA
-/// lanes, (B) rotate the whole span with 4-lane vectors
-/// ([`simd::rotate_span`]), (C) scalar rebuild applying exactly the
-/// scalar path's drop rules (exact-zero entries dropped, the
-/// annihilated lead `col == j` never re-enters `work`). Each lane's
-/// `c·r + s·w` / `c·w − s·r` is the same mul-mul-add/sub as the scalar
-/// expression, so for `fma == false` every stored entry — and the
-/// support structure itself — is bit-identical to [`rotate_rows`].
-fn rotate_rows_avx2(
-    rj: &mut SparseRow,
-    work: &mut SparseRow,
-    merged: &mut SparseRow,
-    rotated: &mut SparseRow,
-    sc: &mut RotateScratch,
-    fma: bool,
-) {
-    let (j, wj) = work[0];
-    debug_assert_eq!(rj[0].0, j);
-    let rjj = rj[0].1;
-    let h = rjj.hypot(wj);
-    let (c, s) = (rjj / h, wj / h);
-    sc.cols.clear();
-    sc.rv.clear();
-    sc.wv.clear();
-    let (mut x, mut y) = (0usize, 0usize);
-    while x < rj.len() || y < work.len() {
-        let (col, rv, wv) = match (rj.get(x), work.get(y)) {
-            (Some(&(cr, rv)), Some(&(cw, wv))) if cr == cw => {
-                x += 1;
-                y += 1;
-                (cr, rv, wv)
-            }
-            (Some(&(cr, rv)), Some(&(cw, _))) if cr < cw => {
-                x += 1;
-                (cr, rv, 0.0)
-            }
-            (Some(_), Some(&(cw, wv))) => {
-                y += 1;
-                (cw, 0.0, wv)
-            }
-            (Some(&(cr, rv)), None) => {
-                x += 1;
-                (cr, rv, 0.0)
-            }
-            (None, Some(&(cw, wv))) => {
-                y += 1;
-                (cw, 0.0, wv)
-            }
-            (None, None) => unreachable!("loop condition"),
-        };
-        sc.cols.push(col);
-        sc.rv.push(rv);
-        sc.wv.push(wv);
-    }
-    let len = sc.cols.len();
-    sc.new_r.resize(len, 0.0);
-    sc.new_w.resize(len, 0.0);
-    if !simd::rotate_span(c, s, &sc.rv, &sc.wv, &mut sc.new_r, &mut sc.new_w, fma) {
-        // Host lacks AVX2 (an explicitly-constructed engine on foreign
-        // hardware): the scalar path computes the identical result.
-        rotate_rows(rj, work, merged, rotated);
-        return;
-    }
-    merged.clear();
-    rotated.clear();
-    for ((&col, &nr), &nw) in sc.cols.iter().zip(&sc.new_r).zip(&sc.new_w) {
-        if nr != 0.0 {
-            merged.push((col, nr));
-        }
-        if col != j && nw != 0.0 {
-            rotated.push((col, nw));
-        }
-    }
-    std::mem::swap(rj, merged);
-    std::mem::swap(work, rotated);
-}
-
 /// Applies the Givens rotation that annihilates `work`'s leading entry
 /// against the resident row `rj` (both sorted sparse rows sharing the
 /// same leading column). `rj` becomes the rotated resident row, `work`
@@ -536,14 +384,7 @@ fn rotate_rows(
 /// `cols`), which is what makes the certificate cheap on tall
 /// pair-augmented systems.
 pub fn row_basis(a: &CsrMatrix, order: &[usize]) -> Vec<usize> {
-    row_basis_with(a, order, simd::active())
-}
-
-/// [`row_basis`] under an explicit SIMD engine (non-FMA engines certify
-/// the identical basis — the rotations they stream are bit-identical).
-pub fn row_basis_with(a: &CsrMatrix, order: &[usize], engine: Engine) -> Vec<usize> {
     let tol = crate::rank::DEFAULT_RANK_TOL;
-    let mut rsc = RotateScratch::default();
     let n = a.cols();
     let mut r_rows: Vec<Option<SparseRow>> = Vec::new();
     r_rows.resize_with(n, || None);
@@ -641,7 +482,7 @@ pub fn row_basis_with(a: &CsrMatrix, order: &[usize], engine: Engine) -> Vec<usi
                             .fold(f64::INFINITY, f64::min);
                         break;
                     }
-                    rotate_rows_with(rj, &mut work, &mut merged, &mut rotated, &mut rsc, engine)
+                    rotate_rows(rj, &mut work, &mut merged, &mut rotated)
                 }
             }
         }
@@ -855,49 +696,6 @@ mod tests {
         let qr = SparseQr::new(a).unwrap();
         assert!(qr.leverage_of_row(&[0, 1, 2]).is_none());
         assert!(qr.leverage_of_row(&[7]).is_none());
-    }
-
-    #[test]
-    fn vectorized_rotation_is_bit_identical_to_scalar() {
-        // Production dispatch never picks the vectorized rotation (it
-        // loses to the merge-bound scalar pass — see ROTATE_SPAN_MIN),
-        // so this pins its bit-identity contract directly, mixed
-        // supports and all.
-        if !Engine::avx2_available() {
-            return;
-        }
-        let mk = |entries: &[(usize, f64)]| entries.to_vec();
-        let cases: Vec<(SparseRow, SparseRow)> = vec![
-            // Identical supports.
-            (
-                mk(&[(0, 1.0), (3, 0.25), (7, -2.0)]),
-                mk(&[(0, 0.5), (3, 4.0), (7, 1.0)]),
-            ),
-            // Disjoint tails, unequal lengths, exact-zero production
-            // (lead annihilation) and a long span crossing the 4-lane
-            // boundary.
-            (
-                mk(&(0..23).map(|k| (k * 2, 1.0 / (k + 1) as f64)).collect::<Vec<_>>()),
-                mk(&(0..17).map(|k| (k * 2, 0.3 * (k + 1) as f64)).collect::<Vec<_>>()),
-            ),
-            (
-                mk(&[(2, 1.0), (5, -1.0)]),
-                mk(&[(2, 1.0), (9, 2.5), (11, -0.125)]),
-            ),
-        ];
-        for (rj0, work0) in cases {
-            let (mut rj_s, mut work_s) = (rj0.clone(), work0.clone());
-            let (mut merged, mut rotated) = (Vec::new(), Vec::new());
-            rotate_rows(&mut rj_s, &mut work_s, &mut merged, &mut rotated);
-            let (mut rj_v, mut work_v) = (rj0, work0);
-            let mut sc = RotateScratch::default();
-            rotate_rows_avx2(&mut rj_v, &mut work_v, &mut merged, &mut rotated, &mut sc, false);
-            let key = |r: &SparseRow| -> Vec<(usize, u64)> {
-                r.iter().map(|&(c, v)| (c, v.to_bits())).collect()
-            };
-            assert_eq!(key(&rj_s), key(&rj_v), "triangular row diverged");
-            assert_eq!(key(&work_s), key(&work_v), "working row diverged");
-        }
     }
 
     #[test]

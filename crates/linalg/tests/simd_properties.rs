@@ -114,29 +114,6 @@ proptest! {
         }
     }
 
-    /// rotate_span: each lane performs the scalar `c·r + s·w` /
-    /// `c·w − s·r` sequence, bitwise, including the tail lanes.
-    #[test]
-    fn rotate_span_bitwise_equals_scalar(
-        len in 0usize..23,
-        c in -2.0f64..2.0,
-        s in -2.0f64..2.0,
-        vals in proptest::collection::vec(entry(), 2 * 23),
-    ) {
-        let rv = &vals[..len];
-        let wv = &vals[23..23 + len];
-        let mut new_r = vec![0.0; len];
-        let mut new_w = vec![0.0; len];
-        if simd::rotate_span(c, s, rv, wv, &mut new_r, &mut new_w, false) {
-            for i in 0..len {
-                prop_assert_eq!(canon_bits(new_r[i]), canon_bits(c * rv[i] + s * wv[i]));
-                prop_assert_eq!(canon_bits(new_w[i]), canon_bits(c * wv[i] - s * rv[i]));
-            }
-        } else {
-            prop_assert!(!Engine::avx2_available());
-        }
-    }
-
     /// Cholesky: forced-scalar and forced-AVX2 factorisations of a
     /// random SPD matrix agree bitwise (small sizes — the panel is
     /// unblocked, pinning the dispatch plumbing).

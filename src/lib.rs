@@ -176,7 +176,7 @@ pub mod prelude {
         CrossValidationConfig, ChurnReport, DelayEstimate, EliminationStrategy,
         EstimatorDiagnostics, EstimatorKind, EstimatorOutput, ExperimentConfig, FactorRefresh,
         LiaConfig, LinkRateEstimate, LossEstimator, OnlineConfig, OnlineEstimator, OnlineUpdate,
-        ScfsConfig, ScratchMode, Staleness, StreamingCovariance, VarianceConfig, WindowMode,
+        ScfsConfig, Staleness, StreamingCovariance, VarianceConfig, WindowMode,
     };
     pub use losstomo_fleet::{
         Fleet, FleetConfig, FleetError, FleetEvent, FleetEventKind, TenantId, TenantStats,
@@ -209,7 +209,6 @@ mod tests {
         let _x = CrossValidationConfig::default();
         let _o = OnlineConfig::default();
         let _w = WindowMode::default();
-        let _s = ScratchMode::default();
         let _f = FleetConfig::default();
         let _k = EstimatorKind::default();
         let _fl = FlowletParams::default();

@@ -2,7 +2,7 @@
 //! produce, for every tenant, **bit-identical** Phase-1 variances,
 //! Phase-2 estimates, congested sets, and congested-set change events
 //! to driving that tenant's `OnlineEstimator` alone — at any worker
-//! count, any queue capacity, and either scratch mode.
+//! count and any queue capacity.
 //!
 //! This is the fleet layer's core invariant (see `losstomo-fleet`'s
 //! crate docs): the fleet adds scheduling, never arithmetic.
@@ -208,26 +208,6 @@ fn sixteen_tenant_fleet_is_bit_identical_to_standalone_at_any_worker_count() {
     // Tight queues (forcing mid-batch backpressure drains) must not
     // change anything either.
     assert_fleet_matches_reference(&topologies, &feeds, online, Some(4), 2, &reference);
-}
-
-#[test]
-fn fleet_matches_standalone_under_alloc_per_refresh_scratch() {
-    // The scratch knob trades allocations, never bits: a fleet running
-    // the reallocating baseline must match the same standalone runs.
-    let n = 6;
-    let topologies: Vec<ReducedTopology> = (0..n).map(tenant_topology).collect();
-    let feeds: Vec<Vec<Snapshot>> = topologies
-        .iter()
-        .enumerate()
-        .map(|(t, red)| tenant_snapshots(red, t))
-        .collect();
-    let reuse = OnlineConfig::default();
-    let alloc = OnlineConfig {
-        scratch: ScratchMode::AllocPerRefresh,
-        ..OnlineConfig::default()
-    };
-    let reference = standalone_reference(&topologies, &feeds, reuse);
-    assert_fleet_matches_reference(&topologies, &feeds, alloc, Some(2), 16, &reference);
 }
 
 #[test]

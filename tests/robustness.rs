@@ -231,3 +231,39 @@ fn constant_rows_give_finite_outputs() {
         assert!(est.transmission.iter().all(|t| t.is_finite()));
     }
 }
+
+/// A NaN or ±∞ entry in Phase 2's input is a typed error naming the
+/// first bad entry, through the batch and the online entry points. A
+/// NaN `y` would otherwise become a NaN rate, which no loss threshold
+/// flags, so a broken measurement would read as "no congestion".
+#[test]
+fn non_finite_y_is_rejected_by_phase2() {
+    let red = quickstart_tree();
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut scenario =
+        CongestionScenario::draw(red.num_links(), 0.1, CongestionDynamics::Fixed, &mut rng);
+    let ms = simulate_run(&red, &mut scenario, &ProbeConfig::default(), 12, &mut rng);
+    let rows = ms.log_rate_rows();
+    let aug = AugmentedSystem::build(&red);
+    let centered = CenteredMeasurements::from_rows(rows.clone());
+    let v = estimate_variances(&red, &aug, &centered, &VarianceConfig::default())
+        .unwrap()
+        .v;
+    let mut online = OnlineEstimator::new(&red, OnlineConfig::default());
+    for row in &rows {
+        online.ingest_log_rates(row).unwrap();
+    }
+    let index = 4;
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut y = rows[0].clone();
+        y[index] = bad;
+        y[index + 3] = bad;
+        let want = losstomo::linalg::LinalgError::NonFinite { index };
+        assert_eq!(
+            infer_link_rates(&red, &v, &y, &LiaConfig::default()).unwrap_err(),
+            want,
+            "batch, {bad}"
+        );
+        assert_eq!(online.estimate(&y).unwrap_err(), want, "online, {bad}");
+    }
+}
