@@ -307,7 +307,7 @@ fn run_fleet_once(
                 .enqueue(ids[t], feed[round].clone())
                 .expect("queue sized to the feed");
         }
-        fleet.drain();
+        fleet.poll_events();
     }
     let wall = t0.elapsed();
     for &id in &ids {

@@ -19,12 +19,10 @@
 //! the full system's rank, tops up any link the basis left uncovered,
 //! and then fills to the requested budget with a diminishing-returns
 //! greedy on the coverage score — spreading the remaining rows across
-//! the link set instead of stacking near-duplicates — optionally
-//! weighted by statistical leverage against the basis factor
-//! ([`select_pairs_leverage`]). The guarantees — every covered link
-//! stays covered,
-//! rank is preserved — make the budgeted Phase 1 *exact* on
-//! noise-free covariances; the exactness oracle test below pins that.
+//! the link set instead of stacking near-duplicates. The guarantees —
+//! every covered link stays covered, rank is preserved — make the
+//! budgeted Phase 1 *exact* on noise-free covariances; the exactness
+//! oracle test below pins that.
 //!
 //! The budget itself is a [`PairBudget`]: `Full` (default), an
 //! absolute row count, or a fraction of the full pair set, resolvable
@@ -32,7 +30,7 @@
 //! fleet → tenant via [`PairBudget::or`].
 
 use crate::augmented::AugmentedSystem;
-use losstomo_linalg::{row_basis, Cholesky, LinalgError, Matrix, SparseQr};
+use losstomo_linalg::{row_basis, Cholesky, LinalgError, Matrix};
 
 /// Cap on Gram-certificate repair rounds (each adds rows, so the loop
 /// terminates regardless; the cap bounds the worst case).
@@ -40,7 +38,7 @@ const MAX_REPAIR_ROUNDS: usize = 64;
 
 /// Rows-per-link ratio above which the streaming row-basis pass is
 /// skipped in favour of the exact Gram certificate (see
-/// `select_pairs_impl`).
+/// [`select_pairs`]).
 const TALL_SKIP_RATIO: usize = 16;
 
 /// Rows added per repair round.
@@ -181,19 +179,6 @@ impl PairSelection {
 /// full system's column rank and covers every link the full system
 /// covers. Deterministic for a given system.
 pub fn select_pairs(aug: &AugmentedSystem, limit: usize) -> PairSelection {
-    select_pairs_impl(aug, limit, false)
-}
-
-/// [`select_pairs`] with the leverage-score refinement: the fill
-/// beyond the rank/coverage floor is ranked by each row's statistical
-/// leverage against the basis factor (`aᵀ(BᵀB)⁻¹a` via
-/// [`SparseQr::leverage_of_row`]) instead of the coverage score —
-/// slower to select, but prefers rows the basis represents worst.
-pub fn select_pairs_leverage(aug: &AugmentedSystem, limit: usize) -> PairSelection {
-    select_pairs_impl(aug, limit, true)
-}
-
-fn select_pairs_impl(aug: &AugmentedSystem, limit: usize, leverage: bool) -> PairSelection {
     let nr = aug.num_rows();
     let nc = aug.num_links();
 
@@ -283,24 +268,6 @@ fn select_pairs_impl(aug: &AugmentedSystem, limit: usize, leverage: bool) -> Pai
     // selection stales thousands of heap entries).
     let target = limit.max(n_selected).min(nr);
     if n_selected < target {
-        // Leverage refinement: weight each row's gain by its
-        // statistical leverage against the floor rows already selected
-        // (the basis when the streaming pass ran, the coverage floor
-        // otherwise), preferring rows that floor represents worst.
-        // Rows touching a column the floor never installed
-        // (rank-deficient systems only) carry weight 1.
-        let lev_mult: Option<Vec<f64>> = leverage.then(|| {
-            let floor: Vec<usize> = (0..nr).filter(|&r| selected[r]).collect();
-            let qr = SparseQr::new(aug.subset(&floor).to_sparse()).ok();
-            (0..nr)
-                .map(|r| {
-                    qr.as_ref()
-                        .and_then(|qr| qr.leverage_of_row(aug.row(r)))
-                        .unwrap_or(1.0)
-                })
-                .collect()
-        });
-        let mult = |r: usize| lev_mult.as_ref().map_or(1.0, |l| l[r]);
         let mut cnt = vec![0usize; nc];
         for (r, sel) in selected.iter().enumerate() {
             if *sel {
@@ -310,12 +277,10 @@ fn select_pairs_impl(aug: &AugmentedSystem, limit: usize, leverage: bool) -> Pai
             }
         }
         let gain = |r: usize, cnt: &[usize]| -> f64 {
-            mult(r)
-                * aug
-                    .row(r)
-                    .iter()
-                    .map(|&k| 1.0 / (link_count[k] * (1 + cnt[k])) as f64)
-                    .sum::<f64>()
+            aug.row(r)
+                .iter()
+                .map(|&k| 1.0 / (link_count[k] * (1 + cnt[k])) as f64)
+                .sum::<f64>()
         };
         let mut tau = (0..nr)
             .filter(|&r| !selected[r])
@@ -591,18 +556,6 @@ mod tests {
         assert_eq!(a.rows, b.rows);
         assert!(a.rows.len() < aug.num_rows() || a.rows.len() == a.basis_rows + a.coverage_rows);
         assert!(a.rows.windows(2).all(|w| w[0] < w[1]), "ascending");
-    }
-
-    #[test]
-    fn leverage_refinement_keeps_guarantees() {
-        let red = fixtures::reduced(&fixtures::figure2());
-        let aug = fig(&red);
-        let full_rank = losstomo_linalg::rank(&aug.to_dense());
-        let sel = select_pairs_leverage(&aug, full_rank + 1);
-        assert_eq!(sel.basis_rows, full_rank);
-        assert_eq!(sel.rows.len(), (full_rank + 1).max(sel.basis_rows + sel.coverage_rows));
-        let sub = aug.subset(&sel.rows);
-        assert_eq!(losstomo_linalg::rank(&sub.to_dense()), full_rank);
     }
 
     /// The exactness oracle of ISSUE 6: on noise-free covariances

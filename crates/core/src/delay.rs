@@ -71,6 +71,10 @@ pub fn estimate_delay_variances(
 /// surviving links.
 ///
 /// `history` supplies the baselines; `eval` is the snapshot to explain.
+/// It passes Phase 2's snapshot check: a mis-sized `eval` is a
+/// [`LinalgError::DimensionMismatch`], and a NaN or ±∞ delay a
+/// [`LinalgError::NonFinite`] (a NaN would otherwise read as zero
+/// queueing delay).
 ///
 /// Limitation (inherent to baseline subtraction): a link congested in
 /// *every* history snapshot leaks its minimum queueing delay into the
@@ -85,12 +89,7 @@ pub fn infer_link_delays(
     cfg: &LiaConfig,
 ) -> Result<DelayEstimate, LinalgError> {
     let np = red.num_paths();
-    if eval.path_delay.len() != np {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "snapshot has {} paths, topology has {np}",
-            eval.path_delay.len()
-        )));
-    }
+    crate::lia::check_snapshot(np, &eval.path_delay)?;
     if history.is_empty() {
         return Err(LinalgError::Empty);
     }
@@ -236,17 +235,18 @@ mod tests {
     #[test]
     fn errors_on_bad_input() {
         let red = losstomo_topology::fixtures::reduced(&losstomo_topology::fixtures::figure1());
-        let est = infer_link_delays(
-            &red,
-            &[0.0; 5],
-            &[],
-            &DelaySnapshot {
-                path_delay: vec![0.0; 3],
-                link_queue_delay: vec![],
-                congested: vec![],
-            },
-            &LiaConfig::default(),
-        );
+        let snap = |path_delay: Vec<f64>| DelaySnapshot {
+            path_delay,
+            link_queue_delay: vec![],
+            congested: vec![],
+        };
+        let cfg = LiaConfig::default();
+        let est = infer_link_delays(&red, &[0.0; 5], &[], &snap(vec![0.0; 3]), &cfg);
         assert!(est.is_err());
+        // A NaN delay is rejected, not read as zero queueing delay.
+        let history = [snap(vec![1.0; 3]), snap(vec![2.0; 3])];
+        let eval = snap(vec![1.0, f64::NAN, 1.0]);
+        let est = infer_link_delays(&red, &[0.0; 5], &history, &eval, &cfg);
+        assert_eq!(est.unwrap_err(), LinalgError::NonFinite { index: 1 });
     }
 }

@@ -14,8 +14,10 @@
 //! LIA and Zhu share Phase 2 ([`infer_link_rates`]) verbatim, so their
 //! output differences isolate the *variance learning* strategy; the
 //! fast backend additionally swaps in a variance-screened Phase 2 (see
-//! [`DengFastEstimator`]) that rank-searches only the columns whose
-//! learned variance clears the noise floor. The backends remain oracles
+//! [`DengFastEstimator`]) that fits the same Phase-2 model on only the
+//! columns whose learned variance clears the noise floor. Every backend
+//! runs Phase 2's snapshot check, so a NaN or ±∞ log rate is a
+//! [`LinalgError::NonFinite`] on all four. The backends remain oracles
 //! for each other
 //! (`tests/estimator_agreement.rs`): Zhu's closed form is exact on
 //! trees, so any backend disagreeing there is wrong; LIA is pinned
@@ -41,7 +43,8 @@ use crate::augmented::AugmentedSystem;
 use crate::budget::{apply_budget, PairBudget};
 use crate::covariance::CenteredMeasurements;
 use crate::lia::{
-    infer_link_rates, paper_order_rates, rates_from_solution, LiaConfig, LinkRateEstimate, RankView,
+    check_snapshot, infer_link_rates, rates_from_solution, EliminationStrategy, LiaConfig,
+    LinkRateEstimate, Phase2Model, RankView,
 };
 use crate::variance::{estimate_variances_from_sigmas, VarianceConfig};
 use losstomo_linalg::{LinalgError, PivotedQr};
@@ -478,14 +481,8 @@ fn deng_screened_phase2(
     y: &[f64],
     cfg: &LiaConfig,
 ) -> Result<LinkRateEstimate, LinalgError> {
+    check_snapshot(red.num_paths(), y)?;
     let nc = red.num_links();
-    if y.len() != red.num_paths() {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "snapshot has {} paths, topology has {}",
-            y.len(),
-            red.num_paths()
-        )));
-    }
     if nc == 0 {
         return Ok(rates_from_solution(0, &[], &[]));
     }
@@ -506,7 +503,10 @@ fn deng_screened_phase2(
     // independent. The scan (or the sparse bisection) touches only
     // candidate columns.
     candidates.sort_by(|&a, &b| variances[a].total_cmp(&variances[b]));
-    paper_order_rates(&RankView::new(red, cfg.dispatch), nc, &candidates, y)
+    let mut model = Phase2Model::default();
+    let view = RankView::new(red, cfg.dispatch);
+    model.fit(red, &view, &candidates, EliminationStrategy::PaperOrder)?;
+    model.rates(nc, y)
 }
 
 /// Sorted intersection of two ascending link lists.
@@ -672,13 +672,7 @@ pub(crate) fn first_moment_solution(
     red: &ReducedTopology,
     y: &[f64],
 ) -> Result<(Vec<f64>, Vec<bool>), LinalgError> {
-    if y.len() != red.num_paths() {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "snapshot has {} paths, topology has {}",
-            y.len(),
-            red.num_paths()
-        )));
-    }
+    check_snapshot(red.num_paths(), y)?;
     let dense = red.matrix.to_dense();
     let qr = PivotedQr::new(&dense)?;
     let basis = qr.independent_columns();

@@ -21,17 +21,23 @@
 //! the way is the factor of `R*` the reduced solve uses — one
 //! factorisation per Phase 2, identical output to the paper's loop.
 //!
-//! Above [`dense_phase2_max_cols`] links the sparse path bisects over
-//! the cut instead: "a subset of an independent set is independent"
-//! makes feasibility monotone in the cut, so `O(log n_c)` sparse Givens
-//! rank checks find it (the row-streaming Givens QR cannot append
-//! columns), and a warm-start hint can re-certify a remembered cut with
-//! two checks.
+//! Above [`DENSE_MAX_COLS`] links the sparse path bisects over the cut
+//! instead: "a subset of an independent set is independent" makes
+//! feasibility monotone in the cut, so `O(log n_c)` sparse Givens rank
+//! checks find it (the row-streaming Givens QR cannot append columns),
+//! and a warm-start hint can re-certify a remembered cut with two
+//! checks.
 //!
 //! A greedy-matroid variant that keeps every column independent of the
 //! already-kept higher-variance set is provided for the ablation study
 //! (it never discards an identifiable congested link). It runs the same
 //! column-append kernel but skips dependent columns instead of stopping.
+//!
+//! Selection, factoring and solving live in one place, the crate-private
+//! Phase-2 model: batch [`infer_link_rates`], the deng-fast backend's
+//! screened solve and the streaming estimator all fit and solve through
+//! it, behind one snapshot check (`y` must hold one finite log rate per
+//! path).
 //!
 //! Phase 2 consumes whatever variances Phase 1 produced; it is
 //! agnostic to the augmented-pair row budget ([`crate::budget`]) —
@@ -41,7 +47,6 @@
 use losstomo_linalg::{AppendQr, CsrMatrix, LinalgError, Matrix, SparseQr};
 use losstomo_topology::ReducedTopology;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// How Phase 2 chooses the columns of `R*`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -60,8 +65,8 @@ pub enum EliminationStrategy {
 /// the reduced least-squares solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Phase2Dispatch {
-    /// Dense up to [`dense_phase2_max_cols`] columns, the sparse Givens
-    /// QR above (the routing matrix is 1–2 % dense at mesh scale, where
+    /// Dense up to [`DENSE_MAX_COLS`] columns, the sparse Givens QR
+    /// above (the routing matrix is 1–2 % dense at mesh scale, where
     /// densifying dominates the pipeline). Default.
     #[default]
     Auto,
@@ -72,25 +77,18 @@ pub enum Phase2Dispatch {
     Sparse,
 }
 
-/// The column count up to which [`Phase2Dispatch::Auto`] stays dense:
-/// the `LOSSTOMO_DENSE_PHASE2_MAX_COLS` environment variable, default
-/// 2500 (read once per process).
-pub fn dense_phase2_max_cols() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("LOSSTOMO_DENSE_PHASE2_MAX_COLS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2500)
-    })
-}
+/// The link-column count up to which [`Phase2Dispatch::Auto`] and
+/// [`Phase1Dispatch::Auto`](crate::variance::Phase1Dispatch::Auto) stay
+/// dense; above it the sparse Givens QR factors the CSR system
+/// directly.
+pub const DENSE_MAX_COLS: usize = 2500;
 
 impl Phase2Dispatch {
     /// Whether a system with `nc` link columns resolves to the dense
     /// path.
     pub fn is_dense(self, nc: usize) -> bool {
         match self {
-            Phase2Dispatch::Auto => nc <= dense_phase2_max_cols(),
+            Phase2Dispatch::Auto => nc <= DENSE_MAX_COLS,
             Phase2Dispatch::Dense => true,
             Phase2Dispatch::Sparse => false,
         }
@@ -205,15 +203,22 @@ pub fn select_full_rank_columns(
     variances: &[f64],
     strategy: EliminationStrategy,
 ) -> Vec<usize> {
-    let nc = red.num_links();
     assert_eq!(
         variances.len(),
-        nc,
+        red.num_links(),
         "got {} variances for {} links",
         variances.len(),
-        nc
+        red.num_links()
     );
-    select_full_rank_columns_ordered(red, &variance_order(variances), strategy)
+    let order = variance_order(variances);
+    match strategy {
+        EliminationStrategy::PaperOrder => {
+            let view = RankView::new(red, Phase2Dispatch::Auto);
+            select_paper_order_hinted(red, &view, &order, None).0
+        }
+        // Greedy is dense at every size: it reads one column at a time.
+        EliminationStrategy::GreedyMatroid => sorted(dense_factor(red, &order, strategy).cols()),
+    }
 }
 
 /// The ascending variance order Phase 2 eliminates in: link indices
@@ -239,35 +244,9 @@ pub(crate) fn variance_order_into(variances: &[f64], order: &mut Vec<usize>) {
     order.sort_unstable_by(|&a, &b| variances[a].total_cmp(&variances[b]).then(a.cmp(&b)));
 }
 
-/// [`select_full_rank_columns`] with a precomputed [`variance_order`]
-/// permutation (`order.len()` must equal `red.num_links()`); same
-/// [`Phase2Dispatch::Auto`] policy.
-pub fn select_full_rank_columns_ordered(
-    red: &ReducedTopology,
-    order: &[usize],
-    strategy: EliminationStrategy,
-) -> Vec<usize> {
-    let nc = red.num_links();
-    assert_eq!(
-        order.len(),
-        nc,
-        "got a {}-element variance order for {} links",
-        order.len(),
-        nc
-    );
-
-    match strategy {
-        EliminationStrategy::PaperOrder => {
-            let view = RankView::new(red, Phase2Dispatch::Auto);
-            select_paper_order_hinted(red, &view, order, None).0
-        }
-        // Greedy is dense at every size: it reads one column at a time.
-        EliminationStrategy::GreedyMatroid => sorted(dense_factor(red, order, strategy).cols()),
-    }
-}
-
 /// Runs `strategy`'s column-append scan over `red`'s dense columns in
-/// `order` (a full [`variance_order`]), whatever the dispatch policy.
+/// `order` (ascending variance, any subset of the links), whatever the
+/// dispatch policy.
 pub(crate) fn dense_factor(
     red: &ReducedTopology,
     order: &[usize],
@@ -284,9 +263,9 @@ fn sorted(cols: &[usize]) -> Vec<usize> {
     out
 }
 
-/// The dense Phase-2 model: the column-append factor of `R*` and its
-/// columns in append (decreasing-variance) order. Built by one scan
-/// over the variance order; reused across scans without allocating.
+/// The dense factor of `R*`: the column-append QR and its columns in
+/// append (decreasing-variance) order. Built by one scan over the
+/// variance order; reused across scans without allocating.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DenseFactor {
     qr: AppendQr,
@@ -327,12 +306,6 @@ impl DenseFactor {
     /// Solves `Y = R* X*` for one snapshot: `X*` in append order.
     pub(crate) fn solve(&self, y: &[f64]) -> Result<Vec<f64>, LinalgError> {
         self.qr.solve_least_squares(y)
-    }
-
-    /// [`DenseFactor::solve`], expanded to per-link rates over all `nc`
-    /// links.
-    pub(crate) fn rates(&self, nc: usize, y: &[f64]) -> Result<LinkRateEstimate, LinalgError> {
-        Ok(rates_from_solution(nc, &self.cols, &self.solve(y)?))
     }
 }
 
@@ -459,39 +432,163 @@ fn bisect_cut(csr: &CsrMatrix, order: &[usize], hint: Option<usize>) -> usize {
     bisect(0, nc)
 }
 
-/// Paper-order Phase 2 over `order` (ascending variance, any subset of
-/// the `nc` links), solved for one snapshot `y`: the dense view scans
-/// and solves with the one factor, the sparse view bisects the cut and
-/// factors the kept columns once.
-pub(crate) fn paper_order_rates(
-    view: &RankView,
-    nc: usize,
-    order: &[usize],
-    y: &[f64],
-) -> Result<LinkRateEstimate, LinalgError> {
-    match view {
-        RankView::Dense(rt) => {
-            let mut factor = DenseFactor::default();
-            factor.scan(rt, order, EliminationStrategy::PaperOrder);
-            factor.rates(nc, y)
-        }
-        RankView::Sparse(csr) => {
-            let cut = bisect_cut(csr, order, None);
-            sparse_rates(csr, nc, &sorted(&order[cut..]), y)
+/// The Phase-2 model: the kept columns of `R*` for one variance order
+/// and their factorisation, fitted once and solved per snapshot. Batch
+/// [`infer_link_rates`], the deng-fast screened solve and the streaming
+/// estimator all run Phase 2 through it, so they stay bit-identical.
+#[derive(Debug)]
+pub(crate) struct Phase2Model {
+    /// The kept columns, ascending (empty while unfitted).
+    kept: Vec<usize>,
+    /// The last sparse paper-order cut: the bisection's warm-start hint.
+    cut: Option<usize>,
+    /// The factor of `R*` (`None` while unfitted).
+    factor: Option<RstarFactor>,
+    /// Sparse `R*` column-selection buffer, recycled through
+    /// [`SparseQr::refactor`].
+    rstar: CsrMatrix,
+}
+
+/// The factorisation of `R*` a [`Phase2Model`] solves with.
+#[derive(Debug)]
+enum RstarFactor {
+    /// The dense column-append factor, built by the scan that selected
+    /// its columns.
+    Dense(DenseFactor),
+    /// Sparse Givens QR of the kept columns.
+    Sparse(SparseQr),
+}
+
+impl Default for Phase2Model {
+    fn default() -> Self {
+        Phase2Model {
+            kept: Vec::new(),
+            cut: None,
+            factor: None,
+            rstar: CsrMatrix::empty(0),
         }
     }
 }
 
-/// Solves `Y = R* X*` on the sparse view for the kept columns
-/// (ascending) and expands the solution to all `nc` links.
-fn sparse_rates(
-    csr: &CsrMatrix,
-    nc: usize,
-    kept: &[usize],
-    y: &[f64],
-) -> Result<LinkRateEstimate, LinalgError> {
-    let xstar = SparseQr::new(csr.select_columns(kept))?.solve_least_squares(y)?;
-    Ok(rates_from_solution(nc, kept, &xstar))
+impl Phase2Model {
+    /// Selects and factors `R*` for `order` (ascending variance, any
+    /// subset of `red`'s links) on `view`, a [`RankView`] of
+    /// `red.matrix`. The dense view runs one column-append scan into
+    /// the model's buffers, which selects the kept columns and factors
+    /// `R*` in the same pass. The sparse view finds the paper-order cut
+    /// by bisection, warm-started from the last cut, or the greedy set
+    /// by the dense scan, and refactors `R*` only when the kept set
+    /// changed. On error the model is left unfitted.
+    pub(crate) fn fit(
+        &mut self,
+        red: &ReducedTopology,
+        view: &RankView,
+        order: &[usize],
+        strategy: EliminationStrategy,
+    ) -> Result<(), LinalgError> {
+        let csr = match view {
+            RankView::Dense(rt) => {
+                let mut factor = match self.factor.take() {
+                    Some(RstarFactor::Dense(factor)) => factor,
+                    _ => DenseFactor::default(),
+                };
+                factor.scan(rt, order, strategy);
+                self.kept.clear();
+                self.kept.extend_from_slice(factor.cols());
+                self.kept.sort_unstable();
+                self.factor = Some(RstarFactor::Dense(factor));
+                return Ok(());
+            }
+            RankView::Sparse(csr) => csr,
+        };
+        let kept = match strategy {
+            EliminationStrategy::PaperOrder => {
+                let cut = bisect_cut(csr, order, self.cut);
+                self.cut = Some(cut);
+                sorted(&order[cut..])
+            }
+            // Greedy is dense at every size: it reads one column at a
+            // time.
+            EliminationStrategy::GreedyMatroid => sorted(dense_factor(red, order, strategy).cols()),
+        };
+        if kept == self.kept && matches!(self.factor, Some(RstarFactor::Sparse(_))) {
+            return Ok(());
+        }
+        csr.select_columns_into(&kept, &mut self.rstar);
+        let rstar = std::mem::replace(&mut self.rstar, CsrMatrix::empty(0));
+        let factored = match self.factor.take() {
+            Some(RstarFactor::Sparse(mut qr)) => qr.refactor(rstar).map(|prev| {
+                // The displaced matrix becomes the next selection buffer.
+                self.rstar = prev;
+                qr
+            }),
+            _ => SparseQr::new(rstar),
+        };
+        match factored {
+            Ok(qr) => {
+                self.factor = Some(RstarFactor::Sparse(qr));
+                self.kept = kept;
+                Ok(())
+            }
+            Err(e) => {
+                self.kept.clear();
+                Err(e)
+            }
+        }
+    }
+
+    /// Solves `Y = R* X*` for one snapshot and expands the solution to
+    /// per-link rates over all `nc` links.
+    pub(crate) fn rates(&self, nc: usize, y: &[f64]) -> Result<LinkRateEstimate, LinalgError> {
+        match &self.factor {
+            Some(RstarFactor::Dense(factor)) => {
+                Ok(rates_from_solution(nc, factor.cols(), &factor.solve(y)?))
+            }
+            Some(RstarFactor::Sparse(qr)) => Ok(rates_from_solution(
+                nc,
+                &self.kept,
+                &qr.solve_least_squares(y)?,
+            )),
+            None => Err(LinalgError::DimensionMismatch(
+                "no Phase-2 model fitted yet — ingest more snapshots".to_string(),
+            )),
+        }
+    }
+
+    /// The kept columns, ascending (empty while unfitted).
+    pub(crate) fn kept(&self) -> &[usize] {
+        &self.kept
+    }
+
+    /// Whether a fit succeeded since the model was built or cleared.
+    pub(crate) fn is_fitted(&self) -> bool {
+        self.factor.is_some()
+    }
+
+    /// Drops the fit (the routing matrix changed). The cut survives as
+    /// an output-neutral hint for the next sparse bisection.
+    pub(crate) fn clear(&mut self) {
+        self.kept.clear();
+        self.factor = None;
+    }
+}
+
+/// The snapshot check every Phase-2 entry point runs: `y` must hold one
+/// log rate per path (`np` of them) or a
+/// [`LinalgError::DimensionMismatch`] is returned, and every entry must
+/// be finite or [`LinalgError::NonFinite`] names the first that is not.
+/// A NaN rate would read as "not congested" under every loss threshold.
+pub(crate) fn check_snapshot(np: usize, y: &[f64]) -> Result<(), LinalgError> {
+    if y.len() != np {
+        return Err(LinalgError::DimensionMismatch(format!(
+            "snapshot covers {} paths, topology has {np}",
+            y.len()
+        )));
+    }
+    match y.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(LinalgError::NonFinite { index }),
+        None => Ok(()),
+    }
 }
 
 /// Runs Phase 2: solves the reduced first-moment system for one
@@ -499,60 +596,34 @@ fn sparse_rates(
 ///
 /// The factorisation family follows `cfg.dispatch`: below the dense
 /// threshold one column-append QR scan selects the columns and factors
-/// `R*` (the streaming estimator runs the same scan and solve, so the
-/// two stay bit-identical); above it the rank checks and the reduced
-/// solve both go through the sparse Givens QR without ever densifying
-/// `R`.
+/// `R*` (the streaming estimator fits the same model, so the two stay
+/// bit-identical); above it the rank checks and the reduced solve both
+/// go through the sparse Givens QR without ever densifying `R`.
 ///
-/// A NaN or ±∞ entry of `y` returns [`LinalgError::NonFinite`] naming
-/// the first one: it would otherwise become a NaN rate, which no loss
-/// threshold reports as congested.
+/// A mis-sized `y` returns [`LinalgError::DimensionMismatch`], and a NaN
+/// or ±∞ entry [`LinalgError::NonFinite`] naming the first one.
 pub fn infer_link_rates(
     red: &ReducedTopology,
     variances: &[f64],
     y: &[f64],
     cfg: &LiaConfig,
 ) -> Result<LinkRateEstimate, LinalgError> {
-    let nc = red.num_links();
-    if y.len() != red.num_paths() {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "snapshot has {} paths, topology has {}",
-            y.len(),
-            red.num_paths()
-        )));
-    }
-    if let Some(index) = y.iter().position(|v| !v.is_finite()) {
-        return Err(LinalgError::NonFinite { index });
-    }
+    check_snapshot(red.num_paths(), y)?;
     assert_eq!(
         variances.len(),
-        nc,
+        red.num_links(),
         "got {} variances for {} links",
         variances.len(),
-        nc
+        red.num_links()
     );
+    let mut model = Phase2Model::default();
     let view = RankView::new(red, cfg.dispatch);
-    let order = variance_order(variances);
-    match (cfg.elimination, &view) {
-        (EliminationStrategy::PaperOrder, _) => paper_order_rates(&view, nc, &order, y),
-        // Greedy is dense-only; reuse the already-materialised view
-        // instead of densifying a second time.
-        (EliminationStrategy::GreedyMatroid, RankView::Dense(rt)) => {
-            let mut factor = DenseFactor::default();
-            factor.scan(rt, &order, cfg.elimination);
-            factor.rates(nc, y)
-        }
-        (EliminationStrategy::GreedyMatroid, RankView::Sparse(csr)) => {
-            let kept = select_full_rank_columns_ordered(red, &order, cfg.elimination);
-            sparse_rates(csr, nc, &kept, y)
-        }
-    }
+    model.fit(red, &view, &variance_order(variances), cfg.elimination)?;
+    model.rates(red.num_links(), y)
 }
 
 /// Expands a reduced-system solution `X*` (log rates of the kept
-/// columns, in the order of `kept`) into per-link transmission rates —
-/// the Phase-2 post-processing shared by [`infer_link_rates`] and the
-/// streaming estimator.
+/// columns, in the order of `kept`) into per-link transmission rates.
 pub(crate) fn rates_from_solution(nc: usize, kept: &[usize], xstar: &[f64]) -> LinkRateEstimate {
     let mut transmission = vec![1.0; nc];
     let mut kept_mask = vec![false; nc];

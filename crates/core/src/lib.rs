@@ -67,8 +67,7 @@ pub mod variance;
 
 pub use augmented::AugmentedSystem;
 pub use budget::{
-    apply_budget, parse_pair_budget, select_pairs, select_pairs_leverage, PairBudget,
-    PairSelection, PAIR_BUDGET_ENV,
+    apply_budget, parse_pair_budget, select_pairs, PairBudget, PairSelection, PAIR_BUDGET_ENV,
 };
 pub use covariance::CenteredMeasurements;
 pub use estimator::{
@@ -79,8 +78,8 @@ pub use experiment::{run_experiment, run_many, ExperimentConfig, ExperimentResul
 pub use identifiability::{check_identifiability, IdentifiabilityReport};
 pub use delay::{estimate_delay_variances, infer_link_delays, DelayEstimate};
 pub use lia::{
-    dense_phase2_max_cols, infer_link_rates, select_full_rank_columns, EliminationStrategy,
-    LiaConfig, LinkRateEstimate, Phase2Dispatch, RankView,
+    infer_link_rates, select_full_rank_columns, EliminationStrategy, LiaConfig, LinkRateEstimate,
+    Phase2Dispatch, RankView,
 };
 pub use metrics::{location_accuracy, LocationAccuracy, RateErrors, Summary};
 pub use scfs::{scfs_diagnose, ScfsConfig};

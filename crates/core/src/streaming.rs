@@ -8,26 +8,27 @@
 //! provides the two pieces:
 //!
 //! * [`StreamingCovariance`] ingests one snapshot of log measurements at
-//!   a time and maintains the covariances of the augmented path pairs
-//!   two ways at once: **Welford-style rank-1 running co-moments**
-//!   (`O(n_p + r)` per ingest, available at any instant, optionally
-//!   under a sliding or exponentially-forgetting window) and an **exact
-//!   replay** over the retained window that is bit-identical to the
-//!   batch [`CenteredMeasurements::pair_covariances`] sweep — same
-//!   additions in the same order — so a streaming refresh can reproduce
-//!   a batch recompute exactly.
+//!   a time into an unbounded or sliding window and maintains the
+//!   covariances of the augmented path pairs two ways at once:
+//!   **Welford-style rank-1 running co-moments** (`O(n_p + r)` per
+//!   ingest, available at any instant) and an **exact replay** over the
+//!   retained window that is bit-identical to the batch
+//!   [`CenteredMeasurements::pair_covariances`] sweep — same additions
+//!   in the same order — so a streaming refresh can reproduce a batch
+//!   recompute exactly. Refreshes always replay.
 //! * [`OnlineEstimator`] keeps the full Phase-1/Phase-2 pipeline warm
 //!   across refreshes: the Phase-1 Gram matrix is patched incrementally
 //!   through a [`GramCache`] (integer co-occurrence counts, so patched
 //!   and from-scratch assemblies are exactly equal), the Cholesky factor
 //!   can be amended with the Givens rank-1 updates of
 //!   [`losstomo_linalg::givens`] instead of refactored
-//!   ([`FactorRefresh::GivensUpdate`]), and the Phase-2 column selection
-//!   and factorisation of `R*` are memoized on the variance *order*:
-//!   an unchanged order skips Phase 2's structure, and a changed one
-//!   rebuilds both with one column-append QR scan. Refresh cadence
-//!   is configurable, and every ingest reports congested-set changes
-//!   ([`OnlineUpdate::appeared`] / [`OnlineUpdate::cleared`]).
+//!   ([`FactorRefresh::GivensUpdate`]), and the Phase-2 model of
+//!   [`crate::lia`] (the column selection and factorisation of `R*`
+//!   that batch inference fits too) is memoized on the variance
+//!   *order*: an unchanged order skips Phase 2's structure, and a
+//!   changed one refits it. Refresh cadence is configurable, and every
+//!   ingest reports congested-set changes ([`OnlineUpdate::appeared`] /
+//!   [`OnlineUpdate::cleared`]).
 //!
 //! ## Exactness contract
 //!
@@ -37,12 +38,12 @@
 //! of the batch pipeline ([`estimate_variances`][crate::estimate_variances]
 //! followed by [`infer_link_rates`][crate::infer_link_rates]) on the same
 //! `m` snapshots: the replayed covariances are the same bits, the cached
-//! Gram counts are the same integers, and the memoized Phase-2 factor is
-//! built by the same column-append scan over the same variance order
-//! and solved by the same kernel. A sliding window is equally exact
-//! over its window. [`FactorRefresh::GivensUpdate`] and
-//! [`WindowMode::Exponential`] trade the last bits for lower refresh
-//! cost and are tolerance-tested instead.
+//! Gram counts are the same integers, and the memoized Phase-2 model is
+//! fitted by the same code over the same variance order and solved by
+//! the same kernel. A sliding window is equally exact over its window:
+//! every window mode replays its retained rows.
+//! [`FactorRefresh::GivensUpdate`] trades the last bits for lower
+//! refresh cost and is tolerance-tested instead.
 //!
 //! ## Memory and refresh cost
 //!
@@ -51,20 +52,19 @@
 //! grow-forever batch regime) buffers every ingested row and its
 //! refresh cost grows with the history length. A monitor that runs
 //! indefinitely should bound its state with [`WindowMode::Sliding`]
-//! (exact over the window, `O(w)` rows retained) or
-//! [`WindowMode::Exponential`] (`O(1)` state, no row buffer at all),
-//! and/or lengthen [`OnlineConfig::refresh_every`].
+//! (exact over the window, `O(w)` rows retained) and/or lengthen
+//! [`OnlineConfig::refresh_every`].
 
 use crate::augmented::AugmentedSystem;
 use crate::budget::{apply_budget, PairBudget, PairSelection};
 use crate::covariance::CenteredMeasurements;
-use crate::lia::{self, DenseFactor, EliminationStrategy, LiaConfig, LinkRateEstimate, RankView};
+use crate::lia::{self, LiaConfig, LinkRateEstimate, Phase2Model, RankView};
 use crate::variance::{
     estimate_variances_scratch, GramCache, Phase1Scratch, VarianceConfig, VarianceEstimate,
 };
 use bytes::Bytes;
 use losstomo_linalg::simd::cast_bytes_to_f64;
-use losstomo_linalg::{givens, triangular, Cholesky, CsrMatrix, LinalgError, Matrix, SparseQr};
+use losstomo_linalg::{givens, triangular, Cholesky, LinalgError, Matrix};
 use losstomo_netsim::Snapshot;
 use losstomo_topology::{ChurnError, DeltaEffect, PathId, ReducedTopology, TopologyDelta};
 use std::collections::VecDeque;
@@ -87,12 +87,6 @@ pub enum WindowMode {
     /// Keep only the most recent `w ≥ 2` snapshots; older ones are
     /// evicted with a reverse-Welford downdate.
     Sliding(usize),
-    /// Exponential forgetting with smoothing factor `0 < α < 1`: the
-    /// running mean and co-moments are EWMA estimates
-    /// (`mean += α·(y − mean)`, `C = (1−α)·(C + α·δδᵀ)`). No snapshot
-    /// buffer is kept, so exact batch replay is unavailable in this
-    /// mode.
-    Exponential(f64),
 }
 
 /// One retained window row: an owned decode, or a zero-copy window of
@@ -139,15 +133,15 @@ pub struct StreamingCovariance {
     recentre_every: usize,
     /// Evictions since the last exact recentre.
     evictions_since_recentre: usize,
-    /// Retained rows, oldest first (empty in exponential mode).
+    /// Retained rows, oldest first.
     rows: VecDeque<StoredRow>,
     /// Rows currently contributing to the running moments.
     count: usize,
     total_ingested: u64,
-    /// Running (Welford or EWMA) per-path means.
+    /// Running Welford per-path means.
     mean: Vec<f64>,
-    /// Running co-moments, one per pair: `Σ (y_i − μ_i)(y_j − μ_j)` in
-    /// Welford form, or the EWMA covariance itself in exponential mode.
+    /// Running Welford co-moments, one per pair:
+    /// `Σ (y_i − μ_i)(y_j − μ_j)`.
     comoment: Vec<f64>,
     /// Scratch: per-path deviations from the pre-update mean.
     delta_old: Vec<f64>,
@@ -178,8 +172,7 @@ pub struct Staleness {
     /// the flush point at which estimates become bit-identical to a
     /// fresh estimator on the new topology. `Some(0)` = churn-free
     /// now; `None` = never ([`WindowMode::Unbounded`] retains stale
-    /// rows forever, and [`WindowMode::Exponential`] has no replay
-    /// window to flush).
+    /// rows forever).
     pub snapshots_until_flush: Option<u64>,
 }
 
@@ -195,21 +188,15 @@ impl StreamingCovariance {
     ///
     /// # Panics
     /// Panics on an empty path set, a sliding window shorter than 2
-    /// (the sample covariance is undefined), a smoothing factor outside
-    /// `(0, 1)`, or a pair index out of range.
+    /// (the sample covariance is undefined), or a pair index out of
+    /// range.
     pub fn new(n_paths: usize, pairs: Vec<(usize, usize)>, mode: WindowMode) -> Self {
         assert!(n_paths > 0, "need at least one path");
-        match mode {
-            WindowMode::Sliding(w) => {
-                assert!(w >= 2, "sliding window must hold at least 2 snapshots, got {w}")
-            }
-            WindowMode::Exponential(alpha) => {
-                assert!(
-                    alpha > 0.0 && alpha < 1.0,
-                    "smoothing factor must lie in (0, 1), got {alpha}"
-                )
-            }
-            WindowMode::Unbounded => {}
+        if let WindowMode::Sliding(w) = mode {
+            assert!(
+                w >= 2,
+                "sliding window must hold at least 2 snapshots, got {w}"
+            );
         }
         assert!(
             pairs.iter().all(|&(i, j)| i < n_paths && j < n_paths),
@@ -250,9 +237,6 @@ impl StreamingCovariance {
     /// queries replay the window anyway). `O(window · (n_p + pairs))`.
     pub fn recentre(&mut self) {
         self.evictions_since_recentre = 0;
-        if matches!(self.mode, WindowMode::Exponential(_)) {
-            return; // no window to replay
-        }
         self.count = 0;
         self.mean.fill(0.0);
         self.comoment.fill(0.0);
@@ -341,24 +325,15 @@ impl StreamingCovariance {
             self.n_paths
         );
         self.total_ingested += 1;
-        match self.mode {
-            WindowMode::Exponential(alpha) => self.ingest_ewma(row, alpha),
-            WindowMode::Unbounded => {
-                self.rows.push_back(store(row));
-                self.welford_add(row);
-            }
-            WindowMode::Sliding(w) => {
-                self.rows.push_back(store(row));
-                self.welford_add(row);
-                if self.rows.len() > w {
-                    let old = self.rows.pop_front().expect("window overflowed");
-                    self.welford_remove(old.as_slice());
-                    self.evictions_since_recentre += 1;
-                    if self.recentre_every > 0
-                        && self.evictions_since_recentre >= self.recentre_every
-                    {
-                        self.recentre();
-                    }
+        self.rows.push_back(store(row));
+        self.welford_add(row);
+        if let WindowMode::Sliding(w) = self.mode {
+            if self.rows.len() > w {
+                let old = self.rows.pop_front().expect("window overflowed");
+                self.welford_remove(old.as_slice());
+                self.evictions_since_recentre += 1;
+                if self.recentre_every > 0 && self.evictions_since_recentre >= self.recentre_every {
+                    self.recentre();
                 }
             }
         }
@@ -412,30 +387,9 @@ impl StreamingCovariance {
         }
     }
 
-    /// EWMA update: `μ += α δ`, `C = (1−α)(C + α δ_i δ_j)`.
-    fn ingest_ewma(&mut self, row: &[f64], alpha: f64) {
-        if self.count == 0 {
-            self.count = 1;
-            self.mean.copy_from_slice(row);
-            return;
-        }
-        self.count += 1;
-        for ((&y, mean), d_old) in row
-            .iter()
-            .zip(self.mean.iter_mut())
-            .zip(self.delta_old.iter_mut())
-        {
-            *d_old = y - *mean;
-            *mean += alpha * *d_old;
-        }
-        for (c, &(i, j)) in self.comoment.iter_mut().zip(self.pairs.iter()) {
-            *c = (1.0 - alpha) * (*c + alpha * self.delta_old[i] * self.delta_old[j]);
-        }
-    }
-
-    /// The running covariance estimates, one per tracked pair:
-    /// co-moments over `n − 1` in Welford mode, the EWMA covariance in
-    /// exponential mode. `O(r)` — no pass over the window.
+    /// The running covariance estimates, one per tracked pair: the
+    /// Welford co-moments over `n − 1`. `O(r)` — no pass over the
+    /// window.
     ///
     /// # Panics
     /// Panics with fewer than two ingested snapshots (the sample
@@ -455,13 +409,8 @@ impl StreamingCovariance {
             self.count
         );
         out.clear();
-        match self.mode {
-            WindowMode::Exponential(_) => out.extend_from_slice(&self.comoment),
-            _ => {
-                let denom = (self.count - 1) as f64;
-                out.extend(self.comoment.iter().map(|c| c / denom));
-            }
-        }
+        let denom = (self.count - 1) as f64;
+        out.extend(self.comoment.iter().map(|c| c / denom));
     }
 
     /// The running mean of each path's log measurements.
@@ -474,17 +423,11 @@ impl StreamingCovariance {
     /// The result is indistinguishable from
     /// `CenteredMeasurements::from_rows(window_rows)`: means accumulate
     /// over rows oldest-first (the ingestion order), deviations are the
-    /// same subtractions. Unavailable under exponential forgetting
-    /// (nothing is retained).
+    /// same subtractions.
     ///
     /// # Panics
-    /// Panics in [`WindowMode::Exponential`] or with fewer than two
-    /// retained snapshots.
+    /// Panics with fewer than two retained snapshots.
     pub fn centered(&self) -> CenteredMeasurements {
-        assert!(
-            !matches!(self.mode, WindowMode::Exponential(_)),
-            "exact replay is unavailable under exponential forgetting"
-        );
         let refs: Vec<&[f64]> = self.rows.iter().map(StoredRow::as_slice).collect();
         CenteredMeasurements::from_row_refs(&refs)
     }
@@ -500,10 +443,6 @@ impl StreamingCovariance {
         if self.is_churn_free() {
             self.centered().pair_covariances(&self.pairs)
         } else {
-            assert!(
-                !matches!(self.mode, WindowMode::Exponential(_)),
-                "exact replay is unavailable under exponential forgetting"
-            );
             let mut centered = CenteredMeasurements::empty();
             let mut out = Vec::new();
             self.grouped_exact_covariances_into(&mut centered, &mut out);
@@ -541,15 +480,6 @@ impl StreamingCovariance {
             })
             .count();
         let snapshots_until_flush = match self.mode {
-            // EWMA state mixes pre- and post-churn history forever
-            // (geometrically decaying, never bit-exact again).
-            WindowMode::Exponential(_) => {
-                if self.max_valid_from == 0 {
-                    Some(0)
-                } else {
-                    None
-                }
-            }
             _ if self.max_valid_from <= ws => Some(0),
             WindowMode::Sliding(w) => {
                 Some(stale_rows as u64 + (w - self.rows.len()) as u64)
@@ -609,48 +539,23 @@ impl StreamingCovariance {
             }
             *row = StoredRow::Owned(new_row);
         }
-        // Carry surviving pairs' state; restart the rest at "now".
-        let old_comoment = std::mem::take(&mut self.comoment);
-        let old_valid_from = std::mem::take(&mut self.valid_from);
-        self.comoment = Vec::with_capacity(new_pairs.len());
-        self.valid_from = Vec::with_capacity(new_pairs.len());
-        for &c in carry {
-            match c {
-                Some(old) => {
-                    self.comoment.push(old_comoment[old]);
-                    self.valid_from.push(old_valid_from[old]);
-                }
-                None => {
-                    self.comoment.push(0.0);
-                    self.valid_from.push(now);
-                }
-            }
-        }
+        // Carry surviving pairs' validity horizons; restart the rest at
+        // "now".
+        self.valid_from = carry
+            .iter()
+            .map(|c| c.map_or(now, |old| self.valid_from[old]))
+            .collect();
+        self.comoment = vec![0.0; new_pairs.len()];
         self.max_valid_from = self.valid_from.iter().copied().max().unwrap_or(0);
         self.pairs = new_pairs;
         self.n_paths = new_n_paths;
         self.delta_old = vec![0.0; new_n_paths];
         self.delta_new = vec![0.0; new_n_paths];
-        match self.mode {
-            WindowMode::Exponential(_) => {
-                // Remap the EWMA mean; added paths start at 0.0 and
-                // converge at rate α. Carried comoments keep their
-                // EWMA state, restarted ones re-learn from 0.
-                let old_mean = std::mem::replace(&mut self.mean, vec![0.0; new_n_paths]);
-                for (old_i, &mapped) in id_map.iter().enumerate() {
-                    if let Some(new_i) = mapped {
-                        self.mean[new_i.index()] = old_mean[old_i];
-                    }
-                }
-            }
-            _ => {
-                // Rebuild the running Welford moments from the remapped
-                // rows so forward updates and future evictions stay
-                // self-consistent at the new width.
-                self.mean = vec![0.0; new_n_paths];
-                self.recentre();
-            }
-        }
+        // Rebuild the running Welford moments from the remapped rows so
+        // forward updates and future evictions stay self-consistent at
+        // the new width.
+        self.mean = vec![0.0; new_n_paths];
+        self.recentre();
     }
 
     /// Exact replay that honours each pair's validity horizon: pairs
@@ -768,11 +673,11 @@ impl Default for OnlineConfig {
 /// variance order), owned by the estimator and alive between
 /// refreshes.
 ///
-/// On the dense Phase-2 path (the default below
-/// [`crate::lia::dense_phase2_max_cols`] links) Phase 2 of a
-/// steady-state refresh then allocates nothing: the column-append scan
-/// rebuilds the memoized factor in its own buffers. What still
-/// allocates per refresh is Phase 1: the [`VarianceEstimate`] vector
+/// On the dense Phase-2 path (the default up to
+/// [`crate::lia::DENSE_MAX_COLS`] links) Phase 2 of a steady-state
+/// refresh then allocates nothing: the column-append scan refits the
+/// memoized model in its own buffers. What still allocates per
+/// refresh is Phase 1: the [`VarianceEstimate`] vector
 /// and the Gram cache's lists of rows that changed status. An
 /// unchanged kept-row mask reuses the Phase-1 factor outright. A
 /// kept-row system that Phase 1 proves singular (on trees, essentially
@@ -793,9 +698,6 @@ struct RefreshScratch {
     /// The variance order of the current refresh (swapped with the
     /// memoized one when it changed).
     order: Vec<usize>,
-    /// Sparse `R*` column-selection buffer (recycled through
-    /// [`SparseQr::refactor`]).
-    rstar_csr: CsrMatrix,
 }
 
 impl Default for RefreshScratch {
@@ -805,7 +707,6 @@ impl Default for RefreshScratch {
             centered: CenteredMeasurements::empty(),
             phase1: Phase1Scratch::default(),
             order: Vec::new(),
-            rstar_csr: CsrMatrix::empty(0),
         }
     }
 }
@@ -874,13 +775,11 @@ pub struct OnlineEstimator {
     /// The Givens-maintained Phase-1 factor (Givens mode only).
     factor: Option<GivensFactor>,
     variances: Option<VarianceEstimate>,
-    /// Memoized Phase-2 structure: the variance order of the last
-    /// refresh, its elimination cut (the sparse bisection's hint), its
-    /// kept column set (ascending), and the factorisation of `R*`.
+    /// The variance order of the last refresh, which the Phase-2 model
+    /// is memoized on.
     order: Vec<usize>,
-    cut: Option<usize>,
-    kept: Vec<usize>,
-    p2: Option<Phase2Factor>,
+    /// The Phase-2 model fitted at the last refresh.
+    phase2: Phase2Model,
     congested: Vec<usize>,
     since_refresh: usize,
     refreshes: u64,
@@ -892,17 +791,6 @@ pub struct OnlineEstimator {
     /// Reusable log-rate row for [`OnlineEstimator::ingest`], so the
     /// owned-snapshot path allocates nothing per snapshot.
     row_scratch: Vec<f64>,
-}
-
-/// The memoized factorisation of the reduced system `R*`, reused while
-/// the variance order is unchanged.
-#[derive(Debug)]
-enum Phase2Factor {
-    /// The dense path's column-append factor, built by the same scan
-    /// that selected its columns.
-    Dense(DenseFactor),
-    /// Sparse Givens QR of the kept columns (the sparse dispatch path).
-    Sparse(SparseQr),
 }
 
 /// The Givens-maintained Phase-1 factor: the upper Cholesky factor of
@@ -1009,9 +897,7 @@ impl OnlineEstimator {
             factor: None,
             variances: None,
             order: Vec::new(),
-            cut: None,
-            kept: Vec::new(),
-            p2: None,
+            phase2: Phase2Model::default(),
             congested: Vec::new(),
             since_refresh: 0,
             refreshes: 0,
@@ -1061,7 +947,7 @@ impl OnlineEstimator {
     /// Columns currently kept in `R*` (ascending; empty before the
     /// first successful refresh).
     pub fn kept_columns(&self) -> &[usize] {
-        &self.kept
+        self.phase2.kept()
     }
 
     /// Successful refreshes so far.
@@ -1150,20 +1036,10 @@ impl OnlineEstimator {
         self.finish_ingest(y)
     }
 
-    /// The typed-rejection gate shared by every ingest entry point:
-    /// runs before any state is touched.
+    /// The typed-rejection gate shared by every ingest entry point and
+    /// [`OnlineEstimator::estimate`]: runs before any state is touched.
     fn validate_row(&self, y: &[f64]) -> Result<(), LinalgError> {
-        if y.len() != self.red.num_paths() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "snapshot covers {} paths, topology has {}",
-                y.len(),
-                self.red.num_paths()
-            )));
-        }
-        if let Some(index) = y.iter().position(|v| !v.is_finite()) {
-            return Err(LinalgError::NonFinite { index });
-        }
-        Ok(())
+        lia::check_snapshot(self.red.num_paths(), y)
     }
 
     /// Post-accumulation half of an ingest: cadenced refresh, then
@@ -1222,26 +1098,22 @@ impl OnlineEstimator {
         // back before returning.
         let cov_start = Instant::now();
         let mut sigmas = std::mem::take(&mut self.scratch.sigmas);
-        match self.cfg.window {
-            WindowMode::Exponential(_) => self.cov.covariances_into(&mut sigmas),
-            _ if self.cov.is_churn_free() => {
-                // Exact batch replay of the retained window, recentred
-                // into the reusable buffers straight off the ring
-                // buffer (no per-refresh allocations) — bit-identical
-                // to `StreamingCovariance::exact_covariances`.
-                let centered = &mut self.scratch.centered;
-                centered.recentre_from_iter(self.cov.rows.iter().map(|r| r.as_slice()));
-                centered.pair_covariances_into(&self.cov.pairs, &mut sigmas);
-            }
-            _ => {
-                // The window still holds pre-churn rows: replay each
-                // pair only over its valid suffix. Once the window
-                // flushes, `is_churn_free` flips and refreshes return
-                // to the verbatim path above — restoring bit-exactness
-                // against a fresh estimator on the new topology.
-                self.cov
-                    .grouped_exact_covariances_into(&mut self.scratch.centered, &mut sigmas);
-            }
+        if self.cov.is_churn_free() {
+            // Exact batch replay of the retained window, recentred into
+            // the reusable buffers straight off the ring buffer (no
+            // per-refresh allocations) — bit-identical to
+            // `StreamingCovariance::exact_covariances`.
+            let centered = &mut self.scratch.centered;
+            centered.recentre_from_iter(self.cov.rows.iter().map(|r| r.as_slice()));
+            centered.pair_covariances_into(&self.cov.pairs, &mut sigmas);
+        } else {
+            // The window still holds pre-churn rows: replay each pair
+            // only over its valid suffix. Once the window flushes,
+            // `is_churn_free` flips and refreshes return to the
+            // verbatim path above — restoring bit-exactness against a
+            // fresh estimator on the new topology.
+            self.cov
+                .grouped_exact_covariances_into(&mut self.scratch.centered, &mut sigmas);
         }
         let covariance = cov_start.elapsed();
         let result = self.refresh_from_sigmas_inner(&sigmas, covariance);
@@ -1266,18 +1138,19 @@ impl OnlineEstimator {
         let phase2_start = Instant::now();
         // Phase-2 structure: the kept set and its factor are a pure
         // function of the variance order, so an unchanged order skips
-        // them entirely. A changed order rebuilds both; the order
+        // them entirely. A changed order refits the model; the order
         // buffer that loses the swap is the next refresh's.
         let mut order = std::mem::take(&mut self.scratch.order);
         lia::variance_order_into(&est.v, &mut order);
-        let rebuilt = if order != self.order || self.p2.is_none() {
-            self.rebuild_phase2(&order)
+        let refit = if order != self.order || !self.phase2.is_fitted() {
+            self.phase2
+                .fit(&self.red, &self.view, &order, self.cfg.lia.elimination)
                 .map(|()| std::mem::swap(&mut self.order, &mut order))
         } else {
             Ok(())
         };
         self.scratch.order = order;
-        rebuilt?;
+        refit?;
         self.variances = Some(est);
         self.last_timing = Some(RefreshTiming {
             covariance,
@@ -1287,64 +1160,6 @@ impl OnlineEstimator {
         self.warmup_error = None;
         self.since_refresh = 0;
         self.refreshes += 1;
-        Ok(())
-    }
-
-    /// Rebuilds the Phase-2 structure for a new variance order. The
-    /// dense view runs one column-append scan into the memoized
-    /// factor's buffers, which selects the kept columns and factors
-    /// `R*` in the same pass. The sparse view re-certifies the previous
-    /// cut with two rank checks (bisecting only when the cut moved) and
-    /// refactors `R*` only when the kept set changed, recycling the
-    /// selection buffer through [`SparseQr::refactor`]. On error the
-    /// memoized factor is dropped (it would be invalid).
-    fn rebuild_phase2(&mut self, order: &[usize]) -> Result<(), LinalgError> {
-        match &self.view {
-            RankView::Dense(rt) => {
-                let mut factor = match self.p2.take() {
-                    Some(Phase2Factor::Dense(factor)) => factor,
-                    _ => DenseFactor::default(),
-                };
-                factor.scan(rt, order, self.cfg.lia.elimination);
-                self.kept.clear();
-                self.kept.extend_from_slice(factor.cols());
-                self.kept.sort_unstable();
-                self.p2 = Some(Phase2Factor::Dense(factor));
-            }
-            RankView::Sparse(csr) => {
-                let kept = match self.cfg.lia.elimination {
-                    EliminationStrategy::PaperOrder => {
-                        let (kept, cut) =
-                            lia::select_paper_order_hinted(&self.red, &self.view, order, self.cut);
-                        self.cut = Some(cut);
-                        kept
-                    }
-                    EliminationStrategy::GreedyMatroid => lia::select_full_rank_columns_ordered(
-                        &self.red,
-                        order,
-                        self.cfg.lia.elimination,
-                    ),
-                };
-                if kept == self.kept && self.p2.is_some() {
-                    return Ok(());
-                }
-                csr.select_columns_into(&kept, &mut self.scratch.rstar_csr);
-                let rstar = std::mem::replace(&mut self.scratch.rstar_csr, CsrMatrix::empty(0));
-                match &mut self.p2 {
-                    Some(Phase2Factor::Sparse(qr)) => match qr.refactor(rstar) {
-                        // The displaced matrix becomes the next
-                        // selection buffer.
-                        Ok(prev) => self.scratch.rstar_csr = prev,
-                        Err(e) => {
-                            self.p2 = None;
-                            return Err(e);
-                        }
-                    },
-                    _ => self.p2 = Some(Phase2Factor::Sparse(SparseQr::new(rstar)?)),
-                }
-                self.kept = kept;
-            }
-        }
         Ok(())
     }
 
@@ -1456,23 +1271,12 @@ impl OnlineEstimator {
     ///
     /// `y` passes the same gate as an ingested row: a mis-sized `y`
     /// returns [`LinalgError::DimensionMismatch`], a NaN or ±∞ entry
-    /// [`LinalgError::NonFinite`].
+    /// [`LinalgError::NonFinite`]. Before the first successful refresh
+    /// there is no model, which is a [`LinalgError::DimensionMismatch`]
+    /// too.
     pub fn estimate(&self, y: &[f64]) -> Result<LinkRateEstimate, LinalgError> {
-        if self.variances.is_none() {
-            return Err(LinalgError::DimensionMismatch(
-                "no successful Phase-1 refresh yet — ingest more snapshots".to_string(),
-            ));
-        }
         self.validate_row(y)?;
-        let nc = self.red.num_links();
-        match self.p2.as_ref().expect("kept set built with variances") {
-            Phase2Factor::Dense(factor) => factor.rates(nc, y),
-            Phase2Factor::Sparse(qr) => Ok(lia::rates_from_solution(
-                nc,
-                &self.kept,
-                &qr.solve_least_squares(y)?,
-            )),
-        }
+        self.phase2.rates(self.red.num_links(), y)
     }
 
     /// Applies a routing delta to the **live** estimator — no drain, no
@@ -1511,12 +1315,11 @@ impl OnlineEstimator {
         let effect = self.red.apply_delta(delta)?;
         // Committed from here: `self.red` describes the new routing.
         // Phase-2 memoization is keyed on the routing matrix — drop it
-        // (`cut` survives as an output-neutral hint for the sparse
-        // bisection).
+        // (the model keeps its cut as an output-neutral hint for the
+        // sparse bisection).
         self.view = RankView::new(&self.red, self.cfg.lia.dispatch);
-        self.p2 = None;
+        self.phase2.clear();
         self.order.clear();
-        self.kept.clear();
         let np = self.red.num_paths();
         let nc = self.red.num_links();
         // Patch (or, under a pair budget, rebuild and re-match) the
@@ -2056,36 +1859,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_mode_estimates_covariance_scale() {
-        // Stationary noise: EWMA covariance should land near the true
-        // variance for the diagonal pair, with no window retained.
-        let rows = synthetic_rows(400, 2);
-        let mut sc =
-            StreamingCovariance::new(2, vec![(0, 0), (0, 1)], WindowMode::Exponential(0.05));
-        for row in &rows {
-            sc.ingest(row);
-        }
-        assert!(sc.rows.is_empty());
-        let est = sc.covariances();
-        let batch = CenteredMeasurements::from_rows(rows);
-        assert!(
-            (est[0] - batch.var(0)).abs() / batch.var(0) < 0.5,
-            "EWMA {} vs batch {}",
-            est[0],
-            batch.var(0)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "exact replay")]
-    fn ewma_mode_has_no_exact_replay() {
-        let mut sc = StreamingCovariance::new(2, vec![(0, 1)], WindowMode::Exponential(0.1));
-        sc.ingest(&[1.0, 2.0]);
-        sc.ingest(&[2.0, 1.0]);
-        let _ = sc.exact_covariances();
-    }
-
-    #[test]
     #[should_panic(expected = "at least 2 snapshots")]
     fn covariances_need_two_snapshots() {
         let mut sc = StreamingCovariance::new(2, vec![(0, 1)], WindowMode::Unbounded);
@@ -2143,19 +1916,21 @@ mod tests {
         simulate_run(red, &mut scenario, &cfg, m, &mut rng).log_rate_rows()
     }
 
-    /// Feeds `rows` to one long-lived default estimator (with `window`)
-    /// and checks every refresh, by bits, against a batch recompute
-    /// (`estimate_variances` + `infer_link_rates`) over the rows then in
-    /// the window. Returns what each refresh's Phase 1 did: `None` for
-    /// a kept-row solve (with its dropped-row count), or the fallback
-    /// reason.
+    /// Feeds `rows` to one long-lived estimator (with `window` and
+    /// Phase-2 settings `lia`, defaults otherwise) and checks every
+    /// refresh, by bits, against a batch recompute (`estimate_variances`
+    /// and `infer_link_rates`) over the rows then in the window. Returns
+    /// what each refresh's Phase 1 did: `None` for a kept-row solve
+    /// (with its dropped-row count), or the fallback reason.
     fn every_refresh_matches_batch(
         red: &ReducedTopology,
         rows: &[Vec<f64>],
         window: WindowMode,
+        lia: LiaConfig,
     ) -> Vec<(Option<FallbackReason>, usize)> {
         let cfg = OnlineConfig {
             window,
+            lia,
             ..OnlineConfig::default()
         };
         let mut online = OnlineEstimator::new(red, cfg);
@@ -2211,8 +1986,12 @@ mod tests {
     /// refresh, not only the last: on a small tree whose refreshes mix
     /// kept-row solves, certified fallbacks and all-rows solves, and on
     /// a small Waxman mesh, each with an unbounded and a sliding window.
+    /// On the mesh the forced-sparse and greedy Phase-2 paths hold too:
+    /// the long-lived Phase-2 model (warm-started cut, refactored only
+    /// when the kept set changes) fits what a fresh batch model fits.
     #[test]
     fn long_lived_estimator_matches_batch_at_every_refresh() {
+        use crate::lia::{EliminationStrategy, Phase2Dispatch};
         use losstomo_topology::gen::tree::{self, TreeParams};
         use losstomo_topology::gen::waxman::{self, WaxmanParams};
         use losstomo_topology::{compute_paths, reduce, GeneratedTopology};
@@ -2237,17 +2016,36 @@ mod tests {
             },
             &mut StdRng::seed_from_u64(4),
         ));
+        let default = LiaConfig::default();
         for window in [WindowMode::Unbounded, WindowMode::Sliding(12)] {
-            let trace = every_refresh_matches_batch(&tree, &markov_rows(&tree, 150, 3), window);
+            let tree_rows = markov_rows(&tree, 150, 3);
+            let trace = every_refresh_matches_batch(&tree, &tree_rows, window, default);
             assert!(
                 has_stale_factor_trap(&trace),
                 "{window:?}: the tree stream should certify between two kept-row solves"
             );
-            let trace = every_refresh_matches_batch(&mesh, &markov_rows(&mesh, 120, 5), window);
-            assert!(
-                trace.len() > 100,
-                "{window:?}: the mesh stream should refresh"
-            );
+            let mesh_rows = markov_rows(&mesh, 120, 5);
+            for lia in [
+                default,
+                LiaConfig {
+                    dispatch: Phase2Dispatch::Sparse,
+                    ..default
+                },
+                LiaConfig {
+                    elimination: EliminationStrategy::GreedyMatroid,
+                    ..default
+                },
+                LiaConfig {
+                    dispatch: Phase2Dispatch::Sparse,
+                    elimination: EliminationStrategy::GreedyMatroid,
+                },
+            ] {
+                let trace = every_refresh_matches_batch(&mesh, &mesh_rows, window, lia);
+                assert!(
+                    trace.len() > 100,
+                    "{window:?}, {lia:?}: the mesh stream should refresh"
+                );
+            }
         }
     }
 
@@ -2497,32 +2295,6 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() <= 1e-8 * (1.0 + y.abs()), "{x} vs {y}");
         }
-    }
-
-    #[test]
-    fn ewma_estimator_survives_churn() {
-        let cfg = OnlineConfig {
-            window: WindowMode::Exponential(0.2),
-            ..OnlineConfig::default()
-        };
-        let mut red = fig2();
-        let ms = simulate(&red, 20, 31);
-        let mut online = OnlineEstimator::new(&red, cfg);
-        for s in &ms.snapshots {
-            online.ingest(s).unwrap();
-        }
-        let nc = red.num_links();
-        let delta = TopologyDelta::new().reroute_path(PathId(0), vec![0, nc - 1]);
-        let report = online.apply_delta(&delta).unwrap();
-        assert_eq!(report.rerouted_paths, 1);
-        // EWMA has no window to flush — staleness is honest about it.
-        assert_eq!(report.staleness.snapshots_until_flush, None);
-        red.apply_delta(&delta).unwrap();
-        let ms2 = simulate(&red, 20, 32);
-        for s in &ms2.snapshots {
-            online.ingest(s).unwrap();
-        }
-        assert!(online.variances().is_some());
     }
 
     #[test]

@@ -37,7 +37,7 @@ use losstomo_topology::{PathId, ReducedTopology, RoutingMatrix};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Phase1Dispatch {
     /// Dense family (the normal equations) up to
-    /// [`crate::lia::dense_phase2_max_cols`] columns, the row-streaming
+    /// [`crate::lia::DENSE_MAX_COLS`] columns, the row-streaming
     /// sparse QR above — wide meshes pay `O(links³)` for the dense
     /// Gram factorisation no matter how few rows feed it, while the
     /// sparse QR's cost tracks the (budgetable) row count.
@@ -76,7 +76,7 @@ impl Phase1Dispatch {
     /// Whether Phase 1 takes the dense path for `nc` columns.
     fn use_dense(self, nc: usize) -> bool {
         match self {
-            Phase1Dispatch::Auto => nc <= crate::lia::dense_phase2_max_cols(),
+            Phase1Dispatch::Auto => nc <= crate::lia::DENSE_MAX_COLS,
             Phase1Dispatch::Dense => true,
             Phase1Dispatch::Sparse => false,
         }

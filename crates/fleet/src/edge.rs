@@ -25,7 +25,10 @@
 //! Frame- and row-level problems are rejected **before** anything
 //! enters a tenant queue: unknown tenant ids, quarantined tenants,
 //! path-count mismatches (frame-level — [`RowRejection::row`] is
-//! `None`), and non-finite row values (row-level — `Some(row)`). A
+//! `None`), and non-finite row values (row-level — `Some(row)`). The
+//! frame gate is the fleet's one admission check, the one
+//! [`Fleet::enqueue`] and [`Fleet::ingest_batch`] run too, and wire and
+//! JSON rows share one row path behind it. A
 //! malformed batch never panics: [`WireBatch::parse`] returns typed
 //! [`WireError`](losstomo_wire::WireError)s, and everything that
 //! parses but cannot be routed comes back in the report/ack with its
@@ -34,7 +37,7 @@
 //! [`FleetEventKind::EstimatorError`](crate::FleetEventKind) events,
 //! exactly like the owned-snapshot path.
 
-use crate::{Fleet, FleetError, FleetEvent, QueueItem, TenantId};
+use crate::{check_path_count, Fleet, FleetError, FleetEvent, QueueItem, TenantId};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
 use losstomo_wire::{JsonBatch, WireBatch};
@@ -279,8 +282,7 @@ impl Fleet {
         for fi in 0..batch.frame_count() {
             let frame = batch.frame(fi);
             let wire_tenant = frame.tenant();
-            let id = TenantId(wire_tenant as usize);
-            if let Err(error) = self.check_wire_frame(id, frame.path_count()) {
+            if let Err(error) = self.admit(TenantId(wire_tenant as usize), frame.path_count()) {
                 report.rejections.push(RowRejection {
                     frame: fi,
                     row: None,
@@ -290,44 +292,20 @@ impl Fleet {
                 continue;
             }
             for r in 0..frame.row_count() {
-                let row = frame.row(r);
-                if let Some(path) = row.first_non_finite() {
-                    report.rejections.push(RowRejection {
-                        frame: fi,
-                        row: Some(r),
-                        tenant: wire_tenant,
-                        error: FleetError::MalformedSnapshot {
-                            tenant: id,
-                            reason: format!("non-finite log rate at path {path}"),
+                let item = match frame.row(r).first_non_finite() {
+                    Some(path) => Err(format!("non-finite log rate at path {path}")),
+                    None => Ok(match mode {
+                        WireIngestMode::ZeroCopy => QueueItem::WireRow {
+                            data: frame.row_bytes(r),
+                            wire_seq: frame.seq(r),
                         },
-                    });
-                    continue;
-                }
-                let item = match mode {
-                    WireIngestMode::ZeroCopy => QueueItem::WireRow {
-                        data: frame.row_bytes(r),
-                        wire_seq: frame.seq(r),
-                    },
-                    WireIngestMode::Copying => QueueItem::OwnedRow {
-                        data: row.to_vec(),
-                        wire_seq: Some(frame.seq(r)),
-                    },
+                        WireIngestMode::Copying => QueueItem::OwnedRow {
+                            data: frame.row(r).to_vec(),
+                            wire_seq: Some(frame.seq(r)),
+                        },
+                    }),
                 };
-                match self.enqueue_item_with_drain(id, item, &mut report.events) {
-                    Ok(drained) => {
-                        report.accepted += 1;
-                        report.backpressure_drains += usize::from(drained);
-                    }
-                    Err((error, drained)) => {
-                        report.backpressure_drains += usize::from(drained);
-                        report.rejections.push(RowRejection {
-                            frame: fi,
-                            row: Some(r),
-                            tenant: wire_tenant,
-                            error,
-                        });
-                    }
-                }
+                self.ingest_row(&mut report, fi, r, wire_tenant, item);
             }
         }
         self.poll_events_into(&mut report.events);
@@ -343,9 +321,8 @@ impl Fleet {
     pub fn ingest_json_batch(&mut self, batch: &JsonBatch) -> WireIngestReport {
         let mut report = WireIngestReport::default();
         for (fi, frame) in batch.frames.iter().enumerate() {
-            let id = TenantId(frame.tenant as usize);
             let paths = frame.rows.first().map_or(0, Vec::len);
-            if let Err(error) = self.check_wire_frame(id, paths) {
+            if let Err(error) = self.admit(TenantId(frame.tenant as usize), paths) {
                 report.rejections.push(RowRejection {
                     frame: fi,
                     row: None,
@@ -355,91 +332,60 @@ impl Fleet {
                 continue;
             }
             for (r, row) in frame.rows.iter().enumerate() {
-                let verdict = if row.len() != paths {
+                let item = if row.len() != paths {
                     // JSON has no frame-wide row shape, so raggedness
                     // is representable — and rejected per row.
-                    Some(format!(
+                    Err(format!(
                         "ragged row: {} values, frame started with {paths}",
                         row.len()
                     ))
+                } else if let Some(p) = row.iter().position(|v| !v.is_finite()) {
+                    Err(format!("non-finite log rate at path {p}"))
                 } else {
-                    row.iter()
-                        .position(|v| !v.is_finite())
-                        .map(|p| format!("non-finite log rate at path {p}"))
+                    Ok(QueueItem::OwnedRow {
+                        data: row.clone(),
+                        wire_seq: Some(frame.base_seq.wrapping_add(r as u64)),
+                    })
                 };
-                if let Some(reason) = verdict {
-                    report.rejections.push(RowRejection {
-                        frame: fi,
-                        row: Some(r),
-                        tenant: frame.tenant,
-                        error: FleetError::MalformedSnapshot { tenant: id, reason },
-                    });
-                    continue;
-                }
-                let item = QueueItem::OwnedRow {
-                    data: row.clone(),
-                    wire_seq: Some(frame.base_seq.wrapping_add(r as u64)),
-                };
-                match self.enqueue_item_with_drain(id, item, &mut report.events) {
-                    Ok(drained) => {
-                        report.accepted += 1;
-                        report.backpressure_drains += usize::from(drained);
-                    }
-                    Err((error, drained)) => {
-                        report.backpressure_drains += usize::from(drained);
-                        report.rejections.push(RowRejection {
-                            frame: fi,
-                            row: Some(r),
-                            tenant: frame.tenant,
-                            error,
-                        });
-                    }
-                }
+                self.ingest_row(&mut report, fi, r, frame.tenant, item);
             }
         }
         self.poll_events_into(&mut report.events);
         report
     }
 
-    /// Frame-level gate for the wire paths: the tenant must exist, be
-    /// healthy, and the frame's row shape must match its topology.
-    fn check_wire_frame(&self, id: TenantId, paths: usize) -> Result<(), FleetError> {
-        self.check_tenant(id)?;
-        let want = self.tenants[id.0].estimator.topology().num_paths();
-        if paths != want {
-            return Err(FleetError::MalformedSnapshot {
-                tenant: id,
-                reason: format!("frame rows cover {paths} paths, topology has {want}"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Enqueues one validated item, draining the fleet once and
-    /// retrying if the queue is full. `Ok(drained)` /
-    /// `Err((error, drained))` report whether a backpressure drain
-    /// happened.
-    fn enqueue_item_with_drain(
+    /// The row path wire and JSON ingest share, for row `row` of frame
+    /// `frame` addressed to wire tenant `tenant`: a row that failed its
+    /// check (`Err(reason)`) is rejected as malformed, an admitted one
+    /// is enqueued (draining once on backpressure), and the outcome is
+    /// counted in `report`.
+    fn ingest_row(
         &mut self,
-        id: TenantId,
-        item: QueueItem,
-        events: &mut Vec<FleetEvent>,
-    ) -> Result<bool, (FleetError, bool)> {
-        match self.senders[id.0].try_send(item) {
-            Ok(()) => Ok(false),
-            Err(TrySendError::Full(item)) => {
-                self.poll_events_into(events);
-                if self.tenants[id.0].quarantined {
-                    return Err((FleetError::Quarantined(id), true));
-                }
-                match self.senders[id.0].try_send(item) {
-                    Ok(()) => Ok(true),
-                    Err(_) => Err((FleetError::QueueFull(id), true)),
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                Err((FleetError::UnknownTenant(id), false))
-            }
+        report: &mut WireIngestReport,
+        frame: usize,
+        row: usize,
+        tenant: u32,
+        item: Result<QueueItem, String>,
+    ) {
+        let id = TenantId(tenant as usize);
+        let outcome = item
+            .map_err(|reason| FleetError::MalformedSnapshot { tenant: id, reason })
+            .and_then(|item| {
+                self.enqueue_item_with_drain(
+                    id,
+                    item,
+                    &mut report.events,
+                    &mut report.backpressure_drains,
+                )
+            });
+        match outcome {
+            Ok(()) => report.accepted += 1,
+            Err(error) => report.rejections.push(RowRejection {
+                frame,
+                row: Some(row),
+                tenant,
+                error,
+            }),
         }
     }
 
@@ -548,21 +494,11 @@ fn demux_loop(
             let id = TenantId(wire_tenant as usize);
             let mut accepted = 0usize;
             let mut rejections = Vec::new();
-            let frame_gate = match tenants.get(id.0) {
-                None => Some(FleetError::UnknownTenant(id)),
-                Some(t) if t.paths != frame.path_count() => {
-                    Some(FleetError::MalformedSnapshot {
-                        tenant: id,
-                        reason: format!(
-                            "frame rows cover {} paths, topology has {}",
-                            frame.path_count(),
-                            t.paths
-                        ),
-                    })
-                }
-                Some(_) => None,
-            };
-            if let Some(error) = frame_gate {
+            let frame_gate = tenants
+                .get(id.0)
+                .ok_or(FleetError::UnknownTenant(id))
+                .and_then(|t| check_path_count(id, frame.path_count(), t.paths));
+            if let Err(error) = frame_gate {
                 stats.rows_rejected += frame.row_count() as u64;
                 rejections.push(RowRejection {
                     frame: fi,
@@ -893,9 +829,8 @@ mod tests {
         let a = fleet.add_tenant("alpha", &red, OnlineConfig::default());
         let _b = fleet.add_tenant("beta", &red, OnlineConfig::default());
         let ms = simulate(&red, 25, 7);
-        fleet
-            .ingest_batch(ms.snapshots.iter().cloned().map(|s| (a, s)))
-            .unwrap();
+        let report = fleet.ingest_batch(ms.snapshots.iter().cloned().map(|s| (a, s)));
+        assert!(report.rejections.is_empty());
         let q = fleet.query();
         assert_eq!(q.tenants.len(), 2);
         assert_eq!(q.tenants[0].name, "alpha");
@@ -1083,10 +1018,8 @@ mod tests {
         }
         assert_eq!(events.len(), total);
         assert_eq!(fleet.stats(a).ingested, 30);
-        // poll_events (allocating wrapper) and drain agree on an empty
-        // fleet.
+        // poll_events (allocating wrapper) is empty on an empty fleet.
         assert!(fleet.poll_events().is_empty());
-        assert!(fleet.drain().is_empty());
         // Standalone equivalence still holds through the pooled path.
         let mut solo = OnlineEstimator::new(&red, OnlineConfig::default());
         for s in &ms.snapshots {

@@ -11,6 +11,16 @@
 //! the queues with a **sharded worker pool** sized by the workspace-wide
 //! [`losstomo_linalg::parallel`] policy (`LOSSTOMO_THREADS`-capped).
 //!
+//! ## Admission
+//!
+//! Every input — an owned snapshot ([`Fleet::enqueue`],
+//! [`Fleet::ingest_batch`]) or a wire/JSON row
+//! ([`Fleet::ingest_wire_batch`], [`Fleet::ingest_json_batch`]) —
+//! passes one admission gate before it enters a queue: the tenant is registered and not quarantined, and
+//! the row's path count matches its current topology. Batch ingest is
+//! partial-accept: every input is accepted or rejected by position with
+//! a typed reason, so accepted + rejected = sent.
+//!
 //! ## Determinism contract
 //!
 //! Every tenant is pinned to exactly one shard, each shard's worker
@@ -78,10 +88,11 @@ pub struct FleetConfig {
     /// reports [`FleetError::QueueFull`] beyond it (backpressure), and
     /// [`Fleet::ingest_batch`] drains and retries instead.
     pub queue_capacity: usize,
-    /// Worker threads for [`Fleet::drain`]. `None` (default) follows
-    /// [`losstomo_linalg::parallel::num_threads`] — available
-    /// parallelism capped by `LOSSTOMO_THREADS`. Results are identical
-    /// at any setting; the knob trades wall-clock for CPU occupancy.
+    /// Worker threads for [`Fleet::poll_events_into`]. `None`
+    /// (default) follows [`losstomo_linalg::parallel::num_threads`] —
+    /// available parallelism capped by `LOSSTOMO_THREADS`. Results are
+    /// identical at any setting; the knob trades wall-clock for CPU
+    /// occupancy.
     pub workers: Option<usize>,
     /// Fleet-wide default pair budget: tenants whose
     /// [`OnlineConfig::pair_budget`] is unspecified
@@ -204,8 +215,7 @@ pub enum FleetEventKind {
     /// boundary: this tenant is quarantined — its estimator is never
     /// touched again and new snapshots are refused with
     /// [`FleetError::Quarantined`] — while every other tenant keeps
-    /// running. Before this event existed, one panicking tenant
-    /// aborted [`Fleet::drain`] for the whole fleet.
+    /// running.
     TenantQuarantined {
         /// The panic payload, stringified.
         message: String,
@@ -306,7 +316,7 @@ impl Tenant {
     /// *panicking* ingest is caught here — the tenant boundary — and
     /// quarantines this tenant only, instead of unwinding through the
     /// worker pool and poisoning the whole fleet.
-    fn drain(&mut self, id: TenantId, events: &mut Vec<FleetEvent>) {
+    fn ingest_queued(&mut self, id: TenantId, events: &mut Vec<FleetEvent>) {
         if self.quarantined {
             return;
         }
@@ -467,9 +477,9 @@ impl Fleet {
         self.tenants.len()
     }
 
-    /// The worker count [`Fleet::drain`] will use right now (resolving
-    /// the `None` default against the shared thread policy and the
-    /// tenant count).
+    /// The worker count [`Fleet::poll_events_into`] will use right now
+    /// (resolving the `None` default against the shared thread policy
+    /// and the tenant count).
     pub fn workers(&self) -> usize {
         self.cfg
             .workers
@@ -507,22 +517,25 @@ impl Fleet {
         }
     }
 
-    /// Validates a snapshot against a tenant's current topology before
-    /// it may enter the queue: the path count must match and at least
-    /// one probe must have been sent (zero probes would produce NaN
-    /// rates). Rejection is typed and loud — nothing reaches the
-    /// estimator's moments.
-    fn validate_snapshot(&self, id: TenantId, snapshot: &Snapshot) -> Result<(), FleetError> {
-        let want = self.tenants[id.0].estimator.topology().num_paths();
-        if snapshot.path_received.len() != want {
-            return Err(FleetError::MalformedSnapshot {
-                tenant: id,
-                reason: format!(
-                    "snapshot covers {} paths, topology has {want}",
-                    snapshot.path_received.len()
-                ),
-            });
+    /// The one admission gate in front of the tenant queues: the tenant
+    /// must be registered and not quarantined, and a row of `paths` log
+    /// rates must match its current topology. Rejection is typed and
+    /// loud — nothing reaches the estimator's moments.
+    fn admit(&self, id: TenantId, paths: usize) -> Result<(), FleetError> {
+        let t = self
+            .tenants
+            .get(id.0)
+            .ok_or(FleetError::UnknownTenant(id))?;
+        if t.quarantined {
+            return Err(FleetError::Quarantined(id));
         }
+        check_path_count(id, paths, t.estimator.topology().num_paths())
+    }
+
+    /// [`Fleet::admit`] for an owned snapshot, which must also report
+    /// at least one probe sent (zero probes would produce NaN rates).
+    fn admit_snapshot(&self, id: TenantId, snapshot: &Snapshot) -> Result<(), FleetError> {
+        self.admit(id, snapshot.path_received.len())?;
         if snapshot.probes == 0 {
             return Err(FleetError::MalformedSnapshot {
                 tenant: id,
@@ -534,21 +547,14 @@ impl Fleet {
 
     /// Enqueues one snapshot for a tenant without blocking. Fails with
     /// [`FleetError::QueueFull`] when the tenant's bounded queue is at
-    /// capacity — the backpressure signal; [`Fleet::drain`] frees it —
-    /// with [`FleetError::Quarantined`] when the tenant was quarantined
-    /// by a panicking ingest, and with
+    /// capacity — the backpressure signal; [`Fleet::poll_events`] frees
+    /// it — with [`FleetError::Quarantined`] when the tenant was
+    /// quarantined by a panicking ingest, and with
     /// [`FleetError::MalformedSnapshot`] when the snapshot cannot match
     /// the tenant's topology (nothing is silently dropped).
     pub fn enqueue(&self, id: TenantId, snapshot: Snapshot) -> Result<(), FleetError> {
-        let tx = self
-            .senders
-            .get(id.0)
-            .ok_or(FleetError::UnknownTenant(id))?;
-        if self.tenants[id.0].quarantined {
-            return Err(FleetError::Quarantined(id));
-        }
-        self.validate_snapshot(id, &snapshot)?;
-        match tx.try_send(QueueItem::Snapshot(snapshot)) {
+        self.admit_snapshot(id, &snapshot)?;
+        match self.senders[id.0].try_send(QueueItem::Snapshot(snapshot)) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => Err(FleetError::QueueFull(id)),
             Err(TrySendError::Disconnected(_)) => Err(FleetError::UnknownTenant(id)),
@@ -558,7 +564,7 @@ impl Fleet {
     /// Applies a routing delta to a tenant's **live** estimator — no
     /// drain, no rebuild, the queue keeps its snapshots. Returns the
     /// admin events synchronously (they are not replayed by later
-    /// [`Fleet::drain`] calls): a
+    /// [`Fleet::poll_events`] calls): a
     /// [`FleetEventKind::TopologyChurned`] event always, preceded by a
     /// [`FleetEventKind::EstimatorError`] event when the incremental
     /// patch had to fall back to a clean rebuild — the degraded path is
@@ -619,8 +625,8 @@ impl Fleet {
     /// estimator is **bit-identical to a fresh one** on the same
     /// topology (it restarts cold — the broken estimator's state is
     /// discarded, which is the point); queued snapshots survive and are
-    /// ingested by the next [`Fleet::drain`]. Ingest/error counters are
-    /// retained for observability.
+    /// ingested by the next [`Fleet::poll_events`]. Ingest/error
+    /// counters are retained for observability.
     ///
     /// Calling this on a healthy tenant returns
     /// [`FleetError::NotQuarantined`] — it would discard warm state.
@@ -664,7 +670,7 @@ impl Fleet {
         let workers = self.workers();
         if workers <= 1 || self.tenants.len() <= 1 {
             for (i, tenant) in self.tenants.iter_mut().enumerate() {
-                tenant.drain(TenantId(i), events);
+                tenant.ingest_queued(TenantId(i), events);
             }
         } else {
             // Deal the tenants out to their shards (round-robin by id,
@@ -683,7 +689,7 @@ impl Fleet {
                         buf.clear();
                         scope.spawn(move |_| {
                             for (id, tenant) in shard.iter_mut() {
-                                tenant.drain(*id, &mut buf);
+                                tenant.ingest_queued(*id, &mut buf);
                             }
                             buf
                         })
@@ -714,127 +720,85 @@ impl Fleet {
         events
     }
 
-    /// Alias of [`Fleet::poll_events`], kept as the historical name.
-    pub fn drain(&mut self) -> Vec<FleetEvent> {
-        self.poll_events()
-    }
-
-    /// Batch ingest: enqueues every `(tenant, snapshot)` pair, draining
-    /// the fleet whenever a queue fills (the bounded queues are the
-    /// batch's flow control), then drains whatever remains. Returns all
-    /// events produced while processing the batch, in drain order
-    /// (within each drain, `(tenant, seq)`-sorted).
+    /// Batch ingest, **partial-accept**: enqueues every
+    /// `(tenant, snapshot)` pair that passes admission, draining the
+    /// fleet whenever a queue fills (the bounded queues are the batch's
+    /// flow control), then drains whatever remains. A pair that cannot
+    /// be enqueued (unknown or quarantined tenant, malformed snapshot,
+    /// queue still full after a drain) is recorded with its batch index
+    /// and skipped; the rest of the batch still goes in. The report
+    /// accounts for every pair — `accepted + rejections.len()` equals
+    /// the batch length — and carries every event the batch's drains
+    /// produced.
     pub fn ingest_batch(
-        &mut self,
-        batch: impl IntoIterator<Item = (TenantId, Snapshot)>,
-    ) -> Result<Vec<FleetEvent>, FleetError> {
-        let mut events = Vec::new();
-        for (id, snapshot) in batch {
-            if self
-                .tenants
-                .get(id.0)
-                .ok_or(FleetError::UnknownTenant(id))?
-                .quarantined
-            {
-                return Err(FleetError::Quarantined(id));
-            }
-            self.validate_snapshot(id, &snapshot)?;
-            let first = self
-                .senders
-                .get(id.0)
-                .ok_or(FleetError::UnknownTenant(id))?
-                .try_send(QueueItem::Snapshot(snapshot));
-            match first {
-                Ok(()) => {}
-                Err(TrySendError::Full(item)) => {
-                    // Backpressure: service the queues, then retry.
-                    // The drain left every live tenant's queue empty
-                    // and capacity is ≥ 1, so the retry cannot fail —
-                    // unless this very drain quarantined the tenant
-                    // (its queue keeps its leftovers), which must
-                    // surface rather than silently drop the snapshot.
-                    self.poll_events_into(&mut events);
-                    if self.tenants[id.0].quarantined {
-                        return Err(FleetError::Quarantined(id));
-                    }
-                    self.senders[id.0]
-                        .try_send(item)
-                        .map_err(|_| FleetError::QueueFull(id))?;
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    return Err(FleetError::UnknownTenant(id));
-                }
-            }
-        }
-        self.poll_events_into(&mut events);
-        Ok(events)
-    }
-
-    /// Like [`Fleet::ingest_batch`], but **partial-accept**: a pair
-    /// that cannot be enqueued (unknown or quarantined tenant,
-    /// malformed snapshot, queue still full after a drain) is recorded
-    /// — with its batch index — and skipped, instead of aborting the
-    /// remainder of the batch. The report accounts for every input
-    /// pair: `accepted + rejections.len()` equals the batch length.
-    pub fn ingest_batch_report(
         &mut self,
         batch: impl IntoIterator<Item = (TenantId, Snapshot)>,
     ) -> BatchReport {
         let mut report = BatchReport::default();
         for (index, (id, snapshot)) in batch.into_iter().enumerate() {
-            let verdict = self.check_tenant(id).and_then(|()| {
-                self.validate_snapshot(id, &snapshot)
+            let outcome = self.admit_snapshot(id, &snapshot).and_then(|()| {
+                self.enqueue_item_with_drain(
+                    id,
+                    QueueItem::Snapshot(snapshot),
+                    &mut report.events,
+                    &mut report.backpressure_drains,
+                )
             });
-            if let Err(error) = verdict {
-                report.rejections.push(BatchRejection { index, tenant: id, error });
-                continue;
-            }
-            match self.senders[id.0].try_send(QueueItem::Snapshot(snapshot)) {
+            match outcome {
                 Ok(()) => report.accepted += 1,
-                Err(TrySendError::Full(item)) => {
-                    report.backpressure_drains += 1;
-                    self.poll_events_into(&mut report.events);
-                    let retry = if self.tenants[id.0].quarantined {
-                        Err(FleetError::Quarantined(id))
-                    } else {
-                        self.senders[id.0]
-                            .try_send(item)
-                            .map_err(|_| FleetError::QueueFull(id))
-                    };
-                    match retry {
-                        Ok(()) => report.accepted += 1,
-                        Err(error) => report.rejections.push(BatchRejection {
-                            index,
-                            tenant: id,
-                            error,
-                        }),
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    report.rejections.push(BatchRejection {
-                        index,
-                        tenant: id,
-                        error: FleetError::UnknownTenant(id),
-                    });
-                }
+                Err(error) => report.rejections.push(BatchRejection {
+                    index,
+                    tenant: id,
+                    error,
+                }),
             }
         }
         self.poll_events_into(&mut report.events);
         report
     }
 
-    /// Typed gate shared by the enqueue paths: the tenant must exist
-    /// and not be quarantined.
-    fn check_tenant(&self, id: TenantId) -> Result<(), FleetError> {
-        let t = self
-            .tenants
-            .get(id.0)
-            .ok_or(FleetError::UnknownTenant(id))?;
-        if t.quarantined {
-            return Err(FleetError::Quarantined(id));
+    /// Enqueues one admitted item. When the tenant's queue is full it
+    /// drains the fleet once into `events`, counts the drain in
+    /// `drains`, and retries.
+    fn enqueue_item_with_drain(
+        &mut self,
+        id: TenantId,
+        item: QueueItem,
+        events: &mut Vec<FleetEvent>,
+        drains: &mut usize,
+    ) -> Result<(), FleetError> {
+        match self.senders[id.0].try_send(item) {
+            Ok(()) => Ok(()),
+            Err(TrySendError::Full(item)) => {
+                *drains += 1;
+                self.poll_events_into(events);
+                // The drain left every live tenant's queue empty and
+                // capacity is ≥ 1, so the retry cannot fail — unless
+                // this very drain quarantined the tenant (its queue
+                // keeps its leftovers), which must surface rather than
+                // silently drop the item.
+                if self.tenants[id.0].quarantined {
+                    return Err(FleetError::Quarantined(id));
+                }
+                self.senders[id.0]
+                    .try_send(item)
+                    .map_err(|_| FleetError::QueueFull(id))
+            }
+            Err(TrySendError::Disconnected(_)) => Err(FleetError::UnknownTenant(id)),
         }
-        Ok(())
     }
+}
+
+/// The path-count half of admission, shared with the demux thread's
+/// spawn-time view of each tenant.
+fn check_path_count(id: TenantId, paths: usize, want: usize) -> Result<(), FleetError> {
+    if paths == want {
+        return Ok(());
+    }
+    Err(FleetError::MalformedSnapshot {
+        tenant: id,
+        reason: format!("snapshot covers {paths} paths, topology has {want}"),
+    })
 }
 
 /// One rejected entry of a partial-accept batch — which input it was
@@ -850,7 +814,7 @@ pub struct BatchRejection {
     pub error: FleetError,
 }
 
-/// Accounting of one [`Fleet::ingest_batch_report`] call. Every input
+/// Accounting of one [`Fleet::ingest_batch`] call. Every input
 /// pair is either counted in `accepted` or listed in `rejections` —
 /// nothing is silently dropped.
 #[derive(Debug, Default)]
@@ -914,7 +878,7 @@ mod tests {
             Err(FleetError::QueueFull(t))
         );
         assert_eq!(fleet.stats(t).queued, 2);
-        fleet.drain();
+        fleet.poll_events();
         assert_eq!(fleet.stats(t).queued, 0);
         assert_eq!(fleet.stats(t).ingested, 2);
         fleet.enqueue(t, ms.snapshots[2].clone()).unwrap();
@@ -954,7 +918,7 @@ mod tests {
             .zip(ms_b.snapshots.iter().cloned().map(|s| (b, s)))
             .flat_map(|(x, y)| [x, y])
             .collect();
-        fleet.ingest_batch(batch).unwrap();
+        assert!(fleet.ingest_batch(batch).rejections.is_empty());
         assert_eq!(fleet.stats(a).ingested, m as u64);
         assert_eq!(fleet.stats(b).ingested, m as u64);
         assert_eq!(fleet.stats(a).queued, 0);
@@ -967,9 +931,9 @@ mod tests {
         let mut fleet = Fleet::new(FleetConfig::default());
         let t = fleet.add_tenant("net", &red, OnlineConfig::default());
         let ms = simulate(&red, 25, 5);
-        let events = fleet
-            .ingest_batch(ms.snapshots.iter().cloned().map(|s| (t, s)))
-            .unwrap();
+        let report = fleet.ingest_batch(ms.snapshots.iter().cloned().map(|s| (t, s)));
+        assert!(report.rejections.is_empty());
+        let events = report.events;
         // Replaying appeared/cleared from an empty set must land on the
         // estimator's current congested set.
         let mut current: Vec<usize> = Vec::new();
@@ -999,6 +963,57 @@ mod tests {
         assert_eq!(current, fleet.estimator(t).congested_links());
     }
 
+    /// A malformed snapshot mid-batch or last is rejected by its index
+    /// while the rest of the batch goes in, and no event a backpressure
+    /// drain produced is lost: replaying the report's events lands on
+    /// the tenant's congested set.
+    #[test]
+    fn ingest_batch_rejects_by_index_and_keeps_every_event() {
+        let red = fig1();
+        let mut fleet = Fleet::new(FleetConfig {
+            queue_capacity: 2,
+            workers: Some(1),
+            ..FleetConfig::default()
+        });
+        let t = fleet.add_tenant("t", &red, OnlineConfig::default());
+        let mut batch: Vec<(TenantId, Snapshot)> = simulate(&red, 25, 5)
+            .snapshots
+            .into_iter()
+            .map(|s| (t, s))
+            .collect();
+        let mut zero = batch[0].1.clone();
+        zero.probes = 0;
+        batch.insert(12, (t, zero.clone()));
+        batch.push((t, zero));
+        let n = batch.len();
+        let report = fleet.ingest_batch(batch);
+        let rejected: Vec<usize> = report.rejections.iter().map(|r| r.index).collect();
+        assert_eq!(rejected, vec![12, n - 1]);
+        assert!(report
+            .rejections
+            .iter()
+            .all(|r| r.tenant == t && matches!(r.error, FleetError::MalformedSnapshot { .. })));
+        assert_eq!(report.accepted + report.rejections.len(), n);
+        assert_eq!(fleet.stats(t).ingested, report.accepted as u64);
+        assert!(
+            report.backpressure_drains > 0,
+            "capacity 2 must drain mid-batch"
+        );
+        let mut current: Vec<usize> = Vec::new();
+        for e in &report.events {
+            if let FleetEventKind::CongestionChanged {
+                appeared, cleared, ..
+            } = &e.kind
+            {
+                current.retain(|k| !cleared.contains(k));
+                current.extend(appeared.iter().copied());
+                current.sort_unstable();
+            }
+        }
+        assert!(!current.is_empty(), "premise: the stream ends congested");
+        assert_eq!(current, fleet.estimator(t).congested_links());
+    }
+
     #[test]
     fn panicking_tenant_is_quarantined_not_fatal() {
         let red1 = fig1();
@@ -1021,7 +1036,7 @@ mod tests {
         fleet.enqueue(a, good.snapshots[0].clone()).unwrap();
         fleet.enqueue(a, good.snapshots[3].clone()).unwrap();
         fleet.enqueue(a, good.snapshots[1].clone()).unwrap();
-        let events = fleet.drain();
+        let events = fleet.poll_events();
         let quarantines: Vec<&FleetEvent> = events
             .iter()
             .filter(|e| matches!(e.kind, FleetEventKind::TenantQuarantined { .. }))
@@ -1044,7 +1059,7 @@ mod tests {
         assert_eq!(fleet.stats(b).ingested, 6);
         // …and keeps running.
         fleet.enqueue(b, good.snapshots[0].clone()).unwrap();
-        fleet.drain();
+        fleet.poll_events();
         assert_eq!(fleet.stats(b).ingested, 7);
         // The quarantined tenant refuses new snapshots loudly.
         assert_eq!(
@@ -1054,12 +1069,13 @@ mod tests {
         assert_eq!(
             fleet
                 .ingest_batch([(a, good.snapshots[2].clone())])
-                .unwrap_err(),
+                .rejections[0]
+                .error,
             FleetError::Quarantined(a)
         );
         // Draining again must not touch a's estimator (nothing new
         // ingested despite the queued leftover).
-        fleet.drain();
+        fleet.poll_events();
         assert_eq!(fleet.stats(a).ingested, 2);
     }
 
@@ -1089,9 +1105,8 @@ mod tests {
         assert!(fleet.estimator(explicit).pair_selection().is_none());
         // The budgeted tenant still estimates.
         let ms = simulate(&red, 25, 13);
-        fleet
-            .ingest_batch(ms.snapshots.iter().cloned().map(|s| (inherit, s)))
-            .unwrap();
+        let report = fleet.ingest_batch(ms.snapshots.iter().cloned().map(|s| (inherit, s)));
+        assert!(report.rejections.is_empty());
         assert!(fleet.estimator(inherit).variances().is_some());
     }
 
@@ -1121,7 +1136,9 @@ mod tests {
                 b_count += 1;
             }
         }
-        let events = fleet.ingest_batch(batch).unwrap();
+        let report = fleet.ingest_batch(batch);
+        assert!(report.rejections.is_empty());
+        let events = report.events;
         // Per-tenant seq must be strictly increasing across the whole
         // event stream even though it spans multiple partial drains.
         let mut last_seq = [0u64; 2];
@@ -1166,8 +1183,8 @@ mod tests {
             Err(FleetError::MalformedSnapshot { tenant, .. }) if tenant == t
         ));
         assert!(matches!(
-            fleet.ingest_batch([(t, bad)]),
-            Err(FleetError::MalformedSnapshot { .. })
+            fleet.ingest_batch([(t, bad)]).rejections[0].error,
+            FleetError::MalformedSnapshot { .. }
         ));
         // Zero probes would make every rate NaN.
         let mut zero = simulate(&red, 1, 52).snapshots[0].clone();
@@ -1179,9 +1196,8 @@ mod tests {
         // Nothing reached the estimator; the tenant still works.
         assert_eq!(fleet.stats(t).ingested, 0);
         let ms = simulate(&red, 10, 53);
-        fleet
-            .ingest_batch(ms.snapshots.iter().cloned().map(|s| (t, s)))
-            .unwrap();
+        let report = fleet.ingest_batch(ms.snapshots.iter().cloned().map(|s| (t, s)));
+        assert!(report.rejections.is_empty());
         assert_eq!(fleet.stats(t).ingested, 10);
         assert!(!fleet.stats(t).quarantined);
     }
@@ -1206,7 +1222,7 @@ mod tests {
         for s in &ms.snapshots[..6] {
             fleet.enqueue(t, s.clone()).unwrap();
         }
-        fleet.drain();
+        fleet.poll_events();
         assert!(fleet.stats(t).quarantined);
         assert_eq!(fleet.stats(t).ingested, 4, "poison pill consumed");
         assert_eq!(fleet.stats(t).queued, 2, "leftovers survive quarantine");
@@ -1219,11 +1235,11 @@ mod tests {
         assert_eq!(fleet.stats(t).ingested, 4);
         // The queued leftovers drain first, then the rest of the
         // stream flows normally.
-        fleet.drain();
+        fleet.poll_events();
         for s in &ms.snapshots[6..] {
             fleet.enqueue(t, s.clone()).unwrap();
         }
-        fleet.drain();
+        fleet.poll_events();
         assert_eq!(fleet.stats(t).ingested, 20);
         // Gate: the revived tenant is bit-identical to a standalone
         // estimator fed the post-revive stream (snapshots 4.. — the
@@ -1258,9 +1274,8 @@ mod tests {
         });
         let t = fleet.add_tenant("t", &red, cfg);
         let ms = simulate(&red, 20, 41);
-        fleet
-            .ingest_batch(ms.snapshots.iter().cloned().map(|s| (t, s)))
-            .unwrap();
+        let report = fleet.ingest_batch(ms.snapshots.iter().cloned().map(|s| (t, s)));
+        assert!(report.rejections.is_empty());
         let nc = red.num_links();
         let delta = TopologyDelta::new().reroute_path(PathId(0), vec![0, nc - 1]);
         let events = fleet.update_topology(t, &delta).unwrap();
@@ -1292,9 +1307,8 @@ mod tests {
         let mut red2 = red.clone();
         red2.apply_delta(&delta).unwrap();
         let ms2 = simulate(&red2, 12, 42);
-        fleet
-            .ingest_batch(ms2.snapshots.iter().cloned().map(|s| (t, s)))
-            .unwrap();
+        let report = fleet.ingest_batch(ms2.snapshots.iter().cloned().map(|s| (t, s)));
+        assert!(report.rejections.is_empty());
         assert!(fleet.estimator(t).covariance().is_churn_free());
         assert!(fleet.estimator(t).variances().is_some());
         assert!(!fleet.stats(t).quarantined);

@@ -242,45 +242,6 @@ impl SparseQr {
             .position(|m| !matches!(m, Some(v) if *v > threshold))
     }
 
-    /// Statistical leverage of a binary row against this factor:
-    /// `‖R⁻ᵀ a‖²` where `a` is the 0/1 row with ones at `links`
-    /// (ascending column indices). For a row of the factored matrix
-    /// this is its classical leverage score `aᵀ(AᵀA)⁻¹a`; pair
-    /// budgeting uses it to rank redundant rows by how much of the
-    /// factor's information they carry. Returns `None` when the solve
-    /// reaches a column without a sound installed triangular row (the
-    /// factor does not span the row).
-    pub fn leverage_of_row(&self, links: &[usize]) -> Option<f64> {
-        let n = self.a.cols();
-        if links.iter().any(|&k| k >= n) {
-            return None;
-        }
-        let threshold = crate::rank::DEFAULT_RANK_TOL * self.scale;
-        // Forward solve Rᵀ z = a, right-looking; z stays mostly sparse
-        // for short rows, so zero entries are skipped.
-        let mut z = vec![0.0; n];
-        for &k in links {
-            z[k] = 1.0;
-        }
-        let mut sum_sq = 0.0;
-        for j in 0..n {
-            if z[j] == 0.0 {
-                continue;
-            }
-            let row = match &self.r_rows[j] {
-                Some(row) if matches!(self.row_max[j], Some(m) if m > threshold) => row,
-                _ => return None,
-            };
-            let zj = z[j] / row[0].1;
-            z[j] = zj;
-            sum_sq += zj * zj;
-            for &(k, v) in &row[1..] {
-                z[k] -= v * zj;
-            }
-        }
-        Some(sum_sq)
-    }
-
     /// Solves `RᵀR x = c` by two sparse triangular solves.
     fn solve_seminormal(&self, c: &[f64]) -> Vec<f64> {
         let n = self.a.cols();
@@ -664,38 +625,6 @@ mod tests {
         b.push_row(&[(0, 1.0), (1, 1.0), (2, 2.0)]).unwrap();
         let a = b.build();
         assert_eq!(row_basis(&a, &[0, 1, 2]).len(), 2);
-    }
-
-    #[test]
-    fn leverage_scores_of_factored_rows_sum_to_rank() {
-        // For full-column-rank A the leverages a_iᵀ(AᵀA)⁻¹a_i sum to
-        // trace(H) = rank = n.
-        let a = binary(
-            &[&[0, 1], &[1, 2], &[0, 2, 3], &[3], &[0, 1, 2, 3], &[2]],
-            4,
-        );
-        let rows: Vec<Vec<usize>> = (0..a.rows())
-            .map(|i| a.row(i).map(|(k, _)| k).collect())
-            .collect();
-        let qr = SparseQr::new(a).unwrap();
-        let total: f64 = rows
-            .iter()
-            .map(|r| qr.leverage_of_row(r).unwrap())
-            .sum();
-        assert!((total - 4.0).abs() < 1e-10, "leverages sum to {total}");
-    }
-
-    #[test]
-    fn leverage_is_none_outside_span() {
-        // Rank-deficient factor: leverage of a row touching the dead
-        // column is undefined.
-        let mut b = CsrBuilder::new(3);
-        b.push_row(&[(0, 1.0), (2, 1.0)]).unwrap();
-        b.push_row(&[(1, 1.0), (2, 1.0)]).unwrap();
-        let a = b.build();
-        let qr = SparseQr::new(a).unwrap();
-        assert!(qr.leverage_of_row(&[0, 1, 2]).is_none());
-        assert!(qr.leverage_of_row(&[7]).is_none());
     }
 
     #[test]

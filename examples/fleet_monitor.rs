@@ -88,7 +88,13 @@ fn main() {
     let batch = fan_in(streams)
         .take(n_tenants * snapshots)
         .map(|(t, snap)| (ids[t], snap));
-    let events = fleet.ingest_batch(batch).expect("fleet ingest");
+    let report = fleet.ingest_batch(batch);
+    assert!(
+        report.rejections.is_empty(),
+        "fleet ingest: {:?}",
+        report.rejections
+    );
+    let events = report.events;
 
     // 5. Report the change feed and the fleet's final state.
     let mut alerts = 0usize;

@@ -206,12 +206,12 @@ fn churning_one_tenant_never_perturbs_another() {
         }
         churned.enqueue(b, sb.clone()).unwrap();
         control.enqueue(cb, sb.clone()).unwrap();
-        for e in churned.drain() {
+        for e in churned.poll_events() {
             if e.tenant == b {
                 churned_b_events.push(format!("{}:{:?}", e.seq, e.kind));
             }
         }
-        for e in control.drain() {
+        for e in control.poll_events() {
             control_b_events.push(format!("{}:{:?}", e.seq, e.kind));
         }
     }

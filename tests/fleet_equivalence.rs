@@ -127,7 +127,13 @@ fn run_fleet(
             batch.push((ids[t], feed[round].clone()));
         }
     }
-    let events = fleet.ingest_batch(batch).expect("fleet ingest");
+    let report = fleet.ingest_batch(batch);
+    assert!(
+        report.rejections.is_empty(),
+        "fleet ingest: {:?}",
+        report.rejections
+    );
+    let events = report.events;
     (fleet, ids, events)
 }
 

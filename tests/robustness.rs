@@ -233,9 +233,10 @@ fn constant_rows_give_finite_outputs() {
 }
 
 /// A NaN or ±∞ entry in Phase 2's input is a typed error naming the
-/// first bad entry, through the batch and the online entry points. A
-/// NaN `y` would otherwise become a NaN rate, which no loss threshold
-/// flags, so a broken measurement would read as "no congestion".
+/// first bad entry, through the batch and the online entry points and
+/// every estimator backend. A NaN `y` would otherwise become a NaN
+/// rate, which no loss threshold flags, so a broken measurement would
+/// read as "no congestion".
 #[test]
 fn non_finite_y_is_rejected_by_phase2() {
     let red = quickstart_tree();
@@ -265,5 +266,15 @@ fn non_finite_y_is_rejected_by_phase2() {
             "batch, {bad}"
         );
         assert_eq!(online.estimate(&y).unwrap_err(), want, "online, {bad}");
+        for kind in EstimatorKind::all() {
+            let backend = build_estimator(
+                kind,
+                LiaConfig::default(),
+                VarianceConfig::default(),
+                losstomo::core::PairBudget::Full,
+            );
+            let err = backend.estimate(&red, &centered, &y).unwrap_err();
+            assert_eq!(err, want, "{}, {bad}", kind.name());
+        }
     }
 }
