@@ -193,7 +193,6 @@ fn edge_fleet(red: &ReducedTopology, tenants: usize) -> (Fleet, Vec<TenantId>) {
     let mut fleet = Fleet::new(FleetConfig {
         queue_capacity: 256,
         workers: Some(1),
-        ..FleetConfig::default()
     });
     let cfg = OnlineConfig {
         refresh_every: usize::MAX,
@@ -341,7 +340,6 @@ fn latency(red: &ReducedTopology, feeds: &[Vec<Snapshot>], rounds: usize) -> Lat
     let mut fleet = Fleet::new(FleetConfig {
         queue_capacity: 64,
         workers: Some(1),
-        ..FleetConfig::default()
     });
     let ids: Vec<TenantId> = (0..tenants)
         .map(|t| fleet.add_tenant(format!("net-{t}"), red, OnlineConfig::default()))
@@ -406,7 +404,6 @@ fn bit_identity(red: &ReducedTopology, feeds: &[Vec<Snapshot>], n: usize) -> Bit
         let mut fleet = Fleet::new(FleetConfig {
             queue_capacity: n.max(1),
             workers: Some(1),
-            ..FleetConfig::default()
         });
         let ids: Vec<TenantId> = (0..tenants)
             .map(|t| fleet.add_tenant(format!("net-{t}"), red, OnlineConfig::default()))

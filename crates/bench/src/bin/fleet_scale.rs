@@ -290,7 +290,6 @@ fn run_fleet_once(
     let mut fleet = Fleet::new(FleetConfig {
         queue_capacity: feeds[0].len().max(1),
         workers: Some(workers),
-        ..FleetConfig::default()
     });
     let ids: Vec<TenantId> = topologies
         .iter()

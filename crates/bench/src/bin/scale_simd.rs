@@ -1,23 +1,21 @@
 //! scale_simd — scalar vs AVX2 microkernel wall-clock at paper scale.
 //!
-//! Times every SIMD-dispatched kernel family of the numeric hot path
+//! Times both SIMD-dispatched kernel families that inference runs,
 //! under an explicitly forced engine (`Engine::Scalar` vs
 //! `Engine::Avx2`, plus `avx2+fma` where the CPU has it) on
 //! paper-scale inputs:
 //!
-//! * **blocked** — `blocked::matmul_with` (`RᵀR` of the paper tree's
-//!   routing matrix) and `blocked::gram_with` (same product through the
-//!   dedicated Gram kernel);
 //! * **cholesky** — `Cholesky::factor_into_with` on the SPD matrix
-//!   `RᵀR + εI` (the trailing-update kernel dominates);
+//!   `RᵀR + I` of the paper tree's routing matrix `R` (the
+//!   trailing-update kernel dominates);
 //! * **covariance** — `CenteredMeasurements::pair_covariances_with_engine`
 //!   over the tree's augmented pair list.
 //!
 //! The non-FMA AVX2 engine is asserted **bit-identical** to scalar on
 //! every kernel; the opt-in `avx2+fma` engine's maximum relative
 //! deviation is recorded (contracted rounding, ~1e-16 per op). At paper
-//! scale on AVX2 hardware the report gates in-binary: at least two of
-//! the three kernel families must show a ≥1.5× SIMD speedup.
+//! scale on AVX2 hardware the report gates in-binary: both kernel
+//! families must show a ≥1.5× SIMD speedup.
 //!
 //! Flags: `--scale quick|paper`, `--runs N`, `--out PATH`. Writes
 //! `BENCH_simd.json`.
@@ -26,7 +24,7 @@ use losstomo_bench::{
     bench_meta, runs_from_args, tree_topology, write_bench_report, BenchMeta, Scale,
 };
 use losstomo_core::{AugmentedSystem, CenteredMeasurements};
-use losstomo_linalg::{blocked, Cholesky, Engine};
+use losstomo_linalg::{Cholesky, Engine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -37,7 +35,7 @@ use std::time::Instant;
 /// One kernel × engine-set measurement.
 #[derive(Debug, Serialize, Deserialize)]
 struct KernelTiming {
-    /// Kernel name (`matmul`, `gram`, `cholesky`, `covariance`).
+    /// Kernel name (`cholesky`, `covariance`).
     kernel: String,
     /// Dispatch family the kernel belongs to (the gate counts families).
     family: String,
@@ -69,7 +67,8 @@ struct SimdBenchReport {
     /// Interleaved timing rounds per kernel (best-of reported).
     runs: usize,
     kernels: Vec<KernelTiming>,
-    /// Families with a ≥1.5× AVX2 speedup (gated ≥2 at paper scale).
+    /// Families with a ≥1.5× AVX2 speedup (gated at 2 of 2 at paper
+    /// scale).
     families_at_gate: usize,
 }
 
@@ -188,13 +187,12 @@ fn main() {
 
     let tree = tree_topology(scale, 11);
     let r = tree.red.matrix.to_dense();
-    let rt = r.transpose();
     let (np, nl) = (r.rows(), r.cols());
     println!("inputs: {} ({np} paths × {nl} links)", tree.name);
 
     // SPD input for the Cholesky kernel: RᵀR plus a diagonal bump that
     // keeps the tree's rank-deficient Gram positive definite.
-    let mut spd = blocked::gram_with(&r, Engine::Scalar);
+    let mut spd = r.gram();
     for i in 0..nl {
         spd[(i, i)] += 1.0;
     }
@@ -218,26 +216,6 @@ fn main() {
     // output closures share the workspace).
     let chol = RefCell::new(Cholesky::new(&spd).expect("SPD by construction"));
     let kernels = vec![
-        bench_kernel(
-            "matmul",
-            "blocked",
-            format!("{nl}x{np} * {np}x{nl}"),
-            runs,
-            |e| {
-                black_box(blocked::matmul_with(&rt, &r, e));
-            },
-            |e| blocked::matmul_with(&rt, &r, e).as_slice().to_vec(),
-        ),
-        bench_kernel(
-            "gram",
-            "blocked",
-            format!("gram({np}x{nl})"),
-            runs,
-            |e| {
-                black_box(blocked::gram_with(&r, e));
-            },
-            |e| blocked::gram_with(&r, e).as_slice().to_vec(),
-        ),
         bench_kernel(
             "cholesky",
             "cholesky",
@@ -278,8 +256,8 @@ fn main() {
         }
     }
 
-    // Speed gate: at paper scale on AVX2 hardware, at least two of the
-    // three kernel families must clear 1.5x.
+    // Speed gate: at paper scale on AVX2 hardware, both kernel
+    // families must clear 1.5x.
     let mut families: Vec<&str> = Vec::new();
     for k in &kernels {
         if k.speedup_avx2.is_some_and(|s| s >= 1.5) && !families.contains(&k.family.as_str()) {
@@ -289,7 +267,7 @@ fn main() {
     let families_at_gate = families.len();
     println!();
     println!(
-        "families ≥1.5x under AVX2: {families_at_gate}/3 ({})",
+        "families ≥1.5x under AVX2: {families_at_gate}/2 ({})",
         if families.is_empty() {
             "none".to_string()
         } else {
@@ -298,8 +276,8 @@ fn main() {
     );
     if scale == Scale::Paper && Engine::avx2_available() {
         assert!(
-            families_at_gate >= 2,
-            "SIMD dispatch must speed up ≥2 of 3 kernel families by ≥1.5x at paper scale, \
+            families_at_gate == 2,
+            "SIMD dispatch must speed up both kernel families by ≥1.5x at paper scale, \
              got {families_at_gate}"
         );
     }

@@ -394,18 +394,6 @@ pub fn waxman_scale_topology(nodes: usize, hosts: usize, seed: u64) -> PreparedT
     prepare("Waxman-scale", waxman::generate(params, &mut rng))
 }
 
-/// BRITE-like Barabási–Albert mesh at an explicit node count (the
-/// alternative `scale_phase2` scenario family).
-pub fn barabasi_scale_topology(nodes: usize, hosts: usize, seed: u64) -> PreparedTopology {
-    let params = BarabasiParams {
-        nodes,
-        hosts,
-        ..BarabasiParams::default()
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    prepare("Barabasi-scale", barabasi::generate(params, &mut rng))
-}
-
 /// BRITE-like Barabási–Albert mesh (Table 2 row 1).
 pub fn barabasi_topology(scale: Scale, seed: u64) -> PreparedTopology {
     let params = match scale {
@@ -499,15 +487,6 @@ pub fn table2_topologies(scale: Scale, seed: u64) -> Vec<PreparedTopology> {
         planetlab_topology(scale, seed + 4),
         dimes_topology(scale, seed + 5),
     ]
-}
-
-/// The default experiment configuration of Section 6 (`p = 10 %`,
-/// `m = 50`, `S = 1000`, LLRD1, Gilbert).
-pub fn paper_experiment_config(seed: u64) -> ExperimentConfig {
-    ExperimentConfig {
-        seed,
-        ..ExperimentConfig::default()
-    }
 }
 
 /// Returns the value following a `--flag` CLI argument.

@@ -26,8 +26,10 @@
 //!
 //! The budget itself is a [`PairBudget`]: `Full` (default), an
 //! absolute row count, or a fraction of the full pair set, resolvable
-//! from the `LOSSTOMO_PAIR_BUDGET` environment knob and inheritable
-//! fleet → tenant via [`PairBudget::or`].
+//! from the `LOSSTOMO_PAIR_BUDGET` environment knob. Batch experiments
+//! take it from `ExperimentConfig::pair_budget`, and each streaming
+//! estimator (a fleet tenant included) from its own
+//! `OnlineConfig::pair_budget`.
 
 use crate::augmented::AugmentedSystem;
 use losstomo_linalg::{row_basis, Cholesky, LinalgError, Matrix};
@@ -74,17 +76,6 @@ impl PairBudget {
             .ok()
             .and_then(|s| parse_pair_budget(&s))
             .unwrap_or(PairBudget::Full)
-    }
-
-    /// Inheritance: an [`PairBudget::Env`] (i.e. "unspecified") budget
-    /// defers to `fallback`; anything explicit wins. Fleet configs use
-    /// this so a fleet-wide budget applies to tenants that didn't set
-    /// their own.
-    pub fn or(self, fallback: PairBudget) -> PairBudget {
-        match self {
-            PairBudget::Env => fallback,
-            explicit => explicit,
-        }
     }
 
     /// The row limit this budget imposes on a `full_rows`-row system,
@@ -503,13 +494,10 @@ mod tests {
 
     #[test]
     fn budget_inheritance_and_limits() {
+        // An unspecified budget inherits the environment knob.
         assert_eq!(
-            PairBudget::Env.or(PairBudget::Rows(5)),
-            PairBudget::Rows(5)
-        );
-        assert_eq!(
-            PairBudget::Full.or(PairBudget::Rows(5)),
-            PairBudget::Full
+            PairBudget::Env.limit(100),
+            PairBudget::from_env().limit(100)
         );
         assert_eq!(PairBudget::Full.limit(100), None);
         assert_eq!(PairBudget::Rows(10).limit(100), Some(10));

@@ -1091,7 +1091,17 @@ impl OnlineEstimator {
     /// Called automatically per the cadence; public so callers on a
     /// slow cadence can force a refresh (e.g. before reading
     /// [`OnlineEstimator::variances`] at a reporting boundary).
+    ///
+    /// A window of fewer than two snapshots has no sample covariance:
+    /// the call then returns [`LinalgError::DimensionMismatch`] and
+    /// leaves the estimator untouched.
     pub fn refresh(&mut self) -> Result<(), LinalgError> {
+        if self.cov.len() < 2 {
+            return Err(LinalgError::DimensionMismatch(format!(
+                "need at least 2 snapshots to refresh, have {}",
+                self.cov.len()
+            )));
+        }
         // Covariances into the reusable buffer. The buffer is moved out
         // for the duration of the solve (the borrow checker cannot see
         // that the Phase-1/Phase-2 body never touches it) and moved
@@ -2067,6 +2077,33 @@ mod tests {
         // First refresh as soon as solvable, then every 4th ingest.
         assert!(refreshes < ms.snapshots.len() as u64 && refreshes >= 2);
         assert_eq!(refreshes, online.refresh_count());
+    }
+
+    #[test]
+    fn manual_refresh_of_a_short_window_is_a_typed_error() {
+        let red = fig1();
+        let ms = simulate(&red, 12, 7);
+        let cfg = OnlineConfig {
+            refresh_every: usize::MAX,
+            ..OnlineConfig::default()
+        };
+        let mut online = OnlineEstimator::new(&red, cfg);
+        // At 0 and at 1 retained row there is no sample covariance.
+        for (rows, snap) in ms.snapshots[..2].iter().enumerate() {
+            assert!(matches!(
+                online.refresh(),
+                Err(LinalgError::DimensionMismatch(msg)) if msg.contains(&format!("have {rows}"))
+            ));
+            assert_eq!(online.refresh_count(), 0);
+            assert!(online.variances().is_none());
+            assert!(!online.ingest(snap).unwrap().refreshed);
+        }
+        for snap in &ms.snapshots[2..] {
+            online.ingest(snap).unwrap();
+        }
+        online.refresh().unwrap();
+        assert_eq!(online.refresh_count(), 1);
+        assert!(online.variances().is_some());
     }
 
     #[test]

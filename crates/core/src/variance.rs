@@ -776,7 +776,6 @@ mod tests {
     /// the paper's Householder QR on the dense rows Phase 1 used.
     #[test]
     fn backends_agree() {
-        use losstomo_linalg::LstsqBackend;
         let (red, aug, sigmas, est, _) = phase1_on_figure1();
         let nc = red.num_links();
         let mut data = Vec::new();
@@ -794,7 +793,7 @@ mod tests {
         }
         assert_eq!(rhs.len(), est.used_rows);
         let a = Matrix::from_vec(rhs.len(), nc, data).unwrap();
-        let v2 = lstsq::solve_least_squares_with(&a, &rhs, LstsqBackend::HouseholderQr).unwrap();
+        let v2 = lstsq::solve_least_squares(&a, &rhs).unwrap();
         for (a, b) in est.v.iter().zip(v2.iter()) {
             assert!((a - b).abs() < 1e-8, "{:?} vs {v2:?}", est.v);
         }

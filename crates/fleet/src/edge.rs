@@ -634,7 +634,6 @@ mod tests {
         let mut fleet = Fleet::new(FleetConfig {
             queue_capacity: capacity,
             workers: Some(2),
-            ..FleetConfig::default()
         });
         for t in 0..tenants {
             fleet.add_tenant(format!("net-{t}"), red, OnlineConfig::default());
@@ -911,7 +910,6 @@ mod tests {
             let mut f = Fleet::new(FleetConfig {
                 queue_capacity: 2,
                 workers: Some(1),
-                ..FleetConfig::default()
             });
             f.add_tenant("t", red, OnlineConfig::default());
             f
@@ -957,7 +955,6 @@ mod tests {
         let mut fleet = Fleet::new(FleetConfig {
             queue_capacity: 16,
             workers: Some(1),
-            ..FleetConfig::default()
         });
         let t = fleet.add_tenant(
             "t",

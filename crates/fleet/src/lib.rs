@@ -56,9 +56,7 @@ pub use edge::{
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use losstomo_core::budget::PairBudget;
 use losstomo_core::streaming::{OnlineConfig, OnlineEstimator};
-use losstomo_linalg::SimdPolicy;
 use losstomo_netsim::Snapshot;
 use losstomo_topology::{ReducedTopology, TopologyDelta};
 use std::fmt;
@@ -94,19 +92,6 @@ pub struct FleetConfig {
     /// identical at any setting; the knob trades wall-clock for CPU
     /// occupancy.
     pub workers: Option<usize>,
-    /// Fleet-wide default pair budget: tenants whose
-    /// [`OnlineConfig::pair_budget`] is unspecified
-    /// ([`PairBudget::Env`]) inherit this at registration. The default
-    /// is itself [`PairBudget::Env`], so with nothing configured the
-    /// `LOSSTOMO_PAIR_BUDGET` knob decides (full when unset).
-    pub pair_budget: PairBudget,
-    /// SIMD policy installed for the whole process when the fleet is
-    /// created. The default ([`SimdPolicy::Env`]) defers to the
-    /// `LOSSTOMO_SIMD` knob (auto-detect when unset). The resolved
-    /// engine is process-wide and first-caller-wins — read it back via
-    /// [`Fleet::simd_engine`]; numerical results are engine-independent
-    /// under every non-FMA policy (bit-identical kernels).
-    pub simd: SimdPolicy,
 }
 
 impl Default for FleetConfig {
@@ -114,8 +99,6 @@ impl Default for FleetConfig {
         FleetConfig {
             queue_capacity: 64,
             workers: None,
-            pair_budget: PairBudget::default(),
-            simd: SimdPolicy::default(),
         }
     }
 }
@@ -432,10 +415,8 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Creates an empty fleet and installs its SIMD policy (first
-    /// caller wins process-wide; see [`FleetConfig::simd`]).
+    /// Creates an empty fleet.
     pub fn new(cfg: FleetConfig) -> Self {
-        losstomo_linalg::simd::install(cfg.simd);
         Fleet {
             cfg,
             tenants: Vec::new(),
@@ -451,10 +432,8 @@ impl Fleet {
         &mut self,
         name: impl Into<String>,
         red: &ReducedTopology,
-        mut online: OnlineConfig,
+        online: OnlineConfig,
     ) -> TenantId {
-        // A tenant with no explicit pair budget inherits the fleet's.
-        online.pair_budget = online.pair_budget.or(self.cfg.pair_budget);
         let id = TenantId(self.tenants.len());
         let (tx, rx) = bounded(self.cfg.queue_capacity);
         self.tenants.push(Tenant {
@@ -487,9 +466,11 @@ impl Fleet {
             .clamp(1, self.tenants.len().max(1))
     }
 
-    /// The SIMD engine actually active for this process (the resolution
-    /// of [`FleetConfig::simd`], or of whichever policy was installed
-    /// first).
+    /// The SIMD engine active for this process: `LOSSTOMO_SIMD`,
+    /// resolved once against the host (see
+    /// [`losstomo_linalg::simd::active`]). Numerical results are
+    /// engine-independent under every non-FMA policy (bit-identical
+    /// kernels).
     pub fn simd_engine(&self) -> losstomo_linalg::Engine {
         losstomo_linalg::simd::active()
     }
@@ -833,6 +814,7 @@ pub struct BatchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use losstomo_core::budget::PairBudget;
     use losstomo_netsim::{
         simulate_run, CongestionDynamics, CongestionScenario, MeasurementSet, ProbeConfig,
     };
@@ -867,7 +849,6 @@ mod tests {
         let mut fleet = Fleet::new(FleetConfig {
             queue_capacity: 2,
             workers: Some(1),
-            ..FleetConfig::default()
         });
         let t = fleet.add_tenant("net-0", &red, OnlineConfig::default());
         let ms = simulate(&red, 3, 1);
@@ -902,7 +883,6 @@ mod tests {
         let mut fleet = Fleet::new(FleetConfig {
             queue_capacity: 2,
             workers: Some(2),
-            ..FleetConfig::default()
         });
         let a = fleet.add_tenant("a", &red, OnlineConfig::default());
         let b = fleet.add_tenant("b", &red, OnlineConfig::default());
@@ -973,7 +953,6 @@ mod tests {
         let mut fleet = Fleet::new(FleetConfig {
             queue_capacity: 2,
             workers: Some(1),
-            ..FleetConfig::default()
         });
         let t = fleet.add_tenant("t", &red, OnlineConfig::default());
         let mut batch: Vec<(TenantId, Snapshot)> = simulate(&red, 25, 5)
@@ -1080,17 +1059,22 @@ mod tests {
     }
 
     #[test]
-    fn tenants_inherit_fleet_pair_budget() {
+    fn tenants_keep_their_own_pair_budget() {
         let red = fig1();
-        let mut fleet = Fleet::new(FleetConfig {
-            pair_budget: PairBudget::Rows(1),
-            ..FleetConfig::default()
-        });
-        // Default (Env) tenant config inherits the fleet's budget…
-        let inherit = fleet.add_tenant("inherit", &red, OnlineConfig::default());
-        // …an explicit tenant setting wins over it.
-        let explicit = fleet.add_tenant(
-            "explicit",
+        let mut fleet = Fleet::new(FleetConfig::default());
+        // Each tenant's OnlineConfig sets its budget: a one-row budget
+        // bites (the rank floor keeps what Phase 1 needs)…
+        let budgeted = fleet.add_tenant(
+            "budgeted",
+            &red,
+            OnlineConfig {
+                pair_budget: PairBudget::Rows(1),
+                ..OnlineConfig::default()
+            },
+        );
+        // …and a full-budget tenant next to it keeps every pair.
+        let full = fleet.add_tenant(
+            "full",
             &red,
             OnlineConfig {
                 pair_budget: PairBudget::Full,
@@ -1098,16 +1082,16 @@ mod tests {
             },
         );
         let sel = fleet
-            .estimator(inherit)
+            .estimator(budgeted)
             .pair_selection()
-            .expect("inherited budget must bite");
-        assert!(sel.rows.len() < fleet.estimator(explicit).augmented().num_rows());
-        assert!(fleet.estimator(explicit).pair_selection().is_none());
+            .expect("a one-row budget must bite");
+        assert!(sel.rows.len() < fleet.estimator(full).augmented().num_rows());
+        assert!(fleet.estimator(full).pair_selection().is_none());
         // The budgeted tenant still estimates.
         let ms = simulate(&red, 25, 13);
-        let report = fleet.ingest_batch(ms.snapshots.iter().cloned().map(|s| (inherit, s)));
+        let report = fleet.ingest_batch(ms.snapshots.iter().cloned().map(|s| (budgeted, s)));
         assert!(report.rejections.is_empty());
-        assert!(fleet.estimator(inherit).variances().is_some());
+        assert!(fleet.estimator(budgeted).variances().is_some());
     }
 
     #[test]
@@ -1118,7 +1102,6 @@ mod tests {
         let mut fleet = Fleet::new(FleetConfig {
             queue_capacity: 2,
             workers: Some(2),
-            ..FleetConfig::default()
         });
         let a = fleet.add_tenant("a", &red, OnlineConfig::default());
         let b = fleet.add_tenant("b", &red, OnlineConfig::default());
@@ -1326,7 +1309,6 @@ mod tests {
         let mut fleet = Fleet::new(FleetConfig {
             queue_capacity: 4,
             workers: Some(8),
-            ..FleetConfig::default()
         });
         assert_eq!(fleet.workers(), 1, "no tenants → one (idle) worker");
         for i in 0..3 {

@@ -224,7 +224,8 @@ mod tests {
             assert!(push_all(&mut qr, a).into_iter().all(|kept| kept));
             let x = qr.solve_least_squares(&b).unwrap();
             let pivoted = PivotedQr::new(a).unwrap().solve_least_squares(&b).unwrap();
-            let normal = crate::lstsq::solve_normal_equations(a, &b).unwrap();
+            let normal =
+                crate::lstsq::solve_spd(&a.gram(), &a.matvec_transposed(&b).unwrap()).unwrap();
             let scale = pivoted.iter().fold(0.0f64, |s, v| s.max(v.abs()));
             for ((p, q), r) in x.iter().zip(&pivoted).zip(&normal) {
                 assert!(

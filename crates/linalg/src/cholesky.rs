@@ -1,9 +1,11 @@
 //! Cholesky factorisation of symmetric positive-definite matrices.
 //!
-//! Used by the normal-equations least-squares backend
-//! ([`crate::lstsq::solve_normal_equations`]): Phase 1 of LIA solves
-//! `AᵀA v = Aᵀ Σ*` where `AᵀA` is `n_c × n_c` — far smaller than the
-//! `n_p(n_p+1)/2 × n_c` matrix `A` itself.
+//! Phase 1 of LIA solves its least-squares system through the normal
+//! equations `AᵀA v = Aᵀ Σ*` ([`crate::lstsq::solve_spd_with`]), where
+//! `AᵀA` is `n_c × n_c` — far smaller than the `n_p(n_p+1)/2 × n_c`
+//! matrix `A` itself. Orders above 128 take a right-looking blocked
+//! factorisation whose trailing update is the one dense kernel of the
+//! inference path with an AVX2 body ([`crate::simd`]).
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -27,6 +29,11 @@ const BLOCK_DISPATCH_MIN: usize = 128;
 
 /// Panel width of the blocked factorisation.
 const NB: usize = 64;
+
+/// Register-blocking factor of the trailing update: trailing rows are
+/// packed in blocks of `MR`, and the micro-kernels accumulate
+/// `MR × MR` block pairs.
+pub(crate) const MR: usize = 4;
 
 impl Cholesky {
     /// Factors the symmetric positive-definite matrix `a`.
@@ -159,10 +166,10 @@ fn factor_unblocked(a: &Matrix, l: &mut Matrix) -> Result<()> {
 
 /// Right-looking blocked factorisation: factor a diagonal `NB × NB`
 /// block, triangular-solve the panel below it, then subtract the
-/// panel's outer product from the trailing lower triangle with the
-/// cache-blocked kernel of [`crate::blocked`]. The trailing update
-/// carries ~all the flops and runs on contiguous panel rows instead
-/// of the unblocked version's full-length strided history dots.
+/// panel's outer product from the trailing lower triangle
+/// ([`trailing_update`]). The trailing update carries ~all the flops
+/// and runs on packed panel rows instead of the unblocked version's
+/// full-length strided history dots.
 /// Writes into a pre-zeroed `n × n` factor buffer; `scratch` is the
 /// reusable trailing-update workspace.
 fn factor_blocked(
@@ -252,7 +259,7 @@ fn factor_blocked(
             }
         }
         // 3. Trailing update `C -= P Pᵀ`.
-        crate::blocked::cholesky_trailing_update_with(ld, n, p, pb, scratch, engine);
+        trailing_update(ld, n, p, pb, scratch, engine);
         p += pb;
     }
     Ok(())
@@ -263,6 +270,140 @@ fn pivot_tolerance(a: &Matrix) -> f64 {
     let n = a.rows();
     let max_diag = (0..n).fold(0.0_f64, |acc, i| acc.max(a[(i, i)].abs()));
     1e-13 * max_diag.max(1e-300)
+}
+
+/// Blocked right-looking Cholesky step: trailing update
+/// `C[i][j] -= Σ_k P[i][k] P[j][k]` for the panel `P` of width `pb`
+/// starting at column `p`, applied to all rows/cols `>= p + pb` of the
+/// lower triangle of `l` (row-major, `n` columns).
+///
+/// Each trailing element is updated with one dot product over the panel
+/// (ascending `k`, one accumulator), so the result does not depend on
+/// tile traversal order — the update is deterministic for a given panel
+/// schedule regardless of how tiles are iterated.
+///
+/// The packing and zero-block occupancy flags are shared between the
+/// scalar and SIMD sweeps, so block skipping is identical under every
+/// engine; bit-identity of the non-FMA engines follows from the
+/// per-cell ascending-`k` accumulation both sweeps perform.
+fn trailing_update(
+    l: &mut [f64],
+    n: usize,
+    p: usize,
+    pb: usize,
+    scratch: &mut Vec<f64>,
+    engine: Engine,
+) {
+    let start = p + pb;
+    let nr = n - start;
+    if nr == 0 {
+        return;
+    }
+    let nonzero = pack_trailing_panel(l, n, p, pb, start, nr, scratch);
+    let pack = &scratch[..];
+    if let Engine::Avx2 { fma } = engine {
+        if simd::trailing_avx2(l, n, start, nr, pb, pack, &nonzero, fma) {
+            return;
+        }
+    }
+    trailing_sweep_scalar(l, n, start, nr, pb, pack, &nonzero);
+}
+
+/// Packs the trailing panel once per step, BLIS-style: the trailing
+/// rows are grouped in blocks of [`MR`], and each block is stored
+/// k-major — `pack[blk * pb*MR + k*MR + r]` is the panel entry of
+/// trailing row `start + blk*MR + r`, panel column `p + k`. The
+/// micro-kernels then stream two perfectly sequential 4-vectors per
+/// multiply step. The tail block is zero-padded; padded lanes only
+/// ever feed accumulators whose results are discarded at write-back.
+///
+/// Returns per-block occupancy flags: a block whose panel rows are all
+/// zero contributes exactly zero to every dot product it appears in,
+/// so the sweeps skip such pairs outright. Phase-1 normal equations
+/// over tree-like topologies are extremely sparse (only links on a
+/// common root path co-occur) and their factors inherit much of that
+/// sparsity, so this turns most block pairs into no-ops; on dense
+/// factors the flags cost one comparison per pack entry.
+fn pack_trailing_panel(
+    l: &[f64],
+    n: usize,
+    p: usize,
+    pb: usize,
+    start: usize,
+    nr: usize,
+    scratch: &mut Vec<f64>,
+) -> Vec<bool> {
+    let nblk = nr.div_ceil(MR);
+    let blk_len = pb * MR;
+    scratch.clear();
+    scratch.resize(nblk * blk_len, 0.0);
+    let mut nonzero = vec![false; nblk];
+    for blk in 0..nblk {
+        let rows = MR.min(nr - blk * MR);
+        let dst = &mut scratch[blk * blk_len..(blk + 1) * blk_len];
+        let mut any = false;
+        for r in 0..rows {
+            let row = &l[(start + blk * MR + r) * n + p..(start + blk * MR + r) * n + p + pb];
+            for (k, &x) in row.iter().enumerate() {
+                dst[k * MR + r] = x;
+                any |= x != 0.0;
+            }
+        }
+        nonzero[blk] = any;
+    }
+    nonzero
+}
+
+/// The scalar reference trailing sweep over a pre-packed panel
+/// (fallback and proptest oracle for [`crate::simd`]'s sweep).
+fn trailing_sweep_scalar(
+    l: &mut [f64],
+    n: usize,
+    start: usize,
+    nr: usize,
+    pb: usize,
+    pack: &[f64],
+    nonzero: &[bool],
+) {
+    let nblk = nr.div_ceil(MR);
+    let blk_len = pb * MR;
+    for bi in 0..nblk {
+        if !nonzero[bi] {
+            continue;
+        }
+        let a_blk = &pack[bi * blk_len..(bi + 1) * blk_len];
+        for bj in 0..=bi {
+            if !nonzero[bj] {
+                continue;
+            }
+            let b_blk = &pack[bj * blk_len..(bj + 1) * blk_len];
+            // 4×4 micro-kernel: 16 independent accumulator chains, one
+            // per trailing element, each summing ascending k. The plain
+            // mul+add body vectorises to within ~80 % of the machine's
+            // non-FMA peak; `f64::mul_add` was measured slower here
+            // (LLVM scalarises the fused form), so it is deliberately
+            // not used.
+            let mut acc = [[0.0f64; MR]; MR];
+            for (a, b) in a_blk.chunks_exact(MR).zip(b_blk.chunks_exact(MR)) {
+                for (ar, acc_row) in a.iter().zip(acc.iter_mut()) {
+                    for (bc, av) in b.iter().zip(acc_row.iter_mut()) {
+                        *av += ar * bc;
+                    }
+                }
+            }
+            let rows = MR.min(nr - bi * MR);
+            for (r, acc_row) in acc.iter().enumerate().take(rows) {
+                let i = start + bi * MR + r;
+                let irow = &mut l[i * n..i * n + n];
+                for (c, &av) in acc_row.iter().enumerate().take(MR) {
+                    let j = start + bj * MR + c;
+                    if j <= i {
+                        irow[j] -= av;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

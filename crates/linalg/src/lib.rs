@@ -6,11 +6,13 @@
 //! 1. **Phase 1** solves the (usually overdetermined) moment system
 //!    `Σ* = A v` for the link variances `v`, where `A` is the augmented
 //!    routing matrix. The paper uses a Householder orthogonal–triangular
-//!    factorisation (Golub & Van Loan); we provide both that backend
-//!    ([`lstsq::solve_least_squares`]) and a normal-equations + Cholesky
-//!    backend ([`lstsq::solve_normal_equations`]) that is much faster when
-//!    `A` has many more rows than columns, which is the common case here
-//!    (`n_p(n_p+1)/2` rows vs `n_c` columns).
+//!    factorisation (Golub & Van Loan); the pipeline instead forms the
+//!    normal equations `AᵀA v = Aᵀ Σ*` from integer co-occurrence counts
+//!    and factors them with the blocked [`Cholesky`]
+//!    ([`lstsq::solve_spd_with`]), which is much cheaper because `A` has
+//!    far more rows than columns (`n_p(n_p+1)/2` rows vs `n_c` columns).
+//!    The paper's Householder solve ([`lstsq::solve_least_squares`])
+//!    stays as the oracle the tests compare against.
 //! 2. **Phase 2** appends the routing matrix's columns in descending
 //!    variance order to a left-looking Householder QR
 //!    ([`append_qr::AppendQr`]) until one lies in the span of the kept
@@ -32,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod append_qr;
-pub mod blocked;
 pub mod cholesky;
 pub mod error;
 pub mod givens;
@@ -53,7 +54,7 @@ pub mod vector;
 pub use append_qr::AppendQr;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use lstsq::{solve_least_squares, solve_normal_equations, LstsqBackend, SpdScratch};
+pub use lstsq::{solve_least_squares, SpdScratch};
 pub use matrix::Matrix;
 pub use pivoted_qr::PivotedQr;
 pub use qr::Qr;

@@ -1,18 +1,15 @@
-//! Unified least-squares front end with two backends.
+//! Least-squares solves.
 //!
-//! * [`LstsqBackend::HouseholderQr`] — the paper's method: factor the full
+//! * [`solve_spd_with`] — the solve the pipeline runs: Phase 1 forms the
+//!   normal equations `AᵀA v = Aᵀ Σ*` from integer co-occurrence counts
+//!   without materialising `A`, and this factors them with Cholesky.
+//!   Forming `AᵀA` squares the condition number, which is acceptable
+//!   here because routing matrices are well-scaled 0/1 matrices.
+//! * [`solve_least_squares`] — the paper's method: factor the full
 //!   system matrix with Householder reflections and back-substitute.
-//!   Numerically the most robust choice; cost `O(m n²)` where `m` is the
-//!   number of rows (`n_p(n_p+1)/2` in Phase 1).
-//! * [`LstsqBackend::NormalEquations`] — form `AᵀA` and `Aᵀb` and solve
-//!   with Cholesky. Cost `O(m n² )` for the Gram accumulation but with a
-//!   much smaller constant, and it lets callers accumulate `AᵀA`
-//!   incrementally without materialising `A` (see
-//!   [`crate::sparse::CsrMatrix::gram_dense`]). Squares the condition
-//!   number, which is acceptable here because routing matrices are
-//!   well-scaled 0/1 matrices. Phase 1 solves its normal equations
-//!   through [`solve_spd_with`]; the property tests pin the two
-//!   backends against each other.
+//!   Numerically the most robust choice, at cost `O(m n²)` where `m` is
+//!   the number of rows (`n_p(n_p+1)/2` in Phase 1). It is the oracle
+//!   the Phase-1, `AppendQr` and property tests compare against.
 
 use crate::cholesky::Cholesky;
 use crate::error::LinalgError;
@@ -20,34 +17,10 @@ use crate::matrix::Matrix;
 use crate::qr::Qr;
 use crate::Result;
 
-/// Which algorithm [`solve_least_squares_with`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LstsqBackend {
-    /// Householder QR on the full matrix (the paper's choice).
-    #[default]
-    HouseholderQr,
-    /// Normal equations `AᵀA x = Aᵀ b` solved with Cholesky.
-    NormalEquations,
-}
-
-/// Solves `min ‖A x − b‖₂` with the default (Householder QR) backend.
+/// Solves `min ‖A x − b‖₂` by Householder QR.
 ///
 /// `A` must be tall (or square) with full column rank.
 pub fn solve_least_squares(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    solve_least_squares_with(a, b, LstsqBackend::HouseholderQr)
-}
-
-/// Solves `min ‖A x − b‖₂` via the normal equations.
-pub fn solve_normal_equations(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    solve_least_squares_with(a, b, LstsqBackend::NormalEquations)
-}
-
-/// Solves `min ‖A x − b‖₂` with an explicit backend choice.
-pub fn solve_least_squares_with(
-    a: &Matrix,
-    b: &[f64],
-    backend: LstsqBackend,
-) -> Result<Vec<f64>> {
     if b.len() != a.rows() {
         return Err(LinalgError::DimensionMismatch(format!(
             "A is {}x{}, b has length {}",
@@ -56,14 +29,7 @@ pub fn solve_least_squares_with(
             b.len()
         )));
     }
-    match backend {
-        LstsqBackend::HouseholderQr => Qr::new(a)?.solve_least_squares(b),
-        LstsqBackend::NormalEquations => {
-            let gram = a.gram();
-            let atb = a.matvec_transposed(b)?;
-            solve_spd(&gram, &atb)
-        }
-    }
+    Qr::new(a)?.solve_least_squares(b)
 }
 
 /// Order above which [`solve_spd`] considers a fill-reducing
@@ -289,11 +255,16 @@ mod tests {
         (a, b)
     }
 
+    /// The normal equations `AᵀA x = Aᵀ b` through [`solve_spd`].
+    fn normal_equations(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+        solve_spd(&a.gram(), &a.matvec_transposed(b)?)
+    }
+
     #[test]
     fn backends_agree_on_well_conditioned_problem() {
         let (a, b) = tall_example();
         let x_qr = solve_least_squares(&a, &b).unwrap();
-        let x_ne = solve_normal_equations(&a, &b).unwrap();
+        let x_ne = normal_equations(&a, &b).unwrap();
         for (p, q) in x_qr.iter().zip(x_ne.iter()) {
             assert!((p - q).abs() < 1e-9, "{x_qr:?} vs {x_ne:?}");
         }
@@ -303,15 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_householder() {
-        assert_eq!(LstsqBackend::default(), LstsqBackend::HouseholderQr);
-    }
-
-    #[test]
     fn dimension_mismatch_rejected() {
         let (a, _) = tall_example();
         assert!(solve_least_squares(&a, &[1.0]).is_err());
-        assert!(solve_normal_equations(&a, &[1.0]).is_err());
+        assert!(normal_equations(&a, &[1.0]).is_err());
     }
 
     #[test]
@@ -324,7 +290,7 @@ mod tests {
         .unwrap();
         let b = vec![1.0, 2.0, 3.0];
         assert!(solve_least_squares(&a, &b).is_err());
-        assert!(solve_normal_equations(&a, &b).is_err());
+        assert!(normal_equations(&a, &b).is_err());
     }
 
     #[test]

@@ -192,35 +192,15 @@ impl Matrix {
         Ok(x)
     }
 
-    /// Matrix–matrix product `A B`.
+    /// Matrix–matrix product `A B`: the triple loop in i-k-j order, so
+    /// the inner loop *streams* rows of `other` and the output instead
+    /// of striding down columns.
     ///
-    /// Dispatches to the cache-blocked kernel of [`crate::blocked`] when
-    /// all dimensions are large enough to amortise the tile setup; the
-    /// blocked kernel accumulates every output element in exactly the
-    /// reference order, so both paths return bit-identical results for
-    /// finite inputs.
+    /// Zero `a_ik` terms are skipped, so a `0·∞` or `0·NaN` product
+    /// adds nothing to the output. No inference path multiplies dense
+    /// matrices; tests check the QR, Cholesky and Givens factors
+    /// through this product.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "A is {}x{}, B is {}x{}",
-                self.rows, self.cols, other.rows, other.cols
-            )));
-        }
-        let min_dim = self.rows.min(self.cols).min(other.cols);
-        if min_dim >= crate::blocked::DISPATCH_MIN_DIM {
-            return Ok(crate::blocked::matmul(self, other));
-        }
-        self.matmul_reference(other)
-    }
-
-    /// Reference matrix product: the straightforward triple loop in
-    /// i-k-j order, so the inner loop *streams* rows of `other` and the
-    /// output instead of striding down columns (an (i,j,k) order would
-    /// touch `other` column-wise, one cache line per element).
-    ///
-    /// Kept public as the oracle the blocked kernel is property-tested
-    /// against.
-    pub fn matmul_reference(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch(format!(
                 "A is {}x{}, B is {}x{}",
@@ -244,23 +224,11 @@ impl Matrix {
         Ok(c)
     }
 
-    /// Returns `AᵀA` (the Gram matrix), exploiting symmetry.
-    ///
-    /// Dispatches to the cache-blocked kernel for large matrices; both
-    /// paths accumulate in the same order and agree bit-for-bit on
-    /// finite inputs.
+    /// Returns `AᵀA` (the Gram matrix), exploiting symmetry: the upper
+    /// triangle accumulates over the rows of `A` in ascending order,
+    /// skipping zero `a_ij` as [`Matrix::matmul`] does, and is mirrored
+    /// into the lower one.
     pub fn gram(&self) -> Matrix {
-        if self.rows >= crate::blocked::DISPATCH_MIN_DIM
-            && self.cols >= crate::blocked::DISPATCH_MIN_DIM
-        {
-            return crate::blocked::gram(self);
-        }
-        self.gram_reference()
-    }
-
-    /// Reference Gram product (single accumulator chain per entry),
-    /// kept public as the property-test oracle for the blocked kernel.
-    pub fn gram_reference(&self) -> Matrix {
         let n = self.cols;
         let mut g = Matrix::zeros(n, n);
         for i in 0..self.rows {
@@ -336,14 +304,6 @@ impl Matrix {
     pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
         self.reshape_uninit(rows, cols);
         self.data.fill(0.0);
-    }
-
-    /// Makes this matrix an exact copy of `src`, reusing the existing
-    /// allocation (unlike the derived `Clone::clone_from`, which
-    /// reallocates through `clone`).
-    pub fn copy_from(&mut self, src: &Matrix) {
-        self.reshape_uninit(src.rows, src.cols);
-        self.data.copy_from_slice(&src.data);
     }
 
     /// Returns a new matrix consisting of the selected rows, in the given

@@ -1,22 +1,20 @@
 //! Explicit SIMD microkernels with portable runtime dispatch.
 //!
-//! The numeric hot path of the whole workspace funnels into three scalar
-//! kernels: the blocked matmul/gram micro-panels ([`crate::blocked`]),
-//! the packed 4×4 Cholesky trailing kernel ([`crate::cholesky`]), and the
-//! four interleaved accumulator chains of the covariance pair sweep
-//! (`losstomo-core`). This module provides AVX2 implementations of
-//! those kernels behind **runtime CPU-feature detection**
-//! (`is_x86_feature_detected!`), so one release artifact runs on any
-//! x86-64 — the `.cargo/config.toml` `target-cpu=native` reliance this
-//! replaces produced binaries that crashed on older hardware.
+//! Two scalar kernels carry the numeric hot path of LIA: the packed
+//! 4×4 Cholesky trailing kernel ([`crate::cholesky`]) that factors
+//! Phase 1's normal equations, and the four interleaved accumulator
+//! chains of the covariance pair sweep (`losstomo-core`). This module
+//! provides AVX2 implementations of those kernels behind **runtime
+//! CPU-feature detection** (`is_x86_feature_detected!`), so one release
+//! artifact runs on any x86-64 — the `.cargo/config.toml`
+//! `target-cpu=native` reliance this replaces produced binaries that
+//! crashed on older hardware.
 //!
 //! # Lane mapping preserves bit-exactness
 //!
 //! Every kernel vectorises **across independent outputs, never within
 //! an accumulator chain**:
 //!
-//! * matmul/gram — lanes are cells of the output micro-panel; each cell
-//!   keeps its single accumulator summing ascending inner index,
 //! * Cholesky trailing — lanes are the 4 columns of the 4×4 packed
 //!   kernel; each of the 16 cells keeps its ascending-`k` chain,
 //! * covariance — lanes are the 4 interleaved pair chains; products are
@@ -39,21 +37,24 @@
 //! (`crates/linalg/tests/simd_properties.rs`), and it is why the golden
 //! fixtures cannot tell the engines apart. The only exception is the
 //! opt-in [`SimdPolicy::Avx2Fma`] engine, which contracts `a*b + acc`
-//! into fused multiply-adds: faster and *more* accurate per element,
-//! but no longer bit-equal — its users accept 1e-12-tolerance
-//! comparisons instead.
+//! in the Cholesky trailing kernel into fused multiply-adds: faster and
+//! *more* accurate per element, but no longer bit-equal — its users
+//! accept 1e-12-tolerance comparisons instead.
 //!
 //! # Policy and dispatch flow
 //!
 //! ```text
-//! LOSSTOMO_SIMD ─┐
-//! FleetConfig ───┴→ SimdPolicy → resolve() → Engine (OnceLock, first caller wins)
-//!                                               │
-//!        blocked::matmul/gram ──────────────────┤ per-call `active()`
-//!        cholesky trailing update ──────────────┤ (one branch per kernel
-//!        covariance pair sweep (core) ──────────┘  invocation, hoisted out
-//!                                                  of all inner loops)
+//! LOSSTOMO_SIMD → SimdPolicy → resolve() → Engine (OnceLock, resolved once)
+//!                                             │
+//!        cholesky trailing update ────────────┤ per-call `active()`
+//!        covariance pair sweep (core) ────────┘ (one branch per kernel
+//!                                                invocation, hoisted out
+//!                                                of all inner loops)
 //! ```
+//!
+//! Tests and benches force an engine per call instead
+//! ([`crate::Cholesky::factor_into_with`], and the covariance sweep's
+//! `pair_covariances_with_engine` in `losstomo-core`).
 //!
 //! The scalar loops remain compiled unconditionally — they are the
 //! fallback on non-AVX2 hardware, the `LOSSTOMO_SIMD=scalar` forced
@@ -65,26 +66,14 @@
 //! unsafe to call, and every call sits behind a wrapper that has
 //! verified the CPU feature at runtime.
 
-use crate::matrix::Matrix;
 use std::sync::OnceLock;
 
-/// User-facing SIMD policy, selected via [`SimdPolicy::Env`] (the
-/// `LOSSTOMO_SIMD` environment knob) or programmatically (e.g.
-/// `FleetConfig::simd`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// SIMD policy named by the `LOSSTOMO_SIMD` environment variable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPolicy {
-    /// Defer to the `LOSSTOMO_SIMD` environment variable
-    /// (`auto` | `avx2` | `avx2fma` | `scalar`; unset or unparseable →
-    /// [`SimdPolicy::Auto`]). The default everywhere, mirroring
-    /// `PairBudget::Env`.
-    #[default]
-    Env,
     /// Use the best *bit-exact* engine the CPU supports (AVX2 when
     /// detected, scalar otherwise). Never selects FMA.
     Auto,
-    /// Request AVX2 explicitly; falls back to scalar when the CPU
-    /// lacks it (the request is a preference, not an assertion).
-    Avx2,
     /// Opt into AVX2 **with FMA contraction**: fastest, per-element
     /// more accurate, but not bit-identical to the scalar reference —
     /// results match to ~1e-12 relative instead. Falls back to plain
@@ -97,11 +86,12 @@ pub enum SimdPolicy {
 
 impl SimdPolicy {
     /// Parses a policy name as accepted by `LOSSTOMO_SIMD`. Unknown
-    /// names map to [`SimdPolicy::Auto`] (the knob degrades safely).
+    /// names — `avx2` among them, which names what `auto` already
+    /// selects — map to [`SimdPolicy::Auto`] (the knob degrades
+    /// safely).
     pub fn parse(s: &str) -> SimdPolicy {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => SimdPolicy::Scalar,
-            "avx2" => SimdPolicy::Avx2,
             "avx2fma" | "avx2+fma" | "fma" => SimdPolicy::Avx2Fma,
             _ => SimdPolicy::Auto,
         }
@@ -169,9 +159,8 @@ impl Engine {
 /// same policy always resolves to the same engine.
 pub fn resolve(policy: SimdPolicy) -> Engine {
     match policy {
-        SimdPolicy::Env => resolve(SimdPolicy::from_env()),
         SimdPolicy::Scalar => Engine::Scalar,
-        SimdPolicy::Auto | SimdPolicy::Avx2 => {
+        SimdPolicy::Auto => {
             if Engine::avx2_available() {
                 Engine::Avx2 { fma: false }
             } else {
@@ -190,21 +179,13 @@ pub fn resolve(policy: SimdPolicy) -> Engine {
     }
 }
 
-/// The process-wide engine, resolved once on first use.
-static ACTIVE: OnceLock<Engine> = OnceLock::new();
-
-/// Resolves (on first call) and returns the process-wide engine. The
-/// first caller's policy wins — later `install`s of a different policy
-/// are ignored and simply report what is active, so a fleet embedded
-/// next to another consumer cannot flip kernels mid-computation.
-pub fn install(policy: SimdPolicy) -> Engine {
-    *ACTIVE.get_or_init(|| resolve(policy))
-}
-
-/// The process-wide engine under the default ([`SimdPolicy::Env`])
-/// policy — what every kernel dispatch site reads.
+/// The process-wide engine: `LOSSTOMO_SIMD` resolved against the host
+/// on first use, then fixed for the life of the process, so kernels
+/// never switch engines mid-computation. Every kernel dispatch site
+/// reads it.
 pub fn active() -> Engine {
-    install(SimdPolicy::Env)
+    static ACTIVE: OnceLock<Engine> = OnceLock::new();
+    *ACTIVE.get_or_init(|| resolve(SimdPolicy::from_env()))
 }
 
 // ---------------------------------------------------------------------
@@ -218,65 +199,11 @@ pub fn active() -> Engine {
 // (`Engine` is a plain enum anyone can construct).
 // ---------------------------------------------------------------------
 
-/// Blocked matrix product `C = A·B` with the AVX2 micro-kernel
-/// (`a.cols() == b.rows()` is the caller's invariant, as in
-/// [`crate::blocked`]). Bit-identical to the scalar blocked kernel for
-/// `fma == false`.
-pub(crate) fn matmul_avx2(a: &Matrix, b: &Matrix, fma: bool) -> Option<Matrix> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if fma && Engine::fma_available() {
-            let mut c = Matrix::zeros(a.rows(), b.cols());
-            // SAFETY: AVX2 + FMA presence checked on this line's path.
-            unsafe { x86::matmul_fma(a, b, &mut c) };
-            return Some(c);
-        }
-        if !fma && Engine::avx2_available() {
-            let mut c = Matrix::zeros(a.rows(), b.cols());
-            // SAFETY: AVX2 presence checked on this line's path.
-            unsafe { x86::matmul_plain(a, b, &mut c) };
-            return Some(c);
-        }
-        None
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (a, b, fma);
-        None
-    }
-}
-
-/// Blocked Gram product `AᵀA` with the AVX2 micro-kernel.
-/// Bit-identical to the scalar blocked kernel for `fma == false`.
-pub(crate) fn gram_avx2(a: &Matrix, fma: bool) -> Option<Matrix> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if fma && Engine::fma_available() {
-            let mut g = Matrix::zeros(a.cols(), a.cols());
-            // SAFETY: AVX2 + FMA presence checked on this line's path.
-            unsafe { x86::gram_fma(a, &mut g) };
-            return Some(g);
-        }
-        if !fma && Engine::avx2_available() {
-            let mut g = Matrix::zeros(a.cols(), a.cols());
-            // SAFETY: AVX2 presence checked on this line's path.
-            unsafe { x86::gram_plain(a, &mut g) };
-            return Some(g);
-        }
-        None
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (a, fma);
-        None
-    }
-}
-
 /// The Cholesky trailing update's packed block sweep: subtracts
 /// `P·Pᵀ` contributions from the trailing lower triangle of `l`, with
-/// the operands already packed k-major in 4-row blocks by
-/// [`crate::blocked::pack_trailing_panel`]. Arguments mirror the scalar
-/// sweep in [`crate::blocked::cholesky_trailing_update_with`].
+/// the operands already packed k-major in 4-row blocks by the Cholesky
+/// module's `pack_trailing_panel`. Arguments mirror that module's
+/// scalar sweep, `trailing_sweep_scalar`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn trailing_avx2(
     l: &mut [f64],
@@ -392,7 +319,6 @@ mod x86 {
     //! `const FMA: bool` switch under the matching `#[target_feature]`
     //! set, so the non-FMA instantiation never contracts.
 
-    use super::Matrix;
     use core::arch::x86_64::*;
 
     /// One accumulation step `acc + x·y` — separate round-to-nearest
@@ -406,203 +332,14 @@ mod x86 {
         }
     }
 
-    // -------------------------------------------------- matmul / gram
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matmul_plain(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-        matmul_body::<false>(a, b, c)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn matmul_fma(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-        matmul_body::<true>(a, b, c)
-    }
-
-    /// 4×8 register-blocked matmul: 8 accumulator vectors (one output
-    /// cell per lane) stay in registers across the whole inner-product
-    /// loop; every `B` load serves four output rows. Each cell sums
-    /// ascending `k` in its own chain — the reference order.
-    #[inline(always)]
-    unsafe fn matmul_body<const FMA: bool>(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-        const MR: usize = crate::blocked::MR;
-        let (m, kdim) = a.shape();
-        let n = b.cols();
-        let ad = a.as_slice();
-        let bd = b.as_slice();
-        let cd = c.as_mut_slice();
-        let mut i0 = 0;
-        while i0 + MR <= m {
-            let a_rows = [
-                &ad[i0 * kdim..(i0 + 1) * kdim],
-                &ad[(i0 + 1) * kdim..(i0 + 2) * kdim],
-                &ad[(i0 + 2) * kdim..(i0 + 3) * kdim],
-                &ad[(i0 + 3) * kdim..(i0 + 4) * kdim],
-            ];
-            let mut j = 0;
-            while j + 8 <= n {
-                let mut acc = [[_mm256_setzero_pd(); 2]; MR];
-                for k in 0..kdim {
-                    let bp = bd.as_ptr().add(k * n + j);
-                    let b0 = _mm256_loadu_pd(bp);
-                    let b1 = _mm256_loadu_pd(bp.add(4));
-                    for (row, accr) in a_rows.iter().zip(acc.iter_mut()) {
-                        let av = _mm256_set1_pd(*row.get_unchecked(k));
-                        accr[0] = step::<FMA>(accr[0], av, b0);
-                        accr[1] = step::<FMA>(accr[1], av, b1);
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    let cp = cd.as_mut_ptr().add((i0 + r) * n + j);
-                    _mm256_storeu_pd(cp, accr[0]);
-                    _mm256_storeu_pd(cp.add(4), accr[1]);
-                }
-                j += 8;
-            }
-            if j + 4 <= n {
-                let mut acc = [_mm256_setzero_pd(); MR];
-                for k in 0..kdim {
-                    let b0 = _mm256_loadu_pd(bd.as_ptr().add(k * n + j));
-                    for (row, accr) in a_rows.iter().zip(acc.iter_mut()) {
-                        let av = _mm256_set1_pd(*row.get_unchecked(k));
-                        *accr = step::<FMA>(*accr, av, b0);
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    _mm256_storeu_pd(cd.as_mut_ptr().add((i0 + r) * n + j), *accr);
-                }
-                j += 4;
-            }
-            // Scalar remainder columns (n % 4): reference chains.
-            for jj in j..n {
-                for (r, row) in a_rows.iter().enumerate() {
-                    let mut s = 0.0;
-                    for (k, &aik) in row.iter().enumerate() {
-                        s = scalar_step::<FMA>(s, aik, bd[k * n + jj]);
-                    }
-                    cd[(i0 + r) * n + jj] = s;
-                }
-            }
-            i0 += MR;
-        }
-        // Scalar remainder rows (m % MR): reference chains.
-        for i in i0..m {
-            let row = &ad[i * kdim..(i + 1) * kdim];
-            for jj in 0..n {
-                let mut s = 0.0;
-                for (k, &aik) in row.iter().enumerate() {
-                    s = scalar_step::<FMA>(s, aik, bd[k * n + jj]);
-                }
-                cd[i * n + jj] = s;
-            }
-        }
-    }
-
     /// Scalar accumulation step matching [`step`]'s contraction choice,
-    /// for the remainder lanes of the vector kernels.
+    /// for the `m % 4` tail of the covariance kernel.
     #[inline(always)]
     fn scalar_step<const FMA: bool>(acc: f64, x: f64, y: f64) -> f64 {
         if FMA {
             x.mul_add(y, acc)
         } else {
             acc + x * y
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gram_plain(a: &Matrix, g: &mut Matrix) {
-        gram_body::<false>(a, g)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn gram_fma(a: &Matrix, g: &mut Matrix) {
-        gram_body::<true>(a, g)
-    }
-
-    /// Gram micro-panel: four output rows (`j0..j0+4`), columns swept
-    /// 8-wide with register accumulators over the full row loop. Lanes
-    /// are output cells; each sums ascending row index `i`. Vector
-    /// stores may spill a few entries below the diagonal inside the
-    /// straddling chunk — those receive their true symmetric values
-    /// (IEEE multiplication commutes exactly) and are overwritten by
-    /// the mirror pass regardless, exactly like the scalar kernel's
-    /// straddling tile.
-    #[inline(always)]
-    unsafe fn gram_body<const FMA: bool>(a: &Matrix, g: &mut Matrix) {
-        const MR: usize = crate::blocked::MR;
-        let (m, n) = a.shape();
-        let ad = a.as_slice();
-        let gd = g.as_mut_slice();
-        let mut j0 = 0;
-        while j0 + MR <= n {
-            // Column start: the 4-aligned chunk containing the diagonal.
-            let c0 = j0 & !3;
-            let mut c = c0;
-            while c + 8 <= n {
-                let mut acc = [[_mm256_setzero_pd(); 2]; MR];
-                for i in 0..m {
-                    let row = &ad[i * n..(i + 1) * n];
-                    let kp = row.as_ptr().add(c);
-                    let k0 = _mm256_loadu_pd(kp);
-                    let k1 = _mm256_loadu_pd(kp.add(4));
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let av = _mm256_set1_pd(*row.get_unchecked(j0 + r));
-                        accr[0] = step::<FMA>(accr[0], av, k0);
-                        accr[1] = step::<FMA>(accr[1], av, k1);
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    let gp = gd.as_mut_ptr().add((j0 + r) * n + c);
-                    _mm256_storeu_pd(gp, accr[0]);
-                    _mm256_storeu_pd(gp.add(4), accr[1]);
-                }
-                c += 8;
-            }
-            if c + 4 <= n {
-                let mut acc = [_mm256_setzero_pd(); MR];
-                for i in 0..m {
-                    let row = &ad[i * n..(i + 1) * n];
-                    let k0 = _mm256_loadu_pd(row.as_ptr().add(c));
-                    for (r, accr) in acc.iter_mut().enumerate() {
-                        let av = _mm256_set1_pd(*row.get_unchecked(j0 + r));
-                        *accr = step::<FMA>(*accr, av, k0);
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    _mm256_storeu_pd(gd.as_mut_ptr().add((j0 + r) * n + c), *accr);
-                }
-                c += 4;
-            }
-            // Scalar remainder columns (n % 4).
-            for k in c..n {
-                for r in 0..MR {
-                    let j = j0 + r;
-                    let mut s = 0.0;
-                    for i in 0..m {
-                        s = scalar_step::<FMA>(s, ad[i * n + j], ad[i * n + k]);
-                    }
-                    gd[j * n + k] = s;
-                }
-            }
-            j0 += MR;
-        }
-        // Scalar remainder rows (n % MR): upper triangle only, as in
-        // the scalar kernel.
-        for j in j0..n {
-            for k in j..n {
-                let mut s = 0.0;
-                for i in 0..m {
-                    s = scalar_step::<FMA>(s, ad[i * n + j], ad[i * n + k]);
-                }
-                gd[j * n + k] = s;
-            }
-        }
-        // Mirror the upper triangle (shared with the scalar kernel's
-        // final pass; entries the vector stores spilled below the
-        // diagonal are overwritten here).
-        for j in 0..n {
-            for k in (j + 1)..n {
-                gd[k * n + j] = gd[j * n + k];
-            }
         }
     }
 
@@ -649,7 +386,7 @@ mod x86 {
         r: usize,
         acc: __m256d,
     ) {
-        const MR: usize = crate::blocked::MR;
+        const MR: usize = crate::cholesky::MR;
         let mut lane = [0.0f64; MR];
         _mm256_storeu_pd(lane.as_mut_ptr(), acc);
         let i = start + bi * MR + r;
@@ -678,7 +415,7 @@ mod x86 {
         bj: usize,
         rows: usize,
     ) {
-        const MR: usize = crate::blocked::MR;
+        const MR: usize = crate::cholesky::MR;
         let mut acc = [_mm256_setzero_pd(); MR];
         for k in 0..pb {
             let bv = _mm256_loadu_pd(b_blk.as_ptr().add(k * MR));
@@ -696,8 +433,8 @@ mod x86 {
     /// The packed trailing micro-kernel, 4 rows × 8 columns: the eight
     /// accumulator vectors cover a pair of adjacent 4-wide `bj` blocks,
     /// so each broadcast of `a[k·4+r]` feeds two column vectors (eight
-    /// independent chains keep the add pipeline full, exactly as in the
-    /// matmul micro-panel). Each output cell still sums ascending `k` in
+    /// independent chains keep the add pipeline full). Each output cell
+    /// still sums ascending `k` in
     /// its own chain — the reference order. Zero blocks are skipped via
     /// the shared occupancy flags (identical skipping to the scalar
     /// sweep since the pack is shared); a pair with a single nonzero
@@ -712,7 +449,7 @@ mod x86 {
         pack: &[f64],
         nonzero: &[bool],
     ) {
-        const MR: usize = crate::blocked::MR;
+        const MR: usize = crate::cholesky::MR;
         let nblk = nr.div_ceil(MR);
         let blk_len = pb * MR;
         for bi in 0..nblk {
@@ -910,12 +647,12 @@ mod tests {
     #[test]
     fn policy_parsing() {
         assert_eq!(SimdPolicy::parse("scalar"), SimdPolicy::Scalar);
-        assert_eq!(SimdPolicy::parse("AVX2"), SimdPolicy::Avx2);
         assert_eq!(SimdPolicy::parse("avx2fma"), SimdPolicy::Avx2Fma);
         assert_eq!(SimdPolicy::parse("fma"), SimdPolicy::Avx2Fma);
         assert_eq!(SimdPolicy::parse("auto"), SimdPolicy::Auto);
         assert_eq!(SimdPolicy::parse("garbage"), SimdPolicy::Auto);
-        assert_eq!(SimdPolicy::default(), SimdPolicy::Env);
+        // `avx2` names the engine `auto` selects, so it parses to it.
+        assert_eq!(SimdPolicy::parse("AVX2"), SimdPolicy::Auto);
     }
 
     #[test]
@@ -938,13 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn active_is_stable_and_first_install_wins() {
+    fn active_is_stable() {
         let first = active();
         assert_eq!(active(), first);
-        // A later conflicting install reports the resolved engine
-        // instead of flipping it.
-        assert_eq!(install(SimdPolicy::Scalar), first);
-        assert_eq!(install(SimdPolicy::Avx2), first);
+        assert_eq!(first, resolve(SimdPolicy::from_env()));
     }
 
     #[test]
@@ -959,11 +693,9 @@ mod tests {
         // Whatever the host, the wrappers never panic on the
         // availability check itself; on non-AVX2 hosts they must
         // decline rather than fault.
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let r = matmul_avx2(&a, &a, false);
-        assert_eq!(r.is_some(), Engine::avx2_available());
-        let g = gram_avx2(&a, false);
-        assert_eq!(g.is_some(), Engine::avx2_available());
+        let (mut l, pack) = ([1.0; 4], [0.0; 4]);
+        let ran = trailing_avx2(&mut l, 2, 1, 1, 1, &pack, &[false], false);
+        assert_eq!(ran, Engine::avx2_available());
         let cov = pair_cov4(
             &[1.0],
             &[1.0],

@@ -3,9 +3,10 @@
 //! Routing matrices and the augmented matrix `A` of Definition 1 are 0/1
 //! matrices whose rows contain only the links of one path (or of the
 //! intersection of two paths) — a few tens of nonzeros out of thousands of
-//! columns. Phase 1 of LIA therefore accumulates the normal equations
-//! `AᵀA` and `Aᵀb` directly from sparse rows without ever materialising
-//! the `n_p(n_p+1)/2 × n_c` dense matrix.
+//! columns. The sparse dispatches keep them in CSR form: the Givens QR
+//! of [`crate::sparse_qr`] factors Phase 1's and Phase 2's sparse
+//! systems and certifies the pair budget's row basis, and the
+//! matrix–vector products here serve its corrected seminormal solve.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -181,29 +182,6 @@ impl CsrMatrix {
         Ok(x)
     }
 
-    /// Accumulates the Gram matrix `AᵀA` as a dense matrix, visiting each
-    /// row's nonzero pattern once (`O(Σ nnz(row)²)`).
-    pub fn gram_dense(&self) -> Matrix {
-        let mut g = Matrix::zeros(self.cols, self.cols);
-        for i in 0..self.rows {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
-            for a in lo..hi {
-                let (ja, va) = (self.indices[a], self.values[a]);
-                for b in a..hi {
-                    let (jb, vb) = (self.indices[b], self.values[b]);
-                    g[(ja, jb)] += va * vb;
-                }
-            }
-        }
-        for j in 0..self.cols {
-            for k in (j + 1)..self.cols {
-                g[(k, j)] = g[(j, k)];
-            }
-        }
-        g
-    }
-
     /// Converts to a dense [`Matrix`].
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.rows, self.cols);
@@ -213,123 +191,6 @@ impl CsrMatrix {
             }
         }
         m
-    }
-
-    /// The transpose `Aᵀ` as a new CSR matrix (counting sort over the
-    /// column indices; `O(nnz + rows + cols)`).
-    pub fn transpose(&self) -> CsrMatrix {
-        let counts = self.col_counts();
-        let mut indptr = Vec::with_capacity(self.cols + 1);
-        indptr.push(0usize);
-        for &c in &counts {
-            indptr.push(indptr.last().unwrap() + c);
-        }
-        let mut cursor = indptr[..self.cols].to_vec();
-        let mut indices = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        for i in 0..self.rows {
-            for (j, v) in self.row(i) {
-                let pos = cursor[j];
-                indices[pos] = i;
-                values[pos] = v;
-                cursor[j] += 1;
-            }
-        }
-        CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// Number of stored nonzeros per column.
-    pub fn col_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.cols];
-        for &j in &self.indices {
-            counts[j] += 1;
-        }
-        counts
-    }
-
-    /// Sparse·dense product `A B` (`A` is `m×k` sparse, `B` is `k×n`
-    /// dense).
-    ///
-    /// Each output row accumulates `v · B[j, :]` over the sparse row's
-    /// nonzeros in ascending column order — the same accumulation order
-    /// as [`Matrix::matmul_reference`] (which skips zero `a_ik`), so
-    /// the two agree bit-for-bit on finite inputs.
-    pub fn matmul_dense(&self, b: &Matrix) -> Result<Matrix> {
-        if self.cols != b.rows() {
-            return Err(LinalgError::DimensionMismatch(format!(
-                "A is {}x{}, B is {}x{}",
-                self.rows,
-                self.cols,
-                b.rows(),
-                b.cols()
-            )));
-        }
-        let mut c = Matrix::zeros(self.rows, b.cols());
-        for i in 0..self.rows {
-            let crow = c.row_mut(i);
-            for (j, v) in self.row(i) {
-                let brow = b.row(j);
-                for (cj, bj) in crow.iter_mut().zip(brow.iter()) {
-                    *cj += v * bj;
-                }
-            }
-        }
-        Ok(c)
-    }
-
-    /// The Gram matrix `AᵀA` as a sparse matrix.
-    ///
-    /// Row `j` of the result is assembled by scattering the rows of `A`
-    /// that carry a nonzero in column `j` (found through the transpose)
-    /// into a dense scratch accumulator, so the cost is
-    /// `O(Σ_j Σ_{i ∈ col j} nnz(row_i))` — proportional to the Gram
-    /// fill, not to `n_c²`. Entries that cancel to exactly zero are
-    /// dropped, like [`CsrBuilder`] does.
-    pub fn gram_csr(&self) -> CsrMatrix {
-        let t = self.transpose();
-        let n = self.cols;
-        let mut indptr = Vec::with_capacity(n + 1);
-        indptr.push(0usize);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        let mut scratch = vec![0.0; n];
-        let mut touched = vec![false; n];
-        let mut pattern: Vec<usize> = Vec::new();
-        for j in 0..n {
-            for (i, vij) in t.row(j) {
-                for (k, vik) in self.row(i) {
-                    if !touched[k] {
-                        touched[k] = true;
-                        pattern.push(k);
-                    }
-                    scratch[k] += vij * vik;
-                }
-            }
-            pattern.sort_unstable();
-            for &k in &pattern {
-                if scratch[k] != 0.0 {
-                    indices.push(k);
-                    values.push(scratch[k]);
-                }
-                scratch[k] = 0.0;
-                touched[k] = false;
-            }
-            pattern.clear();
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows: n,
-            cols: n,
-            indptr,
-            indices,
-            values,
-        }
     }
 
     /// Restricts the matrix to the given columns (strictly ascending
@@ -440,14 +301,6 @@ mod tests {
         let dense = m.to_dense().matvec_transposed(&y).unwrap();
         assert_eq!(sparse, dense);
         assert!(m.matvec_transposed(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn gram_matches_dense_gram() {
-        let m = sample();
-        let sparse = m.gram_dense();
-        let dense = m.to_dense().gram();
-        assert!(sparse.sub(&dense).unwrap().max_abs() < 1e-14);
     }
 
     #[test]

@@ -161,15 +161,6 @@ impl SparseQr {
         self.r_rows.iter().flatten().map(|r| r.len()).sum()
     }
 
-    /// Per column: the magnitude of the installed diagonal, or `None`
-    /// when no triangular row reached the column (diagnostics).
-    pub fn column_diagonals(&self) -> Vec<Option<f64>> {
-        self.r_rows
-            .iter()
-            .map(|r| r.as_ref().map(|row| row[0].1.abs()))
-            .collect()
-    }
-
     /// Numerical rank: installed rows whose largest entry exceeds
     /// `rel_tol · scale` (see the type docs for why rows, not
     /// diagonals, are classified).

@@ -5,9 +5,10 @@
 //! engines are indistinguishable from the scalar kernels — not "close",
 //! identical, down to NaN/∞ payloads and which entries round to exact
 //! zero. Every comparison here is therefore on `f64::to_bits`, and the
-//! strategies deliberately hit the awkward shapes: micro-panel
-//! remainders (`% 4`, `% 8`), panel-crossing sizes, zero blocks the
-//! trailing sweep skips, and non-finite values.
+//! strategies deliberately hit the awkward shapes: the covariance
+//! kernel's `m % 4` tails, Cholesky orders that cross the blocked panel
+//! boundary, zero blocks the trailing sweep skips, and non-finite
+//! values.
 //!
 //! One deliberate carve-out: NaN **payloads** are canonicalised before
 //! comparison. When two distinct NaNs meet in an add (say a propagated
@@ -20,7 +21,7 @@
 //! On hosts without AVX2 the vector entry points decline (`None` /
 //! `false`) and each test degrades to checking exactly that.
 
-use losstomo_linalg::{blocked, simd, Cholesky, Engine, Matrix};
+use losstomo_linalg::{simd, Cholesky, Engine, Matrix};
 use proptest::prelude::*;
 
 const AVX2: Engine = Engine::Avx2 { fma: false };
@@ -39,8 +40,8 @@ fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| canon_bits(*v)).collect()
 }
 
-/// Strategy: matrix entries including non-finite values, so NaN/∞
-/// propagation is part of every pinned comparison.
+/// Strategy: covariance-kernel inputs including non-finite values, so
+/// NaN/∞ propagation is part of the pinned comparison.
 fn entry() -> impl Strategy<Value = f64> {
     prop_oneof![
         20 => -10.0f64..10.0,
@@ -51,41 +52,8 @@ fn entry() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Strategy: an `r × c` matrix with awkward dimensions around the 4-
-/// and 8-wide kernel boundaries.
-fn matrix(rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> impl Strategy<Value = Matrix> {
-    (rows, cols).prop_flat_map(|(r, c)| {
-        proptest::collection::vec(entry(), r * c)
-            .prop_map(move |data| Matrix::from_vec(r, c, data).unwrap())
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// matmul: AVX2 micro-panel ≡ scalar blocked kernel, bitwise, for
-    /// every row/column remainder combination (including NaN/∞).
-    #[test]
-    fn matmul_avx2_bitwise_equals_scalar(
-        a in matrix(1..14, 1..14),
-        bcols in 1usize..14,
-        seed in proptest::collection::vec(entry(), 14 * 14),
-    ) {
-        let k = a.cols();
-        let b = Matrix::from_vec(k, bcols, seed[..k * bcols].to_vec()).unwrap();
-        let scalar = blocked::matmul_with(&a, &b, Engine::Scalar);
-        let vector = blocked::matmul_with(&a, &b, AVX2);
-        prop_assert_eq!(bits(&scalar), bits(&vector));
-    }
-
-    /// gram: AVX2 ≡ scalar, bitwise — the below-diagonal vector spill
-    /// and the mirror pass must leave no trace.
-    #[test]
-    fn gram_avx2_bitwise_equals_scalar(a in matrix(1..14, 1..14)) {
-        let scalar = blocked::gram_with(&a, Engine::Scalar);
-        let vector = blocked::gram_with(&a, AVX2);
-        prop_assert_eq!(bits(&scalar), bits(&vector));
-    }
 
     /// pair_cov4: the 4 interleaved accumulator chains, bitwise,
     /// including `m % 4` tails continued in scalar code.
@@ -123,7 +91,7 @@ proptest! {
         vals in proptest::collection::vec(-2.0f64..2.0, 10 * 10),
     ) {
         let a = Matrix::from_vec(n, n, vals[..n * n].to_vec()).unwrap();
-        let mut spd = blocked::gram_with(&a, Engine::Scalar);
+        let mut spd = a.gram();
         for i in 0..n {
             spd[(i, i)] += 1.0 + n as f64;
         }
@@ -154,7 +122,7 @@ fn cholesky_blocked_trailing_bitwise_across_engines() {
             a[(i, j)] = 0.05 * ((i * 7 + j) % 11) as f64;
         }
     }
-    let mut spd = blocked::gram_with(&a, Engine::Scalar);
+    let mut spd = a.gram();
     for i in 0..n {
         spd[(i, i)] += 2.0 + n as f64;
     }
@@ -165,42 +133,13 @@ fn cholesky_blocked_trailing_bitwise_across_engines() {
     assert_eq!(bits(scalar.l()), bits(vector.l()));
 }
 
-/// Large-enough matmul/gram to cross the cache-blocking tile size,
-/// deterministic, so the tiled loop seams are pinned too.
-#[test]
-fn blocked_kernels_bitwise_across_tile_seams() {
-    let (m, k, n) = (70, 77, 69);
-    let a = Matrix::from_vec(
-        m,
-        k,
-        (0..m * k).map(|i| ((i * 37 + 11) % 101) as f64 / 101.0 - 0.5).collect(),
-    )
-    .unwrap();
-    let b = Matrix::from_vec(
-        k,
-        n,
-        (0..k * n).map(|i| ((i * 53 + 29) % 97) as f64 / 97.0 - 0.5).collect(),
-    )
-    .unwrap();
-    let c_s = blocked::matmul_with(&a, &b, Engine::Scalar);
-    let c_v = blocked::matmul_with(&a, &b, Engine::Avx2 { fma: false });
-    assert_eq!(bits(&c_s), bits(&c_v));
-    let g_s = blocked::gram_with(&a, Engine::Scalar);
-    let g_v = blocked::gram_with(&a, Engine::Avx2 { fma: false });
-    assert_eq!(bits(&g_s), bits(&g_v));
-}
-
 /// The forced-scalar policy resolves to the scalar engine everywhere,
 /// and AVX2 requests degrade cleanly on hosts without the feature —
 /// the portable-dispatch contract.
 #[test]
 fn policy_resolution_is_portable() {
     assert_eq!(simd::resolve(simd::SimdPolicy::Scalar), Engine::Scalar);
-    for policy in [
-        simd::SimdPolicy::Auto,
-        simd::SimdPolicy::Avx2,
-        simd::SimdPolicy::Avx2Fma,
-    ] {
+    for policy in [simd::SimdPolicy::Auto, simd::SimdPolicy::Avx2Fma] {
         match simd::resolve(policy) {
             Engine::Scalar => assert!(!Engine::avx2_available()),
             Engine::Avx2 { fma } => {

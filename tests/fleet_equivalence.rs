@@ -112,7 +112,6 @@ fn run_fleet(
     let mut fleet = Fleet::new(FleetConfig {
         queue_capacity,
         workers,
-        ..FleetConfig::default()
     });
     let ids: Vec<TenantId> = topologies
         .iter()
