@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use losstomo_bench::{tree_topology, Scale};
 use losstomo_netsim::{
-    simulate_snapshot, ChainAdvance, CongestionDynamics, CongestionScenario,
-    LossProcessKind, ProbeConfig,
+    simulate_snapshot, ChainAdvance, CongestionDynamics, CongestionScenario, LossProcessKind,
+    ProbeConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,9 +23,21 @@ fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/snapshot");
     group.sample_size(10);
     for (name, advance, process) in [
-        ("per_round_gilbert", ChainAdvance::PerRound, LossProcessKind::Gilbert),
-        ("per_arrival_gilbert", ChainAdvance::PerArrival, LossProcessKind::Gilbert),
-        ("per_round_bernoulli", ChainAdvance::PerRound, LossProcessKind::Bernoulli),
+        (
+            "per_round_gilbert",
+            ChainAdvance::PerRound,
+            LossProcessKind::Gilbert,
+        ),
+        (
+            "per_arrival_gilbert",
+            ChainAdvance::PerArrival,
+            LossProcessKind::Gilbert,
+        ),
+        (
+            "per_round_bernoulli",
+            ChainAdvance::PerRound,
+            LossProcessKind::Bernoulli,
+        ),
     ] {
         let cfg = ProbeConfig {
             advance,

@@ -31,8 +31,13 @@ fn prepare() -> Prepared {
         CongestionDynamics::Fixed,
         &mut rng,
     );
-    let ms: MeasurementSet =
-        simulate_run(&prep.red, &mut scenario, &ProbeConfig::default(), 50, &mut rng);
+    let ms: MeasurementSet = simulate_run(
+        &prep.red,
+        &mut scenario,
+        &ProbeConfig::default(),
+        50,
+        &mut rng,
+    );
     let aug = AugmentedSystem::build(&prep.red);
     let centered = CenteredMeasurements::new(&ms);
     let pairs = aug.pair_indices();

@@ -7,9 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use losstomo_bench::{planetlab_topology, tree_topology, PreparedTopology, Scale};
 use losstomo_core::augmented::AugmentedSystem;
 use losstomo_core::covariance::CenteredMeasurements;
-use losstomo_core::{
-    estimate_variances, infer_link_rates, LiaConfig, VarianceConfig,
-};
+use losstomo_core::{estimate_variances, infer_link_rates, LiaConfig, VarianceConfig};
 use losstomo_netsim::{
     simulate_run, CongestionDynamics, CongestionScenario, MeasurementSet, ProbeConfig,
 };
@@ -32,7 +30,13 @@ fn fixture(prep: PreparedTopology) -> Fixture {
         CongestionDynamics::Fixed,
         &mut rng,
     );
-    let ms = simulate_run(&prep.red, &mut scenario, &ProbeConfig::default(), 31, &mut rng);
+    let ms = simulate_run(
+        &prep.red,
+        &mut scenario,
+        &ProbeConfig::default(),
+        31,
+        &mut rng,
+    );
     let train = MeasurementSet {
         snapshots: ms.snapshots[..30].to_vec(),
     };

@@ -15,7 +15,10 @@ use losstomo_core::{run_many, EliminationStrategy, ExperimentConfig, LiaConfig};
 fn main() {
     let scale = Scale::from_args();
     let runs = runs_from_args(10);
-    println!("Ablation — elimination strategy (paper order vs greedy matroid), {} runs", runs);
+    println!(
+        "Ablation — elimination strategy (paper order vs greedy matroid), {} runs",
+        runs
+    );
     println!();
     let header = format!(
         "{:<26} {:<14} {:>8} {:>8} {:>10}",

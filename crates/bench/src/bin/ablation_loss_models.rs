@@ -27,7 +27,11 @@ fn main() {
     for model in [LossModel::Llrd1, LossModel::Llrd2] {
         for process in [LossProcessKind::Gilbert, LossProcessKind::Bernoulli] {
             cases.push(GridCase::new(
-                format!("{:<12} {:<12}", format!("{model:?}"), format!("{process:?}")),
+                format!(
+                    "{:<12} {:<12}",
+                    format!("{model:?}"),
+                    format!("{process:?}")
+                ),
                 ExperimentConfig {
                     snapshots: 50,
                     probe: ProbeConfig {

@@ -8,9 +8,7 @@
 //!
 //! Flags: `--scale quick|paper`, `--runs N`.
 
-use losstomo_bench::{
-    print_grid_dr_fpr, run_grid, runs_from_args, tree_topology, GridCase, Scale,
-};
+use losstomo_bench::{print_grid_dr_fpr, run_grid, runs_from_args, tree_topology, GridCase, Scale};
 use losstomo_core::ExperimentConfig;
 use losstomo_netsim::CongestionDynamics;
 

@@ -13,9 +13,7 @@
 
 use losstomo_bench::{pct, runs_from_args, tree_topology, Scale};
 use losstomo_core::augmented::AugmentedSystem;
-use losstomo_core::{
-    estimate_delay_variances, infer_link_delays, LiaConfig, VarianceConfig,
-};
+use losstomo_core::{estimate_delay_variances, infer_link_delays, LiaConfig, VarianceConfig};
 use losstomo_netsim::delay::{simulate_delay_run, DelayConfig, DelayNetwork};
 use losstomo_netsim::{CongestionDynamics, CongestionScenario};
 use rand::rngs::StdRng;
@@ -57,14 +55,9 @@ fn main() {
         for run in 0..runs {
             let mut rng = StdRng::seed_from_u64(14_000 + run as u64);
             let net = DelayNetwork::draw(&prep.red, &cfg, &mut rng);
-            let mut scenario = CongestionScenario::draw(
-                prep.red.num_links(),
-                0.1,
-                dynamics,
-                &mut rng,
-            );
-            let snaps =
-                simulate_delay_run(&prep.red, &net, &mut scenario, &cfg, m + 1, &mut rng);
+            let mut scenario =
+                CongestionScenario::draw(prep.red.num_links(), 0.1, dynamics, &mut rng);
+            let snaps = simulate_delay_run(&prep.red, &net, &mut scenario, &cfg, m + 1, &mut rng);
             let v = match estimate_delay_variances(
                 &prep.red,
                 &aug,
@@ -100,10 +93,7 @@ fn main() {
                 })
                 .collect();
             let diagnosed: Vec<usize> = est.congested_links(2.0);
-            let hits = detectable
-                .iter()
-                .filter(|k| diagnosed.contains(k))
-                .count();
+            let hits = detectable.iter().filter(|k| diagnosed.contains(k)).count();
             let false_pos = diagnosed
                 .iter()
                 .filter(|&&k| !snaps[m].congested[k])

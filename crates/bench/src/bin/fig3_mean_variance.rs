@@ -11,9 +11,7 @@
 
 use losstomo_bench::{count_from_args, planetlab_topology, Scale};
 use losstomo_core::analysis::{mean_variance_per_path, mean_variance_spearman};
-use losstomo_netsim::{
-    simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig,
-};
+use losstomo_netsim::{simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -9,9 +9,7 @@
 //! Flags: `--scale quick|paper`, `--runs N` (default 10),
 //! `--m-values 10,20,...`.
 
-use losstomo_bench::{
-    flag_value, pct, run_grid, runs_from_args, tree_topology, GridCase, Scale,
-};
+use losstomo_bench::{flag_value, pct, run_grid, runs_from_args, tree_topology, GridCase, Scale};
 use losstomo_core::ExperimentConfig;
 
 fn main() {

@@ -14,7 +14,10 @@ use losstomo_core::{run_many, ExperimentConfig};
 fn main() {
     let scale = Scale::from_args();
     let runs = runs_from_args(10);
-    println!("Figure 7 — #congested links / #columns in R* (p=10%, m=50, {} runs)", runs);
+    println!(
+        "Figure 7 — #congested links / #columns in R* (p=10%, m=50, {} runs)",
+        runs
+    );
     println!();
     let header = format!(
         "{:<26} {:>12} {:>12} {:>10}",

@@ -18,15 +18,10 @@
 //!
 //! Flags: `--scale quick|paper`, `--runs N`, `--no-traceroute-errors`.
 
-use losstomo_bench::{
-    planetlab_topology, run_grid_metric, runs_from_args, GridCase, Scale,
-};
-use losstomo_core::{
-    cross_validate, CrossValidationConfig, EstimatorKind, ExperimentConfig,
-};
+use losstomo_bench::{planetlab_topology, run_grid_metric, runs_from_args, GridCase, Scale};
+use losstomo_core::{cross_validate, CrossValidationConfig, EstimatorKind, ExperimentConfig};
 use losstomo_netsim::{
-    observe, simulate_run, CongestionDynamics, CongestionScenario, MeasurementSet,
-    TracerouteConfig,
+    observe, simulate_run, CongestionDynamics, CongestionScenario, MeasurementSet, TracerouteConfig,
 };
 use losstomo_topology::reduce;
 use rand::rngs::StdRng;

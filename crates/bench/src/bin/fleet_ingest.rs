@@ -35,13 +35,11 @@
 //! `--batches N`.
 
 use losstomo_bench::{
-    bench_meta, count_from_args, percentile_ms, planetlab_topology, tree_topology, write_bench_report,
-    BenchMeta, Scale,
+    bench_meta, count_from_args, percentile_ms, planetlab_topology, tree_topology,
+    write_bench_report, BenchMeta, Scale,
 };
 use losstomo_core::{OnlineConfig, OnlineEstimator, PairBudget};
-use losstomo_fleet::{
-    DemuxConfig, Fleet, FleetConfig, TenantId, WireIngestMode, WireIngestReport,
-};
+use losstomo_fleet::{DemuxConfig, Fleet, FleetConfig, TenantId, WireIngestMode, WireIngestReport};
 use losstomo_netsim::wirebridge::batch_to_wire;
 use losstomo_netsim::{
     simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig, Snapshot,
@@ -134,7 +132,12 @@ fn ms(t: Duration) -> f64 {
 
 /// Simulates `n` distinct snapshots per tenant on a shared topology
 /// (independent congestion scenarios per tenant).
-fn tenant_feeds(red: &ReducedTopology, tenants: usize, n: usize, probes: u32) -> Vec<Vec<Snapshot>> {
+fn tenant_feeds(
+    red: &ReducedTopology,
+    tenants: usize,
+    n: usize,
+    probes: u32,
+) -> Vec<Vec<Snapshot>> {
     (0..tenants)
         .map(|t| {
             let mut rng = StdRng::seed_from_u64(4200 + t as u64);
@@ -274,11 +277,7 @@ fn throughput(
         .iter()
         .map(|b| b.encode().expect("batch encodes"))
         .collect();
-    let rows_per_batch: usize = batches_src[0]
-        .frames
-        .iter()
-        .map(|f| f.rows.len())
-        .sum();
+    let rows_per_batch: usize = batches_src[0].frames.iter().map(|f| f.rows.len()).sum();
     let wire_bytes: usize = wire.iter().map(bytes::Bytes::len).sum();
     let json_bytes: usize = json.iter().map(String::len).sum();
     let batches = batches_src.len();
@@ -329,7 +328,11 @@ fn throughput(
         point.codec, point.wall_ms, point.snapshots_per_sec, point.mb_per_sec
     );
     points.push(point);
-    (points, wire.first().map_or(0, bytes::Bytes::len), json.first().map_or(0, String::len))
+    (
+        points,
+        wire.first().map_or(0, bytes::Bytes::len),
+        json.first().map_or(0, String::len),
+    )
 }
 
 /// End-to-end rounds through the demux thread: send one single-row
@@ -520,9 +523,7 @@ fn main() {
     let speedup_vs_json = zc / json.max(1e-9);
     let speedup_vs_copying = zc / copying.max(1e-9);
     println!();
-    println!(
-        "zero-copy vs json: {speedup_vs_json:.2}x, vs copying wire: {speedup_vs_copying:.2}x"
-    );
+    println!("zero-copy vs json: {speedup_vs_json:.2}x, vs copying wire: {speedup_vs_copying:.2}x");
     if scale == Scale::Paper {
         assert!(
             speedup_vs_json >= 2.0,

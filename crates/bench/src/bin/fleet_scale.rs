@@ -249,11 +249,8 @@ fn tenant_fleet(
                 },
                 &mut rng,
             );
-            let paths = losstomo_topology::compute_paths(
-                &topo.graph,
-                &topo.beacons,
-                &topo.destinations,
-            );
+            let paths =
+                losstomo_topology::compute_paths(&topo.graph, &topo.beacons, &topo.destinations);
             losstomo_topology::reduce(&topo.graph, &paths)
         })
         .collect();
@@ -323,9 +320,7 @@ fn scaling_sweep(scale: Scale) -> ScalingReport {
     };
     let n_tenants = count_from_args("--tenants", n_tenants);
     let snapshots = count_from_args("--snapshots", snapshots);
-    println!(
-        "fleet scaling: {n_tenants} tenants × {snapshots} snapshots ({nodes}-node trees)"
-    );
+    println!("fleet scaling: {n_tenants} tenants × {snapshots} snapshots ({nodes}-node trees)");
     let (topologies, feeds) = tenant_fleet(n_tenants, nodes, snapshots);
 
     // Fixed worker sweep 1, 2, 4, 8 (capped by the tenant count): the

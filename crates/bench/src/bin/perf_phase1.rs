@@ -13,14 +13,12 @@
 //! Flags: `--scale quick|paper`, `--out PATH`.
 
 use losstomo_bench::{
-    bench_meta, planetlab_topology, tree_topology, write_bench_report, BenchMeta,
-    PreparedTopology, Scale,
+    bench_meta, planetlab_topology, tree_topology, write_bench_report, BenchMeta, PreparedTopology,
+    Scale,
 };
 use losstomo_core::augmented::AugmentedSystem;
 use losstomo_core::covariance::CenteredMeasurements;
-use losstomo_core::{
-    estimate_variances, infer_link_rates, LiaConfig, VarianceConfig,
-};
+use losstomo_core::{estimate_variances, infer_link_rates, LiaConfig, VarianceConfig};
 use losstomo_netsim::{
     simulate_run_batch, CongestionDynamics, CongestionScenario, MeasurementSet, ProbeConfig,
 };
@@ -121,8 +119,8 @@ fn bench_topology(prep: &PreparedTopology, snapshots: usize) -> TopologyReport {
 
     // Phase 2 on the evaluation snapshot.
     let t = Instant::now();
-    let _p2 = infer_link_rates(red, &est.v, &eval.log_rates(), &LiaConfig::default())
-        .expect("phase 2");
+    let _p2 =
+        infer_link_rates(red, &est.v, &eval.log_rates(), &LiaConfig::default()).expect("phase 2");
     let t_phase2 = t.elapsed();
 
     TopologyReport {
@@ -146,7 +144,10 @@ fn bench_topology(prep: &PreparedTopology, snapshots: usize) -> TopologyReport {
 fn main() {
     let scale = Scale::from_args();
     let snapshots = 50;
-    println!("perf_phase1 — numeric hot-path timings ({} scale)", scale.name());
+    println!(
+        "perf_phase1 — numeric hot-path timings ({} scale)",
+        scale.name()
+    );
     println!();
 
     let preps = vec![tree_topology(scale, 11), planetlab_topology(scale, 42)];

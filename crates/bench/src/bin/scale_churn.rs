@@ -36,8 +36,8 @@
 //! Flags: `--scale quick|paper`, `--out PATH`, `--reps N`.
 
 use losstomo_bench::{
-    bench_meta, count_from_args, waxman_scale_topology, waxman_topology, write_bench_report, BenchMeta,
-    PreparedTopology, Scale,
+    bench_meta, count_from_args, waxman_scale_topology, waxman_topology, write_bench_report,
+    BenchMeta, PreparedTopology, Scale,
 };
 use losstomo_core::{
     FactorRefresh, OnlineConfig, OnlineEstimator, PairBudget, VarianceConfig, WindowMode,
@@ -236,7 +236,9 @@ fn main() {
         let mut est = warm(red, givens, &warm_rows);
         aug_rows = est.augmented().num_rows();
         let t0 = Instant::now();
-        let report = est.apply_delta(&delta).expect("estimator accepts the delta");
+        let report = est
+            .apply_delta(&delta)
+            .expect("estimator accepts the delta");
         churn_ms.push(ms_since(t0));
         assert!(
             est.topology().matrix == red2.matrix,
@@ -267,7 +269,10 @@ fn main() {
             .ingest_log_rates(row)
             .expect("post-churn snapshot ingests");
     }
-    assert!(churned.staleness().is_flushed(), "window flushed after {WINDOW} snapshots");
+    assert!(
+        churned.staleness().is_flushed(),
+        "window flushed after {WINDOW} snapshots"
+    );
     churned.refresh().expect("post-flush refresh solves");
     fresh.refresh().expect("fresh refresh solves");
     let givens_rel_err = churned
@@ -301,8 +306,14 @@ fn main() {
     let bit_identical = exact_churned.variances().map(|e| &e.v)
         == exact_fresh.variances().map(|e| &e.v)
         && exact_churned.kept_columns() == exact_fresh.kept_columns()
-        && exact_churned.estimate(y).expect("churned Phase 2 solves").transmission
-            == exact_fresh.estimate(y).expect("fresh Phase 2 solves").transmission;
+        && exact_churned
+            .estimate(y)
+            .expect("churned Phase 2 solves")
+            .transmission
+            == exact_fresh
+                .estimate(y)
+                .expect("fresh Phase 2 solves")
+                .transmission;
 
     let churn_med = median(&churn_ms);
     let rebuild_med = median(&rebuild_ms);

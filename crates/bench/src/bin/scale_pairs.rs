@@ -150,7 +150,13 @@ fn sweep_topology(prep: &PreparedTopology, scale: Scale, runs: usize) -> Topolog
     let mut rng = StdRng::seed_from_u64(3);
     let mut scenario =
         CongestionScenario::draw(red.num_links(), 0.1, CongestionDynamics::Fixed, &mut rng);
-    let ms = simulate_run(red, &mut scenario, &ProbeConfig::default(), snapshots, &mut rng);
+    let ms = simulate_run(
+        red,
+        &mut scenario,
+        &ProbeConfig::default(),
+        snapshots,
+        &mut rng,
+    );
     let train = MeasurementSet {
         snapshots: ms.snapshots,
     };

@@ -24,8 +24,8 @@
 //! the scale-mesh node count).
 
 use losstomo_bench::{
-    bench_meta, count_from_args, waxman_scale_topology, waxman_topology, write_bench_report, BenchMeta,
-    PreparedTopology, Scale,
+    bench_meta, count_from_args, waxman_scale_topology, waxman_topology, write_bench_report,
+    BenchMeta, PreparedTopology, Scale,
 };
 use losstomo_core::augmented::AugmentedSystem;
 use losstomo_core::covariance::CenteredMeasurements;
@@ -163,7 +163,10 @@ fn main() {
         Scale::Quick => (150, 16, 300, 20, 6),
     };
     let scale_nodes = count_from_args("--nodes", scale_nodes);
-    println!("scale_phase2 — sparse Phase-2 dispatch vs dense baseline ({} scale)", scale.name());
+    println!(
+        "scale_phase2 — sparse Phase-2 dispatch vs dense baseline ({} scale)",
+        scale.name()
+    );
     println!();
 
     // --- 1. dense vs sparse Phase 2 on the baseline mesh ---------------

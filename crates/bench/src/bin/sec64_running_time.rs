@@ -14,8 +14,8 @@ use losstomo_bench::{planetlab_topology, table2_topologies, tree_topology, Scale
 use losstomo_core::augmented::AugmentedSystem;
 use losstomo_core::covariance::CenteredMeasurements;
 use losstomo_core::{
-    estimate_variances, infer_link_rates, select_full_rank_columns, EliminationStrategy,
-    LiaConfig, VarianceConfig,
+    estimate_variances, infer_link_rates, select_full_rank_columns, EliminationStrategy, LiaConfig,
+    VarianceConfig,
 };
 use losstomo_netsim::{
     simulate_run, CongestionDynamics, CongestionScenario, MeasurementSet, ProbeConfig,
@@ -73,9 +73,8 @@ fn main() {
 
         let eval = &ms.snapshots[50];
         let t = Instant::now();
-        let _est =
-            infer_link_rates(&prep.red, &v.v, &eval.log_rates(), &LiaConfig::default())
-                .expect("phase 2");
+        let _est = infer_link_rates(&prep.red, &v.v, &eval.log_rates(), &LiaConfig::default())
+            .expect("phase 2");
         let t_solve = t.elapsed();
 
         println!(

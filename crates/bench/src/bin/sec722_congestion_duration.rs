@@ -65,8 +65,7 @@ fn main() {
             snapshots: ms.snapshots[t - m..t].to_vec(),
         };
         let centered = CenteredMeasurements::new(&train);
-        let v = match estimate_variances(&prep.red, &aug, &centered, &VarianceConfig::default())
-        {
+        let v = match estimate_variances(&prep.red, &aug, &centered, &VarianceConfig::default()) {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("t={t}: {e}");
@@ -75,16 +74,17 @@ fn main() {
         };
         let eval = &ms.snapshots[t];
         match infer_link_rates(&prep.red, &v.v, &eval.log_rates(), &LiaConfig::default()) {
-            Ok(est) => diagnosed.push(
-                est.loss_rates().iter().map(|&l| l > tl).collect(),
-            ),
+            Ok(est) => diagnosed.push(est.loss_rates().iter().map(|&l| l > tl).collect()),
             Err(e) => eprintln!("t={t}: {e}"),
         }
     }
 
     let hist = congestion_durations(&diagnosed);
     println!();
-    let header = format!("{:>22} {:>10} {:>10}", "duration (snapshots)", "episodes", "share");
+    let header = format!(
+        "{:>22} {:>10} {:>10}",
+        "duration (snapshots)", "episodes", "share"
+    );
     println!("{header}");
     losstomo_bench::rule(&header);
     let total_eps: usize = hist.iter().sum();

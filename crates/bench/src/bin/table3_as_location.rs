@@ -74,8 +74,7 @@ fn main() {
             snapshots: ms.snapshots[..50].to_vec(),
         };
         let centered = CenteredMeasurements::new(&train);
-        let v = match estimate_variances(&prep.red, &aug, &centered, &VarianceConfig::default())
-        {
+        let v = match estimate_variances(&prep.red, &aug, &centered, &VarianceConfig::default()) {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("run {run}: {e}");
@@ -129,10 +128,7 @@ fn zero() -> AsLocationStats {
 /// initial statuses are forced. `CongestionScenario` intentionally hides
 /// its status vector behind `advance`; with `Fixed` dynamics we can
 /// emulate arbitrary initial statuses by rebuilding per status.
-fn scenario_with_statuses(
-    proto: CongestionScenario,
-    statuses: &[bool],
-) -> CongestionScenario {
+fn scenario_with_statuses(proto: CongestionScenario, statuses: &[bool]) -> CongestionScenario {
     // Deterministic trick: draw with p=1 / p=0 per link is not supported
     // directly, so re-draw links until statuses match would be wasteful.
     // Instead serialise through the public API: draw with p equal to the

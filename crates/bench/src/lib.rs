@@ -420,7 +420,10 @@ pub fn hierarchical_td_topology(scale: Scale, seed: u64) -> PreparedTopology {
         },
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    prepare("Hierarchical (Top-Down)", hierarchical::generate(params, &mut rng))
+    prepare(
+        "Hierarchical (Top-Down)",
+        hierarchical::generate(params, &mut rng),
+    )
 }
 
 /// BRITE-like hierarchical bottom-up mesh (Table 2 row 4).
@@ -438,7 +441,10 @@ pub fn hierarchical_bu_topology(scale: Scale, seed: u64) -> PreparedTopology {
         },
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    prepare("Hierarchical (Bottom-Up)", hierarchical::generate(params, &mut rng))
+    prepare(
+        "Hierarchical (Bottom-Up)",
+        hierarchical::generate(params, &mut rng),
+    )
 }
 
 /// Synthetic PlanetLab-like mesh (Table 2 row 5, Sections 6.3 and 7).

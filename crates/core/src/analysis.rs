@@ -60,9 +60,7 @@ pub fn mean_variance_spearman(points: &[MeanVariancePoint]) -> f64 {
         let mut i = 0;
         while i < n {
             let mut j = i;
-            while j + 1 < n
-                && key(&points[idx[j + 1]]) == key(&points[idx[i]])
-            {
+            while j + 1 < n && key(&points[idx[j + 1]]) == key(&points[idx[i]]) {
                 j += 1;
             }
             let avg = (i + j) as f64 / 2.0;
@@ -179,9 +177,7 @@ pub fn congestion_durations(diagnosed_per_snapshot: &[Vec<bool>]) -> Vec<usize> 
     }
     let n_links = diagnosed_per_snapshot[0].len();
     assert!(
-        diagnosed_per_snapshot
-            .iter()
-            .all(|d| d.len() == n_links),
+        diagnosed_per_snapshot.iter().all(|d| d.len() == n_links),
         "snapshots disagree on the number of links"
     );
     let mut histogram: Vec<usize> = Vec::new();

@@ -225,15 +225,12 @@ impl AugmentedSystem {
             Fresh(usize),
         }
         let np = red.num_paths();
-        let changed: std::collections::HashSet<u32> =
-            effect.changed.iter().map(|p| p.0).collect();
+        let changed: std::collections::HashSet<u32> = effect.changed.iter().map(|p| p.0).collect();
         // Sort key reproducing fresh build order: diagonals ascending,
         // then off-diagonals by (min shared link, a, b).
-        let mut entries: Vec<((u8, usize, u32, u32), Src)> =
-            Vec::with_capacity(self.pairs.len());
+        let mut entries: Vec<((u8, usize, u32, u32), Src)> = Vec::with_capacity(self.pairs.len());
         for (r, &(a, b)) in self.pairs.iter().enumerate() {
-            let (Some(a2), Some(b2)) = (effect.id_map[a.index()], effect.id_map[b.index()])
-            else {
+            let (Some(a2), Some(b2)) = (effect.id_map[a.index()], effect.id_map[b.index()]) else {
                 continue; // an endpoint was removed
             };
             if changed.contains(&a2.0) || changed.contains(&b2.0) {

@@ -183,12 +183,7 @@ pub fn select_pairs(aug: &AugmentedSystem, limit: usize) -> PairSelection {
     }
     let covered_links = link_count.iter().filter(|&&c| c > 0).count();
     let score: Vec<f64> = (0..nr)
-        .map(|r| {
-            aug.row(r)
-                .iter()
-                .map(|&k| 1.0 / link_count[k] as f64)
-                .sum()
-        })
+        .map(|r| aug.row(r).iter().map(|&k| 1.0 / link_count[k] as f64).sum())
         .collect();
     let mut order: Vec<usize> = (0..nr).collect();
     order.sort_by(|&a, &b| score[b].total_cmp(&score[a]).then(a.cmp(&b)));
@@ -475,14 +470,8 @@ mod tests {
         assert_eq!(parse_pair_budget("full"), Some(PairBudget::Full));
         assert_eq!(parse_pair_budget(" FULL "), Some(PairBudget::Full));
         assert_eq!(parse_pair_budget("20000"), Some(PairBudget::Rows(20000)));
-        assert_eq!(
-            parse_pair_budget("0.25"),
-            Some(PairBudget::Fraction(0.25))
-        );
-        assert_eq!(
-            parse_pair_budget("25%"),
-            Some(PairBudget::Fraction(0.25))
-        );
+        assert_eq!(parse_pair_budget("0.25"), Some(PairBudget::Fraction(0.25)));
+        assert_eq!(parse_pair_budget("25%"), Some(PairBudget::Fraction(0.25)));
         assert_eq!(parse_pair_budget("1.5"), Some(PairBudget::Full));
         assert_eq!(parse_pair_budget("150%"), Some(PairBudget::Full));
         assert_eq!(parse_pair_budget("0"), None);
@@ -553,10 +542,7 @@ mod tests {
     /// information Phase 1 needs.
     #[test]
     fn exactness_oracle_budgeted_matches_full() {
-        for (topo, budget_frac) in [
-            (fixtures::figure1(), 0.85),
-            (fixtures::figure2(), 0.5),
-        ] {
+        for (topo, budget_frac) in [(fixtures::figure1(), 0.85), (fixtures::figure2(), 0.5)] {
             let red = fixtures::reduced(&topo);
             let aug = fig(&red);
             if !aug.is_identifiable() {
@@ -573,8 +559,7 @@ mod tests {
             let sel = select_pairs(&aug, limit);
             let sub = aug.subset(&sel.rows);
             let sub_sigmas: Vec<f64> = sel.rows.iter().map(|&r| sigmas[r]).collect();
-            let budgeted =
-                estimate_variances_from_sigmas(&red, &sub, &sub_sigmas, &cfg).unwrap();
+            let budgeted = estimate_variances_from_sigmas(&red, &sub, &sub_sigmas, &cfg).unwrap();
 
             for (k, &vk) in v.iter().enumerate().take(nc) {
                 assert!(

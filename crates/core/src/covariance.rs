@@ -274,10 +274,8 @@ impl CenteredMeasurements {
             let a3 = self.dev_row(pairs[q + 3].0);
             let b3 = self.dev_row(pairs[q + 3].1);
             let s = match engine {
-                Engine::Avx2 { fma } => {
-                    simd::pair_cov4(a0, b0, a1, b1, a2, b2, a3, b3, fma)
-                        .unwrap_or_else(|| scalar4(a0, b0, a1, b1, a2, b2, a3, b3))
-                }
+                Engine::Avx2 { fma } => simd::pair_cov4(a0, b0, a1, b1, a2, b2, a3, b3, fma)
+                    .unwrap_or_else(|| scalar4(a0, b0, a1, b1, a2, b2, a3, b3)),
                 Engine::Scalar => scalar4(a0, b0, a1, b1, a2, b2, a3, b3),
             };
             out[q] = s[0] / denom;
@@ -403,9 +401,7 @@ mod tests {
     #[test]
     fn pair_covariances_match_per_entry_bitwise() {
         let c = CenteredMeasurements::from_rows(rows());
-        let pairs: Vec<(usize, usize)> = (0..3)
-            .flat_map(|i| (i..3).map(move |j| (i, j)))
-            .collect();
+        let pairs: Vec<(usize, usize)> = (0..3).flat_map(|i| (i..3).map(move |j| (i, j))).collect();
         let batch = c.pair_covariances(&pairs);
         for (r, &(i, j)) in pairs.iter().enumerate() {
             assert_eq!(batch[r], c.cov(i, j), "pair ({i},{j})");
@@ -426,9 +422,7 @@ mod tests {
             })
             .collect();
         let c = CenteredMeasurements::from_rows(rows);
-        let pairs: Vec<(usize, usize)> = (0..n)
-            .flat_map(|i| (i..n).map(move |j| (i, j)))
-            .collect();
+        let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
         let serial = c.pair_covariances_with_threads(&pairs, 1);
         for threads in [2, 3, 8] {
             let parallel = c.pair_covariances_with_threads(&pairs, threads);
@@ -451,12 +445,13 @@ mod tests {
             })
             .collect();
         let c = CenteredMeasurements::from_rows(rows);
-        let pairs: Vec<(usize, usize)> = (0..n)
-            .flat_map(|i| (i..n).map(move |j| (i, j)))
-            .collect();
+        let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
         let reference = c.pair_covariances(&pairs);
         let scalar = c.pair_covariances_with_engine(&pairs, Engine::Scalar);
-        assert_eq!(reference, scalar, "scalar engine drifted from default entry point");
+        assert_eq!(
+            reference, scalar,
+            "scalar engine drifted from default entry point"
+        );
         if Engine::avx2_available() {
             // The covariance kernel has no contraction opportunity, so
             // even the FMA engine must match bitwise.

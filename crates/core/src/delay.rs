@@ -133,9 +133,7 @@ pub fn infer_link_delays(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use losstomo_netsim::delay::{
-        simulate_delay_run, DelayConfig, DelayNetwork,
-    };
+    use losstomo_netsim::delay::{simulate_delay_run, DelayConfig, DelayNetwork};
     use losstomo_netsim::{CongestionDynamics, CongestionScenario};
     use losstomo_topology::gen::tree::{self, TreeParams};
     use losstomo_topology::{compute_paths, reduce};
@@ -170,16 +168,9 @@ mod tests {
         let snaps = simulate_delay_run(&red, &net, &mut scenario, &cfg, m + 1, &mut rng);
         let aug = AugmentedSystem::build(&red);
         let v =
-            estimate_delay_variances(&red, &aug, &snaps[..m], &VarianceConfig::default())
-                .unwrap();
-        let est = infer_link_delays(
-            &red,
-            &v.v,
-            &snaps[..m],
-            &snaps[m],
-            &LiaConfig::default(),
-        )
-        .unwrap();
+            estimate_delay_variances(&red, &aug, &snaps[..m], &VarianceConfig::default()).unwrap();
+        let est =
+            infer_link_delays(&red, &v.v, &snaps[..m], &snaps[m], &LiaConfig::default()).unwrap();
         // "Detectable" congested links: congested in the evaluation
         // snapshot AND congested often enough during the learning window
         // for Phase 1 to have seen their delay variance. Links whose

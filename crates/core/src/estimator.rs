@@ -749,12 +749,8 @@ mod tests {
         seed: u64,
     ) -> (CenteredMeasurements, Vec<f64>, losstomo_netsim::Snapshot) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut scenario = CongestionScenario::draw(
-            red.num_links(),
-            0.1,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let mut scenario =
+            CongestionScenario::draw(red.num_links(), 0.1, CongestionDynamics::Fixed, &mut rng);
         let ms = simulate_run(red, &mut scenario, &ProbeConfig::default(), m + 1, &mut rng);
         let train = losstomo_netsim::MeasurementSet {
             snapshots: ms.snapshots[..m].to_vec(),
@@ -799,7 +795,8 @@ mod tests {
         };
         let out = backend.estimate(&red, &centered, &y).unwrap();
         let aug = AugmentedSystem::build(&red);
-        let var_est = estimate_variances(&red, &aug, &centered, &VarianceConfig::default()).unwrap();
+        let var_est =
+            estimate_variances(&red, &aug, &centered, &VarianceConfig::default()).unwrap();
         let manual = infer_link_rates(&red, &var_est.v, &y, &LiaConfig::default()).unwrap();
         assert_eq!(out.estimate.kept, manual.kept);
         for (a, b) in out.estimate.transmission.iter().zip(&manual.transmission) {

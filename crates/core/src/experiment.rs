@@ -14,9 +14,7 @@ use crate::metrics::{location_accuracy, LocationAccuracy, RateErrors, DEFAULT_DE
 use crate::scfs::{scfs_diagnose, ScfsConfig};
 use crate::variance::VarianceConfig;
 use losstomo_linalg::LinalgError;
-use losstomo_netsim::{
-    simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig,
-};
+use losstomo_netsim::{simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig};
 use losstomo_topology::ReducedTopology;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,11 +149,7 @@ pub fn score_against_truth(
     dropped_rows: usize,
 ) -> ExperimentResult {
     let threshold = cfg.probe.loss_model.threshold();
-    let true_loss: Vec<f64> = eval
-        .link_truth
-        .iter()
-        .map(|t| t.true_loss_rate())
-        .collect();
+    let true_loss: Vec<f64> = eval.link_truth.iter().map(|t| t.true_loss_rate()).collect();
     // The paper's F is the set of links the loss model made congested
     // (diagnosis X is still thresholded on the *inferred* rates).
     let truth_flags: Vec<bool> = eval.link_truth.iter().map(|t| t.congested).collect();
@@ -246,7 +240,10 @@ pub fn average_location(results: &[Result<ExperimentResult, LinalgError>]) -> Lo
             .map(|r| r.location.false_positive_rate)
             .sum::<f64>()
             / n,
-        actual_congested: ok.iter().map(|r| r.location.actual_congested).sum::<usize>()
+        actual_congested: ok
+            .iter()
+            .map(|r| r.location.actual_congested)
+            .sum::<usize>()
             / ok.len(),
         diagnosed_congested: ok
             .iter()

@@ -707,10 +707,8 @@ mod tests {
     fn greedy_keeps_at_least_as_many_columns() {
         let red = fig1();
         let variances = vec![0.5, 0.001, 0.3, 0.002, 0.003];
-        let paper =
-            select_full_rank_columns(&red, &variances, EliminationStrategy::PaperOrder);
-        let greedy =
-            select_full_rank_columns(&red, &variances, EliminationStrategy::GreedyMatroid);
+        let paper = select_full_rank_columns(&red, &variances, EliminationStrategy::PaperOrder);
+        let greedy = select_full_rank_columns(&red, &variances, EliminationStrategy::GreedyMatroid);
         assert!(greedy.len() >= paper.len());
         let sub = red.matrix.to_dense().select_columns(&greedy);
         assert_eq!(losstomo_linalg::rank(&sub), greedy.len());
@@ -726,8 +724,7 @@ mod tests {
         let x: Vec<f64> = phi_true.iter().map(|p| p.ln()).collect();
         let y = red.matrix.to_dense().matvec(&x).unwrap();
         let variances = vec![0.5, 0.0, 0.3, 0.0, 0.0];
-        let est =
-            infer_link_rates(&red, &variances, &y, &LiaConfig::default()).unwrap();
+        let est = infer_link_rates(&red, &variances, &y, &LiaConfig::default()).unwrap();
         assert!((est.transmission[0] - 0.9).abs() < 1e-10, "{est:?}");
         assert!((est.transmission[2] - 0.8).abs() < 1e-10);
         assert_eq!(est.transmission[1], 1.0);
@@ -767,9 +764,6 @@ mod tests {
         let variances = vec![0.1, 0.2, 0.3, 0.4, 0.5];
         let y = vec![0.0; red.num_paths()];
         let est = infer_link_rates(&red, &variances, &y, &LiaConfig::default()).unwrap();
-        assert_eq!(
-            est.kept.iter().filter(|&&k| k).count(),
-            est.kept_count
-        );
+        assert_eq!(est.kept.iter().filter(|&&k| k).count(), est.kept_count);
     }
 }

@@ -52,8 +52,8 @@
 pub mod analysis;
 pub mod augmented;
 pub mod budget;
-pub mod delay;
 pub mod covariance;
+pub mod delay;
 pub mod estimator;
 pub mod experiment;
 pub mod identifiability;
@@ -70,13 +70,13 @@ pub use budget::{
     apply_budget, parse_pair_budget, select_pairs, PairBudget, PairSelection, PAIR_BUDGET_ENV,
 };
 pub use covariance::CenteredMeasurements;
+pub use delay::{estimate_delay_variances, infer_link_delays, DelayEstimate};
 pub use estimator::{
     build_estimator, closed_form_variances, deng_fast_variances, EstimatorDiagnostics,
     EstimatorKind, EstimatorOutput, LossEstimator,
 };
 pub use experiment::{run_experiment, run_many, ExperimentConfig, ExperimentResult};
 pub use identifiability::{check_identifiability, IdentifiabilityReport};
-pub use delay::{estimate_delay_variances, infer_link_delays, DelayEstimate};
 pub use lia::{
     infer_link_rates, select_full_rank_columns, EliminationStrategy, LiaConfig, LinkRateEstimate,
     Phase2Dispatch, RankView,

@@ -68,9 +68,7 @@ pub fn scfs_diagnose(
     let per_link = red.paths_per_link();
     let nc = red.num_links();
     let candidate: Vec<bool> = (0..nc)
-        .map(|k| {
-            !per_link[k].is_empty() && per_link[k].iter().all(|p| bad[p.index()])
-        })
+        .map(|k| !per_link[k].is_empty() && per_link[k].iter().all(|p| bad[p.index()]))
         .collect();
 
     // Mark candidates not strictly dominated by another candidate.
@@ -81,10 +79,7 @@ pub fn scfs_diagnose(
         }
         let pk = &per_link[k];
         let dominated = (0..nc).any(|j| {
-            j != k
-                && candidate[j]
-                && per_link[j].len() > pk.len()
-                && is_subset(pk, &per_link[j])
+            j != k && candidate[j] && per_link[j].len() > pk.len() && is_subset(pk, &per_link[j])
         });
         diagnosed[k] = !dominated;
     }

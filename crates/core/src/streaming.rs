@@ -467,8 +467,7 @@ impl StreamingCovariance {
     /// [`Staleness`].
     pub fn staleness(&self) -> Staleness {
         let ws = self.window_start();
-        let stale_rows =
-            (self.max_valid_from.saturating_sub(ws) as usize).min(self.rows.len());
+        let stale_rows = (self.max_valid_from.saturating_sub(ws) as usize).min(self.rows.len());
         let warming_pairs = self
             .valid_from
             .iter()
@@ -481,9 +480,7 @@ impl StreamingCovariance {
             .count();
         let snapshots_until_flush = match self.mode {
             _ if self.max_valid_from <= ws => Some(0),
-            WindowMode::Sliding(w) => {
-                Some(stale_rows as u64 + (w - self.rows.len()) as u64)
-            }
+            WindowMode::Sliding(w) => Some(stale_rows as u64 + (w - self.rows.len()) as u64),
             // An unbounded window never evicts, so stale rows never
             // leave. Callers that need the flush should bound the
             // window before churning.
@@ -1248,8 +1245,7 @@ impl OnlineEstimator {
             }
         }
         let mut atb = vec![0.0; nc];
-        for (((_, links), &sigma), &keep) in
-            self.aug.iter().zip(sigmas.iter()).zip(new_kept.iter())
+        for (((_, links), &sigma), &keep) in self.aug.iter().zip(sigmas.iter()).zip(new_kept.iter())
         {
             if !keep {
                 continue;
@@ -1391,8 +1387,7 @@ impl OnlineEstimator {
                     factor_downdates += 1;
                     if factor.downdate(self.aug.row(r), &mut ind).is_err() {
                         fallback = Some(
-                            "churn downdate lost positive definiteness — clean rebuild"
-                                .to_string(),
+                            "churn downdate lost positive definiteness — clean rebuild".to_string(),
                         );
                         break;
                     }
@@ -1559,12 +1554,8 @@ mod tests {
 
     fn simulate(red: &ReducedTopology, m: usize, seed: u64) -> MeasurementSet {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut scenario = CongestionScenario::draw(
-            red.num_links(),
-            0.3,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let mut scenario =
+            CongestionScenario::draw(red.num_links(), 0.3, CongestionDynamics::Fixed, &mut rng);
         let cfg = ProbeConfig {
             probes_per_snapshot: 200,
             ..ProbeConfig::default()
@@ -1852,8 +1843,20 @@ mod tests {
             window: WindowMode::Sliding(12),
             ..OnlineConfig::default()
         };
-        let mut a = OnlineEstimator::new(&red, OnlineConfig { recentre_every: 4, ..base });
-        let mut b = OnlineEstimator::new(&red, OnlineConfig { recentre_every: 0, ..base });
+        let mut a = OnlineEstimator::new(
+            &red,
+            OnlineConfig {
+                recentre_every: 4,
+                ..base
+            },
+        );
+        let mut b = OnlineEstimator::new(
+            &red,
+            OnlineConfig {
+                recentre_every: 0,
+                ..base
+            },
+        );
         for snapshot in &ms.snapshots {
             let ua = a.ingest(snapshot).unwrap();
             let ub = b.ingest(snapshot).unwrap();
@@ -1890,8 +1893,7 @@ mod tests {
         let batch_v =
             estimate_variances(&red, &aug, &centered, &VarianceConfig::default()).unwrap();
         let y_eval = ms.snapshots[m].log_rates();
-        let batch_p2 =
-            infer_link_rates(&red, &batch_v.v, &y_eval, &LiaConfig::default()).unwrap();
+        let batch_p2 = infer_link_rates(&red, &batch_v.v, &y_eval, &LiaConfig::default()).unwrap();
         // Online, default (exact) configuration.
         let mut online = OnlineEstimator::new(&red, OnlineConfig::default());
         for snap in &ms.snapshots[..m] {
@@ -2192,7 +2194,11 @@ mod tests {
         for s in &ms.snapshots[..20] {
             online.ingest(s).unwrap();
         }
-        let before = online.variances().expect("warm after 20 snapshots").v.clone();
+        let before = online
+            .variances()
+            .expect("warm after 20 snapshots")
+            .v
+            .clone();
         // A NaN (and an infinite) snapshot must bounce with a typed
         // error, not poison the Welford moments.
         let mut bad = ms.snapshots[20].log_rates();
@@ -2216,7 +2222,10 @@ mod tests {
         for s in &ms.snapshots[20..] {
             online.ingest(s).unwrap();
         }
-        assert_eq!(online.variances().unwrap().v, control.variances().unwrap().v);
+        assert_eq!(
+            online.variances().unwrap().v,
+            control.variances().unwrap().v
+        );
     }
 
     /// The churn robustness gate: apply a delta mid-stream, keep
@@ -2382,7 +2391,12 @@ mod tests {
         }
         let id_map = vec![Some(PathId(0)), Some(PathId(1))];
         // Restart the cross pair only.
-        cov.apply_churn(2, vec![(0, 0), (1, 1), (0, 1)], &[Some(0), Some(1), None], &id_map);
+        cov.apply_churn(
+            2,
+            vec![(0, 0), (1, 1), (0, 1)],
+            &[Some(0), Some(1), None],
+            &id_map,
+        );
         for k in 0..3 {
             let r = [k as f64 * 0.9, (3 - k) as f64 * 0.2];
             rng_rows.push(r);

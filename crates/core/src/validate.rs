@@ -209,9 +209,7 @@ pub fn cross_validate<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use losstomo_netsim::{
-        simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig,
-    };
+    use losstomo_netsim::{simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig};
     use losstomo_topology::gen::planetlab::{self, PlanetLabParams};
     use losstomo_topology::{compute_paths, reduce};
     use rand::rngs::StdRng;
@@ -220,10 +218,7 @@ mod tests {
     /// All-to-all mesh, like the paper's PlanetLab validation: half the
     /// paths still cover almost every link, so the inference half can
     /// actually predict the validation half.
-    fn tree_measurements(
-        seed: u64,
-        m: usize,
-    ) -> (ReducedTopology, MeasurementSet) {
+    fn tree_measurements(seed: u64, m: usize) -> (ReducedTopology, MeasurementSet) {
         let mut rng = StdRng::seed_from_u64(seed);
         let t = planetlab::generate(
             PlanetLabParams {
@@ -235,12 +230,8 @@ mod tests {
         );
         let paths = compute_paths(&t.graph, &t.beacons, &t.destinations);
         let red = reduce(&t.graph, &paths);
-        let mut scenario = CongestionScenario::draw(
-            red.num_links(),
-            0.1,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let mut scenario =
+            CongestionScenario::draw(red.num_links(), 0.1, CongestionDynamics::Fixed, &mut rng);
         let ms = simulate_run(
             &red,
             &mut scenario,
@@ -255,8 +246,7 @@ mod tests {
     fn most_paths_validate_on_clean_simulation() {
         let (red, ms) = tree_measurements(21, 30);
         let mut rng = StdRng::seed_from_u64(22);
-        let res =
-            cross_validate(&red, &ms, &CrossValidationConfig::default(), &mut rng).unwrap();
+        let res = cross_validate(&red, &ms, &CrossValidationConfig::default(), &mut rng).unwrap();
         assert!(res.total > 0);
         assert!(
             res.percent_consistent() >= 80.0,
@@ -274,10 +264,7 @@ mod tests {
         // single group.
         let sub = build_subsystem(&red, &[PathId(0)]);
         assert_eq!(sub.topo.num_links(), 1);
-        assert_eq!(
-            sub.groups[0].len(),
-            red.path_links(PathId(0)).len()
-        );
+        assert_eq!(sub.groups[0].len(), red.path_links(PathId(0)).len());
     }
 
     #[test]

@@ -506,8 +506,11 @@ pub fn estimate_variances_scratch(
     );
     let nc = red.num_links();
     ws.new_kept.clear();
-    ws.new_kept
-        .extend(sigmas.iter().map(|&s| !(cfg.drop_negative_covariances && s < 0.0)));
+    ws.new_kept.extend(
+        sigmas
+            .iter()
+            .map(|&s| !(cfg.drop_negative_covariances && s < 0.0)),
+    );
     // `AᵀΣ*` changes with every covariance value, so it is rebuilt per
     // call: one sweep over the kept rows in ascending order, which also
     // counts the kept rows and kept cross rows through each link (the
@@ -714,9 +717,7 @@ fn solve_sparse(rows: &RoutingMatrix, rhs: &[f64]) -> Result<Vec<f64>, LinalgErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use losstomo_netsim::{
-        simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig,
-    };
+    use losstomo_netsim::{simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig};
     use losstomo_topology::fixtures;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -733,12 +734,8 @@ mod tests {
     ) {
         let red = fixtures::reduced(&fixtures::figure1());
         let mut rng = StdRng::seed_from_u64(99);
-        let mut scenario = CongestionScenario::draw(
-            red.num_links(),
-            0.2,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let mut scenario =
+            CongestionScenario::draw(red.num_links(), 0.2, CongestionDynamics::Fixed, &mut rng);
         // Force exactly one congested link for a crisp check: link 0.
         while scenario.congested_count() != 1 {
             scenario =
@@ -848,17 +845,12 @@ mod tests {
     fn negative_rows_are_counted() {
         let red = fixtures::reduced(&fixtures::figure1());
         let mut rng = StdRng::seed_from_u64(5);
-        let mut scenario = CongestionScenario::draw(
-            red.num_links(),
-            0.3,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let mut scenario =
+            CongestionScenario::draw(red.num_links(), 0.3, CongestionDynamics::Fixed, &mut rng);
         let ms = simulate_run(&red, &mut scenario, &ProbeConfig::default(), 10, &mut rng);
         let aug = AugmentedSystem::build(&red);
         let centered = CenteredMeasurements::new(&ms);
-        let est =
-            estimate_variances(&red, &aug, &centered, &VarianceConfig::default()).unwrap();
+        let est = estimate_variances(&red, &aug, &centered, &VarianceConfig::default()).unwrap();
         assert_eq!(est.used_rows + est.dropped_rows, aug.num_rows());
     }
 
@@ -895,14 +887,18 @@ mod tests {
                 estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut cache, &mut ws).unwrap();
             assert_eq!(r1.dropped_rows, 1, "kept solve should succeed on M1");
             assert_eq!(r1.fallback, None);
-            let r2 = estimate_variances_scratch(&red, &aug, between, &cfg, &mut cache, &mut ws)
-                .unwrap();
+            let r2 =
+                estimate_variances_scratch(&red, &aug, between, &cfg, &mut cache, &mut ws).unwrap();
             assert_eq!(r2.dropped_rows, 0, "fallback folds every row back in");
             assert!(r2.fallback.is_some());
             assert_eq!(r2.v, fresh(between).v);
             let got =
                 estimate_variances_scratch(&red, &aug, &m3, &cfg, &mut cache, &mut ws).unwrap();
-            assert_eq!(got.v, fresh(&m3).v, "stale factor leaked across the fallback");
+            assert_eq!(
+                got.v,
+                fresh(&m3).v,
+                "stale factor leaked across the fallback"
+            );
             assert_eq!(got.used_rows, fresh(&m3).used_rows);
             // Back to M1 after the fallback: refactored, not reused.
             let again =
@@ -936,10 +932,25 @@ mod tests {
         let cases = [
             (&fig1, &aug1, vec![1.0; 6], None),
             // Dropping the (D2,D3) row certifies e3 (link 2).
-            (&fig1, &aug1, vec![1.0, 1.0, 1.0, 1.0, 1.0, -1.0], Some(Certified(2))),
+            (
+                &fig1,
+                &aug1,
+                vec![1.0, 1.0, 1.0, 1.0, 1.0, -1.0],
+                Some(Certified(2)),
+            ),
             // Dropping D1's self row leaves e2 (link 1) uncovered.
-            (&fig1, &aug1, vec![-1.0, 1.0, 1.0, 1.0, 1.0, 1.0], Some(UncoveredLink(1))),
-            (&fig1, &aug1, vec![1.0, 1.0, -1.0, -1.0, 1.0, 1.0], Some(TooFewRows)),
+            (
+                &fig1,
+                &aug1,
+                vec![-1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                Some(UncoveredLink(1)),
+            ),
+            (
+                &fig1,
+                &aug1,
+                vec![1.0, 1.0, -1.0, -1.0, 1.0, 1.0],
+                Some(TooFewRows),
+            ),
             (&fig2, &aug2, self_rows_only.clone(), Some(FactorFailed)),
         ];
         for dispatch in [Phase1Dispatch::Dense, Phase1Dispatch::Sparse] {
@@ -978,7 +989,10 @@ mod tests {
         use rand::Rng;
 
         let reduce_gen = |t: GeneratedTopology| {
-            reduce(&t.graph, &compute_paths(&t.graph, &t.beacons, &t.destinations))
+            reduce(
+                &t.graph,
+                &compute_paths(&t.graph, &t.beacons, &t.destinations),
+            )
         };
         let mut rng = StdRng::seed_from_u64(2024);
         let mut systems: Vec<(ReducedTopology, AugmentedSystem)> = Vec::new();
@@ -1057,7 +1071,10 @@ mod tests {
             }
         }
         eprintln!("certificate: {masks} masks, fired on {fired}, {missed} deficient ones unproven");
-        assert!(fired > masks / 4, "the certificate should fire on trees: {fired}/{masks}");
+        assert!(
+            fired > masks / 4,
+            "the certificate should fire on trees: {fired}/{masks}"
+        );
     }
 
     #[test]

@@ -212,4 +212,3 @@ fn fixed_seed_congested_sets_pinned() {
     }
     assert_eq!(lia, zhu, "LIA and Zhu diverged on the pinned seed");
 }
-

@@ -17,10 +17,7 @@ use proptest::prelude::*;
 /// Random snapshot rows: `m × n` log-rate-like values in [-8, 0].
 fn rows_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     (2usize..12, 1usize..8).prop_flat_map(|(m, n)| {
-        proptest::collection::vec(
-            proptest::collection::vec(-8.0f64..0.0, n..=n),
-            m..=m,
-        )
+        proptest::collection::vec(proptest::collection::vec(-8.0f64..0.0, n..=n), m..=m)
     })
 }
 

@@ -50,8 +50,8 @@
 pub mod edge;
 
 pub use edge::{
-    DemuxAck, DemuxConfig, DemuxHandle, DemuxStats, FleetQueryReport, RowRejection,
-    TenantQuery, WireIngestMode, WireIngestReport,
+    DemuxAck, DemuxConfig, DemuxHandle, DemuxStats, FleetQueryReport, RowRejection, TenantQuery,
+    WireIngestMode, WireIngestReport,
 };
 
 use bytes::Bytes;
@@ -1145,10 +1145,7 @@ mod tests {
         for s in &ms_a.snapshots {
             solo.ingest(s).unwrap();
         }
-        assert_eq!(
-            fleet.estimator(a).congested_links(),
-            solo.congested_links()
-        );
+        assert_eq!(fleet.estimator(a).congested_links(), solo.congested_links());
     }
 
     #[test]
@@ -1276,10 +1273,9 @@ mod tests {
                 assert!(snapshots_until_flush.is_some(), "sliding window flushes");
                 // A rebuild is only legal with a companion error event.
                 if *rebuilt {
-                    assert!(events.iter().any(|e| matches!(
-                        e.kind,
-                        FleetEventKind::EstimatorError { .. }
-                    )));
+                    assert!(events
+                        .iter()
+                        .any(|e| matches!(e.kind, FleetEventKind::EstimatorError { .. })));
                 }
             }
             other => panic!("expected TopologyChurned, got {other:?}"),

@@ -461,11 +461,7 @@ mod tests {
     #[test]
     fn factor_reproduces_matrix() {
         // A = Bᵀ B + I is SPD for any B.
-        let b = Matrix::from_rows(&[
-            vec![1.0, 2.0, 0.0],
-            vec![0.5, -1.0, 3.0],
-        ])
-        .unwrap();
+        let b = Matrix::from_rows(&[vec![1.0, 2.0, 0.0], vec![0.5, -1.0, 3.0]]).unwrap();
         let mut a = b.gram();
         for i in 0..3 {
             a[(i, i)] += 1.0;
@@ -477,11 +473,7 @@ mod tests {
 
     #[test]
     fn solve_recovers_known_solution() {
-        let a = Matrix::from_rows(&[
-            vec![4.0, 2.0],
-            vec![2.0, 3.0],
-        ])
-        .unwrap();
+        let a = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]).unwrap();
         let x_true = vec![1.0, -2.0];
         let b = a.matvec(&x_true).unwrap();
         let c = Cholesky::new(&a).unwrap();

@@ -64,7 +64,9 @@ mod tests {
             .to_string()
             .contains("positive definite"));
         assert_eq!(LinalgError::Empty.to_string(), "empty matrix or vector");
-        assert!(LinalgError::NonFinite { index: 3 }.to_string().contains('3'));
+        assert!(LinalgError::NonFinite { index: 3 }
+            .to_string()
+            .contains('3'));
     }
 
     #[test]

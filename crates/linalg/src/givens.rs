@@ -34,7 +34,11 @@ impl GivensRotation {
     /// numerically stable formulation of Golub & Van Loan §5.1.8.
     pub fn compute(a: f64, b: f64) -> Self {
         if b == 0.0 {
-            GivensRotation { c: 1.0, s: 0.0, r: a }
+            GivensRotation {
+                c: 1.0,
+                s: 0.0,
+                r: a,
+            }
         } else if a == 0.0 {
             GivensRotation {
                 c: 0.0,

@@ -36,11 +36,7 @@ pub(crate) struct ReflectorScratch {
 ///
 /// The reflector is `H = I − tau · w wᵀ` with `w = [1, v]` where `v` is
 /// stored in rows `k+1..m` of column `k`.
-pub(crate) fn reflect_column(
-    packed: &mut Matrix,
-    k: usize,
-    scratch: &mut ReflectorScratch,
-) -> f64 {
+pub(crate) fn reflect_column(packed: &mut Matrix, k: usize, scratch: &mut ReflectorScratch) -> f64 {
     let (m, n) = packed.shape();
     // Norm of the column below (and including) the diagonal.
     let mut norm_sq = 0.0;

@@ -282,12 +282,7 @@ mod tests {
 
     #[test]
     fn rank_deficient_rejected_by_both_backends() {
-        let a = Matrix::from_rows(&[
-            vec![1.0, 2.0],
-            vec![2.0, 4.0],
-            vec![3.0, 6.0],
-        ])
-        .unwrap();
+        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]).unwrap();
         let b = vec![1.0, 2.0, 3.0];
         assert!(solve_least_squares(&a, &b).is_err());
         assert!(normal_equations(&a, &b).is_err());

@@ -52,13 +52,16 @@ impl PivotedQr {
                 .iter()
                 .enumerate()
                 .map(|(off, &v)| (k + off, v))
-                .fold((k, f64::MIN), |best, cand| {
-                    if cand.1 > best.1 {
-                        cand
-                    } else {
-                        best
-                    }
-                });
+                .fold(
+                    (k, f64::MIN),
+                    |best, cand| {
+                        if cand.1 > best.1 {
+                            cand
+                        } else {
+                            best
+                        }
+                    },
+                );
             if pivot_norm <= 0.0 {
                 // All remaining columns are (numerically) zero.
                 tau.truncate(k);
@@ -237,7 +240,10 @@ mod tests {
         .unwrap();
         let b = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         let x1 = PivotedQr::new(&a).unwrap().solve_least_squares(&b).unwrap();
-        let x2 = crate::qr::Qr::new(&a).unwrap().solve_least_squares(&b).unwrap();
+        let x2 = crate::qr::Qr::new(&a)
+            .unwrap()
+            .solve_least_squares(&b)
+            .unwrap();
         for (p, q) in x1.iter().zip(x2.iter()) {
             assert!((p - q).abs() < 1e-10, "{x1:?} vs {x2:?}");
         }
@@ -245,12 +251,7 @@ mod tests {
 
     #[test]
     fn solve_rejects_rank_deficient() {
-        let a = Matrix::from_rows(&[
-            vec![1.0, 2.0],
-            vec![2.0, 4.0],
-            vec![3.0, 6.0],
-        ])
-        .unwrap();
+        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]).unwrap();
         let qr = PivotedQr::new(&a).unwrap();
         assert!(matches!(
             qr.solve_least_squares(&[1.0, 2.0, 3.0]),

@@ -149,12 +149,7 @@ mod tests {
 
     #[test]
     fn factors_reproduce_a() {
-        let a = Matrix::from_rows(&[
-            vec![1.0, 2.0],
-            vec![3.0, 4.0],
-            vec![5.0, 6.0],
-        ])
-        .unwrap();
+        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
         let qr = Qr::new(&a).unwrap();
         let q = qr.q_thin();
         let r = qr.r();
@@ -180,12 +175,7 @@ mod tests {
     #[test]
     fn least_squares_recovers_exact_solution() {
         // A x = b has an exact solution -> residual 0, x recovered exactly.
-        let a = Matrix::from_rows(&[
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-            vec![1.0, 1.0],
-        ])
-        .unwrap();
+        let a = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]]).unwrap();
         let x_true = vec![2.0, -3.0];
         let b = a.matvec(&x_true).unwrap();
         let qr = Qr::new(&a).unwrap();
@@ -226,12 +216,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_detected_on_solve() {
-        let a = Matrix::from_rows(&[
-            vec![1.0, 1.0],
-            vec![2.0, 2.0],
-            vec![3.0, 3.0],
-        ])
-        .unwrap();
+        let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]).unwrap();
         let qr = Qr::new(&a).unwrap();
         assert!(matches!(
             qr.solve_least_squares(&[1.0, 2.0, 3.0]),
@@ -241,12 +226,7 @@ mod tests {
 
     #[test]
     fn apply_q_then_qt_is_identity() {
-        let a = Matrix::from_rows(&[
-            vec![1.0, 2.0],
-            vec![-1.0, 0.5],
-            vec![3.0, 1.0],
-        ])
-        .unwrap();
+        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![-1.0, 0.5], vec![3.0, 1.0]]).unwrap();
         let qr = Qr::new(&a).unwrap();
         let y0 = vec![1.0, -2.0, 3.0];
         let mut y = y0.clone();
@@ -259,12 +239,7 @@ mod tests {
 
     #[test]
     fn zero_column_handled() {
-        let a = Matrix::from_rows(&[
-            vec![0.0, 1.0],
-            vec![0.0, 2.0],
-            vec![0.0, 3.0],
-        ])
-        .unwrap();
+        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![0.0, 2.0], vec![0.0, 3.0]]).unwrap();
         // Factorisation succeeds; solving must report singularity.
         let qr = Qr::new(&a).unwrap();
         assert!(qr.solve_least_squares(&[1.0, 1.0, 1.0]).is_err());

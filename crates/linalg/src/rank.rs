@@ -75,12 +75,8 @@ mod tests {
     fn near_dependent_columns_respect_tolerance() {
         // Second column differs from the first by 1e-14: numerically
         // dependent at default tolerance.
-        let m = Matrix::from_rows(&[
-            vec![1.0, 1.0 + 1e-14],
-            vec![1.0, 1.0],
-            vec![1.0, 1.0],
-        ])
-        .unwrap();
+        let m =
+            Matrix::from_rows(&[vec![1.0, 1.0 + 1e-14], vec![1.0, 1.0], vec![1.0, 1.0]]).unwrap();
         assert_eq!(rank(&m), 1);
         // A loose tolerance of 0 counts every nonzero pivot.
         assert_eq!(rank_with_tol(&m, 0.0), 2);

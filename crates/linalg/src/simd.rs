@@ -624,9 +624,8 @@ mod tests {
         }
         // An f64-backed buffer is always 8-aligned: cast must succeed.
         let backing: Vec<f64> = values.to_vec();
-        let raw: &[u8] = unsafe {
-            std::slice::from_raw_parts(backing.as_ptr().cast::<u8>(), backing.len() * 8)
-        };
+        let raw: &[u8] =
+            unsafe { std::slice::from_raw_parts(backing.as_ptr().cast::<u8>(), backing.len() * 8) };
         let cast = cast_bytes_to_f64(raw).expect("f64-backed buffer is aligned");
         assert_eq!(cast.len(), values.len());
     }
@@ -636,8 +635,7 @@ mod tests {
         assert!(cast_bytes_to_f64(&[0u8; 7]).is_none());
         assert!(cast_bytes_to_f64(&[0u8; 9]).is_none());
         let backing = [0.0f64; 3];
-        let raw: &[u8] =
-            unsafe { std::slice::from_raw_parts(backing.as_ptr().cast::<u8>(), 24) };
+        let raw: &[u8] = unsafe { std::slice::from_raw_parts(backing.as_ptr().cast::<u8>(), 24) };
         // Offset by one byte: start misaligned even though len % 8 == 0
         // after trimming the tail too.
         assert!(cast_bytes_to_f64(&raw[1..17]).is_none());

@@ -108,7 +108,8 @@ impl CsrMatrix {
                 .filter(|(_, &v)| v != 0.0)
                 .map(|(j, &v)| (j, v))
                 .collect();
-            b.push_row(&entries).expect("indices in range by construction");
+            b.push_row(&entries)
+                .expect("indices in range by construction");
         }
         b.build()
     }
@@ -213,7 +214,11 @@ impl CsrMatrix {
             "kept columns must be strictly ascending"
         );
         if let Some(&last) = kept.last() {
-            assert!(last < self.cols, "column {last} out of range for {} columns", self.cols);
+            assert!(
+                last < self.cols,
+                "column {last} out of range for {} columns",
+                self.cols
+            );
         }
         out.rows = self.rows;
         out.cols = kept.len();

@@ -142,7 +142,12 @@ impl SparseQr {
             r.as_ref()
                 .map(|row| row.iter().map(|&(_, v)| v.abs()).fold(0.0_f64, f64::max))
         }));
-        self.scale = self.row_max.iter().flatten().copied().fold(0.0_f64, f64::max);
+        self.scale = self
+            .row_max
+            .iter()
+            .flatten()
+            .copied()
+            .fold(0.0_f64, f64::max);
         Ok(prev)
     }
 
@@ -169,7 +174,11 @@ impl SparseQr {
             return 0;
         }
         let threshold = rel_tol * self.scale;
-        self.row_max.iter().flatten().filter(|&&m| m > threshold).count()
+        self.row_max
+            .iter()
+            .flatten()
+            .filter(|&&m| m > threshold)
+            .count()
     }
 
     /// Numerical rank with the crate's default tolerance
@@ -379,9 +388,7 @@ pub fn row_basis(a: &CsrMatrix, order: &[usize]) -> Vec<usize> {
                 min_alive = r_rows
                     .iter()
                     .flatten()
-                    .map(|rj| {
-                        rj.iter().map(|&(_, v)| v.abs()).fold(0.0_f64, f64::max)
-                    })
+                    .map(|rj| rj.iter().map(|&(_, v)| v.abs()).fold(0.0_f64, f64::max))
                     .fold(f64::INFINITY, f64::min);
                 until_refresh = 256;
                 if min_alive > tol * scale {
@@ -416,8 +423,7 @@ pub fn row_basis(a: &CsrMatrix, order: &[usize]) -> Vec<usize> {
                     break;
                 }
                 Some(rj) => {
-                    let rj_max =
-                        rj.iter().map(|&(_, v)| v.abs()).fold(0.0_f64, f64::max);
+                    let rj_max = rj.iter().map(|&(_, v)| v.abs()).fold(0.0_f64, f64::max);
                     if rj_max <= tol * wmax {
                         // Residue eviction: the resident is rounding
                         // noise next to the incoming row.
@@ -445,13 +451,8 @@ pub fn row_basis(a: &CsrMatrix, order: &[usize]) -> Vec<usize> {
     // sound against the factor's overall scale. The credit goes to the
     // column's owner (the row that installed it, or evicted a residue
     // to take it over).
-    let row_max =
-        |rj: &SparseRow| rj.iter().map(|&(_, v)| v.abs()).fold(0.0_f64, f64::max);
-    let scale = r_rows
-        .iter()
-        .flatten()
-        .map(&row_max)
-        .fold(scale, f64::max);
+    let row_max = |rj: &SparseRow| rj.iter().map(|&(_, v)| v.abs()).fold(0.0_f64, f64::max);
+    let scale = r_rows.iter().flatten().map(&row_max).fold(scale, f64::max);
     let threshold = tol * scale;
     let mut basis: Vec<usize> = r_rows
         .iter()
@@ -484,14 +485,7 @@ mod tests {
     fn full_rank_routing_matrix() {
         // The Figure-1 augmented matrix: rank 5.
         let a = binary(
-            &[
-                &[0, 1],
-                &[0, 2, 3],
-                &[0, 2, 4],
-                &[0],
-                &[0, 2],
-                &[0, 2],
-            ],
+            &[&[0, 1], &[0, 2, 3], &[0, 2, 4], &[0], &[0, 2], &[0, 2]],
             5,
         );
         let dense_rank = PivotedQr::new(&a.to_dense()).unwrap().rank();
@@ -519,22 +513,13 @@ mod tests {
     #[test]
     fn least_squares_matches_dense_pivoted_qr() {
         let a = binary(
-            &[
-                &[0, 1],
-                &[1, 2],
-                &[0, 2, 3],
-                &[3],
-                &[0, 1, 2, 3],
-                &[2],
-            ],
+            &[&[0, 1], &[1, 2], &[0, 2, 3], &[3], &[0, 1, 2, 3], &[2]],
             4,
         );
         let b = vec![1.0, -2.0, 0.5, 3.0, 1.5, -0.25];
         let dense_qr = PivotedQr::new(&a.to_dense()).unwrap();
         let sparse = SparseQr::new(a).unwrap().solve_least_squares(&b).unwrap();
-        let dense = dense_qr
-            .solve_least_squares(&b)
-            .unwrap();
+        let dense = dense_qr.solve_least_squares(&b).unwrap();
         for (p, q) in sparse.iter().zip(dense.iter()) {
             assert!((p - q).abs() < 1e-12, "{sparse:?} vs {dense:?}");
         }
@@ -579,14 +564,7 @@ mod tests {
         // Figure-1 augmented matrix: 6 rows, rank 5 — exactly one row
         // is redundant under any visiting order.
         let a = binary(
-            &[
-                &[0, 1],
-                &[0, 2, 3],
-                &[0, 2, 4],
-                &[0],
-                &[0, 2],
-                &[0, 2],
-            ],
+            &[&[0, 1], &[0, 2, 3], &[0, 2, 4], &[0], &[0, 2], &[0, 2]],
             5,
         );
         let order: Vec<usize> = (0..a.rows()).collect();

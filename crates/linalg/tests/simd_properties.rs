@@ -129,7 +129,9 @@ fn cholesky_blocked_trailing_bitwise_across_engines() {
     let mut scalar = Cholesky::new(&spd).unwrap();
     scalar.factor_into_with(&spd, Engine::Scalar).unwrap();
     let mut vector = Cholesky::new(&spd).unwrap();
-    vector.factor_into_with(&spd, Engine::Avx2 { fma: false }).unwrap();
+    vector
+        .factor_into_with(&spd, Engine::Avx2 { fma: false })
+        .unwrap();
     assert_eq!(bits(scalar.l()), bits(vector.l()));
 }
 

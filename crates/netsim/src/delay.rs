@@ -54,7 +54,9 @@ impl DelayNetwork {
         let (lo, hi) = cfg.propagation_range;
         assert!(lo < hi, "propagation range must be non-empty");
         DelayNetwork {
-            propagation: (0..red.num_links()).map(|_| rng.gen_range(lo..hi)).collect(),
+            propagation: (0..red.num_links())
+                .map(|_| rng.gen_range(lo..hi))
+                .collect(),
         }
     }
 }
@@ -179,10 +181,16 @@ mod tests {
     fn congested_links_have_larger_queues() {
         let (red, net, _, mut rng) = setup(0.0, 2);
         let cfg = DelayConfig::default();
-        let all_good =
-            CongestionScenario::with_statuses(0.0, CongestionDynamics::Fixed, vec![false; red.num_links()]);
-        let all_bad =
-            CongestionScenario::with_statuses(1.0, CongestionDynamics::Fixed, vec![true; red.num_links()]);
+        let all_good = CongestionScenario::with_statuses(
+            0.0,
+            CongestionDynamics::Fixed,
+            vec![false; red.num_links()],
+        );
+        let all_bad = CongestionScenario::with_statuses(
+            1.0,
+            CongestionDynamics::Fixed,
+            vec![true; red.num_links()],
+        );
         let good = simulate_delay_snapshot(&red, &net, &all_good, &cfg, &mut rng);
         let bad = simulate_delay_snapshot(&red, &net, &all_bad, &cfg, &mut rng);
         let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
@@ -208,21 +216,14 @@ mod tests {
     #[test]
     fn propagation_delays_in_range() {
         let (_, net, _, _) = setup(0.1, 4);
-        assert!(net
-            .propagation
-            .iter()
-            .all(|&d| (1.0..10.0).contains(&d)));
+        assert!(net.propagation.iter().all(|&d| (1.0..10.0).contains(&d)));
     }
 
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn scenario_mismatch_panics() {
         let (red, net, _, mut rng) = setup(0.1, 5);
-        let tiny = CongestionScenario::with_statuses(
-            0.1,
-            CongestionDynamics::Fixed,
-            vec![false],
-        );
+        let tiny = CongestionScenario::with_statuses(0.1, CongestionDynamics::Fixed, vec![false]);
         simulate_delay_snapshot(&red, &net, &tiny, &DelayConfig::default(), &mut rng);
     }
 }

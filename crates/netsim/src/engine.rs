@@ -25,9 +25,7 @@
 //! of walking every path link by link in every round.
 
 use crate::flowlet::FlowletProcess;
-use crate::loss::{
-    AnyLossProcess, BernoulliProcess, GilbertProcess, LossProcess, LossProcessKind,
-};
+use crate::loss::{AnyLossProcess, BernoulliProcess, GilbertProcess, LossProcess, LossProcessKind};
 use crate::models::LossModel;
 use crate::scenario::CongestionScenario;
 use crate::snapshot::{LinkTruth, MeasurementSet, Snapshot};
@@ -416,12 +414,8 @@ mod tests {
     fn lossless_network_delivers_everything() {
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(1);
-        let scenario = CongestionScenario::draw(
-            red.num_links(),
-            0.0,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 0.0, CongestionDynamics::Fixed, &mut rng);
         // Good links can still lose up to 0.2%, so use Bernoulli with
         // LLRD1 and check we receive nearly everything.
         let cfg = ProbeConfig {
@@ -439,12 +433,8 @@ mod tests {
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(2);
         // Congest everything.
-        let scenario = CongestionScenario::draw(
-            red.num_links(),
-            1.0,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 1.0, CongestionDynamics::Fixed, &mut rng);
         let cfg = ProbeConfig::default();
         let snap = simulate_snapshot(&red, &scenario, &cfg, &mut rng);
         // Each path has ≥2 congested links at ≥5% loss each.
@@ -457,23 +447,14 @@ mod tests {
     fn truth_arrival_counting_respects_upstream_drops() {
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(3);
-        let scenario = CongestionScenario::draw(
-            red.num_links(),
-            1.0,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 1.0, CongestionDynamics::Fixed, &mut rng);
         let cfg = ProbeConfig::default();
         let snap = simulate_snapshot(&red, &scenario, &cfg, &mut rng);
         let total_sent = (snap.probes as u64) * red.num_paths() as u64;
         // First-hop arrivals equal all probes (the shared root link of
         // the Figure-1 tree carries all 3 paths).
-        let max_arrivals = snap
-            .link_truth
-            .iter()
-            .map(|t| t.arrivals)
-            .max()
-            .unwrap();
+        let max_arrivals = snap.link_truth.iter().map(|t| t.arrivals).max().unwrap();
         assert_eq!(max_arrivals, total_sent);
         // Downstream links see fewer arrivals than upstream drops allow.
         for t in &snap.link_truth {
@@ -485,12 +466,8 @@ mod tests {
     fn empirical_rates_track_assigned_rates() {
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(4);
-        let scenario = CongestionScenario::draw(
-            red.num_links(),
-            1.0,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 1.0, CongestionDynamics::Fixed, &mut rng);
         let cfg = ProbeConfig {
             probes_per_snapshot: 5000,
             ..ProbeConfig::default()
@@ -512,12 +489,8 @@ mod tests {
     fn run_advances_scenario_between_snapshots() {
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(5);
-        let mut scenario = CongestionScenario::draw(
-            red.num_links(),
-            0.5,
-            CongestionDynamics::Redraw,
-            &mut rng,
-        );
+        let mut scenario =
+            CongestionScenario::draw(red.num_links(), 0.5, CongestionDynamics::Redraw, &mut rng);
         let cfg = ProbeConfig {
             probes_per_snapshot: 10,
             ..ProbeConfig::default()
@@ -539,12 +512,8 @@ mod tests {
         let red = fig1_reduced();
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut scenario = CongestionScenario::draw(
-                red.num_links(),
-                0.3,
-                CongestionDynamics::Fixed,
-                &mut rng,
-            );
+            let mut scenario =
+                CongestionScenario::draw(red.num_links(), 0.3, CongestionDynamics::Fixed, &mut rng);
             simulate_run(&red, &mut scenario, &ProbeConfig::default(), 3, &mut rng)
                 .snapshots
                 .iter()
@@ -572,12 +541,8 @@ mod tests {
         let red = reduce(&g, &paths);
         let shared_col = red.link_to_virtual[&shared].index();
         let mut rng = StdRng::seed_from_u64(11);
-        let scenario = CongestionScenario::draw(
-            red.num_links(),
-            1.0,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 1.0, CongestionDynamics::Fixed, &mut rng);
         let snap = simulate_snapshot(&red, &scenario, &ProbeConfig::default(), &mut rng);
         let t = &snap.link_truth[shared_col];
         assert!(t.drops > 0, "congested link never dropped");
@@ -588,12 +553,8 @@ mod tests {
     fn per_arrival_mode_still_supported() {
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(12);
-        let scenario = CongestionScenario::draw(
-            red.num_links(),
-            1.0,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 1.0, CongestionDynamics::Fixed, &mut rng);
         let cfg = ProbeConfig {
             advance: ChainAdvance::PerArrival,
             ..ProbeConfig::default()
@@ -606,12 +567,8 @@ mod tests {
     fn batch_matches_serial_runs() {
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(21);
-        let scenario = CongestionScenario::draw(
-            red.num_links(),
-            0.4,
-            CongestionDynamics::Redraw,
-            &mut rng,
-        );
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 0.4, CongestionDynamics::Redraw, &mut rng);
         let cfg = ProbeConfig {
             probes_per_snapshot: 50,
             ..ProbeConfig::default()
@@ -636,12 +593,8 @@ mod tests {
         // the exact accounting identities of a packet-by-packet walk.
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(30);
-        let scenario = CongestionScenario::draw(
-            red.num_links(),
-            0.0,
-            CongestionDynamics::Fixed,
-            &mut rng,
-        );
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 0.0, CongestionDynamics::Fixed, &mut rng);
         let cfg = ProbeConfig {
             probes_per_snapshot: 2001,
             ..ProbeConfig::default()
@@ -686,8 +639,7 @@ mod tests {
         let mut batch_scenario = scenario.clone();
         let batch = simulate_run(&red, &mut batch_scenario, &cfg, 6, &mut batch_rng);
         // …vs streaming the same state through the iterator.
-        let streamed: MeasurementSet =
-            simulate_stream(&red, scenario, &cfg, rng).take(6).collect();
+        let streamed: MeasurementSet = simulate_stream(&red, scenario, &cfg, rng).take(6).collect();
         assert_eq!(streamed.len(), batch.len());
         for (s, b) in streamed.snapshots.iter().zip(batch.snapshots.iter()) {
             assert_eq!(s.path_received, b.path_received);
@@ -704,12 +656,8 @@ mod tests {
     fn stream_tracks_scenario_and_count() {
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(78);
-        let scenario = CongestionScenario::draw(
-            red.num_links(),
-            0.5,
-            CongestionDynamics::Redraw,
-            &mut rng,
-        );
+        let scenario =
+            CongestionScenario::draw(red.num_links(), 0.5, CongestionDynamics::Redraw, &mut rng);
         let cfg = ProbeConfig {
             probes_per_snapshot: 5,
             ..ProbeConfig::default()
@@ -727,8 +675,7 @@ mod tests {
     fn stream_checks_scenario_size() {
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(79);
-        let scenario =
-            CongestionScenario::draw(2, 0.0, CongestionDynamics::Fixed, &mut rng);
+        let scenario = CongestionScenario::draw(2, 0.0, CongestionDynamics::Fixed, &mut rng);
         let _ = simulate_stream(&red, scenario, &ProbeConfig::default(), rng);
     }
 
@@ -765,8 +712,7 @@ mod tests {
     fn scenario_size_mismatch_panics() {
         let red = fig1_reduced();
         let mut rng = StdRng::seed_from_u64(6);
-        let scenario =
-            CongestionScenario::draw(1, 0.0, CongestionDynamics::Fixed, &mut rng);
+        let scenario = CongestionScenario::draw(1, 0.0, CongestionDynamics::Fixed, &mut rng);
         simulate_snapshot(&red, &scenario, &ProbeConfig::default(), &mut rng);
     }
 }

@@ -75,9 +75,7 @@ impl FlowletProcess {
         assert!(params.shape.is_finite(), "shape must be finite");
         let p = loss_rate.clamp(0.0, 1.0);
         let b = params.max_burst as usize;
-        let weights: Vec<f64> = (1..=b)
-            .map(|l| (l as f64).powf(-params.shape))
-            .collect();
+        let weights: Vec<f64> = (1..=b).map(|l| (l as f64).powf(-params.shape)).collect();
         let total: f64 = weights.iter().sum();
         let mut cdf = Vec::with_capacity(b);
         let mut acc = 0.0;
@@ -223,7 +221,10 @@ mod tests {
             seen[(l - 1) as usize] = true;
         }
         // With shape 1.2 every length has probability > 1e-2: all hit.
-        assert!(seen.iter().all(|&s| s), "some lengths never drawn: {seen:?}");
+        assert!(
+            seen.iter().all(|&s| s),
+            "some lengths never drawn: {seen:?}"
+        );
     }
 
     #[test]

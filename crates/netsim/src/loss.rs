@@ -352,6 +352,9 @@ mod tests {
     #[test]
     fn rates_clamped() {
         assert_eq!(GilbertProcess::from_loss_rate(-0.5).target_loss_rate(), 0.0);
-        assert_eq!(BernoulliProcess::from_loss_rate(7.0).target_loss_rate(), 1.0);
+        assert_eq!(
+            BernoulliProcess::from_loss_rate(7.0).target_loss_rate(),
+            1.0
+        );
     }
 }

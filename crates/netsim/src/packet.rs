@@ -60,7 +60,7 @@ impl ProbePacket {
         b.put_u16(PROBE_PORT); // destination port
         b.put_u16((UDP_HEADER_LEN + PAYLOAD_LEN) as u16);
         b.put_u16(0); // UDP checksum (optional for IPv4)
-        // --- payload (12 bytes) ---
+                      // --- payload (12 bytes) ---
         b.put_u32(self.seq);
         b.put_u32(self.snapshot);
         b.put_u32(self.path);

@@ -116,7 +116,11 @@ impl CongestionScenario {
                 };
                 for c in self.congested.iter_mut() {
                     let u = rng.gen::<f64>();
-                    *c = if *c { u < stay_congested } else { u < become_congested };
+                    *c = if *c {
+                        u < stay_congested
+                    } else {
+                        u < become_congested
+                    };
                 }
             }
         }

@@ -92,7 +92,10 @@ pub fn observe<R: Rng>(
     cfg: &TracerouteConfig,
     rng: &mut R,
 ) -> ObservedTopology {
-    assert!(cfg.interfaces >= 2, "multi-interface routers need >= 2 interfaces");
+    assert!(
+        cfg.interfaces >= 2,
+        "multi-interface routers need >= 2 interfaces"
+    );
     // Per-router behaviour, drawn once.
     #[derive(Clone, Copy)]
     enum Behaviour {
@@ -148,8 +151,8 @@ pub fn observe<R: Rng>(
                 }
                 Behaviour::MultiInterface => {
                     // Deterministic per (beacon, router).
-                    let iface =
-                        ((p.src.0 as u64 * 2_654_435_761 + true_node.0 as u64) % cfg.interfaces as u64) as u8;
+                    let iface = ((p.src.0 as u64 * 2_654_435_761 + true_node.0 as u64)
+                        % cfg.interfaces as u64) as u8;
                     ObservedKey::Interface(true_node, iface)
                 }
             };

@@ -107,11 +107,7 @@ pub fn batch_to_wire(batch: &JsonBatch, opts: WireEncodeOptions) -> Bytes {
         .frames
         .iter()
         .map(|f| {
-            BatchEncoder::frame_wire_size(
-                opts,
-                f.rows.len(),
-                f.rows.first().map_or(0, Vec::len),
-            )
+            BatchEncoder::frame_wire_size(opts, f.rows.len(), f.rows.first().map_or(0, Vec::len))
         })
         .sum();
     let mut enc = BatchEncoder::with_capacity(opts, 16 + payload);

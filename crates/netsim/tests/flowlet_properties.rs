@@ -110,7 +110,13 @@ proptest! {
 #[test]
 fn heavier_tail_means_longer_bursts() {
     let mk = |shape: f64| {
-        let mut p = FlowletProcess::with_params(0.1, FlowletParams { shape, max_burst: 64 });
+        let mut p = FlowletProcess::with_params(
+            0.1,
+            FlowletParams {
+                shape,
+                max_burst: 64,
+            },
+        );
         let (_, runs) = run_process(&mut p, 500_000, 77);
         runs.iter().sum::<u64>() as f64 / runs.len() as f64
     };
@@ -172,8 +178,7 @@ fn flowlet_burstier_than_bernoulli_at_equal_rate() {
     let rate = 0.1;
     let mut fp = FlowletProcess::from_loss_rate(rate);
     let (_, flowlet_runs) = run_process(&mut fp, 400_000, 11);
-    let flowlet_mean =
-        flowlet_runs.iter().sum::<u64>() as f64 / flowlet_runs.len() as f64;
+    let flowlet_mean = flowlet_runs.iter().sum::<u64>() as f64 / flowlet_runs.len() as f64;
     // Bernoulli mean run at rate r is 1/(1-r) ≈ 1.11.
     assert!(
         flowlet_mean > 2.0,

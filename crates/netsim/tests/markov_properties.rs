@@ -21,13 +21,7 @@ use rand::SeedableRng;
 /// Simulates `steps` transitions of `n_links` independent per-link
 /// chains and returns (per-step congested fractions, completed
 /// congested-episode lengths).
-fn run_chain(
-    n_links: usize,
-    p: f64,
-    stay: f64,
-    steps: usize,
-    seed: u64,
-) -> (Vec<f64>, Vec<u64>) {
+fn run_chain(n_links: usize, p: f64, stay: f64, steps: usize, seed: u64) -> (Vec<f64>, Vec<u64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut scenario = CongestionScenario::draw(
         n_links,

@@ -170,11 +170,8 @@ pub fn reduce(g: &Graph, paths: &PathSet) -> ReducedTopology {
     let mut group_of: Vec<usize> = (0..covered.len()).map(|i| uf.find(i)).collect();
     let mut traversers: HashMap<usize, Vec<u32>> = HashMap::new();
     for (pid, p) in paths.iter() {
-        let mut seen_groups: Vec<usize> = p
-            .links
-            .iter()
-            .map(|l| group_of[covered_pos[l]])
-            .collect();
+        let mut seen_groups: Vec<usize> =
+            p.links.iter().map(|l| group_of[covered_pos[l]]).collect();
         seen_groups.sort_unstable();
         seen_groups.dedup();
         for gid in seen_groups {

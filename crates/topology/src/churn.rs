@@ -389,7 +389,10 @@ mod tests {
         assert_eq!(fx.added, vec![PathId(3)]);
         assert_eq!(fx.changed, vec![PathId(3)]);
         assert!(fx.removed.is_empty());
-        assert_eq!(fx.id_map, vec![Some(PathId(0)), Some(PathId(1)), Some(PathId(2))]);
+        assert_eq!(
+            fx.id_map,
+            vec![Some(PathId(0)), Some(PathId(1)), Some(PathId(2))]
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub fn figure2() -> GeneratedTopology {
     g.add_link(b, d1); // e4
     g.add_link(b, d2); // e5
     g.add_link(b, d3); // e6
-    // Direct shortcut from B2 to b, making B2's tree differ from B1's.
+                       // Direct shortcut from B2 to b, making B2's tree differ from B1's.
     g.add_link(b2, b); // e7
     GeneratedTopology {
         graph: g,

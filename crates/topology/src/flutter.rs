@@ -87,13 +87,14 @@ pub fn find_fluttering_pairs(paths: &PathSet) -> Vec<FlutterPair> {
             }
         }
     }
-    let mut result: Vec<FlutterPair> = candidates
-        .into_iter()
-        .filter_map(|(a, b)| {
-            pair_flutters(&paths.path(a).links, &paths.path(b).links)
-                .map(|witness| FlutterPair { a, b, witness })
-        })
-        .collect();
+    let mut result: Vec<FlutterPair> =
+        candidates
+            .into_iter()
+            .filter_map(|(a, b)| {
+                pair_flutters(&paths.path(a).links, &paths.path(b).links)
+                    .map(|witness| FlutterPair { a, b, witness })
+            })
+            .collect();
     result.sort_by_key(|fp| (fp.a, fp.b));
     result
 }
@@ -122,7 +123,11 @@ fn prefix_sharing_sources(paths: &PathSet) -> HashSet<NodeId> {
             prev = Some(l);
         }
     }
-    sharing.into_iter().filter(|&(_, ok)| ok).map(|(src, _)| src).collect()
+    sharing
+        .into_iter()
+        .filter(|&(_, ok)| ok)
+        .map(|(src, _)| src)
+        .collect()
 }
 
 /// Removes a minimal-ish set of paths so that no fluttering pair remains:
@@ -161,8 +166,8 @@ pub fn remove_fluttering_paths(paths: &mut PathSet) -> Vec<PathId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::Path;
     use crate::graph::NodeId;
+    use crate::path::Path;
 
     fn mk(links: &[u32]) -> Vec<LinkId> {
         links.iter().map(|&l| LinkId(l)).collect()
@@ -305,8 +310,7 @@ mod tests {
                     let parent: Vec<usize> = (0..nodes)
                         .map(|v| if v == 0 { 0 } else { rng.gen_range(0..v) })
                         .collect();
-                    let edge: Vec<u32> =
-                        (0..nodes).map(|_| rng.gen_range(0..universe)).collect();
+                    let edge: Vec<u32> = (0..nodes).map(|_| rng.gen_range(0..universe)).collect();
                     for dst in 1..nodes {
                         let mut links = Vec::new();
                         let mut v = dst;
@@ -331,8 +335,14 @@ mod tests {
             fluttering += expected.len();
             assert_eq!(find_fluttering_pairs(&ps), expected);
         }
-        assert!(fluttering > 1000, "only {fluttering} fluttering pairs drawn");
-        assert!(screened_sources > 1000, "only {screened_sources} sources screened");
+        assert!(
+            fluttering > 1000,
+            "only {fluttering} fluttering pairs drawn"
+        );
+        assert!(
+            screened_sources > 1000,
+            "only {screened_sources} sources screened"
+        );
     }
 
     #[test]

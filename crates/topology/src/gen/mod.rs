@@ -37,11 +37,7 @@ pub struct GeneratedTopology {
 /// Builds a graph from an undirected edge list: every edge becomes a
 /// duplex pair of directed links. `hosts` lists the node indices to mark
 /// as end-hosts; all others are routers.
-pub(crate) fn graph_from_undirected(
-    n: usize,
-    edges: &[(usize, usize)],
-    hosts: &[usize],
-) -> Graph {
+pub(crate) fn graph_from_undirected(n: usize, edges: &[(usize, usize)], hosts: &[usize]) -> Graph {
     let mut g = Graph::new();
     let host_set: std::collections::HashSet<usize> = hosts.iter().copied().collect();
     for i in 0..n {

@@ -93,9 +93,7 @@ pub fn generate<R: Rng>(params: PlanetLabParams, rng: &mut R) -> GeneratedTopolo
     }
     let g = graph_from_undirected(n, &edges, &hosts);
     let host_ids: Vec<NodeId> = hosts.iter().map(|&h| NodeId(h as u32)).collect();
-    debug_assert!(host_ids
-        .iter()
-        .all(|&h| g.node(h).kind == NodeKind::Host));
+    debug_assert!(host_ids.iter().all(|&h| g.node(h).kind == NodeKind::Host));
     GeneratedTopology {
         graph: g,
         beacons: host_ids.clone(),

@@ -42,7 +42,9 @@ pub fn generate<R: Rng>(params: WaxmanParams, rng: &mut R) -> GeneratedTopology 
     assert!(params.hosts >= 2, "need at least two hosts");
     assert!(params.hosts <= params.nodes, "more hosts than nodes");
     let n = params.nodes;
-    let pos: Vec<(f64, f64)> = (0..n).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
+    let pos: Vec<(f64, f64)> = (0..n)
+        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
+        .collect();
     let l_max = std::f64::consts::SQRT_2;
     let mut edges = Vec::new();
     for u in 0..n {
@@ -105,12 +107,7 @@ mod tests {
             },
             &mut rng,
         );
-        let max_host_deg = t
-            .beacons
-            .iter()
-            .map(|&h| t.graph.degree(h))
-            .max()
-            .unwrap();
+        let max_host_deg = t.beacons.iter().map(|&h| t.graph.degree(h)).max().unwrap();
         let max_any_deg = t
             .graph
             .nodes()

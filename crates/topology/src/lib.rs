@@ -34,8 +34,8 @@ pub mod routing;
 
 pub use alias::{reduce, ReducedTopology, VirtualLink, VirtualLinkId};
 pub use churn::{ChurnError, DeltaEffect, TopologyDelta, TopologyEdit};
-pub use matrix::{RoutingMatrix, RoutingMatrixBuilder};
 pub use gen::GeneratedTopology;
 pub use graph::{Graph, Link, LinkId, Node, NodeId, NodeKind};
+pub use matrix::{RoutingMatrix, RoutingMatrixBuilder};
 pub use path::{Path, PathId, PathSet};
 pub use routing::{compute_paths, SpTree};

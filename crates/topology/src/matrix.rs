@@ -235,10 +235,7 @@ mod tests {
     fn matvec_matches_sparse_view() {
         let m = sample();
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(
-            m.matvec(&x).unwrap(),
-            m.to_sparse().matvec(&x).unwrap()
-        );
+        assert_eq!(m.matvec(&x).unwrap(), m.to_sparse().matvec(&x).unwrap());
         assert!(m.matvec(&[1.0]).is_err());
     }
 

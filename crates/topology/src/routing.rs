@@ -154,10 +154,7 @@ mod tests {
         // share the entire prefix up to that link.
         let (g, beacons, dests) = two_beacon_graph();
         let tree = SpTree::compute(&g, beacons[0]);
-        let paths: Vec<Path> = dests
-            .iter()
-            .filter_map(|&d| tree.path_to(&g, d))
-            .collect();
+        let paths: Vec<Path> = dests.iter().filter_map(|&d| tree.path_to(&g, d)).collect();
         for a in &paths {
             for b in &paths {
                 for (i, la) in a.links.iter().enumerate() {

@@ -3,8 +3,8 @@
 
 use crate::crc::crc32;
 use crate::{
-    BATCH_HEADER_LEN, BATCH_MAGIC, CRC_TRAILER_LEN, FRAME_FLAG_CRC, FRAME_HEADER_LEN,
-    FRAME_MAGIC, MAX_PATHS_PER_ROW, MAX_ROWS_PER_FRAME, WIRE_VERSION,
+    BATCH_HEADER_LEN, BATCH_MAGIC, CRC_TRAILER_LEN, FRAME_FLAG_CRC, FRAME_HEADER_LEN, FRAME_MAGIC,
+    MAX_PATHS_PER_ROW, MAX_ROWS_PER_FRAME, WIRE_VERSION,
 };
 use bytes::{BufMut, Bytes, BytesMut};
 

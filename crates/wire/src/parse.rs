@@ -3,8 +3,8 @@
 
 use crate::crc::crc32;
 use crate::{
-    WireError, BATCH_HEADER_LEN, BATCH_MAGIC, CRC_TRAILER_LEN, FRAME_FLAG_CRC,
-    FRAME_HEADER_LEN, FRAME_MAGIC, MAX_PATHS_PER_ROW, MAX_ROWS_PER_FRAME, WIRE_VERSION,
+    WireError, BATCH_HEADER_LEN, BATCH_MAGIC, CRC_TRAILER_LEN, FRAME_FLAG_CRC, FRAME_HEADER_LEN,
+    FRAME_MAGIC, MAX_PATHS_PER_ROW, MAX_ROWS_PER_FRAME, WIRE_VERSION,
 };
 use bytes::Bytes;
 use losstomo_linalg::simd::cast_bytes_to_f64;
@@ -354,9 +354,9 @@ impl<'a> SnapshotView<'a> {
     pub fn get(&self, i: usize) -> f64 {
         match self.repr {
             RowRepr::Aligned(s) => s[i],
-            RowRepr::Raw(b) => f64::from_le_bytes(
-                b[i * 8..(i + 1) * 8].try_into().expect("bounds checked"),
-            ),
+            RowRepr::Raw(b) => {
+                f64::from_le_bytes(b[i * 8..(i + 1) * 8].try_into().expect("bounds checked"))
+            }
         }
     }
 
@@ -385,11 +385,9 @@ impl<'a> SnapshotView<'a> {
     pub fn first_non_finite(&self) -> Option<usize> {
         match self.repr {
             RowRepr::Aligned(s) => s.iter().position(|v| !v.is_finite()),
-            RowRepr::Raw(b) => b
-                .chunks_exact(8)
-                .position(|c| {
-                    !f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")).is_finite()
-                }),
+            RowRepr::Raw(b) => b.chunks_exact(8).position(|c| {
+                !f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")).is_finite()
+            }),
         }
     }
 }

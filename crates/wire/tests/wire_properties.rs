@@ -188,12 +188,18 @@ fn wrong_magic_rejected() {
     batch[0] = b'X';
     assert!(matches!(
         WireBatch::parse(bytes::Bytes::from(batch)),
-        Err(WireError::BadMagic { context: "batch", .. })
+        Err(WireError::BadMagic {
+            context: "batch",
+            ..
+        })
     ));
     let mut frame = buf.to_vec();
     frame[BATCH_HEADER_LEN] = b'X';
     assert!(matches!(
         WireBatch::parse(bytes::Bytes::from(frame)),
-        Err(WireError::BadMagic { context: "frame", .. })
+        Err(WireError::BadMagic {
+            context: "frame",
+            ..
+        })
     ));
 }

@@ -98,5 +98,8 @@ fn main() {
         }
         history.push(snap);
     }
-    println!("\ndone — {} links still alerted", alerted.iter().filter(|&&a| a).count());
+    println!(
+        "\ndone — {} links still alerted",
+        alerted.iter().filter(|&&a| a).count()
+    );
 }

@@ -40,8 +40,7 @@ fn main() {
                 },
                 &mut rng,
             );
-            let setup =
-                losstomo::experiment_setup(&topo.graph, &topo.beacons, &topo.destinations);
+            let setup = losstomo::experiment_setup(&topo.graph, &topo.beacons, &topo.destinations);
             setup.red
         })
         .collect();

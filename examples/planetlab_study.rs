@@ -93,8 +93,8 @@ fn main() {
         snapshots: ms.snapshots[..m].to_vec(),
     };
     let centered = CenteredMeasurements::new(&train);
-    let v = estimate_variances(&obs_red, &aug, &centered, &VarianceConfig::default())
-        .expect("phase 1");
+    let v =
+        estimate_variances(&obs_red, &aug, &centered, &VarianceConfig::default()).expect("phase 1");
     let est = infer_link_rates(
         &obs_red,
         &v.v,
@@ -108,7 +108,10 @@ fn main() {
         congested.len()
     );
     for k in congested.iter().take(10) {
-        println!("  observed link {k}: inferred loss {:.4}", 1.0 - est.transmission[*k]);
+        println!(
+            "  observed link {k}: inferred loss {:.4}",
+            1.0 - est.transmission[*k]
+        );
     }
     if congested.len() > 10 {
         println!("  ... and {} more", congested.len() - 10);

@@ -44,7 +44,13 @@ fn main() {
     let m = count_from_args("--snapshots", 50);
     let mut scenario =
         CongestionScenario::draw(red.num_links(), 0.1, CongestionDynamics::Fixed, &mut rng);
-    let ms = simulate_run(&red, &mut scenario, &ProbeConfig::default(), m + 1, &mut rng);
+    let ms = simulate_run(
+        &red,
+        &mut scenario,
+        &ProbeConfig::default(),
+        m + 1,
+        &mut rng,
+    );
 
     // 4. Phase 1 — learn the link variances from the first m snapshots.
     let aug = AugmentedSystem::build(&red);

@@ -171,29 +171,28 @@ pub fn experiment_setup(
 pub mod prelude {
     pub use losstomo_core::{
         build_estimator, check_identifiability, cross_validate, estimate_delay_variances,
-        estimate_variances, infer_link_delays, infer_link_rates, location_accuracy,
-        run_experiment, run_many, scfs_diagnose, AugmentedSystem, CenteredMeasurements,
-        CrossValidationConfig, ChurnReport, DelayEstimate, EliminationStrategy,
-        EstimatorDiagnostics, EstimatorKind, EstimatorOutput, ExperimentConfig, FactorRefresh,
-        LiaConfig, LinkRateEstimate, LossEstimator, OnlineConfig, OnlineEstimator, OnlineUpdate,
-        ScfsConfig, Staleness, StreamingCovariance, VarianceConfig, WindowMode,
+        estimate_variances, infer_link_delays, infer_link_rates, location_accuracy, run_experiment,
+        run_many, scfs_diagnose, AugmentedSystem, CenteredMeasurements, ChurnReport,
+        CrossValidationConfig, DelayEstimate, EliminationStrategy, EstimatorDiagnostics,
+        EstimatorKind, EstimatorOutput, ExperimentConfig, FactorRefresh, LiaConfig,
+        LinkRateEstimate, LossEstimator, OnlineConfig, OnlineEstimator, OnlineUpdate, ScfsConfig,
+        Staleness, StreamingCovariance, VarianceConfig, WindowMode,
     };
     pub use losstomo_fleet::{
         Fleet, FleetConfig, FleetError, FleetEvent, FleetEventKind, TenantId, TenantStats,
     };
     pub use losstomo_netsim::{
-        fan_in, simulate_run, simulate_snapshot, simulate_stream, ChainAdvance,
-        CongestionDynamics, CongestionScenario, FlowletParams, FlowletProcess, LossModel,
-        LossProcessKind, MeasurementSet, ProbeConfig, Snapshot, SnapshotFanIn, SnapshotStream,
-        TracerouteConfig,
+        fan_in, simulate_run, simulate_snapshot, simulate_stream, ChainAdvance, CongestionDynamics,
+        CongestionScenario, FlowletParams, FlowletProcess, LossModel, LossProcessKind,
+        MeasurementSet, ProbeConfig, Snapshot, SnapshotFanIn, SnapshotStream, TracerouteConfig,
     };
     pub use losstomo_topology::{
-        compute_paths, reduce, ChurnError, Graph, LinkId, NodeId, NodeKind, Path, PathId,
-        PathSet, ReducedTopology, TopologyDelta, TopologyEdit,
+        compute_paths, reduce, ChurnError, Graph, LinkId, NodeId, NodeKind, Path, PathId, PathSet,
+        ReducedTopology, TopologyDelta, TopologyEdit,
     };
     pub use losstomo_wire::{
-        BatchEncoder, FrameView, JsonBatch, JsonFrame, SnapshotView, WireBatch,
-        WireEncodeOptions, WireError,
+        BatchEncoder, FrameView, JsonBatch, JsonFrame, SnapshotView, WireBatch, WireEncodeOptions,
+        WireError,
     };
 }
 

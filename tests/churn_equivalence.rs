@@ -50,8 +50,10 @@ fn random_delta(rng: &mut StdRng, np: usize, nc: usize) -> TopologyDelta {
             2 => {
                 let p = rng.gen_range(0..cur_np);
                 let k = rng.gen_range(1..=3usize.min(nc));
-                delta = delta
-                    .reroute_path(PathId(p as u32), (0..k).map(|_| rng.gen_range(0..nc)).collect());
+                delta = delta.reroute_path(
+                    PathId(p as u32),
+                    (0..k).map(|_| rng.gen_range(0..nc)).collect(),
+                );
             }
             _ => {
                 delta = delta.remap_link(rng.gen_range(0..nc), rng.gen_range(0..nc));
@@ -187,9 +189,10 @@ fn churning_one_tenant_never_perturbs_another() {
                 .add_path(vec![0, 1]);
             red_a2.apply_delta(&delta).unwrap();
             let events = churned.update_topology(a, &delta).unwrap();
-            assert!(events
-                .iter()
-                .all(|e| e.tenant == a), "admin events stay on the churned tenant");
+            assert!(
+                events.iter().all(|e| e.tenant == a),
+                "admin events stay on the churned tenant"
+            );
         }
         // Tenant a's feed follows its current topology.
         if i < 12 {
@@ -215,7 +218,10 @@ fn churning_one_tenant_never_perturbs_another() {
             control_b_events.push(format!("{}:{:?}", e.seq, e.kind));
         }
     }
-    assert_eq!(churned_b_events, control_b_events, "neighbour events diverged");
+    assert_eq!(
+        churned_b_events, control_b_events,
+        "neighbour events diverged"
+    );
     assert_eq!(
         churned.estimator(b).variances().unwrap().v,
         control.estimator(cb).variances().unwrap().v

@@ -45,15 +45,11 @@ fn delay_pipeline_on_mesh() {
     // Detectable = congested now and congested in ≥ m/4 window snapshots.
     let detectable: Vec<usize> = (0..red.num_links())
         .filter(|&k| {
-            snaps[m].congested[k]
-                && snaps[..m].iter().filter(|s| s.congested[k]).count() >= m / 4
+            snaps[m].congested[k] && snaps[..m].iter().filter(|s| s.congested[k]).count() >= m / 4
         })
         .collect();
     let detected = est.congested_links(2.0);
-    let missed = detectable
-        .iter()
-        .filter(|k| !detected.contains(k))
-        .count();
+    let missed = detectable.iter().filter(|k| !detected.contains(k)).count();
     assert!(
         missed * 3 <= detectable.len().max(1),
         "missed {missed} of {} detectable high-delay links",

@@ -85,12 +85,9 @@ fn standalone_reference(
                 changes.push((i as u64 + 1, update.appeared, update.cleared));
             }
             if i + 1 == feed.len() {
-                reference.transmission.push(
-                    update
-                        .estimate
-                        .expect("warm after full feed")
-                        .transmission,
-                );
+                reference
+                    .transmission
+                    .push(update.estimate.expect("warm after full feed").transmission);
             }
         }
         reference
@@ -178,8 +175,8 @@ fn assert_fleet_matches_reference(
                 | FleetEventKind::TenantQuarantined { message } => {
                     panic!("tenant {t}: unexpected estimator error: {message}")
                 }
-                other @ (FleetEventKind::TopologyChurned { .. }
-                | FleetEventKind::TenantRevived) => {
+                other
+                @ (FleetEventKind::TopologyChurned { .. } | FleetEventKind::TenantRevived) => {
                     panic!("tenant {t}: unexpected admin event: {other:?}")
                 }
             })

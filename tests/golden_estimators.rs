@@ -53,7 +53,13 @@ fn run_golden_backends() -> BTreeMap<String, f64> {
     let mut rng = StdRng::seed_from_u64(9);
     let mut scenario =
         CongestionScenario::draw(red.num_links(), 0.1, CongestionDynamics::Fixed, &mut rng);
-    let ms = simulate_run(&red, &mut scenario, &ProbeConfig::default(), m + 1, &mut rng);
+    let ms = simulate_run(
+        &red,
+        &mut scenario,
+        &ProbeConfig::default(),
+        m + 1,
+        &mut rng,
+    );
     let train = MeasurementSet {
         snapshots: ms.snapshots[..m].to_vec(),
     };
@@ -139,12 +145,21 @@ fn golden_backends_cross_invariants() {
     assert!(s["zhu-mle.rows_used"] >= s["lia.rows_used"]);
     for kind in EstimatorKind::all() {
         let name = kind.name();
-        assert!(s[&format!("{name}.congested_count")] > 0.0, "{name} found nothing");
+        assert!(
+            s[&format!("{name}.congested_count")] > 0.0,
+            "{name} found nothing"
+        );
         let mean = s[&format!("{name}.transmission_mean")];
         if name == "first-moment" {
-            assert!((0.0..=1.05).contains(&mean), "first-moment mean {mean} far outside [0, 1]");
+            assert!(
+                (0.0..=1.05).contains(&mean),
+                "first-moment mean {mean} far outside [0, 1]"
+            );
         } else {
-            assert!((0.0..=1.0).contains(&mean), "{name} transmission mean {mean} outside [0, 1]");
+            assert!(
+                (0.0..=1.0).contains(&mean),
+                "{name} transmission mean {mean} outside [0, 1]"
+            );
         }
     }
 }

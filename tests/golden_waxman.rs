@@ -75,8 +75,13 @@ fn prepared() -> &'static Prepared {
             snapshots: ms.snapshots[..m].to_vec(),
         };
         let centered = CenteredMeasurements::new(&train);
-        let est = estimate_variances(&setup.red, &setup.aug, &centered, &VarianceConfig::default())
-            .expect("phase 1 on the golden mesh");
+        let est = estimate_variances(
+            &setup.red,
+            &setup.aug,
+            &centered,
+            &VarianceConfig::default(),
+        )
+        .expect("phase 1 on the golden mesh");
         Prepared {
             red: setup.red,
             variances: est.v,
@@ -113,8 +118,7 @@ fn golden_waxman_congested_set_matches_fixture() {
     }
 
     let fixture: GoldenWaxman = serde_json::from_str(
-        &std::fs::read_to_string(FIXTURE_PATH)
-            .expect("fixture missing — run with GOLDEN_REGEN=1"),
+        &std::fs::read_to_string(FIXTURE_PATH).expect("fixture missing — run with GOLDEN_REGEN=1"),
     )
     .expect("fixture must parse");
     assert_eq!(actual, fixture, "golden Waxman Phase-2 output drifted");

@@ -6,7 +6,13 @@ use losstomo::topology::gen::planetlab::{self, PlanetLabParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn planetlab(seed: u64) -> (losstomo::topology::GeneratedTopology, PathSet, ReducedTopology) {
+fn planetlab(
+    seed: u64,
+) -> (
+    losstomo::topology::GeneratedTopology,
+    PathSet,
+    ReducedTopology,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let topo = planetlab::generate(
         PlanetLabParams {
@@ -56,8 +62,7 @@ fn lia_survives_traceroute_errors() {
         &mut rng,
     );
     // …but inference with the observed routing matrix still validates.
-    let res = cross_validate(&obs_red, &ms, &CrossValidationConfig::default(), &mut rng)
-        .unwrap();
+    let res = cross_validate(&obs_red, &ms, &CrossValidationConfig::default(), &mut rng).unwrap();
     assert!(
         res.percent_consistent() >= 70.0,
         "only {:.1}% consistent under traceroute errors",
@@ -93,10 +98,15 @@ fn clean_topology_validates_better_than_fully_anonymous() {
     );
     let mut rng_a = StdRng::seed_from_u64(62);
     let mut rng_b = StdRng::seed_from_u64(62);
-    let clean = cross_validate(&true_red, &ms, &CrossValidationConfig::default(), &mut rng_a)
-        .unwrap();
-    let dirty = cross_validate(&obs_red, &ms, &CrossValidationConfig::default(), &mut rng_b)
-        .unwrap();
+    let clean = cross_validate(
+        &true_red,
+        &ms,
+        &CrossValidationConfig::default(),
+        &mut rng_a,
+    )
+    .unwrap();
+    let dirty =
+        cross_validate(&obs_red, &ms, &CrossValidationConfig::default(), &mut rng_b).unwrap();
     assert!(
         clean.percent_consistent() + 15.0 >= dirty.percent_consistent(),
         "clean {:.1}% vs anonymised {:.1}%",
@@ -170,10 +180,7 @@ fn quickstart_tree() -> ReducedTopology {
 fn batch_and_online(
     red: &ReducedTopology,
     rows: &[Vec<f64>],
-) -> (
-    [losstomo::core::VarianceEstimate; 2],
-    [LinkRateEstimate; 2],
-) {
+) -> ([losstomo::core::VarianceEstimate; 2], [LinkRateEstimate; 2]) {
     let aug = AugmentedSystem::build(red);
     let centered = CenteredMeasurements::from_rows(rows.to_vec());
     let batch_v = estimate_variances(red, &aug, &centered, &VarianceConfig::default()).unwrap();

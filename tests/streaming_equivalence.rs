@@ -79,7 +79,10 @@ fn online_estimator_reproduces_golden_batch_bitwise() {
         online.ingest(snap).expect("online ingest");
     }
     let online_v = online.variances().expect("warm after 30 snapshots");
-    assert_eq!(online_v.v, batch_v.v, "Phase-1 variances must be bit-identical");
+    assert_eq!(
+        online_v.v, batch_v.v,
+        "Phase-1 variances must be bit-identical"
+    );
     assert_eq!(online_v.dropped_rows, batch_v.dropped_rows);
     assert_eq!(online_v.used_rows, batch_v.used_rows);
 
@@ -101,7 +104,10 @@ fn online_estimator_reproduces_golden_batch_bitwise() {
         .collect();
     let location = location_accuracy(&truth_flags, &est_flags);
     let actual = BTreeMap::from([
-        ("congested_count", truth_flags.iter().filter(|&&c| c).count() as f64),
+        (
+            "congested_count",
+            truth_flags.iter().filter(|&&c| c).count() as f64,
+        ),
         ("detection_rate", location.detection_rate),
         ("dropped_rows", online_v.dropped_rows as f64),
         ("false_positive_rate", location.false_positive_rate),
