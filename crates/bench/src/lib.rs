@@ -65,8 +65,9 @@ impl Scale {
 /// per-binary ad-hoc headers they used to emit.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchMeta {
-    /// Version of the *envelope*; per-binary payloads carry their own
-    /// fields next to `meta`.
+    /// Version of the report: the envelope's default from
+    /// [`bench_meta`], raised by a binary whose payload (its own fields
+    /// next to `meta`) changed shape.
     pub schema_version: u64,
     /// The binary that produced the report.
     pub generated_by: String,

@@ -26,7 +26,7 @@ use losstomo_topology::{DeltaEffect, PathId, ReducedTopology, RoutingMatrix};
 /// Rows are stored as a shared [`RoutingMatrix`] — the same flat binary
 /// CSR the routing matrix itself uses, so Phase-1 assembly walks one
 /// sequential stream instead of a pointer chase through per-row
-/// allocations, and downstream consumers ([`crate::variance::GramCache`],
+/// allocations, and downstream consumers (the Phase-1 Gram assembly,
 /// the covariance sweep) read the rows without re-materialising them.
 #[derive(Debug, Clone)]
 pub struct AugmentedSystem {

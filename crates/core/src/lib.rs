@@ -84,11 +84,11 @@ pub use lia::{
 pub use metrics::{location_accuracy, LocationAccuracy, RateErrors, Summary};
 pub use scfs::{scfs_diagnose, ScfsConfig};
 pub use streaming::{
-    ChurnReport, FactorRefresh, OnlineConfig, OnlineEstimator, OnlineUpdate, RefreshTiming,
-    Staleness, StreamingCovariance, WindowMode,
+    ChurnReport, OnlineConfig, OnlineEstimator, OnlineUpdate, RefreshTiming, Staleness,
+    StreamingCovariance, WindowMode,
 };
 pub use validate::{cross_validate, CrossValidationConfig, CrossValidationResult};
 pub use variance::{
-    estimate_variances, estimate_variances_from_sigmas, estimate_variances_scratch, FallbackReason,
-    GramCache, Phase1Dispatch, Phase1Fallback, Phase1Scratch, VarianceConfig, VarianceEstimate,
+    estimate_variances, estimate_variances_from_sigmas, FallbackReason, Phase1Dispatch,
+    Phase1Fallback, VarianceConfig, VarianceEstimate,
 };

@@ -17,12 +17,11 @@
 //!   in the same order — so a streaming refresh can reproduce a batch
 //!   recompute exactly. Refreshes always replay.
 //! * [`OnlineEstimator`] keeps the full Phase-1/Phase-2 pipeline warm
-//!   across refreshes: the Phase-1 Gram matrix is patched incrementally
-//!   through a [`GramCache`] (integer co-occurrence counts, so patched
-//!   and from-scratch assemblies are exactly equal), the Cholesky factor
-//!   can be amended with the Givens rank-1 updates of
-//!   [`losstomo_linalg::givens`] instead of refactored
-//!   ([`FactorRefresh::GivensUpdate`]), and the Phase-2 model of
+//!   across refreshes: Phase 1 is the batch solve run through a
+//!   workspace that outlives the refresh, so its Gram matrix is patched
+//!   incrementally (integer co-occurrence counts, so patched and
+//!   from-scratch assemblies are exactly equal) and its Cholesky factor
+//!   is reused while the kept-row mask holds; the Phase-2 model of
 //!   [`crate::lia`] (the column selection and factorisation of `R*`
 //!   that batch inference fits too) is memoized on the variance
 //!   *order*: an unchanged order skips Phase 2's structure, and a
@@ -32,18 +31,16 @@
 //!
 //! ## Exactness contract
 //!
-//! With the default configuration ([`WindowMode::Unbounded`],
-//! [`FactorRefresh::Exact`]), ingesting `m` snapshots and refreshing
-//! produces **bit-for-bit** the Phase-1 variances and Phase-2 link rates
-//! of the batch pipeline ([`estimate_variances`][crate::estimate_variances]
-//! followed by [`infer_link_rates`][crate::infer_link_rates]) on the same
-//! `m` snapshots: the replayed covariances are the same bits, the cached
+//! With an unbounded window ([`WindowMode::Unbounded`], the default),
+//! ingesting `m` snapshots and refreshing produces **bit-for-bit** the
+//! Phase-1 variances and Phase-2 link rates of the batch pipeline
+//! ([`estimate_variances`][crate::estimate_variances] followed by
+//! [`infer_link_rates`][crate::infer_link_rates]) on the same `m`
+//! snapshots: the replayed covariances are the same bits, the cached
 //! Gram counts are the same integers, and the memoized Phase-2 model is
 //! fitted by the same code over the same variance order and solved by
 //! the same kernel. A sliding window is equally exact over its window:
 //! every window mode replays its retained rows.
-//! [`FactorRefresh::GivensUpdate`] trades the last bits for lower
-//! refresh cost and is tolerance-tested instead.
 //!
 //! ## Memory and refresh cost
 //!
@@ -64,7 +61,7 @@ use crate::variance::{
 };
 use bytes::Bytes;
 use losstomo_linalg::simd::cast_bytes_to_f64;
-use losstomo_linalg::{givens, triangular, Cholesky, LinalgError, Matrix};
+use losstomo_linalg::LinalgError;
 use losstomo_netsim::Snapshot;
 use losstomo_topology::{ChurnError, DeltaEffect, PathId, ReducedTopology, TopologyDelta};
 use std::collections::VecDeque;
@@ -592,24 +589,6 @@ impl StreamingCovariance {
     }
 }
 
-/// How [`OnlineEstimator`] maintains the Phase-1 normal-equations
-/// factorisation across refreshes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FactorRefresh {
-    /// Refactor the (incrementally patched) Gram matrix from scratch
-    /// each refresh — bit-identical to batch Phase 1. Default.
-    #[default]
-    Exact,
-    /// Amend the previous upper-triangular factor with one Givens
-    /// rank-1 [`update`][givens::rank_one_update] /
-    /// [`downdate`][givens::rank_one_downdate] per covariance row that
-    /// moved between the kept and dropped sets: `O(Δ · n_c²)` instead
-    /// of `O(n_c³)` when few rows change sign. Numerically equivalent
-    /// (not bit-identical); falls back to a full refactor when a
-    /// downdate would lose positive definiteness.
-    GivensUpdate,
-}
-
 /// Configuration of the online estimator.
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineConfig {
@@ -631,8 +610,6 @@ pub struct OnlineConfig {
     pub variance: VarianceConfig,
     /// Phase-2 settings.
     pub lia: LiaConfig,
-    /// Factorisation maintenance policy.
-    pub factor: FactorRefresh,
     /// Loss-rate threshold above which a link counts as congested for
     /// change detection (the paper's `t_l`).
     pub congestion_threshold: f64,
@@ -656,7 +633,6 @@ impl Default for OnlineConfig {
             refresh_every: 1,
             variance: VarianceConfig::default(),
             lia: LiaConfig::default(),
-            factor: FactorRefresh::Exact,
             congestion_threshold: losstomo_netsim::DEFAULT_LOSS_THRESHOLD,
             pair_budget: PairBudget::default(),
             recentre_every: DEFAULT_RECENTRE_EVERY,
@@ -674,11 +650,10 @@ impl Default for OnlineConfig {
 /// [`crate::lia::DENSE_MAX_COLS`] links) Phase 2 of a steady-state
 /// refresh then allocates nothing: the column-append scan refits the
 /// memoized model in its own buffers. What still allocates per
-/// refresh is Phase 1: the [`VarianceEstimate`] vector
-/// and the Gram cache's lists of rows that changed status. An
-/// unchanged kept-row mask reuses the Phase-1 factor outright. A
-/// kept-row system that Phase 1 proves singular (on trees, essentially
-/// every refresh) is never factored, and one whose factorisation fails
+/// refresh is Phase 1's [`VarianceEstimate`] vector. An unchanged
+/// kept-row mask reuses the Phase-1 factor outright. A kept-row
+/// system that Phase 1 proves singular (on trees, essentially every
+/// refresh) is never factored, and one whose factorisation fails
 /// keeps its factor buffer for the next try; either way the all-rows
 /// fallback reuses its cached factor. The sparse Phase-2 path, when
 /// dispatched, allocates in its rank checks.
@@ -728,8 +703,8 @@ pub struct OnlineUpdate {
 /// Wall-clock breakdown of the last successful refresh, by phase —
 /// what makes a tail-latency spike attributable: a covariance spike
 /// points at the window replay, a Phase-1 spike at the moment-system
-/// solve (e.g. a Givens fallback refactorisation), a Phase-2 spike at
-/// a column-selection or factorisation rebuild.
+/// solve (e.g. a refactorisation after the kept-row mask moved), a
+/// Phase-2 spike at a column-selection or factorisation rebuild.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RefreshTiming {
     /// Covariance assembly: window replay / Welford read-out into the
@@ -769,8 +744,6 @@ pub struct OnlineEstimator {
     selection: Option<PairSelection>,
     cov: StreamingCovariance,
     gram: GramCache,
-    /// The Givens-maintained Phase-1 factor (Givens mode only).
-    factor: Option<GivensFactor>,
     variances: Option<VarianceEstimate>,
     /// The variance order of the last refresh, which the Phase-2 model
     /// is memoized on.
@@ -788,88 +761,6 @@ pub struct OnlineEstimator {
     /// Reusable log-rate row for [`OnlineEstimator::ingest`], so the
     /// owned-snapshot path allocates nothing per snapshot.
     row_scratch: Vec<f64>,
-}
-
-/// The Givens-maintained Phase-1 factor: the upper Cholesky factor of
-/// the kept-row Gram under a fill-reducing symmetric permutation
-/// (columns ordered by ascending occupancy, the same heuristic as the
-/// exact path's permuted SPD solve). Meshed topologies produce Grams
-/// whose natural link order breaks unpivoted Cholesky numerically even
-/// though the matrix is positive definite — without the permutation a
-/// factor never gets built there and every "incremental" refresh
-/// silently takes the exact fallback. The rank-one surgery permutes
-/// its indicator vectors to match.
-#[derive(Debug)]
-struct GivensFactor {
-    /// Upper factor `R` with `RᵀR` equal to the permuted Gram.
-    r: Matrix,
-    /// `order[i]` = original link column at permuted position `i`.
-    order: Vec<usize>,
-    /// Inverse permutation: `pos[link]` = permuted position.
-    pos: Vec<usize>,
-}
-
-impl GivensFactor {
-    /// Factors the symmetrised co-occurrence counts under the
-    /// ascending-occupancy ordering.
-    fn build(counts: &[u32], nc: usize) -> Result<GivensFactor, LinalgError> {
-        let mut gram = Matrix::zeros(nc, nc);
-        crate::variance::counts_to_symmetric(counts, gram.as_mut_slice(), nc);
-        let nnz: Vec<usize> = (0..nc)
-            .map(|j| (0..nc).filter(|&k| gram[(j, k)] != 0.0).count())
-            .collect();
-        let mut order: Vec<usize> = (0..nc).collect();
-        order.sort_by_key(|&j| (nnz[j], j));
-        let mut permuted = Matrix::zeros(nc, nc);
-        for i in 0..nc {
-            for j in 0..nc {
-                permuted[(i, j)] = gram[(order[i], order[j])];
-            }
-        }
-        let chol = Cholesky::new(&permuted)?;
-        let mut pos = vec![0usize; nc];
-        for (i, &j) in order.iter().enumerate() {
-            pos[j] = i;
-        }
-        Ok(GivensFactor {
-            r: chol.l().transpose(),
-            order,
-            pos,
-        })
-    }
-
-    /// Scatters `links` into `scratch` as a permuted 0/1 indicator.
-    fn indicator(&self, links: &[usize], scratch: &mut [f64]) {
-        scratch.fill(0.0);
-        for &k in links {
-            scratch[self.pos[k]] = 1.0;
-        }
-    }
-
-    /// Rank-one-updates the factor with the pair row on `links`.
-    fn update(&mut self, links: &[usize], scratch: &mut [f64]) -> Result<(), LinalgError> {
-        self.indicator(links, scratch);
-        givens::rank_one_update(&mut self.r, scratch)
-    }
-
-    /// Rank-one-downdates the factor with the pair row on `links`.
-    fn downdate(&mut self, links: &[usize], scratch: &mut [f64]) -> Result<(), LinalgError> {
-        self.indicator(links, scratch);
-        givens::rank_one_downdate(&mut self.r, scratch)
-    }
-
-    /// Solves the normal equations `G v = atb` by two triangular
-    /// solves in permuted coordinates.
-    fn solve(&self, atb: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let permuted: Vec<f64> = self.order.iter().map(|&j| atb[j]).collect();
-        let z = triangular::solve_upper_transposed(&self.r, &permuted)?;
-        let x = triangular::solve_upper_triangular(&self.r, &z)?;
-        let mut v = vec![0.0; x.len()];
-        for (i, &j) in self.order.iter().enumerate() {
-            v[j] = x[i];
-        }
-        Ok(v)
-    }
 }
 
 impl OnlineEstimator {
@@ -891,7 +782,6 @@ impl OnlineEstimator {
             selection,
             cov,
             gram: GramCache::new(),
-            factor: None,
             variances: None,
             order: Vec::new(),
             phase2: Phase2Model::default(),
@@ -1136,11 +1026,19 @@ impl OnlineEstimator {
         sigmas: &[f64],
         covariance: Duration,
     ) -> Result<(), LinalgError> {
+        // Phase 1 runs through the estimator's persistent workspace, so
+        // the cached factors (kept-mask and all-rows fallback) survive
+        // between refreshes; a throwaway workspace would refactor the
+        // fallback Gram on every singular retry.
         let phase1_start = Instant::now();
-        let est = match self.cfg.factor {
-            FactorRefresh::Exact => self.refresh_exact(sigmas)?,
-            FactorRefresh::GivensUpdate => self.refresh_givens(sigmas)?,
-        };
+        let est = estimate_variances_scratch(
+            &self.red,
+            &self.aug,
+            sigmas,
+            &self.cfg.variance,
+            &mut self.gram,
+            &mut self.scratch.phase1,
+        )?;
         let phase1 = phase1_start.elapsed();
         let phase2_start = Instant::now();
         // Phase-2 structure: the kept set and its factor are a pure
@@ -1170,106 +1068,6 @@ impl OnlineEstimator {
         Ok(())
     }
 
-    /// The exact cached Phase 1, run through the estimator's
-    /// *persistent* workspace: the [`FactorRefresh::Exact`] refresh, and
-    /// every fallback from the Givens path. The all-rows fallback factor
-    /// cached in `scratch.phase1` therefore survives between refreshes;
-    /// a throwaway workspace would refactor the fallback Gram on every
-    /// singular retry.
-    fn refresh_exact(&mut self, sigmas: &[f64]) -> Result<VarianceEstimate, LinalgError> {
-        let mut phase1 = std::mem::take(&mut self.scratch.phase1);
-        let est = estimate_variances_scratch(
-            &self.red,
-            &self.aug,
-            sigmas,
-            &self.cfg.variance,
-            &mut self.gram,
-            &mut phase1,
-        );
-        self.scratch.phase1 = phase1;
-        est
-    }
-
-    /// Phase 1 with the Givens-amended factor: patch the Gram counts,
-    /// rank-1-update/downdate the upper factor for the rows that moved
-    /// between kept and dropped, and solve by two triangular solves.
-    /// Any failure (under-determined kept set, lost positive
-    /// definiteness, singular factor) falls back to the exact cached
-    /// path and discards the factor, which is rebuilt from the patched
-    /// counts at the next refresh.
-    fn refresh_givens(&mut self, sigmas: &[f64]) -> Result<VarianceEstimate, LinalgError> {
-        let nc = self.red.num_links();
-        let cfg = &self.cfg.variance;
-        let new_kept: Vec<bool> = sigmas
-            .iter()
-            .map(|&s| !(cfg.drop_negative_covariances && s < 0.0))
-            .collect();
-        let (added, dropped) = self.gram.sync(self.aug.matrix(), nc, &new_kept);
-        if !added.is_empty() || !dropped.is_empty() {
-            // The cache mask moved without a kept solve: the kept
-            // factor in the persistent workspace is stale.
-            self.scratch.phase1.invalidate_kept_factor();
-        }
-        let used = new_kept.iter().filter(|&&k| k).count();
-        let dropped_count = self.aug.num_rows() - used;
-        if used < nc {
-            self.factor = None;
-            return self.refresh_exact(sigmas);
-        }
-        // Amend or (re)build the factor.
-        let mut scratch = vec![0.0; nc];
-        if let Some(factor) = self.factor.as_mut() {
-            let mut amended = true;
-            for &r in added.iter().chain(dropped.iter()) {
-                let res = if new_kept[r] {
-                    factor.update(self.aug.row(r), &mut scratch)
-                } else {
-                    factor.downdate(self.aug.row(r), &mut scratch)
-                };
-                if res.is_err() {
-                    amended = false;
-                    break;
-                }
-            }
-            if !amended {
-                self.factor = None;
-            }
-        }
-        if self.factor.is_none() {
-            match GivensFactor::build(self.gram.counts(), nc) {
-                Ok(factor) => self.factor = Some(factor),
-                Err(_) => {
-                    // Mirror the exact path's all-rows fallback.
-                    return self.refresh_exact(sigmas);
-                }
-            }
-        }
-        let mut atb = vec![0.0; nc];
-        for (((_, links), &sigma), &keep) in self.aug.iter().zip(sigmas.iter()).zip(new_kept.iter())
-        {
-            if !keep {
-                continue;
-            }
-            for &ka in links {
-                atb[ka] += sigma;
-            }
-        }
-        let factor = self.factor.as_ref().expect("factor was just built");
-        let solved = factor.solve(&atb);
-        match solved {
-            Ok(v) => Ok(VarianceEstimate {
-                v,
-                dropped_rows: dropped_count,
-                used_rows: used,
-                fallback: None,
-            }),
-            Err(_) => {
-                self.factor = None;
-                self.refresh_exact(sigmas)
-            }
-        }
-    }
-
     /// Phase 2 for one snapshot's log measurements against the current
     /// model: reuses the memoized kept set and factorisation, so a
     /// per-snapshot estimate between refreshes costs one least-squares
@@ -1297,15 +1095,9 @@ impl OnlineEstimator {
     ///   biting [`PairBudget`] the selection is re-run and re-matched
     ///   instead);
     /// * the Gram cache subtracts the dropped rows' co-occurrence
-    ///   counts (integer arithmetic — patched equals from-scratch), and
-    ///   a cached Givens factor is repaired surgically: one rank-1
-    ///   **update** per recomputed pair row first, then one rank-1
-    ///   **downdate** per dropped kept row — in that order, so the
-    ///   factor never passes through the carried-only Gram (singular
-    ///   whenever a rerouted path was the sole cover of a link); if a
-    ///   downdate still loses positive definiteness the estimator falls
-    ///   back to a clean rebuild, recorded in
-    ///   [`ChurnReport::fallback`] — the degraded path is never silent;
+    ///   counts (integer arithmetic — patched equals from-scratch);
+    ///   recomputed rows enter unkept, and the next refresh folds them
+    ///   in against fresh covariances;
     /// * the covariance window remaps its retained rows and restarts
     ///   the recomputed pairs with a fresh validity horizon
     ///   ([`StreamingCovariance::apply_churn`]): interim refreshes
@@ -1316,7 +1108,8 @@ impl OnlineEstimator {
     ///
     /// A refresh is attempted immediately; a post-churn refresh
     /// failure (e.g. every pair warming) is held as a warm-up error
-    /// rather than surfaced — the estimator keeps streaming.
+    /// rather than surfaced — the estimator keeps streaming. When it
+    /// replaces a live model, [`ChurnReport::fallback`] says so.
     pub fn apply_delta(&mut self, delta: &TopologyDelta) -> Result<ChurnReport, ChurnError> {
         let effect = self.red.apply_delta(delta)?;
         // Committed from here: `self.red` describes the new routing.
@@ -1347,59 +1140,8 @@ impl OnlineEstimator {
             }
         };
         // Patch the Gram counts while `self.aug` is still the old
-        // system (the dropped rows' links are read from it), then
-        // surgically downdate the Givens factor for each kept row that
-        // left.
-        let dropped_kept = self.gram.apply_churn(self.aug.matrix(), nc, &carry);
-        let mut factor_updates = 0usize;
-        let mut factor_downdates = 0usize;
-        let mut fallback: Option<String> = None;
-        // Update-before-downdate: pre-fold every recomputed/new pair
-        // row into the counts and the factor, *then* downdate the
-        // dropped old rows. Every intermediate Gram is a superset of
-        // the new system's, so the surgery stays positive definite
-        // even when the carried-only Gram is structurally singular (a
-        // rerouted path that was the sole cover of some link — routine
-        // on meshes). Updates cannot lose positive definiteness; only
-        // downdates can.
-        let folded = if self.factor.is_some() && self.gram.is_ready() {
-            let mut pre_kept = self.gram.kept_mask().to_vec();
-            for (r, c) in carry.iter().enumerate() {
-                if c.is_none() {
-                    pre_kept[r] = true;
-                }
-            }
-            self.gram.sync(new_aug.matrix(), nc, &pre_kept).0
-        } else {
-            Vec::new()
-        };
-        if let Some(factor) = self.factor.as_mut() {
-            let mut ind = vec![0.0; nc];
-            for &r in &folded {
-                factor_updates += 1;
-                if factor.update(new_aug.row(r), &mut ind).is_err() {
-                    fallback = Some("churn factor update failed — clean rebuild".to_string());
-                    break;
-                }
-            }
-            if fallback.is_none() {
-                for &r in &dropped_kept {
-                    factor_downdates += 1;
-                    if factor.downdate(self.aug.row(r), &mut ind).is_err() {
-                        fallback = Some(
-                            "churn downdate lost positive definiteness — clean rebuild".to_string(),
-                        );
-                        break;
-                    }
-                }
-            }
-        }
-        if fallback.is_some() {
-            // Degraded path: drop every incremental structure and let
-            // the next refresh reassemble from scratch.
-            self.factor = None;
-            self.gram = GramCache::new();
-        }
+        // system (the dropped rows' links are read from it).
+        self.gram.apply_churn(self.aug.matrix(), nc, &carry);
         // Rewire the covariance window to the new pair set.
         self.cov
             .apply_churn(np, new_aug.pair_indices(), &carry, &effect.id_map);
@@ -1414,11 +1156,12 @@ impl OnlineEstimator {
         // not serve it.
         let had_model = self.variances.take().is_some();
         let mut refreshed = false;
+        let mut fallback = None;
         if self.cov.len() >= 2 {
             match self.refresh() {
                 Ok(()) => refreshed = true,
                 Err(e) => {
-                    if had_model && fallback.is_none() {
+                    if had_model {
                         fallback = Some(format!("post-churn refresh failed: {e}"));
                     }
                     self.warmup_error = Some(e);
@@ -1431,8 +1174,6 @@ impl OnlineEstimator {
             rerouted_paths: effect.changed.len() - effect.added.len(),
             carried_pairs,
             recomputed_pairs,
-            factor_updates,
-            factor_downdates,
             fallback,
             refreshed,
             staleness: self.cov.staleness(),
@@ -1454,16 +1195,9 @@ pub struct ChurnReport {
     pub carried_pairs: usize,
     /// Augmented pairs recomputed and restarted (warming up).
     pub recomputed_pairs: usize,
-    /// Givens rank-1 updates pre-folding recomputed pair rows into the
-    /// cached Phase-1 factor (applied *before* the downdates so the
-    /// factor never passes through the carried-only Gram, which is
-    /// singular whenever a rerouted path was the sole cover of a link).
-    pub factor_updates: usize,
-    /// Givens rank-1 downdates applied to the cached Phase-1 factor.
-    pub factor_downdates: usize,
-    /// `Some(reason)` when the incremental patch had to fall back to a
-    /// clean rebuild (lost positive definiteness, or the immediate
-    /// post-churn refresh failed while a model was live). Never silent.
+    /// `Some(reason)` when the immediate post-churn refresh failed
+    /// while a model was live: the estimator serves no estimate until a
+    /// later refresh succeeds. Never silent.
     pub fallback: Option<String>,
     /// Whether the immediate post-churn refresh succeeded.
     pub refreshed: bool,
@@ -2109,30 +1843,6 @@ mod tests {
     }
 
     #[test]
-    fn givens_mode_agrees_with_exact_mode() {
-        let red = fig1();
-        let ms = simulate(&red, 30, 11);
-        let exact_cfg = OnlineConfig::default();
-        let givens_cfg = OnlineConfig {
-            factor: FactorRefresh::GivensUpdate,
-            ..OnlineConfig::default()
-        };
-        let mut exact = OnlineEstimator::new(&red, exact_cfg);
-        let mut amended = OnlineEstimator::new(&red, givens_cfg);
-        for snap in &ms.snapshots {
-            exact.ingest(snap).unwrap();
-            amended.ingest(snap).unwrap();
-        }
-        let (ve, va) = (
-            &exact.variances().unwrap().v,
-            &amended.variances().unwrap().v,
-        );
-        for (a, b) in ve.iter().zip(va.iter()) {
-            assert!((a - b).abs() < 1e-8, "exact {ve:?} vs givens {va:?}");
-        }
-    }
-
-    #[test]
     fn change_detection_reports_transitions() {
         let (appeared, cleared) = diff_sorted(&[1, 3, 5], &[1, 4, 5, 9]);
         assert_eq!(appeared, vec![4, 9]);
@@ -2295,52 +2005,6 @@ mod tests {
             fresh.estimate(&y).unwrap().transmission
         );
         assert_eq!(online.kept_columns(), fresh.kept_columns());
-    }
-
-    /// Same gate under the Givens-amended factor policy: the surgically
-    /// downdated factor must converge to the same estimates (within the
-    /// policy's tolerance contract it already has) and never panic.
-    #[test]
-    fn churn_under_givens_policy_survives_and_converges() {
-        let w = 8;
-        let cfg = OnlineConfig {
-            window: WindowMode::Sliding(w),
-            factor: FactorRefresh::GivensUpdate,
-            ..OnlineConfig::default()
-        };
-        let mut red = fig2();
-        let ms = simulate(&red, 30, 21);
-        let mut online = OnlineEstimator::new(&red, cfg);
-        for s in &ms.snapshots {
-            online.ingest(s).unwrap();
-        }
-        let nc = red.num_links();
-        let delta = TopologyDelta::new()
-            .reroute_path(PathId(1), vec![1, nc - 1])
-            .add_path(vec![0, 2]);
-        let report = online.apply_delta(&delta).unwrap();
-        // The incremental path either amended the factor or declared
-        // its fallback — never a silent rebuild.
-        assert!(report.fallback.is_none() || report.factor_downdates > 0 || !report.refreshed);
-        red.apply_delta(&delta).unwrap();
-        let ms2 = simulate(&red, w + 4, 22);
-        let exact_cfg = OnlineConfig {
-            factor: FactorRefresh::Exact,
-            ..cfg
-        };
-        let mut control = OnlineEstimator::new(&red, exact_cfg);
-        for s in &ms2.snapshots {
-            let y = s.log_rates();
-            let _ = online.ingest_log_rates(&y);
-            let _ = control.ingest_log_rates(&y);
-        }
-        online.refresh().unwrap();
-        control.refresh().unwrap();
-        let a = &online.variances().unwrap().v;
-        let b = &control.variances().unwrap().v;
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() <= 1e-8 * (1.0 + y.abs()), "{x} vs {y}");
-        }
     }
 
     #[test]

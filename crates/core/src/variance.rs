@@ -166,11 +166,12 @@ pub fn estimate_variances(
 /// Phase 1 from precomputed pair covariances (`sigmas[r]` = `Σ̂` of
 /// `aug`'s row-`r` path pair).
 ///
-/// This is the solve half of [`estimate_variances`]; the streaming
-/// estimator calls it directly with covariances maintained by
-/// [`crate::streaming::StreamingCovariance`], so batch and online
-/// refreshes share one code path (and therefore produce identical
-/// bits for identical covariances).
+/// This is the solve half of [`estimate_variances`]. The streaming
+/// estimator runs the same solve on covariances maintained by
+/// [`crate::streaming::StreamingCovariance`], through a workspace that
+/// lives between refreshes, so batch and online refreshes share one
+/// code path (and therefore produce identical bits for identical
+/// covariances).
 pub fn estimate_variances_from_sigmas(
     red: &ReducedTopology,
     aug: &AugmentedSystem,
@@ -199,7 +200,7 @@ pub fn estimate_variances_from_sigmas(
 /// patched counts exactly equal to a from-scratch assembly, which is
 /// what keeps cached refreshes bit-identical to batch Phase 1.
 #[derive(Debug, Clone, Default)]
-pub struct GramCache {
+pub(crate) struct GramCache {
     /// Upper-triangle co-occurrence counts of the currently-kept rows
     /// (`counts[ka * nc + kb]` for `ka ≤ kb`).
     counts: Vec<u32>,
@@ -220,11 +221,6 @@ impl GramCache {
         self.ready
     }
 
-    /// The kept/dropped mask of the last sync (one flag per row).
-    pub fn kept_mask(&self) -> &[bool] {
-        &self.kept
-    }
-
     /// Raw upper-triangle co-occurrence counts (row-major, `nc × nc`).
     pub(crate) fn counts(&self) -> &[u32] {
         &self.counts
@@ -233,29 +229,28 @@ impl GramCache {
     /// Re-points the cache at `new_kept`, patching the counts for every
     /// row whose status changed. `rows` is the augmented system's
     /// shared [`losstomo_topology::RoutingMatrix`]
-    /// ([`AugmentedSystem::matrix`]). Returns the changed rows as
-    /// `(newly_kept, newly_dropped)` index lists (ascending).
+    /// ([`AugmentedSystem::matrix`]). Returns whether any row changed
+    /// status.
     pub(crate) fn sync(
         &mut self,
         rows: &losstomo_topology::RoutingMatrix,
         nc: usize,
         new_kept: &[bool],
-    ) -> (Vec<usize>, Vec<usize>) {
+    ) -> bool {
         debug_assert_eq!(new_kept.len(), rows.rows());
         if !self.ready {
             self.counts = vec![0u32; nc * nc];
             self.kept = vec![false; rows.rows()];
             self.ready = true;
         }
-        let mut added = Vec::new();
-        let mut dropped = Vec::new();
+        let mut changed = false;
         for (r, (&was, &now)) in self.kept.iter().zip(new_kept.iter()).enumerate() {
             if was == now {
                 continue;
             }
+            changed = true;
             let links = rows.row(r);
             if now {
-                added.push(r);
                 for (ai, &ka) in links.iter().enumerate() {
                     let crow = &mut self.counts[ka * nc..(ka + 1) * nc];
                     for &kb in &links[ai..] {
@@ -263,7 +258,6 @@ impl GramCache {
                     }
                 }
             } else {
-                dropped.push(r);
                 for (ai, &ka) in links.iter().enumerate() {
                     let crow = &mut self.counts[ka * nc..(ka + 1) * nc];
                     for &kb in &links[ai..] {
@@ -273,7 +267,7 @@ impl GramCache {
             }
         }
         self.kept.copy_from_slice(new_kept);
-        (added, dropped)
+        changed
     }
 
     /// Re-keys the cache across a routing churn event: `carry[new_r]`
@@ -289,18 +283,14 @@ impl GramCache {
     /// are integers, the patched counts exactly equal a from-scratch
     /// assembly over the carried kept rows — the churn patch costs
     /// `O(dropped · s²)` instead of `O(r · s²)`.
-    ///
-    /// Returns the old indices of the kept rows that were subtracted
-    /// (ascending) so the factor-surgery path can downdate them; empty
-    /// if the cache was never filled.
     pub(crate) fn apply_churn(
         &mut self,
         old_rows: &losstomo_topology::RoutingMatrix,
         nc: usize,
         carry: &[Option<usize>],
-    ) -> Vec<usize> {
+    ) {
         if !self.ready {
-            return Vec::new();
+            return;
         }
         let mut survived = vec![false; self.kept.len()];
         let mut new_kept = vec![false; carry.len()];
@@ -310,10 +300,8 @@ impl GramCache {
                 new_kept[new_r] = self.kept[*old_r];
             }
         }
-        let mut dropped = Vec::new();
         for (old_r, (&was_kept, &surv)) in self.kept.iter().zip(survived.iter()).enumerate() {
             if was_kept && !surv {
-                dropped.push(old_r);
                 let links = old_rows.row(old_r);
                 for (ai, &ka) in links.iter().enumerate() {
                     let crow = &mut self.counts[ka * nc..(ka + 1) * nc];
@@ -324,7 +312,6 @@ impl GramCache {
             }
         }
         self.kept = new_kept;
-        dropped
     }
 }
 
@@ -355,7 +342,7 @@ impl GramCache {
 /// the routing matrix whenever the certificate is asked, in
 /// `O(Σ path length)`, so nothing here goes stale on churn.
 #[derive(Debug, Default)]
-pub struct Phase1Scratch {
+pub(crate) struct Phase1Scratch {
     new_kept: Vec<bool>,
     atb: Vec<f64>,
     /// Kept rows per link (the kept Gram diagonal).
@@ -368,9 +355,9 @@ pub struct Phase1Scratch {
     all_private: Vec<bool>,
     gram: Matrix,
     /// Solver workspace of the kept-rows system. Its cached factor is
-    /// only valid for the mask the [`GramCache`] currently holds — any
-    /// path that moves the cache mask without solving through it must
-    /// invalidate it.
+    /// only valid for the mask the [`GramCache`] currently holds, so
+    /// every path of [`estimate_variances_scratch`] that moves the
+    /// cache mask without solving through it invalidates it.
     spd: SpdScratch,
     /// Solver workspace of the all-rows fallback (its Gram never
     /// changes, so its cached factor is reusable forever).
@@ -383,16 +370,6 @@ impl Phase1Scratch {
     /// Creates an empty workspace (filled by the first solve).
     pub fn new() -> Self {
         Phase1Scratch::default()
-    }
-
-    /// Drops the kept-mask Cholesky factor. Callers that move the
-    /// shared [`GramCache`] mask *outside*
-    /// [`estimate_variances_scratch`] (the Givens refresh path syncs
-    /// the cache itself) must call this, or a later solve could reuse
-    /// a factor belonging to an older mask. The all-rows fallback
-    /// factor is unaffected — its Gram is a constant of the topology.
-    pub fn invalidate_kept_factor(&mut self) {
-        self.spd.invalidate();
     }
 
     /// Drops **both** cached Cholesky factors. Routing churn changes
@@ -483,7 +460,7 @@ impl Phase1Scratch {
 /// integers, so the incremental result is exactly the from-scratch
 /// result; `AᵀΣ*` is rebuilt per call in ascending row order, matching
 /// the batch accumulation order bit for bit.
-pub fn estimate_variances_scratch(
+pub(crate) fn estimate_variances_scratch(
     red: &ReducedTopology,
     aug: &AugmentedSystem,
     sigmas: &[f64],
@@ -546,8 +523,8 @@ pub fn estimate_variances_scratch(
         Some(reason) => reason,
         None => {
             let cache_was_ready = cache.is_ready();
-            let (added, dropped) = cache.sync(aug.matrix(), nc, &ws.new_kept);
-            let mask_unchanged = cache_was_ready && added.is_empty() && dropped.is_empty();
+            let mask_changed = cache.sync(aug.matrix(), nc, &ws.new_kept);
+            let mask_unchanged = cache_was_ready && !mask_changed;
             if used < nc {
                 // Nothing was dropped (or the verdict above would have
                 // caught it): the shortfall is genuine. The kept solve
@@ -620,7 +597,7 @@ pub fn estimate_variances_scratch(
 
 /// Expands upper-triangle co-occurrence counts into a full symmetric
 /// f64 matrix (exact: the counts are small integers).
-pub(crate) fn counts_to_symmetric(counts: &[u32], gram: &mut [f64], n: usize) {
+fn counts_to_symmetric(counts: &[u32], gram: &mut [f64], n: usize) {
     for j in 0..n {
         for k in j..n {
             let v = counts[j * n + k] as f64;
@@ -1094,15 +1071,10 @@ mod tests {
             .add_path(vec![1, nc - 1]);
         let effect = red.apply_delta(&delta).unwrap();
         let (patched, carry) = aug.apply_delta(&red, &effect);
-        let dropped = cache.apply_churn(aug.matrix(), nc, &carry);
-        // Every dropped index was a kept old row that no new row carries.
-        for &old_r in &dropped {
-            assert!(kept[old_r]);
-            assert!(carry.iter().all(|c| *c != Some(old_r)));
-        }
+        cache.apply_churn(aug.matrix(), nc, &carry);
         // Patched counts == from-scratch counts over the carried kept rows.
         let mut fresh = GramCache::new();
-        fresh.sync(patched.matrix(), nc, cache.kept_mask());
+        fresh.sync(patched.matrix(), nc, &cache.kept);
         assert_eq!(cache.counts(), fresh.counts());
         // And a follow-up sync to a new mask still agrees bit-for-bit.
         let new_mask: Vec<bool> = (0..patched.num_rows()).map(|r| r % 2 == 0).collect();

@@ -93,15 +93,6 @@ pub struct WireIngestReport {
     pub backpressure_drains: usize,
 }
 
-impl WireIngestReport {
-    /// Rows rejected (counting a frame-level rejection once per row it
-    /// covered is the caller's business; this is the rejection-record
-    /// count).
-    pub fn rejection_count(&self) -> usize {
-        self.rejections.len()
-    }
-}
-
 /// Per-tenant slice of a [`FleetQueryReport`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TenantQuery {

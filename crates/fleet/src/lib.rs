@@ -218,9 +218,11 @@ pub enum FleetEventKind {
         /// history and estimates are again bit-identical to a fresh
         /// estimator (`None` = never, e.g. an unbounded window).
         snapshots_until_flush: Option<u64>,
-        /// Whether the incremental patch fell back to a clean rebuild
-        /// (the companion [`FleetEventKind::EstimatorError`] event
-        /// carries the reason — the degraded path is never silent).
+        /// Whether the immediate post-churn refresh failed while a
+        /// model was live, so the tenant serves no estimate until a
+        /// later refresh succeeds (the companion
+        /// [`FleetEventKind::EstimatorError`] event carries the reason —
+        /// the degraded path is never silent).
         rebuilt: bool,
     },
     /// A quarantined tenant was rebuilt from its topology via
@@ -547,9 +549,9 @@ impl Fleet {
     /// admin events synchronously (they are not replayed by later
     /// [`Fleet::poll_events`] calls): a
     /// [`FleetEventKind::TopologyChurned`] event always, preceded by a
-    /// [`FleetEventKind::EstimatorError`] event when the incremental
-    /// patch had to fall back to a clean rebuild — the degraded path is
-    /// loud, never a panic and never silent.
+    /// [`FleetEventKind::EstimatorError`] event when the immediate
+    /// post-churn refresh failed while a model was live — the degraded
+    /// path is loud, never a panic and never silent.
     ///
     /// An invalid delta returns [`FleetError::RejectedDelta`] and
     /// leaves the tenant untouched. Snapshots already queued against
@@ -1271,7 +1273,8 @@ mod tests {
             } => {
                 assert_eq!((*added, *removed, *rerouted), (0, 0, 1));
                 assert!(snapshots_until_flush.is_some(), "sliding window flushes");
-                // A rebuild is only legal with a companion error event.
+                // A failed post-churn refresh is only legal with a
+                // companion error event.
                 if *rebuilt {
                     assert!(events
                         .iter()

@@ -36,7 +36,6 @@
 pub mod append_qr;
 pub mod cholesky;
 pub mod error;
-pub mod givens;
 mod householder;
 pub mod lstsq;
 pub mod matrix;

@@ -1,4 +1,6 @@
-//! Triangular solves (forward and back substitution).
+//! Triangular solves (forward and back substitution): `U x = b` for the
+//! QR least-squares solves, `L x = b` and `Lᵀ x = b` for the Cholesky
+//! solve.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -122,42 +124,6 @@ pub fn solve_lower_transposed(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     Ok(x)
 }
 
-/// Solves `Uᵀ x = b` reading only the upper triangle of `u` (forward
-/// substitution on the implicit lower factor `Uᵀ`).
-///
-/// With an upper factor `R` satisfying `RᵀR = G` — e.g. one maintained
-/// by the Givens rank-1 updates in [`crate::givens`] — the SPD solve
-/// `G x = b` is `solve_upper_transposed(R, b)` followed by
-/// [`solve_upper_triangular`]. The saxpy form streams row `j` of `U`
-/// once `x[j]` is known, mirroring [`solve_lower_transposed`].
-pub fn solve_upper_transposed(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let n = b.len();
-    if u.rows() < n || u.cols() < n {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "U is {}x{}, b has length {n}",
-            u.rows(),
-            u.cols()
-        )));
-    }
-    let tol = PIVOT_RTOL * max_diag_abs(u, n);
-    let mut x = b.to_vec();
-    for j in 0..n {
-        let pivot = u[(j, j)];
-        if pivot.abs() <= tol {
-            return Err(LinalgError::Singular { index: j });
-        }
-        let xj = x[j] / pivot;
-        x[j] = xj;
-        // (Uᵀ)[i, j] = U[j, i] for i > j: subtract row j's tail in one
-        // contiguous sweep.
-        let row = &u.row(j)[j + 1..n];
-        for (xi, uji) in x[j + 1..n].iter_mut().zip(row.iter()) {
-            *xi -= uji * xj;
-        }
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,31 +144,6 @@ mod tests {
         let x = solve_lower_triangular(&l, &[4.0, 11.0]).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn upper_transposed_matches_explicit_transpose() {
-        let u = Matrix::from_rows(&[
-            vec![2.0, 1.0, -0.5],
-            vec![0.0, 3.0, 0.25],
-            vec![0.0, 0.0, 1.5],
-        ])
-        .unwrap();
-        let b = [1.0, -2.0, 4.0];
-        let via_helper = solve_upper_transposed(&u, &b).unwrap();
-        let via_explicit = solve_lower_triangular(&u.transpose(), &b).unwrap();
-        for (a, b) in via_helper.iter().zip(via_explicit.iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn upper_transposed_detects_singularity() {
-        let u = Matrix::from_rows(&[vec![1.0, 1.0], vec![0.0, 0.0]]).unwrap();
-        assert!(matches!(
-            solve_upper_transposed(&u, &[1.0, 1.0]),
-            Err(LinalgError::Singular { index: 1 })
-        ));
     }
 
     #[test]

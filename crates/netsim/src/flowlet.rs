@@ -117,11 +117,6 @@ impl FlowletProcess {
         self.q
     }
 
-    /// Whether the process is mid-burst (dropping).
-    pub fn in_burst(&self) -> bool {
-        self.remaining > 0
-    }
-
     /// Draws one burst length from the truncated power-law pmf.
     fn draw_burst_len<R: Rng>(&self, rng: &mut R) -> u32 {
         let u: f64 = rng.gen();

@@ -114,11 +114,6 @@ impl GilbertProcess {
             target: rate,
         }
     }
-
-    /// Whether the process is currently in the bad (dropping) state.
-    pub fn is_bad(&self) -> bool {
-        self.bad
-    }
 }
 
 impl LossProcess for GilbertProcess {

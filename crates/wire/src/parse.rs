@@ -339,14 +339,6 @@ impl<'a> SnapshotView<'a> {
         }
     }
 
-    /// The row as a borrowed `&[f64]` when the payload is aligned.
-    pub fn as_f64s(&self) -> Option<&'a [f64]> {
-        match self.repr {
-            RowRepr::Aligned(s) => Some(s),
-            RowRepr::Raw(_) => None,
-        }
-    }
-
     /// Log-rate `i`.
     ///
     /// # Panics

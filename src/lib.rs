@@ -9,8 +9,9 @@
 //! This facade crate re-exports the four member crates:
 //!
 //! * [`linalg`] — dense/sparse linear algebra (Householder QR, pivoted
-//!   QR, the sparse rank-revealing [`linalg::SparseQr`], Givens
-//!   row/factor updates, Cholesky, least squares, rank estimation);
+//!   QR, the column-append [`linalg::AppendQr`], the sparse
+//!   rank-revealing [`linalg::SparseQr`], Cholesky, least squares, rank
+//!   estimation);
 //! * [`topology`] — graph model, BRITE-like generators, routing, alias
 //!   reduction, routing matrices, flutter filtering;
 //! * [`netsim`] — Gilbert/Bernoulli loss simulation, LLRD models, the
@@ -174,9 +175,9 @@ pub mod prelude {
         estimate_variances, infer_link_delays, infer_link_rates, location_accuracy, run_experiment,
         run_many, scfs_diagnose, AugmentedSystem, CenteredMeasurements, ChurnReport,
         CrossValidationConfig, DelayEstimate, EliminationStrategy, EstimatorDiagnostics,
-        EstimatorKind, EstimatorOutput, ExperimentConfig, FactorRefresh, LiaConfig,
-        LinkRateEstimate, LossEstimator, OnlineConfig, OnlineEstimator, OnlineUpdate, ScfsConfig,
-        Staleness, StreamingCovariance, VarianceConfig, WindowMode,
+        EstimatorKind, EstimatorOutput, ExperimentConfig, LiaConfig, LinkRateEstimate,
+        LossEstimator, OnlineConfig, OnlineEstimator, OnlineUpdate, ScfsConfig, Staleness,
+        StreamingCovariance, VarianceConfig, WindowMode,
     };
     pub use losstomo_fleet::{
         Fleet, FleetConfig, FleetError, FleetEvent, FleetEventKind, TenantId, TenantStats,
