@@ -4,10 +4,11 @@
 //! When routing changes under a running monitor there are two ways to
 //! keep estimating: tear the estimator down and rebuild it on the new
 //! topology (rebuild the augmented pair system, re-ingest a window,
-//! re-solve Phase 1 and Phase 2), or patch it in place with
-//! [`losstomo_core::OnlineEstimator::apply_delta`] — pair rows and
-//! co-occurrence counts edited incrementally, the covariance window
-//! carried across with per-pair validity horizons, then one refresh.
+//! re-solve Phase 1 and Phase 2), or apply the delta to the live
+//! estimator with [`losstomo_core::OnlineEstimator::apply_delta`] —
+//! the augmented pair system rebuilt, the covariance window carried
+//! across with per-path validity horizons instead of re-ingested, then
+//! one refresh.
 //!
 //! Both arms run the default [`OnlineConfig`] policy over a sliding
 //! window. The robustness contract is checked on the arms' own
@@ -20,7 +21,7 @@
 //! measures the churn machinery, not a topology that happened to lose
 //! Theorem-1 identifiability.
 //!
-//! **Gate (paper scale, 2450-node Waxman mesh):** the in-place delta
+//! **Gate (paper scale, 2450-node Waxman mesh):** the live delta
 //! apply must be faster than rebuild-from-scratch, with no post-churn
 //! refresh failure and bitwise post-flush agreement. The report lands
 //! in `BENCH_churn.json`.
@@ -58,7 +59,7 @@ struct ChurnBenchReport {
     rerouted: usize,
     added: usize,
     removed: usize,
-    /// Median in-place delta-apply latency (includes the post-churn
+    /// Median live delta-apply latency (includes the post-churn
     /// refresh attempt), milliseconds.
     churn_apply_ms: f64,
     /// Median rebuild-from-scratch latency (construct on the new
@@ -66,11 +67,11 @@ struct ChurnBenchReport {
     rebuild_ms: f64,
     /// `rebuild_ms / churn_apply_ms`.
     speedup: f64,
-    /// Pair rows whose moments survived the delta unchanged.
+    /// Pair rows of two unchanged paths: their history carries.
     carried_pairs: usize,
-    /// Pair rows recomputed because an endpoint path changed.
+    /// Pair rows restarted because an endpoint path changed.
     recomputed_pairs: usize,
-    /// Whether any timing rep reported a fallback (its post-churn
+    /// Whether any timing rep reported a post-churn refresh error (the
     /// refresh failed while a model was live) — must be `false` for a
     /// healthy gate.
     fallback: bool,
@@ -192,7 +193,7 @@ fn main() {
         effect.removed.len()
     );
 
-    // --- In-place delta apply, one warm estimator per rep. ---
+    // --- Live delta apply, one warm estimator per rep. ---
     let mut churn_ms = Vec::with_capacity(reps);
     let mut fallback = false;
     let mut aug_rows = 0;
@@ -210,7 +211,7 @@ fn main() {
             est.topology().matrix == red2.matrix,
             "churned estimator tracks the new routing exactly"
         );
-        fallback |= report.fallback.is_some();
+        fallback |= report.refresh_error.is_some();
         last_report = Some(report);
         churned = Some(est);
     }

@@ -15,11 +15,12 @@
 //!   builder skips them (the solution is unchanged, and `A` keeps
 //!   `O(shared pairs)` instead of `n_p(n_p+1)/2` rows).
 //! * When paths are added or removed (beacon churn, routing changes),
-//!   only the rows touching changed paths need recomputation —
-//!   [`AugmentedSystem::apply_delta`] does exactly that.
+//!   only the covariances of pairs on a changed path lose their
+//!   history. `A` itself is a pure function of the routing, so a
+//!   churned estimator rebuilds it with [`AugmentedSystem::build`].
 
 use losstomo_linalg::{rank, CsrMatrix, Matrix};
-use losstomo_topology::{DeltaEffect, PathId, ReducedTopology, RoutingMatrix};
+use losstomo_topology::{PathId, ReducedTopology, RoutingMatrix};
 
 /// The augmented moment system: pair index plus sparse rows of `A`.
 ///
@@ -74,16 +75,20 @@ impl AugmentedSystem {
             rows.push_sorted_row(red.path_links(PathId(i as u32)));
         }
         // Off-diagonal pairs sharing at least one link, discovered via
-        // the link → paths inverted index.
+        // the link → paths inverted index. A pair is emitted at its
+        // first shared link; one bit per `(a, b)` marks it emitted.
         let per_link = red.paths_per_link();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![0u64; (np * np).div_ceil(64)];
         for paths in &per_link {
             for (a_idx, &a) in paths.iter().enumerate() {
                 for &b in &paths[a_idx + 1..] {
                     let key = (a.min(b), a.max(b));
-                    if !seen.insert(key) {
+                    let bit = key.0.index() * np + key.1.index();
+                    let mask = 1u64 << (bit % 64);
+                    if seen[bit / 64] & mask != 0 {
                         continue;
                     }
+                    seen[bit / 64] |= mask;
                     scratch.clear();
                     intersect_sorted_into(
                         red.path_links(key.0),
@@ -190,123 +195,6 @@ impl AugmentedSystem {
             rows: b.build(),
         }
     }
-
-    /// Patches the system for a routing delta, producing a result that
-    /// is **bit-identical to a fresh [`AugmentedSystem::build`]** on the
-    /// churned topology — same pairs, same rows, same row *order* — at
-    /// `O(changed · n_p)` intersection cost plus an `O(r log r)` sort,
-    /// instead of the full `O(Σ paths-per-link²)` pair discovery.
-    ///
-    /// The order identity is what makes live churn survivable without
-    /// giving up the streaming layer's exactness contract: Phase-1
-    /// accumulation order, Gram assembly and covariance pairing all key
-    /// on row order, so a patched system feeds them the exact bits a
-    /// restart would. It holds because `build` emits diagonals first
-    /// (ascending) and discovers each off-diagonal pair at its minimum
-    /// shared link in lexicographic path order — i.e. fresh order is
-    /// exactly "diagonals by path, then off-diagonals by
-    /// `(min shared link, a, b)`", a total order we can re-sort the
-    /// patched rows into.
-    ///
-    /// Returns the patched system plus, per new row, the old row it
-    /// carries unchanged (`None` = recomputed; its cached downstream
-    /// state — Gram counts, covariance history — is stale).
-    ///
-    /// `red` must be the post-delta topology and `effect` the
-    /// [`DeltaEffect`] its `apply_delta` returned; `self` must be a
-    /// full (unbudgeted) system whose path ids predate the delta.
-    pub fn apply_delta(
-        &self,
-        red: &ReducedTopology,
-        effect: &DeltaEffect,
-    ) -> (AugmentedSystem, Vec<Option<usize>>) {
-        enum Src {
-            Carried(usize),
-            Fresh(usize),
-        }
-        let np = red.num_paths();
-        let changed: std::collections::HashSet<u32> = effect.changed.iter().map(|p| p.0).collect();
-        // Sort key reproducing fresh build order: diagonals ascending,
-        // then off-diagonals by (min shared link, a, b).
-        let mut entries: Vec<((u8, usize, u32, u32), Src)> = Vec::with_capacity(self.pairs.len());
-        for (r, &(a, b)) in self.pairs.iter().enumerate() {
-            let (Some(a2), Some(b2)) = (effect.id_map[a.index()], effect.id_map[b.index()]) else {
-                continue; // an endpoint was removed
-            };
-            if changed.contains(&a2.0) || changed.contains(&b2.0) {
-                continue; // recomputed below
-            }
-            let row = self.rows.row(r);
-            let key = if a2 == b2 {
-                (0u8, a2.index(), 0u32, 0u32)
-            } else {
-                (1u8, row[0], a2.0, b2.0)
-            };
-            entries.push((key, Src::Carried(r)));
-        }
-        // Recompute every pair touching a changed path.
-        let mut fresh: Vec<((PathId, PathId), Vec<usize>)> = Vec::new();
-        let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-        let mut scratch: Vec<usize> = Vec::new();
-        for &c in &effect.changed {
-            for other in 0..np {
-                let o = PathId(other as u32);
-                let key = if c <= o { (c.0, o.0) } else { (o.0, c.0) };
-                if !seen.insert(key) {
-                    continue;
-                }
-                scratch.clear();
-                if key.0 == key.1 {
-                    scratch.extend_from_slice(red.path_links(PathId(key.0)));
-                } else {
-                    intersect_sorted_into(
-                        red.path_links(PathId(key.0)),
-                        red.path_links(PathId(key.1)),
-                        &mut scratch,
-                    );
-                    if scratch.is_empty() {
-                        continue; // disjoint pairs are skipped, as in build
-                    }
-                }
-                let sort_key = if key.0 == key.1 {
-                    (0u8, key.0 as usize, 0u32, 0u32)
-                } else {
-                    (1u8, scratch[0], key.0, key.1)
-                };
-                entries.push((sort_key, Src::Fresh(fresh.len())));
-                fresh.push(((PathId(key.0), PathId(key.1)), scratch.clone()));
-            }
-        }
-        entries.sort_unstable_by_key(|x| x.0);
-        let mut pairs = Vec::with_capacity(entries.len());
-        let mut rows = RoutingMatrix::builder(red.num_links());
-        let mut carry = Vec::with_capacity(entries.len());
-        for (_, src) in &entries {
-            match *src {
-                Src::Carried(r) => {
-                    let (a, b) = self.pairs[r];
-                    pairs.push((
-                        effect.id_map[a.index()].expect("carried endpoint survives"),
-                        effect.id_map[b.index()].expect("carried endpoint survives"),
-                    ));
-                    rows.push_sorted_row(self.rows.row(r));
-                    carry.push(Some(r));
-                }
-                Src::Fresh(i) => {
-                    pairs.push(fresh[i].0);
-                    rows.push_sorted_row(&fresh[i].1);
-                    carry.push(None);
-                }
-            }
-        }
-        (
-            AugmentedSystem {
-                pairs,
-                rows: rows.build(),
-            },
-            carry,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -359,45 +247,6 @@ mod tests {
         }
         let full_pairs = red.num_paths() * (red.num_paths() + 1) / 2;
         assert!(aug.num_rows() <= full_pairs);
-    }
-
-    /// The churn patch must reproduce a fresh build *exactly* — pairs,
-    /// rows, and row order — because every downstream accumulation
-    /// (Phase-1 AᵀΣ*, Gram counts, covariance pairing) keys on order.
-    fn assert_patch_matches_fresh(delta: &losstomo_topology::TopologyDelta) {
-        let mut red = fixtures::reduced(&fixtures::figure2());
-        let aug = AugmentedSystem::build(&red);
-        let effect = red.apply_delta(delta).unwrap();
-        let (patched, carry) = aug.apply_delta(&red, &effect);
-        let fresh = AugmentedSystem::build(&red);
-        assert_eq!(patched.pairs, fresh.pairs, "pair list + order must match");
-        assert_eq!(patched.rows, fresh.rows, "CSR rows must match bit-for-bit");
-        assert_eq!(carry.len(), patched.num_rows());
-        // Carried rows must reference an identical old row.
-        for (new_r, c) in carry.iter().enumerate() {
-            if let Some(old_r) = c {
-                assert_eq!(aug.row(*old_r), patched.row(new_r));
-            }
-        }
-    }
-
-    #[test]
-    fn delta_patch_matches_fresh_build_exactly() {
-        use losstomo_topology::{PathId, TopologyDelta};
-        let red = fixtures::reduced(&fixtures::figure2());
-        let nc = red.num_links();
-        assert_patch_matches_fresh(&TopologyDelta::new()); // no-op
-        assert_patch_matches_fresh(&TopologyDelta::new().add_path(vec![0, nc - 1]));
-        assert_patch_matches_fresh(&TopologyDelta::new().remove_path(PathId(1)));
-        assert_patch_matches_fresh(&TopologyDelta::new().reroute_path(PathId(0), vec![1, 2]));
-        assert_patch_matches_fresh(&TopologyDelta::new().remap_link(0, 1));
-        assert_patch_matches_fresh(
-            &TopologyDelta::new()
-                .remove_path(PathId(2))
-                .add_path(vec![0, 1])
-                .reroute_path(PathId(0), vec![nc - 1])
-                .remap_link(2, 3),
-        );
     }
 
     #[test]

@@ -25,10 +25,9 @@
 //! oracle test below pins that.
 //!
 //! The budget itself is a [`PairBudget`]: `Full` (default), an
-//! absolute row count, or a fraction of the full pair set, resolvable
-//! from the `LOSSTOMO_PAIR_BUDGET` environment knob. Batch experiments
-//! take it from `ExperimentConfig::pair_budget`, and each streaming
-//! estimator (a fleet tenant included) from its own
+//! absolute row count, or a fraction of the full pair set. Batch
+//! experiments take it from `ExperimentConfig::pair_budget`, and each
+//! streaming estimator (a fleet tenant included) from its own
 //! `OnlineConfig::pair_budget`.
 
 use crate::augmented::AugmentedSystem;
@@ -46,21 +45,11 @@ const TALL_SKIP_RATIO: usize = 16;
 /// Rows added per repair round.
 const REPAIR_ROWS_PER_ROUND: usize = 8;
 
-/// Environment knob read by [`PairBudget::from_env`]: `full`, an
-/// absolute row count (`20000`), a fraction (`0.25`), or a percentage
-/// (`25%`).
-pub const PAIR_BUDGET_ENV: &str = "LOSSTOMO_PAIR_BUDGET";
-
 /// Row budget for the augmented pair system.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PairBudget {
-    /// Resolve from the `LOSSTOMO_PAIR_BUDGET` environment variable at
-    /// use time (unset or unparsable → [`PairBudget::Full`]). The
-    /// default, so the knob reaches every pipeline without config
-    /// plumbing — and so an explicit config still overrides it.
-    #[default]
-    Env,
     /// Keep every augmented pair (the pre-budgeting behaviour).
+    #[default]
     Full,
     /// Keep at most this many rows.
     Rows(usize),
@@ -69,22 +58,11 @@ pub enum PairBudget {
 }
 
 impl PairBudget {
-    /// Resolves the `LOSSTOMO_PAIR_BUDGET` environment knob; unset or
-    /// unparsable values mean [`PairBudget::Full`].
-    pub fn from_env() -> PairBudget {
-        std::env::var(PAIR_BUDGET_ENV)
-            .ok()
-            .and_then(|s| parse_pair_budget(&s))
-            .unwrap_or(PairBudget::Full)
-    }
-
     /// The row limit this budget imposes on a `full_rows`-row system,
     /// or `None` when no budgeting applies (full budget, or a limit
-    /// that doesn't bite). [`PairBudget::Env`] resolves the
-    /// environment knob here.
+    /// that doesn't bite).
     pub fn limit(self, full_rows: usize) -> Option<usize> {
         match self {
-            PairBudget::Env => PairBudget::from_env().limit(full_rows),
             PairBudget::Full => None,
             PairBudget::Rows(n) => (n > 0 && n < full_rows).then_some(n),
             PairBudget::Fraction(f) => {
@@ -95,37 +73,6 @@ impl PairBudget {
                 (n < full_rows).then_some(n)
             }
         }
-    }
-}
-
-/// Parses a budget spec: `full` (case-insensitive), a percentage
-/// (`25%`), a fraction (`0.25`), or an absolute row count (`20000`).
-/// Returns `None` for anything unparsable or non-positive; fractions
-/// and percentages at or above 1 collapse to [`PairBudget::Full`].
-pub fn parse_pair_budget(s: &str) -> Option<PairBudget> {
-    let s = s.trim();
-    if s.eq_ignore_ascii_case("full") {
-        return Some(PairBudget::Full);
-    }
-    if let Some(pct) = s.strip_suffix('%') {
-        let p: f64 = pct.trim().parse().ok()?;
-        return fraction_budget(p / 100.0);
-    }
-    if s.contains('.') {
-        let f: f64 = s.parse().ok()?;
-        return fraction_budget(f);
-    }
-    let n: usize = s.parse().ok()?;
-    (n > 0).then_some(PairBudget::Rows(n))
-}
-
-fn fraction_budget(f: f64) -> Option<PairBudget> {
-    if !f.is_finite() || f <= 0.0 {
-        None
-    } else if f >= 1.0 {
-        Some(PairBudget::Full)
-    } else {
-        Some(PairBudget::Fraction(f))
     }
 }
 
@@ -466,28 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_specs() {
-        assert_eq!(parse_pair_budget("full"), Some(PairBudget::Full));
-        assert_eq!(parse_pair_budget(" FULL "), Some(PairBudget::Full));
-        assert_eq!(parse_pair_budget("20000"), Some(PairBudget::Rows(20000)));
-        assert_eq!(parse_pair_budget("0.25"), Some(PairBudget::Fraction(0.25)));
-        assert_eq!(parse_pair_budget("25%"), Some(PairBudget::Fraction(0.25)));
-        assert_eq!(parse_pair_budget("1.5"), Some(PairBudget::Full));
-        assert_eq!(parse_pair_budget("150%"), Some(PairBudget::Full));
-        assert_eq!(parse_pair_budget("0"), None);
-        assert_eq!(parse_pair_budget("0.0"), None);
-        assert_eq!(parse_pair_budget("-3"), None);
-        assert_eq!(parse_pair_budget("nonsense"), None);
-        assert_eq!(parse_pair_budget(""), None);
-    }
-
-    #[test]
     fn budget_inheritance_and_limits() {
-        // An unspecified budget inherits the environment knob.
-        assert_eq!(
-            PairBudget::Env.limit(100),
-            PairBudget::from_env().limit(100)
-        );
         assert_eq!(PairBudget::Full.limit(100), None);
         assert_eq!(PairBudget::Rows(10).limit(100), Some(10));
         assert_eq!(PairBudget::Rows(100).limit(100), None);

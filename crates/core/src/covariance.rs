@@ -11,9 +11,7 @@
 //! every covariance entry is a dot product of two contiguous slices, and
 //! computes all entries the augmented system needs in a single pass
 //! ([`CenteredMeasurements::pair_covariances`]), interleaving four
-//! register-resident accumulator chains per loop; the full dense Gram
-//! `Σ = D Dᵀ/(m−1)` is available as
-//! [`CenteredMeasurements::full_covariance`] for small systems. The
+//! register-resident accumulator chains per loop. The
 //! pair sweep is parallelised over disjoint output blocks with
 //! crossbeam scoped threads; every entry is produced by exactly one
 //! thread with a fixed ascending accumulation order, so serial and
@@ -288,23 +286,6 @@ impl CenteredMeasurements {
             out[q] = dot(self.dev_row(pairs[q].0), self.dev_row(pairs[q].1)) / denom;
         }
     }
-
-    /// The full `n_p × n_p` sample covariance matrix (small systems:
-    /// `n_p²` doubles are materialised).
-    pub fn full_covariance(&self) -> losstomo_linalg::Matrix {
-        let n = self.n_paths;
-        let mut cov = losstomo_linalg::Matrix::zeros(n, n);
-        let denom = (self.snapshots - 1) as f64;
-        for i in 0..n {
-            let di = self.dev_row(i);
-            for j in i..n {
-                let c = dot(di, self.dev_row(j)) / denom;
-                cov[(i, j)] = c;
-                cov[(j, i)] = c;
-            }
-        }
-        cov
-    }
 }
 
 /// The scalar four-chain dot kernel (fallback and oracle of
@@ -460,17 +441,6 @@ mod tests {
                 let sb: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
                 let vb: Vec<u64> = vector.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(sb, vb, "{engine:?} drifted from scalar");
-            }
-        }
-    }
-
-    #[test]
-    fn full_covariance_agrees_with_cov() {
-        let c = CenteredMeasurements::from_rows(rows());
-        let full = c.full_covariance();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(full[(i, j)], c.cov(i, j));
             }
         }
     }

@@ -35,8 +35,7 @@ pub struct ExperimentConfig {
     pub lia: LiaConfig,
     /// Phase-1 settings.
     pub variance: VarianceConfig,
-    /// Row budget for the augmented pair system (default: the
-    /// `LOSSTOMO_PAIR_BUDGET` knob, i.e. full when unset).
+    /// Row budget for the augmented pair system (default: full).
     pub pair_budget: PairBudget,
     /// Which estimator backend runs the inference (default: LIA).
     pub estimator: EstimatorKind,

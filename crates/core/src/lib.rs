@@ -66,9 +66,7 @@ pub mod validate;
 pub mod variance;
 
 pub use augmented::AugmentedSystem;
-pub use budget::{
-    apply_budget, parse_pair_budget, select_pairs, PairBudget, PairSelection, PAIR_BUDGET_ENV,
-};
+pub use budget::{apply_budget, select_pairs, PairBudget, PairSelection};
 pub use covariance::CenteredMeasurements;
 pub use delay::{estimate_delay_variances, infer_link_delays, DelayEstimate};
 pub use estimator::{

@@ -57,7 +57,7 @@ use crate::budget::{apply_budget, PairBudget, PairSelection};
 use crate::covariance::CenteredMeasurements;
 use crate::lia::{self, LiaConfig, LinkRateEstimate, Phase2Model, RankView};
 use crate::variance::{
-    estimate_variances_scratch, GramCache, Phase1Scratch, VarianceConfig, VarianceEstimate,
+    estimate_variances_scratch, Phase1Scratch, VarianceConfig, VarianceEstimate,
 };
 use bytes::Bytes;
 use losstomo_linalg::simd::cast_bytes_to_f64;
@@ -144,11 +144,13 @@ pub struct StreamingCovariance {
     delta_old: Vec<f64>,
     /// Scratch: per-path deviations from the post-update mean.
     delta_new: Vec<f64>,
-    /// Per pair: the global ingest index (count of rows ever ingested
-    /// before validity) from which the pair's history describes its
-    /// *current* routing. `0` for pairs never touched by churn; set to
-    /// `total_ingested` when a churn event restarts the pair. Exact
-    /// replays never read a pair's rows before this horizon.
+    /// Per path: the global ingest index (count of rows ever ingested
+    /// before validity) from which the path's rows describe its
+    /// *current* route. `0` for paths never touched by churn; set to
+    /// `total_ingested` when a churn event adds or reroutes the path.
+    path_from: Vec<u64>,
+    /// Per pair: the later of its two paths' horizons. Exact replays
+    /// never read a pair's rows before this horizon.
     valid_from: Vec<u64>,
     /// `max(valid_from)` — `O(1)` churn-free check per refresh.
     max_valid_from: u64,
@@ -213,6 +215,7 @@ impl StreamingCovariance {
             comoment: vec![0.0; n_pairs],
             delta_old: vec![0.0; n_paths],
             delta_new: vec![0.0; n_paths],
+            path_from: vec![0; n_paths],
             valid_from: vec![0; n_pairs],
             max_valid_from: 0,
         }
@@ -492,26 +495,25 @@ impl StreamingCovariance {
 
     /// Rewires the accumulator across a routing change: retained rows
     /// are remapped to the new path numbering (columns of removed paths
-    /// drop, columns of added paths read a `0.0` filler that restarted
-    /// pairs never consult), surviving pairs keep their history, and
-    /// pairs whose intersection row changed restart with a validity
-    /// horizon of "now" — their covariances replay only post-churn
-    /// rows until the window flushes.
+    /// drop, columns of added paths read a `0.0` filler that no pair on
+    /// an added path replays), and added or rerouted paths restart with
+    /// a validity horizon of "now". Each pair's horizon is the later of
+    /// its two paths' horizons, so a pair of unchanged paths keeps its
+    /// whole history — whether or not it was tracked before — and a
+    /// pair on a changed path replays only post-churn rows until the
+    /// window flushes.
     ///
     /// `new_pairs` is the post-churn pair set (typically
-    /// [`AugmentedSystem::pair_indices`] of the patched system),
-    /// `carry[k]` is the old pair slot that new pair `k` continues
-    /// (`None` = restarted), and `id_map` is the old-path → new-path
-    /// renumbering from the [`DeltaEffect`].
+    /// [`AugmentedSystem::pair_indices`] of the rebuilt system) and
+    /// `effect` the [`DeltaEffect`] of the routing change.
     pub fn apply_churn(
         &mut self,
         new_n_paths: usize,
         new_pairs: Vec<(usize, usize)>,
-        carry: &[Option<usize>],
-        id_map: &[Option<PathId>],
+        effect: &DeltaEffect,
     ) {
         assert!(new_n_paths > 0, "need at least one path");
-        assert_eq!(carry.len(), new_pairs.len(), "one carry entry per new pair");
+        let id_map = &effect.id_map;
         assert_eq!(id_map.len(), self.n_paths, "one id_map entry per old path");
         assert!(
             new_pairs
@@ -533,12 +535,22 @@ impl StreamingCovariance {
             }
             *row = StoredRow::Owned(new_row);
         }
-        // Carry surviving pairs' validity horizons; restart the rest at
-        // "now".
-        self.valid_from = carry
+        // Surviving paths keep their horizons; added (unmapped) and
+        // changed paths restart at "now".
+        let mut path_from = vec![now; new_n_paths];
+        for (&old_from, mapped) in self.path_from.iter().zip(id_map) {
+            if let Some(new_i) = mapped {
+                path_from[new_i.index()] = old_from;
+            }
+        }
+        for p in &effect.changed {
+            path_from[p.index()] = now;
+        }
+        self.valid_from = new_pairs
             .iter()
-            .map(|c| c.map_or(now, |old| self.valid_from[old]))
+            .map(|&(a, b)| path_from[a].max(path_from[b]))
             .collect();
+        self.path_from = path_from;
         self.comoment = vec![0.0; new_pairs.len()];
         self.max_valid_from = self.valid_from.iter().copied().max().unwrap_or(0);
         self.pairs = new_pairs;
@@ -613,9 +625,9 @@ pub struct OnlineConfig {
     /// Loss-rate threshold above which a link counts as congested for
     /// change detection (the paper's `t_l`).
     pub congestion_threshold: f64,
-    /// Row budget for the augmented pair system (default: the
-    /// `LOSSTOMO_PAIR_BUDGET` knob, i.e. full when unset). Applied once
-    /// at construction; the selection is readable via
+    /// Row budget for the augmented pair system (default: full).
+    /// Applied at construction and again after every routing change;
+    /// the selection is readable via
     /// [`OnlineEstimator::pair_selection`].
     pub pair_budget: PairBudget,
     /// Exact-recentre cadence of the sliding-window accumulator: after
@@ -739,11 +751,11 @@ pub struct OnlineEstimator {
     /// and `R*` assembly.
     view: RankView,
     aug: AugmentedSystem,
-    /// The pair selection the budget produced at construction (`None`
-    /// when the budget didn't bite and `aug` is the full system).
+    /// The pair selection the budget produced for the current routing
+    /// (`None` when the budget didn't bite and `aug` is the full
+    /// system).
     selection: Option<PairSelection>,
     cov: StreamingCovariance,
-    gram: GramCache,
     variances: Option<VarianceEstimate>,
     /// The variance order of the last refresh, which the Phase-2 model
     /// is memoized on.
@@ -781,7 +793,6 @@ impl OnlineEstimator {
             aug,
             selection,
             cov,
-            gram: GramCache::new(),
             variances: None,
             order: Vec::new(),
             phase2: Phase2Model::default(),
@@ -801,8 +812,8 @@ impl OnlineEstimator {
         &self.aug
     }
 
-    /// The pair selection applied at construction, or `None` when the
-    /// configured [`PairBudget`] kept the full pair set.
+    /// The pair selection applied to the current routing, or `None`
+    /// when the configured [`PairBudget`] kept the full pair set.
     pub fn pair_selection(&self) -> Option<&PairSelection> {
         self.selection.as_ref()
     }
@@ -1036,7 +1047,6 @@ impl OnlineEstimator {
             &self.aug,
             sigmas,
             &self.cfg.variance,
-            &mut self.gram,
             &mut self.scratch.phase1,
         )?;
         let phase1 = phase1_start.elapsed();
@@ -1083,23 +1093,17 @@ impl OnlineEstimator {
         self.phase2.rates(self.red.num_links(), y)
     }
 
-    /// Applies a routing delta to the **live** estimator — no drain, no
-    /// rebuild. Every incremental structure is patched in place:
+    /// Applies a routing delta to the **live** estimator — no drain:
     ///
     /// * the reduced topology and Phase-2 rank view swap to the new
     ///   routing (an invalid delta returns the [`ChurnError`] and
     ///   leaves the estimator untouched);
-    /// * the augmented pair system is patched row-by-row
-    ///   ([`AugmentedSystem::apply_delta`]), carrying every pair whose
-    ///   intersection row is bit-identical across the delta (under a
-    ///   biting [`PairBudget`] the selection is re-run and re-matched
-    ///   instead);
-    /// * the Gram cache subtracts the dropped rows' co-occurrence
-    ///   counts (integer arithmetic — patched equals from-scratch);
-    ///   recomputed rows enter unkept, and the next refresh folds them
-    ///   in against fresh covariances;
+    /// * the augmented pair system is rebuilt under the configured
+    ///   [`PairBudget`], exactly as [`OnlineEstimator::new`] builds it,
+    ///   and the Phase-1 workspace forgets its Gram counts and cached
+    ///   factors (the next refresh recounts the integers from scratch);
     /// * the covariance window remaps its retained rows and restarts
-    ///   the recomputed pairs with a fresh validity horizon
+    ///   the added and rerouted paths with a fresh validity horizon
     ///   ([`StreamingCovariance::apply_churn`]): interim refreshes
     ///   replay each pair over its valid suffix, and once the window
     ///   flushes ([`Staleness::is_flushed`]) estimates are again
@@ -1109,7 +1113,7 @@ impl OnlineEstimator {
     /// A refresh is attempted immediately; a post-churn refresh
     /// failure (e.g. every pair warming) is held as a warm-up error
     /// rather than surfaced — the estimator keeps streaming. When it
-    /// replaces a live model, [`ChurnReport::fallback`] says so.
+    /// replaces a live model, [`ChurnReport::refresh_error`] says so.
     pub fn apply_delta(&mut self, delta: &TopologyDelta) -> Result<ChurnReport, ChurnError> {
         let effect = self.red.apply_delta(delta)?;
         // Committed from here: `self.red` describes the new routing.
@@ -1119,50 +1123,31 @@ impl OnlineEstimator {
         self.view = RankView::new(&self.red, self.cfg.lia.dispatch);
         self.phase2.clear();
         self.order.clear();
-        let np = self.red.num_paths();
-        let nc = self.red.num_links();
-        // Patch (or, under a pair budget, rebuild and re-match) the
-        // augmented system.
-        let (new_aug, new_selection, carry) = if self.selection.is_some() {
-            let (aug, sel) = apply_budget(AugmentedSystem::build(&self.red), self.cfg.pair_budget);
-            let carry = carry_via_pairs(&self.aug, &aug, &effect, np);
-            (aug, sel, carry)
-        } else {
-            let (full, carry_full) = self.aug.apply_delta(&self.red, &effect);
-            let (aug, sel) = apply_budget(full, self.cfg.pair_budget);
-            if sel.is_some() {
-                // The budget bites only now (churn grew the pair set
-                // past it): re-match pairs against the selection.
-                let carry = carry_via_pairs(&self.aug, &aug, &effect, np);
-                (aug, sel, carry)
-            } else {
-                (aug, sel, carry_full)
-            }
-        };
-        // Patch the Gram counts while `self.aug` is still the old
-        // system (the dropped rows' links are read from it).
-        self.gram.apply_churn(self.aug.matrix(), nc, &carry);
-        // Rewire the covariance window to the new pair set.
+        // The pair system and its Gram counts are pure functions of the
+        // routing: rebuild the one `new` builds, and recount from
+        // scratch at the next refresh.
+        (self.aug, self.selection) =
+            apply_budget(AugmentedSystem::build(&self.red), self.cfg.pair_budget);
+        self.scratch.phase1.reset();
         self.cov
-            .apply_churn(np, new_aug.pair_indices(), &carry, &effect.id_map);
-        let carried_pairs = carry.iter().filter(|c| c.is_some()).count();
-        let recomputed_pairs = carry.len() - carried_pairs;
-        self.aug = new_aug;
-        self.selection = new_selection;
-        // Both cached Phase-1 factors (kept-mask and all-rows) describe
-        // the old system.
-        self.scratch.phase1.invalidate_for_churn();
+            .apply_churn(self.red.num_paths(), self.aug.pair_indices(), &effect);
+        let changed = |p: &PathId| effect.changed.binary_search(p).is_ok();
+        let recomputed_pairs = self
+            .aug
+            .iter()
+            .filter(|((a, b), _)| changed(a) || changed(b))
+            .count();
         // The old model indexes the old pair system; `estimate` must
         // not serve it.
         let had_model = self.variances.take().is_some();
         let mut refreshed = false;
-        let mut fallback = None;
+        let mut refresh_error = None;
         if self.cov.len() >= 2 {
             match self.refresh() {
                 Ok(()) => refreshed = true,
                 Err(e) => {
                     if had_model {
-                        fallback = Some(format!("post-churn refresh failed: {e}"));
+                        refresh_error = Some(format!("post-churn refresh failed: {e}"));
                     }
                     self.warmup_error = Some(e);
                 }
@@ -1172,9 +1157,9 @@ impl OnlineEstimator {
             added_paths: effect.added.len(),
             removed_paths: effect.removed.len(),
             rerouted_paths: effect.changed.len() - effect.added.len(),
-            carried_pairs,
+            carried_pairs: self.aug.num_rows() - recomputed_pairs,
             recomputed_pairs,
-            fallback,
+            refresh_error,
             refreshed,
             staleness: self.cov.staleness(),
         })
@@ -1191,45 +1176,19 @@ pub struct ChurnReport {
     pub removed_paths: usize,
     /// Surviving paths whose link row changed (reroutes + remap hits).
     pub rerouted_paths: usize,
-    /// Augmented pairs carried with their history intact.
+    /// Augmented pairs of two unchanged paths: their history carries.
     pub carried_pairs: usize,
-    /// Augmented pairs recomputed and restarted (warming up).
+    /// Augmented pairs with an added or rerouted path: restarted
+    /// (warming up).
     pub recomputed_pairs: usize,
     /// `Some(reason)` when the immediate post-churn refresh failed
     /// while a model was live: the estimator serves no estimate until a
     /// later refresh succeeds. Never silent.
-    pub fallback: Option<String>,
+    pub refresh_error: Option<String>,
     /// Whether the immediate post-churn refresh succeeded.
     pub refreshed: bool,
     /// Flush progress of the covariance window at return.
     pub staleness: Staleness,
-}
-
-/// Matches the new (budgeted) pair set against the old one by pair
-/// identity: a new pair carries the old slot's history iff neither
-/// endpoint changed routing and the same path pair was tracked before.
-fn carry_via_pairs(
-    old: &AugmentedSystem,
-    new: &AugmentedSystem,
-    effect: &DeltaEffect,
-    new_np: usize,
-) -> Vec<Option<usize>> {
-    let changed: std::collections::HashSet<u32> = effect.changed.iter().map(|p| p.0).collect();
-    let inv = effect.inverse_id_map(new_np);
-    let mut old_slots = std::collections::HashMap::new();
-    for (r, ((a, b), _)) in old.iter().enumerate() {
-        old_slots.insert((a.0, b.0), r);
-    }
-    new.iter()
-        .map(|((a, b), _)| {
-            if changed.contains(&a.0) || changed.contains(&b.0) {
-                return None;
-            }
-            let oa = inv[a.index()]?;
-            let ob = inv[b.index()]?;
-            old_slots.get(&(oa.0, ob.0)).copied()
-        })
-        .collect()
 }
 
 /// Set difference of two ascending index lists, as
@@ -1401,6 +1360,17 @@ mod tests {
         assert_eq!(owned.exact_covariances(), wire.exact_covariances());
     }
 
+    /// The effect of a delta that renumbers paths by `id_map` and
+    /// reroutes the new paths `changed`.
+    fn churn_effect(id_map: Vec<Option<PathId>>, changed: &[u32]) -> DeltaEffect {
+        DeltaEffect {
+            id_map,
+            changed: changed.iter().map(|&p| PathId(p)).collect(),
+            removed: Vec::new(),
+            added: Vec::new(),
+        }
+    }
+
     #[test]
     fn churn_remap_rewrites_wire_rows() {
         // `apply_churn` remaps retained rows in place; wire-backed
@@ -1414,12 +1384,12 @@ mod tests {
             owned.ingest(row);
             wire.ingest_wire(&b);
         }
-        // Drop path 1: old paths {0,2} become new paths {0,1}.
-        let id_map = vec![Some(PathId(0)), None, Some(PathId(1))];
+        // Drop path 1 and reroute path 2: old paths {0,2} become new
+        // paths {0,1}, and new path 1 restarts.
+        let effect = churn_effect(vec![Some(PathId(0)), None, Some(PathId(1))], &[1]);
         let new_pairs = vec![(0, 0), (1, 1), (0, 1)];
-        let carry = vec![Some(0), None, None];
-        owned.apply_churn(2, new_pairs.clone(), &carry, &id_map);
-        wire.apply_churn(2, new_pairs, &carry, &id_map);
+        owned.apply_churn(2, new_pairs.clone(), &effect);
+        wire.apply_churn(2, new_pairs, &effect);
         assert_eq!(owned.covariances(), wire.covariances());
         assert_eq!(owned.exact_covariances(), wire.exact_covariances());
         for k in 0..8 {
@@ -2020,10 +1990,13 @@ mod tests {
         }
         assert!(cov.is_churn_free());
         assert_eq!(cov.staleness().snapshots_until_flush, Some(0));
-        // Restart pair 3 and pair 1 (identity carry elsewhere).
+        // Reroute path 1: pairs 1 and 3 restart.
         let id_map: Vec<Option<PathId>> = (0..3).map(|i| Some(PathId(i))).collect();
-        let carry = vec![Some(0), None, Some(2), None];
-        cov.apply_churn(3, vec![(0, 0), (1, 1), (2, 2), (0, 1)], &carry, &id_map);
+        cov.apply_churn(
+            3,
+            vec![(0, 0), (1, 1), (2, 2), (0, 1)],
+            &churn_effect(id_map, &[1]),
+        );
         assert!(!cov.is_churn_free());
         let st = cov.staleness();
         assert_eq!(st.stale_rows, w);
@@ -2054,34 +2027,60 @@ mod tests {
             cov.ingest(&r);
         }
         let id_map = vec![Some(PathId(0)), Some(PathId(1))];
-        // Restart the cross pair only.
-        cov.apply_churn(
-            2,
-            vec![(0, 0), (1, 1), (0, 1)],
-            &[Some(0), Some(1), None],
-            &id_map,
-        );
+        // Reroute path 1: its self pair and the cross pair restart.
+        cov.apply_churn(2, vec![(0, 0), (1, 1), (0, 1)], &churn_effect(id_map, &[1]));
         for k in 0..3 {
             let r = [k as f64 * 0.9, (3 - k) as f64 * 0.2];
             rng_rows.push(r);
             cov.ingest(&r);
         }
         let got = cov.exact_covariances();
-        // Carried pairs replay the full window; the restarted pair
-        // replays only its post-churn suffix.
+        // The carried pair replays the full window; the restarted pairs
+        // replay only their post-churn suffix.
         let window: Vec<&[f64]> = rng_rows[rng_rows.len() - cov.len()..]
             .iter()
             .map(|r| r.as_slice())
             .collect();
-        let full = CenteredMeasurements::from_row_refs(&window).pair_covariances(&[(0, 0), (1, 1)]);
+        let full = CenteredMeasurements::from_row_refs(&window).pair_covariances(&[(0, 0)]);
         assert_eq!(got[0], full[0]);
-        assert_eq!(got[1], full[1]);
         let suffix: Vec<&[f64]> = rng_rows[rng_rows.len() - 3..]
             .iter()
             .map(|r| r.as_slice())
             .collect();
-        let cross = CenteredMeasurements::from_row_refs(&suffix).pair_covariances(&[(0, 1)]);
-        assert_eq!(got[2], cross[0]);
+        let restarted =
+            CenteredMeasurements::from_row_refs(&suffix).pair_covariances(&[(1, 1), (0, 1)]);
+        assert_eq!(got[1..], restarted[..]);
+    }
+
+    #[test]
+    fn pair_first_tracked_after_churn_keeps_its_paths_history() {
+        // The pair set grows across a churn that reroutes only path 2:
+        // the new pair (0, 1) joins two unchanged paths, so it replays
+        // the whole window, while (1, 2) replays the post-churn suffix.
+        let w = 10;
+        let mut cov =
+            StreamingCovariance::new(3, vec![(0, 0), (1, 1), (2, 2)], WindowMode::Sliding(w));
+        let rows = synthetic_rows(9, 3);
+        for row in &rows[..6] {
+            cov.ingest(row);
+        }
+        let id_map: Vec<Option<PathId>> = (0..3).map(|i| Some(PathId(i))).collect();
+        cov.apply_churn(
+            3,
+            vec![(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)],
+            &churn_effect(id_map, &[2]),
+        );
+        for row in &rows[6..] {
+            cov.ingest(row);
+        }
+        assert!(!cov.is_churn_free());
+        assert_eq!(cov.staleness().warming_pairs, 0);
+        let got = cov.exact_covariances();
+        let whole = CenteredMeasurements::from_rows(rows.clone()).pair_covariances(&[(0, 1)]);
+        assert_eq!(got[3], whole[0]);
+        let suffix =
+            CenteredMeasurements::from_rows(rows[6..].to_vec()).pair_covariances(&[(1, 2)]);
+        assert_eq!(got[4], suffix[0]);
     }
 
     #[test]

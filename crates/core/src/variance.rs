@@ -178,14 +178,7 @@ pub fn estimate_variances_from_sigmas(
     sigmas: &[f64],
     cfg: &VarianceConfig,
 ) -> Result<VarianceEstimate, LinalgError> {
-    estimate_variances_scratch(
-        red,
-        aug,
-        sigmas,
-        cfg,
-        &mut GramCache::new(),
-        &mut Phase1Scratch::new(),
-    )
+    estimate_variances_scratch(red, aug, sigmas, cfg, &mut Phase1Scratch::new())
 }
 
 /// Reusable normal-equations assembly state for repeated Phase-1 solves
@@ -199,8 +192,8 @@ pub fn estimate_variances_from_sigmas(
 /// re-assembling all `r` rows — and integer arithmetic makes the
 /// patched counts exactly equal to a from-scratch assembly, which is
 /// what keeps cached refreshes bit-identical to batch Phase 1.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GramCache {
+#[derive(Debug, Default)]
+struct GramCache {
     /// Upper-triangle co-occurrence counts of the currently-kept rows
     /// (`counts[ka * nc + kb]` for `ka ≤ kb`).
     counts: Vec<u32>,
@@ -210,19 +203,13 @@ pub(crate) struct GramCache {
 }
 
 impl GramCache {
-    /// Creates an empty cache; the first
-    /// [`estimate_variances_scratch`] call fills it.
-    pub fn new() -> Self {
-        GramCache::default()
-    }
-
     /// Whether the cache has been filled by a previous solve.
-    pub fn is_ready(&self) -> bool {
+    fn is_ready(&self) -> bool {
         self.ready
     }
 
     /// Raw upper-triangle co-occurrence counts (row-major, `nc × nc`).
-    pub(crate) fn counts(&self) -> &[u32] {
+    fn counts(&self) -> &[u32] {
         &self.counts
     }
 
@@ -231,16 +218,13 @@ impl GramCache {
     /// shared [`losstomo_topology::RoutingMatrix`]
     /// ([`AugmentedSystem::matrix`]). Returns whether any row changed
     /// status.
-    pub(crate) fn sync(
-        &mut self,
-        rows: &losstomo_topology::RoutingMatrix,
-        nc: usize,
-        new_kept: &[bool],
-    ) -> bool {
+    fn sync(&mut self, rows: &RoutingMatrix, nc: usize, new_kept: &[bool]) -> bool {
         debug_assert_eq!(new_kept.len(), rows.rows());
         if !self.ready {
-            self.counts = vec![0u32; nc * nc];
-            self.kept = vec![false; rows.rows()];
+            self.counts.clear();
+            self.counts.resize(nc * nc, 0);
+            self.kept.clear();
+            self.kept.resize(rows.rows(), false);
             self.ready = true;
         }
         let mut changed = false;
@@ -269,65 +253,21 @@ impl GramCache {
         self.kept.copy_from_slice(new_kept);
         changed
     }
-
-    /// Re-keys the cache across a routing churn event: `carry[new_r]`
-    /// names the old augmented row that new row `new_r` carries
-    /// unchanged (`None` = recomputed/added — see
-    /// [`AugmentedSystem::apply_delta`]). Kept flags follow their rows
-    /// to the new numbering; old kept rows that did not survive are
-    /// subtracted from the integer counts, and recomputed rows enter as
-    /// not-yet-kept (the next [`GramCache::sync`] folds them in against
-    /// fresh covariances).
-    ///
-    /// Because carried rows have bit-identical link sets and the counts
-    /// are integers, the patched counts exactly equal a from-scratch
-    /// assembly over the carried kept rows — the churn patch costs
-    /// `O(dropped · s²)` instead of `O(r · s²)`.
-    pub(crate) fn apply_churn(
-        &mut self,
-        old_rows: &losstomo_topology::RoutingMatrix,
-        nc: usize,
-        carry: &[Option<usize>],
-    ) {
-        if !self.ready {
-            return;
-        }
-        let mut survived = vec![false; self.kept.len()];
-        let mut new_kept = vec![false; carry.len()];
-        for (new_r, c) in carry.iter().enumerate() {
-            if let Some(old_r) = c {
-                survived[*old_r] = true;
-                new_kept[new_r] = self.kept[*old_r];
-            }
-        }
-        for (old_r, (&was_kept, &surv)) in self.kept.iter().zip(survived.iter()).enumerate() {
-            if was_kept && !surv {
-                let links = old_rows.row(old_r);
-                for (ai, &ka) in links.iter().enumerate() {
-                    let crow = &mut self.counts[ka * nc..(ka + 1) * nc];
-                    for &kb in &links[ai..] {
-                        crow[kb] -= 1;
-                    }
-                }
-            }
-        }
-        self.kept = new_kept;
-    }
 }
 
 /// Reusable buffers for repeated Phase-1 normal-equations solves: the
-/// kept mask, `AᵀΣ*`, the per-link row counts of the kept rows, the
-/// topology constants the singularity certificate reads, the dense
-/// Gram expansion, and the SPD solver workspaces (permutation, permuted
-/// Gram, Cholesky factor) all survive between refreshes, so a
-/// steady-state refresh allocates nothing.
+/// kept mask, the [`GramCache`] counts, `AᵀΣ*`, the per-link row counts
+/// of the kept rows, the topology constants the singularity certificate
+/// reads, the dense Gram expansion, and the SPD solver workspaces
+/// (permutation, permuted Gram, Cholesky factor) all survive between
+/// refreshes, so a steady-state refresh allocates nothing.
 ///
-/// The workspace must be dedicated to one `(red, aug, cache)` pipeline:
-/// when a refresh leaves the kept/dropped row mask unchanged, the Gram
+/// The workspace must be dedicated to one `(red, aug)` pipeline: when
+/// a refresh leaves the kept/dropped row mask unchanged, the Gram
 /// expansion *and its cached Cholesky factor* are reused outright
 /// (integer counts unchanged ⇒ identical Gram bits ⇒ identical factor
 /// bits), turning the refresh into one `AᵀΣ*` sweep plus two triangular
-/// solves.
+/// solves. A new pair system needs [`Phase1Scratch::reset`].
 ///
 /// The all-rows fallback gets its own cached factor: its Gram is the
 /// co-occurrence count over *every* augmented row — a constant of the
@@ -344,6 +284,8 @@ impl GramCache {
 #[derive(Debug, Default)]
 pub(crate) struct Phase1Scratch {
     new_kept: Vec<bool>,
+    /// Co-occurrence counts of the rows the last solve kept.
+    cache: GramCache,
     atb: Vec<f64>,
     /// Kept rows per link (the kept Gram diagonal).
     cover: Vec<u32>,
@@ -372,13 +314,17 @@ impl Phase1Scratch {
         Phase1Scratch::default()
     }
 
-    /// Drops **both** cached Cholesky factors. Routing churn changes
-    /// the augmented row set itself, so the all-rows fallback Gram —
-    /// otherwise a constant of the topology whose factor is "reusable
-    /// forever" — is no longer the matrix either factor was computed
-    /// from. Every churn event must call this; reusing either stale
-    /// factor would silently break the post-flush bit-identity gate.
-    pub fn invalidate_for_churn(&mut self) {
+    /// Forgets everything derived from the pair system: the Gram
+    /// counts and **both** cached Cholesky factors; the buffers stay.
+    /// Routing churn rebuilds the augmented rows, so the all-rows
+    /// fallback Gram — otherwise a constant of the topology whose
+    /// factor is "reusable forever" — is no longer the matrix either
+    /// factor was computed from. The next solve recounts from scratch,
+    /// and integer counts make that the same bits a fresh workspace
+    /// gets; reusing either stale factor would silently break the
+    /// post-flush bit-identity gate.
+    pub fn reset(&mut self) {
+        self.cache.ready = false;
         self.spd.invalidate();
         self.spd_all.invalidate();
     }
@@ -448,13 +394,13 @@ impl Phase1Scratch {
     }
 }
 
-/// Phase 1 via the normal equations with a reusable [`GramCache`] and
-/// [`Phase1Scratch`]: the paper's negative-row drop, its all-rows
-/// fallback, and incremental `AᵀA` maintenance sharing one assembly.
+/// Phase 1 via the normal equations with a reusable [`Phase1Scratch`]:
+/// the paper's negative-row drop, its all-rows fallback, and
+/// incremental `AᵀA` maintenance sharing one assembly.
 ///
-/// With a fresh cache and workspace this is the batch estimator
+/// With a fresh workspace this is the batch estimator
 /// ([`estimate_variances_from_sigmas`]); the streaming estimator
-/// refreshes through it with warm ones, and a steady-state refresh then
+/// refreshes through it with a warm one, and a steady-state refresh then
 /// allocates nothing. Only the rows whose kept/dropped status changed
 /// since the previous call touch the Gram counts. Counts are small
 /// integers, so the incremental result is exactly the from-scratch
@@ -465,7 +411,6 @@ pub(crate) fn estimate_variances_scratch(
     aug: &AugmentedSystem,
     sigmas: &[f64],
     cfg: &VarianceConfig,
-    cache: &mut GramCache,
     ws: &mut Phase1Scratch,
 ) -> Result<VarianceEstimate, LinalgError> {
     if !cfg.dispatch.use_dense(red.num_links()) {
@@ -522,8 +467,8 @@ pub(crate) fn estimate_variances_scratch(
     let reason = match proven {
         Some(reason) => reason,
         None => {
-            let cache_was_ready = cache.is_ready();
-            let mask_changed = cache.sync(aug.matrix(), nc, &ws.new_kept);
+            let cache_was_ready = ws.cache.is_ready();
+            let mask_changed = ws.cache.sync(aug.matrix(), nc, &ws.new_kept);
             let mask_unchanged = cache_was_ready && !mask_changed;
             if used < nc {
                 // Nothing was dropped (or the verdict above would have
@@ -542,7 +487,7 @@ pub(crate) fn estimate_variances_scratch(
             let factor_reusable = mask_unchanged && ws.spd.factor_is_cached(nc);
             if !factor_reusable {
                 ws.gram.reshape_uninit(nc, nc);
-                counts_to_symmetric(cache.counts(), ws.gram.as_mut_slice(), nc);
+                counts_to_symmetric(ws.cache.counts(), ws.gram.as_mut_slice(), nc);
             }
             match lstsq::solve_spd_with(&ws.gram, &ws.atb, &mut ws.spd, factor_reusable) {
                 Ok(v) => {
@@ -566,7 +511,7 @@ pub(crate) fn estimate_variances_scratch(
     // refactorisation would produce.
     ws.all_mask.clear();
     ws.all_mask.resize(aug.num_rows(), true);
-    cache.sync(aug.matrix(), nc, &ws.all_mask);
+    ws.cache.sync(aug.matrix(), nc, &ws.all_mask);
     // The cache mask just moved to all-true without a kept solve:
     // `ws.spd`'s factor no longer corresponds to it.
     ws.spd.invalidate();
@@ -581,7 +526,7 @@ pub(crate) fn estimate_variances_scratch(
     let all_factor_reusable = ws.spd_all.factor_is_cached(nc);
     if !all_factor_reusable {
         ws.gram.reshape_uninit(nc, nc);
-        counts_to_symmetric(cache.counts(), ws.gram.as_mut_slice(), nc);
+        counts_to_symmetric(ws.cache.counts(), ws.gram.as_mut_slice(), nc);
     }
     let v = lstsq::solve_spd_with(&ws.gram, &ws.atb, &mut ws.spd_all, all_factor_reusable)?;
     Ok(VarianceEstimate {
@@ -858,19 +803,15 @@ mod tests {
         // state, so a stale M1 factor would be silently reused.
         let m3 = vec![0.9, 1.1, 0.8, 1.2, 1.0, 0.7];
         for between in [&m2, &certified] {
-            let mut cache = GramCache::new();
             let mut ws = Phase1Scratch::new();
-            let r1 =
-                estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut cache, &mut ws).unwrap();
+            let r1 = estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut ws).unwrap();
             assert_eq!(r1.dropped_rows, 1, "kept solve should succeed on M1");
             assert_eq!(r1.fallback, None);
-            let r2 =
-                estimate_variances_scratch(&red, &aug, between, &cfg, &mut cache, &mut ws).unwrap();
+            let r2 = estimate_variances_scratch(&red, &aug, between, &cfg, &mut ws).unwrap();
             assert_eq!(r2.dropped_rows, 0, "fallback folds every row back in");
             assert!(r2.fallback.is_some());
             assert_eq!(r2.v, fresh(between).v);
-            let got =
-                estimate_variances_scratch(&red, &aug, &m3, &cfg, &mut cache, &mut ws).unwrap();
+            let got = estimate_variances_scratch(&red, &aug, &m3, &cfg, &mut ws).unwrap();
             assert_eq!(
                 got.v,
                 fresh(&m3).v,
@@ -878,8 +819,7 @@ mod tests {
             );
             assert_eq!(got.used_rows, fresh(&m3).used_rows);
             // Back to M1 after the fallback: refactored, not reused.
-            let again =
-                estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut cache, &mut ws).unwrap();
+            let again = estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut ws).unwrap();
             assert_eq!(again.v, r1.v);
         }
     }
@@ -992,9 +932,9 @@ mod tests {
                 .reroute_path(PathId(0), route)
                 .remove_path(PathId(2))
                 .add_path(red.path_links(PathId(3)).to_vec());
-            if let Ok(effect) = churned.apply_delta(&delta) {
-                let (patched, _) = aug.apply_delta(&churned, &effect);
-                systems.push((churned, patched));
+            if churned.apply_delta(&delta).is_ok() {
+                let rebuilt = AugmentedSystem::build(&churned);
+                systems.push((churned, rebuilt));
             }
             systems.push((red, aug));
         }
@@ -1038,7 +978,7 @@ mod tests {
                     };
                     fired += 1;
                     assert!(deficient, "certified link {link} on a full-rank kept set");
-                    let mut cache = GramCache::new();
+                    let mut cache = GramCache::default();
                     cache.sync(aug.matrix(), nc, &kept);
                     let mut gram = Matrix::zeros(nc, nc);
                     counts_to_symmetric(cache.counts(), gram.as_mut_slice(), nc);
@@ -1052,36 +992,6 @@ mod tests {
             fired > masks / 4,
             "the certificate should fire on trees: {fired}/{masks}"
         );
-    }
-
-    #[test]
-    fn gram_churn_patch_matches_from_scratch_counts() {
-        use losstomo_topology::{PathId, TopologyDelta};
-        let mut red = fixtures::reduced(&fixtures::figure2());
-        let nc = red.num_links();
-        let aug = AugmentedSystem::build(&red);
-        // Fill the cache with a mixed kept mask.
-        let mut cache = GramCache::new();
-        let kept: Vec<bool> = (0..aug.num_rows()).map(|r| r % 3 != 0).collect();
-        cache.sync(aug.matrix(), nc, &kept);
-        // Churn: reroute one path, drop another, add one.
-        let delta = TopologyDelta::new()
-            .reroute_path(PathId(1), vec![0, 2])
-            .remove_path(PathId(3))
-            .add_path(vec![1, nc - 1]);
-        let effect = red.apply_delta(&delta).unwrap();
-        let (patched, carry) = aug.apply_delta(&red, &effect);
-        cache.apply_churn(aug.matrix(), nc, &carry);
-        // Patched counts == from-scratch counts over the carried kept rows.
-        let mut fresh = GramCache::new();
-        fresh.sync(patched.matrix(), nc, &cache.kept);
-        assert_eq!(cache.counts(), fresh.counts());
-        // And a follow-up sync to a new mask still agrees bit-for-bit.
-        let new_mask: Vec<bool> = (0..patched.num_rows()).map(|r| r % 2 == 0).collect();
-        cache.sync(patched.matrix(), nc, &new_mask);
-        let mut fresh2 = GramCache::new();
-        fresh2.sync(patched.matrix(), nc, &new_mask);
-        assert_eq!(cache.counts(), fresh2.counts());
     }
 
     #[test]

@@ -578,7 +578,7 @@ impl Fleet {
                 reason: e.to_string(),
             })?;
         let mut events = Vec::new();
-        if let Some(reason) = &report.fallback {
+        if let Some(reason) = &report.refresh_error {
             t.errors += 1;
             events.push(FleetEvent {
                 tenant: id,
@@ -596,7 +596,7 @@ impl Fleet {
                 removed: report.removed_paths,
                 rerouted: report.rerouted_paths,
                 snapshots_until_flush: report.staleness.snapshots_until_flush,
-                rebuilt: report.fallback.is_some(),
+                rebuilt: report.refresh_error.is_some(),
             },
         });
         Ok(events)

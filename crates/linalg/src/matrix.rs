@@ -80,16 +80,6 @@ impl Matrix {
         })
     }
 
-    /// Creates a diagonal matrix from the given diagonal entries.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -252,19 +242,6 @@ impl Matrix {
         g
     }
 
-    /// Removes the given columns (indices into the current matrix, any
-    /// order, duplicates ignored) and returns the shrunken matrix.
-    pub fn drop_columns(&self, cols_to_drop: &[usize]) -> Matrix {
-        let mut keep = vec![true; self.cols];
-        for &c in cols_to_drop {
-            if c < self.cols {
-                keep[c] = false;
-            }
-        }
-        let kept: Vec<usize> = (0..self.cols).filter(|&j| keep[j]).collect();
-        self.select_columns(&kept)
-    }
-
     /// Returns a new matrix consisting of the selected columns, in the
     /// given order.
     pub fn select_columns(&self, cols: &[usize]) -> Matrix {
@@ -304,21 +281,6 @@ impl Matrix {
     pub fn reshape_zeroed(&mut self, rows: usize, cols: usize) {
         self.reshape_uninit(rows, cols);
         self.data.fill(0.0);
-    }
-
-    /// Returns a new matrix consisting of the selected rows, in the given
-    /// order.
-    pub fn select_rows(&self, rows: &[usize]) -> Matrix {
-        let mut m = Matrix::zeros(rows.len(), self.cols);
-        for (dst_i, &src_i) in rows.iter().enumerate() {
-            m.row_mut(dst_i).copy_from_slice(self.row(src_i));
-        }
-        m
-    }
-
-    /// Frobenius norm `sqrt(Σ aᵢⱼ²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|a| a * a).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry; 0 for an empty matrix.
@@ -481,7 +443,7 @@ mod tests {
     #[test]
     fn drop_and_select_columns() {
         let m = sample();
-        let d = m.drop_columns(&[1]);
+        let d = m.select_columns(&[0, 2]);
         assert_eq!(d.shape(), (2, 2));
         assert_eq!(d[(0, 1)], 3.0);
         let s = m.select_columns(&[2, 0]);
@@ -490,18 +452,8 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_reorders() {
-        let m = sample();
-        let s = m.select_rows(&[1, 0, 1]);
-        assert_eq!(s.shape(), (3, 3));
-        assert_eq!(s.row(0), m.row(1));
-        assert_eq!(s.row(2), m.row(1));
-    }
-
-    #[test]
     fn norms() {
         let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, -4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
     }
 
@@ -512,14 +464,6 @@ mod tests {
         assert_eq!(m.row(0), &[3.0, 2.0, 1.0]);
         m.swap_columns(1, 1);
         assert_eq!(m.row(1), &[6.0, 5.0, 4.0]);
-    }
-
-    #[test]
-    fn from_diag_places_entries() {
-        let d = Matrix::from_diag(&[1.0, 2.0]);
-        assert_eq!(d[(0, 0)], 1.0);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl CsrMatrix {
             .zip(self.values[lo..hi].iter().copied())
     }
 
-    /// The column indices of row `i` (sorted ascending).
-    pub fn row_indices(&self, i: usize) -> &[usize] {
-        &self.indices[self.indptr[i]..self.indptr[i + 1]]
-    }
-
     /// Matrix–vector product `A x`.
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.cols {
@@ -313,7 +308,7 @@ mod tests {
         let mut b = CsrBuilder::new(5);
         b.push_binary_row(&[4, 0, 2]).unwrap();
         let m = b.build();
-        assert_eq!(m.row_indices(0), &[0, 2, 4]);
+        assert!(m.row(0).map(|(k, _)| k).eq([0, 2, 4]));
         assert!(m.row(0).all(|(_, v)| v == 1.0));
     }
 

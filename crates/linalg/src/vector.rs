@@ -19,18 +19,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// L1 norm (sum of absolute values).
-#[inline]
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
-/// Infinity norm (maximum absolute value); 0 for an empty slice.
-#[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
-}
-
 /// `y ← y + alpha * x` (AXPY update).
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -46,12 +34,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi *= alpha;
     }
-}
-
-/// Element-wise difference `a - b` as a new vector.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b.iter()).map(|(x, y)| x - y).collect()
 }
 
 /// Arithmetic mean; 0 for an empty slice.
@@ -98,9 +80,6 @@ mod tests {
         let a = [3.0, 4.0];
         assert_eq!(dot(&a, &a), 25.0);
         assert_eq!(norm2(&a), 5.0);
-        assert_eq!(norm1(&a), 7.0);
-        assert_eq!(norm_inf(&a), 4.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]
@@ -115,11 +94,6 @@ mod tests {
         let mut x = vec![1.0, -2.0];
         scale(-3.0, &mut x);
         assert_eq!(x, vec![-3.0, 6.0]);
-    }
-
-    #[test]
-    fn sub_elementwise() {
-        assert_eq!(sub(&[3.0, 2.0], &[1.0, 5.0]), vec![2.0, -3.0]);
     }
 
     #[test]

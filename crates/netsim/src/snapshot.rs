@@ -37,11 +37,6 @@ impl LinkTruth {
         self.empirical_loss_rate()
             .unwrap_or(self.assigned_loss_rate)
     }
-
-    /// True transmission rate `φ_e` of the link.
-    pub fn true_transmission_rate(&self) -> f64 {
-        1.0 - self.true_loss_rate()
-    }
 }
 
 /// All measurements and ground truth of one snapshot.
@@ -197,7 +192,6 @@ mod tests {
         };
         assert_eq!(t.empirical_loss_rate(), Some(0.12));
         assert!((t.true_loss_rate() - 0.12).abs() < 1e-12);
-        assert!((t.true_transmission_rate() - 0.88).abs() < 1e-12);
     }
 
     #[test]

@@ -1,47 +1,19 @@
 //! Bridge from the simulator's snapshot streams to the service-edge
 //! wire format (`losstomo-wire`).
 //!
-//! The simulator produces owned [`Snapshot`]s; the service edge speaks
+//! The simulator produces owned
+//! [`Snapshot`](crate::snapshot::Snapshot)s; the service edge speaks
 //! framed batches of raw log-rate rows. This module is the glue for
 //! loadgen and tests: it pulls rounds from a [`SnapshotFanIn`], tracks
 //! the per-tenant sequence numbers the fleet will assign on ingest,
 //! and materializes the same rows as either a binary wire batch or the
 //! JSON fallback — so every codec under benchmark carries *identical*
 //! row content.
-//!
-//! The row-level encode path is allocation-free per snapshot:
-//! [`encode_stream_frame`] streams `Snapshot::log_rates_into` through
-//! one caller-owned scratch row straight into a [`BatchEncoder`].
 
 use crate::fanin::SnapshotFanIn;
-use crate::snapshot::Snapshot;
 use bytes::Bytes;
 use losstomo_wire::{BatchEncoder, JsonBatch, JsonFrame, WireEncodeOptions};
 use rand::Rng;
-
-/// Appends one frame to `enc`: a run of snapshots for one tenant,
-/// starting at sequence `base_seq`, converted row by row through the
-/// caller's `scratch` buffer (no per-snapshot allocation).
-///
-/// # Panics
-/// Panics (in the encoder) when `snaps` is empty or snapshots disagree
-/// on path count.
-pub fn encode_stream_frame(
-    enc: &mut BatchEncoder,
-    tenant: u32,
-    base_seq: u64,
-    snaps: &[Snapshot],
-    scratch: &mut Vec<f64>,
-) {
-    let first = snaps.first().expect("frame needs at least one snapshot");
-    let paths = u32::try_from(first.path_received.len()).expect("path count fits u32");
-    enc.begin_frame(tenant, base_seq, paths);
-    for snap in snaps {
-        snap.log_rates_into(scratch);
-        enc.push_row(scratch);
-    }
-    enc.end_frame();
-}
 
 /// Collects fan-in rounds into codec-agnostic frames and tracks the
 /// monotone per-tenant sequence numbers across batches.
@@ -181,23 +153,5 @@ mod tests {
         assert_eq!(first.frames[1].base_seq, 0);
         assert_eq!(second.frames[1].base_seq, 3);
         assert_eq!(bridge.next_seq(1), 5);
-    }
-
-    #[test]
-    fn stream_frame_matches_collected_rows() {
-        let mut m = mux(1);
-        let snaps: Vec<Snapshot> = (&mut m).take(3).map(|(_, s)| s).collect();
-        let mut enc = BatchEncoder::new(WireEncodeOptions::default());
-        let mut scratch = Vec::new();
-        encode_stream_frame(&mut enc, 0, 10, &snaps, &mut scratch);
-        let parsed = WireBatch::parse(enc.finish()).expect("valid");
-        let frame = parsed.frame(0);
-        assert_eq!(frame.base_seq(), 10);
-        for (row, snap) in frame.rows().zip(&snaps) {
-            let want = snap.log_rates();
-            for (p, w) in want.iter().enumerate() {
-                assert_eq!(row.get(p).to_bits(), w.to_bits());
-            }
-        }
     }
 }

@@ -5,10 +5,12 @@
 //! open. This module makes churn a first-class event instead of a
 //! restart: a [`TopologyDelta`] batches path-level edits
 //! ([`TopologyEdit`]), [`RoutingMatrix::apply_delta`] applies them
-//! atomically, and the returned [`DeltaEffect`] tells every downstream
-//! consumer (the augmented pair system, the Gram cache, the streaming
-//! covariance window) exactly which rows moved, which survived with
-//! their history intact, and which must warm up from scratch.
+//! atomically, and the returned [`DeltaEffect`] tells the one consumer
+//! that keeps history across the event (the streaming covariance
+//! window) which path rows moved, which survived with their history
+//! intact, and which must warm up from scratch. Everything that is a
+//! pure function of the routing (the augmented pair system, its Gram
+//! counts) is rebuilt from the new matrix instead.
 //!
 //! ## Semantics
 //!
@@ -30,14 +32,13 @@
 //!
 //! The contract downstream layers rely on: a path absent from
 //! [`DeltaEffect::changed`] has **bit-identical** link rows before and
-//! after the delta, so any cached per-path or per-pair state keyed on
-//! its links (intersection rows, co-occurrence counts, covariance
-//! history) remains exactly valid.
+//! after the delta, so its measurement history still describes its
+//! current route, and so does the history of every pair of two such
+//! paths.
 
 use crate::alias::ReducedTopology;
 use crate::matrix::RoutingMatrix;
 use crate::path::PathId;
-use std::collections::HashSet;
 use std::fmt;
 
 /// One routing edit, applied as part of a [`TopologyDelta`].
@@ -190,21 +191,6 @@ pub struct DeltaEffect {
     pub removed: Vec<PathId>,
     /// New ids of added paths, ascending.
     pub added: Vec<PathId>,
-}
-
-impl DeltaEffect {
-    /// Inverse of [`DeltaEffect::id_map`]: per new row, the old row it
-    /// descends from (`None` = added by this delta). `new_rows` is the
-    /// post-delta row count.
-    pub fn inverse_id_map(&self, new_rows: usize) -> Vec<Option<PathId>> {
-        let mut inv = vec![None; new_rows];
-        for (old, mapped) in self.id_map.iter().enumerate() {
-            if let Some(new) = mapped {
-                inv[new.index()] = Some(PathId(old as u32));
-            }
-        }
-        inv
-    }
 }
 
 /// Working row state while a delta applies: the link set, the original
@@ -360,12 +346,6 @@ impl ReducedTopology {
     }
 }
 
-/// Returns the set of new path ids in `effect.changed` as a hash set
-/// (convenience for consumers deciding which cached entries survive).
-pub fn changed_set(effect: &DeltaEffect) -> HashSet<u32> {
-    effect.changed.iter().map(|p| p.0).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,25 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_id_map_round_trips() {
-        let mut m = sample();
-        let fx = m
-            .apply_delta(
-                &TopologyDelta::new()
-                    .remove_path(PathId(1))
-                    .add_path(vec![2]),
-            )
-            .unwrap();
-        let inv = fx.inverse_id_map(m.rows());
-        assert_eq!(inv, vec![Some(PathId(0)), Some(PathId(2)), None]);
-        for (old, mapped) in fx.id_map.iter().enumerate() {
-            if let Some(new) = mapped {
-                assert_eq!(inv[new.index()], Some(PathId(old as u32)));
-            }
-        }
-    }
-
-    #[test]
     fn unchanged_paths_keep_bit_identical_rows() {
         let mut m = sample();
         let before = m.clone();
@@ -512,10 +473,9 @@ mod tests {
                     .add_path(vec![4]),
             )
             .unwrap();
-        let changed = changed_set(&fx);
         for (old, mapped) in fx.id_map.iter().enumerate() {
             let Some(new) = mapped else { continue };
-            if !changed.contains(&new.0) {
+            if !fx.changed.contains(new) {
                 assert_eq!(before.row(old), m.row(new.index()));
             }
         }

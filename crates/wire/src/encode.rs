@@ -8,29 +8,11 @@ use crate::{
 };
 use bytes::{BufMut, Bytes, BytesMut};
 
-/// Environment knob: `LOSSTOMO_WIRE_CRC=1|true|on` appends a CRC32
-/// trailer to every encoded frame.
-pub const WIRE_CRC_ENV: &str = "LOSSTOMO_WIRE_CRC";
-
 /// Encoder policy for one batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireEncodeOptions {
     /// Append a CRC32 trailer to every frame (flag [`FRAME_FLAG_CRC`]).
     pub crc: bool,
-}
-
-impl WireEncodeOptions {
-    /// Reads the default policy from [`WIRE_CRC_ENV`]; unset or
-    /// unrecognized values mean no CRC (fastest path).
-    pub fn from_env() -> WireEncodeOptions {
-        let crc = std::env::var(WIRE_CRC_ENV)
-            .map(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                v == "1" || v == "true" || v == "on"
-            })
-            .unwrap_or(false);
-        WireEncodeOptions { crc }
-    }
 }
 
 /// Builds one wire batch. Frames are appended either whole

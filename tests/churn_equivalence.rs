@@ -5,6 +5,7 @@
 //! streaming exactness contract. Also pins that churning one fleet
 //! tenant never perturbs its neighbours.
 
+use losstomo::core::PairBudget;
 use losstomo::prelude::*;
 use losstomo::topology::gen::tree::{self, TreeParams};
 use losstomo::topology::gen::waxman::{self, WaxmanParams};
@@ -103,20 +104,32 @@ fn swap_delta(rng: &mut StdRng, red: &ReducedTopology) -> TopologyDelta {
         .remove_path(PathId(d as u32))
 }
 
-/// Streams rows into a sliding-window estimator on `red`, applying two
-/// deltas from `next_delta` between batches, then flushes the window.
-/// The churned estimator's refresh outcome, variances, Phase-2
-/// estimates, and kept columns must be bitwise equal to a fresh
-/// estimator on the new topology fed the same window. Returns whether
-/// the refresh solved the kept rows (no all-rows fold-back).
+/// What one churned-versus-fresh comparison saw.
+struct FlushOutcome {
+    /// The post-flush refresh solved the kept rows (no all-rows
+    /// fold-back).
+    kept_solve: bool,
+    /// The pair budget bit on the final routing (the estimator tracks
+    /// a strict subset of the augmented pairs).
+    budgeted: bool,
+}
+
+/// Streams rows into a sliding-window estimator on `red` under the
+/// pair `budget`, applying two deltas from `next_delta` between
+/// batches, then flushes the window. The churned estimator's refresh
+/// outcome, variances, Phase-2 estimates, and kept columns must be
+/// bitwise equal to a fresh estimator on the new topology fed the
+/// same window.
 fn churned_matches_fresh_after_flush(
     mut red: ReducedTopology,
+    budget: PairBudget,
     rng: &mut StdRng,
     mut next_delta: impl FnMut(&mut StdRng, &ReducedTopology) -> TopologyDelta,
-) -> Result<bool, TestCaseError> {
+) -> Result<FlushOutcome, TestCaseError> {
     let w = 8usize;
     let cfg = OnlineConfig {
         window: WindowMode::Sliding(w),
+        pair_budget: budget,
         ..OnlineConfig::default()
     };
     let mut online = OnlineEstimator::new(&red, cfg);
@@ -127,12 +140,19 @@ fn churned_matches_fresh_after_flush(
         }
         if round < 2 {
             let delta = next_delta(rng, &red);
-            red.apply_delta(&delta).expect("generated delta is valid");
+            let effect = red.apply_delta(&delta).expect("generated delta is valid");
             let report = online
                 .apply_delta(&delta)
                 .expect("estimator accepts valid delta");
             // The estimator tracks the mirror topology exactly.
             prop_assert!(online.topology().matrix == red.matrix);
+            // Exactly the pairs on an added or rerouted path restart.
+            let restarted = online
+                .augmented()
+                .iter()
+                .filter(|((a, b), _)| effect.changed.contains(a) || effect.changed.contains(b))
+                .count();
+            prop_assert_eq!(report.recomputed_pairs, restarted);
             prop_assert_eq!(
                 report.carried_pairs + report.recomputed_pairs,
                 online.augmented().num_rows()
@@ -176,7 +196,10 @@ fn churned_matches_fresh_after_flush(
             fresh.estimate(y).unwrap().transmission
         );
     }
-    Ok(a.is_ok() && online.variances().unwrap().fallback.is_none())
+    Ok(FlushOutcome {
+        kept_solve: a.is_ok() && online.variances().unwrap().fallback.is_none(),
+        budgeted: online.pair_selection().is_some(),
+    })
 }
 
 proptest! {
@@ -189,26 +212,40 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(7));
         let red = random_tree(seed);
         let nc = red.num_links();
-        churned_matches_fresh_after_flush(red, &mut rng, |rng, red| {
+        churned_matches_fresh_after_flush(red, PairBudget::Full, &mut rng, |rng, red| {
             random_delta(rng, red.num_paths(), nc)
         })?;
     }
 }
 
-/// The same gate on a mesh with route-swap deltas, over seeded streams.
-/// On trees nearly every refresh folds back to all rows; here some
-/// must solve the kept rows, so the kept-row factor is built from the
-/// churn-patched Gram counts.
+/// The same gate on a mesh with route-swap deltas, over seeded streams,
+/// with the full pair set and under a pair budget that bites (churn
+/// re-runs the selection on the new routing). On trees nearly every
+/// refresh folds back to all rows; here some must solve the kept rows,
+/// so the kept-row factor is built from the rebuilt system's Gram
+/// counts.
 #[test]
 fn churned_mesh_is_bit_identical_to_fresh_after_flush() {
-    let mut kept_solves = 0;
-    for seed in 0..16u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let kept = churned_matches_fresh_after_flush(small_mesh(), &mut rng, swap_delta)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
-        kept_solves += usize::from(kept);
+    for budget in [PairBudget::Full, PairBudget::Fraction(0.5)] {
+        let (mut kept_solves, mut budgeted) = (0, 0);
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let outcome =
+                churned_matches_fresh_after_flush(small_mesh(), budget, &mut rng, swap_delta)
+                    .unwrap_or_else(|e| panic!("{budget:?} seed {seed}: {e:?}"));
+            kept_solves += usize::from(outcome.kept_solve);
+            budgeted += usize::from(outcome.budgeted);
+        }
+        assert!(
+            kept_solves > 0,
+            "{budget:?}: no mesh refresh solved the kept rows"
+        );
+        assert_eq!(
+            budgeted > 0,
+            budget != PairBudget::Full,
+            "{budget:?}: the budget bit on {budgeted} of 16 seeds"
+        );
     }
-    assert!(kept_solves > 0, "no mesh refresh solved the kept rows");
 }
 
 /// Fleet isolation: applying a topology delta to one tenant leaves a
