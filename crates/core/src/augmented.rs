@@ -38,8 +38,7 @@ pub struct AugmentedSystem {
 }
 
 /// Intersection of two ascending index slices.
-#[cfg(test)]
-fn intersect_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
+pub(crate) fn intersect_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
     let mut out = Vec::new();
     intersect_sorted_into(a, b, &mut out);
     out

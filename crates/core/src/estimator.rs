@@ -11,6 +11,12 @@
 //! | [`EstimatorKind::DengFast`] | per-link moment matching + Gauss–Seidel (Deng et al.) | the speed point on meshes — skips the `O(paths²)` pair system |
 //! | [`EstimatorKind::FirstMoment`] | pivoted-QR basic solution of `Y = R X` | deliberately naive floor: what no second-order information buys |
 //!
+//! Every backend is built for one topology ([`build_estimator`]) and
+//! then fed any number of measurement windows on it. LIA's backend,
+//! [`LiaEstimator`], is the LIA core: it keeps the topology's pair
+//! system, its Phase-2 view and both phases' workspaces between calls,
+//! and [`crate::streaming::OnlineEstimator`] runs the same core.
+//!
 //! LIA and Zhu share Phase 2 ([`infer_link_rates`]) verbatim, so their
 //! output differences isolate the *variance learning* strategy; the
 //! fast backend additionally swaps in a variance-screened Phase 2 (see
@@ -39,17 +45,20 @@
 //! Any violation means the routing is not tree-like and the backend
 //! reports [`LinalgError::DimensionMismatch`] instead of guessing.
 
-use crate::augmented::AugmentedSystem;
-use crate::budget::{apply_budget, PairBudget};
+use crate::augmented::{intersect_sorted, AugmentedSystem};
+use crate::budget::{apply_budget, PairBudget, PairSelection};
 use crate::covariance::CenteredMeasurements;
 use crate::lia::{
-    check_snapshot, infer_link_rates, rates_from_solution, EliminationStrategy, LiaConfig,
-    LinkRateEstimate, Phase2Model, RankView,
+    check_snapshot, infer_link_rates, rates_from_solution, variance_order_into,
+    EliminationStrategy, LiaConfig, LinkRateEstimate, Phase2Model, RankView,
 };
-use crate::variance::{estimate_variances_from_sigmas, VarianceConfig};
+use crate::variance::{
+    estimate_variances_scratch, Phase1Scratch, VarianceConfig, VarianceEstimate,
+};
 use losstomo_linalg::{LinalgError, PivotedQr};
-use losstomo_topology::ReducedTopology;
+use losstomo_topology::{ChurnError, DeltaEffect, ReducedTopology, TopologyDelta};
 use serde::{Deserialize, Serialize};
+use std::time::{Duration, Instant};
 
 /// Which estimator backend to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -98,16 +107,6 @@ impl EstimatorKind {
             _ => None,
         }
     }
-
-    /// Instantiates this backend (see [`build_estimator`]).
-    pub fn build(
-        self,
-        lia: LiaConfig,
-        variance: VarianceConfig,
-        pair_budget: PairBudget,
-    ) -> Box<dyn LossEstimator> {
-        build_estimator(self, lia, variance, pair_budget)
-    }
 }
 
 /// Self-reported cost and intermediate state of one estimate.
@@ -142,17 +141,19 @@ impl EstimatorOutput {
     }
 }
 
-/// A pluggable loss-inference backend.
+/// A pluggable loss-inference backend, built for one topology.
 ///
-/// Backends are constructed from configuration only (cheap, reusable
-/// across topologies) and do all their work in [`estimate`]: given the
-/// reduced topology, the centred training measurements, and the
-/// evaluation snapshot's log path rates, produce per-link rates. The
-/// trait is object-safe so configuration structs can carry a
-/// [`EstimatorKind`] and dispatch at run time.
+/// [`build_estimator`] binds a backend to a reduced topology and builds
+/// what the backend needs of it once; [`estimate`] does the per-window
+/// work: given the centred training measurements and the evaluation
+/// snapshot's log path rates, produce per-link rates. A backend keeps
+/// its workspaces between calls, and a warm backend returns the same
+/// bits as a freshly built one. The trait is object-safe so
+/// configuration structs can carry a [`EstimatorKind`] and dispatch at
+/// run time.
 ///
 /// [`estimate`]: LossEstimator::estimate
-pub trait LossEstimator: Send + Sync {
+pub trait LossEstimator: Send {
     /// Which backend this is.
     fn kind(&self) -> EstimatorKind;
 
@@ -162,17 +163,17 @@ pub trait LossEstimator: Send + Sync {
     }
 
     /// Runs the full inference: learn whatever the backend learns from
-    /// `centered` (the `m` training snapshots) and solve for per-link
-    /// rates against `y_eval` (the evaluation snapshot's log rates).
+    /// `centered` (the `m` training snapshots over the paths of the
+    /// backend's topology) and solve for per-link rates against
+    /// `y_eval` (the evaluation snapshot's log rates).
     fn estimate(
-        &self,
-        red: &ReducedTopology,
+        &mut self,
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError>;
 }
 
-/// Builds the backend for `kind`.
+/// Builds the backend for `kind` on the topology `red`.
 ///
 /// `lia` configures Phase 2 (shared by every variance-producing
 /// backend), `variance` configures LIA's Phase 1, and `pair_budget`
@@ -181,19 +182,23 @@ pub trait LossEstimator: Send + Sync {
 /// them.
 pub fn build_estimator(
     kind: EstimatorKind,
+    red: &ReducedTopology,
     lia: LiaConfig,
     variance: VarianceConfig,
     pair_budget: PairBudget,
 ) -> Box<dyn LossEstimator> {
     match kind {
-        EstimatorKind::Lia => Box::new(LiaEstimator {
+        EstimatorKind::Lia => Box::new(LiaEstimator::new(red, lia, variance, pair_budget)),
+        EstimatorKind::ZhuMle => Box::new(ZhuMleEstimator {
             lia,
-            variance,
-            pair_budget,
+            red: red.clone(),
+            aug: AugmentedSystem::build(red),
         }),
-        EstimatorKind::ZhuMle => Box::new(ZhuMleEstimator { lia }),
-        EstimatorKind::DengFast => Box::new(DengFastEstimator { lia }),
-        EstimatorKind::FirstMoment => Box::new(FirstMomentEstimator),
+        EstimatorKind::DengFast => Box::new(DengFastEstimator {
+            lia,
+            red: red.clone(),
+        }),
+        EstimatorKind::FirstMoment => Box::new(FirstMomentEstimator { red: red.clone() }),
     }
 }
 
@@ -201,20 +206,134 @@ pub fn build_estimator(
 // LIA
 // ---------------------------------------------------------------------
 
-/// The paper's two-phase pipeline as a [`LossEstimator`].
+/// The paper's two-phase pipeline for one topology: the LIA core that
+/// batch inference (this [`LossEstimator`]) and online inference
+/// ([`crate::streaming::OnlineEstimator`]) both run.
 ///
-/// Runs exactly the historical `run_experiment` inference path —
-/// augmented system (under `pair_budget`), Phase-1 GMM, Phase-2
-/// elimination — and is pinned bit-identical to it by
-/// `tests/golden_estimators.rs` and the agreement proptests.
-#[derive(Debug, Clone)]
+/// It holds the topology's augmented pair system under `pair_budget`,
+/// the Phase-2 view of its routing matrix, and the Phase-1 and Phase-2
+/// workspaces, so repeated fits on one topology build none of them
+/// again. A fit runs Phase 1 on the pair covariances and fits the
+/// Phase-2 model; a snapshot is then solved against that model. It is
+/// pinned bit-identical to the historical pipeline
+/// ([`crate::estimate_variances`] then [`infer_link_rates`]) by
+/// `tests/golden_estimators.rs` and the agreement proptests, and a warm
+/// core to a fresh one by `tests/estimator_agreement.rs`.
+#[derive(Debug)]
 pub struct LiaEstimator {
-    /// Phase-2 configuration.
-    pub lia: LiaConfig,
-    /// Phase-1 configuration.
-    pub variance: VarianceConfig,
-    /// Row budget for the augmented pair system.
-    pub pair_budget: PairBudget,
+    lia: LiaConfig,
+    variance: VarianceConfig,
+    pair_budget: PairBudget,
+    red: ReducedTopology,
+    aug: AugmentedSystem,
+    /// The pair selection the budget produced (`None` when the budget
+    /// didn't bite and `aug` is the full system).
+    selection: Option<PairSelection>,
+    /// The Phase-2 routing-matrix view (dense below the dispatch
+    /// threshold, CSR above).
+    view: RankView,
+    phase1: Phase1Scratch,
+    /// The Phase-1 estimate of the last successful fit.
+    variances: Option<VarianceEstimate>,
+    /// Reusable variance-order buffer.
+    order: Vec<usize>,
+    phase2: Phase2Model,
+}
+
+impl LiaEstimator {
+    /// Builds the core for `red`: its augmented pair system under
+    /// `pair_budget` and its Phase-2 view. Nothing is fitted yet.
+    pub fn new(
+        red: &ReducedTopology,
+        lia: LiaConfig,
+        variance: VarianceConfig,
+        pair_budget: PairBudget,
+    ) -> Self {
+        let (aug, selection) = apply_budget(AugmentedSystem::build(red), pair_budget);
+        LiaEstimator {
+            lia,
+            variance,
+            pair_budget,
+            red: red.clone(),
+            aug,
+            selection,
+            view: RankView::new(red, lia.dispatch),
+            phase1: Phase1Scratch::default(),
+            variances: None,
+            order: Vec::new(),
+            phase2: Phase2Model::default(),
+        }
+    }
+
+    /// Phase 1 on `sigmas` (`sigmas[r]` = `Σ̂` of the pair system's
+    /// row-`r` path pair), then the Phase-2 fit. Returns the wall time
+    /// of each phase. On error the last successful fit's variances stay.
+    pub(crate) fn fit(&mut self, sigmas: &[f64]) -> Result<(Duration, Duration), LinalgError> {
+        let start = Instant::now();
+        let est = estimate_variances_scratch(
+            &self.red,
+            &self.aug,
+            sigmas,
+            &self.variance,
+            &mut self.phase1,
+        )?;
+        let phase1 = start.elapsed();
+        let start = Instant::now();
+        variance_order_into(&est.v, &mut self.order);
+        self.phase2
+            .fit(&self.red, &self.view, &self.order, self.lia.elimination)?;
+        self.variances = Some(est);
+        Ok((phase1, start.elapsed()))
+    }
+
+    /// Phase 2 for one snapshot's log measurements against the fitted
+    /// model, behind the snapshot check every Phase-2 entry point runs.
+    pub(crate) fn rates(&self, y: &[f64]) -> Result<LinkRateEstimate, LinalgError> {
+        check_snapshot(self.red.num_paths(), y)?;
+        self.phase2.rates(self.red.num_links(), y)
+    }
+
+    /// Applies a routing delta: rebuilds the pair system and the view
+    /// as [`LiaEstimator::new`] builds them, and forgets everything
+    /// fitted on the old routing. An invalid delta returns the
+    /// [`ChurnError`] and leaves the core untouched.
+    pub(crate) fn apply_delta(&mut self, delta: &TopologyDelta) -> Result<DeltaEffect, ChurnError> {
+        let effect = self.red.apply_delta(delta)?;
+        (self.aug, self.selection) =
+            apply_budget(AugmentedSystem::build(&self.red), self.pair_budget);
+        self.view = RankView::new(&self.red, self.lia.dispatch);
+        self.phase1.reset();
+        // The model keeps its cut as an output-neutral hint for the
+        // sparse bisection.
+        self.phase2.clear();
+        self.variances = None;
+        Ok(effect)
+    }
+
+    /// The topology the core serves.
+    pub(crate) fn topology(&self) -> &ReducedTopology {
+        &self.red
+    }
+
+    /// The (budgeted) augmented pair system.
+    pub(crate) fn augmented(&self) -> &AugmentedSystem {
+        &self.aug
+    }
+
+    /// The budget's pair selection, or `None` when it kept every pair.
+    pub(crate) fn pair_selection(&self) -> Option<&PairSelection> {
+        self.selection.as_ref()
+    }
+
+    /// The Phase-1 estimate of the last successful fit.
+    pub(crate) fn variances(&self) -> Option<&VarianceEstimate> {
+        self.variances.as_ref()
+    }
+
+    /// Columns kept in `R*` by the last fit (ascending).
+    pub(crate) fn kept_columns(&self) -> &[usize] {
+        self.phase2.kept()
+    }
 }
 
 impl LossEstimator for LiaEstimator {
@@ -223,22 +342,21 @@ impl LossEstimator for LiaEstimator {
     }
 
     fn estimate(
-        &self,
-        red: &ReducedTopology,
+        &mut self,
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
-        let (aug, _selection) = apply_budget(AugmentedSystem::build(red), self.pair_budget);
-        let sigmas = centered.pair_covariances(&aug.pair_indices());
-        let var_est = estimate_variances_from_sigmas(red, &aug, &sigmas, &self.variance)?;
-        let estimate = infer_link_rates(red, &var_est.v, y_eval, &self.lia)?;
+        let sigmas = centered.pair_covariances(&self.aug.pair_indices());
+        self.fit(&sigmas)?;
+        let estimate = self.rates(y_eval)?;
+        let var_est = self.variances.as_ref().expect("a successful fit stores it");
         Ok(EstimatorOutput {
             estimate,
             diagnostics: EstimatorDiagnostics {
                 backend: self.name(),
                 rows_used: var_est.used_rows,
                 dropped_rows: var_est.dropped_rows,
-                variances: var_est.v,
+                variances: var_est.v.clone(),
             },
         })
     }
@@ -253,7 +371,10 @@ impl LossEstimator for LiaEstimator {
 pub struct ZhuMleEstimator {
     /// Phase-2 configuration (shared with LIA so the elimination step
     /// is identical and differences isolate Phase 1).
-    pub lia: LiaConfig,
+    lia: LiaConfig,
+    red: ReducedTopology,
+    /// The full augmented pair system of `red`.
+    aug: AugmentedSystem,
 }
 
 impl LossEstimator for ZhuMleEstimator {
@@ -262,20 +383,18 @@ impl LossEstimator for ZhuMleEstimator {
     }
 
     fn estimate(
-        &self,
-        red: &ReducedTopology,
+        &mut self,
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
-        let aug = AugmentedSystem::build(red);
-        let sigmas = centered.pair_covariances(&aug.pair_indices());
-        let v = closed_form_variances(red, &aug, &sigmas)?;
-        let estimate = infer_link_rates(red, &v, y_eval, &self.lia)?;
+        let sigmas = centered.pair_covariances(&self.aug.pair_indices());
+        let v = closed_form_variances(&self.red, &self.aug, &sigmas)?;
+        let estimate = infer_link_rates(&self.red, &v, y_eval, &self.lia)?;
         Ok(EstimatorOutput {
             estimate,
             diagnostics: EstimatorDiagnostics {
                 backend: self.name(),
-                rows_used: aug.num_rows(),
+                rows_used: self.aug.num_rows(),
                 dropped_rows: 0,
                 variances: v,
             },
@@ -464,7 +583,8 @@ pub struct DengFastEstimator {
     /// Phase-2 configuration (dispatch shared with LIA; the
     /// elimination strategy only applies on the dense-congestion
     /// fallback path).
-    pub lia: LiaConfig,
+    lia: LiaConfig,
+    red: ReducedTopology,
 }
 
 /// Variance screening factor for the fast backend's Phase 2: links
@@ -507,24 +627,6 @@ fn deng_screened_phase2(
     let view = RankView::new(red, cfg.dispatch);
     model.fit(red, &view, &candidates, EliminationStrategy::PaperOrder)?;
     model.rates(nc, y)
-}
-
-/// Sorted intersection of two ascending link lists.
-fn sorted_intersection(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// The fast backend's equation set: a few path pairs per link, chosen
@@ -585,7 +687,7 @@ pub fn deng_fast_variances(
         let row = if a == b {
             red.path_links(losstomo_topology::PathId(a as u32)).to_vec()
         } else {
-            sorted_intersection(
+            intersect_sorted(
                 red.path_links(losstomo_topology::PathId(a as u32)),
                 red.path_links(losstomo_topology::PathId(b as u32)),
             )
@@ -630,13 +732,12 @@ impl LossEstimator for DengFastEstimator {
     }
 
     fn estimate(
-        &self,
-        red: &ReducedTopology,
+        &mut self,
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
-        let (v, rows_used, clamped) = deng_fast_variances(red, centered);
-        let estimate = deng_screened_phase2(red, &v, y_eval, &self.lia)?;
+        let (v, rows_used, clamped) = deng_fast_variances(&self.red, centered);
+        let estimate = deng_screened_phase2(&self.red, &v, y_eval, &self.lia)?;
         Ok(EstimatorOutput {
             estimate,
             diagnostics: EstimatorDiagnostics {
@@ -664,7 +765,9 @@ impl LossEstimator for DengFastEstimator {
 /// is assigned loss 0). Comparing it against LIA quantifies how much the
 /// second-order information buys.
 #[derive(Debug, Clone)]
-pub struct FirstMomentEstimator;
+pub struct FirstMomentEstimator {
+    red: ReducedTopology,
+}
 
 /// The basic (pivoted-QR) first-moment solution: per-link transmission
 /// rates and the pivot-basis kept mask.
@@ -696,12 +799,11 @@ impl LossEstimator for FirstMomentEstimator {
     }
 
     fn estimate(
-        &self,
-        red: &ReducedTopology,
+        &mut self,
         _centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
-        let (transmission, kept) = first_moment_solution(red, y_eval)?;
+        let (transmission, kept) = first_moment_solution(&self.red, y_eval)?;
         let kept_count = kept.iter().filter(|&&k| k).count();
         Ok(EstimatorOutput {
             estimate: LinkRateEstimate {
@@ -713,7 +815,7 @@ impl LossEstimator for FirstMomentEstimator {
                 backend: self.name(),
                 rows_used: 0,
                 dropped_rows: 0,
-                variances: vec![0.0; red.num_links()],
+                variances: vec![0.0; self.red.num_links()],
             },
         })
     }
@@ -772,9 +874,11 @@ mod tests {
 
     #[test]
     fn build_dispatches_every_kind() {
+        let red = fixtures::reduced(&fixtures::figure1());
         for kind in EstimatorKind::all() {
             let est = build_estimator(
                 kind,
+                &red,
                 LiaConfig::default(),
                 VarianceConfig::default(),
                 PairBudget::Full,
@@ -788,12 +892,13 @@ mod tests {
     fn lia_backend_is_bit_identical_to_manual_pipeline() {
         let red = small_tree(11, 60);
         let (centered, y, _) = simulated(&red, 25, 5);
-        let backend = LiaEstimator {
-            lia: LiaConfig::default(),
-            variance: VarianceConfig::default(),
-            pair_budget: PairBudget::Full,
-        };
-        let out = backend.estimate(&red, &centered, &y).unwrap();
+        let mut backend = LiaEstimator::new(
+            &red,
+            LiaConfig::default(),
+            VarianceConfig::default(),
+            PairBudget::Full,
+        );
+        let out = backend.estimate(&centered, &y).unwrap();
         let aug = AugmentedSystem::build(&red);
         let var_est =
             estimate_variances(&red, &aug, &centered, &VarianceConfig::default()).unwrap();
@@ -843,10 +948,14 @@ mod tests {
         let paths = compute_paths(&t.graph, &t.beacons, &t.destinations);
         let red = reduce(&t.graph, &paths);
         let (centered, y, _) = simulated(&red, 10, 14);
-        let backend = ZhuMleEstimator {
-            lia: LiaConfig::default(),
-        };
-        let err = backend.estimate(&red, &centered, &y).unwrap_err();
+        let mut backend = build_estimator(
+            EstimatorKind::ZhuMle,
+            &red,
+            LiaConfig::default(),
+            VarianceConfig::default(),
+            PairBudget::Full,
+        );
+        let err = backend.estimate(&centered, &y).unwrap_err();
         let msg = format!("{err:?}");
         assert!(msg.contains("tree"), "unexpected error: {msg}");
     }
@@ -874,7 +983,7 @@ mod tests {
             let row = if a == b {
                 red.path_links(losstomo_topology::PathId(a as u32)).to_vec()
             } else {
-                sorted_intersection(
+                intersect_sorted(
                     red.path_links(losstomo_topology::PathId(a as u32)),
                     red.path_links(losstomo_topology::PathId(b as u32)),
                 )
@@ -892,10 +1001,11 @@ mod tests {
     fn deng_detects_congested_links_on_tree() {
         let red = small_tree(17, 100);
         let (centered, y, eval) = simulated(&red, 40, 18);
-        let backend = DengFastEstimator {
+        let mut backend = DengFastEstimator {
             lia: LiaConfig::default(),
+            red: red.clone(),
         };
-        let out = backend.estimate(&red, &centered, &y).unwrap();
+        let out = backend.estimate(&centered, &y).unwrap();
         let threshold = losstomo_netsim::DEFAULT_LOSS_THRESHOLD;
         let est_flags: Vec<bool> = out
             .estimate
@@ -919,9 +1029,9 @@ mod tests {
         let x: Vec<f64> = phi.iter().map(|p| p.ln()).collect();
         let y = red.matrix.matvec(&x).unwrap();
         let (baseline, _) = first_moment_solution(&red, &y).unwrap();
-        let backend = FirstMomentEstimator;
+        let mut backend = FirstMomentEstimator { red: red.clone() };
         let centered = CenteredMeasurements::from_rows(vec![y.clone(), y.clone()]);
-        let out = backend.estimate(&red, &centered, &y).unwrap();
+        let out = backend.estimate(&centered, &y).unwrap();
         for (a, b) in out.estimate.transmission.iter().zip(&baseline) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -984,13 +1094,14 @@ mod tests {
         let red = small_tree(19, 60);
         let (centered, y, _) = simulated(&red, 20, 20);
         for kind in EstimatorKind::all() {
-            let est = build_estimator(
+            let mut est = build_estimator(
                 kind,
+                &red,
                 LiaConfig::default(),
                 VarianceConfig::default(),
                 PairBudget::Full,
             );
-            let out = match est.estimate(&red, &centered, &y) {
+            let out = match est.estimate(&centered, &y) {
                 Ok(out) => out,
                 Err(_) => continue, // Zhu may reject non-ideal shapes
             };
@@ -998,12 +1109,5 @@ mod tests {
             assert_eq!(out.diagnostics.variances.len(), red.num_links());
             assert_eq!(out.estimate.transmission.len(), red.num_links());
         }
-    }
-
-    #[test]
-    fn sorted_intersection_basics() {
-        assert_eq!(sorted_intersection(&[1, 3, 5], &[2, 3, 5, 7]), vec![3, 5]);
-        assert_eq!(sorted_intersection(&[], &[1]), Vec::<usize>::new());
-        assert_eq!(sorted_intersection(&[4], &[4]), vec![4]);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::budget::PairBudget;
 use crate::covariance::CenteredMeasurements;
-use crate::estimator::{build_estimator, EstimatorKind};
+use crate::estimator::{build_estimator, EstimatorKind, LossEstimator};
 use crate::lia::{LiaConfig, LinkRateEstimate};
 use crate::metrics::{location_accuracy, LocationAccuracy, RateErrors, DEFAULT_DELTA};
 use crate::scfs::{scfs_diagnose, ScfsConfig};
@@ -104,32 +104,45 @@ impl ExperimentResult {
 /// Runs one complete experiment on a prepared topology.
 ///
 /// Simulates `m + 1` snapshots; the first `m` feed Phase 1, the last is
-/// the evaluation snapshot for Phase 2 and the baselines.
+/// the evaluation snapshot for Phase 2 and the baselines. Fewer than
+/// two training snapshots have no sample covariance:
+/// [`LinalgError::DimensionMismatch`], before anything is simulated.
 pub fn run_experiment(
     red: &ReducedTopology,
     cfg: &ExperimentConfig,
 ) -> Result<ExperimentResult, LinalgError> {
+    let mut backend = build_estimator(cfg.estimator, red, cfg.lia, cfg.variance, cfg.pair_budget);
+    run_with(red, cfg, backend.as_mut())
+}
+
+/// [`run_experiment`] through `backend`, a backend built for `red` from
+/// `cfg` (a warm one gives the same bits as a fresh one).
+fn run_with(
+    red: &ReducedTopology,
+    cfg: &ExperimentConfig,
+    backend: &mut dyn LossEstimator,
+) -> Result<ExperimentResult, LinalgError> {
+    if cfg.snapshots < 2 {
+        let msg = format!("need at least 2 training snapshots, got {}", cfg.snapshots);
+        return Err(LinalgError::DimensionMismatch(msg));
+    }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut scenario =
         CongestionScenario::draw(red.num_links(), cfg.p_congested, cfg.dynamics, &mut rng);
-    let ms = simulate_run(red, &mut scenario, &cfg.probe, cfg.snapshots + 1, &mut rng);
+    let mut ms = simulate_run(red, &mut scenario, &cfg.probe, cfg.snapshots + 1, &mut rng);
 
     // Training snapshots feed the backend's learning stage (Phase 1
     // for LIA/Zhu/Deng; ignored by the first-moment baseline), the
     // evaluation snapshot feeds its solve stage.
-    let train = losstomo_netsim::MeasurementSet {
-        snapshots: ms.snapshots[..cfg.snapshots].to_vec(),
-    };
-    let centered = CenteredMeasurements::new(&train);
-    let eval = &ms.snapshots[cfg.snapshots];
+    let eval = ms.snapshots.pop().expect("m + 1 snapshots were simulated");
+    let centered = CenteredMeasurements::new(&ms);
     let y = eval.log_rates();
-    let backend = build_estimator(cfg.estimator, cfg.lia, cfg.variance, cfg.pair_budget);
-    let out = backend.estimate(red, &centered, &y)?;
+    let out = backend.estimate(&centered, &y)?;
 
     Ok(score_against_truth(
         red,
         cfg,
-        eval,
+        &eval,
         &out.estimate,
         out.diagnostics.variances,
         out.diagnostics.dropped_rows,
@@ -186,7 +199,9 @@ pub fn score_against_truth(
 /// Runs `n_runs` experiments with seeds `cfg.seed .. cfg.seed + n_runs`,
 /// in parallel across threads (crossbeam scoped threads; results are
 /// returned in seed order). Worker count follows
-/// [`crate::parallel::num_threads`] (`LOSSTOMO_THREADS` caps it).
+/// [`crate::parallel::num_threads`] (`LOSSTOMO_THREADS` caps it). Each
+/// worker builds one backend for `red` and runs all of its seeds
+/// through it; every result equals [`run_experiment`]'s for that seed.
 pub fn run_many(
     red: &ReducedTopology,
     cfg: &ExperimentConfig,
@@ -200,15 +215,19 @@ pub fn run_many(
     let next = std::sync::atomic::AtomicUsize::new(0);
     crossbeam::scope(|scope| {
         for _ in 0..n_threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n_runs {
-                    break;
+            scope.spawn(|_| {
+                let mut backend =
+                    build_estimator(cfg.estimator, red, cfg.lia, cfg.variance, cfg.pair_budget);
+                loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= n_runs {
+                        break;
+                    }
+                    let mut run_cfg = *cfg;
+                    run_cfg.seed = cfg.seed + i as u64;
+                    let r = run_with(red, &run_cfg, backend.as_mut());
+                    results.lock()[i] = Some(r);
                 }
-                let mut run_cfg = *cfg;
-                run_cfg.seed = cfg.seed + i as u64;
-                let r = run_experiment(red, &run_cfg);
-                results.lock()[i] = Some(r);
             });
         }
     })
@@ -343,6 +362,36 @@ mod tests {
         assert!(res.true_loss.iter().all(|l| l.is_finite()));
         assert!(res.errors.error_factors.iter().all(|e| e.is_finite()));
         assert!(res.errors.absolute_errors.iter().all(|e| e.is_finite()));
+    }
+
+    /// Fewer than two training snapshots have no sample covariance:
+    /// every backend returns a typed error, alone and inside
+    /// `run_many`, instead of panicking; two snapshots are enough.
+    #[test]
+    fn fewer_than_two_training_snapshots_is_a_typed_error() {
+        let red = small_tree(34);
+        for estimator in EstimatorKind::all() {
+            for m in [0, 1] {
+                let cfg = ExperimentConfig {
+                    snapshots: m,
+                    estimator,
+                    ..ExperimentConfig::default()
+                };
+                let want = LinalgError::DimensionMismatch(format!(
+                    "need at least 2 training snapshots, got {m}"
+                ));
+                assert_eq!(run_experiment(&red, &cfg).unwrap_err(), want);
+                for r in run_many(&red, &cfg, 3) {
+                    assert_eq!(r.unwrap_err(), want);
+                }
+            }
+            let cfg = ExperimentConfig {
+                snapshots: 2,
+                estimator,
+                ..ExperimentConfig::default()
+            };
+            run_experiment(&red, &cfg).unwrap();
+        }
     }
 
     #[test]

@@ -35,8 +35,7 @@
 //!
 //! Selection, factoring and solving live in one place, the crate-private
 //! Phase-2 model: batch [`infer_link_rates`], the deng-fast backend's
-//! screened solve and the streaming estimator all fit and solve through
-//! it, behind one snapshot check (`y` must hold one finite log rate per
+//! screened solve and the LIA core all fit and solve through it, behind one snapshot check (`y` must hold one finite log rate per
 //! path).
 //!
 //! Phase 2 consumes whatever variances Phase 1 produced; it is
@@ -225,10 +224,8 @@ pub fn select_full_rank_columns(
 /// sorted by increasing variance, ties broken by link index for
 /// reproducibility.
 ///
-/// The kept column set is a pure function of this permutation (not of
-/// the variance *values*), which is what lets the streaming estimator
-/// skip the Phase-2 structure entirely whenever a refresh leaves the
-/// order unchanged.
+/// The kept column set is a pure function of this permutation, not of
+/// the variance *values*.
 pub fn variance_order(variances: &[f64]) -> Vec<usize> {
     let mut order = Vec::new();
     variance_order_into(variances, &mut order);
@@ -321,7 +318,7 @@ impl DenseFactor {
 /// (`h = 0` or `¬feasible(h − 1)`) — a caller that remembers the
 /// previous refresh's cut can re-certify it with **two** rank checks
 /// instead of the `O(log n_c)` bisection, with identical output (the
-/// streaming estimator does exactly this; a stale hint gallops to the
+/// LIA core does exactly this; a stale hint gallops to the
 /// new cut). `view` must be a [`RankView`] of `red.matrix`, passed in
 /// so repeated callers materialise it once.
 pub fn select_paper_order_hinted(
@@ -434,8 +431,11 @@ fn bisect_cut(csr: &CsrMatrix, order: &[usize], hint: Option<usize>) -> usize {
 
 /// The Phase-2 model: the kept columns of `R*` for one variance order
 /// and their factorisation, fitted once and solved per snapshot. Batch
-/// [`infer_link_rates`], the deng-fast screened solve and the streaming
-/// estimator all run Phase 2 through it, so they stay bit-identical.
+/// [`infer_link_rates`], the deng-fast screened solve and the LIA core
+/// ([`crate::estimator::LiaEstimator`]) all run Phase 2 through it, so
+/// they stay bit-identical. Every fit refits: the dense scan reuses
+/// its buffers, and the sparse path reuses its factor only when the
+/// kept set is unchanged.
 #[derive(Debug)]
 pub(crate) struct Phase2Model {
     /// The kept columns, ascending (empty while unfitted).
@@ -560,11 +560,6 @@ impl Phase2Model {
         &self.kept
     }
 
-    /// Whether a fit succeeded since the model was built or cleared.
-    pub(crate) fn is_fitted(&self) -> bool {
-        self.factor.is_some()
-    }
-
     /// Drops the fit (the routing matrix changed). The cut survives as
     /// an output-neutral hint for the next sparse bisection.
     pub(crate) fn clear(&mut self) {
@@ -596,7 +591,7 @@ pub(crate) fn check_snapshot(np: usize, y: &[f64]) -> Result<(), LinalgError> {
 ///
 /// The factorisation family follows `cfg.dispatch`: below the dense
 /// threshold one column-append QR scan selects the columns and factors
-/// `R*` (the streaming estimator fits the same model, so the two stay
+/// `R*` (the LIA core fits the same model, so the two stay
 /// bit-identical); above it the rank checks and the reduced solve both
 /// go through the sparse Givens QR without ever densifying `R`.
 ///

@@ -16,18 +16,16 @@
 //!   [`CenteredMeasurements::pair_covariances`] sweep — same additions
 //!   in the same order — so a streaming refresh can reproduce a batch
 //!   recompute exactly. Refreshes always replay.
-//! * [`OnlineEstimator`] keeps the full Phase-1/Phase-2 pipeline warm
-//!   across refreshes: Phase 1 is the batch solve run through a
-//!   workspace that outlives the refresh, so its Gram matrix is patched
-//!   incrementally (integer co-occurrence counts, so patched and
-//!   from-scratch assemblies are exactly equal) and its Cholesky factor
-//!   is reused while the kept-row mask holds; the Phase-2 model of
-//!   [`crate::lia`] (the column selection and factorisation of `R*`
-//!   that batch inference fits too) is memoized on the variance
-//!   *order*: an unchanged order skips Phase 2's structure, and a
-//!   changed one refits it. Refresh cadence is configurable, and every
-//!   ingest reports congested-set changes ([`OnlineUpdate::appeared`] /
-//!   [`OnlineUpdate::cleared`]).
+//! * [`OnlineEstimator`] is a covariance window and a refresh cadence
+//!   around the LIA core that batch inference runs too
+//!   ([`crate::estimator::LiaEstimator`]): each refresh fits the core
+//!   on the window's pair covariances, and each snapshot is solved
+//!   against the fitted model. The core keeps its Phase-1 Gram counts
+//!   patched incrementally (integer co-occurrence counts, so patched
+//!   and from-scratch assemblies are exactly equal) and its all-rows
+//!   factor cached between refreshes. Refresh cadence is configurable,
+//!   and every ingest reports congested-set changes
+//!   ([`OnlineUpdate::appeared`] / [`OnlineUpdate::cleared`]).
 //!
 //! ## Exactness contract
 //!
@@ -37,10 +35,10 @@
 //! ([`estimate_variances`][crate::estimate_variances] followed by
 //! [`infer_link_rates`][crate::infer_link_rates]) on the same `m`
 //! snapshots: the replayed covariances are the same bits, the cached
-//! Gram counts are the same integers, and the memoized Phase-2 model is
-//! fitted by the same code over the same variance order and solved by
-//! the same kernel. A sliding window is equally exact over its window:
-//! every window mode replays its retained rows.
+//! Gram counts are the same integers, and the Phase-2 model is fitted
+//! by the same code over the same variance order and solved by the same
+//! kernel. A sliding window is equally exact over its window: every
+//! window mode replays its retained rows.
 //!
 //! ## Memory and refresh cost
 //!
@@ -53,12 +51,11 @@
 //! [`OnlineConfig::refresh_every`].
 
 use crate::augmented::AugmentedSystem;
-use crate::budget::{apply_budget, PairBudget, PairSelection};
+use crate::budget::{PairBudget, PairSelection};
 use crate::covariance::CenteredMeasurements;
-use crate::lia::{self, LiaConfig, LinkRateEstimate, Phase2Model, RankView};
-use crate::variance::{
-    estimate_variances_scratch, Phase1Scratch, VarianceConfig, VarianceEstimate,
-};
+use crate::estimator::LiaEstimator;
+use crate::lia::{self, LiaConfig, LinkRateEstimate};
+use crate::variance::{VarianceConfig, VarianceEstimate};
 use bytes::Bytes;
 use losstomo_linalg::simd::cast_bytes_to_f64;
 use losstomo_linalg::LinalgError;
@@ -652,23 +649,13 @@ impl Default for OnlineConfig {
     }
 }
 
-/// The reusable refresh workspace of one [`OnlineEstimator`]: every
-/// buffer the refresh hot path writes (replay buffer, covariance
-/// vector, Gram expansion, SPD permutation and Cholesky factors,
-/// variance order), owned by the estimator and alive between
-/// refreshes.
-///
-/// On the dense Phase-2 path (the default up to
-/// [`crate::lia::DENSE_MAX_COLS`] links) Phase 2 of a steady-state
-/// refresh then allocates nothing: the column-append scan refits the
-/// memoized model in its own buffers. What still allocates per
-/// refresh is Phase 1's [`VarianceEstimate`] vector. An unchanged
-/// kept-row mask reuses the Phase-1 factor outright. A kept-row
-/// system that Phase 1 proves singular (on trees, essentially every
-/// refresh) is never factored, and one whose factorisation fails
-/// keeps its factor buffer for the next try; either way the all-rows
-/// fallback reuses its cached factor. The sparse Phase-2 path, when
-/// dispatched, allocates in its rank checks.
+/// The reusable refresh buffers of one [`OnlineEstimator`]: the window
+/// replay and the pair covariances, alive between refreshes. The
+/// Phase-1 and Phase-2 workspaces live in the estimator's LIA core, so
+/// on the dense Phase-2 path (the default up to
+/// [`crate::lia::DENSE_MAX_COLS`] links) what a steady-state refresh
+/// still allocates is Phase 1's [`VarianceEstimate`] vector; the sparse
+/// Phase-2 path, when dispatched, allocates in its rank checks.
 #[derive(Debug)]
 struct RefreshScratch {
     /// Pair covariances of the current refresh.
@@ -676,12 +663,6 @@ struct RefreshScratch {
     /// Batch-exact replay of the retained window (empty until the
     /// first exact refresh).
     centered: CenteredMeasurements,
-    /// Phase-1 assembly + SPD solver workspace (including the cached
-    /// Cholesky factor reused while the kept-row mask is unchanged).
-    phase1: Phase1Scratch,
-    /// The variance order of the current refresh (swapped with the
-    /// memoized one when it changed).
-    order: Vec<usize>,
 }
 
 impl Default for RefreshScratch {
@@ -689,8 +670,6 @@ impl Default for RefreshScratch {
         RefreshScratch {
             sigmas: Vec::new(),
             centered: CenteredMeasurements::empty(),
-            phase1: Phase1Scratch::default(),
-            order: Vec::new(),
         }
     }
 }
@@ -715,8 +694,8 @@ pub struct OnlineUpdate {
 /// Wall-clock breakdown of the last successful refresh, by phase —
 /// what makes a tail-latency spike attributable: a covariance spike
 /// points at the window replay, a Phase-1 spike at the moment-system
-/// solve (e.g. a refactorisation after the kept-row mask moved), a
-/// Phase-2 spike at a column-selection or factorisation rebuild.
+/// solve (e.g. a kept-row factorisation instead of the cached all-rows
+/// solve), a Phase-2 spike at the column selection and factorisation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RefreshTiming {
     /// Covariance assembly: window replay / Welford read-out into the
@@ -724,8 +703,8 @@ pub struct RefreshTiming {
     pub covariance: Duration,
     /// Phase 1: the moment-system solve for the link variances.
     pub phase1: Duration,
-    /// Phase 2: variance ordering, and on a changed order the column
-    /// selection and factorisation of `R*`.
+    /// Phase 2: variance ordering, column selection and factorisation
+    /// of `R*`.
     pub phase2: Duration,
 }
 
@@ -745,30 +724,17 @@ pub struct RefreshTiming {
 #[derive(Debug)]
 pub struct OnlineEstimator {
     cfg: OnlineConfig,
-    red: ReducedTopology,
-    /// The Phase-2 routing-matrix view (dense below the dispatch
-    /// threshold, CSR above), materialised once for column selection
-    /// and `R*` assembly.
-    view: RankView,
-    aug: AugmentedSystem,
-    /// The pair selection the budget produced for the current routing
-    /// (`None` when the budget didn't bite and `aug` is the full
-    /// system).
-    selection: Option<PairSelection>,
+    /// The LIA core: the topology, its pair system and Phase-2 view,
+    /// the Phase-1 and Phase-2 workspaces and the fitted model.
+    core: LiaEstimator,
     cov: StreamingCovariance,
-    variances: Option<VarianceEstimate>,
-    /// The variance order of the last refresh, which the Phase-2 model
-    /// is memoized on.
-    order: Vec<usize>,
-    /// The Phase-2 model fitted at the last refresh.
-    phase2: Phase2Model,
     congested: Vec<usize>,
     since_refresh: usize,
     refreshes: u64,
     /// Phase breakdown of the last successful refresh.
     last_timing: Option<RefreshTiming>,
     warmup_error: Option<LinalgError>,
-    /// Refresh workspace, reused across refreshes.
+    /// Refresh buffers, reused across refreshes.
     scratch: RefreshScratch,
     /// Reusable log-rate row for [`OnlineEstimator::ingest`], so the
     /// owned-snapshot path allocates nothing per snapshot.
@@ -776,26 +742,19 @@ pub struct OnlineEstimator {
 }
 
 impl OnlineEstimator {
-    /// Builds the estimator for a reduced topology: constructs the
-    /// augmented system, its pair index, and the streaming accumulator.
+    /// Builds the estimator for a reduced topology: the LIA core (with
+    /// the augmented system under the pair budget) and the streaming
+    /// accumulator for its pairs.
     pub fn new(red: &ReducedTopology, cfg: OnlineConfig) -> Self {
         assert!(cfg.refresh_every >= 1, "refresh cadence must be ≥ 1");
-        // Budget the pair set before wiring the accumulator: the
-        // covariance sweep, the Gram cache and every Phase-1 solve then
-        // only ever see the selected rows.
-        let (aug, selection) = apply_budget(AugmentedSystem::build(red), cfg.pair_budget);
-        let cov = StreamingCovariance::new(red.num_paths(), aug.pair_indices(), cfg.window)
-            .with_recentre_every(cfg.recentre_every);
+        let core = LiaEstimator::new(red, cfg.lia, cfg.variance, cfg.pair_budget);
+        let cov =
+            StreamingCovariance::new(red.num_paths(), core.augmented().pair_indices(), cfg.window)
+                .with_recentre_every(cfg.recentre_every);
         OnlineEstimator {
-            red: red.clone(),
-            view: RankView::new(red, cfg.lia.dispatch),
             cfg,
-            aug,
-            selection,
+            core,
             cov,
-            variances: None,
-            order: Vec::new(),
-            phase2: Phase2Model::default(),
             congested: Vec::new(),
             since_refresh: 0,
             refreshes: 0,
@@ -809,13 +768,13 @@ impl OnlineEstimator {
     /// The augmented system the estimator tracks covariances for
     /// (already budgeted when [`OnlineConfig::pair_budget`] bites).
     pub fn augmented(&self) -> &AugmentedSystem {
-        &self.aug
+        self.core.augmented()
     }
 
     /// The pair selection applied to the current routing, or `None`
     /// when the configured [`PairBudget`] kept the full pair set.
     pub fn pair_selection(&self) -> Option<&PairSelection> {
-        self.selection.as_ref()
+        self.core.pair_selection()
     }
 
     /// The streaming covariance accumulator (window occupancy, running
@@ -826,13 +785,12 @@ impl OnlineEstimator {
 
     /// The latest Phase-1 estimate, if any refresh has succeeded.
     pub fn variances(&self) -> Option<&VarianceEstimate> {
-        self.variances.as_ref()
+        self.core.variances()
     }
 
     /// Phase breakdown of the last successful refresh (covariance
-    /// assembly / Phase-1 solve / Phase-2 re-memoization), for
-    /// attributing tail-latency spikes. `None` until a refresh
-    /// succeeds.
+    /// assembly / Phase-1 solve / Phase-2 fit), for attributing
+    /// tail-latency spikes. `None` until a refresh succeeds.
     pub fn last_refresh_timing(&self) -> Option<RefreshTiming> {
         self.last_timing
     }
@@ -845,7 +803,7 @@ impl OnlineEstimator {
     /// Columns currently kept in `R*` (ascending; empty before the
     /// first successful refresh).
     pub fn kept_columns(&self) -> &[usize] {
-        self.phase2.kept()
+        self.core.kept_columns()
     }
 
     /// Successful refreshes so far.
@@ -865,7 +823,7 @@ impl OnlineEstimator {
     /// The reduced topology the estimator currently serves (reflects
     /// every delta applied so far).
     pub fn topology(&self) -> &ReducedTopology {
-        &self.red
+        self.core.topology()
     }
 
     /// The configuration the estimator was built with.
@@ -934,10 +892,11 @@ impl OnlineEstimator {
         self.finish_ingest(y)
     }
 
-    /// The typed-rejection gate shared by every ingest entry point and
-    /// [`OnlineEstimator::estimate`]: runs before any state is touched.
+    /// The typed-rejection gate every ingest entry point runs before
+    /// any state is touched (the check [`OnlineEstimator::estimate`]
+    /// runs too).
     fn validate_row(&self, y: &[f64]) -> Result<(), LinalgError> {
-        lia::check_snapshot(self.red.num_paths(), y)
+        lia::check_snapshot(self.topology().num_paths(), y)
     }
 
     /// Post-accumulation half of an ingest: cadenced refresh, then
@@ -947,7 +906,7 @@ impl OnlineEstimator {
         // `usize::MAX` = manual refresh only: skip the warm-up
         // attempts too, so ingest stays pure accumulation.
         let due = self.cfg.refresh_every != usize::MAX
-            && (self.variances.is_none() || self.since_refresh >= self.cfg.refresh_every);
+            && (self.variances().is_none() || self.since_refresh >= self.cfg.refresh_every);
         let mut refreshed = false;
         if due && self.cov.len() >= 2 {
             match self.refresh() {
@@ -959,13 +918,13 @@ impl OnlineEstimator {
                 // and can leave the moment system under-determined).
                 // After the first success on a churn-free window,
                 // failures are real and surface.
-                Err(e) if self.variances.is_none() || !self.cov.is_churn_free() => {
+                Err(e) if self.variances().is_none() || !self.cov.is_churn_free() => {
                     self.warmup_error = Some(e)
                 }
                 Err(e) => return Err(e),
             }
         }
-        let estimate = if self.variances.is_some() {
+        let estimate = if self.variances().is_some() {
             Some(self.estimate(y)?)
         } else {
             None
@@ -985,10 +944,11 @@ impl OnlineEstimator {
         })
     }
 
-    /// Runs a Phase-1 refresh and re-memoizes the Phase-2 structure.
-    /// Called automatically per the cadence; public so callers on a
-    /// slow cadence can force a refresh (e.g. before reading
-    /// [`OnlineEstimator::variances`] at a reporting boundary).
+    /// Refits the LIA core on the window's pair covariances: Phase 1,
+    /// then the Phase-2 model. Called automatically per the cadence;
+    /// public so callers on a slow cadence can force a refresh (e.g.
+    /// before reading [`OnlineEstimator::variances`] at a reporting
+    /// boundary).
     ///
     /// A window of fewer than two snapshots has no sample covariance:
     /// the call then returns [`LinalgError::DimensionMismatch`] and
@@ -1000,12 +960,8 @@ impl OnlineEstimator {
                 self.cov.len()
             )));
         }
-        // Covariances into the reusable buffer. The buffer is moved out
-        // for the duration of the solve (the borrow checker cannot see
-        // that the Phase-1/Phase-2 body never touches it) and moved
-        // back before returning.
         let cov_start = Instant::now();
-        let mut sigmas = std::mem::take(&mut self.scratch.sigmas);
+        let sigmas = &mut self.scratch.sigmas;
         if self.cov.is_churn_free() {
             // Exact batch replay of the retained window, recentred into
             // the reusable buffers straight off the ring buffer (no
@@ -1013,7 +969,7 @@ impl OnlineEstimator {
             // `StreamingCovariance::exact_covariances`.
             let centered = &mut self.scratch.centered;
             centered.recentre_from_iter(self.cov.rows.iter().map(|r| r.as_slice()));
-            centered.pair_covariances_into(&self.cov.pairs, &mut sigmas);
+            centered.pair_covariances_into(&self.cov.pairs, sigmas);
         } else {
             // The window still holds pre-churn rows: replay each pair
             // only over its valid suffix. Once the window flushes,
@@ -1021,56 +977,14 @@ impl OnlineEstimator {
             // verbatim path above — restoring bit-exactness against a
             // fresh estimator on the new topology.
             self.cov
-                .grouped_exact_covariances_into(&mut self.scratch.centered, &mut sigmas);
+                .grouped_exact_covariances_into(&mut self.scratch.centered, sigmas);
         }
         let covariance = cov_start.elapsed();
-        let result = self.refresh_from_sigmas_inner(&sigmas, covariance);
-        self.scratch.sigmas = sigmas;
-        result
-    }
-
-    /// The Phase-1 solve + Phase-2 re-memoization half of a refresh.
-    /// `covariance` is the wall the caller already spent assembling the
-    /// sigma buffer, folded into the recorded [`RefreshTiming`].
-    fn refresh_from_sigmas_inner(
-        &mut self,
-        sigmas: &[f64],
-        covariance: Duration,
-    ) -> Result<(), LinalgError> {
-        // Phase 1 runs through the estimator's persistent workspace, so
-        // the cached factors (kept-mask and all-rows fallback) survive
-        // between refreshes; a throwaway workspace would refactor the
-        // fallback Gram on every singular retry.
-        let phase1_start = Instant::now();
-        let est = estimate_variances_scratch(
-            &self.red,
-            &self.aug,
-            sigmas,
-            &self.cfg.variance,
-            &mut self.scratch.phase1,
-        )?;
-        let phase1 = phase1_start.elapsed();
-        let phase2_start = Instant::now();
-        // Phase-2 structure: the kept set and its factor are a pure
-        // function of the variance order, so an unchanged order skips
-        // them entirely. A changed order refits the model; the order
-        // buffer that loses the swap is the next refresh's.
-        let mut order = std::mem::take(&mut self.scratch.order);
-        lia::variance_order_into(&est.v, &mut order);
-        let refit = if order != self.order || !self.phase2.is_fitted() {
-            self.phase2
-                .fit(&self.red, &self.view, &order, self.cfg.lia.elimination)
-                .map(|()| std::mem::swap(&mut self.order, &mut order))
-        } else {
-            Ok(())
-        };
-        self.scratch.order = order;
-        refit?;
-        self.variances = Some(est);
+        let (phase1, phase2) = self.core.fit(sigmas)?;
         self.last_timing = Some(RefreshTiming {
             covariance,
             phase1,
-            phase2: phase2_start.elapsed(),
+            phase2,
         });
         self.warmup_error = None;
         self.since_refresh = 0;
@@ -1079,7 +993,7 @@ impl OnlineEstimator {
     }
 
     /// Phase 2 for one snapshot's log measurements against the current
-    /// model: reuses the memoized kept set and factorisation, so a
+    /// model: reuses the fitted kept set and factorisation, so a
     /// per-snapshot estimate between refreshes costs one least-squares
     /// application instead of a column selection plus factorisation.
     ///
@@ -1089,19 +1003,18 @@ impl OnlineEstimator {
     /// there is no model, which is a [`LinalgError::DimensionMismatch`]
     /// too.
     pub fn estimate(&self, y: &[f64]) -> Result<LinkRateEstimate, LinalgError> {
-        self.validate_row(y)?;
-        self.phase2.rates(self.red.num_links(), y)
+        self.core.rates(y)
     }
 
     /// Applies a routing delta to the **live** estimator — no drain:
     ///
-    /// * the reduced topology and Phase-2 rank view swap to the new
-    ///   routing (an invalid delta returns the [`ChurnError`] and
-    ///   leaves the estimator untouched);
-    /// * the augmented pair system is rebuilt under the configured
-    ///   [`PairBudget`], exactly as [`OnlineEstimator::new`] builds it,
-    ///   and the Phase-1 workspace forgets its Gram counts and cached
-    ///   factors (the next refresh recounts the integers from scratch);
+    /// * the LIA core swaps to the new routing (an invalid delta
+    ///   returns the [`ChurnError`] and leaves the estimator
+    ///   untouched): it rebuilds the augmented pair system under the
+    ///   configured [`PairBudget`] and the Phase-2 view exactly as
+    ///   [`OnlineEstimator::new`] builds them, and forgets its Gram
+    ///   counts, its all-rows factor and its fitted model (the next
+    ///   refresh recounts the integers from scratch);
     /// * the covariance window remaps its retained rows and restarts
     ///   the added and rerouted paths with a fresh validity horizon
     ///   ([`StreamingCovariance::apply_churn`]): interim refreshes
@@ -1115,31 +1028,20 @@ impl OnlineEstimator {
     /// rather than surfaced — the estimator keeps streaming. When it
     /// replaces a live model, [`ChurnReport::refresh_error`] says so.
     pub fn apply_delta(&mut self, delta: &TopologyDelta) -> Result<ChurnReport, ChurnError> {
-        let effect = self.red.apply_delta(delta)?;
-        // Committed from here: `self.red` describes the new routing.
-        // Phase-2 memoization is keyed on the routing matrix — drop it
-        // (the model keeps its cut as an output-neutral hint for the
-        // sparse bisection).
-        self.view = RankView::new(&self.red, self.cfg.lia.dispatch);
-        self.phase2.clear();
-        self.order.clear();
-        // The pair system and its Gram counts are pure functions of the
-        // routing: rebuild the one `new` builds, and recount from
-        // scratch at the next refresh.
-        (self.aug, self.selection) =
-            apply_budget(AugmentedSystem::build(&self.red), self.cfg.pair_budget);
-        self.scratch.phase1.reset();
-        self.cov
-            .apply_churn(self.red.num_paths(), self.aug.pair_indices(), &effect);
+        let had_model = self.variances().is_some();
+        let effect = self.core.apply_delta(delta)?;
+        let aug = self.core.augmented();
+        self.cov.apply_churn(
+            self.core.topology().num_paths(),
+            aug.pair_indices(),
+            &effect,
+        );
         let changed = |p: &PathId| effect.changed.binary_search(p).is_ok();
-        let recomputed_pairs = self
-            .aug
+        let recomputed_pairs = aug
             .iter()
             .filter(|((a, b), _)| changed(a) || changed(b))
             .count();
-        // The old model indexes the old pair system; `estimate` must
-        // not serve it.
-        let had_model = self.variances.take().is_some();
+        let carried_pairs = aug.num_rows() - recomputed_pairs;
         let mut refreshed = false;
         let mut refresh_error = None;
         if self.cov.len() >= 2 {
@@ -1157,7 +1059,7 @@ impl OnlineEstimator {
             added_paths: effect.added.len(),
             removed_paths: effect.removed.len(),
             rerouted_paths: effect.changed.len() - effect.added.len(),
-            carried_pairs: self.aug.num_rows() - recomputed_pairs,
+            carried_pairs,
             recomputed_pairs,
             refresh_error,
             refreshed,
@@ -1681,8 +1583,8 @@ mod tests {
     /// Whether `trace` holds a kept-row solve with dropped rows, then a
     /// certified fallback (which moves the Gram cache to all rows
     /// without a kept solve), then a kept-row solve with nothing dropped
-    /// — whose mask equals the cache's, so only an invalidated kept
-    /// factor keeps it from reusing the first solve's factor.
+    /// — whose mask equals the cache's, so a kept solve that reused the
+    /// first solve's factor would go wrong here.
     fn has_stale_factor_trap(trace: &[(Option<FallbackReason>, usize)]) -> bool {
         let mut state = 0;
         for (fallback, dropped) in trace {
@@ -1697,8 +1599,8 @@ mod tests {
         false
     }
 
-    /// A long-lived estimator (warm Gram cache, cached kept and
-    /// all-rows factors) matches a fresh batch recompute at *every*
+    /// A long-lived estimator (warm Gram cache, cached all-rows factor)
+    /// matches a fresh batch recompute at *every*
     /// refresh, not only the last: on a small tree whose refreshes mix
     /// kept-row solves, certified fallbacks and all-rows solves, and on
     /// a small Waxman mesh, each with an unbounded and a sliding window.

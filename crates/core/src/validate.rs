@@ -8,7 +8,7 @@
 //! along the path (restricted to links the inference topology covers)
 //! matches the path's measured rate within a tolerance `ε = 0.005`.
 
-use crate::budget::PairBudget;
+use crate::budget::PairBudget::Full;
 use crate::covariance::CenteredMeasurements;
 use crate::estimator::{build_estimator, EstimatorKind};
 use crate::lia::LiaConfig;
@@ -168,8 +168,8 @@ pub fn cross_validate<R: Rng>(
     // pair budget preserves the historical behaviour (cross-validation
     // never budgeted its — much smaller — subsystem).
     let centered = CenteredMeasurements::from_rows(train_rows);
-    let backend = build_estimator(cfg.estimator, cfg.lia, cfg.variance, PairBudget::Full);
-    let est = backend.estimate(&sub.topo, &centered, &y_inf)?.estimate;
+    let mut backend = build_estimator(cfg.estimator, &sub.topo, cfg.lia, cfg.variance, Full);
+    let est = backend.estimate(&centered, &y_inf)?.estimate;
 
     // Disaggregate merged groups geometrically: a group's inferred rate
     // is the product over its constituent links, so each constituent

@@ -166,116 +166,104 @@ pub fn estimate_variances(
 /// Phase 1 from precomputed pair covariances (`sigmas[r]` = `Σ̂` of
 /// `aug`'s row-`r` path pair).
 ///
-/// This is the solve half of [`estimate_variances`]. The streaming
-/// estimator runs the same solve on covariances maintained by
-/// [`crate::streaming::StreamingCovariance`], through a workspace that
-/// lives between refreshes, so batch and online refreshes share one
-/// code path (and therefore produce identical bits for identical
-/// covariances).
+/// This is the solve half of [`estimate_variances`]. The LIA core
+/// ([`crate::estimator::LiaEstimator`]) runs the same solve through a
+/// workspace that lives between fits, on batch covariances or on those
+/// maintained by [`crate::streaming::StreamingCovariance`], so batch and
+/// online inference share one code path (and therefore produce
+/// identical bits for identical covariances).
 pub fn estimate_variances_from_sigmas(
     red: &ReducedTopology,
     aug: &AugmentedSystem,
     sigmas: &[f64],
     cfg: &VarianceConfig,
 ) -> Result<VarianceEstimate, LinalgError> {
-    estimate_variances_scratch(red, aug, sigmas, cfg, &mut Phase1Scratch::new())
+    estimate_variances_scratch(red, aug, sigmas, cfg, &mut Phase1Scratch::default())
 }
 
-/// Reusable normal-equations assembly state for repeated Phase-1 solves
+/// The Gram matrix `AᵀA` of the kept rows, kept between Phase-1 solves
 /// over one augmented system.
 ///
-/// The Gram matrix `AᵀA` of the kept rows depends only on *which* rows
-/// are kept (entries are integer co-occurrence counts), not on the
-/// covariance values themselves. A streaming estimator therefore only
-/// has to patch the counts for rows whose kept/dropped status *changed*
-/// since the previous refresh — `O(Δ · s²)` integer updates instead of
-/// re-assembling all `r` rows — and integer arithmetic makes the
-/// patched counts exactly equal to a from-scratch assembly, which is
-/// what keeps cached refreshes bit-identical to batch Phase 1.
+/// Its entries are integer co-occurrence counts: they depend only on
+/// *which* rows are kept, not on the covariance values. A repeated
+/// solve therefore only patches the counts of rows whose kept/dropped
+/// status *changed* since the previous sync — `O(Δ · s²)` updates
+/// instead of re-assembling all `r` rows. The counts live in the upper
+/// triangle of the `f64` matrix the solver reads (`gram[(ka, kb)]` for
+/// `ka ≤ kb`). They are small integers, so they are exact in `f64` and
+/// the patched matrix is exactly a from-scratch assembly, which is what
+/// keeps warm solves bit-identical to fresh ones. The lower triangle is
+/// mirrored from the upper one before each factorisation
+/// ([`GramCache::symmetric`]).
 #[derive(Debug, Default)]
 struct GramCache {
-    /// Upper-triangle co-occurrence counts of the currently-kept rows
-    /// (`counts[ka * nc + kb]` for `ka ≤ kb`).
-    counts: Vec<u32>,
-    /// Per augmented row: is it currently folded into `counts`?
+    gram: Matrix,
+    /// Per augmented row: is it currently counted in `gram`?
     kept: Vec<bool>,
     ready: bool,
 }
 
 impl GramCache {
-    /// Whether the cache has been filled by a previous solve.
-    fn is_ready(&self) -> bool {
-        self.ready
-    }
-
-    /// Raw upper-triangle co-occurrence counts (row-major, `nc × nc`).
-    fn counts(&self) -> &[u32] {
-        &self.counts
-    }
-
-    /// Re-points the cache at `new_kept`, patching the counts for every
-    /// row whose status changed. `rows` is the augmented system's
-    /// shared [`losstomo_topology::RoutingMatrix`]
-    /// ([`AugmentedSystem::matrix`]). Returns whether any row changed
-    /// status.
-    fn sync(&mut self, rows: &RoutingMatrix, nc: usize, new_kept: &[bool]) -> bool {
+    /// Re-points the counts at `new_kept`, patching every row whose
+    /// status changed. `rows` is the augmented system's shared
+    /// [`losstomo_topology::RoutingMatrix`] ([`AugmentedSystem::matrix`]).
+    fn sync(&mut self, rows: &RoutingMatrix, nc: usize, new_kept: &[bool]) {
         debug_assert_eq!(new_kept.len(), rows.rows());
         if !self.ready {
-            self.counts.clear();
-            self.counts.resize(nc * nc, 0);
+            self.gram.reshape_zeroed(nc, nc);
             self.kept.clear();
             self.kept.resize(rows.rows(), false);
             self.ready = true;
         }
-        let mut changed = false;
+        let gram = self.gram.as_mut_slice();
         for (r, (&was, &now)) in self.kept.iter().zip(new_kept.iter()).enumerate() {
             if was == now {
                 continue;
             }
-            changed = true;
+            let step = if now { 1.0 } else { -1.0 };
             let links = rows.row(r);
-            if now {
-                for (ai, &ka) in links.iter().enumerate() {
-                    let crow = &mut self.counts[ka * nc..(ka + 1) * nc];
-                    for &kb in &links[ai..] {
-                        crow[kb] += 1;
-                    }
-                }
-            } else {
-                for (ai, &ka) in links.iter().enumerate() {
-                    let crow = &mut self.counts[ka * nc..(ka + 1) * nc];
-                    for &kb in &links[ai..] {
-                        crow[kb] -= 1;
-                    }
+            for (ai, &ka) in links.iter().enumerate() {
+                let grow = &mut gram[ka * nc..(ka + 1) * nc];
+                for &kb in &links[ai..] {
+                    grow[kb] += step;
                 }
             }
         }
         self.kept.copy_from_slice(new_kept);
-        changed
+    }
+
+    /// The full symmetric Gram of the synced rows: the upper-triangle
+    /// counts mirrored into the lower triangle.
+    fn symmetric(&mut self) -> &Matrix {
+        let n = self.gram.rows();
+        let gram = self.gram.as_mut_slice();
+        for j in 0..n {
+            for k in j + 1..n {
+                gram[k * n + j] = gram[j * n + k];
+            }
+        }
+        &self.gram
     }
 }
 
 /// Reusable buffers for repeated Phase-1 normal-equations solves: the
-/// kept mask, the [`GramCache`] counts, `AᵀΣ*`, the per-link row counts
-/// of the kept rows, the topology constants the singularity certificate
-/// reads, the dense Gram expansion, and the SPD solver workspaces
-/// (permutation, permuted Gram, Cholesky factor) all survive between
-/// refreshes, so a steady-state refresh allocates nothing.
+/// kept mask, the [`GramCache`], `AᵀΣ*`, the per-link row counts of the
+/// kept rows, the topology constants the singularity certificate reads,
+/// and the SPD solver workspaces (permutation, permuted Gram, Cholesky
+/// factor) all survive between solves, so a steady-state solve
+/// allocates nothing.
 ///
-/// The workspace must be dedicated to one `(red, aug)` pipeline: when
-/// a refresh leaves the kept/dropped row mask unchanged, the Gram
-/// expansion *and its cached Cholesky factor* are reused outright
-/// (integer counts unchanged ⇒ identical Gram bits ⇒ identical factor
-/// bits), turning the refresh into one `AᵀΣ*` sweep plus two triangular
-/// solves. A new pair system needs [`Phase1Scratch::reset`].
+/// The workspace must be dedicated to one `(red, aug)` pipeline; a new
+/// pair system needs [`Phase1Scratch::reset`]. A kept-row solve always
+/// factors its Gram, into the reused buffers.
 ///
 /// The all-rows fallback gets its own cached factor: its Gram is the
 /// co-occurrence count over *every* augmented row — a constant of the
-/// topology — so once the fallback has run, every later fallback is two
-/// triangular solves instead of an `O(n_c³)` factorisation. On the
+/// pair system — so once the fallback has run, every later fallback is
+/// two triangular solves instead of an `O(n_c³)` factorisation. On the
 /// paper tree the singularity certificate sends every steady-state
-/// refresh straight to that fallback, so the kept-rows workspace is
-/// never sized at all.
+/// solve straight to that fallback, so the kept-rows workspace is never
+/// sized at all.
 ///
 /// The certificate's topology constants (paths per link, and whether
 /// every path through a link has a private link) are recomputed from
@@ -284,7 +272,7 @@ impl GramCache {
 #[derive(Debug, Default)]
 pub(crate) struct Phase1Scratch {
     new_kept: Vec<bool>,
-    /// Co-occurrence counts of the rows the last solve kept.
+    /// The Gram counts of the rows the last sync kept.
     cache: GramCache,
     atb: Vec<f64>,
     /// Kept rows per link (the kept Gram diagonal).
@@ -295,37 +283,26 @@ pub(crate) struct Phase1Scratch {
     on_paths: Vec<u32>,
     /// Whether every path through the link has a private link.
     all_private: Vec<bool>,
-    gram: Matrix,
-    /// Solver workspace of the kept-rows system. Its cached factor is
-    /// only valid for the mask the [`GramCache`] currently holds, so
-    /// every path of [`estimate_variances_scratch`] that moves the
-    /// cache mask without solving through it invalidates it.
+    /// Solver workspace of the kept-rows system.
     spd: SpdScratch,
-    /// Solver workspace of the all-rows fallback (its Gram never
-    /// changes, so its cached factor is reusable forever).
+    /// Solver workspace of the all-rows fallback (its Gram is fixed by
+    /// the pair system, so its cached factor is reusable until
+    /// [`Phase1Scratch::reset`]).
     spd_all: SpdScratch,
     /// Reusable all-true mask for the fallback's cache sync.
     all_mask: Vec<bool>,
 }
 
 impl Phase1Scratch {
-    /// Creates an empty workspace (filled by the first solve).
-    pub fn new() -> Self {
-        Phase1Scratch::default()
-    }
-
-    /// Forgets everything derived from the pair system: the Gram
-    /// counts and **both** cached Cholesky factors; the buffers stay.
-    /// Routing churn rebuilds the augmented rows, so the all-rows
-    /// fallback Gram — otherwise a constant of the topology whose
-    /// factor is "reusable forever" — is no longer the matrix either
-    /// factor was computed from. The next solve recounts from scratch,
-    /// and integer counts make that the same bits a fresh workspace
-    /// gets; reusing either stale factor would silently break the
-    /// post-flush bit-identity gate.
+    /// Forgets everything derived from the pair system: the Gram counts
+    /// and the all-rows factor; the buffers stay. Routing churn
+    /// rebuilds the augmented rows, so the all-rows Gram is no longer
+    /// the matrix its cached factor was computed from. The next solve
+    /// recounts from scratch, and integer counts make that the same
+    /// bits a fresh workspace gets; reusing the stale factor would
+    /// silently break the post-flush bit-identity gate.
     pub fn reset(&mut self) {
         self.cache.ready = false;
-        self.spd.invalidate();
         self.spd_all.invalidate();
     }
 
@@ -399,13 +376,14 @@ impl Phase1Scratch {
 /// incremental `AᵀA` maintenance sharing one assembly.
 ///
 /// With a fresh workspace this is the batch estimator
-/// ([`estimate_variances_from_sigmas`]); the streaming estimator
-/// refreshes through it with a warm one, and a steady-state refresh then
-/// allocates nothing. Only the rows whose kept/dropped status changed
-/// since the previous call touch the Gram counts. Counts are small
-/// integers, so the incremental result is exactly the from-scratch
-/// result; `AᵀΣ*` is rebuilt per call in ascending row order, matching
-/// the batch accumulation order bit for bit.
+/// ([`estimate_variances_from_sigmas`]); the LIA core
+/// ([`crate::estimator::LiaEstimator`]) solves through a warm one, and a
+/// steady-state solve then allocates nothing. Only the rows whose
+/// kept/dropped status changed since the previous sync touch the Gram
+/// counts. Counts are small integers, so the incremental result is
+/// exactly the from-scratch result; `AᵀΣ*` is rebuilt per call in
+/// ascending row order, matching the batch accumulation order bit for
+/// bit.
 pub(crate) fn estimate_variances_scratch(
     red: &ReducedTopology,
     aug: &AugmentedSystem,
@@ -455,7 +433,7 @@ pub(crate) fn estimate_variances_scratch(
     }
     let dropped_count = aug.num_rows() - used;
     // Every "provably unsolvable" verdict is reached before the cache
-    // moves, so a proven refresh goes straight to the fold-back without
+    // moves, so a proven solve goes straight to the fold-back without
     // syncing the cache to the kept mask or forming the kept Gram. Only
     // asked when a fold-back exists: otherwise the genuine error must
     // surface from the solve.
@@ -467,29 +445,15 @@ pub(crate) fn estimate_variances_scratch(
     let reason = match proven {
         Some(reason) => reason,
         None => {
-            let cache_was_ready = ws.cache.is_ready();
-            let mask_changed = ws.cache.sync(aug.matrix(), nc, &ws.new_kept);
-            let mask_unchanged = cache_was_ready && !mask_changed;
             if used < nc {
                 // Nothing was dropped (or the verdict above would have
-                // caught it): the shortfall is genuine. The kept solve
-                // is skipped, so `ws.spd`'s cached factor (from some
-                // older mask) must not survive into a later refresh
-                // whose mask happens to match the cache again.
-                ws.spd.invalidate();
+                // caught it): the shortfall is genuine.
                 return Err(LinalgError::DimensionMismatch(format!(
                     "only {used} usable covariance rows for {nc} links"
                 )));
             }
-            // Unchanged mask ⇒ unchanged integer counts ⇒ the previous
-            // Gram expansion and its factor are exactly this refresh's
-            // too.
-            let factor_reusable = mask_unchanged && ws.spd.factor_is_cached(nc);
-            if !factor_reusable {
-                ws.gram.reshape_uninit(nc, nc);
-                counts_to_symmetric(ws.cache.counts(), ws.gram.as_mut_slice(), nc);
-            }
-            match lstsq::solve_spd_with(&ws.gram, &ws.atb, &mut ws.spd, factor_reusable) {
+            ws.cache.sync(aug.matrix(), nc, &ws.new_kept);
+            match lstsq::solve_spd_with(ws.cache.symmetric(), &ws.atb, &mut ws.spd, false) {
                 Ok(v) => {
                     return Ok(VarianceEstimate {
                         v,
@@ -506,15 +470,12 @@ pub(crate) fn estimate_variances_scratch(
     };
     // Fold the dropped rows back in and solve the all-rows system (the
     // paper's rows are only "redundant" when enough of them survive).
-    // Its Gram is a constant of the topology, so the factor cached in
+    // Its Gram is a constant of the pair system, so the factor cached in
     // `spd_all` from any previous fallback is bit-identical to what a
     // refactorisation would produce.
     ws.all_mask.clear();
     ws.all_mask.resize(aug.num_rows(), true);
     ws.cache.sync(aug.matrix(), nc, &ws.all_mask);
-    // The cache mask just moved to all-true without a kept solve:
-    // `ws.spd`'s factor no longer corresponds to it.
-    ws.spd.invalidate();
     for (((_, links), &sigma), &keep) in aug.iter().zip(sigmas.iter()).zip(ws.new_kept.iter()) {
         if keep {
             continue;
@@ -523,12 +484,13 @@ pub(crate) fn estimate_variances_scratch(
             ws.atb[ka] += sigma;
         }
     }
-    let all_factor_reusable = ws.spd_all.factor_is_cached(nc);
-    if !all_factor_reusable {
-        ws.gram.reshape_uninit(nc, nc);
-        counts_to_symmetric(ws.cache.counts(), ws.gram.as_mut_slice(), nc);
-    }
-    let v = lstsq::solve_spd_with(&ws.gram, &ws.atb, &mut ws.spd_all, all_factor_reusable)?;
+    let cached = ws.spd_all.factor_is_cached(nc);
+    let gram = if cached {
+        &ws.cache.gram
+    } else {
+        ws.cache.symmetric()
+    };
+    let v = lstsq::solve_spd_with(gram, &ws.atb, &mut ws.spd_all, cached)?;
     Ok(VarianceEstimate {
         v,
         dropped_rows: 0,
@@ -538,18 +500,6 @@ pub(crate) fn estimate_variances_scratch(
             folded_rows: dropped_count,
         }),
     })
-}
-
-/// Expands upper-triangle co-occurrence counts into a full symmetric
-/// f64 matrix (exact: the counts are small integers).
-fn counts_to_symmetric(counts: &[u32], gram: &mut [f64], n: usize) {
-    for j in 0..n {
-        for k in j..n {
-            let v = counts[j * n + k] as f64;
-            gram[j * n + k] = v;
-            gram[k * n + j] = v;
-        }
-    }
 }
 
 /// Phase 1 on wide meshes: least squares on the kept CSR rows via the
@@ -803,7 +753,7 @@ mod tests {
         // state, so a stale M1 factor would be silently reused.
         let m3 = vec![0.9, 1.1, 0.8, 1.2, 1.0, 0.7];
         for between in [&m2, &certified] {
-            let mut ws = Phase1Scratch::new();
+            let mut ws = Phase1Scratch::default();
             let r1 = estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut ws).unwrap();
             assert_eq!(r1.dropped_rows, 1, "kept solve should succeed on M1");
             assert_eq!(r1.fallback, None);
@@ -960,7 +910,7 @@ mod tests {
                             a == b || rng.gen::<f64>() < q
                         })
                         .collect();
-                    let mut ws = Phase1Scratch::new();
+                    let mut ws = Phase1Scratch::default();
                     ws.reset_counts(nc);
                     let mut rows = RoutingMatrix::builder(nc);
                     for (r, _) in kept.iter().enumerate().filter(|(_, &k)| k) {
@@ -980,9 +930,7 @@ mod tests {
                     assert!(deficient, "certified link {link} on a full-rank kept set");
                     let mut cache = GramCache::default();
                     cache.sync(aug.matrix(), nc, &kept);
-                    let mut gram = Matrix::zeros(nc, nc);
-                    counts_to_symmetric(cache.counts(), gram.as_mut_slice(), nc);
-                    assert!(lstsq::solve_spd(&gram, &vec![1.0; nc]).is_err());
+                    assert!(lstsq::solve_spd(cache.symmetric(), &vec![1.0; nc]).is_err());
                     assert!(solve_sparse(&rows, &vec![1.0; rows.rows()]).is_err());
                 }
             }

@@ -14,20 +14,29 @@
 //!   the truth even where their variance estimates differ;
 //! * **(c)** the LIA backend is the pre-refactor
 //!   `estimate_variances` + `infer_link_rates` pipeline *bit-for-bit*:
-//!   the trait added dispatch, not arithmetic.
+//!   the trait added dispatch, not arithmetic;
+//! * **(d)** a backend keeps its per-topology state between windows, and
+//!   a warm backend answers every window with the bits a freshly built
+//!   one gives — alone, and as `run_many` reuses one per worker.
 
 use losstomo_core::budget::PairBudget;
 use losstomo_core::estimator::{
-    closed_form_variances, DengFastEstimator, LiaEstimator, LossEstimator, ZhuMleEstimator,
+    build_estimator, closed_form_variances, EstimatorKind, EstimatorOutput, LiaEstimator,
+    LossEstimator,
 };
 use losstomo_core::lia::{infer_link_rates, LiaConfig};
 use losstomo_core::variance::{estimate_variances, VarianceConfig};
-use losstomo_core::{AugmentedSystem, CenteredMeasurements};
+use losstomo_core::{
+    run_experiment, run_many, AugmentedSystem, CenteredMeasurements, ExperimentConfig,
+    ExperimentResult, LocationAccuracy,
+};
+use losstomo_linalg::LinalgError;
 use losstomo_netsim::{
     simulate_run, CongestionDynamics, CongestionScenario, MeasurementSet, ProbeConfig,
     DEFAULT_LOSS_THRESHOLD,
 };
 use losstomo_topology::gen::tree::{self, TreeParams};
+use losstomo_topology::gen::waxman::{self, WaxmanParams};
 use losstomo_topology::{compute_paths, reduce, ReducedTopology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,6 +48,20 @@ fn random_tree(nodes: usize, branching: usize, seed: u64) -> ReducedTopology {
         TreeParams {
             nodes,
             max_branching: branching,
+        },
+        &mut rng,
+    );
+    let paths = compute_paths(&t.graph, &t.beacons, &t.destinations);
+    reduce(&t.graph, &paths)
+}
+
+fn waxman_mesh(seed: u64) -> ReducedTopology {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let t = waxman::generate(
+        WaxmanParams {
+            nodes: 40,
+            hosts: 8,
+            ..WaxmanParams::default()
         },
         &mut rng,
     );
@@ -113,18 +136,9 @@ proptest! {
         let red = random_tree(nodes, 4, sim_seed.wrapping_mul(31).wrapping_add(7));
         let (centered, y, truth) = simulate(&red, 0.08, 50, sim_seed);
         prop_assume!(truth.iter().any(|&c| c)); // need something to detect
-        let lia_cfg = LiaConfig::default();
-        let backends: [Box<dyn LossEstimator>; 3] = [
-            Box::new(LiaEstimator {
-                lia: lia_cfg,
-                variance: VarianceConfig::default(),
-                pair_budget: PairBudget::Full,
-            }),
-            Box::new(ZhuMleEstimator { lia: lia_cfg }),
-            Box::new(DengFastEstimator { lia: lia_cfg }),
-        ];
-        for backend in &backends {
-            let out = backend.estimate(&red, &centered, &y).unwrap();
+        let kinds = [EstimatorKind::Lia, EstimatorKind::ZhuMle, EstimatorKind::DengFast];
+        for mut backend in kinds.map(|kind| backend(kind, &red)) {
+            let out = backend.estimate(&centered, &y).unwrap();
             let flagged = out.congested_links(DEFAULT_LOSS_THRESHOLD);
             for (k, &congested) in truth.iter().enumerate() {
                 prop_assert!(
@@ -147,12 +161,13 @@ proptest! {
     ) {
         let red = random_tree(nodes, 5, sim_seed.wrapping_add(101));
         let (centered, y, _) = simulate(&red, 0.1, m, sim_seed);
-        let backend = LiaEstimator {
-            lia: LiaConfig::default(),
-            variance: VarianceConfig::default(),
-            pair_budget: PairBudget::Full,
-        };
-        let out = backend.estimate(&red, &centered, &y).unwrap();
+        let mut backend = LiaEstimator::new(
+            &red,
+            LiaConfig::default(),
+            VarianceConfig::default(),
+            PairBudget::Full,
+        );
+        let out = backend.estimate(&centered, &y).unwrap();
 
         // The historical path, spelled out.
         let aug = AugmentedSystem::build(&red);
@@ -188,27 +203,129 @@ fn fixed_seed_congested_sets_pinned() {
         .map(|(k, _)| k)
         .collect();
     assert!(!truth_set.is_empty());
-    let lia_cfg = LiaConfig::default();
-    let lia = LiaEstimator {
-        lia: lia_cfg,
-        variance: VarianceConfig::default(),
-        pair_budget: PairBudget::Full,
-    }
-    .estimate(&red, &centered, &y)
-    .unwrap()
-    .congested_links(DEFAULT_LOSS_THRESHOLD);
-    let zhu = ZhuMleEstimator { lia: lia_cfg }
-        .estimate(&red, &centered, &y)
-        .unwrap()
-        .congested_links(DEFAULT_LOSS_THRESHOLD);
-    let deng = DengFastEstimator { lia: lia_cfg }
-        .estimate(&red, &centered, &y)
-        .unwrap()
-        .congested_links(DEFAULT_LOSS_THRESHOLD);
+    let congested = |kind| {
+        backend(kind, &red)
+            .estimate(&centered, &y)
+            .unwrap()
+            .congested_links(DEFAULT_LOSS_THRESHOLD)
+    };
+    let lia = congested(EstimatorKind::Lia);
+    let zhu = congested(EstimatorKind::ZhuMle);
+    let deng = congested(EstimatorKind::DengFast);
     for set in [&lia, &zhu, &deng] {
         for k in &truth_set {
             assert!(set.contains(k), "missed truly congested link {k}");
         }
     }
     assert_eq!(lia, zhu, "LIA and Zhu diverged on the pinned seed");
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// An estimate's transmissions, kept mask, variances and rows dropped,
+/// by bits, or its error.
+type EstimateBits = Result<(Vec<u64>, Vec<bool>, Vec<u64>, usize), LinalgError>;
+
+fn estimate_bits(out: Result<EstimatorOutput, LinalgError>) -> EstimateBits {
+    out.map(|out| {
+        (
+            bits(&out.estimate.transmission),
+            out.estimate.kept,
+            bits(&out.diagnostics.variances),
+            out.diagnostics.dropped_rows,
+        )
+    })
+}
+
+fn backend(kind: EstimatorKind, red: &ReducedTopology) -> Box<dyn LossEstimator> {
+    build_estimator(
+        kind,
+        red,
+        LiaConfig::default(),
+        VarianceConfig::default(),
+        PairBudget::Full,
+    )
+}
+
+/// (d) One backend per kind, fed four windows on one topology, answers
+/// each window with the bits of a backend built for that window alone,
+/// on random trees and on 40-node Waxman meshes. On the meshes LIA's
+/// Phase 1 solves kept rows with some rows dropped, so a kept-row
+/// factor carried from one window's drop mask into another's shows
+/// here.
+#[test]
+fn warm_backend_matches_fresh_backend() {
+    let mut topologies: Vec<ReducedTopology> = (0..3u64)
+        .map(|seed| random_tree(30 + 15 * seed as usize, 4, 500 + seed))
+        .collect();
+    topologies.extend((0..3u64).map(waxman_mesh));
+    let mut kept_solves = 0;
+    for (t, red) in topologies.iter().enumerate() {
+        let windows: Vec<_> = (0..4u64)
+            .map(|w| simulate(red, 0.15, 20, 100 * t as u64 + w))
+            .collect();
+        for kind in EstimatorKind::all() {
+            let mut warm = backend(kind, red);
+            for (w, (centered, y, _)) in windows.iter().enumerate() {
+                let got = estimate_bits(warm.estimate(centered, y));
+                let want = estimate_bits(backend(kind, red).estimate(centered, y));
+                assert_eq!(got, want, "{} on topology {t}, window {w}", kind.name());
+                if kind == EstimatorKind::Lia && matches!(&got, Ok((.., dropped)) if *dropped > 0) {
+                    kept_solves += 1;
+                }
+            }
+        }
+    }
+    eprintln!("warm ≡ fresh: LIA solved kept rows with drops on {kept_solves} windows");
+    assert!(
+        kept_solves > 0,
+        "LIA should solve kept rows with drops on some window"
+    );
+}
+
+/// An experiment's scores and estimates, by bits, or its error.
+type ResultBits =
+    Result<(Vec<u64>, Vec<u64>, Vec<u64>, usize, usize, LocationAccuracy), LinalgError>;
+
+fn result_bits(r: &Result<ExperimentResult, LinalgError>) -> ResultBits {
+    r.as_ref()
+        .map(|r| {
+            (
+                bits(&r.variances),
+                bits(&r.est_loss),
+                bits(&r.true_loss),
+                r.kept_count,
+                r.dropped_rows,
+                r.location,
+            )
+        })
+        .map_err(Clone::clone)
+}
+
+/// (d) `run_many` runs each worker's seeds through one backend; every
+/// seed scores exactly as `run_experiment` scores it alone.
+#[test]
+fn run_many_matches_run_experiment_per_seed() {
+    for red in [random_tree(50, 4, 77), waxman_mesh(1)] {
+        for kind in EstimatorKind::all() {
+            let cfg = ExperimentConfig {
+                snapshots: 20,
+                estimator: kind,
+                seed: 40,
+                ..ExperimentConfig::default()
+            };
+            for (i, got) in run_many(&red, &cfg, 6).iter().enumerate() {
+                let seed = cfg.seed + i as u64;
+                let alone = run_experiment(&red, &ExperimentConfig { seed, ..cfg });
+                assert_eq!(
+                    result_bits(got),
+                    result_bits(&alone),
+                    "{}, seed {seed}",
+                    kind.name()
+                );
+            }
+        }
+    }
 }

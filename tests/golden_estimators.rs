@@ -68,14 +68,15 @@ fn run_golden_backends() -> BTreeMap<String, f64> {
 
     let mut summary = BTreeMap::new();
     for kind in EstimatorKind::all() {
-        let backend = build_estimator(
+        let mut backend = build_estimator(
             kind,
+            &red,
             LiaConfig::default(),
             VarianceConfig::default(),
             PairBudget::Full,
         );
         let out = backend
-            .estimate(&red, &centered, &y)
+            .estimate(&centered, &y)
             .expect("every backend supports the golden tree");
         let n = red.num_links() as f64;
         let mean = |v: &[f64]| v.iter().sum::<f64>() / n;

@@ -274,13 +274,14 @@ fn non_finite_y_is_rejected_by_phase2() {
         );
         assert_eq!(online.estimate(&y).unwrap_err(), want, "online, {bad}");
         for kind in EstimatorKind::all() {
-            let backend = build_estimator(
+            let mut backend = build_estimator(
                 kind,
+                &red,
                 LiaConfig::default(),
                 VarianceConfig::default(),
                 losstomo::core::PairBudget::Full,
             );
-            let err = backend.estimate(&red, &centered, &y).unwrap_err();
+            let err = backend.estimate(&centered, &y).unwrap_err();
             assert_eq!(err, want, "{}, {bad}", kind.name());
         }
     }
