@@ -131,9 +131,5 @@ fn main() {
     println!("Paper shape (lia rows): > 95% of validation paths consistent,");
     println!("increasing in m and flattening out for m ≳ 80 — despite traceroute");
     println!("topology errors. zhu-mle requires a tree and reports failure on");
-    println!("this mesh. Note first-moment often scores HIGHEST here: an");
-    println!("under-fitting estimator that predicts near-zero loss validates");
-    println!("trivially on mostly-clean paths — eq. (11) consistency is a");
-    println!("necessary check, not a sufficient one (cf. its DR/FPR in");
-    println!("BENCH_estimators.json).");
+    println!("this mesh.");
 }

@@ -9,7 +9,6 @@
 //! | [`EstimatorKind::Lia`] | two-phase GMM (Phase 1 variances, Phase 2 elimination) | the paper's algorithm, bit-identical to the pre-trait pipeline |
 //! | [`EstimatorKind::ZhuMle`] | closed-form MLE on trees (Zhu) | analytic oracle: exact where it applies, errors cleanly elsewhere |
 //! | [`EstimatorKind::DengFast`] | per-link moment matching + Gauss–Seidel (Deng et al.) | the speed point on meshes — skips the `O(paths²)` pair system |
-//! | [`EstimatorKind::FirstMoment`] | pivoted-QR basic solution of `Y = R X` | deliberately naive floor: what no second-order information buys |
 //!
 //! Every backend is built for one topology ([`build_estimator`]) and
 //! then fed any number of measurement windows on it. LIA's backend,
@@ -23,7 +22,7 @@
 //! [`DengFastEstimator`]) that fits the same Phase-2 model on only the
 //! columns whose learned variance clears the noise floor. Every backend
 //! runs Phase 2's snapshot check, so a NaN or ±∞ log rate is a
-//! [`LinalgError::NonFinite`] on all four. The backends remain oracles
+//! [`LinalgError::NonFinite`] on all three. The backends remain oracles
 //! for each other
 //! (`tests/estimator_agreement.rs`): Zhu's closed form is exact on
 //! trees, so any backend disagreeing there is wrong; LIA is pinned
@@ -55,7 +54,7 @@ use crate::lia::{
 use crate::variance::{
     estimate_variances_scratch, Phase1Scratch, VarianceConfig, VarianceEstimate,
 };
-use losstomo_linalg::{LinalgError, PivotedQr};
+use losstomo_linalg::LinalgError;
 use losstomo_topology::{ChurnError, DeltaEffect, ReducedTopology, TopologyDelta};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -71,8 +70,6 @@ pub enum EstimatorKind {
     ZhuMle,
     /// Deng-style fast moment matching for general topologies.
     DengFast,
-    /// First-moment pivoted-QR basic solution (no variance learning).
-    FirstMoment,
 }
 
 impl EstimatorKind {
@@ -82,17 +79,15 @@ impl EstimatorKind {
             EstimatorKind::Lia => "lia",
             EstimatorKind::ZhuMle => "zhu-mle",
             EstimatorKind::DengFast => "deng-fast",
-            EstimatorKind::FirstMoment => "first-moment",
         }
     }
 
     /// Every backend, in frontier display order.
-    pub fn all() -> [EstimatorKind; 4] {
+    pub fn all() -> [EstimatorKind; 3] {
         [
             EstimatorKind::Lia,
             EstimatorKind::ZhuMle,
             EstimatorKind::DengFast,
-            EstimatorKind::FirstMoment,
         ]
     }
 
@@ -103,7 +98,6 @@ impl EstimatorKind {
             "lia" => Some(EstimatorKind::Lia),
             "zhu" | "zhu-mle" | "zhumle" => Some(EstimatorKind::ZhuMle),
             "deng" | "deng-fast" | "dengfast" => Some(EstimatorKind::DengFast),
-            "first-moment" | "firstmoment" | "fm" => Some(EstimatorKind::FirstMoment),
             _ => None,
         }
     }
@@ -118,8 +112,7 @@ pub struct EstimatorDiagnostics {
     pub rows_used: usize,
     /// Rows dropped or clamped for having negative sample covariance.
     pub dropped_rows: usize,
-    /// Learnt per-link variances (all zeros for backends that don't
-    /// estimate variances, such as the first-moment baseline).
+    /// Learnt per-link variances.
     pub variances: Vec<f64>,
 }
 
@@ -198,7 +191,6 @@ pub fn build_estimator(
             lia,
             red: red.clone(),
         }),
-        EstimatorKind::FirstMoment => Box::new(FirstMomentEstimator { red: red.clone() }),
     }
 }
 
@@ -750,77 +742,6 @@ impl LossEstimator for DengFastEstimator {
     }
 }
 
-// ---------------------------------------------------------------------
-// First-moment baseline
-// ---------------------------------------------------------------------
-
-/// The naive first-moment baseline as a [`LossEstimator`].
-///
-/// Without variance information the first-moment system `Y = R X` is
-/// rank deficient (Figure 1), so any solver must pick one of infinitely
-/// many solutions. This baseline does what a practitioner without LIA
-/// would: it ignores the training snapshots and picks the *basic*
-/// least-squares solution from a column-pivoted QR (the numerically
-/// best-conditioned column subset gets nonzero rates, every other link
-/// is assigned loss 0). Comparing it against LIA quantifies how much the
-/// second-order information buys.
-#[derive(Debug, Clone)]
-pub struct FirstMomentEstimator {
-    red: ReducedTopology,
-}
-
-/// The basic (pivoted-QR) first-moment solution: per-link transmission
-/// rates and the pivot-basis kept mask.
-pub(crate) fn first_moment_solution(
-    red: &ReducedTopology,
-    y: &[f64],
-) -> Result<(Vec<f64>, Vec<bool>), LinalgError> {
-    check_snapshot(red.num_paths(), y)?;
-    let dense = red.matrix.to_dense();
-    let qr = PivotedQr::new(&dense)?;
-    let basis = qr.independent_columns();
-    let sub = dense.select_columns(&basis);
-    let x = PivotedQr::new(&sub)?.solve_least_squares(y)?;
-    let mut transmission = vec![1.0; red.num_links()];
-    let mut kept = vec![false; red.num_links()];
-    for (pos, &k) in basis.iter().enumerate() {
-        // Deliberately NOT clamped to [0, 1]: the basic solution happily
-        // assigns non-physical rates > 1 to compensate other links —
-        // one more symptom of first-moment un-identifiability.
-        transmission[k] = x[pos].exp();
-        kept[k] = true;
-    }
-    Ok((transmission, kept))
-}
-
-impl LossEstimator for FirstMomentEstimator {
-    fn kind(&self) -> EstimatorKind {
-        EstimatorKind::FirstMoment
-    }
-
-    fn estimate(
-        &mut self,
-        _centered: &CenteredMeasurements,
-        y_eval: &[f64],
-    ) -> Result<EstimatorOutput, LinalgError> {
-        let (transmission, kept) = first_moment_solution(&self.red, y_eval)?;
-        let kept_count = kept.iter().filter(|&&k| k).count();
-        Ok(EstimatorOutput {
-            estimate: LinkRateEstimate {
-                transmission,
-                kept,
-                kept_count,
-            },
-            diagnostics: EstimatorDiagnostics {
-                backend: self.name(),
-                rows_used: 0,
-                dropped_rows: 0,
-                variances: vec![0.0; self.red.num_links()],
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -868,7 +789,6 @@ mod tests {
             assert_eq!(EstimatorKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(EstimatorKind::parse("zhu"), Some(EstimatorKind::ZhuMle));
-        assert_eq!(EstimatorKind::parse("fm"), Some(EstimatorKind::FirstMoment));
         assert_eq!(EstimatorKind::parse("nope"), None);
     }
 
@@ -1020,73 +940,6 @@ mod tests {
             "Deng DR {:.2} too low",
             loc.detection_rate
         );
-    }
-
-    #[test]
-    fn first_moment_backend_matches_baseline_fn() {
-        let red = fixtures::reduced(&fixtures::figure1());
-        let phi = [0.9_f64, 1.0, 0.8, 1.0, 1.0];
-        let x: Vec<f64> = phi.iter().map(|p| p.ln()).collect();
-        let y = red.matrix.matvec(&x).unwrap();
-        let (baseline, _) = first_moment_solution(&red, &y).unwrap();
-        let mut backend = FirstMomentEstimator { red: red.clone() };
-        let centered = CenteredMeasurements::from_rows(vec![y.clone(), y.clone()]);
-        let out = backend.estimate(&centered, &y).unwrap();
-        for (a, b) in out.estimate.transmission.iter().zip(&baseline) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(
-            out.estimate.kept_count,
-            out.estimate.kept.iter().filter(|&&k| k).count()
-        );
-    }
-
-    #[test]
-    fn reproduces_path_measurements() {
-        // The basic solution is consistent with Y even if it attributes
-        // losses to the wrong links.
-        let red = fixtures::reduced(&fixtures::figure1());
-        let phi = [0.9_f64, 1.0, 0.8, 1.0, 1.0];
-        let x: Vec<f64> = phi.iter().map(|p| p.ln()).collect();
-        let y = red.matrix.matvec(&x).unwrap();
-        let (est, _) = first_moment_solution(&red, &y).unwrap();
-        let x_est: Vec<f64> = est.iter().map(|p| p.ln()).collect();
-        let y_est = red.matrix.matvec(&x_est).unwrap();
-        for (a, b) in y.iter().zip(y_est.iter()) {
-            assert!((a - b).abs() < 1e-9, "not consistent: {y:?} vs {y_est:?}");
-        }
-    }
-
-    #[test]
-    fn can_misattribute_losses() {
-        // This is the point of the baseline: on Figure 1 the basic
-        // solution cannot distinguish the ambiguous assignments, so for
-        // at least one loss pattern it differs from the truth.
-        let red = fixtures::reduced(&fixtures::figure1());
-        let (ra, rb) = fixtures::figure1_ambiguous_rates();
-        // Both rate vectors yield the same Y (asserted in fixtures); the
-        // baseline returns one answer, so it must be wrong for at least
-        // one of them.
-        let to_y = |rates: &[f64; 5]| {
-            let x: Vec<f64> = rates.iter().map(|p| p.ln()).collect();
-            red.matrix.matvec(&x).unwrap()
-        };
-        let (est, _) = first_moment_solution(&red, &to_y(&ra)).unwrap();
-        let matches = |rates: &[f64; 5]| {
-            est.iter()
-                .zip(rates.iter())
-                .all(|(e, t)| (e - t).abs() < 1e-6)
-        };
-        assert!(
-            !(matches(&ra) && matches(&rb)),
-            "cannot match two different truths at once"
-        );
-    }
-
-    #[test]
-    fn rejects_wrong_length() {
-        let red = fixtures::reduced(&fixtures::figure1());
-        assert!(first_moment_solution(&red, &[0.0]).is_err());
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //! * [`streaming`] — incremental covariance + online two-phase
 //!   estimation over snapshot streams
 //! * [`scfs`] — the SCFS single-snapshot baseline of Figure 5
-//! * [`estimator`] — the estimator zoo: LIA, Zhu's closed-form MLE,
-//!   Deng-style fast matching, first-moment, behind one trait
+//! * [`estimator`] — the estimator zoo: LIA, Zhu's closed-form MLE and
+//!   Deng-style fast matching, behind one trait
 //! * [`metrics`] — DR/FPR, error factor `f_δ`, CDFs, summaries
 //! * [`validate`] — inference/validation split, eq. (11)
 //! * [`analysis`] — Figure-3 scatter, Table-3 AS split, §7.2.2 durations

@@ -15,7 +15,10 @@
 //!   retained window that is bit-identical to the batch
 //!   [`CenteredMeasurements::pair_covariances`] sweep — same additions
 //!   in the same order — so a streaming refresh can reproduce a batch
-//!   recompute exactly. Refreshes always replay.
+//!   recompute exactly. Refreshes always replay. After a routing
+//!   change ([`StreamingCovariance::apply_churn`]) the replay is the
+//!   same sweep over every pair, followed by a re-sweep of only the
+//!   pairs on a changed path over the rows since the change.
 //! * [`OnlineEstimator`] is a covariance window and a refresh cadence
 //!   around the LIA core that batch inference runs too
 //!   ([`crate::estimator::LiaEstimator`]): each refresh fits the core
@@ -146,11 +149,22 @@ pub struct StreamingCovariance {
     /// *current* route. `0` for paths never touched by churn; set to
     /// `total_ingested` when a churn event adds or reroutes the path.
     path_from: Vec<u64>,
-    /// Per pair: the later of its two paths' horizons. Exact replays
-    /// never read a pair's rows before this horizon.
-    valid_from: Vec<u64>,
-    /// `max(valid_from)` — `O(1)` churn-free check per refresh.
-    max_valid_from: u64,
+    /// The pairs whose horizon (the later of their two paths') the
+    /// window had not reached at the last churn, grouped by horizon in
+    /// ascending order. Empty before the first churn.
+    restarts: Vec<RestartGroup>,
+}
+
+/// Pairs that churn restarted at one ingest index: until the window
+/// start passes `from`, an exact replay reads only their rows since.
+#[derive(Debug, Clone)]
+struct RestartGroup {
+    /// Global ingest index of the group's first valid row.
+    from: u64,
+    /// The group's pair slots, ascending.
+    slots: Vec<usize>,
+    /// The pairs at `slots`: the sub-list the replay sweeps.
+    pairs: Vec<(usize, usize)>,
 }
 
 /// Progress of the post-churn window flush — how far the estimator is
@@ -213,8 +227,7 @@ impl StreamingCovariance {
             delta_old: vec![0.0; n_paths],
             delta_new: vec![0.0; n_paths],
             path_from: vec![0; n_paths],
-            valid_from: vec![0; n_pairs],
-            max_valid_from: 0,
+            restarts: Vec::new(),
         }
     }
 
@@ -415,35 +428,51 @@ impl StreamingCovariance {
         &self.mean
     }
 
-    /// Centres the retained window with the exact batch arithmetic.
-    ///
-    /// The result is indistinguishable from
-    /// `CenteredMeasurements::from_rows(window_rows)`: means accumulate
-    /// over rows oldest-first (the ingestion order), deviations are the
-    /// same subtractions.
+    /// The exact pair covariances of the retained window — bit-identical
+    /// to the batch [`CenteredMeasurements::pair_covariances`] over the
+    /// same rows, by the replay every [`OnlineEstimator`] refresh runs.
+    /// While the window still holds pre-churn rows, a pair that churn
+    /// restarted reads only the rows since its restart (see
+    /// [`StreamingCovariance::apply_churn`]), and `0.0` while those are
+    /// fewer than two.
     ///
     /// # Panics
     /// Panics with fewer than two retained snapshots.
-    pub fn centered(&self) -> CenteredMeasurements {
-        let refs: Vec<&[f64]> = self.rows.iter().map(StoredRow::as_slice).collect();
-        CenteredMeasurements::from_row_refs(&refs)
+    pub fn exact_covariances(&self) -> Vec<f64> {
+        let mut scratch = RefreshScratch::default();
+        self.replay_into(&mut scratch);
+        scratch.sigmas
     }
 
-    /// The exact pair covariances of the retained window — bit-identical
-    /// to the batch [`CenteredMeasurements::pair_covariances`] over the
-    /// same rows (same panics as [`StreamingCovariance::centered`]).
-    /// While the window still holds pre-churn rows, each pair's replay
-    /// is restricted to its valid suffix (see
-    /// [`StreamingCovariance::apply_churn`]); pairs with fewer than two
-    /// valid rows read `0.0`.
-    pub fn exact_covariances(&self) -> Vec<f64> {
-        if self.is_churn_free() {
-            self.centered().pair_covariances(&self.pairs)
-        } else {
-            let mut centered = CenteredMeasurements::empty();
-            let mut out = Vec::new();
-            self.grouped_exact_covariances_into(&mut centered, &mut out);
-            out
+    /// The window replay into `scratch.sigmas`: the batch sweep over
+    /// every pair, then, for each restart group the window start has not
+    /// passed, a sweep of only that group's pairs over the rows since
+    /// its restart, written over their slots. A pair's covariance reads
+    /// only its own two deviation rows, so neither sweep's bits depend
+    /// on the other pairs in its list.
+    fn replay_into(&self, scratch: &mut RefreshScratch) {
+        let RefreshScratch {
+            sigmas,
+            centered,
+            group,
+        } = scratch;
+        centered.recentre_from_iter(self.rows.iter().map(StoredRow::as_slice));
+        centered.pair_covariances_into(&self.pairs, sigmas);
+        let ws = self.window_start();
+        for g in self.restarts.iter().filter(|g| g.from > ws) {
+            let offset = (g.from - ws) as usize;
+            if self.rows.len() - offset < 2 {
+                // Warming: no sample covariance yet.
+                for &slot in &g.slots {
+                    sigmas[slot] = 0.0;
+                }
+                continue;
+            }
+            centered.recentre_from_iter(self.rows.range(offset..).map(StoredRow::as_slice));
+            centered.pair_covariances_into(&g.pairs, group);
+            for (&slot, &c) in g.slots.iter().zip(group.iter()) {
+                sigmas[slot] = c;
+            }
         }
     }
 
@@ -457,26 +486,31 @@ impl StreamingCovariance {
     /// bit-identically to a fresh accumulator fed the same rows).
     /// Always `true` before the first [`StreamingCovariance::apply_churn`].
     pub fn is_churn_free(&self) -> bool {
-        self.max_valid_from <= self.window_start()
+        self.last_restart() <= self.window_start()
+    }
+
+    /// The latest horizon of any restart group (`0` before the first
+    /// churn): the window is churn-free once its start reaches it.
+    fn last_restart(&self) -> u64 {
+        self.restarts.last().map_or(0, |g| g.from)
     }
 
     /// How far the window is from flushing its pre-churn history — see
     /// [`Staleness`].
     pub fn staleness(&self) -> Staleness {
         let ws = self.window_start();
-        let stale_rows = (self.max_valid_from.saturating_sub(ws) as usize).min(self.rows.len());
+        let last = self.last_restart();
+        let stale_rows = (last.saturating_sub(ws) as usize).min(self.rows.len());
+        // Every row since a pending restart is retained, so a group
+        // warms while fewer than two rows have arrived since it.
         let warming_pairs = self
-            .valid_from
+            .restarts
             .iter()
-            .filter(|&&vf| {
-                vf > ws && {
-                    let o = ((vf - ws) as usize).min(self.rows.len());
-                    self.rows.len() - o < 2
-                }
-            })
-            .count();
+            .filter(|g| g.from > ws && self.total_ingested - g.from < 2)
+            .map(|g| g.slots.len())
+            .sum();
         let snapshots_until_flush = match self.mode {
-            _ if self.max_valid_from <= ws => Some(0),
+            _ if last <= ws => Some(0),
             WindowMode::Sliding(w) => Some(stale_rows as u64 + (w - self.rows.len()) as u64),
             // An unbounded window never evicts, so stale rows never
             // leave. Callers that need the flush should bound the
@@ -498,7 +532,8 @@ impl StreamingCovariance {
     /// its two paths' horizons, so a pair of unchanged paths keeps its
     /// whole history — whether or not it was tracked before — and a
     /// pair on a changed path replays only post-churn rows until the
-    /// window flushes.
+    /// window flushes. The pairs whose horizon the window has not yet
+    /// reached are recorded here, grouped by horizon, for the replay.
     ///
     /// `new_pairs` is the post-churn pair set (typically
     /// [`AugmentedSystem::pair_indices`] of the rebuilt system) and
@@ -543,13 +578,27 @@ impl StreamingCovariance {
         for p in &effect.changed {
             path_from[p.index()] = now;
         }
-        self.valid_from = new_pairs
+        // Horizons change only here, so the replay groups are fixed
+        // here: every pair whose horizon the window has not reached,
+        // grouped by horizon, slots ascending.
+        let ws = self.window_start();
+        let mut pending: Vec<(u64, usize)> = new_pairs
             .iter()
-            .map(|&(a, b)| path_from[a].max(path_from[b]))
+            .enumerate()
+            .map(|(slot, &(a, b))| (path_from[a].max(path_from[b]), slot))
+            .filter(|&(from, _)| from > ws)
+            .collect();
+        pending.sort_unstable();
+        self.restarts = pending
+            .chunk_by(|x, y| x.0 == y.0)
+            .map(|group| RestartGroup {
+                from: group[0].0,
+                slots: group.iter().map(|&(_, slot)| slot).collect(),
+                pairs: group.iter().map(|&(_, slot)| new_pairs[slot]).collect(),
+            })
             .collect();
         self.path_from = path_from;
         self.comoment = vec![0.0; new_pairs.len()];
-        self.max_valid_from = self.valid_from.iter().copied().max().unwrap_or(0);
         self.pairs = new_pairs;
         self.n_paths = new_n_paths;
         self.delta_old = vec![0.0; new_n_paths];
@@ -559,42 +608,6 @@ impl StreamingCovariance {
         // the new width.
         self.mean = vec![0.0; new_n_paths];
         self.recentre();
-    }
-
-    /// Exact replay that honours each pair's validity horizon: pairs
-    /// restarted by churn replay only the window suffix ingested after
-    /// their restart, grouped by common offset so each distinct suffix
-    /// is centred once. Pairs with fewer than two valid rows read
-    /// `0.0`. On a churn-free window this degenerates to one group at
-    /// offset 0 — the verbatim batch sweep.
-    pub(crate) fn grouped_exact_covariances_into(
-        &self,
-        centered: &mut CenteredMeasurements,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(self.pairs.len(), 0.0);
-        let ws = self.window_start();
-        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (slot, &vf) in self.valid_from.iter().enumerate() {
-            let o = (vf.saturating_sub(ws) as usize).min(self.rows.len());
-            groups.entry(o).or_default().push(slot);
-        }
-        let mut sub_pairs = Vec::new();
-        let mut sub_out = Vec::new();
-        for (&o, slots) in &groups {
-            if self.rows.len() - o < 2 {
-                continue; // warming: no sample covariance yet
-            }
-            centered.recentre_from_iter(self.rows.iter().skip(o).map(StoredRow::as_slice));
-            sub_pairs.clear();
-            sub_pairs.extend(slots.iter().map(|&s| self.pairs[s]));
-            centered.pair_covariances_into(&sub_pairs, &mut sub_out);
-            for (&s, &c) in slots.iter().zip(sub_out.iter()) {
-                out[s] = c;
-            }
-        }
     }
 }
 
@@ -649,20 +662,24 @@ impl Default for OnlineConfig {
     }
 }
 
-/// The reusable refresh buffers of one [`OnlineEstimator`]: the window
-/// replay and the pair covariances, alive between refreshes. The
-/// Phase-1 and Phase-2 workspaces live in the estimator's LIA core, so
-/// on the dense Phase-2 path (the default up to
-/// [`crate::lia::DENSE_MAX_COLS`] links) what a steady-state refresh
-/// still allocates is Phase 1's [`VarianceEstimate`] vector; the sparse
-/// Phase-2 path, when dispatched, allocates in its rank checks.
+/// The reusable buffers of the window replay
+/// ([`StreamingCovariance::exact_covariances`]), kept between the
+/// refreshes of one [`OnlineEstimator`]: a steady-state refresh, of a
+/// churned window too, allocates nothing here. The Phase-1 and Phase-2
+/// workspaces live in the estimator's LIA core, so on the dense Phase-2
+/// path (the default up to [`crate::lia::DENSE_MAX_COLS`] links) what a
+/// steady-state refresh still allocates is Phase 1's
+/// [`VarianceEstimate`] vector; the sparse Phase-2 path, when
+/// dispatched, allocates in its rank checks.
 #[derive(Debug)]
 struct RefreshScratch {
     /// Pair covariances of the current refresh.
     sigmas: Vec<f64>,
-    /// Batch-exact replay of the retained window (empty until the
-    /// first exact refresh).
+    /// The centred window, or the suffix of one restart group.
     centered: CenteredMeasurements,
+    /// One restart group's covariances, before they are written over
+    /// the group's slots of `sigmas`.
+    group: Vec<f64>,
 }
 
 impl Default for RefreshScratch {
@@ -670,6 +687,7 @@ impl Default for RefreshScratch {
         RefreshScratch {
             sigmas: Vec::new(),
             centered: CenteredMeasurements::empty(),
+            group: Vec::new(),
         }
     }
 }
@@ -961,26 +979,9 @@ impl OnlineEstimator {
             )));
         }
         let cov_start = Instant::now();
-        let sigmas = &mut self.scratch.sigmas;
-        if self.cov.is_churn_free() {
-            // Exact batch replay of the retained window, recentred into
-            // the reusable buffers straight off the ring buffer (no
-            // per-refresh allocations) — bit-identical to
-            // `StreamingCovariance::exact_covariances`.
-            let centered = &mut self.scratch.centered;
-            centered.recentre_from_iter(self.cov.rows.iter().map(|r| r.as_slice()));
-            centered.pair_covariances_into(&self.cov.pairs, sigmas);
-        } else {
-            // The window still holds pre-churn rows: replay each pair
-            // only over its valid suffix. Once the window flushes,
-            // `is_churn_free` flips and refreshes return to the
-            // verbatim path above — restoring bit-exactness against a
-            // fresh estimator on the new topology.
-            self.cov
-                .grouped_exact_covariances_into(&mut self.scratch.centered, sigmas);
-        }
+        self.cov.replay_into(&mut self.scratch);
         let covariance = cov_start.elapsed();
-        let (phase1, phase2) = self.core.fit(sigmas)?;
+        let (phase1, phase2) = self.core.fit(&self.scratch.sigmas)?;
         self.last_timing = Some(RefreshTiming {
             covariance,
             phase1,

@@ -135,14 +135,11 @@ fn golden_estimators_match_fixture() {
 }
 
 /// The fixture's internal cross-backend invariants, independent of the
-/// JSON numbers: every backend finds congestion on the golden tree, the
-/// variance-learning backends stay inside physical transmission bounds
-/// (first-moment is deliberately unclamped and may drift just past 1),
-/// and the first-moment baseline uses no Phase-1 rows at all.
+/// JSON numbers: every backend finds congestion on the golden tree and
+/// stays inside physical transmission bounds.
 #[test]
 fn golden_backends_cross_invariants() {
     let s = golden_summary();
-    assert_eq!(s["first-moment.rows_used"], 0.0);
     assert!(s["zhu-mle.rows_used"] >= s["lia.rows_used"]);
     for kind in EstimatorKind::all() {
         let name = kind.name();
@@ -151,16 +148,9 @@ fn golden_backends_cross_invariants() {
             "{name} found nothing"
         );
         let mean = s[&format!("{name}.transmission_mean")];
-        if name == "first-moment" {
-            assert!(
-                (0.0..=1.05).contains(&mean),
-                "first-moment mean {mean} far outside [0, 1]"
-            );
-        } else {
-            assert!(
-                (0.0..=1.0).contains(&mean),
-                "{name} transmission mean {mean} outside [0, 1]"
-            );
-        }
+        assert!(
+            (0.0..=1.0).contains(&mean),
+            "{name} transmission mean {mean} outside [0, 1]"
+        );
     }
 }
