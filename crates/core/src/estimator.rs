@@ -6,27 +6,27 @@
 //!
 //! | backend | idea | role |
 //! |---------|------|------|
-//! | [`EstimatorKind::Lia`] | two-phase GMM (Phase 1 variances, Phase 2 elimination) | the paper's algorithm, bit-identical to the pre-trait pipeline |
-//! | [`EstimatorKind::ZhuMle`] | closed-form MLE on trees (Zhu) | analytic oracle: exact where it applies, errors cleanly elsewhere |
+//! | [`EstimatorKind::Lia`] | two-phase GMM (Phase 1 variances, Phase 2 elimination); closed form on trees | the paper's algorithm, bit-identical to the pre-trait pipeline |
+//! | [`EstimatorKind::ZhuMle`] | closed-form MLE on trees (Zhu): LIA's tree path over every row | analytic oracle: exact where it applies, errors cleanly elsewhere |
 //! | [`EstimatorKind::DengFast`] | per-link moment matching + Gauss–Seidel (Deng et al.) | the speed point on meshes — skips the `O(paths²)` pair system |
 //!
 //! Every backend is built for one topology ([`build_estimator`]) and
 //! then fed any number of measurement windows on it. LIA's backend,
 //! [`LiaEstimator`], is the LIA core: it keeps the topology's pair
-//! system, its Phase-2 view and both phases' workspaces between calls,
-//! and [`crate::streaming::OnlineEstimator`] runs the same core.
+//! system, its tree (when the routing is one), its Phase-2 view and
+//! both phases' workspaces between calls, and
+//! [`crate::streaming::OnlineEstimator`] runs the same core.
 //!
-//! LIA and Zhu share Phase 2 ([`infer_link_rates`]) verbatim, so their
-//! output differences isolate the *variance learning* strategy; the
-//! fast backend additionally swaps in a variance-screened Phase 2 (see
+//! LIA and Zhu share the core, so their output differences isolate the
+//! *variance learning* strategy (Zhu keeps every row); the fast backend
+//! additionally swaps in a variance-screened Phase 2 (see
 //! [`DengFastEstimator`]) that fits the same Phase-2 model on only the
 //! columns whose learned variance clears the noise floor. Every backend
 //! runs Phase 2's snapshot check, so a NaN or ±∞ log rate is a
 //! [`LinalgError::NonFinite`] on all three. The backends remain oracles
-//! for each other
-//! (`tests/estimator_agreement.rs`): Zhu's closed form is exact on
-//! trees, so any backend disagreeing there is wrong; LIA is pinned
-//! bit-identical to the historical pipeline by golden fixtures.
+//! for each other (`tests/estimator_agreement.rs`): Zhu's closed form
+//! is exact on trees, so any backend disagreeing there is wrong; LIA is
+//! pinned bit-identical to the historical pipeline by golden fixtures.
 //!
 //! ## Zhu's closed form, in this codebase's terms
 //!
@@ -36,26 +36,27 @@
 //! Grouping the sample covariances by their pairs' meet link therefore
 //! estimates every `S(e)` directly (no least squares), and
 //! `v_e = S(e) − S(parent(e))` falls out by differencing along the
-//! tree. The tree itself is never given to us — it is *reconstructed*
-//! from `paths_per_link`: on a tree, a path's links sorted by strictly
-//! decreasing traverser count are its root→leaf order (ties cannot
-//! survive [`losstomo_topology::reduce`]'s duplicate-column merge), and
-//! the per-path orders must assemble into a trie with unique parents.
-//! Any violation means the routing is not tree-like and the backend
+//! tree. That grouping is LIA's Phase 1 on a tree
+//! ([`crate::variance`]); Zhu runs it with every row kept. The tree
+//! itself is never given to us — [`crate::tree::reconstruct_tree`]
+//! reads it off the routing, and on any other routing the backend
 //! reports [`LinalgError::DimensionMismatch`] instead of guessing.
 
 use crate::augmented::{intersect_sorted, AugmentedSystem};
 use crate::budget::{apply_budget, PairBudget, PairSelection};
 use crate::covariance::CenteredMeasurements;
 use crate::lia::{
-    check_snapshot, infer_link_rates, rates_from_solution, variance_order_into,
-    EliminationStrategy, LiaConfig, LinkRateEstimate, Phase2Model, RankView,
+    check_snapshot, rates_from_solution, variance_order, variance_order_into, EliminationStrategy,
+    LiaConfig, LinkRateEstimate, Phase2Model, RankView,
 };
+use crate::tree::{reconstruct_tree, LinkTree};
 use crate::variance::{
-    estimate_variances_scratch, Phase1Scratch, VarianceConfig, VarianceEstimate,
+    estimate_variances_scratch, Phase1Dispatch, Phase1Scratch, VarianceConfig, VarianceEstimate,
 };
 use losstomo_linalg::LinalgError;
-use losstomo_topology::{ChurnError, DeltaEffect, ReducedTopology, TopologyDelta};
+use losstomo_topology::{
+    ChurnError, DeltaEffect, PathId, ReducedTopology, RoutingMatrix, TopologyDelta,
+};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -120,7 +121,7 @@ pub struct EstimatorDiagnostics {
 #[derive(Debug, Clone)]
 pub struct EstimatorOutput {
     /// Per-link transmission rates, kept mask, and kept count — the
-    /// same container every consumer of [`infer_link_rates`] already
+    /// same container every consumer of [`crate::infer_link_rates`] already
     /// speaks.
     pub estimate: LinkRateEstimate,
     /// Cost and intermediate state.
@@ -170,9 +171,9 @@ pub trait LossEstimator: Send {
 ///
 /// `lia` configures Phase 2 (shared by every variance-producing
 /// backend), `variance` configures LIA's Phase 1, and `pair_budget`
-/// bounds LIA's augmented pair system — the closed-form and fast
-/// backends don't build that system, so the budget doesn't apply to
-/// them.
+/// bounds LIA's augmented pair system — Zhu's closed form keeps every
+/// row of the full system and the fast backend builds no such system,
+/// so neither reads `variance` or the budget.
 pub fn build_estimator(
     kind: EstimatorKind,
     red: &ReducedTopology,
@@ -183,13 +184,13 @@ pub fn build_estimator(
     match kind {
         EstimatorKind::Lia => Box::new(LiaEstimator::new(red, lia, variance, pair_budget)),
         EstimatorKind::ZhuMle => Box::new(ZhuMleEstimator {
-            lia,
-            red: red.clone(),
-            aug: AugmentedSystem::build(red),
+            core: LiaEstimator::new(red, lia, ZHU_PHASE1, PairBudget::Full),
         }),
         EstimatorKind::DengFast => Box::new(DengFastEstimator {
             lia,
             red: red.clone(),
+            system: DengSystem::new(red),
+            view: RankView::new(red, lia.dispatch),
         }),
     }
 }
@@ -203,14 +204,18 @@ pub fn build_estimator(
 /// ([`crate::streaming::OnlineEstimator`]) both run.
 ///
 /// It holds the topology's augmented pair system under `pair_budget`,
-/// the Phase-2 view of its routing matrix, and the Phase-1 and Phase-2
-/// workspaces, so repeated fits on one topology build none of them
-/// again. A fit runs Phase 1 on the pair covariances and fits the
-/// Phase-2 model; a snapshot is then solved against that model. It is
-/// pinned bit-identical to the historical pipeline
-/// ([`crate::estimate_variances`] then [`infer_link_rates`]) by
-/// `tests/golden_estimators.rs` and the agreement proptests, and a warm
-/// core to a fresh one by `tests/estimator_agreement.rs`.
+/// its tree when the routing is one, the Phase-2 view of its routing
+/// matrix, and the Phase-1 and Phase-2 workspaces, so repeated fits on
+/// one topology build none of them again. A fit runs Phase 1 on the
+/// pair covariances and fits the Phase-2 model; a snapshot is then
+/// solved against that model. On a tree under the `Auto` dispatches
+/// both phases run in closed form, and the core holds no Gram, no SPD
+/// factor, no dense `Rᵀ` and no column-append QR. It is pinned
+/// bit-identical to the historical pipeline
+/// ([`crate::estimate_variances`] then [`crate::infer_link_rates`],
+/// which dispatch the same way) by `tests/golden_estimators.rs` and the
+/// agreement proptests, and a warm core to a fresh one by
+/// `tests/estimator_agreement.rs`.
 #[derive(Debug)]
 pub struct LiaEstimator {
     lia: LiaConfig,
@@ -221,8 +226,10 @@ pub struct LiaEstimator {
     /// The pair selection the budget produced (`None` when the budget
     /// didn't bite and `aug` is the full system).
     selection: Option<PairSelection>,
-    /// The Phase-2 routing-matrix view (dense below the dispatch
-    /// threshold, CSR above).
+    /// The routing's tree, `None` on a mesh.
+    tree: Option<LinkTree>,
+    /// The Phase-2 routing-matrix view (the tree, or dense below the
+    /// dispatch threshold and CSR above).
     view: RankView,
     phase1: Phase1Scratch,
     /// The Phase-1 estimate of the last successful fit.
@@ -234,7 +241,8 @@ pub struct LiaEstimator {
 
 impl LiaEstimator {
     /// Builds the core for `red`: its augmented pair system under
-    /// `pair_budget` and its Phase-2 view. Nothing is fitted yet.
+    /// `pair_budget`, its tree check and its Phase-2 view. Nothing is
+    /// fitted yet.
     pub fn new(
         red: &ReducedTopology,
         lia: LiaConfig,
@@ -242,6 +250,7 @@ impl LiaEstimator {
         pair_budget: PairBudget,
     ) -> Self {
         let (aug, selection) = apply_budget(AugmentedSystem::build(red), pair_budget);
+        let tree = reconstruct_tree(red);
         LiaEstimator {
             lia,
             variance,
@@ -249,7 +258,8 @@ impl LiaEstimator {
             red: red.clone(),
             aug,
             selection,
-            view: RankView::new(red, lia.dispatch),
+            view: RankView::with_tree(red, lia.dispatch, tree.clone()),
+            tree,
             phase1: Phase1Scratch::default(),
             variances: None,
             order: Vec::new(),
@@ -267,6 +277,7 @@ impl LiaEstimator {
             &self.aug,
             sigmas,
             &self.variance,
+            self.tree.as_ref(),
             &mut self.phase1,
         )?;
         let phase1 = start.elapsed();
@@ -285,15 +296,17 @@ impl LiaEstimator {
         self.phase2.rates(self.red.num_links(), y)
     }
 
-    /// Applies a routing delta: rebuilds the pair system and the view
-    /// as [`LiaEstimator::new`] builds them, and forgets everything
+    /// Applies a routing delta: rebuilds the pair system, the tree
+    /// check and the view as [`LiaEstimator::new`] builds them (a delta
+    /// can turn a tree into a mesh and back), and forgets everything
     /// fitted on the old routing. An invalid delta returns the
     /// [`ChurnError`] and leaves the core untouched.
     pub(crate) fn apply_delta(&mut self, delta: &TopologyDelta) -> Result<DeltaEffect, ChurnError> {
         let effect = self.red.apply_delta(delta)?;
         (self.aug, self.selection) =
             apply_budget(AugmentedSystem::build(&self.red), self.pair_budget);
-        self.view = RankView::new(&self.red, self.lia.dispatch);
+        self.tree = reconstruct_tree(&self.red);
+        self.view = RankView::with_tree(&self.red, self.lia.dispatch, self.tree.clone());
         self.phase1.reset();
         // The model keeps its cut as an output-neutral hint for the
         // sparse bisection.
@@ -326,6 +339,29 @@ impl LiaEstimator {
     pub(crate) fn kept_columns(&self) -> &[usize] {
         self.phase2.kept()
     }
+
+    /// Fits the core on `centered`'s pair covariances and solves
+    /// `y_eval`, reporting as `backend`.
+    fn estimate_as(
+        &mut self,
+        backend: &'static str,
+        centered: &CenteredMeasurements,
+        y_eval: &[f64],
+    ) -> Result<EstimatorOutput, LinalgError> {
+        let sigmas = centered.pair_covariances(&self.aug.pair_indices());
+        self.fit(&sigmas)?;
+        let estimate = self.rates(y_eval)?;
+        let var_est = self.variances.as_ref().expect("a successful fit stores it");
+        Ok(EstimatorOutput {
+            estimate,
+            diagnostics: EstimatorDiagnostics {
+                backend,
+                rows_used: var_est.used_rows,
+                dropped_rows: var_est.dropped_rows,
+                variances: var_est.v.clone(),
+            },
+        })
+    }
 }
 
 impl LossEstimator for LiaEstimator {
@@ -338,19 +374,7 @@ impl LossEstimator for LiaEstimator {
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
-        let sigmas = centered.pair_covariances(&self.aug.pair_indices());
-        self.fit(&sigmas)?;
-        let estimate = self.rates(y_eval)?;
-        let var_est = self.variances.as_ref().expect("a successful fit stores it");
-        Ok(EstimatorOutput {
-            estimate,
-            diagnostics: EstimatorDiagnostics {
-                backend: self.name(),
-                rows_used: var_est.used_rows,
-                dropped_rows: var_est.dropped_rows,
-                variances: var_est.v.clone(),
-            },
-        })
+        self.estimate_as(self.name(), centered, y_eval)
     }
 }
 
@@ -358,15 +382,23 @@ impl LossEstimator for LiaEstimator {
 // Zhu closed-form MLE (trees)
 // ---------------------------------------------------------------------
 
-/// Zhu's closed-form MLE, exact on logical trees.
-#[derive(Debug, Clone)]
+/// Zhu's closed-form MLE, exact on logical trees: the LIA core's tree
+/// path with every row of the full pair system kept.
+#[derive(Debug)]
 pub struct ZhuMleEstimator {
-    /// Phase-2 configuration (shared with LIA so the elimination step
-    /// is identical and differences isolate Phase 1).
-    lia: LiaConfig,
-    red: ReducedTopology,
-    /// The full augmented pair system of `red`.
-    aug: AugmentedSystem,
+    /// The core, built with [`ZHU_PHASE1`] and the full pair system;
+    /// its Phase 2 is LIA's, so differences isolate Phase 1.
+    core: LiaEstimator,
+}
+
+/// Zhu's Phase 1: every row kept, the tree path.
+const ZHU_PHASE1: VarianceConfig = VarianceConfig {
+    drop_negative_covariances: false,
+    dispatch: Phase1Dispatch::Auto,
+};
+
+fn non_tree() -> LinalgError {
+    LinalgError::DimensionMismatch("Zhu closed-form MLE requires a tree topology".to_string())
 }
 
 impl LossEstimator for ZhuMleEstimator {
@@ -379,80 +411,15 @@ impl LossEstimator for ZhuMleEstimator {
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
-        let sigmas = centered.pair_covariances(&self.aug.pair_indices());
-        let v = closed_form_variances(&self.red, &self.aug, &sigmas)?;
-        let estimate = infer_link_rates(&self.red, &v, y_eval, &self.lia)?;
-        Ok(EstimatorOutput {
-            estimate,
-            diagnostics: EstimatorDiagnostics {
-                backend: self.name(),
-                rows_used: self.aug.num_rows(),
-                dropped_rows: 0,
-                variances: v,
-            },
-        })
+        if self.core.tree.is_none() {
+            return Err(non_tree());
+        }
+        self.core.estimate_as(self.name(), centered, y_eval)
     }
 }
 
-/// The reconstructed tree order: per-link parent (`usize::MAX` for
-/// roots) and per-link traverser count.
-struct TreeOrder {
-    parent: Vec<usize>,
-    count: Vec<usize>,
-}
-
-const NO_PARENT: usize = usize::MAX;
-
-fn non_tree(detail: String) -> LinalgError {
-    LinalgError::DimensionMismatch(format!(
-        "Zhu closed-form MLE requires a tree topology: {detail}"
-    ))
-}
-
-/// Reconstructs the logical tree from `paths_per_link`, or reports why
-/// the routing is not a tree.
-fn reconstruct_tree(red: &ReducedTopology) -> Result<TreeOrder, LinalgError> {
-    let ppl = red.paths_per_link();
-    let count: Vec<usize> = ppl.iter().map(|ps| ps.len()).collect();
-    let mut parent = vec![NO_PARENT; red.num_links()];
-    let mut parent_known = vec![false; red.num_links()];
-    let mut ordered: Vec<usize> = Vec::new();
-    for p in 0..red.num_paths() {
-        let pid = losstomo_topology::PathId(p as u32);
-        ordered.clear();
-        ordered.extend_from_slice(red.path_links(pid));
-        // Root→leaf order = strictly decreasing traverser count. Ties
-        // between two links of one path would mean identical traverser
-        // sets (on a tree), which the alias reduction merges away — so
-        // a tie here proves the routing is not tree-like.
-        ordered.sort_by(|&a, &b| count[b].cmp(&count[a]).then(a.cmp(&b)));
-        for w in ordered.windows(2) {
-            if count[w[0]] == count[w[1]] {
-                return Err(non_tree(format!(
-                    "links {} and {} on path {p} have equal traverser counts",
-                    w[0], w[1]
-                )));
-            }
-        }
-        let mut prev = NO_PARENT;
-        for &k in ordered.iter() {
-            if parent_known[k] {
-                if parent[k] != prev {
-                    return Err(non_tree(format!(
-                        "link {k} has two distinct parents across paths"
-                    )));
-                }
-            } else {
-                parent[k] = prev;
-                parent_known[k] = true;
-            }
-            prev = k;
-        }
-    }
-    Ok(TreeOrder { parent, count })
-}
-
-/// Zhu's closed-form variance solution on a tree topology.
+/// Zhu's closed-form variance solution on a tree topology: Phase 1's
+/// tree path over every row of `aug`.
 ///
 /// `sigmas[r]` must be the sample (or exact) covariance of `aug`'s
 /// row-`r` path pair. With exact covariances the output equals the true
@@ -460,7 +427,7 @@ fn reconstruct_tree(red: &ReducedTopology) -> Result<TreeOrder, LinalgError> {
 /// agreement proptests assert to 1e-10); with sample covariances it is
 /// the closed-form MLE estimate. Returns
 /// [`LinalgError::DimensionMismatch`] when the routing is not a logical
-/// tree.
+/// tree, and a typed error when some link is no row's meet.
 pub fn closed_form_variances(
     red: &ReducedTopology,
     aug: &AugmentedSystem,
@@ -473,69 +440,9 @@ pub fn closed_form_variances(
             aug.num_rows()
         )));
     }
-    let tree = reconstruct_tree(red)?;
-    let nc = red.num_links();
-
-    // Group covariances by the pair's meet link (deepest shared link =
-    // minimal traverser count in the shared set), checking that each
-    // shared set really is the root→meet prefix chain.
-    let mut sum = vec![0.0_f64; nc];
-    let mut rows = vec![0usize; nc];
-    let mut chain: Vec<usize> = Vec::new();
-    for (r, &sigma) in sigmas.iter().enumerate() {
-        let shared = aug.row(r);
-        let meet = *shared
-            .iter()
-            .min_by_key(|&&k| tree.count[k])
-            .expect("augmented rows are non-empty");
-        chain.clear();
-        let mut k = meet;
-        while k != NO_PARENT {
-            chain.push(k);
-            k = tree.parent[k];
-        }
-        if chain.len() != shared.len() {
-            let (i, j) = aug.pair(r);
-            return Err(non_tree(format!(
-                "paths {} and {} share {} links but the root→meet chain has {}",
-                i.index(),
-                j.index(),
-                shared.len(),
-                chain.len()
-            )));
-        }
-        chain.sort_unstable();
-        if chain != shared {
-            let (i, j) = aug.pair(r);
-            return Err(non_tree(format!(
-                "paths {} and {} share links off the root→meet chain",
-                i.index(),
-                j.index()
-            )));
-        }
-        sum[meet] += sigma;
-        rows[meet] += 1;
-    }
-
-    // S(k) = cumulative variance root→k; v_k = S(k) − S(parent(k)).
-    // Every link is some pair's meet after alias reduction: a link with
-    // a single child and no terminating path would have the same
-    // traverser set as that child and be merged away.
-    let mut v = vec![0.0_f64; nc];
-    for k in 0..nc {
-        if rows[k] == 0 {
-            return Err(non_tree(format!("link {k} is no pair's meet link")));
-        }
-        let s_k = sum[k] / rows[k] as f64;
-        let s_parent = if tree.parent[k] == NO_PARENT {
-            0.0
-        } else {
-            let pk = tree.parent[k];
-            sum[pk] / rows[pk] as f64
-        };
-        v[k] = s_k - s_parent;
-    }
-    Ok(v)
+    let tree = reconstruct_tree(red).ok_or_else(non_tree)?;
+    let mut ws = Phase1Scratch::default();
+    estimate_variances_scratch(red, aug, sigmas, &ZHU_PHASE1, Some(&tree), &mut ws).map(|e| e.v)
 }
 
 // ---------------------------------------------------------------------
@@ -562,7 +469,7 @@ const DENG_SWEEPS: usize = 8;
 ///   congestion is sparse) are declared loss-free outright, and only
 ///   the small candidate set enters the paper-order selection and the
 ///   reduced solve. If congestion is *not* sparse (candidates exceed
-///   half the links) it falls back to the full [`infer_link_rates`]
+///   half the links) it falls back to the full [`crate::infer_link_rates`]
 ///   rather than mis-screen.
 ///
 /// The variances are approximate, but detection only consumes their
@@ -570,6 +477,9 @@ const DENG_SWEEPS: usize = 8;
 /// columns, so accuracy stays within a few DR points of LIA while the
 /// wall-clock drops by the candidate-set ratio (the `scale_estimators`
 /// bench gates ≥2× on the paper-scale Waxman mesh).
+///
+/// The equation set, its row supports and the Phase-2 view are
+/// constants of the topology, built once in [`build_estimator`].
 #[derive(Debug, Clone)]
 pub struct DengFastEstimator {
     /// Phase-2 configuration (dispatch shared with LIA; the
@@ -577,6 +487,9 @@ pub struct DengFastEstimator {
     /// fallback path).
     lia: LiaConfig,
     red: ReducedTopology,
+    system: DengSystem,
+    /// The Phase-2 view of the routing matrix under `lia.dispatch`.
+    view: RankView,
 }
 
 /// Variance screening factor for the fast backend's Phase 2: links
@@ -586,9 +499,11 @@ pub struct DengFastEstimator {
 pub const DENG_SCREEN_FACTOR: f64 = 10.0;
 
 /// The fast backend's screened Phase 2: select and solve only the
-/// columns whose learned variance clears the noise floor.
+/// columns whose learned variance clears the noise floor, on `view`, a
+/// [`RankView`] of `red.matrix` under `cfg.dispatch`.
 fn deng_screened_phase2(
     red: &ReducedTopology,
+    view: &RankView,
     variances: &[f64],
     y: &[f64],
     cfg: &LiaConfig,
@@ -602,10 +517,12 @@ fn deng_screened_phase2(
     sorted.sort_by(f64::total_cmp);
     let tau = sorted[nc / 2] * DENG_SCREEN_FACTOR;
     let mut candidates: Vec<usize> = (0..nc).filter(|&k| variances[k] > tau).collect();
+    let mut model = Phase2Model::default();
     // Dense congestion defeats the median-as-noise-floor assumption;
     // fall back to the full paper-order Phase 2 rather than mis-screen.
     if candidates.len() * 2 > nc {
-        return infer_link_rates(red, variances, y, cfg);
+        model.fit(red, view, &variance_order(variances), cfg.elimination)?;
+        return model.rates(nc, y);
     }
     if candidates.is_empty() {
         return Ok(rates_from_solution(nc, &[], &[]));
@@ -615,9 +532,7 @@ fn deng_screened_phase2(
     // independent. The scan (or the sparse bisection) touches only
     // candidate columns.
     candidates.sort_by(|&a, &b| variances[a].total_cmp(&variances[b]));
-    let mut model = Phase2Model::default();
-    let view = RankView::new(red, cfg.dispatch);
-    model.fit(red, &view, &candidates, EliminationStrategy::PaperOrder)?;
+    model.fit(red, view, &candidates, EliminationStrategy::PaperOrder)?;
     model.rates(nc, y)
 }
 
@@ -659,63 +574,88 @@ pub fn deng_fast_variances(
     red: &ReducedTopology,
     centered: &CenteredMeasurements,
 ) -> (Vec<f64>, usize, usize) {
-    let nc = red.num_links();
-    let pairs = deng_select_pairs(red);
-    let mut sigmas = centered.pair_covariances(&pairs);
-    // Negative sample covariances carry no variance information
-    // (the paper drops those rows; here we clamp so the row still
-    // pins its links' variances toward zero).
-    let mut clamped = 0usize;
-    for s in sigmas.iter_mut() {
-        if *s < 0.0 {
-            *s = 0.0;
-            clamped += 1;
+    DengSystem::new(red).variances(centered)
+}
+
+/// The fast backend's equation set on one topology: the pairs
+/// [`deng_select_pairs`] picks, each pair's shared links, and the rows
+/// through each link.
+#[derive(Debug, Clone)]
+struct DengSystem {
+    pairs: Vec<(usize, usize)>,
+    /// Row `r`: the links pair `r` shares.
+    rows: RoutingMatrix,
+    /// Per link: the rows through it.
+    rows_of: Vec<Vec<usize>>,
+}
+
+impl DengSystem {
+    fn new(red: &ReducedTopology) -> Self {
+        let pairs = deng_select_pairs(red);
+        let mut rows = RoutingMatrix::builder(red.num_links());
+        let mut rows_of: Vec<Vec<usize>> = vec![Vec::new(); red.num_links()];
+        for (r, &(a, b)) in pairs.iter().enumerate() {
+            let (pa, pb) = (PathId(a as u32), PathId(b as u32));
+            let row = if a == b {
+                red.path_links(pa).to_vec()
+            } else {
+                intersect_sorted(red.path_links(pa), red.path_links(pb))
+            };
+            for &k in &row {
+                rows_of[k].push(r);
+            }
+            rows.push_sorted_row(&row);
+        }
+        DengSystem {
+            pairs,
+            rows: rows.build(),
+            rows_of,
         }
     }
-    // Row supports: shared links of each selected pair.
-    let mut rows: Vec<Vec<usize>> = Vec::with_capacity(pairs.len());
-    let mut rows_of: Vec<Vec<usize>> = vec![Vec::new(); nc];
-    for (r, &(a, b)) in pairs.iter().enumerate() {
-        let row = if a == b {
-            red.path_links(losstomo_topology::PathId(a as u32)).to_vec()
-        } else {
-            intersect_sorted(
-                red.path_links(losstomo_topology::PathId(a as u32)),
-                red.path_links(losstomo_topology::PathId(b as u32)),
-            )
-        };
-        for &k in &row {
-            rows_of[k].push(r);
+
+    /// Phase 1 on `centered`: `(variances, rows_used, clamped_rows)`.
+    fn variances(&self, centered: &CenteredMeasurements) -> (Vec<f64>, usize, usize) {
+        let nc = self.rows_of.len();
+        let mut sigmas = centered.pair_covariances(&self.pairs);
+        // Negative sample covariances carry no variance information
+        // (the paper drops those rows; here we clamp so the row still
+        // pins its links' variances toward zero).
+        let mut clamped = 0usize;
+        for s in sigmas.iter_mut() {
+            if *s < 0.0 {
+                *s = 0.0;
+                clamped += 1;
+            }
         }
-        rows.push(row);
-    }
-    // Gauss–Seidel: each sweep re-solves every link's equations given
-    // the current estimates of the other links on its rows.
-    let mut v = vec![0.0_f64; nc];
-    let mut row_sum: Vec<f64> = rows
-        .iter()
-        .map(|row| row.iter().map(|&l| v[l]).sum())
-        .collect();
-    for _ in 0..DENG_SWEEPS {
-        for k in 0..nc {
-            if rows_of[k].is_empty() {
-                continue;
-            }
-            let mut acc = 0.0;
-            for &r in &rows_of[k] {
-                acc += sigmas[r] - (row_sum[r] - v[k]);
-            }
-            let new = (acc / rows_of[k].len() as f64).max(0.0);
-            let delta = new - v[k];
-            if delta != 0.0 {
-                for &r in &rows_of[k] {
-                    row_sum[r] += delta;
+        // Gauss–Seidel: each sweep re-solves every link's equations
+        // given the current estimates of the other links on its rows.
+        let mut v = vec![0.0_f64; nc];
+        let mut row_sum: Vec<f64> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(|&l| v[l]).sum())
+            .collect();
+        for _ in 0..DENG_SWEEPS {
+            for (k, rows_of) in self.rows_of.iter().enumerate() {
+                if rows_of.is_empty() {
+                    continue;
                 }
-                v[k] = new;
+                let mut acc = 0.0;
+                for &r in rows_of {
+                    acc += sigmas[r] - (row_sum[r] - v[k]);
+                }
+                let new = (acc / rows_of.len() as f64).max(0.0);
+                let delta = new - v[k];
+                if delta != 0.0 {
+                    for &r in rows_of {
+                        row_sum[r] += delta;
+                    }
+                    v[k] = new;
+                }
             }
         }
+        (v, self.pairs.len(), clamped)
     }
-    (v, pairs.len(), clamped)
 }
 
 impl LossEstimator for DengFastEstimator {
@@ -728,8 +668,8 @@ impl LossEstimator for DengFastEstimator {
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
-        let (v, rows_used, clamped) = deng_fast_variances(&self.red, centered);
-        let estimate = deng_screened_phase2(&self.red, &v, y_eval, &self.lia)?;
+        let (v, rows_used, clamped) = self.system.variances(centered);
+        let estimate = deng_screened_phase2(&self.red, &self.view, &v, y_eval, &self.lia)?;
         Ok(EstimatorOutput {
             estimate,
             diagnostics: EstimatorDiagnostics {
@@ -745,6 +685,7 @@ impl LossEstimator for DengFastEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lia::infer_link_rates;
     use crate::variance::estimate_variances;
     use losstomo_netsim::{simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig};
     use losstomo_topology::gen::tree::{self, TreeParams};
@@ -921,10 +862,13 @@ mod tests {
     fn deng_detects_congested_links_on_tree() {
         let red = small_tree(17, 100);
         let (centered, y, eval) = simulated(&red, 40, 18);
-        let mut backend = DengFastEstimator {
-            lia: LiaConfig::default(),
-            red: red.clone(),
-        };
+        let mut backend = build_estimator(
+            EstimatorKind::DengFast,
+            &red,
+            LiaConfig::default(),
+            VarianceConfig::default(),
+            PairBudget::Full,
+        );
         let out = backend.estimate(&centered, &y).unwrap();
         let threshold = losstomo_netsim::DEFAULT_LOSS_THRESHOLD;
         let est_flags: Vec<bool> = out

@@ -13,36 +13,51 @@
 //!
 //! The paper's loop removes the globally smallest-variance column while
 //! `R*` is rank deficient, so `R*` is the longest *suffix* of the
-//! variance order whose columns are independent. The dense path finds
-//! it in one pass: it appends columns to a column-append Householder QR
-//! ([`AppendQr`]) in decreasing variance order and stops at the first
-//! column that lies in the span of the ones already kept. That column's
-//! position in the order, plus one, is the cut, and the factor built on
-//! the way is the factor of `R*` the reduced solve uses — one
-//! factorisation per Phase 2, identical output to the paper's loop.
+//! variance order whose columns are independent. Every path finds it in
+//! one pass that appends columns in decreasing variance order and stops
+//! at the first column that lies in the span of the ones already kept.
+//! That column's position in the order, plus one, is the cut.
 //!
-//! Above [`DENSE_MAX_COLS`] links the sparse path bisects over the cut
+//! **On a tree routing** ([`crate::tree::reconstruct_tree`]) the columns
+//! of `R` are the path sets of a laminar family, and a set of them is
+//! independent iff every kept column keeps a *private* path, one through
+//! no kept link below it. Appending link `e` with nearest kept ancestor
+//! `a` takes `p_e` = its paths not yet covered by kept links below it
+//! from `a`'s private paths, so the column is dependent iff `p_e = 0`
+//! or `a` would keep none: an `O(depth)` count, no arithmetic on `R`.
+//! The solve is a group mean: `w_e` is the mean of `y` over the paths
+//! whose deepest kept link is `e`, and `x_e = w_e − w_a`. Under
+//! [`Phase2Dispatch::Auto`] a tree runs this path ([`RankView::Tree`]).
+//!
+//! **On a mesh** the dense path appends columns to a column-append
+//! Householder QR ([`AppendQr`]), and the factor built on the way is
+//! the factor of `R*` the reduced solve uses — one factorisation per
+//! Phase 2, identical output to the paper's loop. Above
+//! [`DENSE_MAX_COLS`] links the sparse path bisects over the cut
 //! instead: "a subset of an independent set is independent" makes
 //! feasibility monotone in the cut, so `O(log n_c)` sparse Givens rank
 //! checks find it (the row-streaming Givens QR cannot append columns),
 //! and a warm-start hint can re-certify a remembered cut with two
-//! checks.
+//! checks. The forced [`Phase2Dispatch::Dense`] and
+//! [`Phase2Dispatch::Sparse`] run these paths on trees too, as the tree
+//! path's oracle.
 //!
 //! A greedy-matroid variant that keeps every column independent of the
 //! already-kept higher-variance set is provided for the ablation study
 //! (it never discards an identifiable congested link). It runs the same
-//! column-append kernel but skips dependent columns instead of stopping.
+//! column-append scan but skips dependent columns instead of stopping.
 //!
 //! Selection, factoring and solving live in one place, the crate-private
 //! Phase-2 model: batch [`infer_link_rates`], the deng-fast backend's
-//! screened solve and the LIA core all fit and solve through it, behind one snapshot check (`y` must hold one finite log rate per
-//! path).
+//! screened solve and the LIA core all fit and solve through it, behind
+//! one snapshot check (`y` must hold one finite log rate per path).
 //!
 //! Phase 2 consumes whatever variances Phase 1 produced; it is
 //! agnostic to the augmented-pair row budget ([`crate::budget`]) —
 //! budgeting changes how many covariance rows *feed* Phase 1, not the
 //! first-moment system `Y = R X` solved here.
 
+use crate::tree::{reconstruct_tree, LinkTree, NO_LINK};
 use losstomo_linalg::{AppendQr, CsrMatrix, LinalgError, Matrix, SparseQr};
 use losstomo_topology::ReducedTopology;
 use serde::{Deserialize, Serialize};
@@ -60,17 +75,20 @@ pub enum EliminationStrategy {
     GreedyMatroid,
 }
 
-/// Which factorisation family Phase 2 uses for its column selection and
-/// the reduced least-squares solve.
+/// Which solver family Phase 2 uses for its column selection and the
+/// reduced least-squares solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Phase2Dispatch {
-    /// Dense up to [`DENSE_MAX_COLS`] columns, the sparse Givens QR
-    /// above (the routing matrix is 1–2 % dense at mesh scale, where
-    /// densifying dominates the pipeline). Default.
+    /// The closed form on a tree routing (private-path counts and group
+    /// means, see the module docs). On a mesh, dense up to
+    /// [`DENSE_MAX_COLS`] columns and the sparse Givens QR above (the
+    /// routing matrix is 1–2 % dense at mesh scale, where densifying
+    /// dominates the pipeline). Default.
     #[default]
     Auto,
-    /// Force the dense path at any size: one column-append QR scan
-    /// finds the cut and factors `R*`.
+    /// Force the dense path at any size, trees included (the tree
+    /// path's oracle): one column-append QR scan finds the cut and
+    /// factors `R*`.
     Dense,
     /// Force the sparse path at any size (tests, benchmarks).
     Sparse,
@@ -83,7 +101,7 @@ pub enum Phase2Dispatch {
 pub const DENSE_MAX_COLS: usize = 2500;
 
 impl Phase2Dispatch {
-    /// Whether a system with `nc` link columns resolves to the dense
+    /// Whether a mesh with `nc` link columns resolves to the dense
     /// path.
     pub fn is_dense(self, nc: usize) -> bool {
         match self {
@@ -104,15 +122,33 @@ pub enum RankView {
     Dense(Matrix),
     /// CSR view of `R`; subset rank checks use the sparse Givens QR.
     Sparse(CsrMatrix),
+    /// The tree a tree routing forms: the closed-form path reads its
+    /// parents, path counts and each path's last link, never `R`.
+    Tree(LinkTree),
 }
 
 impl RankView {
-    /// Builds the view the dispatch policy selects for `red`.
+    /// Builds the view the dispatch policy selects for `red`; under
+    /// [`Phase2Dispatch::Auto`] that checks whether `red` is a tree.
     pub fn new(red: &ReducedTopology, dispatch: Phase2Dispatch) -> RankView {
-        if dispatch.is_dense(red.num_links()) {
-            RankView::Dense(dense_columns(red))
-        } else {
-            RankView::Sparse(red.matrix.to_sparse())
+        let tree = match dispatch {
+            Phase2Dispatch::Auto => reconstruct_tree(red),
+            _ => None,
+        };
+        RankView::with_tree(red, dispatch, tree)
+    }
+
+    /// [`RankView::new`] for a caller that has run the tree check:
+    /// `tree` is `red`'s tree when its routing is one.
+    pub(crate) fn with_tree(
+        red: &ReducedTopology,
+        dispatch: Phase2Dispatch,
+        tree: Option<LinkTree>,
+    ) -> RankView {
+        match tree {
+            Some(tree) if dispatch == Phase2Dispatch::Auto => RankView::Tree(tree),
+            _ if dispatch.is_dense(red.num_links()) => RankView::Dense(dense_columns(red)),
+            _ => RankView::Sparse(red.matrix.to_sparse()),
         }
     }
 }
@@ -210,13 +246,19 @@ pub fn select_full_rank_columns(
         red.num_links()
     );
     let order = variance_order(variances);
-    match strategy {
-        EliminationStrategy::PaperOrder => {
-            let view = RankView::new(red, Phase2Dispatch::Auto);
+    let view = RankView::new(red, Phase2Dispatch::Auto);
+    match (strategy, &view) {
+        (EliminationStrategy::PaperOrder, _) => {
             select_paper_order_hinted(red, &view, &order, None).0
         }
-        // Greedy is dense at every size: it reads one column at a time.
-        EliminationStrategy::GreedyMatroid => sorted(dense_factor(red, &order, strategy).cols()),
+        (_, RankView::Tree(tree)) => {
+            let mut factor = TreeFactor::default();
+            factor.scan(tree, &order, strategy);
+            sorted(factor.cols())
+        }
+        // On a mesh greedy is dense at every size: it reads one column
+        // at a time.
+        _ => sorted(dense_factor(red, &order, strategy).cols()),
     }
 }
 
@@ -306,13 +348,149 @@ impl DenseFactor {
     }
 }
 
+/// The closed-form factor of `R*` on a tree routing: the kept columns
+/// and their private-path counts, built by one scan over the variance
+/// order, and each path's deepest kept link, which is all the solve
+/// reads. Reused across scans without allocating.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TreeFactor {
+    /// Per link: is it a column of `R*`?
+    kept: Vec<bool>,
+    /// Per link not kept: paths through it that cross a kept link below
+    /// it.
+    cover: Vec<usize>,
+    /// Per kept link: its private paths, those through it that cross
+    /// no kept link below it.
+    private: Vec<usize>,
+    /// The kept columns, in append order.
+    cols: Vec<usize>,
+    /// Per link: the deepest kept link on its root chain, itself
+    /// included ([`NO_LINK`] when none is kept).
+    deepest: Vec<usize>,
+    /// Per path: its deepest kept link ([`NO_LINK`] when none).
+    owner: Vec<usize>,
+    /// Per kept column, in append order: its nearest kept ancestor.
+    up: Vec<usize>,
+}
+
+impl TreeFactor {
+    /// Appends `tree`'s link columns in decreasing variance order — the
+    /// reverse of `order`, which may cover any subset of the links —
+    /// with the stop/skip rule and return value of
+    /// [`DenseFactor::scan`], then records each path's deepest kept
+    /// link for the solve.
+    pub(crate) fn scan(
+        &mut self,
+        tree: &LinkTree,
+        order: &[usize],
+        strategy: EliminationStrategy,
+    ) -> usize {
+        let nc = tree.num_links();
+        self.kept.clear();
+        self.kept.resize(nc, false);
+        self.cover.clear();
+        self.cover.resize(nc, 0);
+        self.private.clear();
+        self.private.resize(nc, 0);
+        self.cols.clear();
+        let mut cut = 0;
+        for (pos, &e) in order.iter().enumerate().rev() {
+            if self.push(tree, e) {
+                self.cols.push(e);
+            } else if strategy == EliminationStrategy::PaperOrder {
+                cut = pos + 1;
+                break;
+            }
+        }
+        self.record_owners(tree);
+        cut
+    }
+
+    /// Keeps column `e` if it is independent of the kept ones: `e` must
+    /// keep a private path, and so must its nearest kept ancestor `a`
+    /// once `e`'s new paths leave it. On a keep, the links strictly
+    /// between `e` and `a` cover those paths too; above `a` they were
+    /// covered already.
+    fn push(&mut self, tree: &LinkTree, e: usize) -> bool {
+        let parent = tree.parents();
+        let p = tree.paths_through(e) - self.cover[e];
+        let mut a = parent[e];
+        while a != NO_LINK && !self.kept[a] {
+            a = parent[a];
+        }
+        if p == 0 || (a != NO_LINK && self.private[a] == p) {
+            return false;
+        }
+        self.kept[e] = true;
+        self.private[e] = p;
+        if a != NO_LINK {
+            self.private[a] -= p;
+        }
+        let mut f = parent[e];
+        while f != a {
+            self.cover[f] += p;
+            f = parent[f];
+        }
+        true
+    }
+
+    /// Each path's deepest kept link and each kept column's nearest
+    /// kept ancestor, in one top-down pass.
+    fn record_owners(&mut self, tree: &LinkTree) {
+        let parent = tree.parents();
+        self.deepest.clear();
+        self.deepest.resize(tree.num_links(), NO_LINK);
+        for &e in tree.top_down() {
+            self.deepest[e] = match (self.kept[e], parent[e]) {
+                (true, _) => e,
+                (false, NO_LINK) => NO_LINK,
+                (false, p) => self.deepest[p],
+            };
+        }
+        self.owner.clear();
+        self.owner
+            .extend(tree.leaves().iter().map(|&leaf| self.deepest[leaf]));
+        self.up.clear();
+        self.up.extend(self.cols.iter().map(|&e| match parent[e] {
+            NO_LINK => NO_LINK,
+            p => self.deepest[p],
+        }));
+    }
+
+    /// The kept columns, in append order.
+    pub(crate) fn cols(&self) -> &[usize] {
+        &self.cols
+    }
+
+    /// Solves `Y = R* X*` for one snapshot: `X*` in append order. `w_e`
+    /// is the mean of `y` over the paths `e` owns (its private paths),
+    /// and `x_e = w_e − w_(nearest kept ancestor)`.
+    fn solve(&self, y: &[f64]) -> Vec<f64> {
+        let mut w = vec![0.0; self.kept.len()];
+        for (&owner, &yi) in self.owner.iter().zip(y) {
+            if owner != NO_LINK {
+                w[owner] += yi;
+            }
+        }
+        for &e in &self.cols {
+            w[e] /= self.private[e] as f64;
+        }
+        self.cols
+            .iter()
+            .zip(&self.up)
+            .map(|(&e, &a)| if a == NO_LINK { w[e] } else { w[e] - w[a] })
+            .collect()
+    }
+}
+
 /// The paper-order column selection with an optional warm-start cut,
 /// returning `(kept columns ascending, cut position)`.
 ///
 /// The cut `h*` is the minimal number of smallest-variance columns to
 /// drop so that the remaining set is independent. On a
 /// [`RankView::Dense`] view one column-append scan finds it and the
-/// hint is ignored. On a [`RankView::Sparse`] view it is a bisection:
+/// hint is ignored, and so does the closed-form scan on a
+/// [`RankView::Tree`]. On a [`RankView::Sparse`] view it is a bisection:
 /// feasibility is monotone in the cut ("subset of an independent set is
 /// independent"), so `h*` is the unique `h` with `feasible(h)` and
 /// (`h = 0` or `¬feasible(h − 1)`) — a caller that remembers the
@@ -349,6 +527,18 @@ pub fn select_paper_order_hinted(
             DenseFactor::default().scan(rt, order, EliminationStrategy::PaperOrder)
         }
         RankView::Sparse(csr) => bisect_cut(csr, order, hint),
+        RankView::Tree(tree) => {
+            assert_eq!(
+                (tree.num_links(), tree.num_paths()),
+                (nc, red.num_paths()),
+                "tree view has {} links and {} paths, expected {} and {}",
+                tree.num_links(),
+                tree.num_paths(),
+                nc,
+                red.num_paths()
+            );
+            TreeFactor::default().scan(tree, order, EliminationStrategy::PaperOrder)
+        }
     };
     (sorted(&order[cut..]), cut)
 }
@@ -457,6 +647,9 @@ enum RstarFactor {
     Dense(DenseFactor),
     /// Sparse Givens QR of the kept columns.
     Sparse(SparseQr),
+    /// The closed-form tree factor, built by the scan that selected its
+    /// columns.
+    Tree(TreeFactor),
 }
 
 impl Default for Phase2Model {
@@ -473,11 +666,11 @@ impl Default for Phase2Model {
 impl Phase2Model {
     /// Selects and factors `R*` for `order` (ascending variance, any
     /// subset of `red`'s links) on `view`, a [`RankView`] of
-    /// `red.matrix`. The dense view runs one column-append scan into
-    /// the model's buffers, which selects the kept columns and factors
-    /// `R*` in the same pass. The sparse view finds the paper-order cut
-    /// by bisection, warm-started from the last cut, or the greedy set
-    /// by the dense scan, and refactors `R*` only when the kept set
+    /// `red.matrix`. The dense and the tree view run one scan into the
+    /// model's buffers, which selects the kept columns and factors `R*`
+    /// in the same pass. The sparse view finds the paper-order cut by
+    /// bisection, warm-started from the last cut, or the greedy set by
+    /// the dense scan, and refactors `R*` only when the kept set
     /// changed. On error the model is left unfitted.
     pub(crate) fn fit(
         &mut self,
@@ -497,6 +690,18 @@ impl Phase2Model {
                 self.kept.extend_from_slice(factor.cols());
                 self.kept.sort_unstable();
                 self.factor = Some(RstarFactor::Dense(factor));
+                return Ok(());
+            }
+            RankView::Tree(tree) => {
+                let mut factor = match self.factor.take() {
+                    Some(RstarFactor::Tree(factor)) => factor,
+                    _ => TreeFactor::default(),
+                };
+                factor.scan(tree, order, strategy);
+                self.kept.clear();
+                self.kept.extend_from_slice(factor.cols());
+                self.kept.sort_unstable();
+                self.factor = Some(RstarFactor::Tree(factor));
                 return Ok(());
             }
             RankView::Sparse(csr) => csr,
@@ -549,6 +754,9 @@ impl Phase2Model {
                 &self.kept,
                 &qr.solve_least_squares(y)?,
             )),
+            Some(RstarFactor::Tree(factor)) => {
+                Ok(rates_from_solution(nc, factor.cols(), &factor.solve(y)))
+            }
             None => Err(LinalgError::DimensionMismatch(
                 "no Phase-2 model fitted yet — ingest more snapshots".to_string(),
             )),
@@ -663,7 +871,10 @@ mod tests {
         // The sparse view's warm-start path gallops outward from a stale
         // hint; every possible hint (certified, drifted either way, or
         // nonsense beyond `nc`) must land on the identical minimal cut,
-        // which is also the dense scan's.
+        // which is also the dense scan's and the tree scan's. The tree
+        // scan also matches the dense scan column for column under
+        // both strategies on the full order and on subset orders, and
+        // their models solve a snapshot alike.
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
         let topo = losstomo_topology::gen::tree::generate(
             losstomo_topology::gen::tree::TreeParams {
@@ -678,6 +889,8 @@ mod tests {
         let nc = red.num_links();
         let view = RankView::new(&red, Phase2Dispatch::Sparse);
         let dense = RankView::new(&red, Phase2Dispatch::Dense);
+        let tree = RankView::new(&red, Phase2Dispatch::Auto);
+        assert!(matches!(tree, RankView::Tree(_)));
         for seed in 0..3u64 {
             // A deterministic shuffled variance order per seed.
             let mut order: Vec<usize> = (0..nc).collect();
@@ -690,6 +903,42 @@ mod tests {
                 select_paper_order_hinted(&red, &dense, &order, None),
                 (cold_kept.clone(), cold_cut)
             );
+            assert_eq!(
+                select_paper_order_hinted(&red, &tree, &order, None),
+                (cold_kept.clone(), cold_cut)
+            );
+            let y: Vec<f64> = (0..red.num_paths())
+                .map(|i| -0.01 * ((i as u64 * 7 + seed) % 13) as f64)
+                .collect();
+            let every_other: Vec<usize> = order.iter().copied().step_by(2).collect();
+            for sub in [&order[..], &order[nc / 3..], &every_other[..]] {
+                for strategy in [
+                    EliminationStrategy::PaperOrder,
+                    EliminationStrategy::GreedyMatroid,
+                ] {
+                    let RankView::Tree(links) = &tree else {
+                        unreachable!()
+                    };
+                    let mut by_tree = TreeFactor::default();
+                    let mut by_qr = DenseFactor::default();
+                    assert_eq!(
+                        by_tree.scan(links, sub, strategy),
+                        by_qr.scan(&dense_columns(&red), sub, strategy),
+                        "{strategy:?} cut"
+                    );
+                    assert_eq!(by_tree.cols(), by_qr.cols(), "{strategy:?} columns");
+                    let (mut m_tree, mut m_dense) =
+                        (Phase2Model::default(), Phase2Model::default());
+                    m_tree.fit(&red, &tree, sub, strategy).unwrap();
+                    m_dense.fit(&red, &dense, sub, strategy).unwrap();
+                    let a = m_tree.rates(nc, &y).unwrap();
+                    let b = m_dense.rates(nc, &y).unwrap();
+                    assert_eq!(a.kept, b.kept);
+                    for (x, z) in a.transmission.iter().zip(&b.transmission) {
+                        assert!((x - z).abs() < 1e-12, "{strategy:?}: {x} vs {z}");
+                    }
+                }
+            }
             for hint in 0..=(nc + 2) {
                 let (kept, cut) = select_paper_order_hinted(&red, &view, &order, Some(hint));
                 assert_eq!(cut, cold_cut, "hint {hint} drifted the cut");

@@ -34,6 +34,8 @@
 //! * [`augmented`] — the matrix `A` of Definition 1 + Theorem-1 check
 //! * [`variance`] — Phase 1 (GMM least-squares estimator)
 //! * [`lia`] — Phase 2 column elimination + reduced solve
+//! * [`tree`] — the tree check, and the tree both phases solve in
+//!   closed form
 //! * [`streaming`] — incremental covariance + online two-phase
 //!   estimation over snapshot streams
 //! * [`scfs`] — the SCFS single-snapshot baseline of Figure 5
@@ -62,6 +64,7 @@ pub mod metrics;
 pub mod parallel;
 pub mod scfs;
 pub mod streaming;
+pub mod tree;
 pub mod validate;
 pub mod variance;
 

@@ -1535,20 +1535,23 @@ mod tests {
         simulate_run(red, &mut scenario, &cfg, m, &mut rng).log_rate_rows()
     }
 
-    /// Feeds `rows` to one long-lived estimator (with `window` and
-    /// Phase-2 settings `lia`, defaults otherwise) and checks every
-    /// refresh, by bits, against a batch recompute (`estimate_variances`
-    /// and `infer_link_rates`) over the rows then in the window. Returns
-    /// what each refresh's Phase 1 did: `None` for a kept-row solve
-    /// (with its dropped-row count), or the fallback reason.
+    /// Feeds `rows` to one long-lived estimator (with `window`, Phase-1
+    /// settings `variance` and Phase-2 settings `lia`, defaults
+    /// otherwise) and checks every refresh, by bits, against a batch
+    /// recompute (`estimate_variances` and `infer_link_rates`) over the
+    /// rows then in the window. Returns what each refresh's Phase 1 did:
+    /// `None` for a kept-row solve (with its dropped-row count), or the
+    /// fallback reason.
     fn every_refresh_matches_batch(
         red: &ReducedTopology,
         rows: &[Vec<f64>],
         window: WindowMode,
+        variance: VarianceConfig,
         lia: LiaConfig,
     ) -> Vec<(Option<FallbackReason>, usize)> {
         let cfg = OnlineConfig {
             window,
+            variance,
             lia,
             ..OnlineConfig::default()
         };
@@ -1605,12 +1608,16 @@ mod tests {
     /// refresh, not only the last: on a small tree whose refreshes mix
     /// kept-row solves, certified fallbacks and all-rows solves, and on
     /// a small Waxman mesh, each with an unbounded and a sliding window.
-    /// On the mesh the forced-sparse and greedy Phase-2 paths hold too:
-    /// the long-lived Phase-2 model (warm-started cut, refactored only
-    /// when the kept set changes) fits what a fresh batch model fits.
+    /// The tree forces the dense Phase 1, whose factor cache the trap
+    /// targets, and runs again under `Auto` (the tree path, both
+    /// strategies). On the mesh the forced-sparse and greedy Phase-2
+    /// paths hold too: the long-lived Phase-2 model (warm-started cut,
+    /// refactored only when the kept set changes) fits what a fresh
+    /// batch model fits.
     #[test]
     fn long_lived_estimator_matches_batch_at_every_refresh() {
         use crate::lia::{EliminationStrategy, Phase2Dispatch};
+        use crate::variance::Phase1Dispatch;
         use losstomo_topology::gen::tree::{self, TreeParams};
         use losstomo_topology::gen::waxman::{self, WaxmanParams};
         use losstomo_topology::{compute_paths, reduce, GeneratedTopology};
@@ -1636,13 +1643,30 @@ mod tests {
             &mut StdRng::seed_from_u64(4),
         ));
         let default = LiaConfig::default();
+        let greedy = LiaConfig {
+            elimination: EliminationStrategy::GreedyMatroid,
+            ..default
+        };
+        let auto = VarianceConfig::default();
+        let dense = VarianceConfig {
+            dispatch: Phase1Dispatch::Dense,
+            ..auto
+        };
         for window in [WindowMode::Unbounded, WindowMode::Sliding(12)] {
             let tree_rows = markov_rows(&tree, 150, 3);
-            let trace = every_refresh_matches_batch(&tree, &tree_rows, window, default);
+            let trace = every_refresh_matches_batch(&tree, &tree_rows, window, dense, default);
             assert!(
                 has_stale_factor_trap(&trace),
                 "{window:?}: the tree stream should certify between two kept-row solves"
             );
+            for lia in [default, greedy] {
+                let trace = every_refresh_matches_batch(&tree, &tree_rows, window, auto, lia);
+                assert!(
+                    trace.iter().any(|(f, _)| f.is_some())
+                        && trace.iter().any(|(f, _)| f.is_none()),
+                    "{window:?}, {lia:?}: the tree stream should mix kept solves and fold-backs"
+                );
+            }
             let mesh_rows = markov_rows(&mesh, 120, 5);
             for lia in [
                 default,
@@ -1659,7 +1683,7 @@ mod tests {
                     elimination: EliminationStrategy::GreedyMatroid,
                 },
             ] {
-                let trace = every_refresh_matches_batch(&mesh, &mesh_rows, window, lia);
+                let trace = every_refresh_matches_batch(&mesh, &mesh_rows, window, auto, lia);
                 assert!(
                     trace.len() > 100,
                     "{window:?}, {lia:?}: the mesh stream should refresh"

@@ -14,36 +14,56 @@
 //!
 //! The drop is not always harmless. When it leaves the kept rows
 //! rank-deficient, Phase 1 folds the dropped rows back in and solves
-//! every row, and [`VarianceEstimate::fallback`] says why. On trees
-//! this is the steady state, not an edge case. Every tree path ends in
-//! a private leaf link (a link on no other path), so once every kept
-//! cross-pair row through an interior link `e` is gone, `e`'s column
-//! equals the sum of its paths' leaf columns on every kept row. The
-//! dense path proves this in `O(rows)` before it factors anything (the
-//! *singularity certificate*, [`FallbackReason::Certified`]): link `e`
+//! every row, and [`VarianceEstimate::fallback`] says why.
+//!
+//! **Trees solve in closed form.** On a tree routing
+//! ([`crate::tree::reconstruct_tree`]) two paths share exactly the
+//! chain from the root down to their *meet*, so in the basis
+//! `z_e = Σ v` over the links from the root down to `e`, every row
+//! reads one unknown, `z_meet`. Least squares over any subset of rows
+//! is then a group mean: `z_e` is the mean of the kept `Σ̂` whose meet
+//! is `e`, and `v_e = z_e − z_parent(e)`. The kept rows are singular
+//! exactly when some link is no kept row's meet, which is the fold-back
+//! test ([`FallbackReason::MeetlessLink`]). Under
+//! [`Phase1Dispatch::Auto`] a tree runs this path: one sweep of the
+//! covariances, no Gram and no factorisation. This is also Zhu's
+//! closed-form MLE when every row is kept
+//! ([`crate::estimator::closed_form_variances`]).
+//!
+//! **Meshes** solve the normal equations, or a sparse QR above
+//! [`crate::lia::DENSE_MAX_COLS`] links. Before the dense path factors
+//! a kept set it tries to prove it singular in `O(rows)`, the
+//! *singularity certificate* ([`FallbackReason::Certified`]): link `e`
 //! certifies the kept system singular when it lies on at least two
-//! paths, each of those paths has a private link, and no kept
-//! off-diagonal row contains `e`. A certified refresh skips the kept
-//! Gram, its sync and its factorisation, and goes straight to the
-//! all-rows solve the failed factorisation would have reached.
+//! paths, each of those paths has a private link (a link on no other
+//! path), and no kept off-diagonal row contains `e`, so `e`'s column
+//! equals the sum of those private links' columns on every kept row. A
+//! certified refresh skips the kept Gram, its sync and its
+//! factorisation, and goes straight to the all-rows solve the failed
+//! factorisation would have reached. The forced
+//! [`Phase1Dispatch::Dense`] and [`Phase1Dispatch::Sparse`] run this
+//! general path on trees too, as the tree path's oracle.
 
 use crate::augmented::AugmentedSystem;
 use crate::covariance::CenteredMeasurements;
+use crate::tree::{reconstruct_tree, LinkTree, NO_LINK};
 use losstomo_linalg::{lstsq, LinalgError, Matrix, SparseQr, SpdScratch};
 use losstomo_topology::{PathId, ReducedTopology, RoutingMatrix};
 
-/// Which factorisation family solves the Phase-1 least squares,
-/// mirroring [`crate::lia::Phase2Dispatch`] for Phase 2.
+/// Which solver family solves the Phase-1 least squares, mirroring
+/// [`crate::lia::Phase2Dispatch`] for Phase 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Phase1Dispatch {
-    /// Dense family (the normal equations) up to
-    /// [`crate::lia::DENSE_MAX_COLS`] columns, the row-streaming
-    /// sparse QR above — wide meshes pay `O(links³)` for the dense
-    /// Gram factorisation no matter how few rows feed it, while the
-    /// sparse QR's cost tracks the (budgetable) row count.
+    /// The closed form on a tree routing (per-meet group means, see the
+    /// module docs). On a mesh, the dense family (the normal equations)
+    /// up to [`crate::lia::DENSE_MAX_COLS`] columns and the
+    /// row-streaming sparse QR above: wide meshes pay `O(links³)` for
+    /// the dense Gram factorisation no matter how few rows feed it,
+    /// while the sparse QR's cost tracks the (budgetable) row count.
     #[default]
     Auto,
-    /// Always the dense family.
+    /// Always the dense family, trees included (the tree path's
+    /// oracle).
     Dense,
     /// Always the sparse QR on the kept CSR rows.
     Sparse,
@@ -122,6 +142,9 @@ pub enum FallbackReason {
     Certified(usize),
     /// The kept-row factorisation failed.
     FactorFailed,
+    /// The tree path's exact test: no kept row's meet is this link (the
+    /// lowest such), so its cumulative variance is unconstrained.
+    MeetlessLink(usize),
 }
 
 /// Estimates the link variances from `m ≥ 2` snapshots.
@@ -131,11 +154,10 @@ pub enum FallbackReason {
 ///
 /// Dropping the negative-covariance rows can leave a rank-deficient
 /// system; the estimator then falls back to keeping all rows and says
-/// why in [`VarianceEstimate::fallback`]. On trees this happens
-/// whenever every cross-pair row through some interior link came out
-/// negative, because every tree path has a private leaf link (see the
-/// module docs); the dense path proves that case singular from the
-/// row counts and does not try to factor the kept rows.
+/// why in [`VarianceEstimate::fallback`]. On a tree that happens
+/// exactly when some link is no kept row's meet (see the module docs),
+/// and the tree path decides it from the row counts without factoring
+/// anything.
 ///
 /// With no variance signal at all (every path's measurements constant,
 /// so every covariance is zero or a rounding residue), the estimate is
@@ -171,14 +193,27 @@ pub fn estimate_variances(
 /// workspace that lives between fits, on batch covariances or on those
 /// maintained by [`crate::streaming::StreamingCovariance`], so batch and
 /// online inference share one code path (and therefore produce
-/// identical bits for identical covariances).
+/// identical bits for identical covariances). Under
+/// [`Phase1Dispatch::Auto`] each call checks whether `red` is a tree,
+/// as the core does once per routing.
 pub fn estimate_variances_from_sigmas(
     red: &ReducedTopology,
     aug: &AugmentedSystem,
     sigmas: &[f64],
     cfg: &VarianceConfig,
 ) -> Result<VarianceEstimate, LinalgError> {
-    estimate_variances_scratch(red, aug, sigmas, cfg, &mut Phase1Scratch::default())
+    let tree = match cfg.dispatch {
+        Phase1Dispatch::Auto => reconstruct_tree(red),
+        _ => None,
+    };
+    estimate_variances_scratch(
+        red,
+        aug,
+        sigmas,
+        cfg,
+        tree.as_ref(),
+        &mut Phase1Scratch::default(),
+    )
 }
 
 /// The Gram matrix `AᵀA` of the kept rows, kept between Phase-1 solves
@@ -246,35 +281,43 @@ impl GramCache {
     }
 }
 
-/// Reusable buffers for repeated Phase-1 normal-equations solves: the
-/// kept mask, the [`GramCache`], `AᵀΣ*`, the per-link row counts of the
-/// kept rows, the topology constants the singularity certificate reads,
-/// and the SPD solver workspaces (permutation, permuted Gram, Cholesky
-/// factor) all survive between solves, so a steady-state solve
-/// allocates nothing.
+/// Reusable buffers for repeated Phase-1 solves, so a steady-state
+/// solve allocates nothing beyond its output.
 ///
 /// The workspace must be dedicated to one `(red, aug)` pipeline; a new
-/// pair system needs [`Phase1Scratch::reset`]. A kept-row solve always
-/// factors its Gram, into the reused buffers.
+/// pair system needs [`Phase1Scratch::reset`].
 ///
-/// The all-rows fallback gets its own cached factor: its Gram is the
-/// co-occurrence count over *every* augmented row — a constant of the
-/// pair system — so once the fallback has run, every later fallback is
-/// two triangular solves instead of an `O(n_c³)` factorisation. On the
-/// paper tree most refreshes end in that fallback, but the certificate
-/// does not send them all there: under fixed congestion (the
-/// `fleet_scale` run) it proved 13 of 30 kept systems singular and the
-/// other 17 failed their kept factorisation; on a drifting `Sliding(50)`
-/// stream it proved 86 of 150, 10 more fell back after a failed kept
-/// factorisation, and 54 solved their kept rows. The kept-rows
-/// workspace is sized on trees too.
+/// On a tree it holds the meet of every row of the pair system,
+/// computed on the first solve after a reset, and per-link sums and
+/// counts of the kept and of the dropped rows: a solve is one sweep of
+/// the covariances into those groups, and a fold-back adds the dropped
+/// groups in, in `O(n_c)`. Nothing else is ever sized on a tree.
 ///
-/// The certificate's topology constants (paths per link, and whether
-/// every path through a link has a private link) are recomputed from
-/// the routing matrix whenever the certificate is asked, in
+/// On a mesh it holds the kept mask, the [`GramCache`], `AᵀΣ*`, the
+/// per-link row counts of the kept rows, the topology constants the
+/// singularity certificate reads, and the SPD solver workspaces
+/// (permutation, permuted Gram, Cholesky factor). A kept-row solve
+/// always factors its Gram, into the reused buffers. The all-rows
+/// fallback gets its own cached factor: its Gram is the co-occurrence
+/// count over *every* augmented row — a constant of the pair system —
+/// so once the fallback has run, every later fallback is two
+/// triangular solves instead of an `O(n_c³)` factorisation. The
+/// certificate's topology constants (paths per link, and whether every
+/// path through a link has a private link) are recomputed from the
+/// routing matrix whenever the certificate is asked, in
 /// `O(Σ path length)`, so nothing here goes stale on churn.
 #[derive(Debug, Default)]
 pub(crate) struct Phase1Scratch {
+    /// Per augmented row of a tree: its meet link.
+    meets: Vec<u32>,
+    /// Whether `meets` belongs to the current pair system.
+    meets_ready: bool,
+    /// Per link of a tree: the sum and the count of the kept rows that
+    /// meet there, then of the dropped ones.
+    meet_sum: Vec<f64>,
+    meet_rows: Vec<u32>,
+    dropped_sum: Vec<f64>,
+    dropped_rows: Vec<u32>,
     new_kept: Vec<bool>,
     /// The Gram counts of the rows the last sync kept.
     cache: GramCache,
@@ -298,14 +341,15 @@ pub(crate) struct Phase1Scratch {
 }
 
 impl Phase1Scratch {
-    /// Forgets everything derived from the pair system: the Gram counts
-    /// and the all-rows factor; the buffers stay. Routing churn
-    /// rebuilds the augmented rows, so the all-rows Gram is no longer
-    /// the matrix its cached factor was computed from. The next solve
-    /// recounts from scratch, and integer counts make that the same
-    /// bits a fresh workspace gets; reusing the stale factor would
-    /// silently break the post-flush bit-identity gate.
+    /// Forgets everything derived from the pair system: the row meets,
+    /// the Gram counts and the all-rows factor; the buffers stay.
+    /// Routing churn rebuilds the augmented rows, so the all-rows Gram
+    /// is no longer the matrix its cached factor was computed from. The
+    /// next solve recounts from scratch, and integer counts make that
+    /// the same bits a fresh workspace gets; reusing the stale factor
+    /// would silently break the post-flush bit-identity gate.
     pub fn reset(&mut self) {
+        self.meets_ready = false;
         self.cache.ready = false;
         self.spd_all.invalidate();
     }
@@ -375,26 +419,32 @@ impl Phase1Scratch {
     }
 }
 
-/// Phase 1 via the normal equations with a reusable [`Phase1Scratch`]:
-/// the paper's negative-row drop, its all-rows fallback, and
-/// incremental `AᵀA` maintenance sharing one assembly.
+/// Phase 1 with a reusable [`Phase1Scratch`]: the paper's
+/// negative-row drop and its all-rows fallback, on the tree path or the
+/// general one.
 ///
-/// With a fresh workspace this is the batch estimator
+/// `tree` is `red`'s tree when its routing is one
+/// ([`reconstruct_tree`]); under [`Phase1Dispatch::Auto`] it selects the
+/// closed form. With a fresh workspace this is the batch estimator
 /// ([`estimate_variances_from_sigmas`]); the LIA core
-/// ([`crate::estimator::LiaEstimator`]) solves through a warm one, and a
-/// steady-state solve then allocates nothing. Only the rows whose
-/// kept/dropped status changed since the previous sync touch the Gram
-/// counts. Counts are small integers, so the incremental result is
-/// exactly the from-scratch result; `AᵀΣ*` is rebuilt per call in
-/// ascending row order, matching the batch accumulation order bit for
-/// bit.
+/// ([`crate::estimator::LiaEstimator`]) solves through a warm one.
+///
+/// On the general dense path only the rows whose kept/dropped status
+/// changed since the previous sync touch the Gram counts. Counts are
+/// small integers, so the incremental result is exactly the
+/// from-scratch result; `AᵀΣ*` is rebuilt per call in ascending row
+/// order, matching the batch accumulation order bit for bit.
 pub(crate) fn estimate_variances_scratch(
     red: &ReducedTopology,
     aug: &AugmentedSystem,
     sigmas: &[f64],
     cfg: &VarianceConfig,
+    tree: Option<&LinkTree>,
     ws: &mut Phase1Scratch,
 ) -> Result<VarianceEstimate, LinalgError> {
+    if let (Phase1Dispatch::Auto, Some(tree)) = (cfg.dispatch, tree) {
+        return estimate_variances_tree(tree, aug, sigmas, cfg, ws);
+    }
     if !cfg.dispatch.use_dense(red.num_links()) {
         // The sparse family has no Gram to cache — refactoring the
         // kept rows is the whole solve, and it is what keeps wide
@@ -504,6 +554,113 @@ pub(crate) fn estimate_variances_scratch(
             folded_rows: dropped_count,
         }),
     })
+}
+
+/// Phase 1 on a tree routing: per-meet group means (see the module
+/// docs), with the same drop, fold-back and error semantics as the
+/// general path and an exact fold-back test.
+fn estimate_variances_tree(
+    tree: &LinkTree,
+    aug: &AugmentedSystem,
+    sigmas: &[f64],
+    cfg: &VarianceConfig,
+    ws: &mut Phase1Scratch,
+) -> Result<VarianceEstimate, LinalgError> {
+    assert_eq!(
+        sigmas.len(),
+        aug.num_rows(),
+        "got {} covariances for {} augmented rows",
+        sigmas.len(),
+        aug.num_rows()
+    );
+    let nc = tree.num_links();
+    if !ws.meets_ready {
+        ws.meets.clear();
+        ws.meets
+            .extend(aug.matrix().iter().map(|row| tree.meet(row) as u32));
+        ws.meets_ready = true;
+    }
+    debug_assert_eq!(ws.meets.len(), aug.num_rows());
+    for buf in [&mut ws.meet_sum, &mut ws.dropped_sum] {
+        buf.clear();
+        buf.resize(nc, 0.0);
+    }
+    for buf in [&mut ws.meet_rows, &mut ws.dropped_rows] {
+        buf.clear();
+        buf.resize(nc, 0);
+    }
+    for (&meet, &sigma) in ws.meets.iter().zip(sigmas) {
+        let e = meet as usize;
+        if cfg.drop_negative_covariances && sigma < 0.0 {
+            ws.dropped_sum[e] += sigma;
+            ws.dropped_rows[e] += 1;
+        } else {
+            ws.meet_sum[e] += sigma;
+            ws.meet_rows[e] += 1;
+        }
+    }
+    let dropped = ws.dropped_rows.iter().map(|&n| n as usize).sum::<usize>();
+    let used = aug.num_rows() - dropped;
+    let reason = if dropped == 0 {
+        None
+    } else if used < nc {
+        Some(FallbackReason::TooFewRows)
+    } else {
+        let meetless = ws.meet_rows.iter().position(|&n| n == 0);
+        meetless.map(FallbackReason::MeetlessLink)
+    };
+    let Some(reason) = reason else {
+        return Ok(VarianceEstimate {
+            v: group_mean_variances(tree, &mut ws.meet_sum, &ws.meet_rows, used)?,
+            dropped_rows: dropped,
+            used_rows: used,
+            fallback: None,
+        });
+    };
+    // Fold the dropped rows back in, group by group.
+    for e in 0..nc {
+        ws.meet_sum[e] += ws.dropped_sum[e];
+        ws.meet_rows[e] += ws.dropped_rows[e];
+    }
+    Ok(VarianceEstimate {
+        v: group_mean_variances(tree, &mut ws.meet_sum, &ws.meet_rows, aug.num_rows())?,
+        dropped_rows: 0,
+        used_rows: aug.num_rows(),
+        fallback: Some(Phase1Fallback {
+            reason,
+            folded_rows: dropped,
+        }),
+    })
+}
+
+/// The tree solve over `used` rows: `z_e = sum[e] / rows[e]` (in place)
+/// and `v_e = z_e − z_parent(e)`. Fewer rows than links, or a link no
+/// row meets at, leaves the system singular, and the error says which,
+/// as the general path's failed factorisation does.
+fn group_mean_variances(
+    tree: &LinkTree,
+    sum: &mut [f64],
+    rows: &[u32],
+    used: usize,
+) -> Result<Vec<f64>, LinalgError> {
+    let nc = tree.num_links();
+    if used < nc {
+        return Err(LinalgError::DimensionMismatch(format!(
+            "only {used} usable covariance rows for {nc} links"
+        )));
+    }
+    if let Some(index) = rows.iter().position(|&n| n == 0) {
+        return Err(LinalgError::Singular { index });
+    }
+    for (z, &n) in sum.iter_mut().zip(rows) {
+        *z /= f64::from(n);
+    }
+    Ok(tree
+        .parents()
+        .iter()
+        .zip(sum.iter())
+        .map(|(&p, &z)| if p == NO_LINK { z } else { z - sum[p] })
+        .collect())
 }
 
 /// Phase 1 on wide meshes: least squares on the kept CSR rows via the
@@ -740,11 +897,12 @@ mod tests {
         // the cached M1 factor. The same must hold when the fallback
         // between them is a certified one, which never syncs the cache
         // to its kept mask at all.
+        // The trap is the dense path's factor cache, so Figure 1 (a
+        // tree) forces it; the `Auto` leg runs the same sequence through
+        // the tree path's reused group buffers.
         let red = fixtures::reduced(&fixtures::figure1());
         let aug = AugmentedSystem::build(&red);
-        let cfg = VarianceConfig::default();
-        let fresh =
-            |sigmas: &[f64]| estimate_variances_from_sigmas(&red, &aug, sigmas, &cfg).unwrap();
+        let tree = crate::tree::reconstruct_tree(&red);
         // Figure-1 aug rows: the self rows [0,1],[0,2,3],[0,2,4], then
         // the cross rows [0] (D1,D2), [0] (D1,D3) and [0,2] (D2,D3).
         // Dropping a duplicate [0] row keeps the system full rank.
@@ -756,30 +914,41 @@ mod tests {
         // All-positive sigmas: the mask equals the cache's all-true
         // state, so a stale M1 factor would be silently reused.
         let m3 = vec![0.9, 1.1, 0.8, 1.2, 1.0, 0.7];
-        for between in [&m2, &certified] {
-            let mut ws = Phase1Scratch::default();
-            let r1 = estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut ws).unwrap();
-            assert_eq!(r1.dropped_rows, 1, "kept solve should succeed on M1");
-            assert_eq!(r1.fallback, None);
-            let r2 = estimate_variances_scratch(&red, &aug, between, &cfg, &mut ws).unwrap();
-            assert_eq!(r2.dropped_rows, 0, "fallback folds every row back in");
-            assert!(r2.fallback.is_some());
-            assert_eq!(r2.v, fresh(between).v);
-            let got = estimate_variances_scratch(&red, &aug, &m3, &cfg, &mut ws).unwrap();
-            assert_eq!(
-                got.v,
-                fresh(&m3).v,
-                "stale factor leaked across the fallback"
-            );
-            assert_eq!(got.used_rows, fresh(&m3).used_rows);
-            // Back to M1 after the fallback: refactored, not reused.
-            let again = estimate_variances_scratch(&red, &aug, &m1, &cfg, &mut ws).unwrap();
-            assert_eq!(again.v, r1.v);
+        for dispatch in [Phase1Dispatch::Dense, Phase1Dispatch::Auto] {
+            let cfg = VarianceConfig {
+                dispatch,
+                ..VarianceConfig::default()
+            };
+            let fresh =
+                |sigmas: &[f64]| estimate_variances_from_sigmas(&red, &aug, sigmas, &cfg).unwrap();
+            let solve = |sigmas: &[f64], ws: &mut Phase1Scratch| {
+                estimate_variances_scratch(&red, &aug, sigmas, &cfg, tree.as_ref(), ws).unwrap()
+            };
+            for between in [&m2, &certified] {
+                let mut ws = Phase1Scratch::default();
+                let r1 = solve(&m1, &mut ws);
+                assert_eq!(r1.dropped_rows, 1, "kept solve should succeed on M1");
+                assert_eq!(r1.fallback, None);
+                let r2 = solve(between, &mut ws);
+                assert_eq!(r2.dropped_rows, 0, "fallback folds every row back in");
+                assert!(r2.fallback.is_some());
+                assert_eq!(r2.v, fresh(between).v);
+                let got = solve(&m3, &mut ws);
+                assert_eq!(
+                    got.v,
+                    fresh(&m3).v,
+                    "{dispatch:?}: stale state leaked across the fallback"
+                );
+                assert_eq!(got.used_rows, fresh(&m3).used_rows);
+                // Back to M1 after the fallback: refactored, not reused.
+                let again = solve(&m1, &mut ws);
+                assert_eq!(again.v, r1.v);
+            }
         }
     }
 
     /// Every fallback reason, provoked on a fixture, on the dense and
-    /// the sparse family.
+    /// the sparse family and on the tree path.
     #[test]
     fn each_fallback_reason_is_reported() {
         let fig1 = fixtures::reduced(&fixtures::figure1());
@@ -799,15 +968,19 @@ mod tests {
                 }
             })
             .collect();
-        use FallbackReason::{Certified, FactorFailed, TooFewRows, UncoveredLink};
+        use FallbackReason::{Certified, FactorFailed, MeetlessLink, TooFewRows, UncoveredLink};
+        // Each case: the general paths' reason, then the `Auto` one
+        // (Figure 1 is a tree, Figure 2 a mesh).
         let cases = [
-            (&fig1, &aug1, vec![1.0; 6], None),
-            // Dropping the (D2,D3) row certifies e3 (link 2).
+            (&fig1, &aug1, vec![1.0; 6], None, None),
+            // Dropping the (D2,D3) row certifies e3 (link 2), the only
+            // row meeting at it.
             (
                 &fig1,
                 &aug1,
                 vec![1.0, 1.0, 1.0, 1.0, 1.0, -1.0],
                 Some(Certified(2)),
+                Some(MeetlessLink(2)),
             ),
             // Dropping D1's self row leaves e2 (link 1) uncovered.
             (
@@ -815,21 +988,37 @@ mod tests {
                 &aug1,
                 vec![-1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
                 Some(UncoveredLink(1)),
+                Some(MeetlessLink(1)),
             ),
             (
                 &fig1,
                 &aug1,
                 vec![1.0, 1.0, -1.0, -1.0, 1.0, 1.0],
                 Some(TooFewRows),
+                Some(TooFewRows),
             ),
-            (&fig2, &aug2, self_rows_only.clone(), Some(FactorFailed)),
+            (
+                &fig2,
+                &aug2,
+                self_rows_only.clone(),
+                Some(FactorFailed),
+                Some(FactorFailed),
+            ),
         ];
-        for dispatch in [Phase1Dispatch::Dense, Phase1Dispatch::Sparse] {
+        for dispatch in [
+            Phase1Dispatch::Dense,
+            Phase1Dispatch::Sparse,
+            Phase1Dispatch::Auto,
+        ] {
             let cfg = VarianceConfig {
                 dispatch,
                 ..VarianceConfig::default()
             };
-            for (red, aug, sigmas, reason) in &cases {
+            for (red, aug, sigmas, general, auto) in &cases {
+                let reason = match dispatch {
+                    Phase1Dispatch::Auto => auto,
+                    _ => general,
+                };
                 let est = estimate_variances_from_sigmas(red, aug, sigmas, &cfg).unwrap();
                 let negative = sigmas.iter().filter(|&&s| s < 0.0).count();
                 let want = reason.map(|reason| Phase1Fallback {

@@ -5,7 +5,7 @@
 //! streaming exactness contract. Also pins that churning one fleet
 //! tenant never perturbs its neighbours.
 
-use losstomo::core::PairBudget;
+use losstomo::core::{PairBudget, Phase2Dispatch, RankView};
 use losstomo::prelude::*;
 use losstomo::topology::gen::tree::{self, TreeParams};
 use losstomo::topology::gen::waxman::{self, WaxmanParams};
@@ -245,6 +245,89 @@ fn churned_mesh_is_bit_identical_to_fresh_after_flush() {
             budget != PairBudget::Full,
             "{budget:?}: the budget bit on {budgeted} of 16 seeds"
         );
+    }
+}
+
+/// Flushes `online`'s window with `w` fresh rows and checks that its
+/// refresh matches a fresh estimator's on `red` fed the same rows, by
+/// bits, failure included. Returns whether the refresh solved.
+fn flushed_matches_fresh(
+    online: &mut OnlineEstimator,
+    red: &ReducedTopology,
+    rng: &mut StdRng,
+) -> bool {
+    let mut fresh = OnlineEstimator::new(red, *online.config());
+    let WindowMode::Sliding(w) = online.config().window else {
+        panic!("a sliding window flushes");
+    };
+    for _ in 0..w {
+        let row = random_row(rng, red.num_paths());
+        let _ = online.ingest_log_rates(&row);
+        let _ = fresh.ingest_log_rates(&row);
+    }
+    assert!(online.staleness().is_flushed());
+    let (a, b) = (online.refresh(), fresh.refresh());
+    assert_eq!(a, b, "refresh outcome diverged");
+    if a.is_err() {
+        return false;
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (va, vb) = (online.variances().unwrap(), fresh.variances().unwrap());
+    assert_eq!(bits(&va.v), bits(&vb.v));
+    assert_eq!(va.fallback, vb.fallback);
+    assert_eq!(online.kept_columns(), fresh.kept_columns());
+    let y = random_row(rng, red.num_paths());
+    assert_eq!(
+        bits(&online.estimate(&y).unwrap().transmission),
+        bits(&fresh.estimate(&y).unwrap().transmission)
+    );
+    true
+}
+
+/// Churn switches the dispatch: a random tree runs the closed form, a
+/// path rerouted off its root chain makes the routing a mesh, which
+/// runs the general path, and rerouting it back returns to the tree
+/// path. After each switch the flushed estimator is bit-identical to a
+/// fresh one on the same routing.
+#[test]
+fn churn_switches_between_the_tree_and_the_general_path() {
+    let is_tree = |red: &ReducedTopology| {
+        matches!(RankView::new(red, Phase2Dispatch::Auto), RankView::Tree(_))
+    };
+    let mut red = random_tree(41);
+    assert!(is_tree(&red));
+    // The root link of a path's chain is its link on the most paths;
+    // dropping it leaves that path's next link with two parents.
+    let (path, route, off_root) =
+        (0..red.num_paths())
+            .find_map(|p| {
+                let route = red.path_links(PathId(p as u32)).to_vec();
+                let paths_on = |k: usize| {
+                    (0..red.num_paths())
+                        .filter(|&q| red.path_links(PathId(q as u32)).contains(&k))
+                        .count()
+                };
+                let root = *route.iter().max_by_key(|&&k| paths_on(k))?;
+                let off: Vec<usize> = route.iter().copied().filter(|&k| k != root).collect();
+                let mut probe = red.clone();
+                let delta = TopologyDelta::new().reroute_path(PathId(p as u32), off.clone());
+                (!off.is_empty() && probe.apply_delta(&delta).is_ok() && !is_tree(&probe))
+                    .then_some((PathId(p as u32), route, off))
+            })
+            .expect("some path leaves its root chain as a mesh");
+    let cfg = OnlineConfig {
+        window: WindowMode::Sliding(6),
+        ..OnlineConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut online = OnlineEstimator::new(&red, cfg);
+    assert!(flushed_matches_fresh(&mut online, &red, &mut rng));
+    for (links, tree) in [(off_root, false), (route, true)] {
+        let delta = TopologyDelta::new().reroute_path(path, links);
+        red.apply_delta(&delta).unwrap();
+        online.apply_delta(&delta).unwrap();
+        assert_eq!(is_tree(online.topology()), tree);
+        assert!(flushed_matches_fresh(&mut online, &red, &mut rng));
     }
 }
 
