@@ -1,92 +1,92 @@
-//! fleet_ingest — the service edge under load: snapshot wire-format
+//! fleet_ingest — the service edge under load: zero-copy wire ingest
 //! throughput, end-to-end ingest latency, and the wire≡enqueue
 //! equivalence gate.
 //!
 //! Three measurements, one report (`BENCH_ingest.json`):
 //!
-//! 1. **Codec throughput** on the paper-scale PlanetLab mesh (the
-//!    widest row shape — every site pair is a path): identical row
-//!    content pushed through the three ingest codecs — binary wire
-//!    **zero-copy** (rows enqueued as reference-counted windows of the
-//!    receive buffer, read in place as `&[f64]`), binary wire
-//!    **copying** (rows decoded to owned `Vec<f64>` at the edge), and
-//!    the **JSON** fallback (text decode + owned rows). The tenants
-//!    run accumulate-only — the `refresh_every = usize::MAX`
-//!    manual-refresh sentinel plus a bounded pair budget — so the
-//!    numbers isolate the service edge: parse → validate → queue →
-//!    drain → covariance push, with Phase 1/2 off the hot path (the
-//!    cadence an operator runs when estimates are refreshed on a
-//!    timer, not per snapshot). Records snapshots/sec and MB/sec per
-//!    codec, after an untimed warm-up pass per codec.
-//! 2. **End-to-end latency** through the full service edge: a demux
-//!    thread parses each round's batch off its input channel and
-//!    routes rows zero-copy to the tenant queues while the main thread
-//!    polls events — p50/p99 of batch-send → all congested-set events
-//!    of the round drained.
-//! 3. **Bit-identity**: three fleets fed the same snapshots — direct
-//!    [`Fleet::enqueue`], wire zero-copy, wire copying — must land on
-//!    bit-identical variances, congested sets, and kept columns
-//!    (asserted in-binary, recorded in the report).
-//!
-//! Paper-scale gates: bit-identity holds, zero-copy ≥ 2× the JSON
-//! codec and ≥ 1.2× the copying wire codec (snapshots/sec).
+//! 1. **Throughput** on the paper-scale PlanetLab mesh (the widest row
+//!    shape — every site pair is a path): pre-encoded wire batches
+//!    pushed through [`Fleet::ingest_wire_batch`], each row enqueued
+//!    as a reference-counted window of the receive buffer and read in
+//!    place as `&[f64]`. The tenants run a **stripped configuration**:
+//!    a 256-row pair budget and manual refresh (`refresh_every =
+//!    usize::MAX`), so the number isolates the service edge — parse →
+//!    admit → queue → drain → covariance push — with Phase 1/2 off the
+//!    hot path. The report's workload block records both settings.
+//!    Records snapshots/sec and MB/sec after an untimed warm-up pass.
+//! 2. **End-to-end latency** through the full service edge at the
+//!    default configuration (every pair, a refresh on every snapshot):
+//!    a demux thread parses each round's batch off its input channel
+//!    and routes rows to the tenant queues while the main thread polls
+//!    events — p50/p99 of batch-send → every row of the round drained.
+//! 3. **Bit-identity**: zero-copy wire ingest and direct
+//!    [`Fleet::enqueue`] of the same snapshots must land on
+//!    bit-identical variances, congested sets, and kept columns, and
+//!    the fleet must match a standalone estimator (asserted in-binary,
+//!    recorded in the report).
 //!
 //! Flags: `--scale quick|paper`, `--out PATH`, `--tenants N`,
 //! `--batches N`.
 
+use bytes::Bytes;
 use losstomo_bench::{
     bench_meta, count_from_args, percentile_ms, planetlab_topology, tree_topology,
     write_bench_report, BenchMeta, Scale,
 };
 use losstomo_core::{OnlineConfig, OnlineEstimator, PairBudget};
 use losstomo_fleet::{DemuxConfig, Fleet, FleetConfig, TenantId, WireIngestMode, WireIngestReport};
-use losstomo_netsim::wirebridge::batch_to_wire;
+use losstomo_netsim::wirebridge::{batch_to_wire, CollectedFrame};
 use losstomo_netsim::{
     simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig, Snapshot,
 };
 use losstomo_topology::ReducedTopology;
-use losstomo_wire::{JsonBatch, JsonFrame, WireBatch, WireEncodeOptions};
+use losstomo_wire::{WireBatch, WireEncodeOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// One codec's throughput point.
+/// Augmented-pair budget of the throughput leg's tenants, in rows.
+const THROUGHPUT_PAIR_BUDGET: usize = 256;
+
+/// The throughput leg's result.
 #[derive(Debug, Serialize, Deserialize)]
-struct CodecPoint {
-    /// `wire-zero-copy`, `wire-copying` or `json`.
-    codec: String,
+struct Throughput {
     wall_ms: f64,
-    /// Rows (snapshots) ingested per second, decode included.
+    /// Rows (snapshots) ingested per second, parse included.
     snapshots_per_sec: f64,
-    /// Encoded payload bytes processed per second (wire bytes for the
-    /// binary codecs, UTF-8 bytes for JSON).
+    /// Wire bytes processed per second.
     mb_per_sec: f64,
-    /// Total encoded bytes this codec decoded.
+    /// Total wire bytes parsed.
     bytes_total: usize,
     rows_total: usize,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Workload {
-    /// Topology the codec-throughput section runs on (widest rows).
+    /// Topology the throughput leg runs on (widest rows).
     topology: String,
     tenants: usize,
     paths: usize,
     links: usize,
-    /// Topology the latency and bit-identity sections run on.
+    /// Augmented-pair budget of the throughput leg's tenants, in rows.
+    pair_budget_rows: usize,
+    /// Refresh cadence of the throughput leg's tenants: `manual`
+    /// (`refresh_every = usize::MAX`), so no refresh runs while it is
+    /// timed.
+    refresh: String,
+    /// Topology the latency and bit-identity legs run on, at the
+    /// default configuration (every pair, a refresh per snapshot).
     e2e_topology: String,
     e2e_paths: usize,
     /// Rows per tenant per batch.
     rows_per_frame: usize,
     batches: usize,
     /// Distinct simulated snapshots per tenant (cycled to fill the
-    /// batches — codec cost does not depend on row novelty).
+    /// batches — edge cost does not depend on row novelty).
     distinct_snapshots: usize,
     /// Encoded size of one wire batch (CRC off).
     wire_batch_bytes: usize,
-    /// Encoded size of one JSON batch.
-    json_batch_bytes: usize,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -105,9 +105,7 @@ struct LatencyReport {
 struct BitIdentity {
     /// Zero-copy wire ingest matches direct enqueue bit for bit.
     zero_copy_matches_enqueue: bool,
-    /// Copying wire ingest matches direct enqueue bit for bit.
-    copying_matches_enqueue: bool,
-    /// Snapshots the three fleets ingested per tenant.
+    /// Snapshots each fleet ingested per tenant.
     snapshots_per_tenant: usize,
 }
 
@@ -116,12 +114,7 @@ struct IngestBenchReport {
     meta: BenchMeta,
     simd_engine: String,
     workload: Workload,
-    /// Throughput per codec, zero-copy first.
-    codecs: Vec<CodecPoint>,
-    /// Zero-copy snapshots/sec over JSON snapshots/sec.
-    speedup_vs_json: f64,
-    /// Zero-copy snapshots/sec over copying-wire snapshots/sec.
-    speedup_vs_copying: f64,
+    throughput: Throughput,
     latency: LatencyReport,
     bit_identity: BitIdentity,
 }
@@ -158,18 +151,18 @@ fn tenant_feeds(
         .collect()
 }
 
-/// Builds `batches` codec-agnostic batches of `rows` rows per tenant,
+/// Encodes `batches` wire batches (CRC off) of `rows` rows per tenant,
 /// cycling the distinct feeds, with per-tenant sequence numbers
 /// continuing across batches.
-fn build_batches(feeds: &[Vec<Snapshot>], batches: usize, rows: usize) -> Vec<JsonBatch> {
+fn build_batches(feeds: &[Vec<Snapshot>], batches: usize, rows: usize) -> Vec<Bytes> {
     let tenants = feeds.len();
     let mut next_seq = vec![0u64; tenants];
     (0..batches)
         .map(|b| {
-            let frames = (0..tenants)
+            let frames: Vec<CollectedFrame> = (0..tenants)
                 .map(|t| {
                     let feed = &feeds[t];
-                    let frame = JsonFrame {
+                    let frame = CollectedFrame {
                         tenant: t as u32,
                         base_seq: next_seq[t],
                         rows: (0..rows)
@@ -180,16 +173,16 @@ fn build_batches(feeds: &[Vec<Snapshot>], batches: usize, rows: usize) -> Vec<Js
                     frame
                 })
                 .collect();
-            JsonBatch { frames }
+            batch_to_wire(&frames, WireEncodeOptions { crc: false })
         })
         .collect()
 }
 
-/// A fleet with Phase 1/2 off the hot path — the throughput harness
-/// measures the edge (parse → validate → queue → drain → covariance
+/// A fleet with Phase 1/2 off the hot path — the throughput leg
+/// measures the edge (parse → admit → queue → drain → covariance
 /// push), not the estimator refresh. `refresh_every = usize::MAX` is
 /// the manual-refresh sentinel (accumulate only, refresh on the
-/// operator's timer) and the bounded pair budget caps the per-row
+/// operator's timer) and the pair budget caps the per-row
 /// augmented-pair accumulation the same way a high-rate deployment
 /// would.
 fn edge_fleet(red: &ReducedTopology, tenants: usize) -> (Fleet, Vec<TenantId>) {
@@ -199,7 +192,7 @@ fn edge_fleet(red: &ReducedTopology, tenants: usize) -> (Fleet, Vec<TenantId>) {
     });
     let cfg = OnlineConfig {
         refresh_every: usize::MAX,
-        pair_budget: PairBudget::Rows(256),
+        pair_budget: PairBudget::Rows(THROUGHPUT_PAIR_BUDGET),
         ..OnlineConfig::default()
     };
     let ids = (0..tenants)
@@ -208,131 +201,63 @@ fn edge_fleet(red: &ReducedTopology, tenants: usize) -> (Fleet, Vec<TenantId>) {
     (fleet, ids)
 }
 
-fn assert_clean(report: &WireIngestReport, want_rows: usize, codec: &str) {
-    assert_eq!(
-        report.accepted, want_rows,
-        "{codec}: every row must be accepted"
-    );
+fn assert_clean(report: &WireIngestReport, want_rows: usize) {
+    assert_eq!(report.accepted, want_rows, "every row must be accepted");
     assert!(
         report.rejections.is_empty(),
-        "{codec}: unexpected rejections: {:?}",
+        "unexpected rejections: {:?}",
         report.rejections
     );
 }
 
-/// Times one codec over the pre-encoded batches: decode + ingest +
-/// drain per batch. A scratch fleet absorbs one full untimed warm-up
-/// pass first, so the measured pass sees steady-state allocator and
-/// page-cache state (the first pass otherwise bills the page faults
-/// of growing a fresh multi-hundred-MB heap to whichever codec runs
-/// first).
-fn run_codec(
-    red: &ReducedTopology,
-    tenants: usize,
-    rows_per_batch: usize,
-    codec: &str,
-    bytes_total: usize,
-    mut step: impl FnMut(&mut Fleet, usize) -> WireIngestReport,
-    batches: usize,
-) -> CodecPoint {
+/// Times parse + ingest + drain over the pre-encoded batches. A
+/// scratch fleet absorbs one full untimed warm-up pass first, so the
+/// measured pass sees steady-state allocator and page-cache state (the
+/// first pass otherwise bills the page faults of growing a fresh
+/// multi-hundred-MB heap).
+fn throughput(red: &ReducedTopology, wire: &[Bytes], tenants: usize, rows: usize) -> Throughput {
+    let rows_per_batch = tenants * rows;
+    let ingest = |fleet: &mut Fleet, buf: &Bytes| {
+        let batch = WireBatch::parse(buf.clone()).expect("pre-encoded batch parses");
+        assert_clean(
+            &fleet.ingest_wire_batch(&batch, WireIngestMode::ZeroCopy),
+            rows_per_batch,
+        );
+    };
     let (mut scratch, _) = edge_fleet(red, tenants);
-    for b in 0..batches {
-        assert_clean(&step(&mut scratch, b), rows_per_batch, codec);
+    for buf in wire {
+        ingest(&mut scratch, buf);
     }
     drop(scratch);
     let (mut fleet, ids) = edge_fleet(red, tenants);
     let t0 = Instant::now();
-    for b in 0..batches {
-        let report = step(&mut fleet, b);
-        assert_clean(&report, rows_per_batch, codec);
+    for buf in wire {
+        ingest(&mut fleet, buf);
     }
     let wall = t0.elapsed();
-    let rows_total = rows_per_batch * batches;
+    let rows_total = rows_per_batch * wire.len();
     for (t, &id) in ids.iter().enumerate() {
         assert_eq!(
             fleet.stats(id).ingested,
-            (rows_total / tenants) as u64,
-            "{codec}: tenant {t} lost rows"
+            (rows * wire.len()) as u64,
+            "tenant {t} lost rows"
         );
     }
+    let bytes_total: usize = wire.iter().map(Bytes::len).sum();
     let secs = wall.as_secs_f64().max(1e-9);
-    CodecPoint {
-        codec: codec.to_string(),
+    let point = Throughput {
         wall_ms: ms(wall),
         snapshots_per_sec: rows_total as f64 / secs,
         mb_per_sec: bytes_total as f64 / 1e6 / secs,
         bytes_total,
         rows_total,
-    }
-}
-
-fn throughput(
-    red: &ReducedTopology,
-    batches_src: &[JsonBatch],
-    tenants: usize,
-) -> (Vec<CodecPoint>, usize, usize) {
-    let opts = WireEncodeOptions { crc: false };
-    let wire: Vec<bytes::Bytes> = batches_src.iter().map(|b| batch_to_wire(b, opts)).collect();
-    let json: Vec<String> = batches_src
-        .iter()
-        .map(|b| b.encode().expect("batch encodes"))
-        .collect();
-    let rows_per_batch: usize = batches_src[0].frames.iter().map(|f| f.rows.len()).sum();
-    let wire_bytes: usize = wire.iter().map(bytes::Bytes::len).sum();
-    let json_bytes: usize = json.iter().map(String::len).sum();
-    let batches = batches_src.len();
-
-    let header = format!(
-        "{:<16} {:>10} {:>16} {:>10}",
-        "codec", "wall", "snapshots/sec", "MB/sec"
-    );
-    println!("{header}");
-    losstomo_bench::rule(&header);
-    let mut points = Vec::new();
-    for (codec, mode) in [
-        ("wire-zero-copy", WireIngestMode::ZeroCopy),
-        ("wire-copying", WireIngestMode::Copying),
-    ] {
-        let point = run_codec(
-            red,
-            tenants,
-            rows_per_batch,
-            codec,
-            wire_bytes,
-            |fleet, b| {
-                let batch = WireBatch::parse(wire[b].clone()).expect("pre-encoded batch parses");
-                fleet.ingest_wire_batch(&batch, mode)
-            },
-            batches,
-        );
-        println!(
-            "{:<16} {:>8.0}ms {:>16.0} {:>10.1}",
-            point.codec, point.wall_ms, point.snapshots_per_sec, point.mb_per_sec
-        );
-        points.push(point);
-    }
-    let point = run_codec(
-        red,
-        tenants,
-        rows_per_batch,
-        "json",
-        json_bytes,
-        |fleet, b| {
-            let batch = JsonBatch::decode(&json[b]).expect("pre-encoded batch decodes");
-            fleet.ingest_json_batch(&batch)
-        },
-        batches,
-    );
+    };
     println!(
-        "{:<16} {:>8.0}ms {:>16.0} {:>10.1}",
-        point.codec, point.wall_ms, point.snapshots_per_sec, point.mb_per_sec
+        "zero-copy wire ingest: {rows_total} snapshots in {:.0} ms — {:.0} snapshots/s, \
+         {:.1} MB/s",
+        point.wall_ms, point.snapshots_per_sec, point.mb_per_sec
     );
-    points.push(point);
-    (
-        points,
-        wire.first().map_or(0, bytes::Bytes::len),
-        json.first().map_or(0, String::len),
-    )
+    point
 }
 
 /// End-to-end rounds through the demux thread: send one single-row
@@ -350,16 +275,16 @@ fn latency(red: &ReducedTopology, feeds: &[Vec<Snapshot>], rounds: usize) -> Lat
     let demux = fleet.spawn_demux(DemuxConfig::default());
     let opts = WireEncodeOptions { crc: false };
     // Pre-encode every round so the timed span is pure service edge.
-    let batches: Vec<bytes::Bytes> = (0..rounds)
+    let batches: Vec<Bytes> = (0..rounds)
         .map(|round| {
-            let frames = (0..tenants)
-                .map(|t| JsonFrame {
+            let frames: Vec<CollectedFrame> = (0..tenants)
+                .map(|t| CollectedFrame {
                     tenant: t as u32,
                     base_seq: round as u64,
                     rows: vec![feeds[t][round % feeds[t].len()].log_rates()],
                 })
                 .collect();
-            batch_to_wire(&JsonBatch { frames }, opts)
+            batch_to_wire(&frames, opts)
         })
         .collect();
     let mut samples = Vec::with_capacity(rounds);
@@ -399,8 +324,9 @@ fn latency(red: &ReducedTopology, feeds: &[Vec<Snapshot>], rounds: usize) -> Lat
     }
 }
 
-/// Feeds identical snapshots through direct enqueue, zero-copy wire
-/// and copying wire; gates bit-identity of the resulting estimators.
+/// Feeds identical snapshots through direct enqueue and zero-copy
+/// wire ingest; gates bit-identity of the resulting estimators, and of
+/// the fleet against a standalone estimator.
 fn bit_identity(red: &ReducedTopology, feeds: &[Vec<Snapshot>], n: usize) -> BitIdentity {
     let tenants = feeds.len();
     let make = || {
@@ -423,35 +349,30 @@ fn bit_identity(red: &ReducedTopology, feeds: &[Vec<Snapshot>], n: usize) -> Bit
     }
     direct.poll_events();
 
-    let frames = (0..tenants)
-        .map(|t| JsonFrame {
+    let frames: Vec<CollectedFrame> = (0..tenants)
+        .map(|t| CollectedFrame {
             tenant: t as u32,
             base_seq: 0,
             rows: feeds[t][..n].iter().map(Snapshot::log_rates).collect(),
         })
         .collect();
-    let wire = batch_to_wire(&JsonBatch { frames }, WireEncodeOptions { crc: true });
-    let mut matches = [false; 2];
-    for (i, mode) in [WireIngestMode::ZeroCopy, WireIngestMode::Copying]
-        .into_iter()
-        .enumerate()
-    {
-        let batch = WireBatch::parse(wire.clone()).expect("identity batch parses");
-        let (mut fleet, ids) = make();
-        let report = fleet.ingest_wire_batch(&batch, mode);
-        assert_clean(&report, tenants * n, "bit-identity");
-        matches[i] = ids.iter().zip(&direct_ids).all(|(&id, &did)| {
-            let (a, b) = (fleet.estimator(id), direct.estimator(did));
-            a.variances().expect("warm").v == b.variances().expect("warm").v
-                && a.congested_links() == b.congested_links()
-                && a.kept_columns() == b.kept_columns()
-        });
-        assert!(
-            matches[i],
-            "{mode:?} wire ingest diverged from direct enqueue — the zero-copy \
-             contract is broken"
-        );
-    }
+    let wire = batch_to_wire(&frames, WireEncodeOptions { crc: true });
+    let batch = WireBatch::parse(wire).expect("identity batch parses");
+    let (mut fleet, ids) = make();
+    assert_clean(
+        &fleet.ingest_wire_batch(&batch, WireIngestMode::ZeroCopy),
+        tenants * n,
+    );
+    let zero_copy_matches_enqueue = ids.iter().zip(&direct_ids).all(|(&id, &did)| {
+        let (a, b) = (fleet.estimator(id), direct.estimator(did));
+        a.variances().expect("warm").v == b.variances().expect("warm").v
+            && a.congested_links() == b.congested_links()
+            && a.kept_columns() == b.kept_columns()
+    });
+    assert!(
+        zero_copy_matches_enqueue,
+        "zero-copy wire ingest diverged from direct enqueue — the zero-copy contract is broken"
+    );
     // Standalone estimator cross-check: the fleet path itself is
     // equivalent to a lone estimator fed the same stream.
     let mut solo = OnlineEstimator::new(red, OnlineConfig::default());
@@ -463,10 +384,9 @@ fn bit_identity(red: &ReducedTopology, feeds: &[Vec<Snapshot>], n: usize) -> Bit
         solo.congested_links(),
         "fleet ingest diverged from a standalone estimator"
     );
-    println!("bit-identity: zero-copy ≡ copying ≡ direct enqueue over {n} snapshots/tenant");
+    println!("bit-identity: zero-copy ≡ direct enqueue ≡ standalone over {n} snapshots/tenant");
     BitIdentity {
-        zero_copy_matches_enqueue: matches[0],
-        copying_matches_enqueue: matches[1],
+        zero_copy_matches_enqueue,
         snapshots_per_tenant: n,
     }
 }
@@ -474,7 +394,7 @@ fn bit_identity(red: &ReducedTopology, feeds: &[Vec<Snapshot>], n: usize) -> Bit
 fn main() {
     let scale = Scale::from_args();
     println!(
-        "fleet_ingest — service-edge codec throughput + end-to-end latency ({} scale)",
+        "fleet_ingest — service-edge throughput + end-to-end latency ({} scale)",
         scale.name()
     );
     let (tenants, distinct, batches, rows_per_frame, latency_rounds, identity_n) = match scale {
@@ -484,8 +404,7 @@ fn main() {
     let tenants = count_from_args("--tenants", tenants);
     let batches = count_from_args("--batches", batches);
     // Throughput runs on the PlanetLab mesh: every site pair is a
-    // path, so rows are the widest the suite produces and the copy
-    // cost the codecs differ by is front and centre. Latency and
+    // path, so rows are the widest the suite produces. Latency and
     // bit-identity run the full estimator (per-snapshot refresh) and
     // use the paper's tree.
     let thr_prep = planetlab_topology(scale, 23);
@@ -494,65 +413,54 @@ fn main() {
     let e2e_red = &e2e_prep.red;
     println!(
         "throughput workload: {} — {} paths, {} links, {tenants} tenants, \
-         {batches} batches × {rows_per_frame} rows/tenant",
+         {batches} batches × {rows_per_frame} rows/tenant, \
+         {THROUGHPUT_PAIR_BUDGET}-row pair budget, manual refresh",
         thr_prep.name,
         thr_red.num_paths(),
         thr_red.num_links()
     );
     println!(
-        "latency/identity workload: {} — {} paths, {} links",
+        "latency/identity workload: {} — {} paths, {} links, default configuration",
         e2e_prep.name,
         e2e_red.num_paths(),
         e2e_red.num_links()
     );
     println!();
     let thr_feeds = tenant_feeds(thr_red, tenants, distinct, 100);
-    let batches_src = build_batches(&thr_feeds, batches, rows_per_frame);
-    let (codecs, wire_batch_bytes, json_batch_bytes) = throughput(thr_red, &batches_src, tenants);
-    drop(batches_src);
+    let wire = build_batches(&thr_feeds, batches, rows_per_frame);
     drop(thr_feeds);
+    let throughput = throughput(thr_red, &wire, tenants, rows_per_frame);
+    let wire_batch_bytes = wire.first().map_or(0, Bytes::len);
+    drop(wire);
     println!();
     let e2e_feeds = tenant_feeds(e2e_red, tenants, identity_n.max(latency_rounds), 200);
     let latency = latency(e2e_red, &e2e_feeds, latency_rounds);
     println!();
     let bit_identity = bit_identity(e2e_red, &e2e_feeds, identity_n);
 
-    let zc = codecs[0].snapshots_per_sec;
-    let copying = codecs[1].snapshots_per_sec;
-    let json = codecs[2].snapshots_per_sec;
-    let speedup_vs_json = zc / json.max(1e-9);
-    let speedup_vs_copying = zc / copying.max(1e-9);
-    println!();
-    println!("zero-copy vs json: {speedup_vs_json:.2}x, vs copying wire: {speedup_vs_copying:.2}x");
-    if scale == Scale::Paper {
-        assert!(
-            speedup_vs_json >= 2.0,
-            "zero-copy wire ingest must be ≥2x the JSON codec, got {speedup_vs_json:.2}x"
-        );
-        assert!(
-            speedup_vs_copying >= 1.2,
-            "zero-copy must beat the copying wire codec ≥1.2x, got {speedup_vs_copying:.2}x"
-        );
-    }
     let report = IngestBenchReport {
-        meta: bench_meta("fleet_ingest", scale),
+        // This report's payload is at version 3; other reports keep the
+        // envelope's default.
+        meta: BenchMeta {
+            schema_version: 3,
+            ..bench_meta("fleet_ingest", scale)
+        },
         simd_engine: losstomo_linalg::simd::active().name().to_string(),
         workload: Workload {
             topology: thr_prep.name.to_string(),
             tenants,
             paths: thr_red.num_paths(),
             links: thr_red.num_links(),
+            pair_budget_rows: THROUGHPUT_PAIR_BUDGET,
+            refresh: "manual".to_string(),
             e2e_topology: e2e_prep.name.to_string(),
             e2e_paths: e2e_red.num_paths(),
             rows_per_frame,
             batches,
             distinct_snapshots: distinct,
             wire_batch_bytes,
-            json_batch_bytes,
         },
-        codecs,
-        speedup_vs_json,
-        speedup_vs_copying,
+        throughput,
         latency,
         bit_identity,
     };

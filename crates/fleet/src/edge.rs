@@ -1,17 +1,12 @@
 //! # Service edge — wire ingest, demux, and fleet query
 //!
 //! The boundary where framed byte batches (`losstomo-wire`) become
-//! tenant queue items:
+//! tenant queue items. Every wire row is **zero-copy**: it is enqueued
+//! as a reference-counted window of the receive buffer, and the
+//! ingesting worker reads it in place as `&[f64]`.
 //!
-//! * [`Fleet::ingest_wire_batch`] — feed a parsed [`WireBatch`]
-//!   directly, either **zero-copy** (each row enqueued as a
-//!   reference-counted window of the receive buffer, no row copy until
-//!   the ingesting worker reads it as `&[f64]` in place) or
-//!   **copying** (rows decoded to owned `Vec<f64>` at the edge). Both
-//!   modes deliver bit-identical rows to the estimator; the mode only
-//!   moves *where* the bytes are touched.
-//! * [`Fleet::ingest_json_batch`] — the schema-stable JSON fallback
-//!   codec, for feeds that cannot speak the binary format.
+//! * [`Fleet::ingest_wire_batch`] — route a parsed [`WireBatch`] on
+//!   the caller's thread, draining the fleet when a queue fills.
 //! * [`Fleet::spawn_demux`] — a connection thread that parses batches
 //!   off a byte source, routes frames to the tenant queues, and
 //!   surfaces per-frame acknowledgements (accepted counts, typed
@@ -25,39 +20,38 @@
 //! Frame- and row-level problems are rejected **before** anything
 //! enters a tenant queue: unknown tenant ids, quarantined tenants,
 //! path-count mismatches (frame-level — [`RowRejection::row`] is
-//! `None`), and non-finite row values (row-level — `Some(row)`). The
-//! frame gate is the fleet's one admission check, the one
-//! [`Fleet::enqueue`] and [`Fleet::ingest_batch`] run too, and wire and
-//! JSON rows share one row path behind it. A
+//! `None`), and non-finite row values (row-level — `Some(row)`). Both
+//! callers run one frame router behind the fleet's one admission gate,
+//! the one [`Fleet::enqueue`] and [`Fleet::ingest_batch`] run too, and
+//! the gate is read live: quarantine, revival and topology churn take
+//! effect on the demux thread as soon as the fleet makes them. A
 //! malformed batch never panics: [`WireBatch::parse`] returns typed
 //! [`WireError`](losstomo_wire::WireError)s, and everything that
 //! parses but cannot be routed comes back in the report/ack with its
-//! frame and row index. Rows the estimator *can* reject for deeper
-//! reasons (topology churn racing a queued row) still surface as
-//! [`FleetEventKind::EstimatorError`](crate::FleetEventKind) events,
+//! frame and row index. A row admitted before a topology update that
+//! is still queued when it lands is refused by the drain as a
+//! [`FleetEventKind::EstimatorError`](crate::FleetEventKind) event,
 //! exactly like the owned-snapshot path.
 
-use crate::{check_path_count, Fleet, FleetError, FleetEvent, QueueItem, TenantId};
+use crate::{admit, Fleet, FleetError, FleetEvent, Inlet, Payload, QueueItem, TenantId};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
-use losstomo_wire::{JsonBatch, WireBatch};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use losstomo_wire::{FrameView, WireBatch};
 use serde::Serialize;
 use std::thread;
 use std::time::Duration;
 
 /// How [`Fleet::ingest_wire_batch`] materializes rows into the tenant
-/// queues.
+/// queues. Zero-copy is the only wire row; the type and the parameter
+/// that takes it remain only because the repository benchmark
+/// (`perfbench`) passes [`WireIngestMode::ZeroCopy`], and go with the
+/// next change to that benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireIngestMode {
     /// Enqueue each row as a reference-counted window of the batch
     /// buffer ([`bytes::Bytes`]); the ingesting worker reads it in
     /// place as `&[f64]`. No per-row allocation or copy at the edge.
     ZeroCopy,
-    /// Decode each row to an owned `Vec<f64>` at the edge (one
-    /// allocation + copy per row). The baseline zero-copy is measured
-    /// against; also the right mode when the receive buffer must be
-    /// recycled immediately.
-    Copying,
 }
 
 /// One rejected wire row (or frame), with enough position to point
@@ -77,7 +71,7 @@ pub struct RowRejection {
     pub error: FleetError,
 }
 
-/// Accounting of one wire/JSON batch ingest. Every row of the batch is
+/// Accounting of one wire batch ingest. Every row of the batch is
 /// either counted in `accepted` or covered by `rejections` (a
 /// frame-level rejection covers all rows of its frame) — nothing is
 /// silently dropped.
@@ -252,116 +246,25 @@ impl DemuxHandle {
     }
 }
 
-/// What the demux thread knows about one tenant, captured at spawn.
-#[derive(Clone, Copy)]
-struct DemuxTenant {
-    paths: usize,
-}
-
 impl Fleet {
-    /// Ingests one parsed wire batch: validates each frame and row at
-    /// the edge, enqueues the rows per `mode`, drains on backpressure,
-    /// and drains once at the end. See the [module docs](self) for the
-    /// validation contract. Rows reach the estimator bit-identical to
-    /// [`Fleet::enqueue`] of the snapshots they were encoded from.
+    /// Ingests one parsed wire batch: admits each frame and checks each
+    /// row at the edge, enqueues the rows zero-copy, drains on
+    /// backpressure, and drains once at the end. See the
+    /// [module docs](self) for the validation contract. Rows reach the
+    /// estimator bit-identical to [`Fleet::enqueue`] of the snapshots
+    /// they were encoded from. `_mode` has one value (see
+    /// [`WireIngestMode`]).
     pub fn ingest_wire_batch(
         &mut self,
         batch: &WireBatch,
-        mode: WireIngestMode,
+        _mode: WireIngestMode,
     ) -> WireIngestReport {
         let mut report = WireIngestReport::default();
         for fi in 0..batch.frame_count() {
             let frame = batch.frame(fi);
-            let wire_tenant = frame.tenant();
-            if let Err(error) = self.admit(TenantId(wire_tenant as usize), frame.path_count()) {
-                report.rejections.push(RowRejection {
-                    frame: fi,
-                    row: None,
-                    tenant: wire_tenant,
-                    error,
-                });
-                continue;
-            }
-            for r in 0..frame.row_count() {
-                let item = match frame.row(r).first_non_finite() {
-                    Some(path) => Err(format!("non-finite log rate at path {path}")),
-                    None => Ok(match mode {
-                        WireIngestMode::ZeroCopy => QueueItem::WireRow {
-                            data: frame.row_bytes(r),
-                            wire_seq: frame.seq(r),
-                        },
-                        WireIngestMode::Copying => QueueItem::OwnedRow {
-                            data: frame.row(r).to_vec(),
-                            wire_seq: Some(frame.seq(r)),
-                        },
-                    }),
-                };
-                self.ingest_row(&mut report, fi, r, wire_tenant, item);
-            }
-        }
-        self.poll_events_into(&mut report.events);
-        report
-    }
-
-    /// Ingests one JSON-fallback batch with the same validation and
-    /// accounting as [`Fleet::ingest_wire_batch`]. Rows are always
-    /// owned here (the JSON codec already allocated them). Note the
-    /// JSON codec does **not** guarantee `f64` bit-exactness across a
-    /// round-trip (see [`losstomo_wire::json`]); the binary format
-    /// does.
-    pub fn ingest_json_batch(&mut self, batch: &JsonBatch) -> WireIngestReport {
-        let mut report = WireIngestReport::default();
-        for (fi, frame) in batch.frames.iter().enumerate() {
-            let paths = frame.rows.first().map_or(0, Vec::len);
-            if let Err(error) = self.admit(TenantId(frame.tenant as usize), paths) {
-                report.rejections.push(RowRejection {
-                    frame: fi,
-                    row: None,
-                    tenant: frame.tenant,
-                    error,
-                });
-                continue;
-            }
-            for (r, row) in frame.rows.iter().enumerate() {
-                let item = if row.len() != paths {
-                    // JSON has no frame-wide row shape, so raggedness
-                    // is representable — and rejected per row.
-                    Err(format!(
-                        "ragged row: {} values, frame started with {paths}",
-                        row.len()
-                    ))
-                } else if let Some(p) = row.iter().position(|v| !v.is_finite()) {
-                    Err(format!("non-finite log rate at path {p}"))
-                } else {
-                    Ok(QueueItem::OwnedRow {
-                        data: row.clone(),
-                        wire_seq: Some(frame.base_seq.wrapping_add(r as u64)),
-                    })
-                };
-                self.ingest_row(&mut report, fi, r, frame.tenant, item);
-            }
-        }
-        self.poll_events_into(&mut report.events);
-        report
-    }
-
-    /// The row path wire and JSON ingest share, for row `row` of frame
-    /// `frame` addressed to wire tenant `tenant`: a row that failed its
-    /// check (`Err(reason)`) is rejected as malformed, an admitted one
-    /// is enqueued (draining once on backpressure), and the outcome is
-    /// counted in `report`.
-    fn ingest_row(
-        &mut self,
-        report: &mut WireIngestReport,
-        frame: usize,
-        row: usize,
-        tenant: u32,
-        item: Result<QueueItem, String>,
-    ) {
-        let id = TenantId(tenant as usize);
-        let outcome = item
-            .map_err(|reason| FleetError::MalformedSnapshot { tenant: id, reason })
-            .and_then(|item| {
+            let id = TenantId(frame.tenant() as usize);
+            let admission = admit(&self.inlets, id, frame.path_count());
+            report.accepted += route_frame(fi, &frame, admission, &mut report.rejections, |item| {
                 self.enqueue_item_with_drain(
                     id,
                     item,
@@ -369,15 +272,9 @@ impl Fleet {
                     &mut report.backpressure_drains,
                 )
             });
-        match outcome {
-            Ok(()) => report.accepted += 1,
-            Err(error) => report.rejections.push(RowRejection {
-                frame,
-                row: Some(row),
-                tenant,
-                error,
-            }),
         }
+        self.poll_events_into(&mut report.events);
+        report
     }
 
     /// The fleet's observability snapshot: per-tenant congested sets,
@@ -396,7 +293,7 @@ impl Fleet {
                 refreshes: t.estimator.refresh_count(),
                 errors: t.errors,
                 queued: t.rx.len(),
-                quarantined: t.quarantined,
+                quarantined: t.gate.quarantined(),
                 last_wire_seq: t.last_wire_seq,
                 snapshots_until_flush: t.estimator.staleness().snapshots_until_flush,
             })
@@ -412,19 +309,20 @@ impl Fleet {
     }
 
     /// Spawns a demux thread: it receives raw batch buffers from the
-    /// returned handle's channel, parses and validates them, and
-    /// routes rows **zero-copy** to the tenant queues, acknowledging
-    /// every batch/frame on the handle's ack channel.
+    /// returned handle's channel, parses them, and routes rows
+    /// **zero-copy** to the tenant queues through the same admission
+    /// gate and frame router as [`Fleet::ingest_wire_batch`],
+    /// acknowledging every batch/frame on the handle's ack channel.
     ///
-    /// The thread holds clones of the queue senders and a snapshot of
-    /// each tenant's path count taken *now* — register all tenants
-    /// before spawning (frames for tenants added later are rejected
-    /// with [`FleetError::UnknownTenant`]), and note that quarantine
-    /// and topology churn after spawn are invisible to the demux: a
-    /// quarantined tenant's rows are still enqueued (and ignored by
-    /// the drain), and post-churn path counts are enforced by the
-    /// estimator's own typed ingest validation rather than at the
-    /// demux.
+    /// The thread holds clones of every tenant's queue sender and
+    /// admission gate, as registered *now*. The gates are read live: a
+    /// quarantined tenant's frames are refused at once with
+    /// [`FleetError::Quarantined`] (and accepted again after
+    /// [`Fleet::revive_tenant`]), and path counts are checked against
+    /// the topology as [`Fleet::update_topology`] last left it. The
+    /// sender list is fixed at spawn, so register all tenants before
+    /// spawning: frames for tenants added later are rejected with
+    /// [`FleetError::UnknownTenant`].
     ///
     /// When a tenant queue is full the thread retries per
     /// [`DemuxConfig`]; meanwhile the consumer must keep calling
@@ -432,19 +330,12 @@ impl Fleet {
     /// after the retries come back as [`FleetError::QueueFull`]
     /// rejections — backpressure is surfaced, never a deadlock.
     pub fn spawn_demux(&self, cfg: DemuxConfig) -> DemuxHandle {
-        let senders = self.senders.clone();
-        let tenants: Vec<DemuxTenant> = self
-            .tenants
-            .iter()
-            .map(|t| DemuxTenant {
-                paths: t.estimator.topology().num_paths(),
-            })
-            .collect();
+        let inlets = self.inlets.clone();
         let (in_tx, in_rx) = unbounded::<Bytes>();
         let (ack_tx, ack_rx) = unbounded::<DemuxAck>();
         let thread = thread::Builder::new()
             .name("losstomo-demux".into())
-            .spawn(move || demux_loop(&in_rx, &ack_tx, &senders, &tenants, cfg))
+            .spawn(move || demux_loop(&in_rx, &ack_tx, &inlets, cfg))
             .expect("spawn demux thread");
         DemuxHandle {
             input: in_tx,
@@ -454,13 +345,88 @@ impl Fleet {
     }
 }
 
-/// Body of the demux thread: parse → validate → route, one batch at a
+/// The one frame router, shared by [`Fleet::ingest_wire_batch`] and the
+/// demux thread. Given frame `fi`'s admission outcome (the routing
+/// epoch to stamp its rows with), it refuses the whole frame, or checks
+/// each row and hands the finite ones to `enqueue` — the caller's
+/// enqueue step, which drains or sleeps when the queue is full.
+/// Every refusal is recorded in `rejections`; returns how many rows
+/// entered a queue.
+fn route_frame(
+    fi: usize,
+    frame: &FrameView<'_>,
+    admission: Result<u64, FleetError>,
+    rejections: &mut Vec<RowRejection>,
+    mut enqueue: impl FnMut(QueueItem) -> Result<(), FleetError>,
+) -> usize {
+    let tenant = frame.tenant();
+    let epoch = match admission {
+        Ok(epoch) => epoch,
+        Err(error) => {
+            rejections.push(RowRejection {
+                frame: fi,
+                row: None,
+                tenant,
+                error,
+            });
+            return 0;
+        }
+    };
+    let mut accepted = 0;
+    for r in 0..frame.row_count() {
+        let outcome = match frame.row(r).first_non_finite() {
+            Some(path) => Err(FleetError::MalformedSnapshot {
+                tenant: TenantId(tenant as usize),
+                reason: format!("non-finite log rate at path {path}"),
+            }),
+            None => enqueue(QueueItem {
+                epoch,
+                payload: Payload::Wire {
+                    data: frame.row_bytes(r),
+                    seq: frame.seq(r),
+                },
+            }),
+        };
+        match outcome {
+            Ok(()) => accepted += 1,
+            Err(error) => rejections.push(RowRejection {
+                frame: fi,
+                row: Some(r),
+                tenant,
+                error,
+            }),
+        }
+    }
+    accepted
+}
+
+/// The demux thread's enqueue step: it cannot drain the fleet (that
+/// needs `&mut Fleet`), so a full queue is retried per `cfg`, sleeping
+/// between attempts. A tenant quarantined meanwhile is refused at once.
+fn send_with_retry(
+    inlet: &Inlet,
+    id: TenantId,
+    mut item: QueueItem,
+    cfg: DemuxConfig,
+) -> Result<(), FleetError> {
+    for attempt in 0..=cfg.retry_attempts {
+        match inlet.try_send(id, item)? {
+            None => return Ok(()),
+            Some(back) => item = back,
+        }
+        if attempt < cfg.retry_attempts {
+            thread::sleep(cfg.retry_backoff);
+        }
+    }
+    Err(FleetError::QueueFull(id))
+}
+
+/// Body of the demux thread: parse → admit → route, one batch at a
 /// time, until every input sender is dropped.
 fn demux_loop(
     input: &Receiver<Bytes>,
     acks: &Sender<DemuxAck>,
-    senders: &[Sender<QueueItem>],
-    tenants: &[DemuxTenant],
+    inlets: &[Inlet],
     cfg: DemuxConfig,
 ) -> DemuxStats {
     let mut stats = DemuxStats::default();
@@ -480,84 +446,24 @@ fn demux_loop(
         };
         for fi in 0..batch.frame_count() {
             let frame = batch.frame(fi);
-            stats.frames += 1;
-            let wire_tenant = frame.tenant();
-            let id = TenantId(wire_tenant as usize);
-            let mut accepted = 0usize;
+            let id = TenantId(frame.tenant() as usize);
             let mut rejections = Vec::new();
-            let frame_gate = tenants
-                .get(id.0)
-                .ok_or(FleetError::UnknownTenant(id))
-                .and_then(|t| check_path_count(id, frame.path_count(), t.paths));
-            if let Err(error) = frame_gate {
-                stats.rows_rejected += frame.row_count() as u64;
-                rejections.push(RowRejection {
-                    frame: fi,
-                    row: None,
-                    tenant: wire_tenant,
-                    error,
-                });
-                let _ = acks.send(DemuxAck::Frame {
-                    batch: batch_idx,
-                    frame: fi,
-                    tenant: wire_tenant,
-                    accepted,
-                    rejections,
-                });
-                continue;
-            }
-            for r in 0..frame.row_count() {
-                let row = frame.row(r);
-                if let Some(path) = row.first_non_finite() {
-                    stats.rows_rejected += 1;
-                    rejections.push(RowRejection {
-                        frame: fi,
-                        row: Some(r),
-                        tenant: wire_tenant,
-                        error: FleetError::MalformedSnapshot {
-                            tenant: id,
-                            reason: format!("non-finite log rate at path {path}"),
-                        },
-                    });
-                    continue;
-                }
-                let mut item = QueueItem::WireRow {
-                    data: frame.row_bytes(r),
-                    wire_seq: frame.seq(r),
-                };
-                let mut sent = false;
-                for attempt in 0..=cfg.retry_attempts {
-                    match senders[id.0].try_send(item) {
-                        Ok(()) => {
-                            sent = true;
-                            break;
-                        }
-                        Err(TrySendError::Full(back)) => {
-                            item = back;
-                            if attempt < cfg.retry_attempts {
-                                thread::sleep(cfg.retry_backoff);
-                            }
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
-                    }
-                }
-                if sent {
-                    accepted += 1;
-                    stats.rows_accepted += 1;
-                } else {
-                    stats.rows_rejected += 1;
-                    rejections.push(RowRejection {
-                        frame: fi,
-                        row: Some(r),
-                        tenant: wire_tenant,
-                        error: FleetError::QueueFull(id),
-                    });
-                }
-            }
+            // `route_frame` enqueues only for an admitted frame, whose
+            // tenant `admit` found in `inlets`.
+            let accepted = route_frame(
+                fi,
+                &frame,
+                admit(inlets, id, frame.path_count()),
+                &mut rejections,
+                |item| send_with_retry(&inlets[id.0], id, item, cfg),
+            );
+            stats.frames += 1;
+            stats.rows_accepted += accepted as u64;
+            stats.rows_rejected += (frame.row_count() - accepted) as u64;
             let _ = acks.send(DemuxAck::Frame {
                 batch: batch_idx,
                 frame: fi,
-                tenant: wire_tenant,
+                tenant: frame.tenant(),
                 accepted,
                 rejections,
             });
@@ -571,13 +477,13 @@ mod tests {
     use super::*;
     use crate::{FleetConfig, FleetEventKind};
     use losstomo_core::streaming::{OnlineConfig, OnlineEstimator};
-    use losstomo_netsim::wirebridge::{batch_to_wire, SnapshotBridge};
+    use losstomo_netsim::wirebridge::{batch_to_wire, CollectedFrame, SnapshotBridge};
     use losstomo_netsim::{
         fan_in, simulate_run, simulate_stream, CongestionDynamics, CongestionScenario,
         MeasurementSet, ProbeConfig, Snapshot, SnapshotFanIn,
     };
     use losstomo_topology::{fixtures, ReducedTopology};
-    use losstomo_wire::{BatchEncoder, JsonFrame, WireEncodeOptions};
+    use losstomo_wire::{BatchEncoder, WireEncodeOptions};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -632,20 +538,19 @@ mod tests {
         fleet
     }
 
-    /// The tentpole equivalence gate: wire ingest — zero-copy AND
-    /// copying AND JSON-sourced owned rows — lands every tenant on the
-    /// same estimator state as direct snapshot enqueue.
+    /// The equivalence gate: zero-copy wire ingest lands every tenant
+    /// on the same estimator state as direct snapshot enqueue.
     #[test]
     fn wire_ingest_matches_direct_enqueue_bit_for_bit() {
         let red: &'static ReducedTopology = Box::leak(Box::new(fig1()));
         let tenants = 3;
         let rounds = 30;
         let mut m = mux(red, tenants);
-        // Pull the snapshot stream once; feed identical rows to every
-        // ingest path.
+        // Pull the snapshot stream once; feed identical rows to both
+        // ingest paths.
         let snaps: Vec<(usize, Snapshot)> = (&mut m).take(tenants * rounds).collect();
-        let mut frames: Vec<JsonFrame> = (0..tenants)
-            .map(|t| JsonFrame {
+        let mut frames: Vec<CollectedFrame> = (0..tenants)
+            .map(|t| CollectedFrame {
                 tenant: t as u32,
                 base_seq: 0,
                 rows: Vec::new(),
@@ -654,8 +559,7 @@ mod tests {
         for (t, s) in &snaps {
             frames[*t].rows.push(s.log_rates());
         }
-        let collected = JsonBatch { frames };
-        let wire = batch_to_wire(&collected, WireEncodeOptions { crc: true });
+        let wire = batch_to_wire(&frames, WireEncodeOptions { crc: true });
         let batch = WireBatch::parse(wire).expect("bridge output parses");
 
         let mut direct = fleet_of(red, tenants, 8);
@@ -672,32 +576,30 @@ mod tests {
         }
         direct.poll_events();
 
-        for mode in [WireIngestMode::ZeroCopy, WireIngestMode::Copying] {
-            let mut fleet = fleet_of(red, tenants, 8);
-            let report = fleet.ingest_wire_batch(&batch, mode);
-            assert_eq!(report.accepted, tenants * rounds, "mode {mode:?}");
-            assert!(report.rejections.is_empty(), "mode {mode:?}");
-            for t in 0..tenants {
-                let id = TenantId(t);
-                assert_eq!(
-                    fleet.estimator(id).variances().unwrap().v,
-                    direct.estimator(id).variances().unwrap().v,
-                    "mode {mode:?} diverged from direct enqueue for tenant {t}"
-                );
-                assert_eq!(
-                    fleet.estimator(id).congested_links(),
-                    direct.estimator(id).congested_links()
-                );
-                assert_eq!(
-                    fleet.stats(id).ingested,
-                    rounds as u64,
-                    "wire seq bookkeeping"
-                );
-                assert_eq!(
-                    fleet.query().tenants[t].last_wire_seq,
-                    Some(rounds as u64 - 1)
-                );
-            }
+        let mut fleet = fleet_of(red, tenants, 8);
+        let report = fleet.ingest_wire_batch(&batch, WireIngestMode::ZeroCopy);
+        assert_eq!(report.accepted, tenants * rounds);
+        assert!(report.rejections.is_empty());
+        for t in 0..tenants {
+            let id = TenantId(t);
+            assert_eq!(
+                fleet.estimator(id).variances().unwrap().v,
+                direct.estimator(id).variances().unwrap().v,
+                "wire ingest diverged from direct enqueue for tenant {t}"
+            );
+            assert_eq!(
+                fleet.estimator(id).congested_links(),
+                direct.estimator(id).congested_links()
+            );
+            assert_eq!(
+                fleet.stats(id).ingested,
+                rounds as u64,
+                "wire seq bookkeeping"
+            );
+            assert_eq!(
+                fleet.query().tenants[t].last_wire_seq,
+                Some(rounds as u64 - 1)
+            );
         }
     }
 
@@ -776,37 +678,6 @@ mod tests {
         // The NaN row never reached the estimator: two clean ingests.
         assert_eq!(fleet.stats(TenantId(0)).ingested, 2);
         assert_eq!(fleet.stats(TenantId(0)).errors, 0);
-    }
-
-    #[test]
-    fn json_fallback_ingests_with_ragged_and_nonfinite_rejections() {
-        let red: &'static ReducedTopology = Box::leak(Box::new(fig1()));
-        let paths = red.num_paths();
-        let batch = JsonBatch {
-            frames: vec![JsonFrame {
-                tenant: 0,
-                base_seq: 5,
-                rows: vec![
-                    vec![-0.1; paths],
-                    vec![-0.1; paths - 1], // ragged
-                    vec![f64::NEG_INFINITY; paths],
-                    vec![-0.2; paths],
-                ],
-            }],
-        };
-        let mut fleet = fleet_of(red, 1, 8);
-        let report = fleet.ingest_json_batch(&batch);
-        assert_eq!(report.accepted, 2);
-        assert_eq!(report.rejections.len(), 2);
-        assert!(report
-            .rejections
-            .iter()
-            .all(|r| matches!(r.error, FleetError::MalformedSnapshot { .. })));
-        assert_eq!(report.rejections[0].row, Some(1));
-        assert_eq!(report.rejections[1].row, Some(2));
-        // Wire seq tracks base_seq + row index of the last accepted
-        // row (row 3 → seq 8).
-        assert_eq!(fleet.query().tenants[0].last_wire_seq, Some(8));
     }
 
     #[test]
@@ -934,10 +805,8 @@ mod tests {
             .all(|r| matches!(r.error, FleetError::QueueFull(_))));
     }
 
-    /// Wire rows racing a topology churn are rejected by the
-    /// estimator's typed ingest validation, not ingested against the
-    /// wrong shape — the edge's spawn-time path-count snapshot going
-    /// stale is loud, never silent.
+    /// Wire rows encoded for the pre-churn shape are refused at the
+    /// gate with a typed error, never ingested against the wrong shape.
     #[test]
     fn stale_wire_rows_after_churn_fail_typed_not_silent() {
         use losstomo_core::streaming::WindowMode;
@@ -967,14 +836,148 @@ mod tests {
         let delta = TopologyDelta::new().add_path(vec![0, nc - 1]);
         fleet.update_topology(t, &delta).unwrap();
         let report = fleet.ingest_wire_batch(&batch, WireIngestMode::ZeroCopy);
-        // The edge rejects at the frame gate (its view is the *live*
-        // estimator topology, already churned).
+        // The edge rejects at the frame gate, which reads the live,
+        // already churned topology.
         assert_eq!(report.accepted, 0);
         assert!(matches!(
             &report.rejections[0].error,
             FleetError::MalformedSnapshot { .. }
         ));
         assert_eq!(fleet.stats(t).errors, 0, "nothing reached the estimator");
+    }
+
+    /// Blocks until the demux thread acknowledges its next batch or
+    /// frame: the ack is sent after the frame's rows were routed.
+    fn next_ack(demux: &DemuxHandle) -> DemuxAck {
+        loop {
+            if let Some(ack) = demux.try_ack() {
+                return ack;
+            }
+            thread::yield_now();
+        }
+    }
+
+    /// A one-frame batch of `rows` copies of `row` for `tenant`.
+    fn frame_of(tenant: u32, row: &[f64], rows: usize) -> Bytes {
+        let mut enc = BatchEncoder::new(WireEncodeOptions::default());
+        enc.begin_frame(tenant, 0, row.len() as u32);
+        for _ in 0..rows {
+            enc.push_row(row);
+        }
+        enc.end_frame();
+        enc.finish()
+    }
+
+    /// The demux checks path counts against the live topology: after a
+    /// path-adding churn a frame of the new shape is accepted and
+    /// ingested, and one of the old shape is refused with the reason
+    /// `ingest_wire_batch` gives.
+    #[test]
+    fn demux_admits_against_the_live_topology_after_churn() {
+        use losstomo_topology::TopologyDelta;
+        let red = fixtures::reduced(&fixtures::figure2());
+        let mut fleet = fleet_of(&red, 1, 16);
+        let t = TenantId(0);
+        let demux = fleet.spawn_demux(DemuxConfig::default());
+        let nc = red.num_links();
+        fleet
+            .update_topology(t, &TopologyDelta::new().add_path(vec![0, nc - 1]))
+            .unwrap();
+        let paths = red.num_paths();
+        let ms = simulate(fleet.estimator(t).topology(), 3, 61);
+        for s in &ms.snapshots {
+            demux.send(frame_of(0, &s.log_rates(), 1));
+        }
+        let old_shape = frame_of(0, &vec![-0.1; paths], 1);
+        demux.send(old_shape.clone());
+        let (stats, acks) = demux.finish();
+        assert_eq!(stats.rows_accepted, 3, "{acks:?}");
+        assert_eq!(stats.rows_rejected, 1);
+        let refused: Vec<&RowRejection> = acks
+            .iter()
+            .filter_map(|a| match a {
+                DemuxAck::Frame { rejections, .. } => Some(rejections),
+                DemuxAck::MalformedBatch { .. } => None,
+            })
+            .flatten()
+            .collect();
+        assert_eq!(refused.len(), 1);
+        assert_eq!(refused[0].row, None);
+        let direct = fleet.ingest_wire_batch(
+            &WireBatch::parse(old_shape).unwrap(),
+            WireIngestMode::ZeroCopy,
+        );
+        assert_eq!(refused[0].error, direct.rejections[0].error);
+        assert!(matches!(
+            &refused[0].error,
+            FleetError::MalformedSnapshot { reason, .. }
+                if reason == &format!("snapshot covers {paths} paths, topology has {}", paths + 1)
+        ));
+        fleet.poll_events();
+        assert_eq!(fleet.stats(t).ingested, 3);
+        assert_eq!(fleet.stats(t).errors, 0);
+    }
+
+    /// A quarantined tenant's frames are refused by the demux at once,
+    /// without queueing a row, while another tenant's frame in the same
+    /// batch goes in; after revival the tenant's frames are accepted
+    /// again by the same demux thread.
+    #[test]
+    fn demux_refuses_a_quarantined_tenant_until_it_is_revived() {
+        let red = fig1();
+        let mut fleet = fleet_of(&red, 2, 64);
+        let (bad, good) = (TenantId(0), TenantId(1));
+        let ms = simulate(&red, 4, 71);
+        fleet.tenants[bad.0].panic_at = Some(1);
+        fleet.enqueue(bad, ms.snapshots[0].clone()).unwrap();
+        fleet.poll_events();
+        assert!(fleet.stats(bad).quarantined);
+        assert_eq!(fleet.stats(bad).queued, 0);
+
+        let demux = fleet.spawn_demux(DemuxConfig::default());
+        let row = ms.snapshots[1].log_rates();
+        let mut enc = BatchEncoder::new(WireEncodeOptions::default());
+        enc.begin_frame(0, 0, row.len() as u32);
+        for _ in 0..70 {
+            enc.push_row(&row);
+        }
+        enc.end_frame();
+        enc.begin_frame(1, 0, row.len() as u32);
+        enc.push_row(&row);
+        enc.end_frame();
+        demux.send(enc.finish());
+        match next_ack(&demux) {
+            DemuxAck::Frame {
+                accepted,
+                rejections,
+                ..
+            } => {
+                assert_eq!(accepted, 0);
+                assert_eq!(rejections.len(), 1, "one frame-level refusal");
+                assert_eq!(rejections[0].row, None);
+                assert_eq!(rejections[0].error, FleetError::Quarantined(bad));
+            }
+            other => panic!("expected a frame ack, got {other:?}"),
+        }
+        assert!(matches!(
+            next_ack(&demux),
+            DemuxAck::Frame { accepted: 1, ref rejections, .. } if rejections.is_empty()
+        ));
+        assert_eq!(fleet.stats(bad).queued, 0, "no row queued for it");
+        assert_eq!(fleet.stats(good).queued, 1);
+
+        fleet.revive_tenant(bad).unwrap();
+        demux.send(frame_of(0, &ms.snapshots[2].log_rates(), 2));
+        assert!(matches!(
+            next_ack(&demux),
+            DemuxAck::Frame { accepted: 2, ref rejections, .. } if rejections.is_empty()
+        ));
+        let (stats, _) = demux.finish();
+        assert_eq!(stats.rows_accepted, 3);
+        assert_eq!(stats.rows_rejected, 70);
+        fleet.poll_events();
+        assert_eq!(fleet.stats(bad).ingested, 1 + 2);
+        assert_eq!(fleet.stats(good).ingested, 1);
     }
 
     #[test]

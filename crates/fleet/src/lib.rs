@@ -14,12 +14,18 @@
 //! ## Admission
 //!
 //! Every input — an owned snapshot ([`Fleet::enqueue`],
-//! [`Fleet::ingest_batch`]) or a wire/JSON row
-//! ([`Fleet::ingest_wire_batch`], [`Fleet::ingest_json_batch`]) —
-//! passes one admission gate before it enters a queue: the tenant is registered and not quarantined, and
-//! the row's path count matches its current topology. Batch ingest is
-//! partial-accept: every input is accepted or rejected by position with
-//! a typed reason, so accepted + rejected = sent.
+//! [`Fleet::ingest_batch`]) or a wire row ([`Fleet::ingest_wire_batch`],
+//! [`Fleet::spawn_demux`]'s thread) — passes one admission gate before
+//! it enters a queue: the tenant is registered and not quarantined, and
+//! the row's path count matches its current topology. Each tenant's
+//! gate is one shared value that the fleet and its demux threads read
+//! live, so quarantine, revival and churn take effect at once on every
+//! ingest path. An admitted row carries the tenant's routing epoch, and
+//! the drain refuses a row whose epoch [`Fleet::update_topology`] has
+//! since moved past: no row is read under a path numbering it was not
+//! admitted for. Batch ingest is partial-accept: every input is
+//! accepted or rejected by position with a typed reason, so accepted +
+//! rejected = sent.
 //!
 //! ## Determinism contract
 //!
@@ -60,6 +66,8 @@ use losstomo_core::streaming::{OnlineConfig, OnlineEstimator};
 use losstomo_netsim::Snapshot;
 use losstomo_topology::{ReducedTopology, TopologyDelta};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Opaque handle of one registered tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -246,30 +254,124 @@ pub struct TenantStats {
     pub quarantined: bool,
 }
 
-/// One unit of work in a tenant queue. The service edge enqueues
-/// decoded wire rows; the library API enqueues owned snapshots. Either
-/// way the payload reaching the estimator is the snapshot's log-rate
-/// row, bit for bit — which is what keeps wire ingest and direct
-/// enqueue interchangeable.
-enum QueueItem {
+/// One unit of work in a tenant queue, stamped with the routing epoch
+/// its tenant was at when the row was admitted.
+struct QueueItem {
+    /// The tenant's [`Gate`] epoch at admission. The drain refuses the
+    /// item once [`Fleet::update_topology`] has moved past it.
+    epoch: u64,
+    payload: Payload,
+}
+
+/// The row a [`QueueItem`] carries. The service edge enqueues wire
+/// rows; the library API enqueues owned snapshots. Either way the
+/// payload reaching the estimator is the snapshot's log-rate row, bit
+/// for bit — which is what keeps wire ingest and direct enqueue
+/// interchangeable.
+enum Payload {
     /// An owned snapshot ([`Fleet::enqueue`] / [`Fleet::ingest_batch`]).
     Snapshot(Snapshot),
     /// A zero-copy wire row: `path_count × 8` little-endian `f64`
     /// bytes, an O(1) reference-counted window of the receive buffer.
-    WireRow {
+    Wire {
         /// The row bytes (alias of the batch buffer).
         data: Bytes,
         /// Wire sequence number of the snapshot.
-        wire_seq: u64,
+        seq: u64,
     },
-    /// An owned, already-decoded log-rate row (copying wire mode, JSON
-    /// fallback).
-    OwnedRow {
-        /// The decoded row.
-        data: Vec<f64>,
-        /// Wire sequence number, when the row came off the wire.
-        wire_seq: Option<u64>,
-    },
+}
+
+/// One tenant's admission state: whether it is quarantined, its
+/// current path count and its routing epoch. The fleet's inlet and the
+/// tenant share it through an `Arc`, and [`Fleet::spawn_demux`] hands
+/// the inlet to its thread, so every ingest path reads it live. It is
+/// written only where the fleet changes what it guards: the drain's
+/// quarantine, [`Fleet::revive_tenant`] and [`Fleet::update_topology`].
+#[derive(Debug)]
+struct Gate {
+    quarantined: AtomicBool,
+    paths: AtomicUsize,
+    /// Successful [`Fleet::update_topology`] calls so far. Stored with
+    /// `Release` after `paths`; [`Gate::admit`] loads it with `Acquire`
+    /// before `paths`, so a row stamped with epoch `e` was checked
+    /// against the path count of epoch `e` or a later one — and a later
+    /// one leaves the stamp stale, which the drain refuses.
+    epoch: AtomicU64,
+}
+
+impl Gate {
+    /// Admits a row of `paths` log rates for tenant `id`: refused when
+    /// the tenant is quarantined or the count does not match its
+    /// current topology, else stamped with the routing epoch returned.
+    fn admit(&self, id: TenantId, paths: usize) -> Result<u64, FleetError> {
+        if self.quarantined() {
+            return Err(FleetError::Quarantined(id));
+        }
+        let epoch = self.epoch();
+        let want = self.paths.load(Ordering::Relaxed);
+        if paths != want {
+            return Err(FleetError::MalformedSnapshot {
+                tenant: id,
+                reason: format!("snapshot covers {paths} paths, topology has {want}"),
+            });
+        }
+        Ok(epoch)
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    fn quarantined(&self) -> bool {
+        self.quarantined.load(Ordering::SeqCst)
+    }
+
+    fn set_quarantined(&self, quarantined: bool) {
+        self.quarantined.store(quarantined, Ordering::SeqCst);
+    }
+
+    /// Starts the next routing epoch, whose topology has `paths` paths.
+    fn reroute(&self, paths: usize) {
+        self.paths.store(paths, Ordering::Relaxed);
+        self.epoch.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// The producer side of one tenant: its queue's sender and its
+/// admission gate. [`Fleet::spawn_demux`] clones the fleet's list.
+#[derive(Debug, Clone)]
+struct Inlet {
+    tx: Sender<QueueItem>,
+    gate: Arc<Gate>,
+}
+
+impl Inlet {
+    /// One enqueue attempt for tenant `id`: a quarantined tenant is
+    /// refused (no drain reads its queue), and a full queue hands the
+    /// item back as `Ok(Some(item))` for the caller to retry.
+    fn try_send(&self, id: TenantId, item: QueueItem) -> Result<Option<QueueItem>, FleetError> {
+        if self.gate.quarantined() {
+            return Err(FleetError::Quarantined(id));
+        }
+        match self.tx.try_send(item) {
+            Ok(()) => Ok(None),
+            Err(TrySendError::Full(item)) => Ok(Some(item)),
+            Err(TrySendError::Disconnected(_)) => Err(FleetError::UnknownTenant(id)),
+        }
+    }
+}
+
+/// The one admission gate in front of the tenant queues, shared by the
+/// fleet's own ingest paths and the demux thread: the tenant must be
+/// registered in `inlets`, and its [`Gate`] must admit a row of `paths`
+/// log rates. Returns the routing epoch to stamp the row with.
+/// Rejection is typed and loud — nothing reaches the estimator.
+fn admit(inlets: &[Inlet], id: TenantId, paths: usize) -> Result<u64, FleetError> {
+    inlets
+        .get(id.0)
+        .ok_or(FleetError::UnknownTenant(id))?
+        .gate
+        .admit(id, paths)
 }
 
 /// One registered tenant: its estimator plus the receive side of its
@@ -278,15 +380,16 @@ struct Tenant {
     name: String,
     estimator: OnlineEstimator,
     rx: Receiver<QueueItem>,
+    /// The tenant's admission state, shared with its inlet. The drain
+    /// sets its quarantine flag when an ingest panics: the estimator
+    /// may hold broken invariants, so it is never touched again (until
+    /// [`Fleet::revive_tenant`] rebuilds it).
+    gate: Arc<Gate>,
     ingested: u64,
     errors: u64,
     /// Highest wire sequence number ingested so far (None until the
     /// first wire row) — the staleness signal of [`Fleet::query`].
     last_wire_seq: Option<u64>,
-    /// Set when an ingest panicked: the estimator may hold broken
-    /// invariants, so it is never touched again (until
-    /// [`Fleet::revive_tenant`] rebuilds it).
-    quarantined: bool,
     /// Test hook: panic inside the ingest of the `n`-th snapshot, to
     /// exercise the quarantine containment without relying on a real
     /// estimator invariant (malformed input is now rejected with typed
@@ -297,39 +400,46 @@ struct Tenant {
 
 impl Tenant {
     /// Drains every queued snapshot through the estimator, appending
-    /// one event per congested-set change (or error) to `events`. A
+    /// one event per congested-set change (or error) to `events`. An
+    /// item admitted before the last [`Fleet::update_topology`] is
+    /// refused with an error event before it touches the estimator. A
     /// *panicking* ingest is caught here — the tenant boundary — and
     /// quarantines this tenant only, instead of unwinding through the
     /// worker pool and poisoning the whole fleet.
     fn ingest_queued(&mut self, id: TenantId, events: &mut Vec<FleetEvent>) {
-        if self.quarantined {
+        if self.gate.quarantined() {
             return;
         }
+        let epoch = self.gate.epoch();
         while let Ok(item) = self.rx.try_recv() {
             self.ingested += 1;
-            match &item {
-                QueueItem::WireRow { wire_seq, .. } => self.last_wire_seq = Some(*wire_seq),
-                QueueItem::OwnedRow {
-                    wire_seq: Some(seq),
-                    ..
-                } => self.last_wire_seq = Some(*seq),
-                _ => {}
+            if let Payload::Wire { seq, .. } = &item.payload {
+                self.last_wire_seq = Some(*seq);
             }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                #[cfg(test)]
-                if self.panic_at == Some(self.ingested) {
-                    panic!("injected ingest panic at snapshot {}", self.ingested);
-                }
-                match &item {
-                    QueueItem::Snapshot(snapshot) => self.estimator.ingest(snapshot),
-                    QueueItem::OwnedRow { data, .. } => self.estimator.ingest_log_rates(data),
-                    // Zero-copy end to end: the estimator reads the
-                    // row straight out of the receive buffer and
-                    // retains it by reference (misaligned buffers
-                    // decode once through the estimator's scratch).
-                    QueueItem::WireRow { data, .. } => self.estimator.ingest_wire_row(data),
-                }
-            }));
+            let outcome = if item.epoch == epoch {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    #[cfg(test)]
+                    if self.panic_at == Some(self.ingested) {
+                        panic!("injected ingest panic at snapshot {}", self.ingested);
+                    }
+                    match &item.payload {
+                        Payload::Snapshot(snapshot) => self.estimator.ingest(snapshot),
+                        // Zero-copy end to end: the estimator reads the
+                        // row straight out of the receive buffer and
+                        // retains it by reference (misaligned buffers
+                        // decode once through the estimator's scratch).
+                        Payload::Wire { data, .. } => self.estimator.ingest_wire_row(data),
+                    }
+                    .map_err(|e| e.to_string())
+                }))
+            } else {
+                Ok(Err(format!(
+                    "row admitted under routing epoch {} was queued across a topology \
+                     update (now epoch {epoch}); refused rather than read under the new \
+                     path numbering",
+                    item.epoch
+                )))
+            };
             match outcome {
                 Ok(Ok(update)) => {
                     if !update.appeared.is_empty() || !update.cleared.is_empty() {
@@ -344,18 +454,16 @@ impl Tenant {
                         });
                     }
                 }
-                Ok(Err(e)) => {
+                Ok(Err(message)) => {
                     self.errors += 1;
                     events.push(FleetEvent {
                         tenant: id,
                         seq: self.ingested,
-                        kind: FleetEventKind::EstimatorError {
-                            message: e.to_string(),
-                        },
+                        kind: FleetEventKind::EstimatorError { message },
                     });
                 }
                 Err(payload) => {
-                    self.quarantined = true;
+                    self.gate.set_quarantined(true);
                     self.errors += 1;
                     events.push(FleetEvent {
                         tenant: id,
@@ -408,9 +516,9 @@ impl fmt::Debug for Tenant {
 pub struct Fleet {
     cfg: FleetConfig,
     tenants: Vec<Tenant>,
-    /// Send sides of the tenant queues, indexable with `&self` so
+    /// Each tenant's queue sender and gate, indexable with `&self` so
     /// producers can enqueue without exclusive access to the registry.
-    senders: Vec<Sender<QueueItem>>,
+    inlets: Vec<Inlet>,
     /// Recycled per-shard event buffers for [`Fleet::poll_events_into`]
     /// — a steady-state drain allocates no event vectors.
     event_pool: Vec<Vec<FleetEvent>>,
@@ -422,7 +530,7 @@ impl Fleet {
         Fleet {
             cfg,
             tenants: Vec::new(),
-            senders: Vec::new(),
+            inlets: Vec::new(),
             event_pool: Vec::new(),
         }
     }
@@ -438,18 +546,23 @@ impl Fleet {
     ) -> TenantId {
         let id = TenantId(self.tenants.len());
         let (tx, rx) = bounded(self.cfg.queue_capacity);
+        let gate = Arc::new(Gate {
+            quarantined: AtomicBool::new(false),
+            paths: AtomicUsize::new(red.num_paths()),
+            epoch: AtomicU64::new(0),
+        });
         self.tenants.push(Tenant {
             name: name.into(),
             estimator: OnlineEstimator::new(red, online),
             rx,
+            gate: Arc::clone(&gate),
             ingested: 0,
             errors: 0,
             last_wire_seq: None,
-            quarantined: false,
             #[cfg(test)]
             panic_at: None,
         });
-        self.senders.push(tx);
+        self.inlets.push(Inlet { tx, gate });
         id
     }
 
@@ -496,36 +609,25 @@ impl Fleet {
             refreshes: t.estimator.refresh_count(),
             queued: t.rx.len(),
             errors: t.errors,
-            quarantined: t.quarantined,
+            quarantined: t.gate.quarantined(),
         }
     }
 
-    /// The one admission gate in front of the tenant queues: the tenant
-    /// must be registered and not quarantined, and a row of `paths` log
-    /// rates must match its current topology. Rejection is typed and
-    /// loud — nothing reaches the estimator's moments.
-    fn admit(&self, id: TenantId, paths: usize) -> Result<(), FleetError> {
-        let t = self
-            .tenants
-            .get(id.0)
-            .ok_or(FleetError::UnknownTenant(id))?;
-        if t.quarantined {
-            return Err(FleetError::Quarantined(id));
-        }
-        check_path_count(id, paths, t.estimator.topology().num_paths())
-    }
-
-    /// [`Fleet::admit`] for an owned snapshot, which must also report
-    /// at least one probe sent (zero probes would produce NaN rates).
-    fn admit_snapshot(&self, id: TenantId, snapshot: &Snapshot) -> Result<(), FleetError> {
-        self.admit(id, snapshot.path_received.len())?;
+    /// [`admit`] for an owned snapshot, which must also report at least
+    /// one probe sent (zero probes would produce NaN rates). Returns
+    /// the snapshot's queue item.
+    fn admit_snapshot(&self, id: TenantId, snapshot: Snapshot) -> Result<QueueItem, FleetError> {
+        let epoch = admit(&self.inlets, id, snapshot.path_received.len())?;
         if snapshot.probes == 0 {
             return Err(FleetError::MalformedSnapshot {
                 tenant: id,
                 reason: "snapshot reports zero probes sent".to_string(),
             });
         }
-        Ok(())
+        Ok(QueueItem {
+            epoch,
+            payload: Payload::Snapshot(snapshot),
+        })
     }
 
     /// Enqueues one snapshot for a tenant without blocking. Fails with
@@ -536,11 +638,10 @@ impl Fleet {
     /// [`FleetError::MalformedSnapshot`] when the snapshot cannot match
     /// the tenant's topology (nothing is silently dropped).
     pub fn enqueue(&self, id: TenantId, snapshot: Snapshot) -> Result<(), FleetError> {
-        self.admit_snapshot(id, &snapshot)?;
-        match self.senders[id.0].try_send(QueueItem::Snapshot(snapshot)) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => Err(FleetError::QueueFull(id)),
-            Err(TrySendError::Disconnected(_)) => Err(FleetError::UnknownTenant(id)),
+        let item = self.admit_snapshot(id, snapshot)?;
+        match self.inlets[id.0].try_send(id, item)? {
+            None => Ok(()),
+            Some(_) => Err(FleetError::QueueFull(id)),
         }
     }
 
@@ -554,10 +655,15 @@ impl Fleet {
     /// path is loud, never a panic and never silent.
     ///
     /// An invalid delta returns [`FleetError::RejectedDelta`] and
-    /// leaves the tenant untouched. Snapshots already queued against
-    /// the old path numbering are rejected at ingest with a typed
-    /// error (surfacing as [`FleetEventKind::EstimatorError`]), not
-    /// ingested against the wrong topology.
+    /// leaves the tenant untouched. A valid one starts a new routing
+    /// epoch: from the return on, every ingest path — the demux threads
+    /// included — admits rows against the new path count, and every
+    /// row still queued from before is refused by the next drain,
+    /// before it touches the estimator, with one
+    /// [`FleetEventKind::EstimatorError`] event counted in
+    /// [`TenantStats::errors`]. No queued row is read under a path
+    /// numbering it was not admitted for, even when the delta leaves
+    /// the path count unchanged.
     pub fn update_topology(
         &mut self,
         id: TenantId,
@@ -567,7 +673,7 @@ impl Fleet {
             .tenants
             .get_mut(id.0)
             .ok_or(FleetError::UnknownTenant(id))?;
-        if t.quarantined {
+        if t.gate.quarantined() {
             return Err(FleetError::Quarantined(id));
         }
         let report = t
@@ -577,6 +683,7 @@ impl Fleet {
                 tenant: id,
                 reason: e.to_string(),
             })?;
+        t.gate.reroute(t.estimator.topology().num_paths());
         let mut events = Vec::new();
         if let Some(reason) = &report.refresh_error {
             t.errors += 1;
@@ -618,13 +725,13 @@ impl Fleet {
             .tenants
             .get_mut(id.0)
             .ok_or(FleetError::UnknownTenant(id))?;
-        if !t.quarantined {
+        if !t.gate.quarantined() {
             return Err(FleetError::NotQuarantined(id));
         }
         let red = t.estimator.topology().clone();
         let cfg = *t.estimator.config();
         t.estimator = OnlineEstimator::new(&red, cfg);
-        t.quarantined = false;
+        t.gate.set_quarantined(false);
         #[cfg(test)]
         {
             t.panic_at = None;
@@ -719,10 +826,10 @@ impl Fleet {
     ) -> BatchReport {
         let mut report = BatchReport::default();
         for (index, (id, snapshot)) in batch.into_iter().enumerate() {
-            let outcome = self.admit_snapshot(id, &snapshot).and_then(|()| {
+            let outcome = self.admit_snapshot(id, snapshot).and_then(|item| {
                 self.enqueue_item_with_drain(
                     id,
-                    QueueItem::Snapshot(snapshot),
+                    item,
                     &mut report.events,
                     &mut report.backpressure_drains,
                 )
@@ -740,9 +847,12 @@ impl Fleet {
         report
     }
 
-    /// Enqueues one admitted item. When the tenant's queue is full it
-    /// drains the fleet once into `events`, counts the drain in
-    /// `drains`, and retries.
+    /// Enqueues one admitted item: the enqueue step of the caller's
+    /// thread. When the tenant's queue is full it drains the fleet once
+    /// into `events`, counts the drain in `drains`, and retries. The
+    /// drain leaves every live tenant's queue empty and capacity is
+    /// ≥ 1, so the retry finds room — unless this very drain
+    /// quarantined the tenant, which the retry refuses.
     fn enqueue_item_with_drain(
         &mut self,
         id: TenantId,
@@ -750,38 +860,16 @@ impl Fleet {
         events: &mut Vec<FleetEvent>,
         drains: &mut usize,
     ) -> Result<(), FleetError> {
-        match self.senders[id.0].try_send(item) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(item)) => {
-                *drains += 1;
-                self.poll_events_into(events);
-                // The drain left every live tenant's queue empty and
-                // capacity is ≥ 1, so the retry cannot fail — unless
-                // this very drain quarantined the tenant (its queue
-                // keeps its leftovers), which must surface rather than
-                // silently drop the item.
-                if self.tenants[id.0].quarantined {
-                    return Err(FleetError::Quarantined(id));
-                }
-                self.senders[id.0]
-                    .try_send(item)
-                    .map_err(|_| FleetError::QueueFull(id))
-            }
-            Err(TrySendError::Disconnected(_)) => Err(FleetError::UnknownTenant(id)),
+        let Some(item) = self.inlets[id.0].try_send(id, item)? else {
+            return Ok(());
+        };
+        *drains += 1;
+        self.poll_events_into(events);
+        match self.inlets[id.0].try_send(id, item)? {
+            None => Ok(()),
+            Some(_) => Err(FleetError::QueueFull(id)),
         }
     }
-}
-
-/// The path-count half of admission, shared with the demux thread's
-/// spawn-time view of each tenant.
-fn check_path_count(id: TenantId, paths: usize, want: usize) -> Result<(), FleetError> {
-    if paths == want {
-        return Ok(());
-    }
-    Err(FleetError::MalformedSnapshot {
-        tenant: id,
-        reason: format!("snapshot covers {paths} paths, topology has {want}"),
-    })
 }
 
 /// One rejected entry of a partial-accept batch — which input it was
@@ -1300,6 +1388,40 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, FleetError::RejectedDelta { tenant, .. } if tenant == t));
         assert_eq!(fleet.estimator(t).topology().num_paths(), red2.num_paths());
+    }
+
+    /// A row queued before a routing change is refused by the drain,
+    /// loudly and before the estimator sees it, even when the delta
+    /// leaves the path count as it was: it would otherwise be read
+    /// under the new path numbering.
+    #[test]
+    fn rows_queued_across_a_routing_change_are_refused() {
+        use losstomo_topology::PathId;
+        let red = fixtures::reduced(&fixtures::figure2());
+        let mut fleet = Fleet::new(FleetConfig {
+            queue_capacity: 16,
+            workers: Some(1),
+        });
+        let t = fleet.add_tenant("t", &red, OnlineConfig::default());
+        let ms = simulate(&red, 11, 81);
+        let report = fleet.ingest_batch(ms.snapshots[..10].iter().cloned().map(|s| (t, s)));
+        assert!(report.rejections.is_empty());
+        fleet.enqueue(t, ms.snapshots[10].clone()).unwrap();
+        let nc = red.num_links();
+        let delta = TopologyDelta::new()
+            .remove_path(PathId(0))
+            .add_path(vec![0, nc - 1]);
+        fleet.update_topology(t, &delta).unwrap();
+        assert_eq!(fleet.estimator(t).topology().num_paths(), red.num_paths());
+        assert_eq!(fleet.stats(t).errors, 0);
+        let events = fleet.poll_events();
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert!(matches!(
+            events[0].kind,
+            FleetEventKind::EstimatorError { .. }
+        ));
+        assert_eq!(fleet.stats(t).errors, 1);
+        assert_eq!(fleet.estimator(t).covariance().total_ingested(), 10);
     }
 
     #[test]

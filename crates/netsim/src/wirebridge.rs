@@ -6,17 +6,27 @@
 //! framed batches of raw log-rate rows. This module is the glue for
 //! loadgen and tests: it pulls rounds from a [`SnapshotFanIn`], tracks
 //! the per-tenant sequence numbers the fleet will assign on ingest,
-//! and materializes the same rows as either a binary wire batch or the
-//! JSON fallback — so every codec under benchmark carries *identical*
-//! row content.
+//! holds each tenant's rows as a [`CollectedFrame`], and encodes the
+//! frames as one binary wire batch.
 
 use crate::fanin::SnapshotFanIn;
 use bytes::Bytes;
-use losstomo_wire::{BatchEncoder, JsonBatch, JsonFrame, WireEncodeOptions};
+use losstomo_wire::{BatchEncoder, WireEncodeOptions};
 use rand::Rng;
 
-/// Collects fan-in rounds into codec-agnostic frames and tracks the
-/// monotone per-tenant sequence numbers across batches.
+/// One tenant's collected rows: the content of one wire frame.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CollectedFrame {
+    /// Wire tenant id (the fleet's dense tenant index).
+    pub tenant: u32,
+    /// Sequence number of `rows[0]`; row `r` carries `base_seq + r`.
+    pub base_seq: u64,
+    /// Log-rate rows, one per snapshot.
+    pub rows: Vec<Vec<f64>>,
+}
+
+/// Collects fan-in rounds into frames and tracks the monotone
+/// per-tenant sequence numbers across batches.
 #[derive(Debug)]
 pub struct SnapshotBridge {
     next_seq: Vec<u64>,
@@ -40,18 +50,17 @@ impl SnapshotBridge {
 
     /// Pulls `rounds` snapshots per tenant from the fan-in and groups
     /// them into one frame per tenant (in tenant order), advancing the
-    /// per-tenant sequence counters. The returned [`JsonBatch`] is the
-    /// codec-agnostic row content: feed it to [`batch_to_wire`] for
-    /// the binary format or [`JsonBatch::encode`] for the fallback.
+    /// per-tenant sequence counters. Feed the frames to
+    /// [`batch_to_wire`] to encode them.
     pub fn collect_rounds<R: Rng>(
         &mut self,
         mux: &mut SnapshotFanIn<'_, R>,
         rounds: usize,
-    ) -> JsonBatch {
+    ) -> Vec<CollectedFrame> {
         let tenants = self.next_seq.len();
         assert_eq!(mux.tenants(), tenants, "bridge/fan-in tenant mismatch");
-        let mut frames: Vec<JsonFrame> = (0..tenants)
-            .map(|t| JsonFrame {
+        let mut frames: Vec<CollectedFrame> = (0..tenants)
+            .map(|t| CollectedFrame {
                 tenant: u32::try_from(t).expect("tenant fits u32"),
                 base_seq: self.next_seq[t],
                 rows: Vec::with_capacity(rounds),
@@ -67,23 +76,22 @@ impl SnapshotBridge {
         for (t, seq) in self.next_seq.iter_mut().enumerate() {
             *seq += frames[t].rows.len() as u64;
         }
-        JsonBatch { frames }
+        frames
     }
 }
 
 /// Encodes collected frames as one binary wire batch. Row `f64` bit
 /// patterns pass through unchanged, which is what keeps wire ingest
 /// bit-identical to direct enqueue of the same snapshots.
-pub fn batch_to_wire(batch: &JsonBatch, opts: WireEncodeOptions) -> Bytes {
-    let payload: usize = batch
-        .frames
+pub fn batch_to_wire(frames: &[CollectedFrame], opts: WireEncodeOptions) -> Bytes {
+    let payload: usize = frames
         .iter()
         .map(|f| {
             BatchEncoder::frame_wire_size(opts, f.rows.len(), f.rows.first().map_or(0, Vec::len))
         })
         .sum();
     let mut enc = BatchEncoder::with_capacity(opts, 16 + payload);
-    for frame in &batch.frames {
+    for frame in frames {
         enc.push_frame(frame.tenant, frame.base_seq, &frame.rows);
     }
     enc.finish()
@@ -126,13 +134,13 @@ mod tests {
         let mut m = mux(3);
         let mut bridge = SnapshotBridge::new(3);
         let collected = bridge.collect_rounds(&mut m, 4);
-        assert_eq!(collected.frames.len(), 3);
+        assert_eq!(collected.len(), 3);
         assert_eq!(bridge.next_seq(0), 4);
 
         let wire = batch_to_wire(&collected, WireEncodeOptions { crc: true });
         let parsed = WireBatch::parse(wire).expect("bridge output is valid");
         assert_eq!(parsed.frame_count(), 3);
-        for (frame, want) in parsed.frames().zip(&collected.frames) {
+        for (frame, want) in parsed.frames().zip(&collected) {
             assert_eq!(frame.tenant(), want.tenant);
             assert_eq!(frame.base_seq(), want.base_seq);
             assert_eq!(frame.row_count(), want.rows.len());
@@ -150,8 +158,8 @@ mod tests {
         let mut bridge = SnapshotBridge::new(2);
         let first = bridge.collect_rounds(&mut m, 3);
         let second = bridge.collect_rounds(&mut m, 2);
-        assert_eq!(first.frames[1].base_seq, 0);
-        assert_eq!(second.frames[1].base_seq, 3);
+        assert_eq!(first[1].base_seq, 0);
+        assert_eq!(second[1].base_seq, 3);
         assert_eq!(bridge.next_seq(1), 5);
     }
 }

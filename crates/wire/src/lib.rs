@@ -35,10 +35,6 @@
 //! flags, oversized declared dimensions, CRC mismatch, trailing
 //! garbage — and never panics (see the proptest suite).
 //!
-//! [`json`] is the slow-path fallback codec over `serde_json`, kept as
-//! the baseline the binary format is benchmarked against
-//! (`fleet_ingest` → `BENCH_ingest.json`).
-//!
 //! [`Bytes`]: bytes::Bytes
 
 #![forbid(unsafe_code)]
@@ -46,11 +42,9 @@
 
 pub mod crc;
 pub mod encode;
-pub mod json;
 pub mod parse;
 
 pub use encode::{BatchEncoder, WireEncodeOptions};
-pub use json::{JsonBatch, JsonFrame};
 pub use parse::{FrameView, SnapshotView, WireBatch};
 
 use std::fmt;
@@ -152,11 +146,6 @@ pub enum WireError {
         /// Number of unconsumed bytes.
         extra: usize,
     },
-    /// JSON fallback codec failure.
-    Json {
-        /// Underlying serde/serde_json message.
-        message: String,
-    },
 }
 
 impl fmt::Display for WireError {
@@ -199,7 +188,6 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after last frame")
             }
-            WireError::Json { message } => write!(f, "json codec: {message}"),
         }
     }
 }

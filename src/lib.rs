@@ -25,8 +25,7 @@
 //!   analyses;
 //! * [`wire`] — the framed binary snapshot wire format of the service
 //!   edge: batch encoder, zero-copy [`wire::WireBatch`] parser whose
-//!   row views alias the input buffer, CRC32 integrity, and the
-//!   `serde_json` fallback codec;
+//!   row views alias the input buffer, and CRC32 integrity;
 //! * [`fleet`] — multi-tenant online inference: a [`fleet::Fleet`] of
 //!   independent estimators behind bounded per-tenant snapshot queues,
 //!   drained by a sharded worker pool, with congested-set change
@@ -192,8 +191,7 @@ pub mod prelude {
         ReducedTopology, TopologyDelta, TopologyEdit,
     };
     pub use losstomo_wire::{
-        BatchEncoder, FrameView, JsonBatch, JsonFrame, SnapshotView, WireBatch, WireEncodeOptions,
-        WireError,
+        BatchEncoder, FrameView, SnapshotView, WireBatch, WireEncodeOptions, WireError,
     };
 }
 
