@@ -36,7 +36,7 @@
 //! * [`lia`] — Phase 2 column elimination + reduced solve
 //! * [`tree`] — the tree check, and the tree both phases solve in
 //!   closed form
-//! * [`streaming`] — incremental covariance + online two-phase
+//! * [`streaming`] — covariance window + online two-phase
 //!   estimation over snapshot streams
 //! * [`scfs`] — the SCFS single-snapshot baseline of Figure 5
 //! * [`estimator`] — the estimator zoo: LIA, Zhu's closed-form MLE and

@@ -1,5 +1,5 @@
-//! Streaming loss inference: incremental covariance tracking and an
-//! online two-phase estimator.
+//! Streaming loss inference: a covariance window and an online
+//! two-phase estimator.
 //!
 //! The paper's estimator is batch — collect `m` snapshots, form the
 //! sample covariance (eq. 7), solve `Σ* = A v` — but a production
@@ -7,18 +7,17 @@
 //! sets that update per snapshot, not per recomputation. This module
 //! provides the two pieces:
 //!
-//! * [`StreamingCovariance`] ingests one snapshot of log measurements at
-//!   a time into an unbounded or sliding window and maintains the
-//!   covariances of the augmented path pairs two ways at once:
-//!   **Welford-style rank-1 running co-moments** (`O(n_p + r)` per
-//!   ingest, available at any instant) and an **exact replay** over the
-//!   retained window that is bit-identical to the batch
-//!   [`CenteredMeasurements::pair_covariances`] sweep — same additions
-//!   in the same order — so a streaming refresh can reproduce a batch
-//!   recompute exactly. Refreshes always replay. After a routing
-//!   change ([`StreamingCovariance::apply_churn`]) the replay is the
-//!   same sweep over every pair, followed by a re-sweep of only the
-//!   pairs on a changed path over the rows since the change.
+//! * [`StreamingCovariance`] is a window of retained snapshot rows,
+//!   unbounded or sliding: an ingest appends one row of log
+//!   measurements and, when a sliding window overflows, evicts the
+//!   oldest. The covariances of the augmented path pairs are read by an
+//!   **exact replay** over the retained window that is bit-identical to
+//!   the batch [`CenteredMeasurements::pair_covariances`] sweep — same
+//!   additions in the same order — so a streaming refresh reproduces a
+//!   batch recompute exactly. After a routing change
+//!   ([`StreamingCovariance::apply_churn`]) the replay is the same sweep
+//!   over every pair, followed by a re-sweep of only the pairs on a
+//!   changed path over the rows since the change.
 //! * [`OnlineEstimator`] is a covariance window and a refresh cadence
 //!   around the LIA core that batch inference runs too
 //!   ([`crate::estimator::LiaEstimator`]): each refresh fits the core
@@ -67,12 +66,6 @@ use losstomo_topology::{ChurnError, DeltaEffect, PathId, ReducedTopology, Topolo
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// Default sliding-window recentre cadence, in evictions: frequent
-/// enough that reverse-Welford rounding stays far below any tolerance
-/// in use, rare enough that the `O(window)` replay is amortised to
-/// noise.
-pub const DEFAULT_RECENTRE_EVERY: usize = 1024;
-
 /// How much history the streaming accumulator retains.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum WindowMode {
@@ -81,8 +74,8 @@ pub enum WindowMode {
     /// bounded window for monitors that run indefinitely.
     #[default]
     Unbounded,
-    /// Keep only the most recent `w ≥ 2` snapshots; older ones are
-    /// evicted with a reverse-Welford downdate.
+    /// Keep only the most recent `w ≥ 2` snapshots: each ingest past
+    /// the `w`-th evicts the oldest retained row.
     Sliding(usize),
 }
 
@@ -111,39 +104,22 @@ impl StoredRow {
     }
 }
 
-/// Streaming accumulator for the covariances of a fixed pair set.
+/// The covariance window of a fixed pair set: its retained rows.
 ///
 /// Feed it one row of log measurements per snapshot with
-/// [`StreamingCovariance::ingest`]; read back either the cheap Welford
-/// running estimates ([`StreamingCovariance::covariances`]) or the
-/// batch-bit-identical replay
-/// ([`StreamingCovariance::exact_covariances`]). The pair set is
-/// typically [`AugmentedSystem::pair_indices`] — every `Σ̂_{ii'}`
-/// Phase 1 needs.
+/// [`StreamingCovariance::ingest`] and read the pair covariances with
+/// the batch-bit-identical replay
+/// ([`StreamingCovariance::exact_covariances`]), which every
+/// [`OnlineEstimator`] refresh runs. The pair set is typically
+/// [`AugmentedSystem::pair_indices`] — every `Σ̂_{ii'}` Phase 1 needs.
 #[derive(Debug, Clone)]
 pub struct StreamingCovariance {
     n_paths: usize,
     pairs: Vec<(usize, usize)>,
     mode: WindowMode,
-    /// Exact-recentre cadence in evictions (0 = never); see
-    /// [`StreamingCovariance::with_recentre_every`].
-    recentre_every: usize,
-    /// Evictions since the last exact recentre.
-    evictions_since_recentre: usize,
     /// Retained rows, oldest first.
     rows: VecDeque<StoredRow>,
-    /// Rows currently contributing to the running moments.
-    count: usize,
     total_ingested: u64,
-    /// Running Welford per-path means.
-    mean: Vec<f64>,
-    /// Running Welford co-moments, one per pair:
-    /// `Σ (y_i − μ_i)(y_j − μ_j)`.
-    comoment: Vec<f64>,
-    /// Scratch: per-path deviations from the pre-update mean.
-    delta_old: Vec<f64>,
-    /// Scratch: per-path deviations from the post-update mean.
-    delta_new: Vec<f64>,
     /// Per path: the global ingest index (count of rows ever ingested
     /// before validity) from which the path's rows describe its
     /// *current* route. `0` for paths never touched by churn; set to
@@ -212,49 +188,23 @@ impl StreamingCovariance {
             pairs.iter().all(|&(i, j)| i < n_paths && j < n_paths),
             "pair index out of range for {n_paths} paths"
         );
-        let n_pairs = pairs.len();
         StreamingCovariance {
             n_paths,
             pairs,
             mode,
-            recentre_every: DEFAULT_RECENTRE_EVERY,
-            evictions_since_recentre: 0,
             rows: VecDeque::new(),
-            count: 0,
             total_ingested: 0,
-            mean: vec![0.0; n_paths],
-            comoment: vec![0.0; n_pairs],
-            delta_old: vec![0.0; n_paths],
-            delta_new: vec![0.0; n_paths],
             path_from: vec![0; n_paths],
             restarts: Vec::new(),
         }
     }
 
-    /// Sets the exact-recentre cadence: after `every` sliding-window
-    /// evictions the running moments are rebuilt exactly from the
-    /// retained rows, bounding the rounding drift that reverse-Welford
-    /// downdates accumulate over thousands of evictions (`0` disables
-    /// — the pre-cadence behaviour). Default:
-    /// [`DEFAULT_RECENTRE_EVERY`].
-    pub fn with_recentre_every(mut self, every: usize) -> Self {
-        self.recentre_every = every;
+    /// Returns the window unchanged: `_every` is ignored, because the
+    /// window keeps no running moments to recentre. Kept only because
+    /// the repository benchmark (`perfbench/src/stream.rs`) calls it;
+    /// the benchmark PR of ROADMAP item 4 deletes it.
+    pub fn with_recentre_every(self, _every: usize) -> Self {
         self
-    }
-
-    /// Rebuilds the running Welford moments exactly from the retained
-    /// rows — a drift reset for the incremental estimates (the exact
-    /// queries replay the window anyway). `O(window · (n_p + pairs))`.
-    pub fn recentre(&mut self) {
-        self.evictions_since_recentre = 0;
-        self.count = 0;
-        self.mean.fill(0.0);
-        self.comoment.fill(0.0);
-        let rows = std::mem::take(&mut self.rows);
-        for row in &rows {
-            self.welford_add(row.as_slice());
-        }
-        self.rows = rows;
     }
 
     /// Number of paths per snapshot row.
@@ -267,14 +217,14 @@ impl StreamingCovariance {
         &self.pairs
     }
 
-    /// Snapshots currently contributing (window occupancy).
+    /// Snapshots currently retained (window occupancy).
     pub fn len(&self) -> usize {
-        self.count
+        self.rows.len()
     }
 
     /// `true` until the first ingest.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.rows.is_empty()
     }
 
     /// Total snapshots ever ingested (including evicted ones).
@@ -283,19 +233,23 @@ impl StreamingCovariance {
     }
 
     /// Ingests one snapshot's log measurements (`Y_i = log φ̂_i`, one
-    /// entry per path): `O(n_p + r)` for `r` tracked pairs, plus an
-    /// eviction of the oldest row when a sliding window overflows.
+    /// entry per path): appends a copy of the row to the window and,
+    /// when a sliding window overflows, evicts the oldest row. No
+    /// covariance work happens here; the replay reads the window.
+    ///
+    /// # Panics
+    /// Panics if `row` does not have one entry per path.
     pub fn ingest(&mut self, row: &[f64]) {
-        self.ingest_stored(row, |r| StoredRow::Owned(r.to_vec()));
+        self.push(StoredRow::Owned(row.to_vec()));
     }
 
     /// Zero-copy variant of [`StreamingCovariance::ingest`]: `row` is
     /// `n_paths × 8` little-endian `f64` bytes straight off the wire.
     /// When the buffer is 8-byte aligned (and the host little-endian)
-    /// the row is read in place **and retained by reference** — the
-    /// window stores an O(1) handle to the receive buffer instead of
-    /// copying the row. Otherwise it decodes once and takes the owned
-    /// path. Accumulation and replay are bit-identical either way.
+    /// the row is **retained by reference** — the window stores an
+    /// O(1) handle to the receive buffer instead of copying the row.
+    /// Otherwise it decodes once and takes the owned path. The replay
+    /// is bit-identical either way.
     ///
     /// Note the retention trade-off: a wire-backed row pins its whole
     /// receive buffer until eviction (see
@@ -306,126 +260,32 @@ impl StreamingCovariance {
     /// # Panics
     /// Panics if `row` is not `n_paths × 8` bytes long.
     pub fn ingest_wire(&mut self, row: &Bytes) {
-        match cast_bytes_to_f64(row.as_slice()) {
-            Some(y) => self.ingest_stored(y, |_| StoredRow::Wire(row.clone())),
-            None => {
-                assert_eq!(
-                    row.as_slice().len() % 8,
-                    0,
-                    "wire row length must be a multiple of 8 bytes"
-                );
-                let decoded: Vec<f64> = row
-                    .as_slice()
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-                    .collect();
-                self.ingest_stored(&decoded, |r| StoredRow::Owned(r.to_vec()));
-            }
-        }
+        let stored = if cast_bytes_to_f64(row.as_slice()).is_some() {
+            StoredRow::Wire(row.clone())
+        } else {
+            let mut decoded = Vec::new();
+            decode_wire_row(row.as_slice(), &mut decoded).unwrap_or_else(|e| panic!("{e}"));
+            StoredRow::Owned(decoded)
+        };
+        self.push(stored);
     }
 
-    /// Shared ingest body: accumulate `row` and retain it via `store`
-    /// (which chooses owned vs wire-backed storage).
-    fn ingest_stored(&mut self, row: &[f64], store: impl FnOnce(&[f64]) -> StoredRow) {
+    /// Appends `row` to the window and evicts the oldest row when a
+    /// sliding window overflows.
+    fn push(&mut self, row: StoredRow) {
+        let width = row.as_slice().len();
         assert_eq!(
-            row.len(),
-            self.n_paths,
-            "snapshot covers {} paths, accumulator tracks {}",
-            row.len(),
+            width, self.n_paths,
+            "snapshot covers {width} paths, accumulator tracks {}",
             self.n_paths
         );
         self.total_ingested += 1;
-        self.rows.push_back(store(row));
-        self.welford_add(row);
+        self.rows.push_back(row);
         if let WindowMode::Sliding(w) = self.mode {
             if self.rows.len() > w {
-                let old = self.rows.pop_front().expect("window overflowed");
-                self.welford_remove(old.as_slice());
-                self.evictions_since_recentre += 1;
-                if self.recentre_every > 0 && self.evictions_since_recentre >= self.recentre_every {
-                    self.recentre();
-                }
+                self.rows.pop_front();
             }
         }
-    }
-
-    /// Welford forward update: `C += (y_i − μ_i^{old})(y_j − μ_j^{new})`.
-    fn welford_add(&mut self, row: &[f64]) {
-        self.count += 1;
-        let n = self.count as f64;
-        for (((&y, mean), d_old), d_new) in row
-            .iter()
-            .zip(self.mean.iter_mut())
-            .zip(self.delta_old.iter_mut())
-            .zip(self.delta_new.iter_mut())
-        {
-            let d = y - *mean;
-            *d_old = d;
-            *mean += d / n;
-            *d_new = y - *mean;
-        }
-        for (c, &(i, j)) in self.comoment.iter_mut().zip(self.pairs.iter()) {
-            *c += self.delta_old[i] * self.delta_new[j];
-        }
-    }
-
-    /// Reverse-Welford downdate: removes a row by inverting
-    /// [`StreamingCovariance::welford_add`] exactly (in exact
-    /// arithmetic; floating point reintroduces rounding, which is why
-    /// exact queries replay the window instead).
-    fn welford_remove(&mut self, row: &[f64]) {
-        self.count -= 1;
-        if self.count == 0 {
-            self.mean.fill(0.0);
-            self.comoment.fill(0.0);
-            return;
-        }
-        let n = self.count as f64;
-        for (((&y, mean), d_old), d_new) in row
-            .iter()
-            .zip(self.mean.iter_mut())
-            .zip(self.delta_old.iter_mut())
-            .zip(self.delta_new.iter_mut())
-        {
-            // μ^{old} = μ^{new} + (μ^{new} − y) / n, inverting the add.
-            *d_old = y - *mean; // y − μ^{post-add}
-            *mean += (*mean - y) / n;
-            *d_new = y - *mean; // y − μ^{pre-add}
-        }
-        for (c, &(i, j)) in self.comoment.iter_mut().zip(self.pairs.iter()) {
-            *c -= self.delta_new[i] * self.delta_old[j];
-        }
-    }
-
-    /// The running covariance estimates, one per tracked pair: the
-    /// Welford co-moments over `n − 1`. `O(r)` — no pass over the
-    /// window.
-    ///
-    /// # Panics
-    /// Panics with fewer than two ingested snapshots (the sample
-    /// covariance is undefined).
-    pub fn covariances(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.covariances_into(&mut out);
-        out
-    }
-
-    /// [`StreamingCovariance::covariances`] into a reusable buffer
-    /// (resized and fully overwritten; same panics).
-    pub fn covariances_into(&self, out: &mut Vec<f64>) {
-        assert!(
-            self.count >= 2,
-            "need at least 2 snapshots for covariances, have {}",
-            self.count
-        );
-        out.clear();
-        let denom = (self.count - 1) as f64;
-        out.extend(self.comoment.iter().map(|c| c / denom));
-    }
-
-    /// The running mean of each path's log measurements.
-    pub fn means(&self) -> &[f64] {
-        &self.mean
     }
 
     /// The exact pair covariances of the retained window — bit-identical
@@ -598,17 +458,30 @@ impl StreamingCovariance {
             })
             .collect();
         self.path_from = path_from;
-        self.comoment = vec![0.0; new_pairs.len()];
         self.pairs = new_pairs;
         self.n_paths = new_n_paths;
-        self.delta_old = vec![0.0; new_n_paths];
-        self.delta_new = vec![0.0; new_n_paths];
-        // Rebuild the running Welford moments from the remapped rows so
-        // forward updates and future evictions stay self-consistent at
-        // the new width.
-        self.mean = vec![0.0; new_n_paths];
-        self.recentre();
     }
+}
+
+/// Decodes a wire row of little-endian `f64` bytes into `out` (cleared
+/// first): what both wire ingest paths fall back on when the in-place
+/// cast fails on a misaligned buffer or a big-endian host. A length
+/// that is not a whole number of `f64`s decodes nothing and is a
+/// [`LinalgError::DimensionMismatch`].
+fn decode_wire_row(bytes: &[u8], out: &mut Vec<f64>) -> Result<(), LinalgError> {
+    if !bytes.len().is_multiple_of(8) {
+        return Err(LinalgError::DimensionMismatch(format!(
+            "wire row of {} bytes is not a whole number of f64s",
+            bytes.len()
+        )));
+    }
+    out.clear();
+    out.extend(
+        bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)"))),
+    );
+    Ok(())
 }
 
 /// Configuration of the online estimator.
@@ -640,11 +513,10 @@ pub struct OnlineConfig {
     /// the selection is readable via
     /// [`OnlineEstimator::pair_selection`].
     pub pair_budget: PairBudget,
-    /// Exact-recentre cadence of the sliding-window accumulator: after
-    /// this many evictions the running Welford moments are rebuilt
-    /// from the retained rows, bounding reverse-Welford rounding drift
-    /// on long streams (`0` disables; exact refreshes are unaffected —
-    /// they replay the window regardless).
+    /// Ignored: the covariance window keeps no running moments to
+    /// recentre (default `0`). Kept only because the repository
+    /// benchmark (`perfbench/src/stream.rs`) reads it; the benchmark PR
+    /// of ROADMAP item 4 deletes it.
     pub recentre_every: usize,
 }
 
@@ -657,7 +529,7 @@ impl Default for OnlineConfig {
             lia: LiaConfig::default(),
             congestion_threshold: losstomo_netsim::DEFAULT_LOSS_THRESHOLD,
             pair_budget: PairBudget::default(),
-            recentre_every: DEFAULT_RECENTRE_EVERY,
+            recentre_every: 0,
         }
     }
 }
@@ -716,8 +588,7 @@ pub struct OnlineUpdate {
 /// solve), a Phase-2 spike at the column selection and factorisation.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RefreshTiming {
-    /// Covariance assembly: window replay / Welford read-out into the
-    /// sigma buffer.
+    /// Covariance assembly: the window replay into the sigma buffer.
     pub covariance: Duration,
     /// Phase 1: the moment-system solve for the link variances.
     pub phase1: Duration,
@@ -767,8 +638,7 @@ impl OnlineEstimator {
         assert!(cfg.refresh_every >= 1, "refresh cadence must be ≥ 1");
         let core = LiaEstimator::new(red, cfg.lia, cfg.variance, cfg.pair_budget);
         let cov =
-            StreamingCovariance::new(red.num_paths(), core.augmented().pair_indices(), cfg.window)
-                .with_recentre_every(cfg.recentre_every);
+            StreamingCovariance::new(red.num_paths(), core.augmented().pair_indices(), cfg.window);
         OnlineEstimator {
             cfg,
             core,
@@ -795,8 +665,8 @@ impl OnlineEstimator {
         self.core.pair_selection()
     }
 
-    /// The streaming covariance accumulator (window occupancy, running
-    /// means, Welford estimates).
+    /// The covariance window (occupancy, post-churn staleness, the
+    /// exact replay).
     pub fn covariance(&self) -> &StreamingCovariance {
         &self.cov
     }
@@ -874,9 +744,9 @@ impl OnlineEstimator {
     /// Malformed input is rejected with a typed error **before** any
     /// state is touched: a mis-sized row returns
     /// [`LinalgError::DimensionMismatch`], a row containing NaN/±∞
-    /// returns [`LinalgError::NonFinite`]. Either way the running
-    /// moments are unpoisoned and the estimator keeps serving its
-    /// current model.
+    /// returns [`LinalgError::NonFinite`]. Either way the window does
+    /// not retain the row and the estimator keeps serving its current
+    /// model.
     pub fn ingest_log_rates(&mut self, y: &[f64]) -> Result<OnlineUpdate, LinalgError> {
         self.validate_row(y)?;
         self.cov.ingest(y);
@@ -891,17 +761,14 @@ impl OnlineEstimator {
     /// host) decodes once through the internal scratch row. Results
     /// are bit-identical to [`OnlineEstimator::ingest_log_rates`] fed
     /// the decoded row, and the same typed-rejection contract holds:
-    /// mis-sized or non-finite rows leave the estimator untouched.
+    /// mis-sized rows (a length that is not `num_paths × 8` bytes, a
+    /// stray trailing byte included) or non-finite rows leave the
+    /// estimator untouched.
     pub fn ingest_wire_row(&mut self, row: &Bytes) -> Result<OnlineUpdate, LinalgError> {
         let Some(y) = cast_bytes_to_f64(row.as_slice()) else {
             let mut decoded = std::mem::take(&mut self.row_scratch);
-            decoded.clear();
-            decoded.extend(
-                row.as_slice()
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)"))),
-            );
-            let result = self.ingest_log_rates(&decoded);
+            let result = decode_wire_row(row.as_slice(), &mut decoded)
+                .and_then(|()| self.ingest_log_rates(&decoded));
             self.row_scratch = decoded;
             return result;
         };
@@ -1221,8 +1088,8 @@ mod tests {
     #[test]
     fn wire_ingest_is_bit_identical_to_owned_ingest() {
         // Same rows through `ingest` (owned) and `ingest_wire`
-        // (retained by reference): running moments, exact replay, and
-        // sliding-window eviction must all agree bitwise.
+        // (retained by reference): the exact replay and sliding-window
+        // eviction must agree bitwise.
         let rows = synthetic_rows(20, 4);
         let pairs = all_pairs(4);
         for mode in [WindowMode::Unbounded, WindowMode::Sliding(6)] {
@@ -1233,16 +1100,14 @@ mod tests {
                 wire.ingest_wire(&b);
             }
             assert_eq!(owned.len(), wire.len());
-            assert_eq!(owned.covariances(), wire.covariances());
             assert_eq!(owned.exact_covariances(), wire.exact_covariances());
-            assert_eq!(owned.means(), wire.means());
         }
     }
 
     #[test]
     fn misaligned_wire_rows_decode_to_the_same_bits() {
         // A one-byte-shifted buffer defeats the in-place cast; the
-        // decode fallback must land on identical accumulator state.
+        // decode fallback must retain identical rows.
         let rows = synthetic_rows(8, 3);
         let pairs = all_pairs(3);
         let width = 3 * 8;
@@ -1259,7 +1124,6 @@ mod tests {
             owned.ingest(row);
             wire.ingest_wire(&buf.slice(1 + r * width..1 + (r + 1) * width));
         }
-        assert_eq!(owned.covariances(), wire.covariances());
         assert_eq!(owned.exact_covariances(), wire.exact_covariances());
     }
 
@@ -1293,7 +1157,6 @@ mod tests {
         let new_pairs = vec![(0, 0), (1, 1), (0, 1)];
         owned.apply_churn(2, new_pairs.clone(), &effect);
         wire.apply_churn(2, new_pairs, &effect);
-        assert_eq!(owned.covariances(), wire.covariances());
         assert_eq!(owned.exact_covariances(), wire.exact_covariances());
         for k in 0..8 {
             let post = [k as f64 * 0.4, (k % 3) as f64 * 1.1];
@@ -1342,34 +1205,21 @@ mod tests {
     }
 
     #[test]
-    fn welford_tracks_batch_within_tolerance() {
-        let rows = synthetic_rows(30, 4);
-        let pairs = all_pairs(4);
-        let mut sc = StreamingCovariance::new(4, pairs.clone(), WindowMode::Unbounded);
-        for row in &rows {
-            sc.ingest(row);
-        }
-        let exact = sc.exact_covariances();
-        for (w, e) in sc.covariances().iter().zip(exact.iter()) {
-            assert!((w - e).abs() < 1e-9, "welford {w} vs exact {e}");
-        }
-    }
-
-    #[test]
-    fn welford_downdate_survives_long_streams() {
-        // After many evictions the running moments must still track the
-        // window's true covariance.
-        let rows = synthetic_rows(200, 3);
-        let pairs = all_pairs(3);
-        let w = 8;
-        let mut sc = StreamingCovariance::new(3, pairs.clone(), WindowMode::Sliding(w));
-        for row in &rows {
-            sc.ingest(row);
-        }
-        let exact = sc.exact_covariances();
-        for (wv, e) in sc.covariances().iter().zip(exact.iter()) {
-            assert!((wv - e).abs() < 1e-6, "welford {wv} drifted from {e}");
-        }
+    fn wire_row_with_a_stray_byte_is_a_typed_rejection() {
+        // Six `f64`s and one stray byte for Figure 2's six paths: the
+        // decode must refuse the row, not drop the byte and accept it.
+        let red = fig2();
+        assert_eq!(red.num_paths(), 6);
+        let mut online = OnlineEstimator::new(&red, OnlineConfig::default());
+        let mut row: Vec<u8> = (0..6)
+            .flat_map(|i| (-0.01 * i as f64).to_le_bytes())
+            .collect();
+        row.push(0);
+        assert!(matches!(
+            online.ingest_wire_row(&Bytes::from(row)),
+            Err(LinalgError::DimensionMismatch(_))
+        ));
+        assert_eq!(online.covariance().total_ingested(), 0);
     }
 
     #[test]
@@ -1399,83 +1249,10 @@ mod tests {
         }
         assert!(est.refresh_count() > 0);
         assert!(est.variances().is_some());
-        // Full budget (the default with the env knob unset) is the
-        // identity.
+        // Full budget (the default) is the identity.
         let unbudgeted = OnlineEstimator::new(&red, OnlineConfig::default());
         assert!(unbudgeted.pair_selection().is_none());
         assert_eq!(unbudgeted.augmented().num_rows(), full.num_rows());
-    }
-
-    #[test]
-    fn recentre_cadence_pins_long_stream_drift() {
-        // ISSUE 6 regression: 10k windowed snapshots accumulate
-        // reverse-Welford rounding; the periodic exact recentre must
-        // keep the running moments within 1e-10 of the exact window
-        // covariance, and disabling it must still stay within the old
-        // loose tolerance.
-        let rows = synthetic_rows(10_000, 3);
-        let pairs = all_pairs(3);
-        let w = 16;
-        let mut with_recentre = StreamingCovariance::new(3, pairs.clone(), WindowMode::Sliding(w))
-            .with_recentre_every(256);
-        let mut without = StreamingCovariance::new(3, pairs.clone(), WindowMode::Sliding(w))
-            .with_recentre_every(0);
-        for row in &rows {
-            with_recentre.ingest(row);
-            without.ingest(row);
-        }
-        let exact = with_recentre.exact_covariances();
-        for ((&r, &n), &e) in with_recentre
-            .covariances()
-            .iter()
-            .zip(without.covariances().iter())
-            .zip(exact.iter())
-        {
-            assert!(
-                (r - e).abs() < 1e-10,
-                "recentred welford {r} drifted {:.3e} from exact {e}",
-                (r - e).abs()
-            );
-            assert!((n - e).abs() < 1e-6, "uncentred drift blew up: {n} vs {e}");
-        }
-    }
-
-    #[test]
-    fn recentre_is_invisible_to_exact_refreshes() {
-        // The online estimator's refreshes replay the window, so the
-        // cadence must not change a single estimate bit.
-        let red = fig1();
-        let ms = simulate(&red, 40, 9);
-        let base = OnlineConfig {
-            window: WindowMode::Sliding(12),
-            ..OnlineConfig::default()
-        };
-        let mut a = OnlineEstimator::new(
-            &red,
-            OnlineConfig {
-                recentre_every: 4,
-                ..base
-            },
-        );
-        let mut b = OnlineEstimator::new(
-            &red,
-            OnlineConfig {
-                recentre_every: 0,
-                ..base
-            },
-        );
-        for snapshot in &ms.snapshots {
-            let ua = a.ingest(snapshot).unwrap();
-            let ub = b.ingest(snapshot).unwrap();
-            match (ua.estimate, ub.estimate) {
-                (Some(ea), Some(eb)) => {
-                    assert_eq!(ea.transmission, eb.transmission, "estimates diverged")
-                }
-                (None, None) => {}
-                _ => panic!("warmup diverged"),
-            }
-        }
-        assert!(a.refresh_count() > 0, "premise: refreshes happened");
     }
 
     #[test]
@@ -1483,7 +1260,7 @@ mod tests {
     fn covariances_need_two_snapshots() {
         let mut sc = StreamingCovariance::new(2, vec![(0, 1)], WindowMode::Unbounded);
         sc.ingest(&[1.0, 2.0]);
-        let _ = sc.covariances();
+        let _ = sc.exact_covariances();
     }
 
     #[test]
@@ -1807,7 +1584,7 @@ mod tests {
             .v
             .clone();
         // A NaN (and an infinite) snapshot must bounce with a typed
-        // error, not poison the Welford moments.
+        // error, not poison the window.
         let mut bad = ms.snapshots[20].log_rates();
         bad[2] = f64::NAN;
         assert_eq!(

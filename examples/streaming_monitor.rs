@@ -3,9 +3,10 @@
 //! The batch quickstart collects all snapshots, then infers once. This
 //! example runs the same two-phase pipeline *online*: snapshots arrive
 //! one at a time from [`simulate_stream`], an [`OnlineEstimator`]
-//! ingests each as it lands (incremental covariance, cached Phase-1
-//! Gram matrix, memoized Phase-2 factorisation), and every change to
-//! the congested-link set is reported the moment it is detected.
+//! ingests each as it lands (a covariance window replayed at each
+//! refresh, cached Phase-1 Gram counts, a Phase-2 model refitted in
+//! reused buffers), and every change to the congested-link set is
+//! reported the moment it is detected.
 //!
 //! The congestion scenario evolves as a per-link Markov chain, so the
 //! congested set genuinely drifts during the run — the situation the
