@@ -10,10 +10,8 @@
 //! backend's wall-clock (the `estimate()` call: everything from
 //! covariance consumption to Phase 2), so the report is a genuine
 //! frontier: which backend buys how much accuracy at what cost, where.
-//!
-//! Backends that don't apply everywhere stay in the table with
-//! `supported: false` — Zhu's closed form is exact on the tree and
-//! refuses the mesh by design.
+//! Both backends apply to every topology, so a backend error fails the
+//! binary.
 //!
 //! **Gate (paper scale, Waxman mesh + Gilbert loss):** the Deng-style
 //! fast backend must run ≥2× faster than LIA with detection rate
@@ -50,8 +48,6 @@ struct FrontierCell {
     paths: usize,
     links: usize,
     runs: usize,
-    /// Whether the backend supports this topology (Zhu requires trees).
-    supported: bool,
     /// Median wall-clock of `estimate()` across the runs, milliseconds.
     wall_ms_median: f64,
     /// Mean detection rate across the runs.
@@ -162,7 +158,6 @@ fn main() {
             for kind in EstimatorKind::all() {
                 let mut walls: Vec<Duration> = Vec::with_capacity(runs);
                 let (mut drs, mut fprs, mut rmses) = (Vec::new(), Vec::new(), Vec::new());
-                let mut supported = true;
                 for input in &inputs {
                     // A fresh backend per run: the wall covers building
                     // the per-topology state as well as the estimate.
@@ -174,44 +169,27 @@ fn main() {
                         VarianceConfig::default(),
                         PairBudget::Full,
                     )
-                    .estimate(&input.centered, &input.y);
-                    let wall = start.elapsed();
-                    match out {
-                        Ok(out) => {
-                            walls.push(wall);
-                            let est_loss = out.estimate.loss_rates();
-                            let est_flags: Vec<bool> =
-                                est_loss.iter().map(|&l| l > input.threshold).collect();
-                            let loc = location_accuracy(&input.truth_flags, &est_flags);
-                            drs.push(loc.detection_rate);
-                            fprs.push(loc.false_positive_rate);
-                            let mse = input
-                                .true_loss
-                                .iter()
-                                .zip(&est_loss)
-                                .map(|(t, e)| (t - e) * (t - e))
-                                .sum::<f64>()
-                                / input.true_loss.len() as f64;
-                            rmses.push(mse.sqrt());
-                        }
-                        Err(_) => {
-                            supported = false;
-                            break;
-                        }
-                    }
+                    .estimate(&input.centered, &input.y)
+                    .unwrap_or_else(|e| {
+                        panic!("{} failed on {}/{loss_name}: {e}", kind.name(), prep.name)
+                    });
+                    walls.push(start.elapsed());
+                    let est_loss = out.estimate.loss_rates();
+                    let est_flags: Vec<bool> =
+                        est_loss.iter().map(|&l| l > input.threshold).collect();
+                    let loc = location_accuracy(&input.truth_flags, &est_flags);
+                    drs.push(loc.detection_rate);
+                    fprs.push(loc.false_positive_rate);
+                    let mse = input
+                        .true_loss
+                        .iter()
+                        .zip(&est_loss)
+                        .map(|(t, e)| (t - e) * (t - e))
+                        .sum::<f64>()
+                        / input.true_loss.len() as f64;
+                    rmses.push(mse.sqrt());
                 }
-                let mean = |v: &[f64]| {
-                    if v.is_empty() {
-                        0.0
-                    } else {
-                        v.iter().sum::<f64>() / v.len() as f64
-                    }
-                };
-                let wall_ms = if walls.is_empty() {
-                    0.0
-                } else {
-                    percentile_ms(&mut walls, 0.5)
-                };
+                let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
                 let cell = FrontierCell {
                     backend: kind.name().to_string(),
                     topology: prep.name.to_string(),
@@ -219,29 +197,21 @@ fn main() {
                     paths: prep.red.num_paths(),
                     links: prep.red.num_links(),
                     runs,
-                    supported,
-                    wall_ms_median: wall_ms,
+                    wall_ms_median: percentile_ms(&mut walls, 0.5),
                     dr: mean(&drs),
                     fpr: mean(&fprs),
                     rate_rmse: mean(&rmses),
                 };
-                if supported {
-                    println!(
-                        "{:<8} {:<10} {:<13} {:>9.2} {:>8} {:>8} {:>10.5}",
-                        cell.topology,
-                        cell.loss_model,
-                        cell.backend,
-                        cell.wall_ms_median,
-                        pct(cell.dr),
-                        pct(cell.fpr),
-                        cell.rate_rmse
-                    );
-                } else {
-                    println!(
-                        "{:<8} {:<10} {:<13} (unsupported on this topology)",
-                        cell.topology, cell.loss_model, cell.backend
-                    );
-                }
+                println!(
+                    "{:<8} {:<10} {:<13} {:>9.2} {:>8} {:>8} {:>10.5}",
+                    cell.topology,
+                    cell.loss_model,
+                    cell.backend,
+                    cell.wall_ms_median,
+                    pct(cell.dr),
+                    pct(cell.fpr),
+                    cell.rate_rmse
+                );
                 cells.push(cell);
             }
         }
@@ -291,7 +261,12 @@ fn main() {
     }
 
     let report = Report {
-        meta: bench_meta("scale_estimators", scale),
+        // This report's payload is at version 3; other reports keep the
+        // envelope's default.
+        meta: BenchMeta {
+            schema_version: 3,
+            ..bench_meta("scale_estimators", scale)
+        },
         snapshots,
         cells,
         gate,

@@ -7,7 +7,6 @@
 //! | backend | idea | role |
 //! |---------|------|------|
 //! | [`EstimatorKind::Lia`] | two-phase GMM (Phase 1 variances, Phase 2 elimination); closed form on trees | the paper's algorithm, bit-identical to the pre-trait pipeline |
-//! | [`EstimatorKind::ZhuMle`] | closed-form MLE on trees (Zhu): LIA's tree path over every row | analytic oracle: exact where it applies, errors cleanly elsewhere |
 //! | [`EstimatorKind::DengFast`] | per-link moment matching + Gauss–Seidel (Deng et al.) | the speed point on meshes — skips the `O(paths²)` pair system |
 //!
 //! Every backend is built for one topology ([`build_estimator`]) and
@@ -17,30 +16,15 @@
 //! both phases' workspaces between calls, and
 //! [`crate::streaming::OnlineEstimator`] runs the same core.
 //!
-//! LIA and Zhu share the core, so their output differences isolate the
-//! *variance learning* strategy (Zhu keeps every row); the fast backend
-//! additionally swaps in a variance-screened Phase 2 (see
-//! [`DengFastEstimator`]) that fits the same Phase-2 model on only the
-//! columns whose learned variance clears the noise floor. Every backend
-//! runs Phase 2's snapshot check, so a NaN or ±∞ log rate is a
-//! [`LinalgError::NonFinite`] on all three. The backends remain oracles
-//! for each other (`tests/estimator_agreement.rs`): Zhu's closed form
-//! is exact on trees, so any backend disagreeing there is wrong; LIA is
-//! pinned bit-identical to the historical pipeline by golden fixtures.
-//!
-//! ## Zhu's closed form, in this codebase's terms
-//!
-//! On a (logical) tree, two paths' shared links are exactly the common
-//! root→meet prefix, so `Σ̂_{ij} = Σ_{k ∈ prefix} v_k = S(meet(i,j))`
-//! where `S(e)` is the cumulative variance from the root down to `e`.
-//! Grouping the sample covariances by their pairs' meet link therefore
-//! estimates every `S(e)` directly (no least squares), and
-//! `v_e = S(e) − S(parent(e))` falls out by differencing along the
-//! tree. That grouping is LIA's Phase 1 on a tree
-//! ([`crate::variance`]); Zhu runs it with every row kept. The tree
-//! itself is never given to us — [`crate::tree::reconstruct_tree`]
-//! reads it off the routing, and on any other routing the backend
-//! reports [`LinalgError::DimensionMismatch`] instead of guessing.
+//! The fast backend swaps in its own Phase 1 and a variance-screened
+//! Phase 2 (see [`DengFastEstimator`]) that fits the same Phase-2 model
+//! on only the columns whose learned variance clears the noise floor.
+//! Both backends run Phase 2's snapshot check, so a NaN or ±∞ log rate
+//! is a [`LinalgError::NonFinite`] on either. The backends remain
+//! oracles for each other (`tests/estimator_agreement.rs`): at the
+//! paper's loss separation both must flag every truly congested link,
+//! and LIA is pinned bit-identical to the historical pipeline by golden
+//! fixtures.
 
 use crate::augmented::{intersect_sorted, AugmentedSystem};
 use crate::budget::{apply_budget, PairBudget, PairSelection};
@@ -51,7 +35,7 @@ use crate::lia::{
 };
 use crate::tree::{reconstruct_tree, LinkTree};
 use crate::variance::{
-    estimate_variances_scratch, Phase1Dispatch, Phase1Scratch, VarianceConfig, VarianceEstimate,
+    estimate_variances_scratch, Phase1Scratch, VarianceConfig, VarianceEstimate,
 };
 use losstomo_linalg::LinalgError;
 use losstomo_topology::{
@@ -66,9 +50,6 @@ pub enum EstimatorKind {
     /// The paper's two-phase LIA (default).
     #[default]
     Lia,
-    /// Zhu's closed-form MLE — exact on tree topologies, typed error on
-    /// anything else.
-    ZhuMle,
     /// Deng-style fast moment matching for general topologies.
     DengFast,
 }
@@ -78,18 +59,13 @@ impl EstimatorKind {
     pub fn name(self) -> &'static str {
         match self {
             EstimatorKind::Lia => "lia",
-            EstimatorKind::ZhuMle => "zhu-mle",
             EstimatorKind::DengFast => "deng-fast",
         }
     }
 
     /// Every backend, in frontier display order.
-    pub fn all() -> [EstimatorKind; 3] {
-        [
-            EstimatorKind::Lia,
-            EstimatorKind::ZhuMle,
-            EstimatorKind::DengFast,
-        ]
+    pub fn all() -> [EstimatorKind; 2] {
+        [EstimatorKind::Lia, EstimatorKind::DengFast]
     }
 
     /// Parses a backend name (the forms accepted by bench `--estimator`
@@ -97,7 +73,6 @@ impl EstimatorKind {
     pub fn parse(s: &str) -> Option<EstimatorKind> {
         match s.trim().to_ascii_lowercase().as_str() {
             "lia" => Some(EstimatorKind::Lia),
-            "zhu" | "zhu-mle" | "zhumle" => Some(EstimatorKind::ZhuMle),
             "deng" | "deng-fast" | "dengfast" => Some(EstimatorKind::DengFast),
             _ => None,
         }
@@ -169,11 +144,10 @@ pub trait LossEstimator: Send {
 
 /// Builds the backend for `kind` on the topology `red`.
 ///
-/// `lia` configures Phase 2 (shared by every variance-producing
-/// backend), `variance` configures LIA's Phase 1, and `pair_budget`
-/// bounds LIA's augmented pair system — Zhu's closed form keeps every
-/// row of the full system and the fast backend builds no such system,
-/// so neither reads `variance` or the budget.
+/// `lia` configures Phase 2 (shared by both backends), `variance`
+/// configures LIA's Phase 1, and `pair_budget` bounds LIA's augmented
+/// pair system. The fast backend builds no such system, so it reads
+/// neither `variance` nor the budget.
 pub fn build_estimator(
     kind: EstimatorKind,
     red: &ReducedTopology,
@@ -183,9 +157,6 @@ pub fn build_estimator(
 ) -> Box<dyn LossEstimator> {
     match kind {
         EstimatorKind::Lia => Box::new(LiaEstimator::new(red, lia, variance, pair_budget)),
-        EstimatorKind::ZhuMle => Box::new(ZhuMleEstimator {
-            core: LiaEstimator::new(red, lia, ZHU_PHASE1, PairBudget::Full),
-        }),
         EstimatorKind::DengFast => Box::new(DengFastEstimator {
             lia,
             red: red.clone(),
@@ -339,29 +310,6 @@ impl LiaEstimator {
     pub(crate) fn kept_columns(&self) -> &[usize] {
         self.phase2.kept()
     }
-
-    /// Fits the core on `centered`'s pair covariances and solves
-    /// `y_eval`, reporting as `backend`.
-    fn estimate_as(
-        &mut self,
-        backend: &'static str,
-        centered: &CenteredMeasurements,
-        y_eval: &[f64],
-    ) -> Result<EstimatorOutput, LinalgError> {
-        let sigmas = centered.pair_covariances(&self.aug.pair_indices());
-        self.fit(&sigmas)?;
-        let estimate = self.rates(y_eval)?;
-        let var_est = self.variances.as_ref().expect("a successful fit stores it");
-        Ok(EstimatorOutput {
-            estimate,
-            diagnostics: EstimatorDiagnostics {
-                backend,
-                rows_used: var_est.used_rows,
-                dropped_rows: var_est.dropped_rows,
-                variances: var_est.v.clone(),
-            },
-        })
-    }
 }
 
 impl LossEstimator for LiaEstimator {
@@ -374,75 +322,20 @@ impl LossEstimator for LiaEstimator {
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
-        self.estimate_as(self.name(), centered, y_eval)
+        let sigmas = centered.pair_covariances(&self.aug.pair_indices());
+        self.fit(&sigmas)?;
+        let estimate = self.rates(y_eval)?;
+        let var_est = self.variances.as_ref().expect("a successful fit stores it");
+        Ok(EstimatorOutput {
+            estimate,
+            diagnostics: EstimatorDiagnostics {
+                backend: self.name(),
+                rows_used: var_est.used_rows,
+                dropped_rows: var_est.dropped_rows,
+                variances: var_est.v.clone(),
+            },
+        })
     }
-}
-
-// ---------------------------------------------------------------------
-// Zhu closed-form MLE (trees)
-// ---------------------------------------------------------------------
-
-/// Zhu's closed-form MLE, exact on logical trees: the LIA core's tree
-/// path with every row of the full pair system kept.
-#[derive(Debug)]
-pub struct ZhuMleEstimator {
-    /// The core, built with [`ZHU_PHASE1`] and the full pair system;
-    /// its Phase 2 is LIA's, so differences isolate Phase 1.
-    core: LiaEstimator,
-}
-
-/// Zhu's Phase 1: every row kept, the tree path.
-const ZHU_PHASE1: VarianceConfig = VarianceConfig {
-    drop_negative_covariances: false,
-    dispatch: Phase1Dispatch::Auto,
-};
-
-fn non_tree() -> LinalgError {
-    LinalgError::DimensionMismatch("Zhu closed-form MLE requires a tree topology".to_string())
-}
-
-impl LossEstimator for ZhuMleEstimator {
-    fn kind(&self) -> EstimatorKind {
-        EstimatorKind::ZhuMle
-    }
-
-    fn estimate(
-        &mut self,
-        centered: &CenteredMeasurements,
-        y_eval: &[f64],
-    ) -> Result<EstimatorOutput, LinalgError> {
-        if self.core.tree.is_none() {
-            return Err(non_tree());
-        }
-        self.core.estimate_as(self.name(), centered, y_eval)
-    }
-}
-
-/// Zhu's closed-form variance solution on a tree topology: Phase 1's
-/// tree path over every row of `aug`.
-///
-/// `sigmas[r]` must be the sample (or exact) covariance of `aug`'s
-/// row-`r` path pair. With exact covariances the output equals the true
-/// per-link variances exactly (the analytic-oracle property the
-/// agreement proptests assert to 1e-10); with sample covariances it is
-/// the closed-form MLE estimate. Returns
-/// [`LinalgError::DimensionMismatch`] when the routing is not a logical
-/// tree, and a typed error when some link is no row's meet.
-pub fn closed_form_variances(
-    red: &ReducedTopology,
-    aug: &AugmentedSystem,
-    sigmas: &[f64],
-) -> Result<Vec<f64>, LinalgError> {
-    if sigmas.len() != aug.num_rows() {
-        return Err(LinalgError::DimensionMismatch(format!(
-            "got {} covariances for {} augmented rows",
-            sigmas.len(),
-            aug.num_rows()
-        )));
-    }
-    let tree = reconstruct_tree(red).ok_or_else(non_tree)?;
-    let mut ws = Phase1Scratch::default();
-    estimate_variances_scratch(red, aug, sigmas, &ZHU_PHASE1, Some(&tree), &mut ws).map(|e| e.v)
 }
 
 // ---------------------------------------------------------------------
@@ -686,10 +579,9 @@ impl LossEstimator for DengFastEstimator {
 mod tests {
     use super::*;
     use crate::lia::infer_link_rates;
-    use crate::variance::estimate_variances;
+    use crate::variance::{estimate_variances, estimate_variances_from_sigmas};
     use losstomo_netsim::{simulate_run, CongestionDynamics, CongestionScenario, ProbeConfig};
     use losstomo_topology::gen::tree::{self, TreeParams};
-    use losstomo_topology::gen::waxman::{self, WaxmanParams};
     use losstomo_topology::{compute_paths, fixtures, reduce};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -729,7 +621,7 @@ mod tests {
         for kind in EstimatorKind::all() {
             assert_eq!(EstimatorKind::parse(kind.name()), Some(kind));
         }
-        assert_eq!(EstimatorKind::parse("zhu"), Some(EstimatorKind::ZhuMle));
+        assert_eq!(EstimatorKind::parse("deng"), Some(EstimatorKind::DengFast));
         assert_eq!(EstimatorKind::parse("nope"), None);
     }
 
@@ -775,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn zhu_recovers_exact_variances_from_exact_covariances() {
+    fn tree_path_recovers_exact_variances_from_exact_covariances() {
         let red = small_tree(12, 80);
         let aug = AugmentedSystem::build(&red);
         // Synthetic ground-truth variances, then exact covariances
@@ -786,46 +678,23 @@ mod tests {
         let sigmas: Vec<f64> = (0..aug.num_rows())
             .map(|r| aug.row(r).iter().map(|&k| v_true[k]).sum())
             .collect();
-        let v = closed_form_variances(&red, &aug, &sigmas).unwrap();
-        for (k, (a, b)) in v.iter().zip(&v_true).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-10,
-                "link {k}: closed form {a}, truth {b}"
-            );
+        // Exact covariances are non-negative, so the drop keeps every
+        // row and both settings solve the same rows.
+        for drop_negative_covariances in [true, false] {
+            let cfg = VarianceConfig {
+                drop_negative_covariances,
+                ..VarianceConfig::default()
+            };
+            let est = estimate_variances_from_sigmas(&red, &aug, &sigmas, &cfg).unwrap();
+            assert_eq!(est.fallback, None);
+            assert_eq!(est.used_rows, aug.num_rows());
+            for (k, (a, b)) in est.v.iter().zip(&v_true).enumerate() {
+                assert!(
+                    (a - b).abs() < 1e-10,
+                    "link {k}, drop {drop_negative_covariances}: estimate {a}, truth {b}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn zhu_rejects_non_tree_topologies() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let t = waxman::generate(
-            WaxmanParams {
-                nodes: 60,
-                hosts: 12,
-                ..WaxmanParams::default()
-            },
-            &mut rng,
-        );
-        let paths = compute_paths(&t.graph, &t.beacons, &t.destinations);
-        let red = reduce(&t.graph, &paths);
-        let (centered, y, _) = simulated(&red, 10, 14);
-        let mut backend = build_estimator(
-            EstimatorKind::ZhuMle,
-            &red,
-            LiaConfig::default(),
-            VarianceConfig::default(),
-            PairBudget::Full,
-        );
-        let err = backend.estimate(&centered, &y).unwrap_err();
-        let msg = format!("{err:?}");
-        assert!(msg.contains("tree"), "unexpected error: {msg}");
-    }
-
-    #[test]
-    fn zhu_rejects_mismatched_sigma_count() {
-        let red = small_tree(15, 40);
-        let aug = AugmentedSystem::build(&red);
-        assert!(closed_form_variances(&red, &aug, &[0.0]).is_err());
     }
 
     #[test]
@@ -898,10 +767,7 @@ mod tests {
                 VarianceConfig::default(),
                 PairBudget::Full,
             );
-            let out = match est.estimate(&centered, &y) {
-                Ok(out) => out,
-                Err(_) => continue, // Zhu may reject non-ideal shapes
-            };
+            let out = est.estimate(&centered, &y).unwrap();
             assert_eq!(out.diagnostics.backend, kind.name());
             assert_eq!(out.diagnostics.variances.len(), red.num_links());
             assert_eq!(out.estimate.transmission.len(), red.num_links());

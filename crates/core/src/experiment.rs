@@ -132,8 +132,7 @@ fn run_with(
     let mut ms = simulate_run(red, &mut scenario, &cfg.probe, cfg.snapshots + 1, &mut rng);
 
     // Training snapshots feed the backend's learning stage (Phase 1
-    // for LIA, Zhu and Deng), the evaluation snapshot feeds its solve
-    // stage.
+    // for LIA and Deng), the evaluation snapshot feeds its solve stage.
     let eval = ms.snapshots.pop().expect("m + 1 snapshots were simulated");
     let centered = CenteredMeasurements::new(&ms);
     let y = eval.log_rates();

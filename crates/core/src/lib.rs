@@ -39,8 +39,8 @@
 //! * [`streaming`] — covariance window + online two-phase
 //!   estimation over snapshot streams
 //! * [`scfs`] — the SCFS single-snapshot baseline of Figure 5
-//! * [`estimator`] — the estimator zoo: LIA, Zhu's closed-form MLE and
-//!   Deng-style fast matching, behind one trait
+//! * [`estimator`] — the estimator zoo: LIA and Deng-style fast
+//!   matching, behind one trait
 //! * [`metrics`] — DR/FPR, error factor `f_δ`, CDFs, summaries
 //! * [`validate`] — inference/validation split, eq. (11)
 //! * [`analysis`] — Figure-3 scatter, Table-3 AS split, §7.2.2 durations
@@ -73,8 +73,8 @@ pub use budget::{apply_budget, select_pairs, PairBudget, PairSelection};
 pub use covariance::CenteredMeasurements;
 pub use delay::{estimate_delay_variances, infer_link_delays, DelayEstimate};
 pub use estimator::{
-    build_estimator, closed_form_variances, deng_fast_variances, EstimatorDiagnostics,
-    EstimatorKind, EstimatorOutput, LossEstimator,
+    build_estimator, deng_fast_variances, EstimatorDiagnostics, EstimatorKind, EstimatorOutput,
+    LossEstimator,
 };
 pub use experiment::{run_experiment, run_many, ExperimentConfig, ExperimentResult};
 pub use identifiability::{check_identifiability, IdentifiabilityReport};

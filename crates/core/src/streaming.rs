@@ -22,11 +22,13 @@
 //!   around the LIA core that batch inference runs too
 //!   ([`crate::estimator::LiaEstimator`]): each refresh fits the core
 //!   on the window's pair covariances, and each snapshot is solved
-//!   against the fitted model. The core keeps its Phase-1 Gram counts
-//!   patched incrementally (integer co-occurrence counts, so patched
-//!   and from-scratch assemblies are exactly equal) and its all-rows
-//!   factor cached between refreshes. Refresh cadence is configurable,
-//!   and every ingest reports congested-set changes
+//!   against the fitted model. On a tree routing a refresh solves both
+//!   phases in closed form and builds no Gram. On a mesh the core keeps
+//!   its Phase-1 Gram counts patched incrementally (integer
+//!   co-occurrence counts, so patched and from-scratch assemblies are
+//!   exactly equal) and its all-rows factor cached between refreshes.
+//!   Refresh cadence is configurable, and every ingest reports
+//!   congested-set changes
 //!   ([`OnlineUpdate::appeared`] / [`OnlineUpdate::cleared`]).
 //!
 //! ## Exactness contract
@@ -36,11 +38,11 @@
 //! Phase-1 variances and Phase-2 link rates of the batch pipeline
 //! ([`estimate_variances`][crate::estimate_variances] followed by
 //! [`infer_link_rates`][crate::infer_link_rates]) on the same `m`
-//! snapshots: the replayed covariances are the same bits, the cached
-//! Gram counts are the same integers, and the Phase-2 model is fitted
-//! by the same code over the same variance order and solved by the same
-//! kernel. A sliding window is equally exact over its window: every
-//! window mode replays its retained rows.
+//! snapshots: the replayed covariances are the same bits, Phase 1 runs
+//! the same code (on a mesh, over the same integer Gram counts), and
+//! the Phase-2 model is fitted by the same code over the same variance
+//! order and solved by the same kernel. A sliding window is equally
+//! exact over its window: every window mode replays its retained rows.
 //!
 //! ## Memory and refresh cost
 //!

@@ -26,9 +26,7 @@
 //! exactly when some link is no kept row's meet, which is the fold-back
 //! test ([`FallbackReason::MeetlessLink`]). Under
 //! [`Phase1Dispatch::Auto`] a tree runs this path: one sweep of the
-//! covariances, no Gram and no factorisation. This is also Zhu's
-//! closed-form MLE when every row is kept
-//! ([`crate::estimator::closed_form_variances`]).
+//! covariances, no Gram and no factorisation.
 //!
 //! **Meshes** solve the normal equations, or a sparse QR above
 //! [`crate::lia::DENSE_MAX_COLS`] links. Before the dense path factors
@@ -187,6 +185,9 @@ pub fn estimate_variances(
 
 /// Phase 1 from precomputed pair covariances (`sigmas[r]` = `Σ̂` of
 /// `aug`'s row-`r` path pair).
+///
+/// A `sigmas` whose length is not `aug.num_rows()` is a
+/// [`LinalgError::DimensionMismatch`], under every dispatch.
 ///
 /// This is the solve half of [`estimate_variances`]. The LIA core
 /// ([`crate::estimator::LiaEstimator`]) runs the same solve through a
@@ -442,6 +443,13 @@ pub(crate) fn estimate_variances_scratch(
     tree: Option<&LinkTree>,
     ws: &mut Phase1Scratch,
 ) -> Result<VarianceEstimate, LinalgError> {
+    if sigmas.len() != aug.num_rows() {
+        return Err(LinalgError::DimensionMismatch(format!(
+            "got {} covariances for {} augmented rows",
+            sigmas.len(),
+            aug.num_rows()
+        )));
+    }
     if let (Phase1Dispatch::Auto, Some(tree)) = (cfg.dispatch, tree) {
         return estimate_variances_tree(tree, aug, sigmas, cfg, ws);
     }
@@ -451,13 +459,6 @@ pub(crate) fn estimate_variances_scratch(
         // meshes off the `O(links³)` dense path.
         return estimate_variances_sparse(red, aug, sigmas, cfg, ws);
     }
-    assert_eq!(
-        sigmas.len(),
-        aug.num_rows(),
-        "got {} covariances for {} augmented rows",
-        sigmas.len(),
-        aug.num_rows()
-    );
     let nc = red.num_links();
     ws.new_kept.clear();
     ws.new_kept.extend(
@@ -566,13 +567,6 @@ fn estimate_variances_tree(
     cfg: &VarianceConfig,
     ws: &mut Phase1Scratch,
 ) -> Result<VarianceEstimate, LinalgError> {
-    assert_eq!(
-        sigmas.len(),
-        aug.num_rows(),
-        "got {} covariances for {} augmented rows",
-        sigmas.len(),
-        aug.num_rows()
-    );
     let nc = tree.num_links();
     if !ws.meets_ready {
         ws.meets.clear();
@@ -1133,6 +1127,41 @@ mod tests {
             fired > masks / 4,
             "the certificate should fire on trees: {fired}/{masks}"
         );
+    }
+
+    /// A covariance slice of the wrong length is a typed error on every
+    /// dispatch, with the drop on and off: one short and two long, on
+    /// Figure 1 (a tree) and Figure 2 (a mesh).
+    #[test]
+    fn covariance_count_mismatch_is_a_typed_error() {
+        for topo in [fixtures::figure1(), fixtures::figure2()] {
+            let red = fixtures::reduced(&topo);
+            let aug = AugmentedSystem::build(&red);
+            let rows = aug.num_rows();
+            for dispatch in [
+                Phase1Dispatch::Auto,
+                Phase1Dispatch::Dense,
+                Phase1Dispatch::Sparse,
+            ] {
+                for drop_negative_covariances in [true, false] {
+                    let cfg = VarianceConfig {
+                        drop_negative_covariances,
+                        dispatch,
+                    };
+                    for n in [rows - 1, rows + 2] {
+                        let want = LinalgError::DimensionMismatch(format!(
+                            "got {n} covariances for {rows} augmented rows"
+                        ));
+                        let got = estimate_variances_from_sigmas(&red, &aug, &vec![1.0; n], &cfg);
+                        assert_eq!(
+                            got.unwrap_err(),
+                            want,
+                            "{dispatch:?}, drop {drop_negative_covariances}, {n} of {rows}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,31 +1,33 @@
 //! Cross-estimator agreement: the zoo's backends as oracles for each
 //! other.
 //!
-//! Three independent implementations of "which links are lossy" give
-//! three chances to catch a regression no single-estimator test can
-//! see:
+//! Two independent implementations of "which links are lossy" give
+//! two chances to catch a regression no single-estimator test can see:
 //!
-//! * **(a)** Zhu's closed-form MLE is *exact* on trees — fed exact
-//!   covariances it must return the true per-link variances to 1e-10,
-//!   over randomly generated tree topologies;
+//! * **(a)** LIA's Phase 1 is *exact* on trees — fed exact covariances
+//!   (all non-negative, so the negative-row drop keeps every row) it
+//!   must return the true per-link variances to 1e-10, over randomly
+//!   generated tree topologies;
 //! * **(b)** at the paper's loss separation (congested ≥ 5 % loss,
-//!   good ≤ 0.2 %), every variance-based backend (LIA, Zhu, Deng) must
-//!   flag every truly congested link — their congested sets agree on
-//!   the truth even where their variance estimates differ;
+//!   good ≤ 0.2 %), both backends (LIA and Deng) must flag every truly
+//!   congested link — their congested sets agree on the truth even
+//!   where their variance estimates differ;
 //! * **(c)** the LIA backend is the pre-refactor
 //!   `estimate_variances` + `infer_link_rates` pipeline *bit-for-bit*:
 //!   the trait added dispatch, not arithmetic;
 //! * **(d)** a backend keeps its per-topology state between windows, and
 //!   a warm backend answers every window with the bits a freshly built
-//!   one gives — alone, and as `run_many` reuses one per worker.
+//!   one gives — alone, and as `run_many` reuses one per worker — for
+//!   both backends and for LIA with the negative-row drop off.
 
 use losstomo_core::budget::PairBudget;
 use losstomo_core::estimator::{
-    build_estimator, closed_form_variances, EstimatorKind, EstimatorOutput, LiaEstimator,
-    LossEstimator,
+    build_estimator, EstimatorKind, EstimatorOutput, LiaEstimator, LossEstimator,
 };
 use losstomo_core::lia::{infer_link_rates, LiaConfig};
-use losstomo_core::variance::{estimate_variances, VarianceConfig};
+use losstomo_core::variance::{
+    estimate_variances, estimate_variances_from_sigmas, Phase1Dispatch, VarianceConfig,
+};
 use losstomo_core::{
     run_experiment, run_many, AugmentedSystem, CenteredMeasurements, ExperimentConfig,
     ExperimentResult, LocationAccuracy,
@@ -99,10 +101,10 @@ fn simulate(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) Zhu's closed form is the analytic solution on trees: exact
+    /// (a) LIA's Phase 1 is the analytic solution on trees: exact
     /// covariances in, true variances out, to 1e-10.
     #[test]
-    fn zhu_closed_form_is_exact_on_random_trees(
+    fn tree_path_is_exact_on_random_trees(
         nodes in 20usize..120,
         branching in 2usize..6,
         topo_seed in 0u64..10_000,
@@ -117,17 +119,20 @@ proptest! {
         let sigmas: Vec<f64> = (0..aug.num_rows())
             .map(|r| aug.row(r).iter().map(|&k| v_true[k]).sum())
             .collect();
-        let v = closed_form_variances(&red, &aug, &sigmas).unwrap();
-        for (k, (a, b)) in v.iter().zip(&v_true).enumerate() {
+        let est =
+            estimate_variances_from_sigmas(&red, &aug, &sigmas, &VarianceConfig::default())
+                .unwrap();
+        prop_assert_eq!(est.used_rows, aug.num_rows());
+        for (k, (a, b)) in est.v.iter().zip(&v_true).enumerate() {
             prop_assert!(
                 (a - b).abs() < 1e-10,
-                "link {k}: closed form {a:.12e} vs truth {b:.12e} ({nodes} nodes)"
+                "link {k}: estimate {a:.12e} vs truth {b:.12e} ({nodes} nodes)"
             );
         }
     }
 
-    /// (b) At the paper's loss separation every variance-based backend
-    /// flags every truly congested link.
+    /// (b) At the paper's loss separation every backend flags every
+    /// truly congested link.
     #[test]
     fn backends_agree_on_truly_congested_links(
         nodes in 40usize..90,
@@ -136,8 +141,8 @@ proptest! {
         let red = random_tree(nodes, 4, sim_seed.wrapping_mul(31).wrapping_add(7));
         let (centered, y, truth) = simulate(&red, 0.08, 50, sim_seed);
         prop_assume!(truth.iter().any(|&c| c)); // need something to detect
-        let kinds = [EstimatorKind::Lia, EstimatorKind::ZhuMle, EstimatorKind::DengFast];
-        for mut backend in kinds.map(|kind| backend(kind, &red)) {
+        for kind in EstimatorKind::all() {
+            let mut backend = backend(kind, VarianceConfig::default(), &red);
             let out = backend.estimate(&centered, &y).unwrap();
             let flagged = out.congested_links(DEFAULT_LOSS_THRESHOLD);
             for (k, &congested) in truth.iter().enumerate() {
@@ -188,10 +193,11 @@ proptest! {
     }
 }
 
-/// Deterministic pin of (b): on a fixed seed the three variance-based
-/// backends flag supersets of the truth, and LIA's and Zhu's sets match
-/// exactly (they share Phase 2 and their Phase-1 orders coincide on a
-/// well-separated tree).
+/// Deterministic pin of (b): on a fixed seed both backends, and LIA
+/// with the negative-row drop off, flag supersets of the truth, and
+/// LIA's sets with and without the drop match exactly (they share
+/// Phase 2 and their Phase-1 orders coincide on a well-separated
+/// tree).
 #[test]
 fn fixed_seed_congested_sets_pinned() {
     let red = random_tree(60, 4, 2024);
@@ -203,21 +209,24 @@ fn fixed_seed_congested_sets_pinned() {
         .map(|(k, _)| k)
         .collect();
     assert!(!truth_set.is_empty());
-    let congested = |kind| {
-        backend(kind, &red)
+    let congested = |kind, variance| {
+        backend(kind, variance, &red)
             .estimate(&centered, &y)
             .unwrap()
             .congested_links(DEFAULT_LOSS_THRESHOLD)
     };
-    let lia = congested(EstimatorKind::Lia);
-    let zhu = congested(EstimatorKind::ZhuMle);
-    let deng = congested(EstimatorKind::DengFast);
-    for set in [&lia, &zhu, &deng] {
+    let lia = congested(EstimatorKind::Lia, VarianceConfig::default());
+    let all_rows = congested(EstimatorKind::Lia, ALL_ROWS);
+    let deng = congested(EstimatorKind::DengFast, VarianceConfig::default());
+    for set in [&lia, &all_rows, &deng] {
         for k in &truth_set {
             assert!(set.contains(k), "missed truly congested link {k}");
         }
     }
-    assert_eq!(lia, zhu, "LIA and Zhu diverged on the pinned seed");
+    assert_eq!(
+        lia, all_rows,
+        "LIA with and without the drop diverged on the pinned seed"
+    );
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -239,22 +248,37 @@ fn estimate_bits(out: Result<EstimatorOutput, LinalgError>) -> EstimateBits {
     })
 }
 
-fn backend(kind: EstimatorKind, red: &ReducedTopology) -> Box<dyn LossEstimator> {
-    build_estimator(
-        kind,
-        red,
-        LiaConfig::default(),
-        VarianceConfig::default(),
-        PairBudget::Full,
-    )
+/// LIA's Phase 1 with the negative-row drop off: every row is solved.
+const ALL_ROWS: VarianceConfig = VarianceConfig {
+    drop_negative_covariances: false,
+    dispatch: Phase1Dispatch::Auto,
+};
+
+/// Every backend configuration the (d) tests run: each kind under the
+/// default Phase 1, and LIA with the drop off.
+fn configurations() -> Vec<(&'static str, EstimatorKind, VarianceConfig)> {
+    let mut legs: Vec<_> = EstimatorKind::all()
+        .into_iter()
+        .map(|kind| (kind.name(), kind, VarianceConfig::default()))
+        .collect();
+    legs.push(("lia-all-rows", EstimatorKind::Lia, ALL_ROWS));
+    legs
 }
 
-/// (d) One backend per kind, fed four windows on one topology, answers
-/// each window with the bits of a backend built for that window alone,
-/// on random trees and on 40-node Waxman meshes. On the meshes LIA's
-/// Phase 1 solves kept rows with some rows dropped, so a kept-row
-/// factor carried from one window's drop mask into another's shows
-/// here.
+fn backend(
+    kind: EstimatorKind,
+    variance: VarianceConfig,
+    red: &ReducedTopology,
+) -> Box<dyn LossEstimator> {
+    build_estimator(kind, red, LiaConfig::default(), variance, PairBudget::Full)
+}
+
+/// (d) One backend per configuration, fed four windows on one
+/// topology, answers each window with the bits of a backend built for
+/// that window alone, on random trees and on 40-node Waxman meshes. On
+/// the meshes LIA's Phase 1 solves kept rows with some rows dropped, so
+/// a kept-row factor carried from one window's drop mask into another's
+/// shows here; with the drop off it solves every row on every window.
 #[test]
 fn warm_backend_matches_fresh_backend() {
     let mut topologies: Vec<ReducedTopology> = (0..3u64)
@@ -266,14 +290,18 @@ fn warm_backend_matches_fresh_backend() {
         let windows: Vec<_> = (0..4u64)
             .map(|w| simulate(red, 0.15, 20, 100 * t as u64 + w))
             .collect();
-        for kind in EstimatorKind::all() {
-            let mut warm = backend(kind, red);
+        for (name, kind, variance) in configurations() {
+            let mut warm = backend(kind, variance, red);
             for (w, (centered, y, _)) in windows.iter().enumerate() {
                 let got = estimate_bits(warm.estimate(centered, y));
-                let want = estimate_bits(backend(kind, red).estimate(centered, y));
-                assert_eq!(got, want, "{} on topology {t}, window {w}", kind.name());
-                if kind == EstimatorKind::Lia && matches!(&got, Ok((.., dropped)) if *dropped > 0) {
-                    kept_solves += 1;
+                let want = estimate_bits(backend(kind, variance, red).estimate(centered, y));
+                assert_eq!(got, want, "{name} on topology {t}, window {w}");
+                match (name, &got) {
+                    ("lia", Ok((.., dropped))) if *dropped > 0 => kept_solves += 1,
+                    ("lia-all-rows", got) => {
+                        assert!(got.is_ok(), "{name} failed on topology {t}, window {w}")
+                    }
+                    _ => {}
                 }
             }
         }
@@ -309,22 +337,18 @@ fn result_bits(r: &Result<ExperimentResult, LinalgError>) -> ResultBits {
 #[test]
 fn run_many_matches_run_experiment_per_seed() {
     for red in [random_tree(50, 4, 77), waxman_mesh(1)] {
-        for kind in EstimatorKind::all() {
+        for (name, estimator, variance) in configurations() {
             let cfg = ExperimentConfig {
                 snapshots: 20,
-                estimator: kind,
+                estimator,
+                variance,
                 seed: 40,
                 ..ExperimentConfig::default()
             };
             for (i, got) in run_many(&red, &cfg, 6).iter().enumerate() {
                 let seed = cfg.seed + i as u64;
                 let alone = run_experiment(&red, &ExperimentConfig { seed, ..cfg });
-                assert_eq!(
-                    result_bits(got),
-                    result_bits(&alone),
-                    "{}, seed {seed}",
-                    kind.name()
-                );
+                assert_eq!(result_bits(got), result_bits(&alone), "{name}, seed {seed}");
             }
         }
     }

@@ -19,8 +19,8 @@
 //!   probe wire format and traceroute error model;
 //! * [`core`] — the LIA algorithm (variance learning + rank-reduced
 //!   first-moment inversion), the estimator zoo behind
-//!   [`core::LossEstimator`] (LIA, Zhu's closed-form tree MLE and a
-//!   Deng-style fast solver), the streaming
+//!   [`core::LossEstimator`] (LIA and a Deng-style fast solver), the
+//!   streaming
 //!   [`core::streaming::OnlineEstimator`], baselines, metrics and
 //!   analyses;
 //! * [`wire`] — the framed binary snapshot wire format of the service

@@ -1,11 +1,13 @@
 //! Golden regression test for the estimator zoo.
 //!
-//! Runs every [`EstimatorKind`] backend on one fixed seeded tree
-//! scenario — same centred measurements, same evaluation snapshot — and
-//! pins each backend's headline numbers (congested-link count, Phase-1
-//! row usage, mean transmission rate, mean learned variance) against a
-//! committed JSON fixture. A behavioural change to *any* backend, or to
-//! the shared simulation stream feeding them, shows up as drift here.
+//! Runs every [`EstimatorKind`] backend, and LIA with the negative-row
+//! drop off (`lia-all-rows`, which solves every row), on one fixed
+//! seeded tree scenario — same centred measurements, same evaluation
+//! snapshot — and pins each leg's headline numbers (congested-link
+//! count, Phase-1 row usage, mean transmission rate, mean learned
+//! variance) against a committed JSON fixture. A behavioural change to
+//! *any* backend, or to the shared simulation stream feeding them,
+//! shows up as drift here.
 //!
 //! To regenerate the fixture after an *intentional* change:
 //!
@@ -66,21 +68,23 @@ fn run_golden_backends() -> BTreeMap<String, f64> {
     let centered = CenteredMeasurements::new(&train);
     let y = ms.snapshots[m].log_rates();
 
+    let all_rows = VarianceConfig {
+        drop_negative_covariances: false,
+        ..VarianceConfig::default()
+    };
+    let legs = EstimatorKind::all()
+        .map(|kind| (kind.name(), kind, VarianceConfig::default()))
+        .into_iter()
+        .chain([("lia-all-rows", EstimatorKind::Lia, all_rows)]);
     let mut summary = BTreeMap::new();
-    for kind in EstimatorKind::all() {
-        let mut backend = build_estimator(
-            kind,
-            &red,
-            LiaConfig::default(),
-            VarianceConfig::default(),
-            PairBudget::Full,
-        );
+    for (name, kind, variance) in legs {
+        let mut backend =
+            build_estimator(kind, &red, LiaConfig::default(), variance, PairBudget::Full);
         let out = backend
             .estimate(&centered, &y)
             .expect("every backend supports the golden tree");
         let n = red.num_links() as f64;
         let mean = |v: &[f64]| v.iter().sum::<f64>() / n;
-        let name = kind.name();
         summary.insert(
             format!("{name}.congested_count"),
             out.congested_links(THRESHOLD).len() as f64,
@@ -135,14 +139,18 @@ fn golden_estimators_match_fixture() {
 }
 
 /// The fixture's internal cross-backend invariants, independent of the
-/// JSON numbers: every backend finds congestion on the golden tree and
-/// stays inside physical transmission bounds.
+/// JSON numbers: every leg finds congestion on the golden tree and
+/// stays inside physical transmission bounds, and the drop never adds
+/// rows.
 #[test]
 fn golden_backends_cross_invariants() {
     let s = golden_summary();
-    assert!(s["zhu-mle.rows_used"] >= s["lia.rows_used"]);
-    for kind in EstimatorKind::all() {
-        let name = kind.name();
+    assert!(s["lia-all-rows.rows_used"] >= s["lia.rows_used"]);
+    for name in EstimatorKind::all()
+        .map(EstimatorKind::name)
+        .into_iter()
+        .chain(["lia-all-rows"])
+    {
         assert!(
             s[&format!("{name}.congested_count")] > 0.0,
             "{name} found nothing"
