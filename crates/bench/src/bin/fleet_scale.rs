@@ -3,14 +3,17 @@
 //!
 //! Two measurements, one report (`BENCH_fleet.json`):
 //!
-//! 1. **Refresh hot path** on the paper-scale tree: one long-lived
+//! 1. **Refresh hot path** on the paper-scale tree: a long-lived
 //!    `OnlineEstimator` with an unbounded window refreshes once per
-//!    measured snapshot. Every timed refresh is asserted
-//!    **bit-identical** to an untimed batch recompute over the same
-//!    rows (`estimate_variances` + `infer_link_rates`); p50/p99
-//!    per-refresh latency (p99 < 3× p50 gated at paper scale) and the
-//!    p50 per-phase breakdown (covariance / Phase 1 / Phase 2) are
-//!    recorded.
+//!    measured snapshot, and the measurement repeats with a fresh
+//!    estimator over the same rows. Every timed refresh of every repeat
+//!    is asserted **bit-identical** to an untimed batch recompute over
+//!    the same rows (`estimate_variances` + `infer_link_rates`). Each
+//!    repeat's p50 and maximum are recorded, with the pooled p50/p99
+//!    and p50 per-phase breakdown (covariance / Phase 1 / Phase 2). At
+//!    paper scale the tail gate requires the median over repeats of
+//!    each repeat's max/p50 to stay below 3: one refresh the host
+//!    stalls moves one repeat's ratio, not the median.
 //! 2. **Fleet scaling**: a fleet of independent tree tenants driven
 //!    round-robin, drained with 1, 2, 4 and 8 worker threads (set per
 //!    run via `FleetConfig::workers`, capped by the tenant count).
@@ -26,8 +29,8 @@ use losstomo_bench::{
     bench_meta, count_from_args, percentile_ms, tree_topology, write_bench_report, BenchMeta, Scale,
 };
 use losstomo_core::{
-    estimate_variances, infer_link_rates, CenteredMeasurements, LiaConfig, OnlineConfig,
-    OnlineEstimator, VarianceConfig,
+    estimate_variances, infer_link_rates, AugmentedSystem, CenteredMeasurements, LiaConfig,
+    OnlineConfig, OnlineEstimator, VarianceConfig,
 };
 use losstomo_fleet::{Fleet, FleetConfig, TenantId};
 use losstomo_netsim::{
@@ -49,11 +52,18 @@ struct RefreshReport {
     links: usize,
     aug_rows: usize,
     warmup_snapshots: usize,
+    /// Timed refreshes per repeat.
     measured_refreshes: usize,
-    /// Per-refresh latency of the live workspace, milliseconds.
+    /// Per-refresh latency over every repeat, milliseconds.
     reuse_p50_ms: f64,
-    /// p99 (max of the measured refreshes at these sample counts).
+    /// p99 over every repeat's refreshes.
     reuse_p99_ms: f64,
+    /// Each repeat's refresh latency, a fresh estimator over the same
+    /// rows.
+    repeats: Vec<RefreshRepeat>,
+    /// Median over repeats of each repeat's `max_ms / p50_ms` (gated
+    /// below 3 at paper scale).
+    tail_ratio_median: f64,
     /// Every refresh agrees bit-for-bit with a batch recompute over
     /// the same rows.
     bitwise_identical: bool,
@@ -64,6 +74,16 @@ struct RefreshReport {
     /// p50 of the Phase-2 (column elimination + solve) span, ms.
     phase2_p50_ms: f64,
 }
+
+/// One repeat of the refresh measurement.
+#[derive(Debug, Serialize, Deserialize)]
+struct RefreshRepeat {
+    p50_ms: f64,
+    max_ms: f64,
+}
+
+/// Repeats of the refresh measurement, each with a fresh estimator.
+const REFRESH_REPEATS: usize = 5;
 
 /// One worker-count point of the throughput sweep.
 #[derive(Debug, Serialize, Deserialize)]
@@ -104,25 +124,25 @@ fn ms(t: Duration) -> f64 {
     t.as_secs_f64() * 1e3
 }
 
-/// Refresh latency: the estimator ingests the stream on a manual
-/// cadence (so ingest never auto-refreshes), then each measured
-/// snapshot triggers one explicitly timed `refresh()`, checked against
-/// an untimed batch recompute.
-fn refresh_latency(scale: Scale) -> RefreshReport {
-    let prep = tree_topology(scale, 11);
-    let red = &prep.red;
-    let (warmup, measured) = match scale {
-        Scale::Paper => (50, 30),
-        Scale::Quick => (12, 6),
-    };
-    let mut rng = StdRng::seed_from_u64(7);
-    let scenario =
-        CongestionScenario::draw(red.num_links(), 0.1, CongestionDynamics::Fixed, &mut rng);
-    let probe = ProbeConfig::default();
-    let all = simulate_run_batch(red, &scenario, &probe, warmup + measured, &[1])
-        .into_iter()
-        .next()
-        .expect("one run requested");
+/// The spans of one repeat's timed refreshes.
+#[derive(Default)]
+struct RefreshSamples {
+    total: Vec<Duration>,
+    cov: Vec<Duration>,
+    phase1: Vec<Duration>,
+    phase2: Vec<Duration>,
+}
+
+/// One repeat: a fresh estimator ingests `snapshots` on a manual
+/// cadence (so ingest never auto-refreshes), then each snapshot after
+/// the warm-up triggers one explicitly timed `refresh()`, checked
+/// against an untimed batch recompute. Returns the spans and whether
+/// every refresh matched bitwise.
+fn refresh_repeat(
+    red: &ReducedTopology,
+    snapshots: &[Snapshot],
+    warmup: usize,
+) -> (RefreshSamples, bool) {
     let mut online = OnlineEstimator::new(
         red,
         OnlineConfig {
@@ -130,42 +150,27 @@ fn refresh_latency(scale: Scale) -> RefreshReport {
             ..OnlineConfig::default()
         },
     );
-    let aug_rows = online.augmented().num_rows();
-    println!(
-        "refresh hot path: {} — {} paths, {} links, {} augmented rows",
-        prep.name,
-        red.num_paths(),
-        red.num_links(),
-        aug_rows
-    );
-    for snap in &all.snapshots[..warmup] {
+    for snap in &snapshots[..warmup] {
         online.ingest(snap).expect("warmup");
     }
     // Put the estimator on a warmed steady state before timing.
     online.refresh().expect("warm refresh");
-
-    let header = format!("{:<10} {:>12}", "snapshot", "refresh");
-    println!("{header}");
-    losstomo_bench::rule(&header);
-    let mut refresh_samples = Vec::new();
-    let mut cov_samples = Vec::new();
-    let mut p1_samples = Vec::new();
-    let mut p2_samples = Vec::new();
+    let mut samples = RefreshSamples::default();
     let mut bitwise_identical = true;
-    for (t, snap) in all.snapshots[warmup..].iter().enumerate() {
+    for (t, snap) in snapshots[warmup..].iter().enumerate() {
         online.ingest(snap).expect("ingest");
         let t0 = Instant::now();
         online.refresh().expect("refresh");
-        let dt = t0.elapsed();
+        samples.total.push(t0.elapsed());
         let spans = online
             .last_refresh_timing()
             .expect("successful refresh records its phase spans");
-        cov_samples.push(spans.covariance);
-        p1_samples.push(spans.phase1);
-        p2_samples.push(spans.phase2);
+        samples.cov.push(spans.covariance);
+        samples.phase1.push(spans.phase1);
+        samples.phase2.push(spans.phase2);
         // Untimed batch recompute over every row in the window.
         let window = MeasurementSet {
-            snapshots: all.snapshots[..=warmup + t].to_vec(),
+            snapshots: snapshots[..=warmup + t].to_vec(),
         };
         let batch_v = estimate_variances(
             red,
@@ -185,16 +190,74 @@ fn refresh_latency(scale: Scale) -> RefreshReport {
             && online_v.fallback == batch_v.fallback
             && online_p2.transmission == batch_p2.transmission
             && online_p2.kept == batch_p2.kept;
-        println!("{:<10} {:>10.2}ms", warmup + t, ms(dt));
-        refresh_samples.push(dt);
     }
-    let reuse_p50 = percentile_ms(&mut refresh_samples, 0.5);
-    let reuse_p99 = percentile_ms(&mut refresh_samples, 0.99);
-    let cov_p50 = percentile_ms(&mut cov_samples, 0.5);
-    let phase1_p50 = percentile_ms(&mut p1_samples, 0.5);
-    let phase2_p50 = percentile_ms(&mut p2_samples, 0.5);
+    (samples, bitwise_identical)
+}
+
+/// Refresh latency: [`REFRESH_REPEATS`] repeats of [`refresh_repeat`]
+/// over the same rows.
+fn refresh_latency(scale: Scale) -> RefreshReport {
+    let prep = tree_topology(scale, 11);
+    let red = &prep.red;
+    let (warmup, measured) = match scale {
+        Scale::Paper => (50, 30),
+        Scale::Quick => (12, 6),
+    };
+    let mut rng = StdRng::seed_from_u64(7);
+    let scenario =
+        CongestionScenario::draw(red.num_links(), 0.1, CongestionDynamics::Fixed, &mut rng);
+    let probe = ProbeConfig::default();
+    let all = simulate_run_batch(red, &scenario, &probe, warmup + measured, &[1])
+        .into_iter()
+        .next()
+        .expect("one run requested");
+    let aug_rows = AugmentedSystem::build(red).num_rows();
+    println!(
+        "refresh hot path: {} — {} paths, {} links, {} augmented rows, \
+         {REFRESH_REPEATS} repeats of {measured} refreshes",
+        prep.name,
+        red.num_paths(),
+        red.num_links(),
+        aug_rows
+    );
+    let header = format!(
+        "{:<8} {:>10} {:>10} {:>9}",
+        "repeat", "p50", "max", "max/p50"
+    );
+    println!("{header}");
+    losstomo_bench::rule(&header);
+    let mut pooled = RefreshSamples::default();
+    let mut repeats = Vec::new();
+    let mut ratios = Vec::new();
+    let mut bitwise_identical = true;
+    for r in 0..REFRESH_REPEATS {
+        let (mut samples, identical) = refresh_repeat(red, &all.snapshots, warmup);
+        bitwise_identical &= identical;
+        let p50_ms = percentile_ms(&mut samples.total, 0.5);
+        let max_ms = percentile_ms(&mut samples.total, 1.0);
+        println!(
+            "{r:<8} {p50_ms:>8.2}ms {max_ms:>8.2}ms {:>8.2}x",
+            max_ms / p50_ms.max(1e-9)
+        );
+        ratios.push(max_ms / p50_ms.max(1e-9));
+        repeats.push(RefreshRepeat { p50_ms, max_ms });
+        pooled.total.append(&mut samples.total);
+        pooled.cov.append(&mut samples.cov);
+        pooled.phase1.append(&mut samples.phase1);
+        pooled.phase2.append(&mut samples.phase2);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let tail_ratio_median = ratios[ratios.len() / 2];
+    let reuse_p50 = percentile_ms(&mut pooled.total, 0.5);
+    let reuse_p99 = percentile_ms(&mut pooled.total, 0.99);
+    let cov_p50 = percentile_ms(&mut pooled.cov, 0.5);
+    let phase1_p50 = percentile_ms(&mut pooled.phase1, 0.5);
+    let phase2_p50 = percentile_ms(&mut pooled.phase2, 0.5);
     println!();
-    println!("per-refresh p50 {reuse_p50:.2}ms, p99 {reuse_p99:.2}ms");
+    println!(
+        "per-refresh p50 {reuse_p50:.2}ms, p99 {reuse_p99:.2}ms; \
+         median over repeats of max/p50 {tail_ratio_median:.2}x"
+    );
     println!(
         "refresh breakdown p50: covariance {cov_p50:.2}ms, phase 1 {phase1_p50:.2}ms, \
          phase 2 {phase2_p50:.2}ms"
@@ -207,13 +270,15 @@ fn refresh_latency(scale: Scale) -> RefreshReport {
         // Tail gate: a refresh that moves the Phase-2 elimination cut
         // used to re-run the full (0, nc) rank bisection, and a
         // singular Phase-1 retry refactorised the fallback Gram from
-        // scratch — either spiked p99 to ~4x p50. With the stale-hint
-        // gallop and the cached all-rows factor the tail must stay
-        // within 3x of the median.
-        let tail = reuse_p99 / reuse_p50.max(1e-9);
+        // scratch — either spiked the tail to ~4x p50. With the
+        // stale-hint gallop and the cached all-rows factor the tail must
+        // stay within 3x of the median. A repeat's max is one refresh,
+        // which the host alone can stall, so the gate reads the median
+        // over repeats.
         assert!(
-            tail < 3.0,
-            "refresh p99 ({reuse_p99:.2}ms) must stay <3x p50 ({reuse_p50:.2}ms), got {tail:.2}x"
+            tail_ratio_median < 3.0,
+            "refresh max/p50 must stay <3x in the median repeat, got {tail_ratio_median:.2}x \
+             (repeats {repeats:?})"
         );
     }
     RefreshReport {
@@ -225,6 +290,8 @@ fn refresh_latency(scale: Scale) -> RefreshReport {
         measured_refreshes: measured,
         reuse_p50_ms: reuse_p50,
         reuse_p99_ms: reuse_p99,
+        repeats,
+        tail_ratio_median,
         bitwise_identical,
         cov_p50_ms: cov_p50,
         phase1_p50_ms: phase1_p50,
@@ -409,7 +476,11 @@ fn main() {
     println!();
     let scaling = scaling_sweep(scale);
     let report = FleetBenchReport {
-        meta: bench_meta("fleet_scale", scale),
+        meta: BenchMeta {
+            // 3: the refresh block records every repeat.
+            schema_version: 3,
+            ..bench_meta("fleet_scale", scale)
+        },
         simd_engine: losstomo_linalg::simd::active().name().to_string(),
         refresh,
         scaling,

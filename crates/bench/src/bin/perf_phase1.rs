@@ -1,9 +1,13 @@
 //! perf_phase1 — wall-clock timings of the numeric hot path.
 //!
 //! Times every stage of the two-phase pipeline (snapshot simulation,
-//! building `A`, one-pass covariance, the Phase-1 solve, Phase 2) on the
-//! paper's tree topology and the PlanetLab-like mesh, and asserts that
-//! the serial and multi-threaded covariance sweeps agree bit for bit.
+//! building `A` and its covariance plan, the planned covariance sweep,
+//! the Phase-1 solve, Phase 2) on the paper's tree topology and the
+//! PlanetLab-like mesh, as the LIA core runs them. The tree's pair set
+//! plans as 4×8 tiles and PlanetLab's keeps the pair kernel; the report
+//! also times the pair kernel on both, and asserts that the planned
+//! sweep and the serial and multi-threaded pair sweeps agree bit for
+//! bit.
 //!
 //! Writes a machine-readable report to `BENCH_phase1.json` at the repo
 //! root (override with `--out PATH`). CI runs this at `--scale quick`
@@ -17,8 +21,8 @@ use losstomo_bench::{
     Scale,
 };
 use losstomo_core::augmented::AugmentedSystem;
-use losstomo_core::covariance::CenteredMeasurements;
-use losstomo_core::{estimate_variances, infer_link_rates, LiaConfig, VarianceConfig};
+use losstomo_core::covariance::{CenteredMeasurements, PairPlan};
+use losstomo_core::{estimate_variances_from_sigmas, infer_link_rates, LiaConfig, VarianceConfig};
 use losstomo_netsim::{
     simulate_run_batch, CongestionDynamics, CongestionScenario, MeasurementSet, ProbeConfig,
 };
@@ -31,8 +35,12 @@ use std::time::Instant;
 #[derive(Debug, Serialize, Deserialize)]
 struct StagesMs {
     simulate: f64,
+    /// `A` and the plan of its pair set.
     build_a: f64,
+    /// The planned sweep.
     covariance: f64,
+    /// The pair kernel over the same pairs, on every core.
+    covariance_pairs: f64,
     phase1_solve: f64,
     covariance_phase1: f64,
     phase2: f64,
@@ -45,8 +53,11 @@ struct TopologyReport {
     links: usize,
     aug_rows: usize,
     snapshots: usize,
+    /// The kernel the plan picked (`Tiles` or `Pairs`).
+    covariance_plan: String,
     stages_ms: StagesMs,
-    /// Serial and multi-threaded covariance sweeps agree bit-for-bit.
+    /// The planned sweep and the serial and multi-threaded pair sweeps
+    /// agree bit-for-bit.
     serial_parallel_identical: bool,
 }
 
@@ -83,39 +94,52 @@ fn bench_topology(prep: &PreparedTopology, snapshots: usize) -> TopologyReport {
     };
     let eval = &ms_all.snapshots[snapshots];
 
-    // Build A.
+    // Build A and the plan of its pair set.
     let t = Instant::now();
     let aug = AugmentedSystem::build(red);
+    let pairs = aug.pair_indices();
+    let plan = PairPlan::new(red.num_paths(), &pairs);
     let t_build = t.elapsed();
 
-    // Covariance + Phase 1 end to end (centering + the production
-    // `estimate_variances` call), timed as the median of three runs
-    // for a stable clock on a noisy host.
+    // Covariance + Phase 1 end to end (centering, the planned sweep and
+    // the Phase-1 solve, as the LIA core runs them), timed as the median
+    // of three runs for a stable clock on a noisy host.
     let var_cfg = VarianceConfig::default();
+    let (mut panel, mut sigmas) = (Vec::new(), Vec::new());
     let mut samples = Vec::new();
     let mut timed = None;
     for _ in 0..3 {
         let t = Instant::now();
         let centered = CenteredMeasurements::new(&train);
-        let est = estimate_variances(red, &aug, &centered, &var_cfg).expect("phase 1");
+        plan.covariances_into(&centered, &mut panel, &mut sigmas);
+        let est = estimate_variances_from_sigmas(red, &aug, &sigmas, &var_cfg).expect("phase 1");
         samples.push(t.elapsed());
         timed = Some((centered, est));
     }
     let (centered, est) = timed.expect("three timed runs completed");
     let t_total = median(&mut samples);
 
-    // Stage breakdown: covariance sweep alone, then the
-    // assembly + solve with the covariances in hand.
-    let pairs = aug.pair_indices();
-    let t = Instant::now();
-    let sigmas = centered.pair_covariances(&pairs);
-    let t_cov = t.elapsed();
+    // Stage breakdown: each covariance sweep alone (median of three),
+    // then the solve with the covariances in hand.
+    let (mut planned, mut paired) = (Vec::new(), Vec::new());
+    let mut pair_sigmas = Vec::new();
+    for _ in 0..3 {
+        let t = Instant::now();
+        plan.covariances_into(&centered, &mut panel, &mut sigmas);
+        planned.push(t.elapsed());
+        let t = Instant::now();
+        pair_sigmas = centered.pair_covariances(&pairs);
+        paired.push(t.elapsed());
+    }
+    let t_cov = median(&mut planned);
+    let t_cov_pairs = median(&mut paired);
     let t_solve = t_total.saturating_sub(t_cov);
 
-    // Serial vs parallel covariance sweeps must agree bit-for-bit.
+    // The planned sweep and the serial and parallel pair sweeps must
+    // agree bit-for-bit.
     let serial = centered.pair_covariances_with_threads(&pairs, 1);
     let parallel = centered.pair_covariances_with_threads(&pairs, 4);
-    let serial_parallel_identical = serial == parallel && serial == sigmas;
+    let serial_parallel_identical = serial == parallel && serial == pair_sigmas && serial == sigmas;
 
     // Phase 2 on the evaluation snapshot.
     let t = Instant::now();
@@ -129,10 +153,12 @@ fn bench_topology(prep: &PreparedTopology, snapshots: usize) -> TopologyReport {
         links: red.num_links(),
         aug_rows: aug.num_rows(),
         snapshots,
+        covariance_plan: format!("{:?}", plan.kind()),
         stages_ms: StagesMs {
             simulate: ms(t_sim),
             build_a: ms(t_build),
             covariance: ms(t_cov),
+            covariance_pairs: ms(t_cov_pairs),
             phase1_solve: ms(t_solve),
             covariance_phase1: ms(t_total),
             phase2: ms(t_phase2),
@@ -152,8 +178,17 @@ fn main() {
 
     let preps = vec![tree_topology(scale, 11), planetlab_topology(scale, 42)];
     let header = format!(
-        "{:<26} {:>7} {:>7} {:>9} {:>12} {:>12} {:>12} {:>12}",
-        "Topology", "paths", "links", "rows", "cov", "phase1", "cov+phase1", "phase2"
+        "{:<12} {:>7} {:>7} {:>9} {:>6} {:>10} {:>10} {:>10} {:>11} {:>10}",
+        "Topology",
+        "paths",
+        "links",
+        "rows",
+        "plan",
+        "cov",
+        "cov pairs",
+        "phase1",
+        "cov+phase1",
+        "phase2"
     );
     println!("{header}");
     losstomo_bench::rule(&header);
@@ -162,12 +197,14 @@ fn main() {
     for prep in &preps {
         let rep = bench_topology(prep, snapshots);
         println!(
-            "{:<26} {:>7} {:>7} {:>9} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms",
+            "{:<12} {:>7} {:>7} {:>9} {:>6} {:>8.2}ms {:>8.2}ms {:>8.2}ms {:>9.2}ms {:>8.2}ms",
             rep.name,
             rep.paths,
             rep.links,
             rep.aug_rows,
+            rep.covariance_plan,
             rep.stages_ms.covariance,
+            rep.stages_ms.covariance_pairs,
             rep.stages_ms.phase1_solve,
             rep.stages_ms.covariance_phase1,
             rep.stages_ms.phase2,
@@ -181,7 +218,11 @@ fn main() {
     }
 
     let report = BenchReport {
-        meta: bench_meta("perf_phase1", scale),
+        meta: BenchMeta {
+            // 3: the covariance plan and the pair kernel's time.
+            schema_version: 3,
+            ..bench_meta("perf_phase1", scale)
+        },
         topologies: reports,
     };
     write_bench_report("BENCH_phase1.json", &report);

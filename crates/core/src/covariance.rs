@@ -8,23 +8,42 @@
 //! Phase 1 only needs the entries for path pairs that share at least one
 //! link (disjoint pairs produce all-zero rows of `A`). The estimator
 //! stores the centred deviations *path-major* in one flat buffer, so
-//! every covariance entry is a dot product of two contiguous slices, and
-//! computes all entries the augmented system needs in a single pass
-//! ([`CenteredMeasurements::pair_covariances`]), interleaving four
-//! register-resident accumulator chains per loop. The
-//! pair sweep is parallelised over disjoint output blocks with
-//! crossbeam scoped threads; every entry is produced by exactly one
-//! thread with a fixed ascending accumulation order, so serial and
-//! parallel results are bit-identical.
+//! every covariance entry is a dot product of two contiguous slices.
+//! Every entry, by either kernel below, accumulates its products over
+//! ascending snapshots in one chain of multiplies then adds, so each is
+//! bit-identical to [`CenteredMeasurements::cov`].
 //!
-//! The pair sweep is the `O(paths²)` term of Phase 1: its cost is one
-//! dot product per *requested* pair. Under a row budget
-//! ([`crate::budget`]) the augmented system hands over only the
-//! selected pairs, so the sweep (and the Gram assembly downstream)
-//! shrinks proportionally — see `scale_pairs` in the bench crate for
-//! the measured effect.
+//! Two kernels sweep a pair set:
+//!
+//! * **The pair kernel** ([`CenteredMeasurements::pair_covariances`])
+//!   runs the pairs in list order, four accumulator chains per loop,
+//!   parallelised over disjoint output blocks with crossbeam scoped
+//!   threads. It is the oracle of the tile kernel and serves one-off
+//!   sweeps that would not repay a plan.
+//! * **The tile kernel** runs a [`PairPlan`]: built once per pair set (a
+//!   topology constant), it orders the paths by connected component of
+//!   the pair graph and groups the requested pairs into upper-triangle
+//!   4×8 tiles of that order. A sweep packs each column block's 8
+//!   deviation rows snapshot-major and runs every touched tile of the
+//!   block through the register-blocked kernel
+//!   ([`losstomo_linalg::simd::cov_tile`]), on the calling thread. On a
+//!   tree two paths share a link exactly when they lie below one root
+//!   link, so the pair set is a union of complete blocks and its tiles
+//!   run about 95% full.
+//!
+//! A plan takes tiles only when the requested pairs fill at least half
+//! of the touched tiles' cells; otherwise it keeps the pair kernel. Mesh
+//! pair sets (9–17% fill on the paper's Waxman and PlanetLab
+//! topologies) and the sparse sets a row budget or a churn restart
+//! leaves run the pair kernel.
+//!
+//! The sweep is the `O(paths²)` term of Phase 1: its cost is one dot
+//! product per *requested* pair. Under a row budget ([`crate::budget`])
+//! the augmented system hands over only the selected pairs, so the sweep
+//! (and the Gram assembly downstream) shrinks proportionally — see
+//! `scale_pairs` in the bench crate for the measured effect.
 
-use losstomo_linalg::simd::{self, Engine};
+use losstomo_linalg::simd::{self, Engine, TILE_COLS, TILE_ROWS};
 use losstomo_netsim::MeasurementSet;
 
 /// Centred snapshot data, ready to produce covariance entries on demand.
@@ -327,6 +346,330 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
+/// Which kernel a [`PairPlan`] sweeps its pairs with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanKind {
+    /// The register-blocked 4×8 tile kernel over the component-ordered
+    /// paths, on the calling thread.
+    Tiles,
+    /// The four-chain pair kernel over the pair list
+    /// ([`CenteredMeasurements::pair_covariances`]).
+    Pairs,
+}
+
+/// The covariance sweep of one pair set (see the [module docs](self)).
+///
+/// Built once per pair set, it decides the kernel from the pair set
+/// itself: tiles when the requested pairs fill at least half of the
+/// touched tiles' cells, the pair kernel otherwise. Either way, slot `r`
+/// of a sweep is the covariance of `pairs[r]`, bit-identical to
+/// [`CenteredMeasurements::cov`]. Building is `O(paths + pairs)` in
+/// time and memory.
+#[derive(Debug, Clone)]
+pub struct PairPlan {
+    n_paths: usize,
+    len: usize,
+    body: PlanBody,
+}
+
+#[derive(Debug, Clone)]
+enum PlanBody {
+    Pairs(Vec<(usize, usize)>),
+    Tiles(Tiles),
+}
+
+/// The tile layout of a pair set. A pair `(i, j)` sits in the upper
+/// triangle of the component order, at row `min(pos i, pos j)` and
+/// column `max(pos i, pos j)`: row block `row / 4`, column block
+/// `column / 8`, and cell `(row % 4)·8 + column % 8` of its tile.
+#[derive(Debug, Clone)]
+struct Tiles {
+    /// The path at each position: the components of the pair graph in
+    /// the order of their smallest path, each in index order.
+    order: Vec<u32>,
+    /// Column block `cb` holds `tiles[col_start[cb]..col_start[cb + 1]]`.
+    col_start: Vec<u32>,
+    /// The touched tiles, by column block and then row block: each
+    /// tile's row block and its mask of requested cells.
+    tiles: Vec<(u32, u32)>,
+    /// The output slot of each requested cell, tile by tile, in cell
+    /// order.
+    slots: Vec<u32>,
+}
+
+impl PairPlan {
+    /// Plans the sweep of `pairs` over `n_paths` paths.
+    ///
+    /// # Panics
+    /// Panics on a pair index out of range.
+    pub fn new(n_paths: usize, pairs: &[(usize, usize)]) -> Self {
+        Self::from_fn(n_paths, pairs.len(), |r| pairs[r])
+    }
+
+    /// [`PairPlan::new`] over the `len` pairs `pair(0), pair(1), …`,
+    /// which a caller holding its pairs in another shape can plan
+    /// without first collecting them.
+    pub(crate) fn from_fn(
+        n_paths: usize,
+        len: usize,
+        pair: impl Fn(usize) -> (usize, usize),
+    ) -> Self {
+        assert!(
+            (0..len).all(|r| pair(r).0 < n_paths && pair(r).1 < n_paths),
+            "pair index out of range for {n_paths} paths"
+        );
+        let body = match Tiles::layout(n_paths, len, &pair) {
+            Some(tiles) => PlanBody::Tiles(tiles),
+            None => PlanBody::Pairs((0..len).map(pair).collect()),
+        };
+        PairPlan { n_paths, len, body }
+    }
+
+    /// The kernel this plan sweeps with.
+    pub fn kind(&self) -> PlanKind {
+        match self.body {
+            PlanBody::Pairs(_) => PlanKind::Pairs,
+            PlanBody::Tiles(_) => PlanKind::Tiles,
+        }
+    }
+
+    /// Number of planned pairs (the length of a sweep's output).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the plan holds no pairs.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Computes `Σ̂` of every planned pair into `out` (resized and fully
+    /// overwritten). `panel` is the tile kernel's packing buffer, reused
+    /// between sweeps so a steady-state sweep allocates nothing. A
+    /// `Pairs` plan runs [`CenteredMeasurements::pair_covariances_into`],
+    /// threads included; a `Tiles` plan runs on the calling thread.
+    ///
+    /// # Panics
+    /// Panics if `centered` does not cover the plan's paths.
+    pub fn covariances_into(
+        &self,
+        centered: &CenteredMeasurements,
+        panel: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
+        self.check_paths(centered);
+        match &self.body {
+            PlanBody::Pairs(pairs) => centered.pair_covariances_into(pairs, out),
+            PlanBody::Tiles(tiles) => tiles.sweep(centered, simd::active(), panel, out),
+        }
+    }
+
+    /// [`PairPlan::covariances_into`] under an explicit SIMD engine,
+    /// serial, into a fresh vector (the engine is the variable under
+    /// test — used by the equivalence suites and the `scale_simd`
+    /// bench). Bit-identical under every engine.
+    pub fn covariances_with_engine(
+        &self,
+        centered: &CenteredMeasurements,
+        engine: Engine,
+    ) -> Vec<f64> {
+        self.check_paths(centered);
+        match &self.body {
+            PlanBody::Pairs(pairs) => centered.pair_covariances_with_engine(pairs, engine),
+            PlanBody::Tiles(tiles) => {
+                let mut out = Vec::new();
+                tiles.sweep(centered, engine, &mut Vec::new(), &mut out);
+                out
+            }
+        }
+    }
+
+    fn check_paths(&self, centered: &CenteredMeasurements) {
+        assert_eq!(
+            centered.paths(),
+            self.n_paths,
+            "measurements cover {} paths, the plan {}",
+            centered.paths(),
+            self.n_paths
+        );
+    }
+}
+
+impl Tiles {
+    /// Lays the `len` pairs `pair(r)` out in tiles, or `None` when they
+    /// would fill less than half of the touched tiles' cells, or when
+    /// two of them share a cell (a repeated pair, in either
+    /// orientation).
+    fn layout(n: usize, len: usize, pair: &impl Fn(usize) -> (usize, usize)) -> Option<Tiles> {
+        // Slots and (row block · 32 + cell) keys must fit in a u32.
+        if len == 0 || len > u32::MAX as usize || n > 1 << 28 {
+            return None;
+        }
+        let order = component_order(n, len, pair);
+        let mut pos = vec![0u32; n];
+        for (p, &i) in order.iter().enumerate() {
+            pos[i as usize] = p as u32;
+        }
+        // Each slot as (row block · 32 + cell, slot), by column block.
+        let placed = (0..len).map(|r| {
+            let (i, j) = pair(r);
+            let (a, b) = (pos[i].min(pos[j]) as usize, pos[i].max(pos[j]) as usize);
+            let cell = (a % TILE_ROWS) * TILE_COLS + b % TILE_COLS;
+            (
+                b / TILE_COLS,
+                [((a / TILE_ROWS) << 5 | cell) as u32, r as u32],
+            )
+        });
+        let (by_col, col_bounds) = counting_sort(placed, n.div_ceil(TILE_COLS));
+        // One column block at a time: its tiles' slots by cell, and the
+        // tile of each row block (`u32::MAX` when untouched).
+        let mut cells: Vec<[u32; TILE_ROWS * TILE_COLS]> = Vec::new();
+        let mut tile_at = vec![u32::MAX; n.div_ceil(TILE_ROWS)];
+        let mut col_start = vec![0u32];
+        let mut tiles: Vec<(u32, u32)> = Vec::new();
+        let mut slots = Vec::with_capacity(len);
+        for (cb, bounds) in col_bounds.windows(2).enumerate() {
+            cells.clear();
+            for &[key, r] in &by_col[bounds[0]..bounds[1]] {
+                let at = &mut tile_at[key as usize >> 5];
+                if *at == u32::MAX {
+                    *at = cells.len() as u32;
+                    cells.push([u32::MAX; TILE_ROWS * TILE_COLS]);
+                }
+                let cell = &mut cells[*at as usize][key as usize & 31];
+                if *cell != u32::MAX {
+                    return None;
+                }
+                *cell = r;
+            }
+            // No row lies past the column block's last column.
+            for (rb, at) in tile_at.iter_mut().enumerate().take(2 * cb + 2) {
+                if *at == u32::MAX {
+                    continue;
+                }
+                let mut mask = 0u32;
+                for (cell, &slot) in cells[*at as usize].iter().enumerate() {
+                    if slot != u32::MAX {
+                        mask |= 1 << cell;
+                        slots.push(slot);
+                    }
+                }
+                *at = u32::MAX;
+                tiles.push((rb as u32, mask));
+            }
+            col_start.push(tiles.len() as u32);
+            // Fill = len / (32·tiles), and tiles only grow.
+            if 2 * len < TILE_ROWS * TILE_COLS * tiles.len() {
+                return None;
+            }
+        }
+        Some(Tiles {
+            order,
+            col_start,
+            tiles,
+            slots,
+        })
+    }
+
+    /// The tiled sweep (see [`PairPlan::covariances_into`]).
+    fn sweep(
+        &self,
+        c: &CenteredMeasurements,
+        engine: Engine,
+        panel: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
+        let m = c.snapshots();
+        let denom = (m - 1) as f64;
+        // The sweep writes every slot and every panel entry it reads.
+        out.resize(self.slots.len(), 0.0);
+        panel.resize(TILE_COLS * m, 0.0);
+        // A position past the last path reads the last path's row; no
+        // requested cell lies there.
+        let last = self.order.len() - 1;
+        let row_at = |p: usize| c.dev_row(self.order[p.min(last)] as usize);
+        let mut slot = 0;
+        for (cb, bounds) in self.col_start.windows(2).enumerate() {
+            let tiles = &self.tiles[bounds[0] as usize..bounds[1] as usize];
+            if tiles.is_empty() {
+                continue;
+            }
+            for col in 0..TILE_COLS {
+                for (l, &x) in row_at(cb * TILE_COLS + col).iter().enumerate() {
+                    panel[l * TILE_COLS + col] = x;
+                }
+            }
+            for &(rb, mask) in tiles {
+                let rows = std::array::from_fn(|r| row_at(rb as usize * TILE_ROWS + r));
+                let acc = match engine {
+                    Engine::Avx2 { .. } => simd::cov_tile(rows, panel)
+                        .unwrap_or_else(|| simd::cov_tile_scalar(rows, panel)),
+                    Engine::Scalar => simd::cov_tile_scalar(rows, panel),
+                };
+                let mut bits = mask;
+                while bits != 0 {
+                    let cell = bits.trailing_zeros() as usize;
+                    out[self.slots[slot] as usize] = acc[cell] / denom;
+                    slot += 1;
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
+
+/// The paths in component order: the connected components of the graph
+/// whose edges are the `len` pairs `pair(r)`, in the order of their
+/// smallest path, each in index order (a union-find whose roots are the
+/// smallest paths).
+fn component_order(n: usize, len: usize, pair: &impl Fn(usize) -> (usize, usize)) -> Vec<u32> {
+    let mut root: Vec<u32> = (0..n as u32).collect();
+    let find = |root: &mut Vec<u32>, mut x: u32| {
+        while root[x as usize] != x {
+            root[x as usize] = root[root[x as usize] as usize];
+            x = root[x as usize];
+        }
+        x
+    };
+    for (i, j) in (0..len).map(pair) {
+        // Most pairs of a dense set join two paths already linked to
+        // one parent: skip them without a walk.
+        if root[i] == root[j] {
+            continue;
+        }
+        let (a, b) = (find(&mut root, i as u32), find(&mut root, j as u32));
+        root[a.max(b) as usize] = a.min(b);
+    }
+    let roots: Vec<u32> = (0..n as u32).map(|i| find(&mut root, i)).collect();
+    let (order, _) = counting_sort((0..n as u32).map(|i| (roots[i as usize] as usize, i)), n);
+    order
+}
+
+/// A stable counting sort of `(key, item)` pairs by key, which must be
+/// below `keys`: the items, and the `keys + 1` bounds of each key's run.
+fn counting_sort<T: Copy>(
+    items: impl Iterator<Item = (usize, T)> + Clone,
+    keys: usize,
+) -> (Vec<T>, Vec<usize>) {
+    let mut bounds = vec![0usize; keys + 1];
+    for (k, _) in items.clone() {
+        bounds[k + 1] += 1;
+    }
+    for k in 0..keys {
+        bounds[k + 1] += bounds[k];
+    }
+    let Some((_, first)) = items.clone().next() else {
+        return (Vec::new(), bounds);
+    };
+    let mut out = vec![first; bounds[keys]];
+    let mut next = bounds.clone();
+    for (k, x) in items {
+        out[next[k]] = x;
+        next[k] += 1;
+    }
+    (out, bounds)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,6 +786,68 @@ mod tests {
                 assert_eq!(sb, vb, "{engine:?} drifted from scalar");
             }
         }
+    }
+
+    fn synthetic(m: usize, n: usize) -> CenteredMeasurements {
+        CenteredMeasurements::from_rows(
+            (0..m)
+                .map(|l| {
+                    (0..n)
+                        .map(|i| (((l * 37 + i * 11 + 5) % 89) as f64) / 8.9 - 5.0)
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn plan_tiles_a_dense_set_and_matches_cov_bitwise() {
+        let (m, n) = (7, 21);
+        let c = synthetic(m, n);
+        // Every pair of two blocks, listed in an order unrelated to the
+        // tiles.
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for block in [[0usize, 16], [16, 21]] {
+            for i in block[0]..block[1] {
+                pairs.extend((i..block[1]).map(|j| (j, i)));
+            }
+        }
+        pairs.reverse();
+        let plan = PairPlan::new(n, &pairs);
+        assert_eq!(plan.kind(), PlanKind::Tiles);
+        let (mut panel, mut out) = (Vec::new(), Vec::new());
+        plan.covariances_into(&c, &mut panel, &mut out);
+        let want: Vec<f64> = pairs.iter().map(|&(i, j)| c.cov(i, j)).collect();
+        assert_eq!(out, want);
+        assert_eq!(plan.covariances_with_engine(&c, Engine::Scalar), want);
+    }
+
+    #[test]
+    fn plan_keeps_the_pair_kernel_for_sparse_or_repeated_pairs() {
+        let c = synthetic(5, 40);
+        let sparse: Vec<(usize, usize)> = (0..40).map(|i| (i, (i * 7) % 40)).collect();
+        let repeated: Vec<(usize, usize)> = (0..20)
+            .flat_map(|i| (i..20).map(move |j| (i, j)))
+            .chain([(3, 1)])
+            .collect();
+        for pairs in [sparse, repeated] {
+            let plan = PairPlan::new(40, &pairs);
+            assert_eq!(plan.kind(), PlanKind::Pairs);
+            let (mut panel, mut out) = (Vec::new(), Vec::new());
+            plan.covariances_into(&c, &mut panel, &mut out);
+            assert_eq!(out, c.pair_covariances(&pairs));
+        }
+        let empty = PairPlan::new(40, &[]);
+        assert!(empty.is_empty());
+        let (mut panel, mut out) = (Vec::new(), vec![1.0]);
+        empty.covariances_into(&c, &mut panel, &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "pair index out of range")]
+    fn plan_rejects_out_of_range_pairs() {
+        PairPlan::new(3, &[(0, 3)]);
     }
 
     #[test]

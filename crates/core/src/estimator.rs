@@ -28,7 +28,7 @@
 
 use crate::augmented::{intersect_sorted, AugmentedSystem};
 use crate::budget::{apply_budget, PairBudget, PairSelection};
-use crate::covariance::CenteredMeasurements;
+use crate::covariance::{CenteredMeasurements, PairPlan};
 use crate::lia::{
     check_snapshot, rates_from_solution, variance_order, variance_order_into, EliminationStrategy,
     LiaConfig, LinkRateEstimate, Phase2Model, RankView,
@@ -208,6 +208,14 @@ pub struct LiaEstimator {
     /// Reusable variance-order buffer.
     order: Vec<usize>,
     phase2: Phase2Model,
+    /// The covariance sweep of `aug`'s pairs, planned on the first
+    /// batch [`LossEstimator::estimate`] after a routing change (an
+    /// online estimator sweeps its window's plan instead).
+    plan: Option<PairPlan>,
+    /// The batch estimate's pair covariances and the tile kernel's
+    /// packing buffer, reused between calls.
+    sigmas: Vec<f64>,
+    panel: Vec<f64>,
 }
 
 impl LiaEstimator {
@@ -235,6 +243,9 @@ impl LiaEstimator {
             variances: None,
             order: Vec::new(),
             phase2: Phase2Model::default(),
+            plan: None,
+            sigmas: Vec::new(),
+            panel: Vec::new(),
         }
     }
 
@@ -283,6 +294,7 @@ impl LiaEstimator {
         // sparse bisection.
         self.phase2.clear();
         self.variances = None;
+        self.plan = None;
         Ok(effect)
     }
 
@@ -322,8 +334,18 @@ impl LossEstimator for LiaEstimator {
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
-        let sigmas = centered.pair_covariances(&self.aug.pair_indices());
-        self.fit(&sigmas)?;
+        let (aug, n_paths) = (&self.aug, self.red.num_paths());
+        let plan = self.plan.get_or_insert_with(|| {
+            PairPlan::from_fn(n_paths, aug.num_rows(), |r| {
+                let (a, b) = aug.pair(r);
+                (a.index(), b.index())
+            })
+        });
+        let mut sigmas = std::mem::take(&mut self.sigmas);
+        plan.covariances_into(centered, &mut self.panel, &mut sigmas);
+        let fitted = self.fit(&sigmas);
+        self.sigmas = sigmas;
+        fitted?;
         let estimate = self.rates(y_eval)?;
         let var_est = self.variances.as_ref().expect("a successful fit stores it");
         Ok(EstimatorOutput {

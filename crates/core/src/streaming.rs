@@ -11,13 +11,16 @@
 //!   unbounded or sliding: an ingest appends one row of log
 //!   measurements and, when a sliding window overflows, evicts the
 //!   oldest. The covariances of the augmented path pairs are read by an
-//!   **exact replay** over the retained window that is bit-identical to
-//!   the batch [`CenteredMeasurements::pair_covariances`] sweep — same
-//!   additions in the same order — so a streaming refresh reproduces a
-//!   batch recompute exactly. After a routing change
+//!   **exact replay** over the retained window, through the window's
+//!   [`PairPlan`] (4×8 tiles on a tree, the pair kernel on a mesh). It
+//!   is bit-identical to the batch
+//!   [`CenteredMeasurements::pair_covariances`] sweep — each covariance
+//!   takes the same additions in the same order — so a streaming refresh
+//!   reproduces a batch recompute exactly. After a routing change
 //!   ([`StreamingCovariance::apply_churn`]) the replay is the same sweep
 //!   over every pair, followed by a re-sweep of only the pairs on a
-//!   changed path over the rows since the change.
+//!   changed path over the rows since the change, each restart group
+//!   through a plan of its own.
 //! * [`OnlineEstimator`] is a covariance window and a refresh cadence
 //!   around the LIA core that batch inference runs too
 //!   ([`crate::estimator::LiaEstimator`]): each refresh fits the core
@@ -56,7 +59,7 @@
 
 use crate::augmented::AugmentedSystem;
 use crate::budget::{PairBudget, PairSelection};
-use crate::covariance::CenteredMeasurements;
+use crate::covariance::{CenteredMeasurements, PairPlan};
 use crate::estimator::LiaEstimator;
 use crate::lia::{self, LiaConfig, LinkRateEstimate};
 use crate::variance::{VarianceConfig, VarianceEstimate};
@@ -114,10 +117,12 @@ impl StoredRow {
 /// ([`StreamingCovariance::exact_covariances`]), which every
 /// [`OnlineEstimator`] refresh runs. The pair set is typically
 /// [`AugmentedSystem::pair_indices`] — every `Σ̂_{ii'}` Phase 1 needs.
+/// The window keeps it only as its [`PairPlan`], planned on
+/// construction and on every churn.
 #[derive(Debug, Clone)]
 pub struct StreamingCovariance {
     n_paths: usize,
-    pairs: Vec<(usize, usize)>,
+    plan: PairPlan,
     mode: WindowMode,
     /// Retained rows, oldest first.
     rows: VecDeque<StoredRow>,
@@ -141,8 +146,8 @@ struct RestartGroup {
     from: u64,
     /// The group's pair slots, ascending.
     slots: Vec<usize>,
-    /// The pairs at `slots`: the sub-list the replay sweeps.
-    pairs: Vec<(usize, usize)>,
+    /// The sweep of the pairs at `slots`, in slot order.
+    plan: PairPlan,
 }
 
 /// Progress of the post-churn window flush — how far the estimator is
@@ -186,13 +191,9 @@ impl StreamingCovariance {
                 "sliding window must hold at least 2 snapshots, got {w}"
             );
         }
-        assert!(
-            pairs.iter().all(|&(i, j)| i < n_paths && j < n_paths),
-            "pair index out of range for {n_paths} paths"
-        );
         StreamingCovariance {
             n_paths,
-            pairs,
+            plan: PairPlan::new(n_paths, &pairs),
             mode,
             rows: VecDeque::new(),
             total_ingested: 0,
@@ -214,9 +215,10 @@ impl StreamingCovariance {
         self.n_paths
     }
 
-    /// The tracked path pairs, in result order.
-    pub fn pairs(&self) -> &[(usize, usize)] {
-        &self.pairs
+    /// The sweep plan of the tracked pairs (its slots are the result
+    /// order).
+    pub fn plan(&self) -> &PairPlan {
+        &self.plan
     }
 
     /// Snapshots currently retained (window occupancy).
@@ -306,20 +308,21 @@ impl StreamingCovariance {
         scratch.sigmas
     }
 
-    /// The window replay into `scratch.sigmas`: the batch sweep over
+    /// The window replay into `scratch.sigmas`: the planned sweep over
     /// every pair, then, for each restart group the window start has not
     /// passed, a sweep of only that group's pairs over the rows since
     /// its restart, written over their slots. A pair's covariance reads
     /// only its own two deviation rows, so neither sweep's bits depend
-    /// on the other pairs in its list.
+    /// on the other pairs in its list or on the kernel its plan picked.
     fn replay_into(&self, scratch: &mut RefreshScratch) {
         let RefreshScratch {
             sigmas,
             centered,
             group,
+            panel,
         } = scratch;
         centered.recentre_from_iter(self.rows.iter().map(StoredRow::as_slice));
-        centered.pair_covariances_into(&self.pairs, sigmas);
+        self.plan.covariances_into(centered, panel, sigmas);
         let ws = self.window_start();
         for g in self.restarts.iter().filter(|g| g.from > ws) {
             let offset = (g.from - ws) as usize;
@@ -331,7 +334,7 @@ impl StreamingCovariance {
                 continue;
             }
             centered.recentre_from_iter(self.rows.range(offset..).map(StoredRow::as_slice));
-            centered.pair_covariances_into(&g.pairs, group);
+            g.plan.covariances_into(centered, panel, group);
             for (&slot, &c) in g.slots.iter().zip(group.iter()) {
                 sigmas[slot] = c;
             }
@@ -395,7 +398,8 @@ impl StreamingCovariance {
     /// whole history — whether or not it was tracked before — and a
     /// pair on a changed path replays only post-churn rows until the
     /// window flushes. The pairs whose horizon the window has not yet
-    /// reached are recorded here, grouped by horizon, for the replay.
+    /// reached are recorded here, grouped by horizon, for the replay;
+    /// the pair set and each group are planned here too.
     ///
     /// `new_pairs` is the post-churn pair set (typically
     /// [`AugmentedSystem::pair_indices`] of the rebuilt system) and
@@ -409,12 +413,7 @@ impl StreamingCovariance {
         assert!(new_n_paths > 0, "need at least one path");
         let id_map = &effect.id_map;
         assert_eq!(id_map.len(), self.n_paths, "one id_map entry per old path");
-        assert!(
-            new_pairs
-                .iter()
-                .all(|&(i, j)| i < new_n_paths && j < new_n_paths),
-            "pair index out of range for {new_n_paths} paths"
-        );
+        let plan = PairPlan::new(new_n_paths, &new_pairs);
         let now = self.total_ingested;
         // Remap retained rows to the new numbering. Wire-backed rows
         // turn into owned rows here (their receive buffer describes
@@ -453,14 +452,18 @@ impl StreamingCovariance {
         pending.sort_unstable();
         self.restarts = pending
             .chunk_by(|x, y| x.0 == y.0)
-            .map(|group| RestartGroup {
-                from: group[0].0,
-                slots: group.iter().map(|&(_, slot)| slot).collect(),
-                pairs: group.iter().map(|&(_, slot)| new_pairs[slot]).collect(),
+            .map(|group| {
+                let pairs: Vec<(usize, usize)> =
+                    group.iter().map(|&(_, slot)| new_pairs[slot]).collect();
+                RestartGroup {
+                    from: group[0].0,
+                    slots: group.iter().map(|&(_, slot)| slot).collect(),
+                    plan: PairPlan::new(new_n_paths, &pairs),
+                }
             })
             .collect();
         self.path_from = path_from;
-        self.pairs = new_pairs;
+        self.plan = plan;
         self.n_paths = new_n_paths;
     }
 }
@@ -554,6 +557,8 @@ struct RefreshScratch {
     /// One restart group's covariances, before they are written over
     /// the group's slots of `sigmas`.
     group: Vec<f64>,
+    /// The tile kernel's packing buffer.
+    panel: Vec<f64>,
 }
 
 impl Default for RefreshScratch {
@@ -562,6 +567,7 @@ impl Default for RefreshScratch {
             sigmas: Vec::new(),
             centered: CenteredMeasurements::empty(),
             group: Vec::new(),
+            panel: Vec::new(),
         }
     }
 }
@@ -1241,7 +1247,7 @@ mod tests {
         assert!(est.augmented().num_rows() < full.num_rows());
         assert_eq!(est.augmented().num_rows(), sel.rows.len());
         assert_eq!(
-            est.covariance().pairs().len(),
+            est.covariance().plan().len(),
             est.augmented().num_rows(),
             "covariance sweep tracks exactly the selected pairs"
         );

@@ -313,12 +313,10 @@ pub(crate) struct Phase1Scratch {
     meets: Vec<u32>,
     /// Whether `meets` belongs to the current pair system.
     meets_ready: bool,
-    /// Per link of a tree: the sum and the count of the kept rows that
-    /// meet there, then of the dropped ones.
-    meet_sum: Vec<f64>,
-    meet_rows: Vec<u32>,
-    dropped_sum: Vec<f64>,
-    dropped_rows: Vec<u32>,
+    /// Per link of a tree: the sum and the count of the rows that meet
+    /// there, `[kept, dropped]`.
+    meet_sum: Vec<[f64; 2]>,
+    meet_rows: Vec<[u32; 2]>,
     new_kept: Vec<bool>,
     /// The Gram counts of the rows the last sync kept.
     cache: GramCache,
@@ -575,49 +573,45 @@ fn estimate_variances_tree(
         ws.meets_ready = true;
     }
     debug_assert_eq!(ws.meets.len(), aug.num_rows());
-    for buf in [&mut ws.meet_sum, &mut ws.dropped_sum] {
-        buf.clear();
-        buf.resize(nc, 0.0);
-    }
-    for buf in [&mut ws.meet_rows, &mut ws.dropped_rows] {
-        buf.clear();
-        buf.resize(nc, 0);
-    }
+    ws.meet_sum.clear();
+    ws.meet_sum.resize(nc, [0.0; 2]);
+    ws.meet_rows.clear();
+    ws.meet_rows.resize(nc, [0; 2]);
+    // Each row lands in its meet's kept or dropped accumulator, chosen
+    // by index rather than by a branch on the sign, which no predictor
+    // learns: every accumulator still takes its rows in row order.
+    let drop = cfg.drop_negative_covariances;
     for (&meet, &sigma) in ws.meets.iter().zip(sigmas) {
         let e = meet as usize;
-        if cfg.drop_negative_covariances && sigma < 0.0 {
-            ws.dropped_sum[e] += sigma;
-            ws.dropped_rows[e] += 1;
-        } else {
-            ws.meet_sum[e] += sigma;
-            ws.meet_rows[e] += 1;
-        }
+        let side = usize::from(drop & (sigma < 0.0));
+        ws.meet_sum[e][side] += sigma;
+        ws.meet_rows[e][side] += 1;
     }
-    let dropped = ws.dropped_rows.iter().map(|&n| n as usize).sum::<usize>();
+    let dropped = ws.meet_rows.iter().map(|n| n[1] as usize).sum::<usize>();
     let used = aug.num_rows() - dropped;
     let reason = if dropped == 0 {
         None
     } else if used < nc {
         Some(FallbackReason::TooFewRows)
     } else {
-        let meetless = ws.meet_rows.iter().position(|&n| n == 0);
+        let meetless = ws.meet_rows.iter().position(|n| n[0] == 0);
         meetless.map(FallbackReason::MeetlessLink)
     };
     let Some(reason) = reason else {
         return Ok(VarianceEstimate {
-            v: group_mean_variances(tree, &mut ws.meet_sum, &ws.meet_rows, used)?,
+            v: group_mean_variances(tree, &ws.meet_sum, &ws.meet_rows, used)?,
             dropped_rows: dropped,
             used_rows: used,
             fallback: None,
         });
     };
     // Fold the dropped rows back in, group by group.
-    for e in 0..nc {
-        ws.meet_sum[e] += ws.dropped_sum[e];
-        ws.meet_rows[e] += ws.dropped_rows[e];
+    for (sum, rows) in ws.meet_sum.iter_mut().zip(ws.meet_rows.iter_mut()) {
+        sum[0] += sum[1];
+        rows[0] += rows[1];
     }
     Ok(VarianceEstimate {
-        v: group_mean_variances(tree, &mut ws.meet_sum, &ws.meet_rows, aug.num_rows())?,
+        v: group_mean_variances(tree, &ws.meet_sum, &ws.meet_rows, aug.num_rows())?,
         dropped_rows: 0,
         used_rows: aug.num_rows(),
         fallback: Some(Phase1Fallback {
@@ -627,14 +621,15 @@ fn estimate_variances_tree(
     })
 }
 
-/// The tree solve over `used` rows: `z_e = sum[e] / rows[e]` (in place)
-/// and `v_e = z_e − z_parent(e)`. Fewer rows than links, or a link no
-/// row meets at, leaves the system singular, and the error says which,
-/// as the general path's failed factorisation does.
+/// The tree solve over the `used` kept rows, whose per-link sums and
+/// counts are `sum[e][0]` and `rows[e][0]`: `z_e = sum / rows` and
+/// `v_e = z_e − z_parent(e)`. Fewer rows than links, or a link no row
+/// meets at, leaves the system singular, and the error says which, as
+/// the general path's failed factorisation does.
 fn group_mean_variances(
     tree: &LinkTree,
-    sum: &mut [f64],
-    rows: &[u32],
+    sum: &[[f64; 2]],
+    rows: &[[u32; 2]],
     used: usize,
 ) -> Result<Vec<f64>, LinalgError> {
     let nc = tree.num_links();
@@ -643,17 +638,15 @@ fn group_mean_variances(
             "only {used} usable covariance rows for {nc} links"
         )));
     }
-    if let Some(index) = rows.iter().position(|&n| n == 0) {
+    if let Some(index) = rows.iter().position(|n| n[0] == 0) {
         return Err(LinalgError::Singular { index });
     }
-    for (z, &n) in sum.iter_mut().zip(rows) {
-        *z /= f64::from(n);
-    }
+    let z = |e: usize| sum[e][0] / f64::from(rows[e][0]);
     Ok(tree
         .parents()
         .iter()
-        .zip(sum.iter())
-        .map(|(&p, &z)| if p == NO_LINK { z } else { z - sum[p] })
+        .enumerate()
+        .map(|(e, &p)| if p == NO_LINK { z(e) } else { z(e) - z(p) })
         .collect())
 }
 

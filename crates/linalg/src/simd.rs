@@ -1,10 +1,12 @@
 //! Explicit SIMD microkernels with portable runtime dispatch.
 //!
-//! Two scalar kernels carry the numeric hot path of LIA: the packed
+//! Three scalar kernels carry the numeric hot path of LIA: the packed
 //! 4×4 Cholesky trailing kernel ([`crate::cholesky`]) that factors
-//! Phase 1's normal equations, and the four interleaved accumulator
-//! chains of the covariance pair sweep (`losstomo-core`). This module
-//! provides AVX2 implementations of those kernels behind **runtime
+//! Phase 1's normal equations, and the two kernels of the covariance
+//! sweep in `losstomo-core` — the pair kernel's four interleaved
+//! accumulator chains, and the 4×8 tile kernel ([`cov_tile`]) that a
+//! dense pair set's plan runs. This module provides AVX2
+//! implementations of those kernels behind **runtime
 //! CPU-feature detection** (`is_x86_feature_detected!`), so one release
 //! artifact runs on any x86-64 — the `.cargo/config.toml`
 //! `target-cpu=native` reliance this replaces produced binaries that
@@ -17,9 +19,12 @@
 //!
 //! * Cholesky trailing — lanes are the 4 columns of the 4×4 packed
 //!   kernel; each of the 16 cells keeps its ascending-`k` chain,
-//! * covariance — lanes are the 4 interleaved pair chains; products are
-//!   formed snapshot-contiguous and one 4×4 transpose feeds them to the
-//!   chains in ascending snapshot order.
+//! * covariance pairs — lanes are the 4 interleaved pair chains;
+//!   products are formed snapshot-contiguous and one 4×4 transpose feeds
+//!   them to the chains in ascending snapshot order,
+//! * covariance tiles — lanes are 4 columns of one row of the 4×8 tile;
+//!   each of the 32 cells keeps its ascending-snapshot chain, fed by the
+//!   row's value broadcast against a packed 4-column half of the panel.
 //!
 //! The sparse QR's Givens rotations stay scalar: they are bound by the
 //! merge of the two rows' supports, and a vectorized rotation span lost
@@ -47,14 +52,15 @@
 //! LOSSTOMO_SIMD → SimdPolicy → resolve() → Engine (OnceLock, resolved once)
 //!                                             │
 //!        cholesky trailing update ────────────┤ per-call `active()`
-//!        covariance pair sweep (core) ────────┘ (one branch per kernel
-//!                                                invocation, hoisted out
+//!        covariance pair sweep (core) ────────┤ (one branch per kernel
+//!        covariance tile sweep (core) ────────┘  invocation, hoisted out
 //!                                                of all inner loops)
 //! ```
 //!
 //! Tests and benches force an engine per call instead
-//! ([`crate::Cholesky::factor_into_with`], and the covariance sweep's
-//! `pair_covariances_with_engine` in `losstomo-core`).
+//! ([`crate::Cholesky::factor_into_with`], and the covariance sweeps'
+//! `pair_covariances_with_engine` and `PairPlan::covariances_with_engine`
+//! in `losstomo-core`).
 //!
 //! The scalar loops remain compiled unconditionally — they are the
 //! fallback on non-AVX2 hardware, the `LOSSTOMO_SIMD=scalar` forced
@@ -278,6 +284,74 @@ pub fn pair_cov4(
         let _ = (a0, b0, a1, b1, a2, b2, a3, b3, fma);
         None
     }
+}
+
+/// Row paths of one covariance tile ([`cov_tile`]).
+pub const TILE_ROWS: usize = 4;
+/// Column paths of one covariance tile ([`cov_tile`]).
+pub const TILE_COLS: usize = 8;
+
+/// The 4×8 covariance tile, scalar reference (the fallback and oracle
+/// of [`cov_tile`]): cell `r·8 + c` is `Σ_l rows[r][l] · panel[l·8 + c]`,
+/// each cell accumulating ascending `l` in its own chain, a multiply and
+/// then an add. `panel` holds 8 columns snapshot-major: snapshot `l` of
+/// column `c` is `panel[l·8 + c]`, for every `l` below the rows' common
+/// length `m`.
+///
+/// # Panics
+/// Panics if the four rows disagree on their length or `panel` is
+/// shorter than `8·m`.
+pub fn cov_tile_scalar(rows: [&[f64]; TILE_ROWS], panel: &[f64]) -> [f64; TILE_ROWS * TILE_COLS] {
+    let m = tile_len(rows, panel);
+    let mut acc = [0.0f64; TILE_ROWS * TILE_COLS];
+    for (l, col) in panel[..m * TILE_COLS].chunks_exact(TILE_COLS).enumerate() {
+        for (r, row) in rows.iter().enumerate() {
+            let a = row[l];
+            for (cell, &b) in acc[r * TILE_COLS..(r + 1) * TILE_COLS].iter_mut().zip(col) {
+                *cell += a * b;
+            }
+        }
+    }
+    acc
+}
+
+/// [`cov_tile_scalar`] under AVX2: lanes are 4 columns of the tile, so
+/// its 32 cells are 8 accumulators, and each snapshot costs 2 panel
+/// loads, 4 row broadcasts and 8 multiplies and 8 adds. Every lane
+/// replays its cell's scalar chain (same multiply, same ascending add
+/// order, no contraction), so the result is bit-identical to the scalar
+/// reference under every engine. `None` when the host lacks AVX2.
+///
+/// # Panics
+/// Panics on the shapes [`cov_tile_scalar`] rejects.
+pub fn cov_tile(rows: [&[f64]; TILE_ROWS], panel: &[f64]) -> Option<[f64; TILE_ROWS * TILE_COLS]> {
+    let m = tile_len(rows, panel);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if Engine::avx2_available() {
+            // SAFETY: AVX2 presence checked on this line's path; every
+            // row holds `m` entries and the panel at least `8·m`, checked
+            // by `tile_len`.
+            return Some(unsafe { x86::cov_tile_plain(rows, panel, m) });
+        }
+        None
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = m;
+        None
+    }
+}
+
+/// The snapshot count `m` of a tile's operands, after checking the
+/// shapes both tile kernels read.
+fn tile_len(rows: [&[f64]; TILE_ROWS], panel: &[f64]) -> usize {
+    let m = rows[0].len();
+    assert!(
+        rows.iter().all(|r| r.len() == m) && panel.len() >= m * TILE_COLS,
+        "cov_tile operands disagree on the snapshot count"
+    );
+    m
 }
 
 /// Reinterprets a little-endian byte slice as `&[f64]` without
@@ -598,6 +672,39 @@ mod x86 {
         }
         s
     }
+
+    // ------------------------------------------ covariance tile sweep
+
+    use super::{TILE_COLS, TILE_ROWS};
+
+    /// The 4×8 tile: row `r`'s cells are two 4-lane accumulators, fed
+    /// by one broadcast of `rows[r][l]` times the panel's two 4-column
+    /// halves of snapshot `l`. The caller guarantees `m` entries per
+    /// row and `8·m` in the panel.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn cov_tile_plain(
+        rows: [&[f64]; TILE_ROWS],
+        panel: &[f64],
+        m: usize,
+    ) -> [f64; TILE_ROWS * TILE_COLS] {
+        let mut acc = [[_mm256_setzero_pd(); 2]; TILE_ROWS];
+        let p = panel.as_ptr();
+        for l in 0..m {
+            let c0 = _mm256_loadu_pd(p.add(l * TILE_COLS));
+            let c1 = _mm256_loadu_pd(p.add(l * TILE_COLS + 4));
+            for (accr, row) in acc.iter_mut().zip(rows) {
+                let a = _mm256_broadcast_sd(&*row.as_ptr().add(l));
+                accr[0] = step::<false>(accr[0], a, c0);
+                accr[1] = step::<false>(accr[1], a, c1);
+            }
+        }
+        let mut out = [0.0f64; TILE_ROWS * TILE_COLS];
+        for (r, accr) in acc.iter().enumerate() {
+            _mm256_storeu_pd(out.as_mut_ptr().add(r * TILE_COLS), accr[0]);
+            _mm256_storeu_pd(out.as_mut_ptr().add(r * TILE_COLS + 4), accr[1]);
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -709,5 +816,16 @@ mod tests {
         if let Some(c) = cov {
             assert_eq!(c, [1.0; 4]);
         }
+        let tile = cov_tile([&[2.0]; TILE_ROWS], &[3.0; TILE_COLS]);
+        assert_eq!(tile.is_some(), Engine::avx2_available());
+        if let Some(t) = tile {
+            assert_eq!(t, [6.0; TILE_ROWS * TILE_COLS]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on the snapshot count")]
+    fn cov_tile_rejects_a_short_panel() {
+        cov_tile_scalar([&[1.0, 2.0]; TILE_ROWS], &[0.0; TILE_COLS]);
     }
 }

@@ -82,6 +82,36 @@ proptest! {
         }
     }
 
+    /// cov_tile: the 4×8 tile's 32 cells, each its own ascending chain,
+    /// bitwise against the scalar tile loop and against one dot product
+    /// per cell, at snapshot counts below, at and past the AVX2 body's
+    /// natural widths.
+    #[test]
+    fn cov_tile_bitwise_equals_scalar_tile_loop(
+        m in prop_oneof![Just(1usize), Just(2), Just(3), Just(23), Just(50)],
+        vals in proptest::collection::vec(entry(), 12 * 50),
+    ) {
+        let rows: [&[f64]; 4] = std::array::from_fn(|r| &vals[r * 50..r * 50 + m]);
+        let panel = &vals[4 * 50..4 * 50 + 8 * m];
+        let scalar = simd::cov_tile_scalar(rows, panel);
+        let mut oracle = [0.0f64; 32];
+        for (cell, o) in oracle.iter_mut().enumerate() {
+            for l in 0..m {
+                *o += rows[cell / 8][l] * panel[l * 8 + cell % 8];
+            }
+        }
+        let sb: Vec<u64> = scalar.iter().map(|v| canon_bits(*v)).collect();
+        let ob: Vec<u64> = oracle.iter().map(|v| canon_bits(*v)).collect();
+        prop_assert_eq!(&sb, &ob);
+        match simd::cov_tile(rows, panel) {
+            Some(got) => {
+                let gb: Vec<u64> = got.iter().map(|v| canon_bits(*v)).collect();
+                prop_assert_eq!(sb, gb);
+            }
+            None => prop_assert!(!Engine::avx2_available()),
+        }
+    }
+
     /// Cholesky: forced-scalar and forced-AVX2 factorisations of a
     /// random SPD matrix agree bitwise (small sizes — the panel is
     /// unblocked, pinning the dispatch plumbing).
