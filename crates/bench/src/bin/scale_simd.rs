@@ -2,8 +2,7 @@
 //!
 //! Times both SIMD-dispatched kernel families that inference runs,
 //! under an explicitly forced engine (`Engine::Scalar` vs
-//! `Engine::Avx2`, plus `avx2+fma` where the CPU has it) on
-//! paper-scale inputs:
+//! `Engine::Avx2`) on paper-scale inputs:
 //!
 //! * **cholesky** — `Cholesky::factor_into_with` on the SPD matrix
 //!   `RᵀR + I` of the paper tree's routing matrix `R` (the
@@ -14,11 +13,9 @@
 //!   (`PairPlan::covariances_with_engine`), which on this dense tree
 //!   pair set runs the 4×8 tile kernel.
 //!
-//! The non-FMA AVX2 engine is asserted **bit-identical** to scalar on
-//! every kernel; the opt-in `avx2+fma` engine's maximum relative
-//! deviation is recorded (contracted rounding, ~1e-16 per op). At paper
-//! scale on AVX2 hardware the report gates in-binary: every kernel of
-//! both families must show a ≥1.5× SIMD speedup.
+//! The AVX2 engine is asserted **bit-identical** to scalar on every
+//! kernel. At paper scale on AVX2 hardware the report gates in-binary:
+//! every kernel of both families must show a ≥1.5× SIMD speedup.
 //!
 //! Flags: `--scale quick|paper`, `--runs N`, `--out PATH`. Writes
 //! `BENCH_simd.json`.
@@ -47,16 +44,12 @@ struct KernelTiming {
     dims: String,
     /// Best wall of the forced-scalar engine, milliseconds.
     scalar_ms: f64,
-    /// Best wall of the forced-AVX2 (non-FMA) engine; absent off x86.
+    /// Best wall of the forced-AVX2 engine; absent without AVX2.
     avx2_ms: Option<f64>,
-    /// Best wall of the opt-in `avx2+fma` engine, when the CPU has FMA.
-    avx2_fma_ms: Option<f64>,
     /// `scalar_ms / avx2_ms`.
     speedup_avx2: Option<f64>,
-    /// Non-FMA AVX2 output is bit-for-bit the scalar output.
+    /// AVX2 output is bit-for-bit the scalar output.
     bitwise_identical_avx2: Option<bool>,
-    /// Max relative deviation of the FMA engine from scalar.
-    max_rel_dev_fma: Option<f64>,
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -64,8 +57,6 @@ struct SimdBenchReport {
     meta: BenchMeta,
     /// AVX2 detected at runtime on this host.
     avx2_available: bool,
-    /// FMA detected at runtime on this host.
-    fma_available: bool,
     /// Engine the default `LOSSTOMO_SIMD`-driven dispatch resolves to.
     default_engine: String,
     /// Interleaved timing rounds per kernel (best-of reported).
@@ -76,28 +67,12 @@ struct SimdBenchReport {
     families_at_gate: usize,
 }
 
-/// Max relative deviation between two equally-shaped value slices.
-fn max_rel_dev(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let scale = x.abs().max(y.abs());
-            if scale == 0.0 {
-                0.0
-            } else {
-                (x - y).abs() / scale
-            }
-        })
-        .fold(0.0, f64::max)
-}
-
 /// Times one kernel under every available engine.
 ///
 /// `time_fn` runs just the kernel under a forced engine (the timed
 /// region — no allocation or conversion of engine-independent cost);
 /// `out_fn` runs it once more and returns the output as a flat value
-/// slice (bit-compared for the non-FMA engine, tolerance-compared for
-/// FMA).
+/// slice, bit-compared against the scalar engine's.
 fn bench_kernel<T, F>(
     kernel: &str,
     family: &str,
@@ -110,16 +85,13 @@ where
     T: FnMut(Engine),
     F: FnMut(Engine) -> Vec<f64>,
 {
-    // Engines are timed interleaved (scalar, avx2, fma, scalar, …) and
+    // Engines are timed interleaved (scalar, avx2, scalar, …) and
     // the best of `runs` rounds is kept per engine: interference on a
     // shared host then hits every engine symmetrically instead of
     // biasing whichever one owned the noisy window.
     let mut engines = vec![Engine::Scalar];
     if Engine::avx2_available() {
-        engines.push(Engine::Avx2 { fma: false });
-    }
-    if Engine::fma_available() {
-        engines.push(Engine::Avx2 { fma: true });
+        engines.push(Engine::Avx2);
     }
     let reference = out_fn(Engine::Scalar); // warm-up + scalar reference output
     let mut best = vec![f64::INFINITY; engines.len()];
@@ -132,23 +104,16 @@ where
     }
     let scalar_ms = best[0];
     let (mut avx2_ms, mut speedup, mut bitwise) = (None, None, None);
-    let (mut fma_ms, mut fma_dev) = (None, None);
     if Engine::avx2_available() {
-        bitwise = Some(out_fn(Engine::Avx2 { fma: false }) == reference);
+        bitwise = Some(out_fn(Engine::Avx2) == reference);
         speedup = Some(scalar_ms / best[1].max(1e-9));
         avx2_ms = Some(best[1]);
-        if Engine::fma_available() {
-            fma_dev = Some(max_rel_dev(&out_fn(Engine::Avx2 { fma: true }), &reference));
-            fma_ms = Some(best[2]);
-        }
     }
-    let fmt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |w| format!("{w:.2}ms"));
     println!(
-        "{:<16} {:>12} {:>12} {:>12} {:>8}   {}",
+        "{:<16} {:>12} {:>12} {:>8}   {}",
         kernel,
         format!("{scalar_ms:.2}ms"),
-        fmt(avx2_ms),
-        fmt(fma_ms),
+        avx2_ms.map_or_else(|| "-".to_string(), |w| format!("{w:.2}ms")),
         speedup.map_or_else(|| "-".to_string(), |s| format!("{s:.2}x")),
         dims
     );
@@ -158,10 +123,8 @@ where
         dims,
         scalar_ms,
         avx2_ms,
-        avx2_fma_ms: fma_ms,
         speedup_avx2: speedup,
         bitwise_identical_avx2: bitwise,
-        max_rel_dev_fma: fma_dev,
     }
 }
 
@@ -181,11 +144,10 @@ fn main() {
         Scale::Quick => 3,
     });
     println!(
-        "scale_simd — scalar vs AVX2 microkernels ({} scale, {} runs, avx2={}, fma={})",
+        "scale_simd — scalar vs AVX2 microkernels ({} scale, {} runs, avx2={})",
         scale.name(),
         runs,
-        Engine::avx2_available(),
-        Engine::fma_available()
+        Engine::avx2_available()
     );
     println!();
 
@@ -214,8 +176,8 @@ fn main() {
     );
 
     let header = format!(
-        "{:<16} {:>12} {:>12} {:>12} {:>8}   {}",
-        "kernel", "scalar", "avx2", "avx2+fma", "speedup", "dims"
+        "{:<16} {:>12} {:>12} {:>8}   {}",
+        "kernel", "scalar", "avx2", "speedup", "dims"
     );
     println!();
     println!("{header}");
@@ -270,8 +232,8 @@ fn main() {
         "the tile kernel drifted from the pair kernel"
     );
 
-    // Exactness: the default (non-FMA) AVX2 engine must reproduce the
-    // scalar kernels bit-for-bit, at every scale.
+    // Exactness: the AVX2 engine must reproduce the scalar kernels
+    // bit-for-bit, at every scale.
     for k in &kernels {
         if let Some(identical) = k.bitwise_identical_avx2 {
             assert!(
@@ -313,9 +275,12 @@ fn main() {
     }
 
     let report = SimdBenchReport {
-        meta: bench_meta("scale_simd", scale),
+        meta: BenchMeta {
+            // 3: no FMA engine column.
+            schema_version: 3,
+            ..bench_meta("scale_simd", scale)
+        },
         avx2_available: Engine::avx2_available(),
-        fma_available: Engine::fma_available(),
         default_engine: losstomo_linalg::simd::active().name().to_string(),
         runs,
         kernels,

@@ -253,7 +253,7 @@ impl CenteredMeasurements {
     /// [`CenteredMeasurements::pair_covariances`] under an explicit
     /// SIMD engine, serial (the engine is the variable under test —
     /// used by the SIMD equivalence suites and the `scale_simd` bench).
-    /// Non-FMA engines are bit-identical.
+    /// Every engine is bit-identical.
     pub fn pair_covariances_with_engine(
         &self,
         pairs: &[(usize, usize)],
@@ -273,8 +273,7 @@ impl CenteredMeasurements {
     /// accumulator, which is what makes the result independent of the
     /// grouping (and of the thread count in the caller). Under an AVX2
     /// engine the four chains become the four lanes of
-    /// [`simd::pair_cov4`] — same chains, same order, bit-identical
-    /// without FMA.
+    /// [`simd::pair_cov4`] — same chains, same order, bit-identical.
     fn pair_cov_block(&self, pairs: &[(usize, usize)], out: &mut [f64], engine: Engine) {
         let denom = (self.snapshots - 1) as f64;
         let mut q = 0;
@@ -291,7 +290,7 @@ impl CenteredMeasurements {
             let a3 = self.dev_row(pairs[q + 3].0);
             let b3 = self.dev_row(pairs[q + 3].1);
             let s = match engine {
-                Engine::Avx2 { fma } => simd::pair_cov4(a0, b0, a1, b1, a2, b2, a3, b3, fma)
+                Engine::Avx2 => simd::pair_cov4(a0, b0, a1, b1, a2, b2, a3, b3)
                     .unwrap_or_else(|| scalar4(a0, b0, a1, b1, a2, b2, a3, b3)),
                 Engine::Scalar => scalar4(a0, b0, a1, b1, a2, b2, a3, b3),
             };
@@ -602,7 +601,7 @@ impl Tiles {
             for &(rb, mask) in tiles {
                 let rows = std::array::from_fn(|r| row_at(rb as usize * TILE_ROWS + r));
                 let acc = match engine {
-                    Engine::Avx2 { .. } => simd::cov_tile(rows, panel)
+                    Engine::Avx2 => simd::cov_tile(rows, panel)
                         .unwrap_or_else(|| simd::cov_tile_scalar(rows, panel)),
                     Engine::Scalar => simd::cov_tile_scalar(rows, panel),
                 };
@@ -777,14 +776,10 @@ mod tests {
             "scalar engine drifted from default entry point"
         );
         if Engine::avx2_available() {
-            // The covariance kernel has no contraction opportunity, so
-            // even the FMA engine must match bitwise.
-            for engine in [Engine::Avx2 { fma: false }, Engine::Avx2 { fma: true }] {
-                let vector = c.pair_covariances_with_engine(&pairs, engine);
-                let sb: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
-                let vb: Vec<u64> = vector.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(sb, vb, "{engine:?} drifted from scalar");
-            }
+            let vector = c.pair_covariances_with_engine(&pairs, Engine::Avx2);
+            let sb: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
+            let vb: Vec<u64> = vector.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(sb, vb, "AVX2 drifted from scalar");
         }
     }
 

@@ -134,7 +134,9 @@ pub trait LossEstimator: Send {
     /// Runs the full inference: learn whatever the backend learns from
     /// `centered` (the `m` training snapshots over the paths of the
     /// backend's topology) and solve for per-link rates against
-    /// `y_eval` (the evaluation snapshot's log rates).
+    /// `y_eval` (the evaluation snapshot's log rates). A window over
+    /// any other number of paths is a
+    /// [`LinalgError::DimensionMismatch`], returned before any work.
     fn estimate(
         &mut self,
         centered: &CenteredMeasurements,
@@ -164,6 +166,19 @@ pub fn build_estimator(
             view: RankView::new(red, lia.dispatch),
         }),
     }
+}
+
+/// A window over another path count than `red`'s is a
+/// [`LinalgError::DimensionMismatch`].
+fn check_window(red: &ReducedTopology, centered: &CenteredMeasurements) -> Result<(), LinalgError> {
+    if centered.paths() == red.num_paths() {
+        return Ok(());
+    }
+    Err(LinalgError::DimensionMismatch(format!(
+        "window covers {} paths, the topology has {}",
+        centered.paths(),
+        red.num_paths()
+    )))
 }
 
 // ---------------------------------------------------------------------
@@ -334,6 +349,7 @@ impl LossEstimator for LiaEstimator {
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
+        check_window(&self.red, centered)?;
         let (aug, n_paths) = (&self.aug, self.red.num_paths());
         let plan = self.plan.get_or_insert_with(|| {
             PairPlan::from_fn(n_paths, aug.num_rows(), |r| {
@@ -583,6 +599,7 @@ impl LossEstimator for DengFastEstimator {
         centered: &CenteredMeasurements,
         y_eval: &[f64],
     ) -> Result<EstimatorOutput, LinalgError> {
+        check_window(&self.red, centered)?;
         let (v, rows_used, clamped) = self.system.variances(centered);
         let estimate = deng_screened_phase2(&self.red, &self.view, &v, y_eval, &self.lia)?;
         Ok(EstimatorOutput {
@@ -775,6 +792,39 @@ mod tests {
             "Deng DR {:.2} too low",
             loc.detection_rate
         );
+    }
+
+    /// A window over one path too few or too many is a typed error
+    /// from either backend, and leaves the backend as it was.
+    #[test]
+    fn windows_over_other_path_counts_are_rejected() {
+        let red = fixtures::reduced(&fixtures::figure2());
+        let n_p = red.num_paths();
+        let (centered, y, _) = simulated(&red, 20, 3);
+        for kind in EstimatorKind::all() {
+            let build = || {
+                build_estimator(
+                    kind,
+                    &red,
+                    LiaConfig::default(),
+                    VarianceConfig::default(),
+                    PairBudget::Full,
+                )
+            };
+            let mut est = build();
+            for paths in [n_p - 1, n_p + 1] {
+                let rows = (0..8).map(|l| vec![-0.01 * l as f64; paths]).collect();
+                let window = CenteredMeasurements::from_rows(rows);
+                let err = est.estimate(&window, &y).unwrap_err();
+                assert!(
+                    matches!(err, LinalgError::DimensionMismatch(_)),
+                    "{kind:?} on {paths} paths: {err:?}"
+                );
+            }
+            let fresh = build().estimate(&centered, &y).unwrap().estimate;
+            let warm = est.estimate(&centered, &y).unwrap().estimate;
+            assert_eq!(warm.transmission, fresh.transmission);
+        }
     }
 
     #[test]

@@ -1798,18 +1798,37 @@ mod tests {
     #[test]
     fn invalid_delta_leaves_estimator_untouched() {
         let red = fig1();
-        let ms = simulate(&red, 10, 41);
+        let ms = simulate(&red, 14, 41);
         let mut online = OnlineEstimator::new(&red, OnlineConfig::default());
-        for s in &ms.snapshots {
+        for s in &ms.snapshots[..10] {
             online.ingest(s).unwrap();
         }
         let before = online.variances().unwrap().v.clone();
-        let err = online
-            .apply_delta(&TopologyDelta::new().remove_path(PathId(99)))
-            .unwrap_err();
-        assert!(matches!(err, ChurnError::PathOutOfRange { .. }));
-        assert_eq!(online.variances().unwrap().v, before);
-        assert_eq!(online.topology().num_paths(), red.num_paths());
-        assert!(online.covariance().is_churn_free());
+        let remove_all =
+            (0..red.num_paths()).fold(TopologyDelta::new(), |d, _| d.remove_path(PathId(0)));
+        for (delta, want) in [
+            (
+                TopologyDelta::new().remove_path(PathId(99)),
+                ChurnError::PathOutOfRange {
+                    path: PathId(99),
+                    rows: red.num_paths(),
+                },
+            ),
+            (remove_all, ChurnError::NoPaths),
+        ] {
+            assert_eq!(online.apply_delta(&delta).unwrap_err(), want);
+            assert_eq!(online.variances().unwrap().v, before);
+            assert_eq!(online.topology().matrix, red.matrix);
+            assert!(online.covariance().is_churn_free());
+        }
+        // It keeps ingesting, as if no delta had been offered.
+        let mut fresh = OnlineEstimator::new(&red, OnlineConfig::default());
+        for s in &ms.snapshots {
+            fresh.ingest(s).unwrap();
+        }
+        for s in &ms.snapshots[10..] {
+            online.ingest(s).unwrap();
+        }
+        assert_eq!(online.variances().unwrap().v, fresh.variances().unwrap().v);
     }
 }

@@ -54,10 +54,7 @@ fn bits(values: &[f64]) -> Vec<u64> {
 fn engines() -> Vec<Engine> {
     let mut engines = vec![Engine::Scalar];
     if Engine::avx2_available() {
-        engines.push(Engine::Avx2 { fma: false });
-    }
-    if Engine::fma_available() {
-        engines.push(Engine::Avx2 { fma: true });
+        engines.push(Engine::Avx2);
     }
     engines
 }

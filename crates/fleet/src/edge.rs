@@ -300,7 +300,7 @@ impl Fleet {
             .collect();
         FleetQueryReport {
             workers: self.workers(),
-            simd_engine: format!("{:?}", self.simd_engine()),
+            simd_engine: self.simd_engine().name().to_string(),
             total_ingested: tenants.iter().map(|t| t.ingested).sum(),
             total_queued: tenants.iter().map(|t| t.queued).sum(),
             quarantined_tenants: tenants.iter().filter(|t| t.quarantined).count(),
@@ -707,6 +707,7 @@ mod tests {
         assert_eq!(q.total_ingested, 25);
         assert_eq!(q.quarantined_tenants, 0);
         assert_eq!(q.workers, 2);
+        assert_eq!(q.simd_engine, losstomo_linalg::simd::active().name());
         // The report must render through the JSON codec for operator
         // endpoints.
         let json = serde_json::to_string(&q).expect("query serializes");

@@ -584,8 +584,7 @@ impl Fleet {
     /// The SIMD engine active for this process: `LOSSTOMO_SIMD`,
     /// resolved once against the host (see
     /// [`losstomo_linalg::simd::active`]). Numerical results are
-    /// engine-independent under every non-FMA policy (bit-identical
-    /// kernels).
+    /// engine-independent (bit-identical kernels).
     pub fn simd_engine(&self) -> losstomo_linalg::Engine {
         losstomo_linalg::simd::active()
     }
@@ -1382,12 +1381,22 @@ mod tests {
         assert!(fleet.estimator(t).covariance().is_churn_free());
         assert!(fleet.estimator(t).variances().is_some());
         assert!(!fleet.stats(t).quarantined);
-        // An invalid delta is rejected loudly and changes nothing.
-        let err = fleet
-            .update_topology(t, &TopologyDelta::new().remove_path(PathId(99)))
-            .unwrap_err();
-        assert!(matches!(err, FleetError::RejectedDelta { tenant, .. } if tenant == t));
-        assert_eq!(fleet.estimator(t).topology().num_paths(), red2.num_paths());
+        // An invalid delta, or one that removes every path, is
+        // rejected loudly and changes nothing: the tenant keeps serving.
+        let remove_all =
+            (0..red2.num_paths()).fold(TopologyDelta::new(), |d, _| d.remove_path(PathId(0)));
+        for delta in [TopologyDelta::new().remove_path(PathId(99)), remove_all] {
+            let err = fleet.update_topology(t, &delta).unwrap_err();
+            assert!(matches!(err, FleetError::RejectedDelta { tenant, .. } if tenant == t));
+            assert_eq!(fleet.estimator(t).topology().matrix, red2.matrix);
+        }
+        let ingested = fleet.stats(t).ingested;
+        let ms3 = simulate(&red2, 4, 43);
+        let report = fleet.ingest_batch(ms3.snapshots.iter().cloned().map(|s| (t, s)));
+        assert!(report.rejections.is_empty());
+        let stats = fleet.stats(t);
+        assert_eq!(stats.ingested, ingested + 4);
+        assert!(!stats.quarantined);
     }
 
     /// A row queued before a routing change is refused by the drain,

@@ -77,7 +77,7 @@ impl Cholesky {
     /// [`Cholesky::factor_into`] under an explicit SIMD engine for the
     /// blocked trailing update (the diagonal-block factorisation and
     /// panel solve stay scalar — they carry a negligible share of the
-    /// flops). Non-FMA engines produce bit-identical factors.
+    /// flops). Every engine produces bit-identical factors.
     pub fn factor_into_with(&mut self, a: &Matrix, engine: Engine) -> Result<()> {
         let (m, n) = a.shape();
         if m != n {
@@ -284,8 +284,8 @@ fn pivot_tolerance(a: &Matrix) -> f64 {
 ///
 /// The packing and zero-block occupancy flags are shared between the
 /// scalar and SIMD sweeps, so block skipping is identical under every
-/// engine; bit-identity of the non-FMA engines follows from the
-/// per-cell ascending-`k` accumulation both sweeps perform.
+/// engine; bit-identity of the engines follows from the per-cell
+/// ascending-`k` accumulation both sweeps perform.
 fn trailing_update(
     l: &mut [f64],
     n: usize,
@@ -301,10 +301,8 @@ fn trailing_update(
     }
     let nonzero = pack_trailing_panel(l, n, p, pb, start, nr, scratch);
     let pack = &scratch[..];
-    if let Engine::Avx2 { fma } = engine {
-        if simd::trailing_avx2(l, n, start, nr, pb, pack, &nonzero, fma) {
-            return;
-        }
+    if engine == Engine::Avx2 && simd::trailing_avx2(l, n, start, nr, pb, pack, &nonzero) {
+        return;
     }
     trailing_sweep_scalar(l, n, start, nr, pb, pack, &nonzero);
 }
@@ -380,8 +378,9 @@ fn trailing_sweep_scalar(
             // 4×4 micro-kernel: 16 independent accumulator chains, one
             // per trailing element, each summing ascending k. The plain
             // mul+add body vectorises to within ~80 % of the machine's
-            // non-FMA peak; `f64::mul_add` was measured slower here
-            // (LLVM scalarises the fused form), so it is deliberately
+            // mul+add peak; `f64::mul_add` was measured slower here
+            // (LLVM scalarises the fused form) and would round once
+            // where the AVX2 kernel rounds twice, so it is deliberately
             // not used.
             let mut acc = [[0.0f64; MR]; MR];
             for (a, b) in a_blk.chunks_exact(MR).zip(b_blk.chunks_exact(MR)) {

@@ -58,7 +58,7 @@ pub use matrix::Matrix;
 pub use pivoted_qr::PivotedQr;
 pub use qr::Qr;
 pub use rank::{rank, rank_with_tol, DEFAULT_RANK_TOL};
-pub use simd::{Engine, SimdPolicy};
+pub use simd::Engine;
 pub use sparse::CsrMatrix;
 pub use sparse_qr::{row_basis, SparseQr};
 

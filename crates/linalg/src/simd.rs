@@ -40,27 +40,26 @@
 //! pinned property compares NaN *placement*, not payload bits. That is
 //! a *tested* contract
 //! (`crates/linalg/tests/simd_properties.rs`), and it is why the golden
-//! fixtures cannot tell the engines apart. The only exception is the
-//! opt-in [`SimdPolicy::Avx2Fma`] engine, which contracts `a*b + acc`
-//! in the Cholesky trailing kernel into fused multiply-adds: faster and
-//! *more* accurate per element, but no longer bit-equal — its users
-//! accept 1e-12-tolerance comparisons instead.
+//! fixtures cannot tell the engines apart. No kernel contracts
+//! `a*b + acc` into a fused multiply-add, which would round once where
+//! the scalar loop rounds twice.
 //!
-//! # Policy and dispatch flow
+//! # Dispatch flow
 //!
 //! ```text
-//! LOSSTOMO_SIMD → SimdPolicy → resolve() → Engine (OnceLock, resolved once)
-//!                                             │
-//!        cholesky trailing update ────────────┤ per-call `active()`
-//!        covariance pair sweep (core) ────────┤ (one branch per kernel
-//!        covariance tile sweep (core) ────────┘  invocation, hoisted out
-//!                                                of all inner loops)
+//! LOSSTOMO_SIMD → active() → Engine (OnceLock, resolved once)
+//!                               │
+//!        cholesky trailing update ──────┤ per-call `active()`
+//!        covariance pair sweep (core) ──┤ (one branch per kernel
+//!        covariance tile sweep (core) ──┘  invocation, hoisted out
+//!                                          of all inner loops)
 //! ```
 //!
-//! Tests and benches force an engine per call instead
-//! ([`crate::Cholesky::factor_into_with`], and the covariance sweeps'
-//! `pair_covariances_with_engine` and `PairPlan::covariances_with_engine`
-//! in `losstomo-core`).
+//! `LOSSTOMO_SIMD=scalar` forces the scalar engine; any other value, or
+//! none, selects AVX2 when the host has it. Tests and benches force an
+//! engine per call instead ([`crate::Cholesky::factor_into_with`], and
+//! the covariance sweeps' `pair_covariances_with_engine` and
+//! `PairPlan::covariances_with_engine` in `losstomo-core`).
 //!
 //! The scalar loops remain compiled unconditionally — they are the
 //! fallback on non-AVX2 hardware, the `LOSSTOMO_SIMD=scalar` forced
@@ -74,55 +73,14 @@
 
 use std::sync::OnceLock;
 
-/// SIMD policy named by the `LOSSTOMO_SIMD` environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdPolicy {
-    /// Use the best *bit-exact* engine the CPU supports (AVX2 when
-    /// detected, scalar otherwise). Never selects FMA.
-    Auto,
-    /// Opt into AVX2 **with FMA contraction**: fastest, per-element
-    /// more accurate, but not bit-identical to the scalar reference —
-    /// results match to ~1e-12 relative instead. Falls back to plain
-    /// AVX2, then scalar, as features are missing.
-    Avx2Fma,
-    /// Force the scalar reference loops (also the only engine on
-    /// non-x86-64 targets).
-    Scalar,
-}
-
-impl SimdPolicy {
-    /// Parses a policy name as accepted by `LOSSTOMO_SIMD`. Unknown
-    /// names — `avx2` among them, which names what `auto` already
-    /// selects — map to [`SimdPolicy::Auto`] (the knob degrades
-    /// safely).
-    pub fn parse(s: &str) -> SimdPolicy {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => SimdPolicy::Scalar,
-            "avx2fma" | "avx2+fma" | "fma" => SimdPolicy::Avx2Fma,
-            _ => SimdPolicy::Auto,
-        }
-    }
-
-    /// The policy named by `LOSSTOMO_SIMD` (unset → [`SimdPolicy::Auto`]).
-    pub fn from_env() -> SimdPolicy {
-        match std::env::var("LOSSTOMO_SIMD") {
-            Ok(v) => SimdPolicy::parse(&v),
-            Err(_) => SimdPolicy::Auto,
-        }
-    }
-}
-
-/// The resolved compute engine every kernel dispatches on.
+/// The compute engine every kernel dispatches on. Both engines produce
+/// the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The reference scalar loops.
     Scalar,
-    /// AVX2 256-bit lanes; `fma` additionally contracts `a*b + acc`
-    /// (opt-in, tolerance-equal rather than bit-equal).
-    Avx2 {
-        /// Whether fused multiply-add contraction is enabled.
-        fma: bool,
-    },
+    /// AVX2 256-bit lanes.
+    Avx2,
 }
 
 impl Engine {
@@ -130,8 +88,7 @@ impl Engine {
     pub fn name(self) -> &'static str {
         match self {
             Engine::Scalar => "scalar",
-            Engine::Avx2 { fma: false } => "avx2",
-            Engine::Avx2 { fma: true } => "avx2+fma",
+            Engine::Avx2 => "avx2",
         }
     }
 
@@ -146,43 +103,6 @@ impl Engine {
             false
         }
     }
-
-    /// Whether this host can additionally contract with FMA.
-    pub fn fma_available() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    }
-}
-
-/// Resolves a policy against the host CPU. Pure given the host: the
-/// same policy always resolves to the same engine.
-pub fn resolve(policy: SimdPolicy) -> Engine {
-    match policy {
-        SimdPolicy::Scalar => Engine::Scalar,
-        SimdPolicy::Auto => {
-            if Engine::avx2_available() {
-                Engine::Avx2 { fma: false }
-            } else {
-                Engine::Scalar
-            }
-        }
-        SimdPolicy::Avx2Fma => {
-            if Engine::fma_available() {
-                Engine::Avx2 { fma: true }
-            } else if Engine::avx2_available() {
-                Engine::Avx2 { fma: false }
-            } else {
-                Engine::Scalar
-            }
-        }
-    }
 }
 
 /// The process-wide engine: `LOSSTOMO_SIMD` resolved against the host
@@ -191,15 +111,27 @@ pub fn resolve(policy: SimdPolicy) -> Engine {
 /// reads it.
 pub fn active() -> Engine {
     static ACTIVE: OnceLock<Engine> = OnceLock::new();
-    *ACTIVE.get_or_init(|| resolve(SimdPolicy::from_env()))
+    *ACTIVE.get_or_init(|| engine_for(std::env::var("LOSSTOMO_SIMD").ok().as_deref()))
+}
+
+/// The engine a `LOSSTOMO_SIMD` value selects: `scalar` (trimmed, in any
+/// case) forces the scalar loops; any other value, or none, selects
+/// AVX2 when the host has it.
+fn engine_for(setting: Option<&str>) -> Engine {
+    let forced_scalar = setting.is_some_and(|s| s.trim().eq_ignore_ascii_case("scalar"));
+    if !forced_scalar && Engine::avx2_available() {
+        Engine::Avx2
+    } else {
+        Engine::Scalar
+    }
 }
 
 // ---------------------------------------------------------------------
 // AVX2 kernel entry points (safe wrappers).
 //
 // Each returns `true`/`Some` only after performing the work with the
-// AVX2 (optionally FMA) instructions; a `false`/`None` return means the
-// host lacks the feature and the caller must run its scalar fallback.
+// AVX2 instructions; a `false`/`None` return means the host lacks the
+// feature and the caller must run its scalar fallback.
 // Dispatch sites that already matched on `Engine::Avx2` will never see
 // the fallback in practice — the runtime check is defence in depth
 // (`Engine` is a plain enum anyone can construct).
@@ -210,7 +142,6 @@ pub fn active() -> Engine {
 /// the operands already packed k-major in 4-row blocks by the Cholesky
 /// module's `pack_trailing_panel`. Arguments mirror that module's
 /// scalar sweep, `trailing_sweep_scalar`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn trailing_avx2(
     l: &mut [f64],
     n: usize,
@@ -219,25 +150,19 @@ pub(crate) fn trailing_avx2(
     pb: usize,
     pack: &[f64],
     nonzero: &[bool],
-    fma: bool,
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        if fma && Engine::fma_available() {
-            // SAFETY: AVX2 + FMA presence checked on this line's path.
-            unsafe { x86::trailing_fma(l, n, start, nr, pb, pack, nonzero) };
-            return true;
-        }
-        if !fma && Engine::avx2_available() {
+        if Engine::avx2_available() {
             // SAFETY: AVX2 presence checked on this line's path.
-            unsafe { x86::trailing_plain(l, n, start, nr, pb, pack, nonzero) };
+            unsafe { x86::trailing(l, n, start, nr, pb, pack, nonzero) };
             return true;
         }
         false
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (l, n, start, nr, pb, pack, nonzero, fma);
+        let _ = (l, n, start, nr, pb, pack, nonzero);
         false
     }
 }
@@ -247,10 +172,11 @@ pub(crate) fn trailing_avx2(
 /// ascending `l` into a single accumulator (lanes are the four chains;
 /// products are formed snapshot-contiguous and one 4×4 transpose feeds
 /// each snapshot to all four chains in order). All eight slices must
-/// share one length. This kernel has no `a·b + acc` contraction
-/// opportunity, so it is bit-identical to the scalar interleaved loop
-/// under **every** engine — the `fma` flag only widens the accepted
-/// feature set.
+/// share one length. Bit-identical to the scalar interleaved loop;
+/// `None` when the host lacks AVX2.
+///
+/// # Panics
+/// Panics if the slices disagree on their length.
 #[allow(clippy::too_many_arguments)]
 pub fn pair_cov4(
     a0: &[f64],
@@ -261,27 +187,24 @@ pub fn pair_cov4(
     b2: &[f64],
     a3: &[f64],
     b3: &[f64],
-    fma: bool,
 ) -> Option<[f64; 4]> {
     let m = a0.len();
-    debug_assert!(
+    assert!(
         [b0, a1, b1, a2, b2, a3, b3].iter().all(|s| s.len() == m),
         "pair_cov4 slices disagree on length"
     );
     #[cfg(target_arch = "x86_64")]
     {
-        let _ = fma;
         if Engine::avx2_available() {
-            // SAFETY: AVX2 presence checked on this line's path; slice
-            // lengths agree per the debug_assert'd contract (release
-            // callers pass rows of one dev buffer).
-            return Some(unsafe { x86::pair_cov4_plain(a0, b0, a1, b1, a2, b2, a3, b3) });
+            // SAFETY: AVX2 presence checked on this line's path; every
+            // slice holds `m` entries, checked above.
+            return Some(unsafe { x86::pair_cov4(a0, b0, a1, b1, a2, b2, a3, b3) });
         }
         None
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (a0, b0, a1, b1, a2, b2, a3, b3, fma);
+        let _ = (a0, b0, a1, b1, a2, b2, a3, b3);
         None
     }
 }
@@ -320,7 +243,7 @@ pub fn cov_tile_scalar(rows: [&[f64]; TILE_ROWS], panel: &[f64]) -> [f64; TILE_R
 /// loads, 4 row broadcasts and 8 multiplies and 8 adds. Every lane
 /// replays its cell's scalar chain (same multiply, same ascending add
 /// order, no contraction), so the result is bit-identical to the scalar
-/// reference under every engine. `None` when the host lacks AVX2.
+/// reference. `None` when the host lacks AVX2.
 ///
 /// # Panics
 /// Panics on the shapes [`cov_tile_scalar`] rejects.
@@ -332,7 +255,7 @@ pub fn cov_tile(rows: [&[f64]; TILE_ROWS], panel: &[f64]) -> Option<[f64; TILE_R
             // SAFETY: AVX2 presence checked on this line's path; every
             // row holds `m` entries and the panel at least `8·m`, checked
             // by `tile_len`.
-            return Some(unsafe { x86::cov_tile_plain(rows, panel, m) });
+            return Some(unsafe { x86::cov_tile(rows, panel, m) });
         }
         None
     }
@@ -388,64 +311,20 @@ pub fn cast_bytes_to_f64(bytes: &[u8]) -> Option<&[f64]> {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The `std::arch` kernel bodies. Every pair of `*_plain`/`*_fma`
-    //! entry points instantiates one `#[inline(always)]` body with a
-    //! `const FMA: bool` switch under the matching `#[target_feature]`
-    //! set, so the non-FMA instantiation never contracts.
+    //! The `std::arch` kernel bodies, each entry point compiled under
+    //! `#[target_feature(enable = "avx2")]` and every `#[inline(always)]`
+    //! helper inlined into it.
 
     use core::arch::x86_64::*;
 
-    /// One accumulation step `acc + x·y` — separate round-to-nearest
-    /// multiply and add (bit-exact vs scalar) unless `FMA`.
+    /// One accumulation step `acc + x·y`: a round-to-nearest multiply,
+    /// then an add, exactly as the scalar loops do it.
     #[inline(always)]
-    unsafe fn step<const FMA: bool>(acc: __m256d, x: __m256d, y: __m256d) -> __m256d {
-        if FMA {
-            _mm256_fmadd_pd(x, y, acc)
-        } else {
-            _mm256_add_pd(acc, _mm256_mul_pd(x, y))
-        }
-    }
-
-    /// Scalar accumulation step matching [`step`]'s contraction choice,
-    /// for the `m % 4` tail of the covariance kernel.
-    #[inline(always)]
-    fn scalar_step<const FMA: bool>(acc: f64, x: f64, y: f64) -> f64 {
-        if FMA {
-            x.mul_add(y, acc)
-        } else {
-            acc + x * y
-        }
+    unsafe fn step(acc: __m256d, x: __m256d, y: __m256d) -> __m256d {
+        _mm256_add_pd(acc, _mm256_mul_pd(x, y))
     }
 
     // ---------------------------------------- Cholesky trailing update
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn trailing_plain(
-        l: &mut [f64],
-        n: usize,
-        start: usize,
-        nr: usize,
-        pb: usize,
-        pack: &[f64],
-        nonzero: &[bool],
-    ) {
-        trailing_body::<false>(l, n, start, nr, pb, pack, nonzero)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn trailing_fma(
-        l: &mut [f64],
-        n: usize,
-        start: usize,
-        nr: usize,
-        pb: usize,
-        pack: &[f64],
-        nonzero: &[bool],
-    ) {
-        trailing_body::<true>(l, n, start, nr, pb, pack, nonzero)
-    }
 
     /// Subtracts one accumulated 4-lane vector (row `r` of block pair
     /// `(bi, bj)`) from the trailing triangle, guarding `j <= i` exactly
@@ -478,7 +357,7 @@ mod x86 {
     /// cannot cover).
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn trailing_block4<const FMA: bool>(
+    unsafe fn trailing_block4(
         l: &mut [f64],
         n: usize,
         start: usize,
@@ -496,7 +375,7 @@ mod x86 {
             let ap = a_blk.as_ptr().add(k * MR);
             for (r, accr) in acc.iter_mut().enumerate() {
                 let av = _mm256_set1_pd(*ap.add(r));
-                *accr = step::<FMA>(*accr, av, bv);
+                *accr = step(*accr, av, bv);
             }
         }
         for (r, accr) in acc.iter().enumerate().take(rows) {
@@ -513,8 +392,12 @@ mod x86 {
     /// the shared occupancy flags (identical skipping to the scalar
     /// sweep since the pack is shared); a pair with a single nonzero
     /// member degrades to the 4-wide kernel on that member.
-    #[inline(always)]
-    unsafe fn trailing_body<const FMA: bool>(
+    ///
+    /// # Safety
+    /// The host must support AVX2 (every load stays inside a block
+    /// slice of the pack).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn trailing(
         l: &mut [f64],
         n: usize,
         start: usize,
@@ -545,8 +428,8 @@ mod x86 {
                             let ap = a_blk.as_ptr().add(k * MR);
                             for (r, accr) in acc.iter_mut().enumerate() {
                                 let av = _mm256_set1_pd(*ap.add(r));
-                                accr[0] = step::<FMA>(accr[0], av, bv0);
-                                accr[1] = step::<FMA>(accr[1], av, bv1);
+                                accr[0] = step(accr[0], av, bv0);
+                                accr[1] = step(accr[1], av, bv1);
                             }
                         }
                         for (r, accr) in acc.iter().enumerate().take(rows) {
@@ -556,11 +439,11 @@ mod x86 {
                     }
                     (true, false) => {
                         let b_blk = &pack[bj * blk_len..(bj + 1) * blk_len];
-                        trailing_block4::<FMA>(l, n, start, pb, a_blk, b_blk, bi, bj, rows);
+                        trailing_block4(l, n, start, pb, a_blk, b_blk, bi, bj, rows);
                     }
                     (false, true) => {
                         let b_blk = &pack[(bj + 1) * blk_len..(bj + 2) * blk_len];
-                        trailing_block4::<FMA>(l, n, start, pb, a_blk, b_blk, bi, bj + 1, rows);
+                        trailing_block4(l, n, start, pb, a_blk, b_blk, bi, bj + 1, rows);
                     }
                     (false, false) => {}
                 }
@@ -568,7 +451,7 @@ mod x86 {
             }
             if bj <= bi && nonzero[bj] {
                 let b_blk = &pack[bj * blk_len..(bj + 1) * blk_len];
-                trailing_block4::<FMA>(l, n, start, pb, a_blk, b_blk, bi, bj, rows);
+                trailing_block4(l, n, start, pb, a_blk, b_blk, bi, bj, rows);
             }
         }
     }
@@ -595,21 +478,6 @@ mod x86 {
         )
     }
 
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn pair_cov4_plain(
-        a0: &[f64],
-        b0: &[f64],
-        a1: &[f64],
-        b1: &[f64],
-        a2: &[f64],
-        b2: &[f64],
-        a3: &[f64],
-        b3: &[f64],
-    ) -> [f64; 4] {
-        pair_cov4_body(a0, b0, a1, b1, a2, b2, a3, b3)
-    }
-
     /// Products are formed snapshot-contiguous (`p_i = a_i·b_i`, four
     /// multiplies covering sixteen scalar products), then **one** 4×4
     /// transpose turns the four product vectors into snapshot vectors
@@ -618,14 +486,15 @@ mod x86 {
     /// scalar operation sequence (same multiply, same add order), so the
     /// result is bit-identical to the interleaved reference loop.
     /// Transposing products instead of both operand groups halves the
-    /// shuffle-port traffic that bounds this kernel. There is no
-    /// `a·b + acc` contraction opportunity (the transpose sits between
-    /// multiply and add), so the FMA engine runs this same body and the
-    /// kernel is bit-exact under *every* engine. The `m % 4` tail
+    /// shuffle-port traffic that bounds this kernel. The `m % 4` tail
     /// continues each lane's accumulator in scalar code.
-    #[inline(always)]
+    ///
+    /// # Safety
+    /// The host must support AVX2, and no slice may be shorter than
+    /// `a0`.
+    #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn pair_cov4_body(
+    pub(super) unsafe fn pair_cov4(
         a0: &[f64],
         b0: &[f64],
         a1: &[f64],
@@ -665,10 +534,10 @@ mod x86 {
         let mut s = [0.0f64; 4];
         _mm256_storeu_pd(s.as_mut_ptr(), acc);
         for ll in l..m {
-            s[0] = scalar_step::<false>(s[0], a0[ll], b0[ll]);
-            s[1] = scalar_step::<false>(s[1], a1[ll], b1[ll]);
-            s[2] = scalar_step::<false>(s[2], a2[ll], b2[ll]);
-            s[3] = scalar_step::<false>(s[3], a3[ll], b3[ll]);
+            s[0] += a0[ll] * b0[ll];
+            s[1] += a1[ll] * b1[ll];
+            s[2] += a2[ll] * b2[ll];
+            s[3] += a3[ll] * b3[ll];
         }
         s
     }
@@ -679,10 +548,13 @@ mod x86 {
 
     /// The 4×8 tile: row `r`'s cells are two 4-lane accumulators, fed
     /// by one broadcast of `rows[r][l]` times the panel's two 4-column
-    /// halves of snapshot `l`. The caller guarantees `m` entries per
-    /// row and `8·m` in the panel.
+    /// halves of snapshot `l`.
+    ///
+    /// # Safety
+    /// The host must support AVX2, every row must hold `m` entries and
+    /// the panel at least `8·m`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cov_tile_plain(
+    pub(super) unsafe fn cov_tile(
         rows: [&[f64]; TILE_ROWS],
         panel: &[f64],
         m: usize,
@@ -694,8 +566,8 @@ mod x86 {
             let c1 = _mm256_loadu_pd(p.add(l * TILE_COLS + 4));
             for (accr, row) in acc.iter_mut().zip(rows) {
                 let a = _mm256_broadcast_sd(&*row.as_ptr().add(l));
-                accr[0] = step::<false>(accr[0], a, c0);
-                accr[1] = step::<false>(accr[1], a, c1);
+                accr[0] = step(accr[0], a, c0);
+                accr[1] = step(accr[1], a, c1);
             }
         }
         let mut out = [0.0f64; TILE_ROWS * TILE_COLS];
@@ -750,32 +622,24 @@ mod tests {
     }
 
     #[test]
-    fn policy_parsing() {
-        assert_eq!(SimdPolicy::parse("scalar"), SimdPolicy::Scalar);
-        assert_eq!(SimdPolicy::parse("avx2fma"), SimdPolicy::Avx2Fma);
-        assert_eq!(SimdPolicy::parse("fma"), SimdPolicy::Avx2Fma);
-        assert_eq!(SimdPolicy::parse("auto"), SimdPolicy::Auto);
-        assert_eq!(SimdPolicy::parse("garbage"), SimdPolicy::Auto);
-        // `avx2` names the engine `auto` selects, so it parses to it.
-        assert_eq!(SimdPolicy::parse("AVX2"), SimdPolicy::Auto);
-    }
-
-    #[test]
-    fn resolution_honours_forced_scalar_and_hardware() {
-        assert_eq!(resolve(SimdPolicy::Scalar), Engine::Scalar);
-        let auto = resolve(SimdPolicy::Auto);
-        if Engine::avx2_available() {
-            assert_eq!(auto, Engine::Avx2 { fma: false });
-        } else {
-            assert_eq!(auto, Engine::Scalar);
+    fn only_scalar_forces_the_scalar_loops() {
+        for forced in ["scalar", "SCALAR", " Scalar\n"] {
+            assert_eq!(engine_for(Some(forced)), Engine::Scalar);
         }
-        // Auto never selects FMA contraction — bit-exactness is the
-        // default contract.
-        assert_ne!(auto, Engine::Avx2 { fma: true });
-        match resolve(SimdPolicy::Avx2Fma) {
-            Engine::Avx2 { fma: true } => assert!(Engine::fma_available()),
-            Engine::Avx2 { fma: false } => assert!(Engine::avx2_available()),
-            Engine::Scalar => assert!(!Engine::avx2_available()),
+        let detected = if Engine::avx2_available() {
+            Engine::Avx2
+        } else {
+            Engine::Scalar
+        };
+        for other in [
+            None,
+            Some("auto"),
+            Some("avx2"),
+            Some("fma"),
+            Some(""),
+            Some("scalars"),
+        ] {
+            assert_eq!(engine_for(other), detected, "{other:?}");
         }
     }
 
@@ -783,14 +647,16 @@ mod tests {
     fn active_is_stable() {
         let first = active();
         assert_eq!(active(), first);
-        assert_eq!(first, resolve(SimdPolicy::from_env()));
+        assert_eq!(
+            first,
+            engine_for(std::env::var("LOSSTOMO_SIMD").ok().as_deref())
+        );
     }
 
     #[test]
     fn engine_names() {
         assert_eq!(Engine::Scalar.name(), "scalar");
-        assert_eq!(Engine::Avx2 { fma: false }.name(), "avx2");
-        assert_eq!(Engine::Avx2 { fma: true }.name(), "avx2+fma");
+        assert_eq!(Engine::Avx2.name(), "avx2");
     }
 
     #[test]
@@ -799,7 +665,7 @@ mod tests {
         // availability check itself; on non-AVX2 hosts they must
         // decline rather than fault.
         let (mut l, pack) = ([1.0; 4], [0.0; 4]);
-        let ran = trailing_avx2(&mut l, 2, 1, 1, 1, &pack, &[false], false);
+        let ran = trailing_avx2(&mut l, 2, 1, 1, 1, &pack, &[false]);
         assert_eq!(ran, Engine::avx2_available());
         let cov = pair_cov4(
             &[1.0],
@@ -810,7 +676,6 @@ mod tests {
             &[1.0],
             &[1.0],
             &[1.0],
-            false,
         );
         assert_eq!(cov.is_some(), Engine::avx2_available());
         if let Some(c) = cov {
@@ -821,6 +686,13 @@ mod tests {
         if let Some(t) = tile {
             assert_eq!(t, [6.0; TILE_ROWS * TILE_COLS]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on length")]
+    fn pair_cov4_rejects_a_short_slice() {
+        let (a, short) = ([1.0; 4], [1.0; 3]);
+        pair_cov4(&a, &a, &a, &a, &a, &a, &a, &short);
     }
 
     #[test]

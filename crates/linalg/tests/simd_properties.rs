@@ -1,9 +1,9 @@
 //! Property tests pinning the AVX2 microkernels to the scalar
 //! reference loops **bit-for-bit**.
 //!
-//! The SIMD module's whole contract is that the default (non-FMA)
-//! engines are indistinguishable from the scalar kernels — not "close",
-//! identical, down to NaN/∞ payloads and which entries round to exact
+//! The SIMD module's whole contract is that the AVX2 engine is
+//! indistinguishable from the scalar kernels — not "close",
+//! identical, down to NaN/∞ placement and which entries round to exact
 //! zero. Every comparison here is therefore on `f64::to_bits`, and the
 //! strategies deliberately hit the awkward shapes: the covariance
 //! kernel's `m % 4` tails, Cholesky orders that cross the blocked panel
@@ -23,8 +23,6 @@
 
 use losstomo_linalg::{simd, Cholesky, Engine, Matrix};
 use proptest::prelude::*;
-
-const AVX2: Engine = Engine::Avx2 { fma: false };
 
 /// `to_bits` with NaN payloads collapsed to the canonical quiet NaN
 /// (see the module doc for why payloads are not comparable).
@@ -72,7 +70,7 @@ proptest! {
             oracle[2] += a2[l] * b2[l];
             oracle[3] += a3[l] * b3[l];
         }
-        match simd::pair_cov4(a0, b0, a1, b1, a2, b2, a3, b3, false) {
+        match simd::pair_cov4(a0, b0, a1, b1, a2, b2, a3, b3) {
             Some(got) => {
                 let ob: Vec<u64> = oracle.iter().map(|v| canon_bits(*v)).collect();
                 let gb: Vec<u64> = got.iter().map(|v| canon_bits(*v)).collect();
@@ -128,7 +126,7 @@ proptest! {
         let mut scalar = Cholesky::new(&spd).unwrap();
         scalar.factor_into_with(&spd, Engine::Scalar).unwrap();
         let mut vector = Cholesky::new(&spd).unwrap();
-        vector.factor_into_with(&spd, AVX2).unwrap();
+        vector.factor_into_with(&spd, Engine::Avx2).unwrap();
         prop_assert_eq!(bits(scalar.l()), bits(vector.l()));
     }
 }
@@ -159,27 +157,6 @@ fn cholesky_blocked_trailing_bitwise_across_engines() {
     let mut scalar = Cholesky::new(&spd).unwrap();
     scalar.factor_into_with(&spd, Engine::Scalar).unwrap();
     let mut vector = Cholesky::new(&spd).unwrap();
-    vector
-        .factor_into_with(&spd, Engine::Avx2 { fma: false })
-        .unwrap();
+    vector.factor_into_with(&spd, Engine::Avx2).unwrap();
     assert_eq!(bits(scalar.l()), bits(vector.l()));
-}
-
-/// The forced-scalar policy resolves to the scalar engine everywhere,
-/// and AVX2 requests degrade cleanly on hosts without the feature —
-/// the portable-dispatch contract.
-#[test]
-fn policy_resolution_is_portable() {
-    assert_eq!(simd::resolve(simd::SimdPolicy::Scalar), Engine::Scalar);
-    for policy in [simd::SimdPolicy::Auto, simd::SimdPolicy::Avx2Fma] {
-        match simd::resolve(policy) {
-            Engine::Scalar => assert!(!Engine::avx2_available()),
-            Engine::Avx2 { fma } => {
-                assert!(Engine::avx2_available());
-                if fma {
-                    assert!(Engine::fma_available());
-                }
-            }
-        }
-    }
 }

@@ -28,7 +28,8 @@
 //!   remapped link is reported as *changed* — its historical
 //!   measurements no longer describe its current route.
 //! * Validation is complete before any state is committed: an invalid
-//!   edit returns a [`ChurnError`] and leaves the matrix untouched.
+//!   edit, or a delta that would leave no path, returns a
+//!   [`ChurnError`] and leaves the matrix untouched.
 //!
 //! The contract downstream layers rely on: a path absent from
 //! [`DeltaEffect::changed`] has **bit-identical** link rows before and
@@ -158,6 +159,8 @@ pub enum ChurnError {
     /// An added or rerouted path had an empty link set; every path must
     /// cover at least one link (an empty row is unmeasurable).
     EmptyPath,
+    /// The edits would leave no path; an estimator needs at least one.
+    NoPaths,
 }
 
 impl fmt::Display for ChurnError {
@@ -170,6 +173,7 @@ impl fmt::Display for ChurnError {
                 write!(f, "link {link} out of range for {cols} columns")
             }
             ChurnError::EmptyPath => write!(f, "added/rerouted path covers no links"),
+            ChurnError::NoPaths => write!(f, "delta leaves no path"),
         }
     }
 }
@@ -300,6 +304,10 @@ impl RoutingMatrix {
                     }
                 }
             }
+        }
+
+        if rows.is_empty() {
+            return Err(ChurnError::NoPaths);
         }
 
         // Commit: rebuild the CSR and derive the effect.
@@ -459,6 +467,10 @@ mod tests {
             .apply_delta(&TopologyDelta::new().add_path(vec![]))
             .unwrap_err();
         assert_eq!(err, ChurnError::EmptyPath);
+        assert_eq!(m, before);
+
+        let remove_all = (0..m.rows()).fold(TopologyDelta::new(), |d, _| d.remove_path(PathId(0)));
+        assert_eq!(m.apply_delta(&remove_all).unwrap_err(), ChurnError::NoPaths);
         assert_eq!(m, before);
     }
 
